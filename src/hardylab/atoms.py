@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec, _lp_impl, lp_norm
+from .grid import Ball, GridFunction, GridSpec, _lp_impl, lp_norm, random_smooth_field, sq_distance
 from .maximal import MollifierSpec, ScaleGrid, hp_norm, quintic_step
 from .moments import (
     HardyIndex,
@@ -88,21 +88,10 @@ class PreMoleculeSpec:
 def edge_cutoff(spec: GridSpec, ball: Ball, width_frac: float = 0.3) -> GridFunction:
     """Smooth cutoff equal to 1 in the core of the ball, 0 at and beyond its
     boundary; quintic descent over the outer width_frac of the radius."""
-    pts = spec.points()
-    d2 = np.zeros(spec.shape)
-    for i in range(spec.dim):
-        d2 += (pts[i] - ball.center[i]) ** 2
-    dist = np.sqrt(d2)
+    dist = np.sqrt(sq_distance(spec.points(), ball.center))
     vals = quintic_step((ball.radius - dist) / (width_frac * ball.radius))
     vals[dist >= ball.radius] = 0.0
     return GridFunction(spec, vals)
-
-
-def random_smooth_field(spec: GridSpec, ball: Ball, rng: np.random.Generator) -> np.ndarray:
-    noise = rng.standard_normal(spec.shape)
-    ell = ball.radius / 3.0
-    xi2 = np.sum(spec.frequencies() ** 2, axis=0)
-    return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
 
 
 def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
@@ -122,7 +111,7 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
     w = edge_cutoff(grid, ball)
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        u = GridFunction(grid, random_smooth_field(grid, ball, rng))
+        u = GridFunction(grid, random_smooth_field(grid, ball.radius / 3.0, rng))
         raw = w * u
         if spec_.needs_cancellation:
             q = weighted_poly_project(u, ball, idx.N_p, w)
@@ -206,10 +195,7 @@ class PreMoleculeReport:
 
 
 def _weighted_tail_norm(M: GridFunction, ball: Ball, s: float, lam: float) -> float:
-    pts = M.spec.points()
-    d2 = np.zeros(M.spec.shape)
-    for i in range(M.spec.dim):
-        d2 += (pts[i] - ball.center[i]) ** 2
+    d2 = sq_distance(M.spec.points(), ball.center)
     outside = ~ball.mask(M.spec)
     vals = np.abs(M.samples[outside]) ** s * d2[outside] ** (lam / 2.0)
     return float((vals.sum() * M.spec.cell_volume) ** (1.0 / s))

@@ -22,13 +22,12 @@ from .atoms import (
     make_atom,
     min_premolecule_constant,
     moment_bound_check,
-    random_smooth_field,
     validate_premolecule,
 )
 from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
-from .grid import Ball, GridFunction, GridSpec, _lp_impl, integrate
+from .grid import Ball, GridFunction, GridSpec, _lp_impl, integrate, random_smooth_field
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal, hp_norm
-from .moments import HardyIndex, _smooth_noise_on_ball, dual_norm_check, monomial_field, multiindices, order
+from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, order
 from .operators import cancellation_test, get_operator, smooth_window
 from .svgchart import Series, line_chart
 
@@ -102,7 +101,7 @@ def _profile_field(kind: str, grid: GridSpec, ball: Ball, rng, idx: HardyIndex) 
         return edge_cutoff(grid, ball, width_frac=0.6)
     if kind == "random":
         w = edge_cutoff(grid, ball)
-        return w * GridFunction(grid, random_smooth_field(grid, ball, rng))
+        return w * GridFunction(grid, random_smooth_field(grid, ball.radius / 3.0, rng))
     if kind == "atom":
         return make_atom(AtomSpec(idx, 2.0, ball, "local"),
                          int(rng.integers(0, 2**31)), grid)
@@ -143,22 +142,13 @@ def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
 
 
 def _fit_log_model(Ts, values):
+    """Least-squares fit values ~ a + b log T; returns (a, b, r^2)."""
     A = np.vstack([np.ones(len(Ts)), np.log(Ts)]).T
     coef, *_ = np.linalg.lstsq(A, values, rcond=None)
     pred = A @ coef
     ss = np.sum((values - np.mean(values)) ** 2)
     r2 = 1.0 - np.sum((values - pred) ** 2) / ss if ss > 0 else 1.0
     return float(coef[0]), float(coef[1]), float(r2)
-
-
-def _fit_power_model(Ts, values):
-    logv = np.log(values)
-    A = np.vstack([np.ones(len(Ts)), np.log(Ts)]).T
-    coef, *_ = np.linalg.lstsq(A, logv, rcond=None)
-    pred = A @ coef
-    ss = np.sum((logv - np.mean(logv)) ** 2)
-    r2 = 1.0 - np.sum((logv - pred) ** 2) / ss if ss > 0 else 1.0
-    return float(np.exp(coef[0])), float(coef[1]), float(r2)
 
 
 def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
@@ -194,8 +184,9 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
             icpt, slope, r2 = _fit_log_model(Ts, vals)
             rows.append(["fit", p, r_large, "", "", "log", icpt, slope, r2])
         else:
-            amp, expo, r2 = _fit_power_model(Ts, vals)
-            rows.append(["fit", p, r_large, "", "", "power", amp, expo, r2])
+            # power model vals ~ A T^b, fitted on a log scale
+            log_amp, expo, r2 = _fit_log_model(Ts, np.log(vals))
+            rows.append(["fit", p, r_large, "", "", "power", float(np.exp(log_amp)), expo, r2])
     idx1 = HardyIndex(1.0, grid.dim)
     small = norms_for(idx1, r_small)
     for T, v in zip(Ts, small):
@@ -291,7 +282,9 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
         r = r_values[i % len(r_values)]
         ball = Ball((0.0,) * grid.dim, r)
         rng = np.random.default_rng([cfg.seed, 51, i])
-        f = GridFunction(grid, _smooth_noise_on_ball(grid, ball, rng))
+        noise = random_smooth_field(grid, ball.radius / 2.0, rng)
+        noise[~ball.mask(grid)] = 0.0
+        f = GridFunction(grid, noise)
         if mode in ("both", "deterministic"):
             lhs, rhs = dual_norm_check(f, ball, degree, trials=0, seed=cfg.seed + i,
                                        include_deterministic=True)

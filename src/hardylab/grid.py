@@ -13,7 +13,6 @@ to share across threads.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -97,6 +96,14 @@ class GridSpec:
         return np.stack([K1, K2])
 
 
+def sq_distance(pts: np.ndarray, center) -> np.ndarray:
+    """|x - center|^2 at every point of pts, shape (dim,) + grid."""
+    d2 = np.zeros(pts.shape[1:])
+    for i in range(pts.shape[0]):
+        d2 += (pts[i] - center[i]) ** 2
+    return d2
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball B(x0, r); membership at sample points is strict |x - x0| < r."""
@@ -116,11 +123,8 @@ class Ball:
     def mask(self, spec: GridSpec) -> np.ndarray:
         if spec.dim != self.dim:
             raise ValueError("ball/grid dimension mismatch")
-        pts = spec.points()
-        d2 = np.zeros(spec.shape)
-        for i in range(spec.dim):
-            d2 += (pts[i] - self.center[i]) ** 2
-        return d2 < self.radius**2
+        # compare squares: sqrt(d2) < r would flip points on the boundary
+        return sq_distance(spec.points(), self.center) < self.radius**2
 
     def fits_in(self, spec: GridSpec) -> bool:
         return all(
@@ -345,6 +349,13 @@ def fourier_multiplier(f: GridFunction, symbol: Callable[[np.ndarray], np.ndarra
     return GridFunction(spec, out.copy())
 
 
+def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:
+    """White noise smoothed by a Gaussian of correlation length ell."""
+    noise = rng.standard_normal(spec.shape)
+    xi2 = np.sum(spec.frequencies() ** 2, axis=0)
+    return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
+
+
 def dilate(phi: FunctionLike, t: float, spec: GridSpec) -> GridFunction:
     """Samples of the L1-normalized dilation t^{-dim} phi(x/t).
 
@@ -388,17 +399,3 @@ def load_gridfunction(path) -> GridFunction:
         raise ValueError("payload size does not match header")
     return GridFunction(spec, data.reshape(spec.shape).copy())
 
-
-def dump_text(f: GridFunction, fh: io.TextIOBase) -> None:
-    """Line-oriented text dump for debugging: coordinates then value(s)."""
-    spec = f.spec
-    fh.write(f"# dim={spec.dim} m={spec.points_per_axis} L={spec.half_width!r} "
-             f"complex={int(not f.is_real)}\n")
-    pts = spec.points().reshape(spec.dim, -1).T
-    vals = f.samples.ravel()
-    for p, v in zip(pts, vals):
-        coords = " ".join(repr(float(c)) for c in p)
-        if f.is_real:
-            fh.write(f"{coords} {float(v)!r}\n")
-        else:
-            fh.write(f"{coords} {float(v.real)!r} {float(v.imag)!r}\n")

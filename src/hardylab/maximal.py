@@ -30,16 +30,12 @@ from .grid import (
     _lp_impl,
     _padded_fft,
     dilate,
+    sq_distance,
 )
 from .moments import HardyIndex, MultiIndex, as_multiindex, moment, multiindices, order
 
 # ---------------------------------------------------------------------------
 # smooth profiles
-
-
-# np.trapezoid appeared in NumPy 2.0 and np.trapz was removed in 2.4; the
-# fallback is looked up only when the new name is missing.
-_trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 
 def quintic_step(u):
@@ -54,13 +50,9 @@ def cutoff_eta(s):
 
 
 def _radius(pts: np.ndarray, center=None) -> np.ndarray:
-    if center is None:
-        sq = np.sum(pts**2, axis=0)
-    else:
-        sq = np.zeros(pts.shape[1:])
-        for i in range(pts.shape[0]):
-            sq += (pts[i] - center[i]) ** 2
-    return np.sqrt(sq)
+    # the uncentred branch keeps its (dim,)+grid temporary: without it glibc
+    # maps the later padded-FFT buffers afresh on every call (see CHANGES.md)
+    return np.sqrt(np.sum(pts**2, axis=0) if center is None else sq_distance(pts, center))
 
 
 @functools.lru_cache(maxsize=8)
@@ -69,8 +61,8 @@ def _bump_normalizer(dim: int) -> float:
     s = np.linspace(0.0, 1.0, 200001)[:-1]
     prof = np.exp(1.0 - 1.0 / (1.0 - s**2))
     if dim == 1:
-        return float(2.0 * _trapz(prof, s))
-    return float(2.0 * np.pi * _trapz(s * prof, s))
+        return float(2.0 * np.trapezoid(prof, s))
+    return float(2.0 * np.pi * np.trapezoid(s * prof, s))
 
 
 def _bump_profile(s):
@@ -357,10 +349,10 @@ def _box_integral(fn, center, radius, dim, n=2001):
     axes = [np.linspace(c - radius, c + radius, n) for c in center]
     d = axes[0][1] - axes[0][0]
     if dim == 1:
-        return float(_trapz(np.asarray(fn(axes[0][None, :])), dx=d))
+        return float(np.trapezoid(np.asarray(fn(axes[0][None, :])), dx=d))
     X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
     vals = np.asarray(fn(np.stack([X, Y])))
-    return float(_trapz(_trapz(vals, dx=d, axis=1), dx=d))
+    return float(np.trapezoid(np.trapezoid(vals, dx=d, axis=1), dx=d))
 
 
 def _lobe_directions(v):
@@ -469,12 +461,9 @@ class MollifierCopyEntry:
     mollifier: MollifierSpec
     scale: float
     amplitude: float
-    offset_cells: tuple[int, ...] = ()
 
     def manifest_line(self) -> str:
-        off = ",".join(map(str, self.offset_cells)) or "0"
-        return (f"kind=mollifier-copy t={self.scale!r} amplitude={self.amplitude!r} "
-                f"offset_cells={off}")
+        return f"kind=mollifier-copy t={self.scale!r} amplitude={self.amplitude!r}"
 
 
 @dataclass(frozen=True)
@@ -555,10 +544,7 @@ def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
                 Ff = _padded_fft(f)
             conv = _convolve_from_ffts(
                 Ff, _mollifier_kernel_fft(entry.mollifier, spec, entry.scale), spec, False)
-            vals = entry.amplitude * np.abs(conv.samples)
-            if entry.offset_cells and any(entry.offset_cells):
-                vals = np.roll(vals, entry.offset_cells, axis=tuple(range(spec.dim)))
-            np.maximum(out, vals, out=out)
+            np.maximum(out, entry.amplitude * np.abs(conv.samples), out=out)
         elif isinstance(entry, MomentProbeEntry):
             for site in entry.sites:
                 probe = phi_x_alpha(site, entry.alpha, dictionary.idx)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec
+from .grid import Ball, GridFunction, GridSpec, random_smooth_field
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -162,70 +162,56 @@ class PolyCoeffs:
     def on_grid(self, spec: GridSpec) -> GridFunction:
         return GridFunction(spec, self.evaluate(spec.points()))
 
-    def to_text(self) -> str:
-        lines = [f"# poly dim={self.space.dim} degree={self.space.degree} "
-                 f"center={','.join(repr(float(c)) for c in self.center)} radius={float(self.radius)!r}"]
-        complex_ = np.iscomplexobj(self.coeffs)
-        for a, c in zip(self.space.basis, self.coeffs):
-            val = f"{float(c.real)!r} {float(c.imag)!r}" if complex_ else f"{float(c)!r}"
-            lines.append(f"{','.join(map(str, a))} {val}")
-        return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "PolyCoeffs":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split() if "=" in tok)
-        dim, degree = int(head["dim"]), int(head["degree"])
-        center = tuple(float(v) for v in head["center"].split(","))
-        radius = float(head["radius"])
-        space = PolySpace(dim, degree)
-        coeffs = {}
-        for ln in lines[1:]:
-            key, *vals = ln.split()
-            a = tuple(int(v) for v in key.split(","))
-            coeffs[a] = float(vals[0]) if len(vals) == 1 else complex(float(vals[0]), float(vals[1]))
-        arr = np.array([coeffs[a] for a in space.basis])
-        return cls(space, center, radius, arr)
+class BallBasis:
+    """The scaled monomials ((y-x0)/r)^a, |a| <= degree, at the grid points of
+    a ball, with the factored Gram matrix G_ab = int_B w ((y-x0)/r)^(a+b) dy
+    (w = 1 unless a weight is given).
 
+    Values on the ball are passed as `values[mask]`, one column per probe.
+    """
 
-def _ball_quadrature(f: GridFunction, ball: Ball):
-    mask = ball.mask(f.spec)
-    npts = int(mask.sum())
-    if npts == 0:
-        raise NumericalError("degenerate region")
-    return mask, npts
+    def __init__(self, spec: GridSpec, ball: Ball, degree: int, weight: GridFunction | None = None):
+        self.space = PolySpace(spec.dim, degree)
+        self.mask = ball.mask(spec)
+        self.npts = int(self.mask.sum())
+        if self.npts < self.space.dimension:
+            raise NumericalError(
+                f"degenerate region: ball holds {self.npts} grid points"
+                f" < {self.space.dimension} basis functions"
+            )
+        pts = spec.points()[:, self.mask]
+        self.scales = np.array([ball.radius ** order(a) for a in self.space.basis])
+        self._monomials = [_monomial(pts, ball.center, a) for a in self.space.basis]
+        self.cols = np.stack([m / s for m, s in zip(self._monomials, self.scales)], axis=1)
+        self.weight = None if weight is None else weight.samples[self.mask]
+        self._weighted = self.cols if weight is None else self.cols * self.weight[:, None]
+        self.h = spec.cell_volume
+        G = self._weighted.T @ self.cols * self.h
+        if np.linalg.cond(G) > GRAM_CONDITION_LIMIT:
+            raise NumericalError("ill-conditioned projection (N too large for ball resolution)")
+        self._factor = linalg.cho_factor(G)
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """G^{-1} b, with real and imaginary parts solved separately."""
+        if np.iscomplexobj(b):
+            return linalg.cho_solve(self._factor, b.real) + 1j * linalg.cho_solve(self._factor, b.imag)
+        return linalg.cho_solve(self._factor, b)
 
-def _projection_system(f: GridFunction, ball: Ball, degree: int, weight: np.ndarray | None):
-    spec = f.spec
-    space = PolySpace(spec.dim, degree)
-    mask, npts = _ball_quadrature(f, ball)
-    if npts < space.dimension:
-        raise NumericalError(
-            f"degenerate region: ball holds {npts} grid points < {space.dimension} basis functions"
-        )
-    pts = spec.points()
-    cols = np.stack(
-        [
-            (_monomial(pts, ball.center, a) / ball.radius ** order(a))[mask]
-            for a in space.basis
-        ],
-        axis=1,
-    )
-    w = np.ones(npts) if weight is None else weight[mask]
-    h = spec.cell_volume
-    G = (cols * w[:, None]).T @ cols * h
-    b = (cols * w[:, None]).T @ f.samples[mask] * h
-    return space, mask, cols, G, b
+    def coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the (weighted) L2(B) projection of each column."""
+        return self.solve(self._weighted.T @ values * self.h)
 
-
-def _solve_gram(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(G) > GRAM_CONDITION_LIMIT:
-        raise NumericalError("ill-conditioned projection (N too large for ball resolution)")
-    c, low = linalg.cho_factor(G)
-    if np.iscomplexobj(b):
-        return linalg.cho_solve((c, low), b.real) + 1j * linalg.cho_solve((c, low), b.imag)
-    return linalg.cho_solve((c, low), b)
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        """values minus their projection, with the fit summed monomial by
+        monomial as in PolyCoeffs.evaluate. The fit is built one row per
+        probe, so for values = np.stack(probes).T every residual column is
+        contiguous and sums over it equal the sums over a single probe."""
+        c = self.coeffs(values)
+        fit = np.zeros(values.T.shape, dtype=c.dtype)
+        for m, s, ca in zip(self._monomials, self.scales, c):
+            fit = fit + np.multiply.outer(ca, m) / s
+        return values - fit.T
 
 
 def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyCoeffs:
@@ -236,9 +222,8 @@ def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyCoeffs:
     failure, since a silent loss of moment matching would corrupt every
     oscillation value downstream.
     """
-    space, _, _, G, b = _projection_system(f, ball, degree, None)
-    coeffs = _solve_gram(G, b)
-    return PolyCoeffs(space, ball.center, ball.radius, coeffs)
+    basis = BallBasis(f.spec, ball, degree)
+    return PolyCoeffs(basis.space, ball.center, ball.radius, basis.coeffs(f.samples[basis.mask]))
 
 
 def weighted_poly_project(f: GridFunction, ball: Ball, degree: int, weight: GridFunction) -> PolyCoeffs:
@@ -247,9 +232,8 @@ def weighted_poly_project(f: GridFunction, ball: Ball, degree: int, weight: Grid
     Used by the atom generator: subtracting w*Q from w*f kills moments while
     keeping the smooth edge cutoff w.
     """
-    space, _, _, G, b = _projection_system(f, ball, degree, weight.samples)
-    coeffs = _solve_gram(G, b)
-    return PolyCoeffs(space, ball.center, ball.radius, coeffs)
+    basis = BallBasis(f.spec, ball, degree, weight)
+    return PolyCoeffs(basis.space, ball.center, ball.radius, basis.coeffs(f.samples[basis.mask]))
 
 
 def ball_measure(spec: GridSpec, ball: Ball) -> float:
@@ -262,36 +246,21 @@ def match_moments_with_bump(spec: GridSpec, ball: Ball, degree: int,
     """A smooth function q = weight * (polynomial) supported in the ball whose
     raw moments about the ball center equal `targets` (ordered like the
     PolySpace basis) exactly at the quadrature level."""
-    space = PolySpace(spec.dim, degree)
     targets = np.asarray(targets)
-    if targets.shape != (space.dimension,):
+    if targets.shape != (PolySpace(spec.dim, degree).dimension,):
         raise ValueError("targets must match the polynomial basis size")
-    mask, npts = _ball_quadrature(weight, ball)
-    if npts < space.dimension:
-        raise NumericalError("degenerate region: too few grid points for moment matching")
-    pts = spec.points()
-    cols = np.stack(
-        [
-            (_monomial(pts, ball.center, a) / ball.radius ** order(a))[mask]
-            for a in space.basis
-        ],
-        axis=1,
-    )
-    w = weight.samples[mask]
-    G = (cols * w[:, None]).T @ cols * spec.cell_volume
-    scaled = targets / np.array([ball.radius ** order(a) for a in space.basis])
-    d = _solve_gram(G, scaled)
+    basis = BallBasis(spec, ball, degree, weight)
+    d = basis.solve(targets / basis.scales)
     out = np.zeros(spec.shape, dtype=d.dtype)
-    out[mask] = w * (cols @ d)
+    out[basis.mask] = basis.weight * (basis.cols @ d)
     return GridFunction(spec, out)
 
 
 def local_oscillation(f: GridFunction, ball: Ball, degree: int) -> float:
     """(|B|^{-1} int_B |f - P_B^N(f)|^2)^{1/2} with the discrete ball measure."""
-    proj = poly_project(f, ball, degree)
-    mask = ball.mask(f.spec)
-    resid = f.samples[mask] - proj.evaluate(f.spec.points())[mask]
-    return float(np.sqrt(np.sum(np.abs(resid) ** 2) / mask.sum()))
+    basis = BallBasis(f.spec, ball, degree)
+    resid = basis.residual(f.samples[basis.mask])
+    return float(np.sqrt(np.sum(np.abs(resid) ** 2) / basis.npts))
 
 
 def psi(idx: HardyIndex, alpha, t: float) -> float:
@@ -312,17 +281,6 @@ def psi(idx: HardyIndex, alpha, t: float) -> float:
     )
 
 
-def _smooth_noise_on_ball(spec: GridSpec, ball: Ball, rng: np.random.Generator) -> np.ndarray:
-    """Band-limited noise restricted to the ball; correlation length ~ r/2."""
-    noise = rng.standard_normal(spec.shape)
-    ell = ball.radius / 2.0
-    xi = spec.frequencies()
-    xi2 = np.sum(xi**2, axis=0)
-    sm = np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
-    sm[~ball.mask(spec)] = 0.0
-    return sm
-
-
 def dual_norm_check(
     f: GridFunction,
     ball: Ball,
@@ -335,35 +293,26 @@ def dual_norm_check(
     = ||f - P_B^N(f)||_{L2(B)}.
 
     Returns (lhs, rhs): lhs maximizes over `trials` random moment-free test
-    functions (plus, when requested, the extremal candidate (f-P)/||f-P||,
-    which makes lhs = rhs up to solver roundoff); rhs is the projection
-    residual norm. lhs <= rhs always, by Cauchy-Schwarz at the discrete level.
+    functions (smooth noise with correlation length r/2, plus, when requested,
+    the extremal candidate (f-P)/||f-P||, which makes lhs = rhs up to solver
+    roundoff); rhs is the projection residual norm. lhs <= rhs always, by
+    Cauchy-Schwarz at the discrete level.
     """
-    spec = f.spec
-    mask = ball.mask(spec)
-    h = spec.cell_volume
-    proj = poly_project(f, ball, degree)
-    resid = f.samples.copy().astype(f.samples.dtype)
-    resid[~mask] = 0
-    resid[mask] -= proj.evaluate(spec.points())[mask]
-    rhs = float(np.sqrt(np.sum(np.abs(resid[mask]) ** 2) * h))
+    basis = BallBasis(f.spec, ball, degree)
+    h = basis.h
+    fm = f.samples[basis.mask]
+    resid = basis.residual(fm)
+    rhs = float(np.sqrt(np.sum(np.abs(resid) ** 2) * h))
 
     rng = np.random.default_rng(seed)
-    lhs = 0.0
-    candidates = []
-    for _ in range(trials):
-        candidates.append(_smooth_noise_on_ball(spec, ball, rng))
+    candidates = [random_smooth_field(f.spec, ball.radius / 2.0, rng)[basis.mask]
+                  for _ in range(trials)]
     if include_deterministic and rhs > 0:
-        candidates.append(resid.copy())
-    for cand in candidates:
-        g = GridFunction(spec, cand)
-        p = poly_project(g, ball, degree)
-        v = cand.copy()
-        v[mask] = v[mask] - p.evaluate(spec.points())[mask]
-        v[~mask] = 0
-        nrm = np.sqrt(np.sum(np.abs(v[mask]) ** 2) * h)
-        if nrm < 1e-14:
-            continue
-        pairing = np.abs(np.sum(f.samples[mask] * np.conj(v[mask])) * h) / nrm
-        lhs = max(lhs, float(pairing))
-    return lhs, rhs
+        candidates.append(resid)
+    if not candidates:
+        return 0.0, rhs
+    v = basis.residual(np.stack(candidates).T)
+    nrm = np.sqrt(np.sum(np.abs(v) ** 2, axis=0) * h)
+    pairing = np.abs(np.sum(fm[:, None] * np.conj(v), axis=0) * h)
+    keep = nrm >= 1e-14
+    return float(np.max(pairing[keep] / nrm[keep], initial=0.0)), rhs

@@ -29,6 +29,7 @@ from .grid import (
     fourier_multiplier,
     reflect,
     sample_function,
+    sq_distance,
 )
 from .maximal import quintic_step
 from .moments import (
@@ -209,11 +210,7 @@ def materialize(T: OperatorSpec, spec: GridSpec) -> MatrixOp:
 
 def smooth_window(spec: GridSpec, center, W: float) -> GridFunction:
     """Radial window equal to 1 on B(center, W), 0 outside B(center, 2W)."""
-    pts = spec.points()
-    d2 = np.zeros(spec.shape)
-    for i in range(spec.dim):
-        d2 += (pts[i] - center[i]) ** 2
-    dist = np.sqrt(d2)
+    dist = np.sqrt(sq_distance(spec.points(), center))
     return GridFunction(spec, 1.0 - quintic_step(dist / W - 1.0))
 
 
@@ -352,12 +349,6 @@ def kernel_size_check(T: OperatorSpec, mu: float, spec: GridSpec,
     """Fitted constant in |k(u)| <= C min(|u|^-n, |u|^-n-mu), sampled at grid
     offsets with |u| >= 4h (default: every such offset)."""
     k = _materialized_kernel(T, spec)
-    pts = spec.points()
-    center = (0.0,) * spec.dim
-    d2 = np.zeros(spec.shape)
-    for i in range(spec.dim):
-        d2 += (pts[i] - center[i]) ** 2
-    dist = np.sqrt(d2)
     if sample_pairs is not None:
         u = np.array([[xi - yi for xi, yi in zip(x, y)] for x, y in sample_pairs])
         dvals = np.linalg.norm(u, axis=1)
@@ -365,6 +356,7 @@ def kernel_size_check(T: OperatorSpec, mu: float, spec: GridSpec,
                       for c in row) for row in u]
         kvals = np.array([abs(k.samples[i]) for i in idxs])
     else:
+        dist = np.sqrt(sq_distance(spec.points(), (0.0,) * spec.dim))
         sel = dist >= 4.0 * spec.spacing
         dvals = dist[sel]
         kvals = np.abs(k.samples[sel])

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from hardylab.grid import (
     GridSpec,
     convolve,
     dilate,
-    dump_text,
     fourier_multiplier,
     integrate,
     load_gridfunction,
@@ -279,15 +276,3 @@ def test_serialization_roundtrip(tmp_path):
         g = load_gridfunction(path)
         assert g.spec == spec
         assert np.array_equal(g.samples, f.samples)
-
-
-def test_text_dump():
-    spec = GridSpec(1, 1.0, 8)
-    f = GridFunction(spec, np.arange(8.0))
-    buf = io.StringIO()
-    dump_text(f, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("# dim=1 m=8")
-    assert len(lines) == 9
-    x0, v0 = lines[1].split()
-    assert float(x0) == -1.0 and float(v0) == 0.0

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, restrict, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, random_smooth_field, restrict, sample_function
 from hardylab.moments import (
     HardyIndex,
-    PolyCoeffs,
     PolySpace,
     ball_measure,
     dual_norm_check,
@@ -240,12 +239,12 @@ def test_dual_norm_deterministic_candidate():
 
 
 def test_dual_norm_monte_carlo_lower_bound():
-    from hardylab.moments import _smooth_noise_on_ball
-
     spec = GridSpec(1, 4.0, 1024)
     B = Ball((0.0,), 0.5)
     rng = np.random.default_rng(11)
-    f = GridFunction(spec, _smooth_noise_on_ball(spec, B, rng))
+    noise = random_smooth_field(spec, B.radius / 2.0, rng)
+    noise[~B.mask(spec)] = 0.0
+    f = GridFunction(spec, noise)
     lhs, rhs = dual_norm_check(f, B, 1, trials=500, seed=99, include_deterministic=False)
     assert lhs / rhs >= 0.5
 
@@ -284,13 +283,57 @@ def test_ball_measure_is_discrete():
     assert ball_measure(spec, B) == B.mask(spec).sum() * spec.cell_volume
 
 
-def test_polycoeffs_text_roundtrip():
-    spec = GridSpec(2, 2.0, 64)
-    rng = np.random.default_rng(6)
-    f = GridFunction(spec, rng.normal(size=spec.shape))
-    B = Ball((0.1, -0.2), 0.8)
-    pc = poly_project(f, B, 2)
-    back = PolyCoeffs.from_text(pc.to_text())
-    assert back.space == pc.space
-    assert back.center == pc.center
-    assert np.allclose(back.coeffs, pc.coeffs, rtol=0, atol=0)
+
+def test_projection_rejects_ill_conditioned_gram():
+    spec = GridSpec(2, 4.0, 128)
+    f = GridFunction(spec, np.ones(spec.shape))
+    with pytest.raises(NumericalError, match="ill-conditioned"):
+        poly_project(f, Ball((0.0, 0.0), 5 * spec.spacing), 9)
+
+
+def reference_dual_norm_check(f, ball, degree, trials, seed=0, include_deterministic=True):
+    """One full-grid candidate and one projection per trial: the loop that
+    dual_norm_check batches."""
+    spec = f.spec
+    mask = ball.mask(spec)
+    h = spec.cell_volume
+    proj = poly_project(f, ball, degree)
+    resid = f.samples.copy()
+    resid[~mask] = 0
+    resid[mask] -= proj.evaluate(spec.points())[mask]
+    rhs = float(np.sqrt(np.sum(np.abs(resid[mask]) ** 2) * h))
+    rng = np.random.default_rng(seed)
+    candidates = []
+    for _ in range(trials):
+        noise = random_smooth_field(spec, ball.radius / 2.0, rng)
+        noise[~mask] = 0.0
+        candidates.append(noise)
+    if include_deterministic and rhs > 0:
+        candidates.append(resid.copy())
+    lhs = 0.0
+    for cand in candidates:
+        p = poly_project(GridFunction(spec, cand), ball, degree)
+        v = cand[mask] - p.evaluate(spec.points())[mask]
+        nrm = np.sqrt(np.sum(np.abs(v) ** 2) * h)
+        if nrm < 1e-14:
+            continue
+        lhs = max(lhs, float(np.abs(np.sum(f.samples[mask] * np.conj(v)) * h) / nrm))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("include_deterministic", [True, False])
+def test_dual_norm_matches_per_trial_reference(dim, is_complex, include_deterministic):
+    spec = GridSpec(dim, 2.0, 256 if dim == 1 else 64)
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=spec.shape)
+    if is_complex:
+        data = data + 1j * rng.normal(size=spec.shape)
+    f = GridFunction(spec, data)
+    B = Ball((0.1, -0.2)[:dim], 0.6)
+    got = dual_norm_check(f, B, 2, trials=7, seed=3, include_deterministic=include_deterministic)
+    want = reference_dual_norm_check(f, B, 2, trials=7, seed=3,
+                                     include_deterministic=include_deterministic)
+    assert got[0] > 0
+    assert got == pytest.approx(want, rel=1e-12)
