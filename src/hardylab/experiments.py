@@ -166,12 +166,12 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
 
     def norms_for(idx: HardyIndex, r: float) -> np.ndarray:
         spec_a = AtomSpec(idx, np.inf, Ball((0.0,) * grid.dim, r), "local")
+        atoms = [make_atom(spec_a, cfg.seed + s, grid) for s in range(n_seeds)]
         out = []
         for T in Ts:
             scales = ScaleGrid.default(grid, T)
             dct = build_test_dictionary(grid, idx, T, mol, scales)
-            vals = [_lp_impl(grand_maximal(make_atom(spec_a, cfg.seed + s, grid), dct), idx.p)
-                    for s in range(n_seeds)]
+            vals = [_lp_impl(grand_maximal(a, dct), idx.p) for a in atoms]
             out.append(float(np.mean(vals)))
         return np.asarray(out)
 

@@ -265,24 +265,36 @@ def _embedding(spec: GridSpec):
     return (2 * m,) * spec.dim, tuple(slice(off, off + m) for _ in range(spec.dim))
 
 
-def _padded_fft(f: GridFunction) -> np.ndarray:
+def padded_spectrum(f: GridFunction) -> np.ndarray:
+    """FFT of f zero-padded to twice the side, the operand of convolve_spectra."""
     big, emb = _embedding(f.spec)
     F = np.zeros(big, dtype=np.complex128 if not f.is_real else np.float64)
     F[emb] = f.samples
     return np.fft.fftn(F)
 
 
-def _convolve_from_ffts(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec, real: bool) -> GridFunction:
+def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
+                     buf: np.ndarray | None = None) -> np.ndarray:
+    """Complex samples of f * g (h^dim scaling) from two padded spectra.
+
+    buf, a complex scratch array of the padded shape, receives Ff * Fg and is
+    overwritten. Circular convolution of arrays anchored at -2L returns the
+    true convolution shifted by half the padded period, so the window is
+    gathered from the indices (i - m) mod 2m. The inverse FFT runs along the
+    last axis first, as ifftn does, and in 2D the axis-0 pass covers only the
+    m window columns: the result equals ifftn followed by the window bit for
+    bit.
+    """
     m = spec.points_per_axis
-    _, emb = _embedding(spec)
-    raw = np.fft.ifftn(Ff * Fg) * spec.cell_volume
-    # Circular convolution of arrays anchored at -2L returns the true
-    # convolution shifted by half the padded period; undo with a roll.
-    raw = np.roll(raw, m, axis=tuple(range(spec.dim)))
-    out = raw[emb]
-    if real:
-        out = out.real
-    return GridFunction(spec, out.copy())
+    buf = np.multiply(Ff, Fg, out=buf)
+    np.fft.ifft(buf, axis=-1, out=buf)
+    window = (np.arange(m // 2, 3 * m // 2) - m) % (2 * m)
+    out = buf[..., window]
+    if spec.dim == 2:
+        np.fft.ifft(out, axis=0, out=out)
+        out = out[window]
+    out *= spec.cell_volume
+    return out
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -292,7 +304,8 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     result as long as supp f + supp g fits inside [-2L, 2L)^dim.
     """
     f._check_compatible(g)
-    return _convolve_from_ffts(_padded_fft(f), _padded_fft(g), f.spec, f.is_real and g.is_real)
+    out = convolve_spectra(padded_spectrum(f), padded_spectrum(g), f.spec)
+    return GridFunction(f.spec, out.real.copy() if f.is_real and g.is_real else out)
 
 
 def _negation_index(m: int) -> np.ndarray:

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,10 +31,10 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
-    _convolve_from_ffts,
     _lp_impl,
-    _padded_fft,
+    convolve_spectra,
     dilate,
+    padded_spectrum,
     sq_distance,
 )
 from .moments import HardyIndex, MultiIndex, as_multiindex, moment, multiindices, order
@@ -50,9 +55,7 @@ def cutoff_eta(s):
 
 
 def _radius(pts: np.ndarray, center=None) -> np.ndarray:
-    # the uncentred branch keeps its (dim,)+grid temporary: without it glibc
-    # maps the later padded-FFT buffers afresh on every call (see CHANGES.md)
-    return np.sqrt(np.sum(pts**2, axis=0) if center is None else sq_distance(pts, center))
+    return np.sqrt(sq_distance(pts, (0.0,) * pts.shape[0] if center is None else center))
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,20 +142,73 @@ class ScaleGrid:
         return cls(tuple(np.geomspace(lo, t_max, count)))
 
 
-@functools.lru_cache(maxsize=512)
-def _mollifier_kernel_fft(mollifier: MollifierSpec, spec: GridSpec, t: float):
-    return _padded_fft(dilate(mollifier, t, spec))
+# padded mollifier spectra, least recently used first; one 2D m=4096
+# spectrum is 1 GiB, so the cache is bounded in bytes, not in entries
+KERNEL_CACHE_BYTES = 512 * 2**20
+_kernel_cache: OrderedDict = OrderedDict()
+_kernel_cache_lock = threading.Lock()
+
+
+def _mollifier_kernel_fft(mollifier: MollifierSpec, spec: GridSpec, t: float) -> np.ndarray:
+    key = (mollifier, spec, t)
+    with _kernel_cache_lock:
+        F = _kernel_cache.get(key)
+        if F is not None:
+            _kernel_cache.move_to_end(key)
+            return F
+    F = padded_spectrum(dilate(mollifier, t, spec))
+    F.flags.writeable = False
+    if F.nbytes <= KERNEL_CACHE_BYTES:
+        with _kernel_cache_lock:
+            _kernel_cache[key] = F
+            cached = sum(a.nbytes for a in _kernel_cache.values())
+            while cached > KERNEL_CACHE_BYTES:
+                cached -= _kernel_cache.popitem(last=False)[1].nbytes
+    return F
+
+
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = ThreadPoolExecutor(_WORKERS)
+
+
+def _reset_pool():
+    # a forked child inherits the executor but none of its threads
+    global _pool
+    _pool = ThreadPoolExecutor(_WORKERS)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _max_abs_chunk(Ff: np.ndarray, kernels: list, spec: GridSpec, buf: np.ndarray) -> np.ndarray:
+    out = np.zeros(spec.shape)
+    for Fk, amplitude in kernels:
+        vals = np.abs(convolve_spectra(Ff, Fk, spec, buf))
+        vals *= amplitude
+        np.maximum(out, vals, out=out)
+    return out
+
+
+def _max_abs_convolutions(Ff: np.ndarray, kernels: list, spec: GridSpec) -> np.ndarray:
+    """Pointwise max of amplitude * |f * k| over (kernel spectrum, amplitude)
+    pairs. One interleaved chunk per CPU runs on the pool (NumPy's FFT releases
+    the GIL); max is exact, so the result does not depend on the split.
+
+    Each chunk's padded scratch buffer lives for this call only and is
+    allocated here, in the calling thread: freed in a worker, it would stay in
+    that thread's malloc arena and raise the peak RSS."""
+    chunks = [kernels[i::_WORKERS] for i in range(min(_WORKERS, len(kernels)))]
+    bufs = [np.empty(Ff.shape, dtype=np.complex128) for _ in chunks]
+    parts = _pool.map(_max_abs_chunk, repeat(Ff), chunks, repeat(spec), bufs)
+    return functools.reduce(np.maximum, parts)
 
 
 def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> GridFunction:
     """Pointwise max over the scale grid of |f * phi_t| (lower bound for m_phi f)."""
     spec = f.spec
-    Ff = _padded_fft(f)
-    out = np.zeros(spec.shape)
-    for t in scales.scales:
-        conv = _convolve_from_ffts(Ff, _mollifier_kernel_fft(mollifier, spec, t), spec, False)
-        np.maximum(out, np.abs(conv.samples), out=out)
-    return GridFunction(spec, out)
+    kernels = [(_mollifier_kernel_fft(mollifier, spec, t), 1.0) for t in scales.scales]
+    return GridFunction(spec, _max_abs_convolutions(padded_spectrum(f), kernels, spec))
 
 
 def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,
@@ -536,24 +592,22 @@ def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
     if not dictionary.entries:
         raise ValueError("empty dictionary")
     spec = f.spec
-    out = np.zeros(spec.shape)
-    Ff = None
+    kernels, probes = [], []
     for entry in dictionary.entries:
         if isinstance(entry, MollifierCopyEntry):
-            if Ff is None:
-                Ff = _padded_fft(f)
-            conv = _convolve_from_ffts(
-                Ff, _mollifier_kernel_fft(entry.mollifier, spec, entry.scale), spec, False)
-            np.maximum(out, entry.amplitude * np.abs(conv.samples), out=out)
+            kernels.append((_mollifier_kernel_fft(entry.mollifier, spec, entry.scale), entry.amplitude))
         elif isinstance(entry, MomentProbeEntry):
-            for site in entry.sites:
-                probe = phi_x_alpha(site, entry.alpha, dictionary.idx)
-                if probe.scale >= dictionary.T or not probe.support.fits_in(spec):
-                    continue  # outside the family or the domain: skip (lower bound)
-                vals = probe(spec.points())
-                pairing = abs(np.sum(f.samples * vals) * spec.cell_volume)
-                i = _site_index(spec, site)
-                out[i] = max(out[i], pairing)
+            probes.append(entry)
         else:
             raise TypeError(f"unknown dictionary entry {entry!r}")
+    out = _max_abs_convolutions(padded_spectrum(f), kernels, spec) if kernels else np.zeros(spec.shape)
+    for entry in probes:
+        for site in entry.sites:
+            probe = phi_x_alpha(site, entry.alpha, dictionary.idx)
+            if probe.scale >= dictionary.T or not probe.support.fits_in(spec):
+                continue  # outside the family or the domain: skip (lower bound)
+            vals = probe(spec.points())
+            pairing = abs(np.sum(f.samples * vals) * spec.cell_volume)
+            i = _site_index(spec, site)
+            out[i] = max(out[i], pairing)
     return GridFunction(spec, out)

@@ -1,11 +1,21 @@
+import os
+import signal
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+import hardylab.maximal as maximal
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, integrate, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, dilate, integrate, padded_spectrum, sample_function
 from hardylab.grid import _lp_impl
 from hardylab.maximal import (
+    MollifierCopyEntry,
     MollifierSpec,
+    MomentProbeEntry,
     ScaleGrid,
     TestDictionary,
     build_phi0,
@@ -296,3 +306,140 @@ def test_dictionary_requires_compact_mollifier(grid, scales):
     with pytest.raises(ValueError, match="compact"):
         build_test_dictionary(grid, IDX1, T=1.0,
                               mollifier=MollifierSpec("gaussian", 1), scales=scales)
+
+
+def roll_window(Ff, Fg, spec):
+    # the earlier padded convolution: full inverse FFT, roll, window copy
+    m = spec.points_per_axis
+    emb = tuple(slice(m // 2, m // 2 + m) for _ in range(spec.dim))
+    raw = np.roll(np.fft.ifftn(Ff * Fg) * spec.cell_volume, m, axis=tuple(range(spec.dim)))
+    return raw[emb].copy()
+
+
+def serial_grand_maximal(f, dictionary):
+    # one convolution per entry in dictionary order, probes interleaved
+    spec = f.spec
+    out = np.zeros(spec.shape)
+    Ff = padded_spectrum(f)
+    for entry in dictionary.entries:
+        if isinstance(entry, MollifierCopyEntry):
+            Fk = padded_spectrum(dilate(entry.mollifier, entry.scale, spec))
+            np.maximum(out, entry.amplitude * np.abs(roll_window(Ff, Fk, spec)), out=out)
+            continue
+        for site in entry.sites:
+            probe = phi_x_alpha(site, entry.alpha, dictionary.idx)
+            if probe.scale >= dictionary.T or not probe.support.fits_in(spec):
+                continue
+            pairing = abs(np.sum(f.samples * probe(spec.points())) * spec.cell_volume)
+            i = tuple(int(round((c + spec.half_width) / spec.spacing)) % spec.points_per_axis
+                      for c in site)
+            out[i] = max(out[i], pairing)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    rng = np.random.default_rng(20 + dim)
+    x = rng.normal(size=spec.shape)
+    f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if is_complex else x)
+    mol = MollifierSpec("gaussian", dim)
+    sc = ScaleGrid.default(spec, 1.0)
+    ref = np.zeros(spec.shape)
+    Ff = padded_spectrum(f)
+    for t in sc.scales:
+        Fk = padded_spectrum(dilate(mol, t, spec))
+        np.maximum(ref, np.abs(roll_window(Ff, Fk, spec)), out=ref)
+    assert np.array_equal(small_maximal(f, mol, sc).samples, ref)
+
+
+def test_grand_maximal_matches_serial_loop_bitwise(grid):
+    # small copies only, so that the probes raise the max at some sites
+    dct = build_test_dictionary(grid, IDX1, T=2.0, scales=ScaleGrid.default(grid, 0.05))
+    x = grid.axis()
+    f = GridFunction(grid, (np.abs(x) < 0.25) * np.exp(1j * x))
+    without = grand_maximal(f, dct).samples
+    dct.entries.insert(len(dct.entries) // 2, MomentProbeEntry((0,), ((0.2,), (-0.3,), (0.45,))))
+    out = grand_maximal(f, dct).samples
+    assert np.any(out != without)
+    assert np.array_equal(out, serial_grand_maximal(f, dct))
+
+
+def test_kernel_cache_bounded_in_bytes(monkeypatch):
+    spec = GridSpec(2, 4.0, 16)  # one padded spectrum is 32 * 32 * 16 bytes
+    mol = MollifierSpec("smooth-bump", 2)
+    nbytes = 32 * 32 * 16
+    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
+    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 3 * nbytes)
+    ts = [1.0 + 0.25 * i for i in range(8)]
+    first = {}
+    for t in ts:
+        first[t] = maximal._mollifier_kernel_fft(mol, spec, t).copy()
+        cached = sum(a.nbytes for a in maximal._kernel_cache.values())
+        assert 0 < cached <= maximal.KERNEL_CACHE_BYTES
+    assert [k[2] for k in maximal._kernel_cache] == ts[-3:]
+    again = maximal._mollifier_kernel_fft(mol, spec, ts[0])  # evicted: recomputed
+    assert np.array_equal(again, first[ts[0]])
+    assert [k[2] for k in maximal._kernel_cache] == ts[-2:] + ts[:1]
+    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", nbytes - 1)
+    big = maximal._mollifier_kernel_fft(mol, spec, 3.0)  # larger than the cap
+    assert np.array_equal(big, padded_spectrum(dilate(mol, 3.0, spec)))
+    assert all(k[2] != 3.0 for k in maximal._kernel_cache)
+
+
+def test_concurrent_callers_share_pool_and_cache(monkeypatch):
+    # more calling threads than CPUs, a tiny switch interval and a cache that
+    # holds three spectra: every result must still equal the serial one
+    spec = GridSpec(2, 4.0, 32)
+    mol = MollifierSpec("gaussian", 2)
+    sc = ScaleGrid.default(spec, 1.0)
+    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
+    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 3 * 64 * 64 * 16)
+    rng = np.random.default_rng(11)
+    fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(6)]
+    expected = [small_maximal(f, mol, sc).samples for f in fs]
+    results = [None] * len(fs)
+
+    def work(i):
+        for _ in range(3):
+            results[i] = small_maximal(fs[i], mol, sc).samples
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(r, e) for r, e in zip(results, expected))
+    assert sum(a.nbytes for a in maximal._kernel_cache.values()) <= maximal.KERNEL_CACHE_BYTES
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_small_maximal_runs_in_forked_child():
+    # the pool's threads do not survive fork; the child must get a fresh pool
+    spec = GridSpec(1, 4.0, 256)
+    mol = MollifierSpec("gaussian", 1)
+    sc = ScaleGrid.default(spec, 1.0)
+    f = GridFunction(spec, np.exp(-spec.axis() ** 2))
+    expected = small_maximal(f, mol, sc).samples  # starts the parent's workers
+    pid = os.fork()
+    if pid == 0:
+        ok = np.array_equal(small_maximal(f, mol, sc).samples, expected)
+        os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("small_maximal hung in a forked child")
+    assert os.waitstatus_to_exitcode(status) == 0
