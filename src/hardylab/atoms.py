@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec, _lp_impl, lp_norm, random_smooth_field, sq_distance
+from .grid import Ball, GridFunction, GridSpec, lp_norm, lp_quasinorm, random_smooth_field, sq_distance
 from .maximal import MollifierSpec, ScaleGrid, hp_norm, quintic_step
 from .moments import (
     HardyIndex,
@@ -116,8 +117,8 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
         if spec_.needs_cancellation:
             q = weighted_poly_project(u, ball, idx.N_p, w)
             raw = w * (u - q.on_grid(grid))
-        nrm = _lp_impl(raw, spec_.s)
-        if nrm > 1e-12 * max(_lp_impl(w * u, spec_.s), 1e-300):
+        nrm = lp_quasinorm(raw, spec_.s)
+        if nrm > 1e-12 * max(lp_quasinorm(w * u, spec_.s), 1e-300):
             return (spec_.size_bound / nrm) * raw
     raise NumericalError("atom generation failed: projection annihilated 8 seeds")
 
@@ -165,10 +166,10 @@ def validate_atom(a: GridFunction, spec_: AtomSpec, tol: float = 1e-8) -> AtomRe
     mass = np.abs(a.samples).sum()
     outside = np.abs(a.samples[~ball.mask(a.spec)]).sum()
     leak = float(outside / mass) if mass > 0 else 0.0
-    size_ratio = _lp_impl(a, spec_.s) / spec_.size_bound
+    size_ratio = lp_quasinorm(a, spec_.s) / spec_.size_bound
     report = AtomReport(spec_, tol, leak, float(size_ratio))
     if spec_.needs_cancellation:
-        l2 = _lp_impl(a, 2.0)
+        l2 = lp_quasinorm(a, 2.0)
         for alpha in multiindices(a.spec.dim, spec_.idx.N_p):
             m = abs(moment(a, ball.center, alpha))
             scale = max(l2 * ball.radius ** order(alpha), 1e-300)
@@ -296,7 +297,7 @@ def pseudo_decompose(M: GridFunction, ball: Ball, idx: HardyIndex, J: int) -> Ps
         raise NumericalError("tail too heavy for desk-scale decomposition")
     clipped = J_eff < J
 
-    l2 = _lp_impl(M, 2.0)
+    l2 = lp_quasinorm(M, 2.0)
     outer = Ball(x0, (2.0**J_eff) * r)
     tail = M.samples.copy()
     tail[outer.mask(spec)] = 0.0
@@ -347,7 +348,7 @@ def pseudo_decompose(M: GridFunction, ball: Ball, idx: HardyIndex, J: int) -> Ps
         corrected = GridFunction(spec, pieces[j - 1][2]) - q_j
         if q_next is not None:
             corrected = corrected + q_next
-        c = _lp_impl(corrected, 2.0) / (2.0**j * r) ** (n * (0.5 - 1.0 / p))
+        c = lp_quasinorm(corrected, 2.0) / (2.0**j * r) ** (n * (0.5 - 1.0 / p))
         if c > 0:
             atoms.append((float(c), (1.0 / c) * corrected, pieces[j - 1][1]))
             sum_cp += float(c) ** p

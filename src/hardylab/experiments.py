@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .atoms import (
     AtomSpec,
@@ -25,7 +26,7 @@ from .atoms import (
     validate_premolecule,
 )
 from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
-from .grid import Ball, GridFunction, GridSpec, _lp_impl, integrate, random_smooth_field
+from .grid import Ball, GridFunction, GridSpec, integrate, lp_quasinorm, random_smooth_field
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal, hp_norm
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, order
 from .operators import cancellation_test, get_operator, smooth_window
@@ -41,6 +42,16 @@ SCHEMAS = {
     "E4-cancellation": ["operator", "p", "alpha", "r", "oscillation", "psi",
                         "ratio", "window", "sensitivity", "dual_gap"],
     "E5-duality": ["mode", "instance", "r", "trials", "lhs", "rhs", "gap", "ratio"],
+}
+
+# scenario -> runner returning (rows, chart extras). The run_E* names are
+# looked up at call time, so rebinding one (to time or patch it) takes effect.
+RUNNERS = {
+    "E1-moment-decay": lambda cfg: (run_E1_moment_decay(cfg), {}),
+    "E2-grand-maximal-constant": lambda cfg: (run_E2_grand_maximal_constant(cfg), {}),
+    "E3-atom-image": lambda cfg: (run_E3_atom_image(cfg), {}),
+    "E4-cancellation": lambda cfg: run_E4_cancellation(cfg),
+    "E5-duality": lambda cfg: (run_E5_duality(cfg), {}),
 }
 
 
@@ -171,7 +182,7 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
         for T in Ts:
             scales = ScaleGrid.default(grid, T)
             dct = build_test_dictionary(grid, idx, T, mol, scales)
-            vals = [_lp_impl(grand_maximal(a, dct), idx.p) for a in atoms]
+            vals = [lp_quasinorm(grand_maximal(a, dct), idx.p) for a in atoms]
             out.append(float(np.mean(vals)))
         return np.asarray(out)
 
@@ -304,19 +315,9 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
-    extras: dict = {}
-    if cfg.scenario == "E1-moment-decay":
-        rows = run_E1_moment_decay(cfg)
-    elif cfg.scenario == "E2-grand-maximal-constant":
-        rows = run_E2_grand_maximal_constant(cfg)
-    elif cfg.scenario == "E3-atom-image":
-        rows = run_E3_atom_image(cfg)
-    elif cfg.scenario == "E4-cancellation":
-        rows, extras = run_E4_cancellation(cfg)
-    elif cfg.scenario == "E5-duality":
-        rows = run_E5_duality(cfg)
-    else:
+    if cfg.scenario not in RUNNERS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    rows, extras = RUNNERS[cfg.scenario](cfg)
     runtime = time.perf_counter() - start
 
     tag = cfg.source.get("scenario", "tag", default=None)

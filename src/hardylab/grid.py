@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
-from scipy import ndimage
+import numpy.fft  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
 
@@ -197,9 +197,6 @@ class GridFunction:
         return GridFunction(self.spec, self.samples.real.copy())
 
 
-FunctionLike = Union[GridFunction, Callable[[np.ndarray], np.ndarray]]
-
-
 def sample_function(spec: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
     """Sample a closed-form function; fn takes points of shape (dim,)+grid."""
     vals = np.asarray(fn(spec.points()))
@@ -234,7 +231,9 @@ def _region_mask(f: GridFunction, region: Ball | None, complement: bool) -> np.n
     return mask
 
 
-def _lp_impl(f: GridFunction, s: float, region: Ball | None = None, complement: bool = False) -> float:
+def lp_quasinorm(f: GridFunction, s: float, region: Ball | None = None, complement: bool = False) -> float:
+    """(int |f|^s)^{1/s} over the grid, a ball, or a ball complement, for any
+    s > 0 or s = inf; a quasi-norm when s < 1."""
     mask = _region_mask(f, region, complement)
     vals = np.abs(f.samples if mask is None else f.samples[mask])
     if np.isinf(s):
@@ -246,7 +245,7 @@ def lp_norm(f: GridFunction, s: float, region: Ball | None = None, complement: b
     """L^s norm over the grid, a ball, or a ball complement. Requires s >= 1 or inf."""
     if not (np.isinf(s) or s >= 1):
         raise ValueError(f"lp_norm requires s >= 1 or s = inf, got {s}")
-    return _lp_impl(f, s, region, complement)
+    return lp_quasinorm(f, s, region, complement)
 
 
 def restrict(f: GridFunction, ball: Ball, inside: bool = True) -> GridFunction:
@@ -369,25 +368,14 @@ def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) ->
     return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
 
 
-def dilate(phi: FunctionLike, t: float, spec: GridSpec) -> GridFunction:
-    """Samples of the L1-normalized dilation t^{-dim} phi(x/t).
-
-    A closed form (callable on points of shape (dim,)+grid) is re-evaluated
-    analytically. A GridFunction input is resampled by periodic linear
-    interpolation, which loses accuracy; prefer closed forms.
-    """
+def dilate(phi: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec) -> GridFunction:
+    """Samples of the L1-normalized dilation t^{-dim} phi(x/t), with the
+    closed form phi (a callable on points of shape (dim,)+grid) evaluated at
+    the scaled points."""
     if t < 2 * spec.spacing:
         raise NumericalError("scale below grid resolution")
     scale = t ** (-spec.dim)
-    if callable(phi):
-        return GridFunction(spec, scale * np.broadcast_to(np.asarray(phi(spec.points() / t)), spec.shape).copy())
-    if phi.spec.dim != spec.dim:
-        raise ValueError("grid mismatch")
-    pts = spec.points() / t
-    h0, L0 = phi.spec.spacing, phi.spec.half_width
-    coords = [(pts[i] + L0) / h0 for i in range(spec.dim)]
-    vals = ndimage.map_coordinates(phi.samples, np.array(coords), order=1, mode="grid-wrap")
-    return GridFunction(spec, scale * vals)
+    return GridFunction(spec, scale * np.broadcast_to(np.asarray(phi(spec.points() / t)), spec.shape).copy())
 
 
 def save_gridfunction(f: GridFunction, path) -> None:

@@ -31,9 +31,9 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
-    _lp_impl,
     convolve_spectra,
     dilate,
+    lp_quasinorm,
     padded_spectrum,
     sq_distance,
 )
@@ -216,7 +216,7 @@ def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = 
     """||m_phi f||_{L^p} over scales 0 < t < 1, a quasi-norm for p < 1."""
     mollifier = mollifier or MollifierSpec("gaussian", f.spec.dim)
     scales = scales or ScaleGrid.default(f.spec, 1.0)
-    return _lp_impl(small_maximal(f, mollifier, scales), idx.p)
+    return lp_quasinorm(small_maximal(f, mollifier, scales), idx.p)
 
 
 def _global_moment_scale(f: GridFunction, alpha: MultiIndex) -> float:
@@ -241,7 +241,7 @@ def hp_norm_global(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | 
         if abs(moment(f, (0.0,) * f.spec.dim, alpha)) > 1e-8 * _global_moment_scale(f, alpha):
             flagged = True
             break
-    value = _lp_impl(small_maximal(f, mollifier, scales), idx.p)
+    value = lp_quasinorm(small_maximal(f, mollifier, scales), idx.p)
     return value, flagged
 
 

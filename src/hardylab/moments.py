@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
 from .grid import Ball, GridFunction, GridSpec, random_smooth_field
@@ -165,8 +165,8 @@ class PolyCoeffs:
 
 class BallBasis:
     """The scaled monomials ((y-x0)/r)^a, |a| <= degree, at the grid points of
-    a ball, with the factored Gram matrix G_ab = int_B w ((y-x0)/r)^(a+b) dy
-    (w = 1 unless a weight is given).
+    a ball, with the Cholesky factor G = U^T U of the Gram matrix
+    G_ab = int_B w ((y-x0)/r)^(a+b) dy (w = 1 unless a weight is given).
 
     Values on the ball are passed as `values[mask]`, one column per probe.
     """
@@ -190,13 +190,23 @@ class BallBasis:
         G = self._weighted.T @ self.cols * self.h
         if np.linalg.cond(G) > GRAM_CONDITION_LIMIT:
             raise NumericalError("ill-conditioned projection (N too large for ball resolution)")
-        self._factor = linalg.cho_factor(G)
+        try:
+            self._U = np.linalg.cholesky(G, upper=True)
+        except np.linalg.LinAlgError:
+            raise NumericalError("projection Gram matrix is not positive definite"
+                                 " (the weight must be positive on the ball)") from None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """G^{-1} b, with real and imaginary parts solved separately."""
+        """G^{-1} b by forward substitution in U^T and back substitution in U,
+        one basis row at a time; real and imaginary parts are solved separately."""
         if np.iscomplexobj(b):
-            return linalg.cho_solve(self._factor, b.real) + 1j * linalg.cho_solve(self._factor, b.imag)
-        return linalg.cho_solve(self._factor, b)
+            return self.solve(b.real) + 1j * self.solve(b.imag)
+        U, x = self._U, np.array(b, dtype=np.float64)
+        for i in range(len(U)):
+            x[i] = (x[i] - U[:i, i] @ x[:i]) / U[i, i]
+        for i in reversed(range(len(U))):
+            x[i] = (x[i] - U[i, i + 1:] @ x[i + 1:]) / U[i, i]
+        return x
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the (weighted) L2(B) projection of each column."""

@@ -14,7 +14,7 @@ from hardylab.config import (
     parse_number,
     parse_number_list,
 )
-from hardylab.experiments import SCHEMAS, run_experiment
+from hardylab.experiments import RUNNERS, SCHEMAS, run_experiment
 
 
 def write(tmp_path, name, text):
@@ -72,6 +72,14 @@ def test_config_unknown_scenario(tmp_path):
     path = write(tmp_path, "unk.cfg", "[experiment]\nscenario = E9-nope\n")
     with pytest.raises(ConfigError, match="unknown scenario"):
         ExperimentConfig.from_file(path)
+
+
+def test_runner_registry_matches_schemas(tmp_path):
+    assert set(RUNNERS) == set(SCHEMAS)
+    cfg = ExperimentConfig.from_file(write(tmp_path, "e4.cfg", E4_CFG), out_dir=str(tmp_path))
+    cfg.scenario = "E9-nope"
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        run_experiment(cfg)
 
 
 def test_ladder_validation(tmp_path):
@@ -227,3 +235,15 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.910239227"
+
+
+def test_import_leaves_scipy_unloaded():
+    import hardylab
+
+    src = os.path.dirname(os.path.dirname(hardylab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "import sys, hardylab.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

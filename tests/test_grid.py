@@ -15,6 +15,7 @@ from hardylab.grid import (
     integrate,
     load_gridfunction,
     lp_norm,
+    lp_quasinorm,
     padded_spectrum,
     restrict,
     sample_function,
@@ -118,6 +119,14 @@ def test_lp_norm_validates_exponent_and_region():
         lp_norm(f, 0.5)
     with pytest.raises(NumericalError):
         lp_norm(f, 2.0, region=Ball((spec.spacing / 3,), 1e-6))
+
+
+def test_lp_quasinorm_below_one():
+    spec = GridSpec(1, 4.0, 256)
+    f = sample_function(spec, lambda p: np.exp(-p[0] ** 2))
+    B = Ball((0.0,), 1.0)
+    assert lp_quasinorm(f, 0.5) == (np.sum(np.abs(f.samples) ** 0.5) * spec.spacing) ** 2.0
+    assert lp_quasinorm(f, 2.0, region=B, complement=True) == lp_norm(f, 2.0, region=B, complement=True)
 
 
 def test_restrict_partition_and_idempotence():

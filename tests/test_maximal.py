@@ -11,7 +11,6 @@ import pytest
 import hardylab.maximal as maximal
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, dilate, integrate, padded_spectrum, sample_function
-from hardylab.grid import _lp_impl
 from hardylab.maximal import (
     MollifierCopyEntry,
     MollifierSpec,

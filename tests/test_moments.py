@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as scipy_linalg
 
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, random_smooth_field, restrict, sample_function
 from hardylab.moments import (
+    BallBasis,
     HardyIndex,
     PolySpace,
     ball_measure,
@@ -337,3 +339,58 @@ def test_dual_norm_matches_per_trial_reference(dim, is_complex, include_determin
                                      include_deterministic=include_deterministic)
     assert got[0] > 0
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_ball_basis_rejects_indefinite_gram():
+    spec = GridSpec(1, 2.0, 256)
+    B = Ball((0.0,), 0.5)
+    w = GridFunction(spec, -np.ones(spec.shape))
+    cols = BallBasis(spec, B, 2).cols
+    G = -cols.T @ cols * spec.cell_volume
+    assert np.linalg.cond(G) < 1e3  # well conditioned, negative definite
+    with pytest.raises(NumericalError, match="not positive definite"):
+        BallBasis(spec, B, 2, w)
+
+
+def scipy_cholesky_solve(G, b):
+    """Reference solve: SciPy's LAPACK Cholesky (cho_factor/cho_solve), real
+    and imaginary parts solved separately."""
+    factor = scipy_linalg.cho_factor(G)
+    if np.iscomplexobj(b):
+        return scipy_linalg.cho_solve(factor, b.real) + 1j * scipy_linalg.cho_solve(factor, b.imag)
+    return scipy_linalg.cho_solve(factor, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_ball_basis_solve_matches_scipy_cholesky(dim, is_complex):
+    """solve and residual agree with SciPy's cho_factor/cho_solve to 1e-12
+    relative at every degree the 1e12 condition limit admits. Both solves are
+    backward stable, so their forward errors grow in proportion to cond(G):
+    past cond(G) = 1e8 the tolerance grows with it (their distance stays
+    below about 1e-20 * cond(G) on these balls)."""
+    spec = GridSpec(dim, 2.0, 512 if dim == 1 else 64)
+    B = Ball((0.1, -0.2)[:dim], 0.7)
+    rng = np.random.default_rng(5)
+    degree = 0
+    while True:
+        try:
+            basis = BallBasis(spec, B, degree)
+        except NumericalError as e:
+            assert "ill-conditioned" in str(e)
+            break
+        values = rng.normal(size=(basis.npts, 4))
+        if is_complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        G = basis.cols.T @ basis.cols * basis.h
+        tol = 1e-12 * max(1.0, np.linalg.cond(G) / 1e8)
+        b = basis.cols.T @ values * basis.h
+        want = scipy_cholesky_solve(G, b)
+        got = basis.solve(b)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+        assert np.linalg.norm(basis.solve(b[:, 0]) - want[:, 0]) <= tol * np.linalg.norm(want[:, 0])
+        want_resid = values - basis.cols @ want
+        got_resid = basis.residual(values)
+        assert np.linalg.norm(got_resid - want_resid) <= tol * np.linalg.norm(want_resid)
+        degree += 1
+    assert degree >= (12 if dim == 2 else 16)
