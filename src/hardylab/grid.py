@@ -104,6 +104,18 @@ def sq_distance(pts: np.ndarray, center) -> np.ndarray:
     return d2
 
 
+def axes_sq_distance(axes, center) -> np.ndarray:
+    """|x - center|^2 on the product of the given per-axis coordinates, by
+    broadcasting instead of a meshgrid. The terms are summed in the order
+    sq_distance sums them, so the two agree bit for bit."""
+    d2 = np.zeros(())
+    for i, (ax, c) in enumerate(zip(axes, center)):
+        shape = [1] * len(axes)
+        shape[i] = -1
+        d2 = d2 + ((ax - c) ** 2).reshape(shape)
+    return d2
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball B(x0, r); membership at sample points is strict |x - x0| < r."""
@@ -120,11 +132,29 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def mask(self, spec: GridSpec) -> np.ndarray:
+    def box(self, spec: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Per-axis sample indices of the ball's bounding slab, and the strict
+        membership mask on that slab.
+
+        A sample off the slab has one term (x_i - c_i)^2 >= r^2, and a sum of
+        nonnegative terms rounds to no less than any of them, so the slab
+        holds every sample of the ball. On the slab the terms are summed as
+        sq_distance sums them, so the membership equals
+        sq_distance(spec.points(), center) < r^2 bit for bit.
+        """
         if spec.dim != self.dim:
             raise ValueError("ball/grid dimension mismatch")
         # compare squares: sqrt(d2) < r would flip points on the boundary
-        return sq_distance(spec.points(), self.center) < self.radius**2
+        r2 = self.radius**2
+        ax = spec.axis()
+        idx = tuple(np.flatnonzero((ax - c) ** 2 < r2) for c in self.center)
+        return idx, axes_sq_distance([ax[i] for i in idx], self.center) < r2
+
+    def mask(self, spec: GridSpec) -> np.ndarray:
+        idx, inside = self.box(spec)
+        out = np.zeros(spec.shape, dtype=bool)
+        out[np.ix_(*idx)] = inside
+        return out
 
     def fits_in(self, spec: GridSpec) -> bool:
         return all(
@@ -366,6 +396,49 @@ def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) ->
     noise = rng.standard_normal(spec.shape)
     xi2 = np.sum(spec.frequencies() ** 2, axis=0)
     return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
+
+
+# normal samples drawn per batch by ball_smooth_fields (1 MiB of float64)
+NOISE_BATCH_SAMPLES = 2**17
+
+
+def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """count draws of random_smooth_field(spec, ell, rng)[ball.mask(spec)] as
+    the columns of an (npts, count) array, each column contiguous, taking the
+    same normals from rng.
+
+    The periodic Gaussian filter is separable, so a field is C N C^T (C N in
+    1D), C the circulant of a = ifft(exp(-ell^2 xi^2 / 2)). Only the rows of
+    C at the ball's slab indices are formed, and they are applied by matmul
+    to batches of normals; the result equals the FFT route up to round-off
+    (about 1e-15 relative), not bit for bit. That makes this a second noise
+    path on purpose: atoms and the E1/E5 instance fields keep
+    random_smooth_field, because moving the atoms' draws moved E2 p < 1
+    norms by 5e-9 relative through far-field FFT round-off, which the
+    reference outputs record. The two paths become one once the grand
+    maximal function is cut to its support and those references are remade.
+    """
+    idx, inside = ball.box(spec)
+    out = np.empty((count, int(inside.sum())))
+    if count == 0:
+        return out.T
+    m = spec.points_per_axis
+    xi = 2.0 * np.pi * np.fft.fftfreq(m, d=spec.spacing)
+    a = np.fft.ifft(np.exp(-(ell**2) * xi**2 / 2.0)).real
+    # window s of the doubled reversed kernel is a[(m - 1 - s - j) mod m],
+    # so row x of C, a[(x - j) mod m], is window m - 1 - x
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(a[::-1], 2), m)
+    rows = [windows[m - 1 - i] for i in idx]
+    batch = max(1, NOISE_BATCH_SAMPLES // spec.num_samples)
+    for start in range(0, count, batch):
+        k = min(batch, count - start)
+        noise = rng.standard_normal((k,) + spec.shape)
+        if spec.dim == 1:
+            out[start:start + k] = (noise @ rows[0].T)[:, inside]
+        else:
+            out[start:start + k] = (rows[0] @ noise @ rows[1].T)[:, inside]
+    return out.T
 
 
 def dilate(phi: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec) -> GridFunction:

@@ -17,7 +17,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec, random_smooth_field
+from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -180,7 +180,9 @@ class BallBasis:
                 f"degenerate region: ball holds {self.npts} grid points"
                 f" < {self.space.dimension} basis functions"
             )
-        pts = spec.points()[:, self.mask]
+        idx, inside = ball.box(spec)
+        ax = spec.axis()
+        pts = np.stack([x[inside] for x in np.meshgrid(*(ax[i] for i in idx), indexing="ij")])
         self.scales = np.array([ball.radius ** order(a) for a in self.space.basis])
         self._monomials = [_monomial(pts, ball.center, a) for a in self.space.basis]
         self.cols = np.stack([m / s for m, s in zip(self._monomials, self.scales)], axis=1)
@@ -246,11 +248,6 @@ def weighted_poly_project(f: GridFunction, ball: Ball, degree: int, weight: Grid
     return PolyCoeffs(basis.space, ball.center, ball.radius, basis.coeffs(f.samples[basis.mask]))
 
 
-def ball_measure(spec: GridSpec, ball: Ball) -> float:
-    """Quadrature measure of the discrete ball (not the analytic volume)."""
-    return float(ball.mask(spec).sum()) * spec.cell_volume
-
-
 def match_moments_with_bump(spec: GridSpec, ball: Ball, degree: int,
                             weight: GridFunction, targets: np.ndarray) -> GridFunction:
     """A smooth function q = weight * (polynomial) supported in the ball whose
@@ -303,7 +300,8 @@ def dual_norm_check(
     = ||f - P_B^N(f)||_{L2(B)}.
 
     Returns (lhs, rhs): lhs maximizes over `trials` random moment-free test
-    functions (smooth noise with correlation length r/2, plus, when requested,
+    functions (smooth noise with correlation length r/2, drawn on the ball
+    only by ball_smooth_fields, plus, when requested,
     the extremal candidate (f-P)/||f-P||, which makes lhs = rhs up to solver
     roundoff); rhs is the projection residual norm. lhs <= rhs always, by
     Cauchy-Schwarz at the discrete level.
@@ -314,14 +312,14 @@ def dual_norm_check(
     resid = basis.residual(fm)
     rhs = float(np.sqrt(np.sum(np.abs(resid) ** 2) * h))
 
-    rng = np.random.default_rng(seed)
-    candidates = [random_smooth_field(f.spec, ball.radius / 2.0, rng)[basis.mask]
-                  for _ in range(trials)]
+    candidates = ball_smooth_fields(f.spec, ball, ball.radius / 2.0, trials,
+                                    np.random.default_rng(seed))
     if include_deterministic and rhs > 0:
-        candidates.append(resid)
-    if not candidates:
+        # one contiguous column per probe, as residual expects
+        candidates = np.vstack([candidates.T, resid]).T
+    if candidates.shape[1] == 0:
         return 0.0, rhs
-    v = basis.residual(np.stack(candidates).T)
+    v = basis.residual(candidates)
     nrm = np.sqrt(np.sum(np.abs(v) ** 2, axis=0) * h)
     pairing = np.abs(np.sum(fm[:, None] * np.conj(v), axis=0) * h)
     keep = nrm >= 1e-14

@@ -25,6 +25,7 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
+    axes_sq_distance,
     convolve,
     fourier_multiplier,
     reflect,
@@ -210,7 +211,7 @@ def materialize(T: OperatorSpec, spec: GridSpec) -> MatrixOp:
 
 def smooth_window(spec: GridSpec, center, W: float) -> GridFunction:
     """Radial window equal to 1 on B(center, W), 0 outside B(center, 2W)."""
-    dist = np.sqrt(sq_distance(spec.points(), center))
+    dist = np.sqrt(axes_sq_distance([spec.axis()] * spec.dim, center))
     return GridFunction(spec, 1.0 - quintic_step(dist / W - 1.0))
 
 

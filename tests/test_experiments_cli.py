@@ -7,6 +7,7 @@ import pytest
 
 from hardylab.cli import main
 from hardylab.config import (
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -80,6 +81,12 @@ def test_runner_registry_matches_schemas(tmp_path):
     cfg.scenario = "E9-nope"
     with pytest.raises(ConfigError, match="unknown scenario"):
         run_experiment(cfg)
+
+
+def test_config_scenarios_match_registry():
+    # config validates against its own copy of the names; experiments imports
+    # config, so the copy cannot be derived from the registry
+    assert set(SCENARIOS) == set(RUNNERS) == set(SCHEMAS)
 
 
 def test_ladder_validation(tmp_path):

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from hardylab.errors import NumericalError
 from hardylab.grid import (
+    NOISE_BATCH_SAMPLES,
     Ball,
     GridFunction,
     GridSpec,
+    ball_smooth_fields,
     convolve,
     convolve_spectra,
     dilate,
@@ -17,10 +19,14 @@ from hardylab.grid import (
     lp_norm,
     lp_quasinorm,
     padded_spectrum,
+    random_smooth_field,
     restrict,
     sample_function,
     save_gridfunction,
 )
+from hardylab.maximal import quintic_step
+from hardylab.moments import BallBasis, PolySpace
+from hardylab.operators import smooth_window
 
 
 def gauss(p):
@@ -324,3 +330,135 @@ def test_serialization_roundtrip(tmp_path):
         g = load_gridfunction(path)
         assert g.spec == spec
         assert np.array_equal(g.samples, f.samples)
+
+
+# ---------------------------------------------------------------------------
+# ball geometry and noise on the ball's bounding slab, against the earlier
+# full-grid formulas
+
+
+def full_grid_sq_distance(spec, center):
+    pts = spec.points()
+    d2 = np.zeros(spec.shape)
+    for i in range(spec.dim):
+        d2 += (pts[i] - center[i]) ** 2
+    return d2
+
+
+def full_grid_mask(spec, ball):
+    return full_grid_sq_distance(spec, ball.center) < ball.radius**2
+
+
+def full_grid_cols(spec, ball, degree):
+    pts = spec.points()[:, full_grid_mask(spec, ball)]
+    cols = []
+    for a in PolySpace(spec.dim, degree).basis:
+        mono = np.ones(pts.shape[1:])
+        for i, ai in enumerate(a):
+            if ai:
+                mono = mono * (pts[i] - ball.center[i]) ** ai
+        cols.append(mono / ball.radius ** sum(a))
+    return np.stack(cols, axis=1)
+
+
+def full_grid_window(spec, center, W):
+    return 1.0 - quintic_step(np.sqrt(full_grid_sq_distance(spec, center)) / W - 1.0)
+
+
+@st.composite
+def grid_and_ball(draw):
+    """A grid and a ball that may hold no sample, reach past L, or have r > L;
+    snapped balls are centred on a sample with r a whole number of cells, so
+    samples lie exactly on the boundary."""
+    spec = GridSpec(draw(st.sampled_from([1, 2])), draw(st.floats(0.5, 4.0)),
+                    draw(st.sampled_from([8, 16, 64])))
+    h, L, m = spec.spacing, spec.half_width, spec.points_per_axis
+    if draw(st.booleans()):
+        center = tuple(spec.axis()[draw(st.integers(0, m - 1))] for _ in range(spec.dim))
+        radius = h * draw(st.integers(1, 2 * m))
+    else:
+        center = tuple(draw(st.floats(-1.5 * L, 1.5 * L)) for _ in range(spec.dim))
+        radius = h * draw(st.floats(0.01, 2.0 * m))
+    return spec, Ball(center, radius)
+
+
+@given(gb=grid_and_ball())
+@settings(max_examples=150, deadline=None)
+def test_ball_mask_matches_full_grid(gb):
+    spec, ball = gb
+    idx, inside = ball.box(spec)
+    mask = ball.mask(spec)
+    assert np.array_equal(mask, full_grid_mask(spec, ball))
+    assert inside.shape == tuple(len(i) for i in idx)
+    assert inside.sum() == mask.sum()
+
+
+@given(gb=grid_and_ball(), degree=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_ball_basis_cols_match_full_grid(gb, degree):
+    spec, ball = gb
+    npts = int(full_grid_mask(spec, ball).sum())
+    if npts < PolySpace(spec.dim, degree).dimension:
+        with pytest.raises(NumericalError, match="degenerate region"):
+            BallBasis(spec, ball, degree)
+        return
+    try:
+        basis = BallBasis(spec, ball, degree)
+    except NumericalError as exc:  # too few distinct rows for this degree
+        assert "ill-conditioned" in str(exc) or "positive definite" in str(exc)
+        return
+    assert np.array_equal(basis.cols, full_grid_cols(spec, ball, degree))
+
+
+@given(gb=grid_and_ball(), frac=st.floats(0.05, 2.0))
+@settings(max_examples=100, deadline=None)
+def test_smooth_window_matches_full_grid(gb, frac):
+    spec, ball = gb
+    W = frac * ball.radius
+    assert np.array_equal(smooth_window(spec, ball.center, W).samples,
+                          full_grid_window(spec, ball.center, W))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_empty_ball_is_degenerate(dim):
+    spec = GridSpec(dim, 2.0, 32)
+    # centred between samples, far closer to none of them than half a cell
+    ball = Ball((0.5 * spec.spacing,) * dim, 0.1 * spec.spacing)
+    assert not ball.mask(spec).any()
+    assert ball_smooth_fields(spec, ball, 1.0, 3, np.random.default_rng(0)).shape == (0, 3)
+    with pytest.raises(NumericalError, match="degenerate region"):
+        BallBasis(spec, ball, 0)
+    with pytest.raises(NumericalError, match="degenerate region"):
+        lp_norm(GridFunction(spec, np.ones(spec.shape)), 2, region=ball)
+
+
+def per_trial_fields(spec, ball, ell, count, rng):
+    mask = ball.mask(spec)
+    out = np.empty((int(mask.sum()), count))
+    for j in range(count):
+        out[:, j] = random_smooth_field(spec, ell, rng)[mask]
+    return out
+
+
+BALL_CASES = {
+    "centred": lambda L: (0.0, 0.3 * L),
+    "off-centre": lambda L: (0.37 * L, 0.25 * L),
+    "edge": lambda L: (-0.9 * L, 0.3 * L),  # clipped at -L; its rows wrap around
+}
+
+
+@pytest.mark.parametrize("dim,m", [(1, 1024), (2, 128)])
+@pytest.mark.parametrize("case", sorted(BALL_CASES))
+def test_ball_smooth_fields_match_per_trial_draws(dim, m, case):
+    spec = GridSpec(dim, 2.0, m)
+    c, r = BALL_CASES[case](spec.half_width)
+    ball = Ball((c, -0.5 * c)[:dim], r)
+    batch = NOISE_BATCH_SAMPLES // spec.num_samples
+    assert batch > 2
+    for count in (0, 1, batch - 1, batch + 1):
+        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got = ball_smooth_fields(spec, ball, r / 2.0, count, rng)
+        want = per_trial_fields(spec, ball, r / 2.0, count, ref_rng)
+        assert got.shape == want.shape == (int(ball.mask(spec).sum()), count)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=0.0)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -12,7 +12,6 @@ from hardylab.moments import (
     BallBasis,
     HardyIndex,
     PolySpace,
-    ball_measure,
     dual_norm_check,
     local_oscillation,
     match_moments_with_bump,
@@ -277,12 +276,6 @@ def test_match_moments_with_bump():
     assert moment(q, (0.0,), 0) == pytest.approx(0.7, abs=1e-12)
     assert moment(q, (0.0,), 1) == pytest.approx(-0.2, abs=1e-12)
     assert np.all(q.samples[~B.mask(spec)] == 0)
-
-
-def test_ball_measure_is_discrete():
-    spec = GridSpec(1, 4.0, 256)
-    B = Ball((0.0,), 0.5)
-    assert ball_measure(spec, B) == B.mask(spec).sum() * spec.cell_volume
 
 
 
