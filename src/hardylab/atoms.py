@@ -26,7 +26,7 @@ from .moments import (
     moment,
     multiindices,
     order,
-    weighted_poly_project,
+    poly_project,
 )
 
 LOCAL = "local"
@@ -115,7 +115,7 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
         u = GridFunction(grid, random_smooth_field(grid, ball.radius / 3.0, rng))
         raw = w * u
         if spec_.needs_cancellation:
-            q = weighted_poly_project(u, ball, idx.N_p, w)
+            q = poly_project(u, ball, idx.N_p, weight=w)
             raw = w * (u - q.on_grid(grid))
         nrm = lp_quasinorm(raw, spec_.s)
         if nrm > 1e-12 * max(lp_quasinorm(w * u, spec_.s), 1e-300):

@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

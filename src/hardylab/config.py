@@ -68,9 +68,6 @@ class ConfigFile:
     sections: dict[str, dict[str, tuple[str, int]]] = field(default_factory=dict)
     section_lines: dict[str, int] = field(default_factory=dict)
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
-
     def get(self, section: str, key: str, default=None, required: bool = False) -> str | None:
         try:
             return self.sections[section][key][0]
@@ -171,15 +168,15 @@ class ExperimentConfig:
         return cls(scenario=scenario, grid=grid, seed=the_seed,
                    out_dir=Path(out), quiet=quiet, source=cfg)
 
-    def ladder(self, key: str = "r_ladder", require_small: bool = True,
-               default: str | None = None) -> list[float]:
-        raw = self.source.get("scenario", key, default=default,
+    def ladder(self, default: str | None = None) -> list[float]:
+        """The strictly decreasing [scenario] r_ladder, every r < 1."""
+        raw = self.source.get("scenario", "r_ladder", default=default,
                               required=default is None)
         vals = parse_number_list(raw)
         if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(f"{self.source.path}: {key} must be strictly decreasing")
-        if require_small and any(v >= 1 for v in vals):
-            raise ConfigError(f"{self.source.path}: {key} requires every r < 1")
+            raise ConfigError(f"{self.source.path}: r_ladder must be strictly decreasing")
+        if any(v >= 1 for v in vals):
+            raise ConfigError(f"{self.source.path}: r_ladder requires every r < 1")
         if not vals:
-            raise ConfigError(f"{self.source.path}: {key} is empty")
+            raise ConfigError(f"{self.source.path}: r_ladder is empty")
         return vals

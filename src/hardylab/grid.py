@@ -25,6 +25,7 @@ from .errors import NumericalError
 MAX_TOTAL_SAMPLES = 2**24
 
 _MAGIC = b"HLGRDFN1"
+_HEADER = struct.Struct("<IQdB")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -80,20 +81,17 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All sample points, shape (dim,) + shape."""
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[None, :]
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X, Y])
+        return np.stack(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
     def frequencies(self) -> np.ndarray:
         """Discrete frequencies 2*pi*k/(2L) per axis, shape (dim,) + shape."""
-        m = self.points_per_axis
-        xi = 2.0 * np.pi * np.fft.fftfreq(m, d=self.spacing)
-        if self.dim == 1:
-            return xi[None, :]
-        K1, K2 = np.meshgrid(xi, xi, indexing="ij")
-        return np.stack([K1, K2])
+        xi = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        return np.stack(np.meshgrid(*[xi] * self.dim, indexing="ij"))
+
+    def index_of(self, x) -> tuple[int, ...]:
+        """Grid index of the sample nearest to x, per axis modulo m."""
+        m, h, L = self.points_per_axis, self.spacing, self.half_width
+        return tuple(int(round((c + L) / h)) % m for c in x)
 
 
 def sq_distance(pts: np.ndarray, center) -> np.ndarray:
@@ -160,9 +158,6 @@ class Ball:
         return all(
             abs(c) + self.radius <= spec.half_width for c in self.center
         )
-
-    def scaled(self, factor: float) -> "Ball":
-        return Ball(self.center, self.radius * factor)
 
 
 class GridFunction:
@@ -276,16 +271,6 @@ def lp_norm(f: GridFunction, s: float, region: Ball | None = None, complement: b
     if not (np.isinf(s) or s >= 1):
         raise ValueError(f"lp_norm requires s >= 1 or s = inf, got {s}")
     return lp_quasinorm(f, s, region, complement)
-
-
-def restrict(f: GridFunction, ball: Ball, inside: bool = True) -> GridFunction:
-    """Zero f outside (inside=True) or inside (inside=False) the ball."""
-    if not ball.fits_in(f.spec):
-        raise ValueError("ball not contained in the grid domain")
-    mask = ball.mask(f.spec)
-    out = f.samples.copy()
-    out[~mask if inside else mask] = 0
-    return GridFunction(f.spec, out)
 
 
 def _embedding(spec: GridSpec):
@@ -451,22 +436,19 @@ def dilate(phi: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec) ->
     return GridFunction(spec, scale * np.broadcast_to(np.asarray(phi(spec.points() / t)), spec.shape).copy())
 
 
-def save_gridfunction(f: GridFunction, path) -> None:
-    """Write the flat binary container: header + little-endian float64 payload."""
-    flag = 0 if f.is_real else 1
-    header = _MAGIC + struct.pack("<IQdB", f.spec.dim, f.spec.points_per_axis, f.spec.half_width, flag)
-    payload = f.samples.ravel().astype("<c16" if flag else "<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
 def load_gridfunction(path) -> GridFunction:
+    """Read the flat binary container: magic, a little-endian (dim, m, L,
+    complex flag) header, then the samples as <f8 (flag 0) or <c16 (flag 1)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError("not a grid-function container")
-        dim, m, L, flag = struct.unpack("<IQdB", fh.read(21))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated grid-function header")
+        dim, m, L, flag = _HEADER.unpack(header)
+        if flag not in (0, 1):
+            raise ValueError(f"bad complex flag {flag} in grid-function header")
         spec = GridSpec(dim, L, int(m))
         data = np.frombuffer(fh.read(), dtype="<c16" if flag else "<f8")
     if data.size != spec.num_samples:

@@ -37,7 +37,7 @@ from .grid import (
     padded_spectrum,
     sq_distance,
 )
-from .moments import HardyIndex, MultiIndex, as_multiindex, moment, multiindices, order
+from .moments import HardyIndex, MultiIndex, as_multiindex, monomial, multiindices, order
 
 # ---------------------------------------------------------------------------
 # smooth profiles
@@ -110,6 +110,10 @@ class MollifierSpec:
 # scale grids and the small maximal function
 
 
+# largest ratio of neighbouring scales in ScaleGrid.default
+SCALE_RATIO = 2.0**0.25
+
+
 @dataclass(frozen=True)
 class ScaleGrid:
     """Strictly increasing geometric scale ladder with at least 16 entries."""
@@ -123,22 +127,13 @@ class ScaleGrid:
         if any(b <= a for a, b in zip(s, s[1:])):
             raise ValueError("scales must be strictly increasing")
 
-    @property
-    def t_min(self) -> float:
-        return self.scales[0]
-
-    @property
-    def t_max(self) -> float:
-        return self.scales[-1]
-
     @classmethod
-    def default(cls, spec: GridSpec, t_max: float, t_min: float | None = None,
-                max_ratio: float = 2.0**0.25) -> "ScaleGrid":
-        """Geometric ladder from max(t_min, 2h) to t_max with ratio <= 2^(1/4)."""
-        lo = max(t_min if t_min is not None else 0.0, 2.0 * spec.spacing)
+    def default(cls, spec: GridSpec, t_max: float) -> "ScaleGrid":
+        """Geometric ladder from the floor 2h to t_max with ratio <= SCALE_RATIO."""
+        lo = 2.0 * spec.spacing
         if not t_max > lo:
             raise ValueError(f"t_max = {t_max} must exceed the floor {lo}")
-        count = max(16, int(math.ceil(math.log(t_max / lo) / math.log(max_ratio))) + 1)
+        count = max(16, int(math.ceil(math.log(t_max / lo) / math.log(SCALE_RATIO))) + 1)
         return cls(tuple(np.geomspace(lo, t_max, count)))
 
 
@@ -219,32 +214,6 @@ def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = 
     return lp_quasinorm(small_maximal(f, mollifier, scales), idx.p)
 
 
-def _global_moment_scale(f: GridFunction, alpha: MultiIndex) -> float:
-    L = f.spec.half_width
-    l2 = float(np.sqrt(np.sum(np.abs(f.samples) ** 2) * f.spec.cell_volume))
-    return l2 * L ** order(alpha) * (2 * L) ** (f.spec.dim / 2.0)
-
-
-def hp_norm_global(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,
-                   t_max: float | None = None, scales: ScaleGrid | None = None) -> tuple[float, bool]:
-    """Truncated all-scale maximal norm; scales run up to t_max (default L/2).
-
-    Returns (value, flagged). When the discrete moments of f up to order N_p
-    do not vanish (relative threshold 1e-8), the truncated value diverges as
-    t_max grows; the result is then flagged rather than rejected.
-    """
-    mollifier = mollifier or MollifierSpec("gaussian", f.spec.dim)
-    t_max = t_max if t_max is not None else f.spec.half_width / 2.0
-    scales = scales or ScaleGrid.default(f.spec, t_max)
-    flagged = False
-    for alpha in multiindices(f.spec.dim, idx.N_p):
-        if abs(moment(f, (0.0,) * f.spec.dim, alpha)) > 1e-8 * _global_moment_scale(f, alpha):
-            flagged = True
-            break
-    value = lp_quasinorm(small_maximal(f, mollifier, scales), idx.p)
-    return value, flagged
-
-
 # ---------------------------------------------------------------------------
 # finite-difference certification of derivative bounds
 
@@ -258,12 +227,7 @@ def _fd_sups(fn, center, radius: float, dim: int, max_order: int,
     d = 2.0 * radius / (n - 1)
     axes = [np.linspace(c - radius - halo * d, c + radius + halo * d, n + 2 * halo)
             for c in center]
-    if dim == 1:
-        pts = axes[0][None, :]
-    else:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([X, Y])
-    base = np.asarray(fn(pts), dtype=float)
+    base = np.asarray(fn(np.stack(np.meshgrid(*axes, indexing="ij"))), dtype=float)
 
     def diff(arr, axis):
         sl_hi = [slice(None)] * dim
@@ -280,71 +244,6 @@ def _fd_sups(fn, center, radius: float, dim: int, max_order: int,
                 arr = diff(arr, axis)
         sups[beta] = float(np.max(np.abs(arr)))
     return sups
-
-
-@dataclass
-class BoundRow:
-    beta: MultiIndex
-    measured: float
-    bound: float
-
-    @property
-    def margin(self) -> float:
-        """Fraction of headroom below the bound (1 - measured/bound)."""
-        return 1.0 - self.measured / self.bound
-
-    @property
-    def passed(self) -> bool:
-        return self.measured <= self.bound * (1.0 + _SAMPLING_SLACK)
-
-
-_SAMPLING_SLACK = 0.01
-
-
-@dataclass
-class AdmissibilityReport:
-    t: float
-    k: int
-    support_ok: bool
-    support_leak: float
-    rows: list[BoundRow]
-
-    @property
-    def passed(self) -> bool:
-        return self.support_ok and all(r.passed for r in self.rows)
-
-    def to_text(self) -> str:
-        lines = [f"admissible t={self.t!r} k={self.k} support_ok={self.support_ok} "
-                 f"leak={self.support_leak:.3e} passed={self.passed}"]
-        for r in self.rows:
-            lines.append(f"  beta={r.beta} measured={r.measured:.6e} bound={r.bound:.6e} "
-                         f"margin={r.margin:+.4f} {'ok' if r.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
-
-def verify_admissible(phi, k: int, t: float, x, samples_per_axis: int | None = None) -> AdmissibilityReport:
-    """Certify supp(phi) in B(x,t) and ||D^beta phi||_inf <= t^{-n-|beta|} for
-    |beta| <= k by dense sampling plus finite differences (1% slack)."""
-    x = tuple(float(c) for c in x)
-    dim = len(x)
-    sups = _fd_sups(phi, x, 1.05 * t, dim, k, samples_per_axis)
-
-    n = samples_per_axis or (4001 if dim == 1 else 401)
-    axes = [np.linspace(c - 1.5 * t, c + 1.5 * t, n) for c in x]
-    if dim == 1:
-        pts = axes[0][None, :]
-    else:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([X, Y])
-    vals = np.abs(np.asarray(phi(pts), dtype=float))
-    outside = _radius(pts, x) > t * (1.0 + 1e-9)
-    scale = float(vals.max()) or 1.0
-    leak = float(vals[outside].max(initial=0.0)) / scale
-    support_ok = leak <= 1e-12
-
-    rows = [BoundRow(beta, sups[beta], t ** (-dim - order(beta)))
-            for beta in multiindices(dim, k)]
-    return AdmissibilityReport(t=t, k=k, support_ok=support_ok, support_leak=leak, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +287,7 @@ class Phi0Bump:
         return prof
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        mono = np.ones(pts.shape[1:])
-        for i, a in enumerate(self.alpha):
-            if a:
-                mono = mono * pts[i] ** a
+        mono = monomial(pts, (0.0,) * self.dim, self.alpha)
         return self.c_alpha * mono * self._profile(pts)
 
 
@@ -401,14 +297,14 @@ _PHI0_SAFETY = 0.9
 _PHI0_INTEGRAL_FLOOR = 1e-4
 
 
-def _box_integral(fn, center, radius, dim, n=2001):
+def _box_integral(fn, center, radius, n):
+    """Iterated trapezoid rule over the box, last axis first."""
     axes = [np.linspace(c - radius, c + radius, n) for c in center]
     d = axes[0][1] - axes[0][0]
-    if dim == 1:
-        return float(np.trapezoid(np.asarray(fn(axes[0][None, :])), dx=d))
-    X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-    vals = np.asarray(fn(np.stack([X, Y])))
-    return float(np.trapezoid(np.trapezoid(vals, dx=d, axis=1), dx=d))
+    vals = np.asarray(fn(np.stack(np.meshgrid(*axes, indexing="ij"))))
+    for _ in center:
+        vals = np.trapezoid(vals, dx=d)
+    return float(vals)
 
 
 def _lobe_directions(v):
@@ -432,8 +328,7 @@ def _build_phi0_cached(v: tuple, alpha: MultiIndex, k: int) -> Phi0Bump:
             2.0 ** (-order(beta) - 2 * dim) / max(s, 1e-300)
             for beta, s in sups.items()
         )
-        raw_integral = _box_integral(probe, center, 2.05, dim,
-                                     n=20001 if dim == 1 else 801)
+        raw_integral = _box_integral(probe, center, 2.05, n=20001 if dim == 1 else 801)
         cert = tuple(
             (beta, c * sups[beta], 2.0 ** (-order(beta) - 2 * dim))
             for beta in multiindices(dim, k)
@@ -518,9 +413,6 @@ class MollifierCopyEntry:
     scale: float
     amplitude: float
 
-    def manifest_line(self) -> str:
-        return f"kind=mollifier-copy t={self.scale!r} amplitude={self.amplitude!r}"
-
 
 @dataclass(frozen=True)
 class MomentProbeEntry:
@@ -528,9 +420,6 @@ class MomentProbeEntry:
 
     alpha: MultiIndex
     sites: tuple[tuple[float, ...], ...]
-
-    def manifest_line(self) -> str:
-        return f"kind=moment-probe alpha={','.join(map(str, self.alpha))} sites={len(self.sites)}"
 
 
 @dataclass
@@ -541,11 +430,6 @@ class TestDictionary:
     T: float
     idx: HardyIndex
     entries: list
-
-    def manifest(self) -> str:
-        lines = [f"# test dictionary k={self.k} T={self.T!r} entries={len(self.entries)}"]
-        lines += [e.manifest_line() for e in self.entries]
-        return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=64)
@@ -576,14 +460,6 @@ def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
     return TestDictionary(k=k, T=T, idx=idx, entries=entries)
 
 
-def _site_index(spec: GridSpec, x) -> tuple[int, ...]:
-    idxs = []
-    for c in x:
-        i = int(round((c + spec.half_width) / spec.spacing)) % spec.points_per_axis
-        idxs.append(i)
-    return tuple(idxs)
-
-
 def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
     """Pointwise max of |<f, phi>| over the dictionary (each mollifier copy is
     translated to every grid site; probes only at their sites). A certified
@@ -608,6 +484,6 @@ def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
                 continue  # outside the family or the domain: skip (lower bound)
             vals = probe(spec.points())
             pairing = abs(np.sum(f.samples * vals) * spec.cell_volume)
-            i = _site_index(spec, site)
+            i = spec.index_of(site)
             out[i] = max(out[i], pairing)
     return GridFunction(spec, out)

@@ -105,7 +105,8 @@ class HardyIndex:
         return self.gamma_p == self.N_p
 
 
-def _monomial(pts: np.ndarray, x0, alpha: MultiIndex) -> np.ndarray:
+def monomial(pts: np.ndarray, x0, alpha: MultiIndex) -> np.ndarray:
+    """(x - x0)^alpha at every point of pts, shape (dim,) + grid."""
     out = np.ones(pts.shape[1:])
     for i, a in enumerate(alpha):
         if a:
@@ -115,7 +116,7 @@ def _monomial(pts: np.ndarray, x0, alpha: MultiIndex) -> np.ndarray:
 
 def monomial_field(spec: GridSpec, x0, alpha: MultiIndex) -> GridFunction:
     """(x - x0)^alpha sampled on the grid."""
-    return GridFunction(spec, _monomial(spec.points(), x0, alpha))
+    return GridFunction(spec, monomial(spec.points(), x0, alpha))
 
 
 def _boundary_l1_fraction(f: GridFunction) -> float:
@@ -139,7 +140,7 @@ def moment(f: GridFunction, x0, alpha) -> float | complex:
     alpha = as_multiindex(alpha, f.spec.dim)
     if _boundary_l1_fraction(f) > 1e-12:
         raise NumericalError("moment undefined: support escapes domain")
-    vals = f.samples * _monomial(f.spec.points(), x0, alpha)
+    vals = f.samples * monomial(f.spec.points(), x0, alpha)
     out = vals.sum() * f.spec.cell_volume
     return float(out) if f.is_real else complex(out)
 
@@ -156,7 +157,7 @@ class PolyCoeffs:
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape[1:], dtype=self.coeffs.dtype)
         for a, c in zip(self.space.basis, self.coeffs):
-            out = out + c * _monomial(pts, self.center, a) / self.radius ** order(a)
+            out = out + c * monomial(pts, self.center, a) / self.radius ** order(a)
         return out
 
     def on_grid(self, spec: GridSpec) -> GridFunction:
@@ -184,7 +185,7 @@ class BallBasis:
         ax = spec.axis()
         pts = np.stack([x[inside] for x in np.meshgrid(*(ax[i] for i in idx), indexing="ij")])
         self.scales = np.array([ball.radius ** order(a) for a in self.space.basis])
-        self._monomials = [_monomial(pts, ball.center, a) for a in self.space.basis]
+        self._monomials = [monomial(pts, ball.center, a) for a in self.space.basis]
         self.cols = np.stack([m / s for m, s in zip(self._monomials, self.scales)], axis=1)
         self.weight = None if weight is None else weight.samples[self.mask]
         self._weighted = self.cols if weight is None else self.cols * self.weight[:, None]
@@ -226,23 +227,17 @@ class BallBasis:
         return values - fit.T
 
 
-def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyCoeffs:
-    """L2(B)-orthogonal projection of f onto polynomials of degree <= N.
+def poly_project(f: GridFunction, ball: Ball, degree: int,
+                 weight: GridFunction | None = None) -> PolyCoeffs:
+    """L2(B)-orthogonal projection of f onto polynomials of degree <= N; with
+    a weight w, the Q with int_B w*(f - Q)*(y-x0)^b dy = 0 for all |b| <= N
+    (the atom generator subtracts w*Q from w*f to kill moments while keeping
+    the smooth edge cutoff w).
 
     Monomials are scaled by r^{-|a|} so the Gram condition number does not
     depend on the ball radius; a condition estimate above 1e12 is a hard
     failure, since a silent loss of moment matching would corrupt every
     oscillation value downstream.
-    """
-    basis = BallBasis(f.spec, ball, degree)
-    return PolyCoeffs(basis.space, ball.center, ball.radius, basis.coeffs(f.samples[basis.mask]))
-
-
-def weighted_poly_project(f: GridFunction, ball: Ball, degree: int, weight: GridFunction) -> PolyCoeffs:
-    """Coefficients Q with int_B w*(f - Q)*(y-x0)^b dy = 0 for all |b| <= N.
-
-    Used by the atom generator: subtracting w*Q from w*f kills moments while
-    keeping the smooth edge cutoff w.
     """
     basis = BallBasis(f.spec, ball, degree, weight)
     return PolyCoeffs(basis.space, ball.center, ball.radius, basis.coeffs(f.samples[basis.mask]))

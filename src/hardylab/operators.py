@@ -1,5 +1,5 @@
-"""Linear operators (Fourier multipliers, convolution kernels, dense matrices,
-pointwise multipliers, compositions), adjoints, windowed monomial pairings,
+"""Linear operators (Fourier multipliers, convolution kernels, pointwise
+multipliers, compositions), adjoints, windowed monomial pairings,
 the cancellation-condition tester, and sample-based kernel checkers.
 
 Adjoints are Hermitian (conjugate symbol / conjugate transpose); for the real
@@ -41,9 +41,6 @@ from .moments import (
     monomial_field,
     psi,
 )
-
-MATERIALIZE_CAP = 128
-
 
 # ---------------------------------------------------------------------------
 # operator variants
@@ -111,31 +108,6 @@ class KernelOp(OperatorSpec):
 
 
 @dataclass
-class MatrixOp(OperatorSpec):
-    """Dense kernel samples A with (Tf)_i = h^dim * sum_j A_ij f_j."""
-
-    matrix: np.ndarray
-    spec: GridSpec
-    name: str = "matrix"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.spec.num_samples
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"matrix must be {n} x {n}")
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.spec:
-            raise ValueError("grid mismatch")
-        out = self.spec.cell_volume * (self.matrix @ f.samples.ravel())
-        return GridFunction(self.spec, out.reshape(self.spec.shape))
-
-    def adjoint(self) -> "MatrixOp":
-        return MatrixOp(self.matrix.conj().T.copy(), self.spec, name=f"{self.name}*",
-                        params=self.params)
-
-
-@dataclass
 class PointwiseOp(OperatorSpec):
     """Multiplication by a fixed grid function (sign flips, modulations, ...).
 
@@ -184,25 +156,6 @@ class CompositionOp(OperatorSpec):
     def adjoint(self) -> "CompositionOp":
         return CompositionOp([p.adjoint() for p in reversed(self.parts)],
                              name=f"{self.name}*", params=self.params)
-
-
-def materialize(T: OperatorSpec, spec: GridSpec) -> MatrixOp:
-    """Dense matrix of T from its action on single-cell unit-mass spikes.
-
-    An oracle only: memory is O(m^{2 dim}), capped at m <= 128 per axis.
-    """
-    if spec.points_per_axis > MATERIALIZE_CAP:
-        raise ValueError(f"materialization capped at m <= {MATERIALIZE_CAP}")
-    n = spec.num_samples
-    h = spec.cell_volume
-    cols = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0 / h
-        cols[:, j] = T.apply(GridFunction(spec, e.reshape(spec.shape))).samples.ravel()
-    if np.max(np.abs(cols.imag)) == 0:
-        cols = cols.real.copy()
-    return MatrixOp(cols, spec, name=f"{T.name}.matrix", params=dict(T.params))
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +298,14 @@ class KernelSizeReport:
                 f"at |u|={self.argmax_distance!r} over {self.n_samples} samples\n")
 
 
-def kernel_size_check(T: OperatorSpec, mu: float, spec: GridSpec,
-                      sample_pairs=None) -> KernelSizeReport:
-    """Fitted constant in |k(u)| <= C min(|u|^-n, |u|^-n-mu), sampled at grid
-    offsets with |u| >= 4h (default: every such offset)."""
+def kernel_size_check(T: OperatorSpec, mu: float, spec: GridSpec) -> KernelSizeReport:
+    """Fitted constant in |k(u)| <= C min(|u|^-n, |u|^-n-mu), sampled at every
+    grid offset with |u| >= 4h."""
     k = _materialized_kernel(T, spec)
-    if sample_pairs is not None:
-        u = np.array([[xi - yi for xi, yi in zip(x, y)] for x, y in sample_pairs])
-        dvals = np.linalg.norm(u, axis=1)
-        idxs = [tuple(int(round((c + spec.half_width) / spec.spacing)) % spec.points_per_axis
-                      for c in row) for row in u]
-        kvals = np.array([abs(k.samples[i]) for i in idxs])
-    else:
-        dist = np.sqrt(sq_distance(spec.points(), (0.0,) * spec.dim))
-        sel = dist >= 4.0 * spec.spacing
-        dvals = dist[sel]
-        kvals = np.abs(k.samples[sel])
+    dist = np.sqrt(sq_distance(spec.points(), (0.0,) * spec.dim))
+    sel = dist >= 4.0 * spec.spacing
+    dvals = dist[sel]
+    kvals = np.abs(k.samples[sel])
 
     diag = abs(k.samples[tuple(spec.points_per_axis // 2 for _ in range(spec.dim))])
     off_max = float(kvals.max(initial=0.0))
@@ -387,11 +332,11 @@ class KernelHolderReport:
                 f"fitted_C={self.fitted_C!r} over {self.n_triples} triples\n")
 
 
-def default_holder_triples(spec: GridSpec, sigma: float, n_anchor: int = 6,
-                           n_sep: int = 6) -> list:
+def default_holder_triples(spec: GridSpec, sigma: float) -> list:
     """Triples (x, y, z) on the grid with |x - z| >= 2 |y - z|^sigma.
 
-    Separations |y - z| sweep from one cell upward along the first axis; the
+    Six anchors z sweep [-L/8, L/8] on the first axis. Up to six separations
+    |y - z| double from one cell upward along the first axis; the
     distances |x - z| sweep both multiples of the admissibility floor and a
     fixed ladder of absolute probes, so that jump discontinuities at O(1)
     distances are straddled by one-cell separations (the refinement probe).
@@ -401,11 +346,11 @@ def default_holder_triples(spec: GridSpec, sigma: float, n_anchor: int = 6,
     axis_dirs = [np.eye(spec.dim)[i] for i in range(spec.dim)]
     probes = [c * L for c in (0.0625, 0.09375, 0.125, 0.1875, 0.25, 0.375, 0.5)]
     triples = []
-    rng_anchors = np.linspace(-L / 8, L / 8, n_anchor)
+    rng_anchors = np.linspace(-L / 8, L / 8, 6)
     for za in rng_anchors:
         z = np.zeros(spec.dim)
         z[0] = round(za / h) * h
-        for ksep in range(n_sep):
+        for ksep in range(6):
             s = h * 2**ksep
             if s > L / 8:
                 break
@@ -438,11 +383,9 @@ def kernel_holder_check(T: OperatorSpec, delta: float, sigma: float, spec: GridS
         sample_triples = default_holder_triples(spec, sigma)
 
     h = spec.spacing
-    m = spec.points_per_axis
 
     def k_at(u):
-        i = tuple(int(round((c + spec.half_width) / h)) % m for c in u)
-        return k.samples[i]
+        return k.samples[spec.index_of(u)]
 
     best = 0.0
     used = 0

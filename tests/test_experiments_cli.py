@@ -1,10 +1,14 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardylab
+from hardylab.atoms import AtomSpec, make_atom
 from hardylab.cli import main
 from hardylab.config import (
     SCENARIOS,
@@ -16,6 +20,9 @@ from hardylab.config import (
     parse_number_list,
 )
 from hardylab.experiments import RUNNERS, SCHEMAS, run_experiment
+from hardylab.grid import Ball, GridSpec
+from hardylab.moments import HardyIndex
+from oracles import container_bytes
 
 
 def write(tmp_path, name, text):
@@ -205,6 +212,21 @@ def test_cli_validate_atom(capsys):
     assert "passed=True" in capsys.readouterr().out
 
 
+def test_cli_validate_atom_file(tmp_path, capsys):
+    atom = make_atom(AtomSpec(HardyIndex(1.0, 1), 2.0, Ball((0.0,), 0.25)), 3,
+                     GridSpec(1, 4.0, 1024))
+    good = tmp_path / "atom.gfn"
+    good.write_bytes(container_bytes(atom))
+    args = ["validate-atom", "--p", "1", "--file"]
+    assert main(args + [str(good)]) == 0
+    assert "passed=True" in capsys.readouterr().out
+    short = tmp_path / "short.bin"
+    short.write_bytes(container_bytes(atom)[:10])
+    assert main(args + [str(short)]) == 2  # truncated header
+    assert main(args + [str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.count("config error") == 2
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg = write(tmp_path, "e4.cfg", E4_CFG)
     assert main(["run", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
@@ -244,9 +266,22 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "0.910239227"
 
 
-def test_import_leaves_scipy_unloaded():
-    import hardylab
+def test_no_private_names_imported_across_modules():
+    # from .x import _name (or hardylab.x) couples a module to another's internals
+    bad = []
+    for path in sorted(Path(hardylab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "hardylab":
+                continue
+            bad += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                    if a.name.startswith("_")
+                    and not (a.name.startswith("__") and a.name.endswith("__"))]
+    assert not bad
 
+
+def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(hardylab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", "import sys, hardylab.cli; "

@@ -20,13 +20,12 @@ from hardylab.grid import (
     lp_quasinorm,
     padded_spectrum,
     random_smooth_field,
-    restrict,
     sample_function,
-    save_gridfunction,
 )
 from hardylab.maximal import quintic_step
 from hardylab.moments import BallBasis, PolySpace
 from hardylab.operators import smooth_window
+from oracles import container_bytes
 
 
 def gauss(p):
@@ -56,7 +55,7 @@ def test_samples_must_be_finite():
 
 def test_integrate_indicator_within_one_cell():
     spec = GridSpec(1, 4.0, 1024)
-    f = restrict(GridFunction(spec, np.ones(spec.shape)), Ball((0.0,), 1.0))
+    f = GridFunction(spec, Ball((0.0,), 1.0).mask(spec).astype(float))
     assert abs(integrate(f) - 2.0) <= spec.cell_volume + 1e-15
 
 
@@ -135,24 +134,6 @@ def test_lp_quasinorm_below_one():
     assert lp_quasinorm(f, 2.0, region=B, complement=True) == lp_norm(f, 2.0, region=B, complement=True)
 
 
-def test_restrict_partition_and_idempotence():
-    spec = GridSpec(1, 4.0, 512)
-    rng = np.random.default_rng(2)
-    f = GridFunction(spec, rng.normal(size=spec.shape))
-    B = Ball((0.5,), 1.2)
-    inside = restrict(f, B, True)
-    outside = restrict(f, B, False)
-    assert np.array_equal(inside.samples + outside.samples, f.samples)
-    again = restrict(inside, B, True)
-    assert np.array_equal(again.samples, inside.samples)
-
-
-def test_restrict_measures_ball():
-    spec = GridSpec(1, 4.0, 2048)
-    one = GridFunction(spec, np.ones(spec.shape))
-    assert abs(integrate(restrict(one, Ball((0.0,), 1.0))) - 2.0) <= spec.cell_volume
-
-
 def test_convolve_delta_identity():
     spec = GridSpec(1, 4.0, 256)
     rng = np.random.default_rng(3)
@@ -164,7 +145,7 @@ def test_convolve_delta_identity():
 
 def test_convolve_box_box_hat():
     spec = GridSpec(1, 4.0, 512)
-    box = restrict(GridFunction(spec, np.ones(spec.shape)), Ball((0.0,), 1.0))
+    box = GridFunction(spec, Ball((0.0,), 1.0).mask(spec).astype(float))
     hat = convolve(box, box)
     x = spec.axis()
     exact = np.clip(2.0 - np.abs(x), 0.0, None)
@@ -326,10 +307,25 @@ def test_serialization_roundtrip(tmp_path):
                  rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)):
         f = GridFunction(spec, data)
         path = tmp_path / "f.gfn"
-        save_gridfunction(f, path)
+        path.write_bytes(container_bytes(f))
         g = load_gridfunction(path)
         assert g.spec == spec
         assert np.array_equal(g.samples, f.samples)
+
+
+def test_load_rejects_malformed_container(tmp_path):
+    good = container_bytes(GridFunction(GridSpec(1, 2.0, 8), np.arange(8.0)))
+    cases = {
+        "magic": (b"XXXXXXXX" + good[8:], "not a grid-function container"),
+        "short": (good[:10], "truncated"),
+        "flag": (good[:28] + b"\x02" + good[29:], "complex flag"),
+        "payload": (good[:-8], "payload size"),
+    }
+    for name, (data, message) in cases.items():
+        path = tmp_path / f"{name}.gfn"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            load_gridfunction(path)
 
 
 # ---------------------------------------------------------------------------

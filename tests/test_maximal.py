@@ -10,7 +10,16 @@ import pytest
 
 import hardylab.maximal as maximal
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, dilate, integrate, padded_spectrum, sample_function
+from hardylab.grid import (
+    Ball,
+    GridFunction,
+    GridSpec,
+    dilate,
+    integrate,
+    lp_quasinorm,
+    padded_spectrum,
+    sample_function,
+)
 from hardylab.maximal import (
     MollifierCopyEntry,
     MollifierSpec,
@@ -22,12 +31,11 @@ from hardylab.maximal import (
     cutoff_eta,
     grand_maximal,
     hp_norm,
-    hp_norm_global,
     phi_x_alpha,
     small_maximal,
-    verify_admissible,
 )
 from hardylab.moments import HardyIndex, moment
+from oracles import verify_admissible
 
 IDX1 = HardyIndex(1.0, 1)
 IDXH = HardyIndex(0.5, 1)
@@ -59,7 +67,7 @@ def test_scale_grid_validation(grid):
     with pytest.raises(ValueError):
         ScaleGrid(tuple([0.5] * 20))  # not increasing
     sg = ScaleGrid.default(grid, 1.0)
-    assert sg.t_min >= 2 * grid.spacing
+    assert sg.scales[0] >= 2 * grid.spacing
     assert len(sg.scales) >= 16
     ratios = np.diff(np.log(sg.scales))
     assert np.max(ratios) <= np.log(2.0**0.25) + 1e-12
@@ -88,7 +96,7 @@ def test_small_maximal_scale_refinement(grid, scales):
     f = sample_function(grid, lambda p: np.exp(-2 * p[0] ** 2) * (1 + 0.5 * np.sin(3 * p[0])))
     base = small_maximal(f, mol, scales)
     fine = small_maximal(f, mol, ScaleGrid(
-        tuple(np.geomspace(scales.t_min, scales.t_max, 2 * len(scales.scales)))))
+        tuple(np.geomspace(scales.scales[0], scales.scales[-1], 2 * len(scales.scales)))))
     rel = (integrate(fine.abs()) - integrate(base.abs())) / integrate(base.abs())
     assert 0 <= rel <= 0.02  # refinement only increases, and by little
 
@@ -124,13 +132,23 @@ def test_hp_norm_uniform_over_atom_seeds(grid, scales):
     assert max(vals) / min(vals) <= 20.0
 
 
+def truncated_norm(f, mol, t_max):
+    # the maximal norm with scales up to t_max instead of 1
+    return lp_quasinorm(small_maximal(f, mol, ScaleGrid.default(f.spec, t_max)), IDX1.p)
+
+
+def mean_cancels(f):
+    # N_p = 0 at p = 1: the zeroth moment, against ||f||_2 (2L)^{1/2}
+    L = f.spec.half_width
+    return abs(moment(f, (0.0,), (0,))) <= 1e-8 * lp_quasinorm(f, 2.0) * (2 * L) ** 0.5
+
+
 def test_global_norm_dominates_and_flags(grid, scales):
     mol = MollifierSpec("gaussian", 1)
     f = sample_function(grid, lambda p: (np.abs(p[0]) < 0.25).astype(float))
     local = hp_norm(f, IDX1, mol, scales)
-    v1, fl1 = hp_norm_global(f, IDX1, mol, t_max=1.0)
-    v2, fl2 = hp_norm_global(f, IDX1, mol, t_max=2.0)
-    assert fl1 and fl2  # no cancellation
+    v1, v2 = truncated_norm(f, mol, 1.0), truncated_norm(f, mol, 2.0)
+    assert not mean_cancels(f)
     assert v1 >= local - 1e-12
     assert v2 > v1  # truncated value grows without cancellation
 
@@ -140,9 +158,8 @@ def test_global_norm_stable_for_cancelling_atoms(grid):
 
     mol = MollifierSpec("gaussian", 1)
     a = make_atom(AtomSpec(IDX1, 2.0, Ball((0.0,), 0.25), "global"), 0, grid)
-    v1, fl1 = hp_norm_global(a, IDX1, mol, t_max=1.0)
-    v2, fl2 = hp_norm_global(a, IDX1, mol, t_max=2.0)
-    assert not fl1 and not fl2
+    v1, v2 = truncated_norm(a, mol, 1.0), truncated_norm(a, mol, 2.0)
+    assert mean_cancels(a)
     assert abs(v2 - v1) <= 0.10 * v1
 
 
@@ -263,6 +280,37 @@ def test_grand_maximal_monotone_in_dictionary(grid, scales):
     assert np.all(b.samples >= a.samples - 1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_small_maximal_monotone_under_scale_refinement(dim):
+    # a ladder holding every base scale (the same floats) can only raise values
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    rng = np.random.default_rng(30 + dim)
+    f = GridFunction(spec, rng.normal(size=spec.shape))
+    mol = MollifierSpec("gaussian", dim)
+    base = ScaleGrid.default(spec, 1.0)
+    mids = np.sqrt(np.multiply(base.scales[1:], base.scales[:-1]))
+    fine = ScaleGrid(tuple(sorted({*base.scales, *mids, 1.5})))
+    assert set(base.scales) < set(fine.scales)
+    assert np.all(small_maximal(f, mol, fine).samples >= small_maximal(f, mol, base).samples)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grand_maximal_monotone_under_dictionary_superset(dim):
+    # more copies, a larger T and moment probes on top of every base entry
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    idx = HardyIndex(1.0, dim)
+    f = sample_function(spec, lambda p: np.exp(-4 * np.sum(p**2, axis=0)) * (1 + p[0]))
+    base = build_test_dictionary(spec, idx, T=1.0, scales=ScaleGrid.default(spec, 1.0))
+    sites = ((0.2, 0.1)[:dim], (0.3, 0.15)[:dim])
+    extra = build_test_dictionary(spec, idx, T=2.0, scales=ScaleGrid.default(spec, 2.0),
+                                  probe_alphas=((0,) * dim,), probe_sites=sites)
+    big = TestDictionary(base.k, 2.0, idx, base.entries + extra.entries)
+    small_vals = grand_maximal(f, base).samples
+    big_vals = grand_maximal(f, big).samples
+    assert np.all(big_vals >= small_vals)
+    assert np.any(big_vals > small_vals)
+
+
 def test_grand_maximal_sublinear(grid, scales):
     mol = MollifierSpec("smooth-bump", 1)
     dct = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales)
@@ -289,16 +337,6 @@ def test_grand_maximal_probe_lower_bound(grid):
         claimed = probe.phi0.c_alpha * abs(xv) ** -1 * abs(m0)
         i = int(round((xv + grid.half_width) / grid.spacing))
         assert gm.samples[i] >= claimed - 1e-12
-
-
-def test_dictionary_manifest(grid, scales):
-    dct = build_test_dictionary(grid, IDX1, T=1.0, scales=scales,
-                                probe_alphas=((0,),), probe_sites=((0.25,),))
-    text = dct.manifest()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# test dictionary")
-    assert sum("mollifier-copy" in ln for ln in lines) == len(scales.scales)
-    assert sum("moment-probe" in ln for ln in lines) == 1
 
 
 def test_dictionary_requires_compact_mollifier(grid, scales):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import linalg as scipy_linalg
 
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, random_smooth_field, restrict, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, random_smooth_field, sample_function
 from hardylab.moments import (
     BallBasis,
     HardyIndex,
@@ -57,7 +57,7 @@ def test_hardy_index_rejects_bad_p():
 def test_moment_even_bump_odd_order():
     spec = GridSpec(1, 4.0, 2048)
     f = sample_function(spec, lambda p: np.exp(-8 * p[0]**2))
-    f = restrict(f, Ball((0.0,), 2.0))
+    f = f * Ball((0.0,), 2.0).mask(spec)
     assert abs(moment(f, (0.0,), 1)) < 1e-10
 
 
@@ -71,7 +71,7 @@ def test_moment_indicator():
 def test_moment_matches_direct_summation():
     spec = GridSpec(1, 4.0, 512)
     rng = np.random.default_rng(0)
-    f = restrict(GridFunction(spec, rng.normal(size=spec.shape)), Ball((0.0,), 2.0))
+    f = GridFunction(spec, rng.normal(size=spec.shape) * Ball((0.0,), 2.0).mask(spec))
     x = spec.points()[0]
     for alpha in ((0,), (1,), (2,)):
         direct = float(np.sum(f.samples * (x - 0.3) ** alpha[0]) * spec.cell_volume)
@@ -89,7 +89,7 @@ def test_projection_recovers_polynomials():
     spec = GridSpec(1, 4.0, 2048)
     B = Ball((0.3,), 0.7)
     g = sample_function(spec, lambda p: 1.5 - 0.7 * (p[0] - 0.3) + 0.3 * (p[0] - 0.3) ** 2)
-    pc = poly_project(restrict(g, B), B, 2)
+    pc = poly_project(g * B.mask(spec), B, 2)
     mask = B.mask(spec)
     err = np.max(np.abs(pc.evaluate(spec.points())[mask] - g.samples[mask]))
     assert err < 1e-9
@@ -277,6 +277,23 @@ def test_match_moments_with_bump():
     assert moment(q, (0.0,), 1) == pytest.approx(-0.2, abs=1e-12)
     assert np.all(q.samples[~B.mask(spec)] == 0)
 
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_weighted_projection_kills_weighted_moments(dim, degree):
+    # int_B w (f - Q) (y - x0)^b = 0 for |b| <= degree, relative to ||w f|| r^|b|
+    from hardylab.atoms import edge_cutoff
+
+    spec = GridSpec(dim, 4.0, 1024 if dim == 1 else 64)
+    B = Ball((0.3, -0.2)[:dim], 1.1)
+    w = edge_cutoff(spec, B)
+    rng = np.random.default_rng(10 * dim + degree)
+    f = GridFunction(spec, random_smooth_field(spec, 0.3, rng))
+    q = poly_project(f, B, degree, weight=w)
+    resid = w * (f - q.on_grid(spec))
+    scale = lp_norm(w * f, 2.0)
+    for b in multiindices(dim, degree):
+        assert abs(moment(resid, B.center, b)) <= 1e-12 * scale * B.radius ** sum(b)
 
 
 def test_projection_rejects_ill_conditioned_gram():

@@ -7,19 +7,19 @@ from hardylab.grid import Ball, GridFunction, GridSpec, inner, integrate, sample
 from hardylab.maximal import quintic_step
 from hardylab.moments import HardyIndex, local_oscillation, monomial_field
 from hardylab.operators import (
+    WINDOW_SENSITIVITY_LIMIT,
     CompositionOp,
     KernelOp,
     MultiplierOp,
     builtin_operators,
     cancellation_test,
-    default_holder_triples,
     get_operator,
     kernel_holder_check,
     kernel_size_check,
-    materialize,
     smooth_window,
     tstar_monomial,
 )
+from oracles import materialize
 
 IDX1 = HardyIndex(1.0, 1)
 IDXH = HardyIndex(0.5, 1)
@@ -147,6 +147,19 @@ def test_tstar_gaussian_reproduces_polynomials(grid):
         ts = tstar_monomial(T, (0.0,), alpha, W=1.0, spec=grid)
         osc = local_oscillation(ts.field, Ball((0.0,), 0.1), sum(alpha))
         assert osc < 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(builtin_operators()))
+def test_tstar_certified_or_refused(dim, name):
+    # every catalog operator: a sensitivity within the limit, or NumericalError
+    spec = GridSpec(dim, 4.0, 256 if dim == 1 else 64)
+    T = get_operator(name, spec)
+    try:
+        ts = tstar_monomial(T, (0.0,) * dim, (0,) * dim, W=1.0, spec=spec)
+    except NumericalError:
+        return
+    assert ts.sensitivity <= WINDOW_SENSITIVITY_LIMIT
 
 
 def test_tstar_matches_matrix_route(small):
