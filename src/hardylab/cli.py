@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--space", default="local", choices=("local", "global"))
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--dim", type=int, default=1, choices=(1, 2))
-    va.add_argument("--grid-m", type=int, default=2048)
-    va.add_argument("--L", default="4")
+    va.add_argument("--grid-m", type=int, default=2048,
+                    help="points per axis of a generated atom's grid")
+    va.add_argument("--L", default="4", help="half-width of a generated atom's grid")
     va.add_argument("--file", help="validate a stored grid function instead of generating one")
     va.add_argument("--tol", default="1e-8")
 
@@ -88,15 +89,15 @@ def _cmd_list_operators(args) -> int:
 def _cmd_validate_atom(args) -> int:
     idx = HardyIndex(parse_number(args.p), args.dim)
     s = parse_number(args.s)
-    grid = GridSpec(args.dim, parse_number(args.L), args.grid_m)
     ball = Ball((0.0,) * args.dim, parse_number(args.r))
     spec_a = AtomSpec(idx, s, ball, args.space)
     if args.file:
+        # a stored function carries its own grid; --grid-m and --L do not apply
         a = load_gridfunction(args.file)
         if a.spec.dim != args.dim:
             raise ConfigError("stored function has a different dimension")
     else:
-        a = make_atom(spec_a, args.seed, grid)
+        a = make_atom(spec_a, args.seed, GridSpec(args.dim, parse_number(args.L), args.grid_m))
     report = validate_atom(a, spec_a, parse_number(args.tol))
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 3

@@ -333,7 +333,23 @@ def reflect(f: GridFunction) -> GridFunction:
     return GridFunction(f.spec, out.copy())
 
 
-def _symbol_array(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SampledSymbol:
+    """A multiplier symbol evaluated once on one grid, ready to apply by FFT.
+
+    values: the symbol at the discrete frequencies; hermitian: its Hermitian
+    symmetrization when the symmetrization defect away from the self-paired
+    bins is negligible (real inputs then give real outputs), else None.
+    """
+
+    spec: GridSpec
+    values: np.ndarray
+    hermitian: np.ndarray | None
+
+
+def sample_symbol(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) -> SampledSymbol:
+    """Evaluate a symbol, check it is finite and take its Hermitian part:
+    the build step of fourier_multiplier, to be done once per grid."""
     S = np.asarray(symbol(spec.frequencies()))
     S = np.broadcast_to(S, spec.shape)
     bad = ~np.isfinite(S)
@@ -342,11 +358,6 @@ def _symbol_array(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) ->
     if bad.any():
         k = np.argwhere(bad)[0]
         raise NumericalError(f"singular symbol at frequency {tuple(int(i) for i in k)}")
-    return S
-
-
-def _hermitian_parts(spec: GridSpec, S: np.ndarray):
-    """Return (Hermitian symmetrization of S, defect away from self-paired bins)."""
     m = spec.points_per_axis
     idx = _negation_index(m)
     S_neg = S[idx] if spec.dim == 1 else S[np.ix_(idx, idx)]
@@ -355,25 +366,34 @@ def _hermitian_parts(spec: GridSpec, S: np.ndarray):
     ax[0] = ax[m // 2] = True  # bins with -k = k mod m
     self_paired = ax if spec.dim == 1 else np.logical_and.outer(ax, ax)
     defect = np.max(np.abs((S - S_sym)[~self_paired]), initial=0.0)
-    return S_sym, float(defect)
+    hermitian = S_sym if defect <= 1e-12 * max(float(np.max(np.abs(S))), 1e-300) else None
+    return SampledSymbol(spec, S, hermitian)
 
 
-def fourier_multiplier(f: GridFunction, symbol: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
+def fourier_multiplier(f: GridFunction,
+                       symbol: Callable[[np.ndarray], np.ndarray] | SampledSymbol) -> GridFunction:
     """Apply a Fourier multiplier at the discrete frequencies 2*pi*k/(2L).
 
-    Real input with a Hermitian-symmetric symbol returns a real output; the
-    self-paired Nyquist bins are symmetrized (real part) in that case, the
-    usual spectral convention for odd symbols such as derivatives.
+    symbol is a callable on frequencies of shape (dim,) + grid, sampled here,
+    or a SampledSymbol from sample_symbol(f.spec, ...), so that an operator
+    applied many times builds its symbol once. Real input with a
+    Hermitian-symmetric symbol returns a real output; the self-paired Nyquist
+    bins are symmetrized (real part) in that case, the usual spectral
+    convention for odd symbols such as derivatives.
     """
     spec = f.spec
-    S = _symbol_array(spec, symbol)
-    if f.is_real:
-        S_sym, defect = _hermitian_parts(spec, S)
-        if defect <= 1e-12 * max(float(np.max(np.abs(S))), 1e-300):
-            out = np.fft.ifftn(S_sym * np.fft.fftn(f.samples)).real
-            return GridFunction(spec, out.copy())
-    out = np.fft.ifftn(S * np.fft.fftn(f.samples))
-    return GridFunction(spec, out.copy())
+    if not isinstance(symbol, SampledSymbol):
+        symbol = sample_symbol(spec, symbol)
+    elif symbol.spec != spec:
+        raise ValueError("grid mismatch")
+    # S * fftn(...) as one expression: NumPy may multiply into the
+    # temporary spectrum, and a complex product's bits depend on the operand
+    # order it then picks, so the expression stays as it always was
+    if f.is_real and symbol.hermitian is not None:
+        F = symbol.hermitian * np.fft.fftn(f.samples)
+        return GridFunction(spec, np.fft.ifftn(F, out=F).real.copy())
+    F = symbol.values * np.fft.fftn(f.samples)
+    return GridFunction(spec, np.fft.ifftn(F, out=F))
 
 
 def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:

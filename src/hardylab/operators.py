@@ -12,6 +12,12 @@ computation carries a window-sensitivity certificate: the same field at W/2,
 compared on B(x0, W/4) and normalized by the size of the windowed monomial,
 must move by at most 10%, otherwise the kernel tail is too heavy for the
 truncation to mean anything.
+
+`cancellation_test` computes each of these fields once: it takes the adjoint
+once, a `MultiplierOp` samples its symbol once per grid, and along a ladder
+of balls the fields at W and W/2 of one ball are reused by the next, which
+needs the same radii or half of them. The rows equal those of one
+`tstar_monomial` call per (ball, alpha) bit for bit.
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
+    SampledSymbol,
     axes_sq_distance,
     convolve,
     fourier_multiplier,
     reflect,
     sample_function,
+    sample_symbol,
     sq_distance,
 )
 from .maximal import quintic_step
@@ -47,7 +55,7 @@ from .moments import (
 
 
 class OperatorSpec:
-    """Base class: a linear operator with application and adjoint application."""
+    """Base class: a linear operator with application and an adjoint."""
 
     name: str = "operator"
     params: dict = {}
@@ -62,24 +70,28 @@ class OperatorSpec:
     def adjoint(self) -> "OperatorSpec":
         raise NotImplementedError
 
-    def adjoint_apply(self, g: GridFunction) -> GridFunction:
-        return self.adjoint().apply(g)
-
 
 @dataclass
 class MultiplierOp(OperatorSpec):
-    """Fourier multiplier with a closed-form symbol xi -> complex."""
+    """Fourier multiplier with a closed-form symbol xi -> complex.
+
+    The symbol is sampled on the grid of the first application and kept, so
+    later applications on that grid only run the FFTs.
+    """
 
     symbol: object
     name: str = "multiplier"
     params: dict = field(default_factory=dict)
+    _sampled: SampledSymbol | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def translation_invariant(self) -> bool:
         return True
 
     def apply(self, f: GridFunction) -> GridFunction:
-        return fourier_multiplier(f, self.symbol)
+        if self._sampled is None or self._sampled.spec != f.spec:
+            self._sampled = sample_symbol(f.spec, self.symbol)
+        return fourier_multiplier(f, self._sampled)
 
     def adjoint(self) -> "MultiplierOp":
         sym = self.symbol
@@ -163,9 +175,18 @@ class CompositionOp(OperatorSpec):
 
 
 def smooth_window(spec: GridSpec, center, W: float) -> GridFunction:
-    """Radial window equal to 1 on B(center, W), 0 outside B(center, 2W)."""
-    dist = np.sqrt(axes_sq_distance([spec.axis()] * spec.dim, center))
-    return GridFunction(spec, 1.0 - quintic_step(dist / W - 1.0))
+    """Radial window equal to 1 on B(center, W), 0 outside B(center, 2W).
+
+    The ramp is evaluated only on the slab of samples with |x_i - c_i| <
+    2W + h on every axis; off the slab the distance exceeds 2W by far more
+    than round-off, so the ramp formula would give exactly 0 there too.
+    """
+    ax = spec.axis()
+    idx = tuple(np.flatnonzero(np.abs(ax - c) < 2.0 * W + spec.spacing) for c in center)
+    dist = np.sqrt(axes_sq_distance([ax[i] for i in idx], center))
+    out = np.zeros(spec.shape)
+    out[np.ix_(*idx)] = 1.0 - quintic_step(dist / W - 1.0)
+    return GridFunction(spec, out)
 
 
 WINDOW_SENSITIVITY_LIMIT = 0.10
@@ -173,7 +194,7 @@ WINDOW_SENSITIVITY_LIMIT = 0.10
 
 @dataclass
 class TStarMonomial:
-    """adjoint_apply(T, window * (.-x0)^alpha) plus its stability certificate."""
+    """T*(window * (.-x0)^alpha) plus its stability certificate."""
 
     field: GridFunction
     x0: tuple[float, ...]
@@ -182,11 +203,60 @@ class TStarMonomial:
     sensitivity: float
 
 
-def _rms_over(f: GridFunction, ball: Ball) -> float:
-    mask = ball.mask(f.spec)
-    if not mask.any():
+def _on_ball(samples: np.ndarray, spec: GridSpec, ball: Ball) -> np.ndarray:
+    """samples[ball.mask(spec)], gathered from the ball's slab."""
+    idx, inside = ball.box(spec)
+    if not inside.any():
         raise NumericalError("degenerate region")
-    return float(np.sqrt(np.mean(np.abs(f.samples[mask]) ** 2)))
+    return samples[np.ix_(*idx)][inside]
+
+
+def _rms(vals: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+
+
+def _check_window(spec: GridSpec, x0, W: float) -> None:
+    if W > spec.half_width / 2.0:
+        raise ValueError("window radius W must be at most L/2")
+    if not Ball(x0, 2.0 * W).fits_in(spec):
+        raise ValueError("window support B(x0, 2W) escapes the domain")
+
+
+class _TStarLadder:
+    """Certified T*(window_W * (.-x0)^alpha) for one adjoint and one alpha,
+    over a sequence of (x0, W).
+
+    A certificate needs the fields at W and W/2. The two fields of the last
+    certificate are kept and reused when x0 and a radius match, so a ladder
+    whose W repeats or halves computes each field once, and no more than two
+    fields are alive at a time.
+    """
+
+    def __init__(self, T_adj: OperatorSpec, spec: GridSpec, alpha: tuple[int, ...]):
+        self.T_adj, self.spec, self.alpha = T_adj, spec, alpha
+        self.x0 = None
+        self.mono = None
+        # radius R -> (T* field, rms of window_R * monomial over B(x0, 2R))
+        self.fields: dict = {}
+
+    def certify(self, x0: tuple[float, ...], W: float) -> TStarMonomial:
+        spec = self.spec
+        if x0 != self.x0:
+            self.fields, self.mono = {}, None  # freed before the new monomial is built
+            self.x0, self.mono = x0, monomial_field(spec, x0, self.alpha)
+        self.fields = {R: v for R, v in self.fields.items() if R in (W, W / 2.0)}
+        for R in (W, W / 2.0):
+            if R not in self.fields:
+                wm = smooth_window(spec, x0, R) * self.mono
+                self.fields[R] = (self.T_adj.apply(wm),
+                                  _rms(_on_ball(wm.samples, spec, Ball(x0, 2.0 * R))))
+        (f_full, scale), (f_half, _) = self.fields[W], self.fields[W / 2.0]
+        core = Ball(x0, W / 4.0)
+        diff = _on_ball(f_full.samples, spec, core) - _on_ball(f_half.samples, spec, core)
+        sens = _rms(diff) / max(scale, 1e-300)
+        if sens > WINDOW_SENSITIVITY_LIMIT:
+            raise NumericalError("T* monomial not stable: kernel tail too heavy")
+        return TStarMonomial(f_full, x0, self.alpha, W, float(sens))
 
 
 def tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpec) -> TStarMonomial:
@@ -199,22 +269,8 @@ def tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpec) -> TSta
     """
     x0 = tuple(float(c) for c in x0)
     alpha = as_multiindex(alpha, spec.dim)
-    if W > spec.half_width / 2.0:
-        raise ValueError("window radius W must be at most L/2")
-    if not Ball(x0, 2.0 * W).fits_in(spec):
-        raise ValueError("window support B(x0, 2W) escapes the domain")
-    mono = monomial_field(spec, x0, alpha)
-
-    def run(radius: float) -> GridFunction:
-        return T.adjoint_apply(smooth_window(spec, x0, radius) * mono)
-
-    f_full = run(W)
-    f_half = run(W / 2.0)
-    scale = _rms_over(smooth_window(spec, x0, W) * mono, Ball(x0, 2.0 * W))
-    sens = _rms_over(f_full - f_half, Ball(x0, W / 4.0)) / max(scale, 1e-300)
-    if sens > WINDOW_SENSITIVITY_LIMIT:
-        raise NumericalError("T* monomial not stable: kernel tail too heavy")
-    return TStarMonomial(f_full, x0, alpha, W, float(sens))
+    _check_window(spec, x0, W)
+    return _TStarLadder(T.adjoint(), spec, alpha).certify(x0, W)
 
 
 @dataclass
@@ -248,24 +304,40 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
     oscillation = (fint_B |f - P^{N_p}_B f|^2)^{1/2}, ratio = oscillation /
     psi(r). The duality identity behind this functional is re-validated per
     row by the deterministic dual-norm check; the gap is recorded.
+
+    T is adjointed once, and each alpha runs down the balls in the given
+    order, so the W/2 field of one ball serves as the W field of the next
+    and balls sharing W share their fields. Rows come out ball by ball.
     """
-    rows = []
+    balls = list(balls)
+    windows = []
     for ball in balls:
         if not ball.radius < 1.0:
             raise ValueError("cancellation balls need r < 1")
         W = max(8.0 * ball.radius, 1.0)
-        for alpha in alphas:
-            alpha = as_multiindex(alpha, spec.dim)
-            ts = tstar_monomial(T, ball.center, alpha, W, spec)
-            osc = local_oscillation(ts.field, ball, idx.N_p)
-            psival = psi(idx, alpha, ball.radius)
-            gap = float("nan")
-            if check_duality:
-                lhs, rhs = dual_norm_check(ts.field, ball, idx.N_p, trials=0)
-                gap = abs(lhs - rhs)
-            rows.append(CancellationRow(ball, alpha, float(osc), float(psival),
-                                        float(osc / psival), W, ts.sensitivity, gap))
-    return CancellationReport(T.name, idx, rows)
+        _check_window(spec, ball.center, W)
+        windows.append(W)
+    alphas = [as_multiindex(alpha, spec.dim) for alpha in alphas]
+    T_adj = T.adjoint()
+    table = [[None] * len(alphas) for _ in balls]
+    for j, alpha in enumerate(alphas):
+        ladder = _TStarLadder(T_adj, spec, alpha)
+        for i, (ball, W) in enumerate(zip(balls, windows)):
+            table[i][j] = _cancellation_row(ladder.certify(ball.center, W), ball, idx,
+                                            check_duality)
+    return CancellationReport(T.name, idx, [row for ball_rows in table for row in ball_rows])
+
+
+def _cancellation_row(ts: TStarMonomial, ball: Ball, idx: HardyIndex,
+                      check_duality: bool) -> CancellationRow:
+    osc = local_oscillation(ts.field, ball, idx.N_p)
+    psival = psi(idx, ts.alpha, ball.radius)
+    gap = float("nan")
+    if check_duality:
+        lhs, rhs = dual_norm_check(ts.field, ball, idx.N_p, trials=0)
+        gap = abs(lhs - rhs)
+    return CancellationRow(ball, ts.alpha, float(osc), float(psival),
+                           float(osc / psival), ts.window_radius, ts.sensitivity, gap)
 
 
 # ---------------------------------------------------------------------------

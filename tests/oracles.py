@@ -2,9 +2,11 @@
 
 `materialize` turns any operator into its dense matrix (O(m^{2 dim}) memory,
 so only on small grids), `verify_admissible` certifies a test function's
-support and derivative bounds by dense sampling and finite differences, and
-`container_bytes` writes the binary grid-function container. None of them is
-used by the experiments.
+support and derivative bounds by dense sampling and finite differences,
+`container_bytes` writes the binary grid-function container, and
+`reference_cancellation_test` runs the cancellation test one row at a time,
+with a fresh adjoint and symbol per application and full-grid windows and
+masks. None of them is used by the experiments.
 """
 
 import struct
@@ -12,10 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hardylab.grid import GridFunction, GridSpec
-from hardylab.maximal import _fd_sups, _radius
-from hardylab.moments import MultiIndex, multiindices, order
-from hardylab.operators import OperatorSpec
+from hardylab.errors import NumericalError
+from hardylab.grid import Ball, GridFunction, GridSpec, sq_distance
+from hardylab.maximal import _fd_sups, _radius, quintic_step
+from hardylab.moments import (
+    MultiIndex,
+    as_multiindex,
+    dual_norm_check,
+    local_oscillation,
+    monomial_field,
+    multiindices,
+    order,
+    psi,
+)
+from hardylab.operators import WINDOW_SENSITIVITY_LIMIT, CancellationRow, OperatorSpec
 
 MATERIALIZE_CAP = 128
 
@@ -130,3 +142,51 @@ def container_bytes(f: GridFunction) -> bytes:
     header = b"HLGRDFN1" + struct.pack("<IQdB", f.spec.dim, f.spec.points_per_axis,
                                        f.spec.half_width, flag)
     return header + f.samples.ravel().astype("<c16" if flag else "<f8").tobytes()
+
+
+def _full_grid_rms(f: GridFunction, ball: Ball) -> float:
+    mask = sq_distance(f.spec.points(), ball.center) < ball.radius**2
+    if not mask.any():
+        raise NumericalError("degenerate region")
+    return float(np.sqrt(np.mean(np.abs(f.samples[mask]) ** 2)))
+
+
+def reference_tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpec):
+    """(T* of the windowed monomial at W, window sensitivity), each field by
+    its own T.adjoint().apply on a full-grid window."""
+    x0 = tuple(float(c) for c in x0)
+    alpha = as_multiindex(alpha, spec.dim)
+    mono = monomial_field(spec, x0, alpha)
+    dist = np.sqrt(sq_distance(spec.points(), x0))
+
+    def window(R):
+        return GridFunction(spec, 1.0 - quintic_step(dist / R - 1.0))
+
+    f_full = T.adjoint().apply(window(W) * mono)
+    f_half = T.adjoint().apply(window(W / 2.0) * mono)
+    scale = _full_grid_rms(window(W) * mono, Ball(x0, 2.0 * W))
+    sens = _full_grid_rms(f_full - f_half, Ball(x0, W / 4.0)) / max(scale, 1e-300)
+    if sens > WINDOW_SENSITIVITY_LIMIT:
+        raise NumericalError("T* monomial not stable: kernel tail too heavy")
+    return f_full, float(sens)
+
+
+def reference_cancellation_test(T: OperatorSpec, idx, balls, alphas, spec: GridSpec,
+                                check_duality: bool = True) -> list[CancellationRow]:
+    """The rows of cancellation_test, ball by ball and alpha by alpha, each
+    from its own reference_tstar_monomial."""
+    rows = []
+    for ball in balls:
+        W = max(8.0 * ball.radius, 1.0)
+        for alpha in alphas:
+            alpha = as_multiindex(alpha, spec.dim)
+            field, sens = reference_tstar_monomial(T, ball.center, alpha, W, spec)
+            osc = local_oscillation(field, ball, idx.N_p)
+            psival = psi(idx, alpha, ball.radius)
+            gap = float("nan")
+            if check_duality:
+                lhs, rhs = dual_norm_check(field, ball, idx.N_p, trials=0)
+                gap = abs(lhs - rhs)
+            rows.append(CancellationRow(ball, alpha, float(osc), float(psival),
+                                        float(osc / psival), W, sens, gap))
+    return rows

@@ -225,6 +225,9 @@ def test_cli_validate_atom_file(tmp_path, capsys):
     assert main(args + [str(short)]) == 2  # truncated header
     assert main(args + [str(tmp_path)]) == 2  # a directory
     assert capsys.readouterr().err.count("config error") == 2
+    # the stored grid is used; grid options meant for generated atoms are not read
+    assert main(args + [str(good), "--grid-m", "100", "--L", "0.1"]) == 0
+    assert "passed=True" in capsys.readouterr().out
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -257,6 +260,25 @@ r_ladder = 2^-9
 """)
     code = main(["run", cfg, "--quiet"])
     assert code == 3
+
+
+def test_cli_ill_conditioned_gram_exit_code(tmp_path, capsys):
+    # degree 14 on the 15 samples of a 1D ball of radius 1/4: the Gram matrix
+    # is far too ill-conditioned to project
+    cfg = write(tmp_path, "e5.cfg", """
+[experiment]
+scenario = E5-duality
+seed = 1
+[grid]
+m = 256
+[scenario]
+n_instances = 1
+trials = 5
+degree = 14
+r_values = 0.25
+""")
+    assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 3
+    assert "ill-conditioned" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

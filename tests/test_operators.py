@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hardylab.operators import (
     CompositionOp,
     KernelOp,
     MultiplierOp,
+    OperatorSpec,
     builtin_operators,
     cancellation_test,
     get_operator,
@@ -19,7 +22,7 @@ from hardylab.operators import (
     smooth_window,
     tstar_monomial,
 )
-from oracles import materialize
+from oracles import materialize, reference_cancellation_test, reference_tstar_monomial
 
 IDX1 = HardyIndex(1.0, 1)
 IDXH = HardyIndex(0.5, 1)
@@ -90,7 +93,7 @@ def test_adjoint_pairing_identity(small):
     g = GridFunction(small, rng.normal(size=small.shape))
     for name, T in all_variants(small).items():
         lhs = inner(T.apply(f), g)
-        rhs = inner(f, T.adjoint_apply(g))
+        rhs = inner(f, T.adjoint().apply(g))
         assert abs(lhs - rhs) < 1e-10, name
 
 
@@ -98,7 +101,7 @@ def test_gaussian_smoothing_self_adjoint(small):
     rng = np.random.default_rng(3)
     f = GridFunction(small, rng.normal(size=small.shape))
     T = get_operator("gaussian", small, width=1.0)
-    assert np.max(np.abs(T.apply(f).samples - T.adjoint_apply(f).samples)) < 1e-12
+    assert np.max(np.abs(T.apply(f).samples - T.adjoint().apply(f).samples)) < 1e-12
 
 
 def test_adjoint_matches_materialized_conjugate_transpose(small):
@@ -106,8 +109,8 @@ def test_adjoint_matches_materialized_conjugate_transpose(small):
     M = materialize(T, small)
     rng = np.random.default_rng(4)
     g = GridFunction(small, rng.normal(size=small.shape))
-    direct = T.adjoint_apply(g)
-    via_matrix = M.adjoint_apply(g)
+    direct = T.adjoint().apply(g)
+    via_matrix = M.adjoint().apply(g)
     assert np.max(np.abs(direct.samples - via_matrix.samples)) < 1e-9
 
 
@@ -128,7 +131,7 @@ def test_composition_adjoint_reverses(small):
     f = GridFunction(small, rng.normal(size=small.shape))
     g = GridFunction(small, rng.normal(size=small.shape))
     comp = CompositionOp([get_operator("gaussian", small, width=1.0), compact_kernel(small)])
-    assert abs(inner(comp.apply(f), g) - inner(f, comp.adjoint_apply(g))) < 1e-10
+    assert abs(inner(comp.apply(f), g) - inner(f, comp.adjoint().apply(g))) < 1e-10
 
 
 def test_tstar_identity_is_window(grid):
@@ -168,7 +171,7 @@ def test_tstar_matches_matrix_route(small):
     ts = tstar_monomial(T, (0.0,), (0,), W=W, spec=small)
     M = materialize(T, small)
     wmono = smooth_window(small, (0.0,), W) * monomial_field(small, (0.0,), (0,))
-    via_matrix = M.adjoint_apply(wmono)
+    via_matrix = M.adjoint().apply(wmono)
     ball = Ball((0.0,), W / 4).mask(small)
     assert np.max(np.abs(ts.field.samples[ball] - via_matrix.samples[ball])) < 1e-8
 
@@ -240,6 +243,100 @@ def test_cancellation_subadditive_in_operator(grid):
     o2 = cancellation_test(T2, IDX1, balls, [(0,)], grid).rows[0].oscillation
     osum = cancellation_test(Tsum, IDX1, balls, [(0,)], grid).rows[0].oscillation
     assert osum <= o1 + o2 + 1e-12
+
+
+# the ladder grids: L = 8 leaves room for W = 2 windows around off-centre points
+LADDER_GRIDS = {1: GridSpec(1, 8.0, 1024), 2: GridSpec(2, 8.0, 256)}
+LADDER_CASES = {  # (Hardy index, alphas, radii from large to small)
+    1: (HardyIndex(0.5, 1), [(0,), (1,)], [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5]),
+    2: (HardyIndex(2.0 / 3.0, 2), [(0, 0), (1, 0), (0, 1)], [0.25, 0.125, 0.1]),
+}
+
+
+def ladder_balls(dim, kind):
+    radii = LADDER_CASES[dim][2]
+    off = (1.5, -0.75)[:dim]
+    if kind == "descending":
+        return [Ball((0.0,) * dim, r) for r in radii]
+    if kind == "ascending":
+        return [Ball((0.0,) * dim, r) for r in reversed(radii)]
+    if kind == "off-centre":
+        return [Ball(off, r) for r in radii]
+    # the centre moves between balls, so fields cannot always be carried over
+    return [Ball(off if i % 3 == 1 else (0.0,) * dim, r) for i, r in enumerate(radii)]
+
+
+def ladder_operator(name, spec):
+    if name == "kernel":
+        w = 0.05
+        norm = (2 * np.pi * w**2) ** (spec.dim / 2)
+        return KernelOp(sample_function(
+            spec, lambda p: np.exp(-np.sum(p**2, axis=0) / (2 * w**2)) / norm), name="gauss-kernel")
+    return get_operator(name, spec)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("op", ["gaussian", "kernel", "sign-mult"])
+@pytest.mark.parametrize("kind", ["descending", "ascending", "off-centre", "moving-centre"])
+def test_cancellation_matches_per_row_reference(dim, op, kind):
+    spec = LADDER_GRIDS[dim]
+    idx, alphas, _ = LADDER_CASES[dim]
+    balls = ladder_balls(dim, kind)
+    T = ladder_operator(op, spec)
+    rows = cancellation_test(T, idx, balls, alphas, spec).rows
+    ref = reference_cancellation_test(T, idx, balls, alphas, spec)
+    assert len(rows) == len(ref) == len(balls) * len(alphas)
+    for got, want in zip(rows, ref):
+        for name in ("ball", "alpha", "window_radius"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("oscillation", "psi_value", "ratio", "window_sensitivity", "dual_gap"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    ball, alpha = balls[0], alphas[-1]
+    W = max(8.0 * ball.radius, 1.0)
+    ts = tstar_monomial(T, ball.center, alpha, W, spec)
+    field, sens = reference_tstar_monomial(T, ball.center, alpha, W, spec)
+    assert np.array_equal(ts.field.samples, field.samples)
+    assert ts.sensitivity == sens
+
+
+class CountingOp(OperatorSpec):
+    """Delegates to an operator, counting adjoint() calls and adjoint applications."""
+
+    def __init__(self, inner, counts):
+        self.inner, self.counts, self.name = inner, counts, "counting"
+
+    def apply(self, f):
+        return self.inner.apply(f)
+
+    def adjoint(self):
+        self.counts["adjoint"] += 1
+        inner, counts = self.inner.adjoint(), self.counts
+
+        class Adjoint(OperatorSpec):
+            def apply(self, f):
+                counts["adjoint.apply"] += 1
+                return inner.apply(f)
+
+        return Adjoint()
+
+
+@pytest.mark.parametrize("kind", ["descending", "ascending"])
+def test_cancellation_computes_each_field_once(kind):
+    spec = LADDER_GRIDS[1]
+    idx, alphas, radii = LADDER_CASES[1]
+    evaluations = []
+
+    def symbol(xi):
+        evaluations.append(1)
+        return np.exp(-(0.05**2) * np.sum(xi**2, axis=0) / 4.0)
+
+    counts = Counter()
+    T = CountingOp(MultiplierOp(symbol, name="g"), counts)
+    cancellation_test(T, idx, ladder_balls(1, kind), alphas, spec)
+    windows = {max(8.0 * r, 1.0) for r in radii}
+    radii_used = windows | {W / 2.0 for W in windows}  # 2, 1 and 1/2
+    assert len(evaluations) == 1
+    assert counts == {"adjoint": 1, "adjoint.apply": len(alphas) * len(radii_used)}
 
 
 def test_kernel_size_gaussian_finite(grid):
