@@ -10,7 +10,6 @@ moments regardless of r.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .moments import (
     multiindices,
     order,
     poly_project,
+    small_ball_factor,
 )
 
 LOCAL = "local"
@@ -88,11 +88,13 @@ class PreMoleculeSpec:
 
 def edge_cutoff(spec: GridSpec, ball: Ball, width_frac: float = 0.3) -> GridFunction:
     """Smooth cutoff equal to 1 in the core of the ball, 0 at and beyond its
-    boundary; quintic descent over the outer width_frac of the radius."""
-    dist = np.sqrt(sq_distance(spec.points(), ball.center))
+    boundary; quintic descent over the outer width_frac of the radius. It is
+    evaluated on the ball's samples only and is exactly 0 off the ball."""
+    slab = ball.box(spec)
+    dist = np.sqrt(slab.sq_dist[slab.inside])
     vals = quintic_step((ball.radius - dist) / (width_frac * ball.radius))
     vals[dist >= ball.radius] = 0.0
-    return GridFunction(spec, vals)
+    return GridFunction(spec, slab.scatter(vals))
 
 
 def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
@@ -103,7 +105,7 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
     ball, idx = spec_.ball, spec_.idx
     if not ball.fits_in(grid):
         raise ValueError("atom ball not contained in the grid domain")
-    npts = int(ball.mask(grid).sum())
+    npts = ball.box(grid).count
     needed = 4 * PolySpace(grid.dim, idx.N_p).dimension
     if npts < needed:
         raise NumericalError(
@@ -115,8 +117,7 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
         u = GridFunction(grid, random_smooth_field(grid, ball.radius / 3.0, rng))
         raw = w * u
         if spec_.needs_cancellation:
-            q = poly_project(u, ball, idx.N_p, weight=w)
-            raw = w * (u - q.on_grid(grid))
+            raw = w * (u - poly_project(u, ball, idx.N_p, weight=w))
         nrm = lp_quasinorm(raw, spec_.s)
         if nrm > 1e-12 * max(lp_quasinorm(w * u, spec_.s), 1e-300):
             return (spec_.size_bound / nrm) * raw
@@ -250,9 +251,8 @@ def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex,
         raise NumericalError("zero input")
     rows = []
     for alpha in multiindices(g.spec.dim, idx.N_p):
-        k = order(alpha)
-        critical = idx.critical and k == idx.N_p
-        bound = math.log1p(1.0 / ball.radius) ** (-1.0 / idx.p) if critical else 1.0
+        critical = idx.critical and order(alpha) == idx.N_p
+        bound = small_ball_factor(idx, alpha, ball.radius)
         m = abs(moment(g, ball.center, alpha))
         rows.append(MomentBoundRow(alpha, float(m), float(bound), critical,
                                    float(m / (hp * bound))))

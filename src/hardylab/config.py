@@ -14,15 +14,6 @@ from pathlib import Path
 from .errors import ConfigError
 from .grid import GridSpec
 
-SCENARIOS = (
-    "E1-moment-decay",
-    "E2-grand-maximal-constant",
-    "E3-atom-image",
-    "E4-cancellation",
-    "E5-duality",
-)
-
-
 def parse_number(text: str) -> float:
     """Float with the config conveniences: 2^-3, 2/3, inf."""
     s = text.strip()
@@ -150,12 +141,6 @@ class ExperimentConfig:
         if "experiment" not in cfg.sections:
             raise ConfigError(f"{path}: missing [experiment] section")
         scenario = cfg.get("experiment", "scenario", required=True)
-        if scenario not in SCENARIOS:
-            line = cfg.sections["experiment"]["scenario"][1]
-            raise ConfigError(
-                f"{path}:{line}: unknown scenario {scenario!r}; "
-                f"choose one of {', '.join(SCENARIOS)}"
-            )
         gdim = dim if dim is not None else cfg.get_int("grid", "dim", default=1)
         gm = grid_m if grid_m is not None else cfg.get_int("grid", "m", default=2048)
         gL = cfg.get_number("grid", "L", default=4.0)

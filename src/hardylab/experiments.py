@@ -28,8 +28,8 @@ from .atoms import (
 from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
 from .grid import Ball, GridFunction, GridSpec, integrate, lp_quasinorm, random_smooth_field
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal, hp_norm
-from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, order
-from .operators import cancellation_test, get_operator, smooth_window
+from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, small_ball_factor
+from .operators import cancellation_test, get_operator, smooth_window, window_radius
 from .svgchart import Series, line_chart
 
 SCHEMAS = {
@@ -231,11 +231,9 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
             rep = validate_premolecule(Ta, PreMoleculeSpec(idx, s, lam, C, ball))
             best = min_premolecule_constant(Ta, idx, s, lam, ball)
             hp = hp_norm(Ta, idx, mol, scales)
-            W = max(8.0 * r, 1.0)
-            window = smooth_window(grid, ball.center, W)
+            window = smooth_window(grid, ball.center, window_radius(r))
             for alpha in alphas:
-                critical = idx.critical and order(alpha) == idx.N_p
-                bound = float(np.log1p(1.0 / r) ** (-1.0 / p)) if critical else 1.0
+                bound = small_ball_factor(idx, alpha, r)
                 pairing = abs(integrate(Ta * window * monomial_field(grid, ball.center, alpha)))
                 rows.append([T_op.name, p, s, lam, r, seed, _alpha_str(alpha),
                              rep.m1_ratio, rep.m2_ratio, best, pairing, bound,
@@ -316,7 +314,9 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
     if cfg.scenario not in RUNNERS:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+        line = cfg.source.sections["experiment"]["scenario"][1]
+        raise ConfigError(f"{cfg.source.path}:{line}: unknown scenario {cfg.scenario!r}; "
+                          f"choose one of {', '.join(RUNNERS)}")
     rows, extras = RUNNERS[cfg.scenario](cfg)
     runtime = time.perf_counter() - start
 

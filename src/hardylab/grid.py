@@ -114,6 +114,47 @@ def axes_sq_distance(axes, center) -> np.ndarray:
     return d2
 
 
+@dataclass(frozen=True, eq=False)
+class BallSlab:
+    """The samples of a ball on a grid: idx, the per-axis indices of its
+    bounding slab, inside, the membership mask on that slab, and sq_dist,
+    the squared distances to the centre on that slab. Unpacks as
+    `idx, inside`.
+
+    The slab indices ascend on every axis, so a row-major walk over the
+    slab's members meets them in the order of a row-major walk over the
+    full grid: gather equals samples[ball.mask(spec)] bit for bit.
+    """
+
+    spec: GridSpec
+    idx: tuple[np.ndarray, ...]
+    inside: np.ndarray
+    sq_dist: np.ndarray
+
+    def __iter__(self):
+        return iter((self.idx, self.inside))
+
+    @property
+    def count(self) -> int:
+        return int(np.count_nonzero(self.inside))
+
+    def gather(self, samples: np.ndarray) -> np.ndarray:
+        """The full-grid samples at the ball's members, as a flat array."""
+        if not self.inside.any():
+            raise NumericalError("degenerate region")
+        return samples[np.ix_(*self.idx)][self.inside]
+
+    def scatter(self, values) -> np.ndarray:
+        """A full-grid array holding values at the ball's members (in gather
+        order) and 0 everywhere else."""
+        values = np.asarray(values)
+        block = np.zeros(self.inside.shape, dtype=values.dtype)
+        block[self.inside] = values
+        out = np.zeros(self.spec.shape, dtype=values.dtype)
+        out[np.ix_(*self.idx)] = block
+        return out
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball B(x0, r); membership at sample points is strict |x - x0| < r."""
@@ -130,9 +171,9 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def box(self, spec: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Per-axis sample indices of the ball's bounding slab, and the strict
-        membership mask on that slab.
+    def box(self, spec: GridSpec) -> BallSlab:
+        """The ball's slab on the grid: every restriction to the ball goes
+        through it.
 
         A sample off the slab has one term (x_i - c_i)^2 >= r^2, and a sum of
         nonnegative terms rounds to no less than any of them, so the slab
@@ -146,13 +187,12 @@ class Ball:
         r2 = self.radius**2
         ax = spec.axis()
         idx = tuple(np.flatnonzero((ax - c) ** 2 < r2) for c in self.center)
-        return idx, axes_sq_distance([ax[i] for i in idx], self.center) < r2
+        d2 = axes_sq_distance([ax[i] for i in idx], self.center)
+        return BallSlab(spec, idx, d2 < r2, d2)
 
     def mask(self, spec: GridSpec) -> np.ndarray:
-        idx, inside = self.box(spec)
-        out = np.zeros(spec.shape, dtype=bool)
-        out[np.ix_(*idx)] = inside
-        return out
+        """Membership of every sample of the grid."""
+        return self.box(spec).scatter(True)
 
     def fits_in(self, spec: GridSpec) -> bool:
         return all(
@@ -209,17 +249,11 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.spec, -self.samples)
-
     def abs(self) -> "GridFunction":
         return GridFunction(self.spec, np.abs(self.samples))
 
     def conj(self) -> "GridFunction":
         return GridFunction(self.spec, np.conj(self.samples))
-
-    def real(self) -> "GridFunction":
-        return GridFunction(self.spec, self.samples.real.copy())
 
 
 def sample_function(spec: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
@@ -245,32 +279,20 @@ def inner(f: GridFunction, g: GridFunction):
     return complex(val)
 
 
-def _region_mask(f: GridFunction, region: Ball | None, complement: bool) -> np.ndarray | None:
-    if region is None:
-        return None
-    mask = region.mask(f.spec)
-    if complement:
-        mask = ~mask
-    if not mask.any():
-        raise NumericalError("degenerate region")
-    return mask
-
-
-def lp_quasinorm(f: GridFunction, s: float, region: Ball | None = None, complement: bool = False) -> float:
-    """(int |f|^s)^{1/s} over the grid, a ball, or a ball complement, for any
-    s > 0 or s = inf; a quasi-norm when s < 1."""
-    mask = _region_mask(f, region, complement)
-    vals = np.abs(f.samples if mask is None else f.samples[mask])
+def lp_quasinorm(f: GridFunction, s: float, region: Ball | None = None) -> float:
+    """(int |f|^s)^{1/s} over the grid or a ball, for any s > 0 or s = inf;
+    a quasi-norm when s < 1."""
+    vals = np.abs(f.samples if region is None else region.box(f.spec).gather(f.samples))
     if np.isinf(s):
         return float(vals.max(initial=0.0))
     return float((np.sum(vals**s) * f.spec.cell_volume) ** (1.0 / s))
 
 
-def lp_norm(f: GridFunction, s: float, region: Ball | None = None, complement: bool = False) -> float:
-    """L^s norm over the grid, a ball, or a ball complement. Requires s >= 1 or inf."""
+def lp_norm(f: GridFunction, s: float, region: Ball | None = None) -> float:
+    """L^s norm over the grid or a ball. Requires s >= 1 or inf."""
     if not (np.isinf(s) or s >= 1):
         raise ValueError(f"lp_norm requires s >= 1 or s = inf, got {s}")
-    return lp_quasinorm(f, s, region, complement)
+    return lp_quasinorm(f, s, region)
 
 
 def _embedding(spec: GridSpec):
@@ -424,8 +446,9 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
     reference outputs record. The two paths become one once the grand
     maximal function is cut to its support and those references are remade.
     """
-    idx, inside = ball.box(spec)
-    out = np.empty((count, int(inside.sum())))
+    slab = ball.box(spec)
+    idx, inside = slab
+    out = np.empty((count, slab.count))
     if count == 0:
         return out.T
     m = spec.points_per_axis

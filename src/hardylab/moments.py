@@ -145,49 +145,31 @@ def moment(f: GridFunction, x0, alpha) -> float | complex:
     return float(out) if f.is_real else complex(out)
 
 
-@dataclass
-class PolyCoeffs:
-    """Coefficients c_a of P(y) = sum_a c_a ((y-x0)/r)^a over a PolySpace."""
-
-    space: PolySpace
-    center: tuple[float, ...]
-    radius: float
-    coeffs: np.ndarray
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[1:], dtype=self.coeffs.dtype)
-        for a, c in zip(self.space.basis, self.coeffs):
-            out = out + c * monomial(pts, self.center, a) / self.radius ** order(a)
-        return out
-
-    def on_grid(self, spec: GridSpec) -> GridFunction:
-        return GridFunction(spec, self.evaluate(spec.points()))
-
-
 class BallBasis:
     """The scaled monomials ((y-x0)/r)^a, |a| <= degree, at the grid points of
     a ball, with the Cholesky factor G = U^T U of the Gram matrix
     G_ab = int_B w ((y-x0)/r)^(a+b) dy (w = 1 unless a weight is given).
 
-    Values on the ball are passed as `values[mask]`, one column per probe.
+    Values on the ball are passed as `slab.gather(samples)`, one column per
+    probe.
     """
 
     def __init__(self, spec: GridSpec, ball: Ball, degree: int, weight: GridFunction | None = None):
         self.space = PolySpace(spec.dim, degree)
-        self.mask = ball.mask(spec)
-        self.npts = int(self.mask.sum())
+        self.slab = ball.box(spec)
+        self.npts = self.slab.count
         if self.npts < self.space.dimension:
             raise NumericalError(
                 f"degenerate region: ball holds {self.npts} grid points"
                 f" < {self.space.dimension} basis functions"
             )
-        idx, inside = ball.box(spec)
+        idx, inside = self.slab
         ax = spec.axis()
         pts = np.stack([x[inside] for x in np.meshgrid(*(ax[i] for i in idx), indexing="ij")])
         self.scales = np.array([ball.radius ** order(a) for a in self.space.basis])
         self._monomials = [monomial(pts, ball.center, a) for a in self.space.basis]
         self.cols = np.stack([m / s for m, s in zip(self._monomials, self.scales)], axis=1)
-        self.weight = None if weight is None else weight.samples[self.mask]
+        self.weight = None if weight is None else self.slab.gather(weight.samples)
         self._weighted = self.cols if weight is None else self.cols * self.weight[:, None]
         self.h = spec.cell_volume
         G = self._weighted.T @ self.cols * self.h
@@ -215,24 +197,29 @@ class BallBasis:
         """Coefficients of the (weighted) L2(B) projection of each column."""
         return self.solve(self._weighted.T @ values * self.h)
 
-    def residual(self, values: np.ndarray) -> np.ndarray:
-        """values minus their projection, with the fit summed monomial by
-        monomial as in PolyCoeffs.evaluate. The fit is built one row per
-        probe, so for values = np.stack(probes).T every residual column is
-        contiguous and sums over it equal the sums over a single probe."""
-        c = self.coeffs(values)
-        fit = np.zeros(values.T.shape, dtype=c.dtype)
+    def evaluate(self, c: np.ndarray) -> np.ndarray:
+        """The polynomial sum_a c_a ((y-x0)/r)^a at the ball's points, summed
+        monomial by monomial. With one column of c per probe, the result has
+        one contiguous row per probe."""
+        fit = np.zeros(c.shape[1:] + (self.npts,), dtype=c.dtype)
         for m, s, ca in zip(self._monomials, self.scales, c):
             fit = fit + np.multiply.outer(ca, m) / s
-        return values - fit.T
+        return fit
+
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        """values minus their projection. For values = np.stack(probes).T
+        every residual column is contiguous and sums over it equal the sums
+        over a single probe."""
+        return values - self.evaluate(self.coeffs(values)).T
 
 
 def poly_project(f: GridFunction, ball: Ball, degree: int,
-                 weight: GridFunction | None = None) -> PolyCoeffs:
-    """L2(B)-orthogonal projection of f onto polynomials of degree <= N; with
-    a weight w, the Q with int_B w*(f - Q)*(y-x0)^b dy = 0 for all |b| <= N
-    (the atom generator subtracts w*Q from w*f to kill moments while keeping
-    the smooth edge cutoff w).
+                 weight: GridFunction | None = None) -> GridFunction:
+    """L2(B)-orthogonal projection of f onto polynomials of degree <= N, on
+    the ball's samples and 0 off the ball; with a weight w, the Q with
+    int_B w*(f - Q)*(y-x0)^b dy = 0 for all |b| <= N (the atom generator
+    subtracts w*Q from w*f to kill moments while keeping the smooth edge
+    cutoff w).
 
     Monomials are scaled by r^{-|a|} so the Gram condition number does not
     depend on the ball radius; a condition estimate above 1e12 is a hard
@@ -240,7 +227,8 @@ def poly_project(f: GridFunction, ball: Ball, degree: int,
     oscillation value downstream.
     """
     basis = BallBasis(f.spec, ball, degree, weight)
-    return PolyCoeffs(basis.space, ball.center, ball.radius, basis.coeffs(f.samples[basis.mask]))
+    fit = basis.evaluate(basis.coeffs(basis.slab.gather(f.samples)))
+    return GridFunction(f.spec, basis.slab.scatter(fit))
 
 
 def match_moments_with_bump(spec: GridSpec, ball: Ball, degree: int,
@@ -253,30 +241,34 @@ def match_moments_with_bump(spec: GridSpec, ball: Ball, degree: int,
         raise ValueError("targets must match the polynomial basis size")
     basis = BallBasis(spec, ball, degree, weight)
     d = basis.solve(targets / basis.scales)
-    out = np.zeros(spec.shape, dtype=d.dtype)
-    out[basis.mask] = basis.weight * (basis.cols @ d)
-    return GridFunction(spec, out)
+    return GridFunction(spec, basis.slab.scatter(basis.weight * basis.evaluate(d)))
 
 
 def local_oscillation(f: GridFunction, ball: Ball, degree: int) -> float:
     """(|B|^{-1} int_B |f - P_B^N(f)|^2)^{1/2} with the discrete ball measure."""
     basis = BallBasis(f.spec, ball, degree)
-    resid = basis.residual(f.samples[basis.mask])
+    resid = basis.residual(basis.slab.gather(f.samples))
     return float(np.sqrt(np.sum(np.abs(resid) ** 2) / basis.npts))
 
 
+def small_ball_factor(idx: HardyIndex, alpha, r: float) -> float:
+    """The extra factor [log(1+1/r)]^{-1/p} of the small-ball moment bound at
+    the critical order |alpha| = gamma_p = N_p, and 1 at every other order."""
+    if idx.critical and order(alpha) == idx.N_p:
+        return math.log1p(1.0 / r) ** (-1.0 / idx.p)
+    return 1.0
+
+
 def psi(idx: HardyIndex, alpha, t: float) -> float:
-    """The moment decay modulus: t^gamma, with the extra [log(1+1/t)]^{-1/p}
-    factor in the integer-critical case |alpha| = gamma_p = N_p."""
+    """The moment decay modulus: t^gamma, times small_ball_factor, which is
+    not 1 only in the integer-critical case |alpha| = gamma_p = N_p."""
     alpha = as_multiindex(alpha, idx.dim)
     if not (0 < t < 1):
         raise ValueError(f"t must lie in (0, 1), got {t}")
     k = order(alpha)
     g = idx.gamma_p
-    if k < g:
-        return float(t**g)
-    if k == g and idx.critical:
-        return float(t**g * math.log1p(1.0 / t) ** (-1.0 / idx.p))
+    if k < g or (k == g and idx.critical):
+        return float(t**g * small_ball_factor(idx, alpha, t))
     raise ValueError(
         f"|alpha| = {k} outside the admissible range: need |alpha| < gamma_p"
         f" = {g}, or |alpha| = gamma_p with gamma_p an integer"
@@ -303,7 +295,7 @@ def dual_norm_check(
     """
     basis = BallBasis(f.spec, ball, degree)
     h = basis.h
-    fm = f.samples[basis.mask]
+    fm = basis.slab.gather(f.samples)
     resid = basis.residual(fm)
     rhs = float(np.sqrt(np.sum(np.abs(resid) ** 2) * h))
 

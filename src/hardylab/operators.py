@@ -32,7 +32,6 @@ from .grid import (
     GridFunction,
     GridSpec,
     SampledSymbol,
-    axes_sq_distance,
     convolve,
     fourier_multiplier,
     reflect,
@@ -177,16 +176,19 @@ class CompositionOp(OperatorSpec):
 def smooth_window(spec: GridSpec, center, W: float) -> GridFunction:
     """Radial window equal to 1 on B(center, W), 0 outside B(center, 2W).
 
-    The ramp is evaluated only on the slab of samples with |x_i - c_i| <
-    2W + h on every axis; off the slab the distance exceeds 2W by far more
-    than round-off, so the ramp formula would give exactly 0 there too.
+    The ramp is evaluated only on the samples of B(center, 2W + h); off that
+    ball the distance exceeds 2W by far more than round-off, so the ramp
+    formula would give exactly 0 there too.
     """
-    ax = spec.axis()
-    idx = tuple(np.flatnonzero(np.abs(ax - c) < 2.0 * W + spec.spacing) for c in center)
-    dist = np.sqrt(axes_sq_distance([ax[i] for i in idx], center))
-    out = np.zeros(spec.shape)
-    out[np.ix_(*idx)] = 1.0 - quintic_step(dist / W - 1.0)
-    return GridFunction(spec, out)
+    slab = Ball(center, 2.0 * W + spec.spacing).box(spec)
+    dist = np.sqrt(slab.sq_dist[slab.inside])
+    return GridFunction(spec, slab.scatter(1.0 - quintic_step(dist / W - 1.0)))
+
+
+def window_radius(r: float) -> float:
+    """The window radius W = max(8r, 1) that T*[(.-x0)^alpha] is cut off at
+    for a ball of radius r."""
+    return max(8.0 * r, 1.0)
 
 
 WINDOW_SENSITIVITY_LIMIT = 0.10
@@ -201,14 +203,6 @@ class TStarMonomial:
     alpha: tuple[int, ...]
     window_radius: float
     sensitivity: float
-
-
-def _on_ball(samples: np.ndarray, spec: GridSpec, ball: Ball) -> np.ndarray:
-    """samples[ball.mask(spec)], gathered from the ball's slab."""
-    idx, inside = ball.box(spec)
-    if not inside.any():
-        raise NumericalError("degenerate region")
-    return samples[np.ix_(*idx)][inside]
 
 
 def _rms(vals: np.ndarray) -> float:
@@ -249,10 +243,10 @@ class _TStarLadder:
             if R not in self.fields:
                 wm = smooth_window(spec, x0, R) * self.mono
                 self.fields[R] = (self.T_adj.apply(wm),
-                                  _rms(_on_ball(wm.samples, spec, Ball(x0, 2.0 * R))))
+                                  _rms(Ball(x0, 2.0 * R).box(spec).gather(wm.samples)))
         (f_full, scale), (f_half, _) = self.fields[W], self.fields[W / 2.0]
-        core = Ball(x0, W / 4.0)
-        diff = _on_ball(f_full.samples, spec, core) - _on_ball(f_half.samples, spec, core)
+        core = Ball(x0, W / 4.0).box(spec)
+        diff = core.gather(f_full.samples) - core.gather(f_half.samples)
         sens = _rms(diff) / max(scale, 1e-300)
         if sens > WINDOW_SENSITIVITY_LIMIT:
             raise NumericalError("T* monomial not stable: kernel tail too heavy")
@@ -300,7 +294,7 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
     """Measure the local oscillation of T*[(.-x0)^alpha] against the decay
     modulus psi on each ball.
 
-    For each (B, alpha): f = tstar_monomial(T, x0, alpha, W = max(8r, 1)),
+    For each (B, alpha): f = tstar_monomial(T, x0, alpha, W = window_radius(r)),
     oscillation = (fint_B |f - P^{N_p}_B f|^2)^{1/2}, ratio = oscillation /
     psi(r). The duality identity behind this functional is re-validated per
     row by the deterministic dual-norm check; the gap is recorded.
@@ -314,7 +308,7 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
     for ball in balls:
         if not ball.radius < 1.0:
             raise ValueError("cancellation balls need r < 1")
-        W = max(8.0 * ball.radius, 1.0)
+        W = window_radius(ball.radius)
         _check_window(spec, ball.center, W)
         windows.append(W)
     alphas = [as_multiindex(alpha, spec.dim) for alpha in alphas]

@@ -6,7 +6,7 @@ import pytest
 from hardylab.atoms import AtomSpec, make_atom, moment_bound_check, pseudo_decompose, validate_atom
 from hardylab.grid import Ball, GridFunction, GridSpec, sample_function
 from hardylab.maximal import MollifierSpec, ScaleGrid, build_phi0, hp_norm, small_maximal
-from hardylab.moments import HardyIndex, local_oscillation, poly_project
+from hardylab.moments import BallBasis, HardyIndex, local_oscillation
 from hardylab.operators import cancellation_test, get_operator
 
 IDX = HardyIndex(1.0, 2)
@@ -21,8 +21,7 @@ def test_projection_and_oscillation_2d(grid):
     f = sample_function(grid, lambda p: 1.0 + p[0] - 2 * p[1] + 0.5 * p[0] * p[1])
     B = Ball((0.2, -0.1), 0.8)
     assert local_oscillation(f, B, 2) < 1e-9  # degree-2 polynomial is reproduced
-    pc = poly_project(f, B, 2)
-    assert pc.space.dimension == 6
+    assert BallBasis(grid, B, 2).space.dimension == 6
 
 
 def test_atoms_2d(grid):

@@ -23,7 +23,7 @@ from hardylab.grid import (
     sample_function,
 )
 from hardylab.maximal import quintic_step
-from hardylab.moments import BallBasis, PolySpace
+from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
 from hardylab.operators import smooth_window
 from oracles import container_bytes
 
@@ -113,7 +113,7 @@ def test_lp_norm_tail_vs_refinement_oracle():
     vals = []
     for m in (4096, 8192):
         f = sample_function(GridSpec(1, 8.0, m), lambda p: np.exp(-(p[0] / 3.0) ** 2))
-        vals.append(lp_norm(f, 2.0, region=B, complement=True))
+        vals.append(lp_norm(f * ~B.mask(f.spec), 2.0))
     assert abs(vals[0] - vals[1]) <= 1e-3 * vals[1]
 
 
@@ -131,7 +131,7 @@ def test_lp_quasinorm_below_one():
     f = sample_function(spec, lambda p: np.exp(-p[0] ** 2))
     B = Ball((0.0,), 1.0)
     assert lp_quasinorm(f, 0.5) == (np.sum(np.abs(f.samples) ** 0.5) * spec.spacing) ** 2.0
-    assert lp_quasinorm(f, 2.0, region=B, complement=True) == lp_norm(f, 2.0, region=B, complement=True)
+    assert lp_quasinorm(f, 2.0, region=B) == lp_norm(f, 2.0, region=B)
 
 
 def test_convolve_delta_identity():
@@ -382,11 +382,55 @@ def grid_and_ball(draw):
 @settings(max_examples=150, deadline=None)
 def test_ball_mask_matches_full_grid(gb):
     spec, ball = gb
-    idx, inside = ball.box(spec)
+    slab = ball.box(spec)
+    idx, inside = slab
     mask = ball.mask(spec)
     assert np.array_equal(mask, full_grid_mask(spec, ball))
     assert inside.shape == tuple(len(i) for i in idx)
-    assert inside.sum() == mask.sum()
+    assert inside.sum() == mask.sum() == slab.count
+    x = np.random.default_rng(slab.count).standard_normal(spec.shape)
+    if not mask.any():
+        with pytest.raises(NumericalError, match="degenerate region"):
+            slab.gather(x)
+        return
+    on_ball = slab.gather(x)
+    assert on_ball.tobytes() == x[mask].tobytes()
+    assert slab.scatter(on_ball).tobytes() == np.where(mask, x, 0).tobytes()
+
+
+def full_grid_poly(spec, ball, space, coeffs):
+    """sum_a c_a ((y-x0)/r)^a at every grid point, summed monomial by
+    monomial: the full-grid formula the projection on the ball must equal."""
+    pts = spec.points()
+    out = np.zeros(spec.shape, dtype=coeffs.dtype)
+    for a, c in zip(space.basis, coeffs):
+        out = out + c * monomial(pts, ball.center, a) / ball.radius ** sum(a)
+    return out
+
+
+@given(gb=grid_and_ball(), degree=st.integers(0, 3), weighted=st.booleans(),
+       complex_=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_poly_project_matches_full_grid_formula(gb, degree, weighted, complex_, seed):
+    spec, ball = gb
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(spec.shape)
+    if complex_:
+        vals = vals + 1j * rng.standard_normal(spec.shape)
+    f = GridFunction(spec, vals)
+    w = GridFunction(spec, rng.uniform(0.5, 1.5, spec.shape)) if weighted else None
+    try:
+        basis = BallBasis(spec, ball, degree, w)
+    except NumericalError:  # empty, too few points, or ill-conditioned
+        with pytest.raises(NumericalError):
+            poly_project(f, ball, degree, weight=w)
+        return
+    mask = full_grid_mask(spec, ball)
+    want = full_grid_poly(spec, ball, basis.space, basis.coeffs(f.samples[mask]))
+    got = poly_project(f, ball, degree, weight=w).samples
+    assert got.dtype == want.dtype
+    assert got[mask].tobytes() == want[mask].tobytes()
+    assert not got[~mask].any()
 
 
 @given(gb=grid_and_ball(), degree=st.integers(0, 2))
