@@ -17,7 +17,7 @@ import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the pack
 
 from .errors import NumericalError
 from .grid import Ball, GridFunction, GridSpec, lp_norm, lp_quasinorm, random_smooth_field, sq_distance
-from .maximal import MollifierSpec, ScaleGrid, hp_norm, quintic_step
+from .maximal import quintic_step
 from .moments import (
     HardyIndex,
     PolySpace,
@@ -238,15 +238,13 @@ class MomentBoundTable:
     rows: list[MomentBoundRow]
 
 
-def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex,
-                       mollifier: MollifierSpec | None = None,
-                       scales: ScaleGrid | None = None) -> MomentBoundTable:
+def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex, hp: float) -> MomentBoundTable:
     """Empirical constants in the small-ball moment bounds: for each
-    |alpha| <= N_p, ratio = |<g, (.-x0)^alpha>| / (||g||_{h^p} * bound) with
-    bound = 1 below the critical order and [log(1+1/r)]^{-1/p} at it."""
+    |alpha| <= N_p, ratio = |<g, (.-x0)^alpha>| / (hp * bound) with hp the
+    caller's ||g||_{h^p} (maximal.hp_norm) and bound = 1 below the critical
+    order and [log(1+1/r)]^{-1/p} at it."""
     if not ball.radius < 1.0:
         raise ValueError("moment bounds need r < 1")
-    hp = hp_norm(g, idx, mollifier, scales)
     if hp == 0.0:
         raise NumericalError("zero input")
     rows = []

@@ -333,14 +333,18 @@ def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
     return out
 
 
-def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
+def convolve(f: GridFunction, g: GridFunction, g_spectrum: np.ndarray | None = None) -> GridFunction:
     """Convolution f * g with h^dim scaling, FFT on a grid padded to twice the side.
 
     The padding guarantees that no periodic wrap-around contaminates the
-    result as long as supp f + supp g fits inside [-2L, 2L)^dim.
+    result as long as supp f + supp g fits inside [-2L, 2L)^dim. A caller
+    that convolves with the same g many times passes g_spectrum, its
+    padded_spectrum, so that it is taken once.
     """
     f._check_compatible(g)
-    out = convolve_spectra(padded_spectrum(f), padded_spectrum(g), f.spec)
+    if g_spectrum is None:
+        g_spectrum = padded_spectrum(g)
+    out = convolve_spectra(padded_spectrum(f), g_spectrum, f.spec)
     return GridFunction(f.spec, out.real.copy() if f.is_real and g.is_real else out)
 
 

@@ -11,6 +11,13 @@ t < T, ||D^beta phi||_inf <= t^{-n-|beta|}}. The dictionary holds rescaled
 copies of a compactly supported mollifier (one per scale) and, optionally,
 the explicit moment-probe bumps phi^{x,alpha} used to bound moments of
 small-ball functions from below.
+
+Both maximal functions fold |f * phi_t| into running maxima, one distinct
+scale at a time, on a thread pool. small_maximal takes its kernel spectra
+from a cache bounded by KERNEL_CACHE_BYTES; grand_maximal_table streams:
+each distinct kernel of all its dictionaries is built once, used for every
+function and dropped, and the padded spectra alive at one time stay under
+the same bound.
 """
 
 from __future__ import annotations
@@ -137,8 +144,10 @@ class ScaleGrid:
         return cls(tuple(np.geomspace(lo, t_max, count)))
 
 
-# padded mollifier spectra, least recently used first; one 2D m=4096
-# spectrum is 1 GiB, so the cache is bounded in bytes, not in entries
+# padded mollifier spectra of small_maximal, least recently used first; one
+# 2D m=4096 spectrum is 1 GiB, so the cache is bounded in bytes, not in
+# entries, and grand_maximal_table keeps the padded spectra it holds at one
+# time under the same bound
 KERNEL_CACHE_BYTES = 512 * 2**20
 _kernel_cache: OrderedDict = OrderedDict()
 _kernel_cache_lock = threading.Lock()
@@ -151,14 +160,19 @@ def _mollifier_kernel_fft(mollifier: MollifierSpec, spec: GridSpec, t: float) ->
         if F is not None:
             _kernel_cache.move_to_end(key)
             return F
-    F = padded_spectrum(dilate(mollifier, t, spec))
-    F.flags.writeable = False
+    F = _build_kernel_fft(mollifier, spec, t)
     if F.nbytes <= KERNEL_CACHE_BYTES:
         with _kernel_cache_lock:
             _kernel_cache[key] = F
             cached = sum(a.nbytes for a in _kernel_cache.values())
             while cached > KERNEL_CACHE_BYTES:
                 cached -= _kernel_cache.popitem(last=False)[1].nbytes
+    return F
+
+
+def _build_kernel_fft(mollifier: MollifierSpec, spec: GridSpec, t: float) -> np.ndarray:
+    F = padded_spectrum(dilate(mollifier, t, spec))
+    F.flags.writeable = False
     return F
 
 
@@ -176,34 +190,59 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _max_abs_chunk(Ff: np.ndarray, kernels: list, spec: GridSpec, buf: np.ndarray) -> np.ndarray:
-    out = np.zeros(spec.shape)
-    for Fk, amplitude in kernels:
-        vals = np.abs(convolve_spectra(Ff, Fk, spec, buf))
-        vals *= amplitude
-        np.maximum(out, vals, out=out)
-    return out
+def _fold_chunk(work: list, kernel, spectra: list, maxima: list, spec: GridSpec,
+                buf: np.ndarray, lock: threading.Lock) -> None:
+    for key, slots in work:
+        Fk = kernel(key)
+        for Ff, row in zip(spectra, maxima):
+            vals = np.abs(convolve_spectra(Ff, Fk, spec, buf))
+            with lock:
+                for s in slots:
+                    np.maximum(row[s], vals, out=row[s])
+        del Fk  # this scale is done: drop its kernel before building the next
 
 
-def _max_abs_convolutions(Ff: np.ndarray, kernels: list, spec: GridSpec) -> np.ndarray:
-    """Pointwise max of amplitude * |f * k| over (kernel spectrum, amplitude)
-    pairs. One interleaved chunk per CPU runs on the pool (NumPy's FFT releases
-    the GIL); max is exact, so the result does not depend on the split.
+def _running_maxima(fs: list, work: dict, nsets: int, kernel) -> list:
+    """maxima[i][s], the pointwise max of |fs[i] * phi_t| over the scales of
+    scale set s, walking each distinct scale once.
 
-    Each chunk's padded scratch buffer lives for this call only and is
-    allocated here, in the calling thread: freed in a worker, it would stay in
-    that thread's malloc arena and raise the peak RSS."""
-    chunks = [kernels[i::_WORKERS] for i in range(min(_WORKERS, len(kernels)))]
-    bufs = [np.empty(Ff.shape, dtype=np.complex128) for _ in chunks]
-    parts = _pool.map(_max_abs_chunk, repeat(Ff), chunks, repeat(spec), bufs)
-    return functools.reduce(np.maximum, parts)
+    work maps each distinct (mollifier, t) to the scale sets that hold it,
+    and kernel((mollifier, t)) gives its padded spectrum. One interleaved
+    chunk of the scales per CPU runs on the pool (NumPy's FFT releases the
+    GIL) and folds into the one shared set of maxima under a lock; max is
+    exact, so the result does not depend on the split or the order.
+
+    The functions run in groups, so that their padded spectra plus one kernel
+    and one scratch buffer per chunk stay within KERNEL_CACHE_BYTES; a group
+    holds at least one function, and every kernel is built once per group.
+    The scratch buffers live for one group and are allocated here, in the
+    calling thread: freed in a worker, they would stay in that thread's malloc
+    arena and raise the peak RSS."""
+    spec = fs[0].spec
+    maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
+    items = list(work.items())
+    chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
+    if not chunks:
+        return maxima
+    lock = threading.Lock()
+    nbytes = 16 * (2 * spec.points_per_axis) ** spec.dim  # one padded spectrum
+    group = max(1, KERNEL_CACHE_BYTES // nbytes - 2 * len(chunks))
+    for start in range(0, len(fs), group):
+        spectra = [padded_spectrum(f) for f in fs[start:start + group]]
+        bufs = [np.empty(spectra[0].shape, dtype=np.complex128) for _ in chunks]
+        list(_pool.map(_fold_chunk, chunks, repeat(kernel), repeat(spectra),
+                       repeat(maxima[start:start + group]), repeat(spec), bufs, repeat(lock)))
+        del spectra, bufs
+    return maxima
 
 
 def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> GridFunction:
     """Pointwise max over the scale grid of |f * phi_t| (lower bound for m_phi f)."""
-    spec = f.spec
-    kernels = [(_mollifier_kernel_fft(mollifier, spec, t), 1.0) for t in scales.scales]
-    return GridFunction(spec, _max_abs_convolutions(padded_spectrum(f), kernels, spec))
+    # fetched here, in the calling thread: built in a worker, the cached
+    # spectra would sit in that thread's malloc arena (2D E1 peak RSS +10%)
+    kernels = {(mollifier, t): _mollifier_kernel_fft(mollifier, f.spec, t) for t in scales.scales}
+    maxima = _running_maxima([f], dict.fromkeys(kernels, (0,)), 1, kernels.__getitem__)
+    return GridFunction(f.spec, maxima[0][0])
 
 
 def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,
@@ -460,24 +499,11 @@ def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
     return TestDictionary(k=k, T=T, idx=idx, entries=entries)
 
 
-def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
-    """Pointwise max of |<f, phi>| over the dictionary (each mollifier copy is
-    translated to every grid site; probes only at their sites). A certified
-    lower bound for the grand maximal function: enlarging the dictionary can
-    only increase values."""
-    if not dictionary.entries:
-        raise ValueError("empty dictionary")
+def _fold_probes(out: np.ndarray, f: GridFunction, dictionary: TestDictionary) -> None:
     spec = f.spec
-    kernels, probes = [], []
     for entry in dictionary.entries:
-        if isinstance(entry, MollifierCopyEntry):
-            kernels.append((_mollifier_kernel_fft(entry.mollifier, spec, entry.scale), entry.amplitude))
-        elif isinstance(entry, MomentProbeEntry):
-            probes.append(entry)
-        else:
-            raise TypeError(f"unknown dictionary entry {entry!r}")
-    out = _max_abs_convolutions(padded_spectrum(f), kernels, spec) if kernels else np.zeros(spec.shape)
-    for entry in probes:
+        if not isinstance(entry, MomentProbeEntry):
+            continue
         for site in entry.sites:
             probe = phi_x_alpha(site, entry.alpha, dictionary.idx)
             if probe.scale >= dictionary.T or not probe.support.fits_in(spec):
@@ -486,4 +512,62 @@ def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
             pairing = abs(np.sum(f.samples * vals) * spec.cell_volume)
             i = spec.index_of(site)
             out[i] = max(out[i], pairing)
-    return GridFunction(spec, out)
+
+
+def grand_maximal_table(fs: list[GridFunction],
+                        dictionaries: list[TestDictionary]) -> list[list[GridFunction]]:
+    """out[i][j] = grand_maximal(fs[i], dictionaries[j]) for every pair, in one
+    pass over the distinct (mollifier, scale) pairs of all the dictionaries.
+
+    Each distinct scale's kernel is built once, convolved with every function
+    and dropped; it never enters the small_maximal kernel cache. |f * phi_t|
+    is folded into a running max per scale set (the mollifier copies of one
+    dictionary that share an amplitude), and the amplitude is applied once at
+    the end: rounding is monotone, so amp * max|.| equals max(amp * |.|) bit
+    for bit."""
+    if not fs:
+        return []
+    spec = fs[0].spec
+    if any(f.spec != spec for f in fs):
+        raise ValueError("grid mismatch")
+    scale_sets: dict[frozenset, int] = {}
+    work: dict[tuple, list[int]] = {}  # (mollifier, t) -> the scale sets holding it
+    terms = []  # per dictionary: its (amplitude, scale set) pairs
+    for dictionary in dictionaries:
+        if not dictionary.entries:
+            raise ValueError("empty dictionary")
+        by_amplitude: dict[float, dict] = {}
+        for entry in dictionary.entries:
+            if isinstance(entry, MollifierCopyEntry):
+                by_amplitude.setdefault(entry.amplitude, {})[(entry.mollifier, entry.scale)] = None
+            elif not isinstance(entry, MomentProbeEntry):
+                raise TypeError(f"unknown dictionary entry {entry!r}")
+        pairs = []
+        for amplitude, keys in by_amplitude.items():
+            key_set = frozenset(keys)
+            if key_set not in scale_sets:
+                scale_sets[key_set] = len(scale_sets)
+                for key in keys:  # in dictionary order
+                    work.setdefault(key, []).append(scale_sets[key_set])
+            pairs.append((amplitude, scale_sets[key_set]))
+        terms.append(pairs)
+    maxima = _running_maxima(fs, work, len(scale_sets), lambda key: _build_kernel_fft(key[0], spec, key[1]))
+    out = []
+    for f, row in zip(fs, maxima):
+        cells = []
+        for dictionary, pairs in zip(dictionaries, terms):
+            vals = np.zeros(spec.shape)
+            for amplitude, s in pairs:
+                np.maximum(vals, amplitude * row[s], out=vals)
+            _fold_probes(vals, f, dictionary)
+            cells.append(GridFunction(spec, vals))
+        out.append(cells)
+    return out
+
+
+def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
+    """Pointwise max of |<f, phi>| over the dictionary (each mollifier copy is
+    translated to every grid site; probes only at their sites). A certified
+    lower bound for the grand maximal function: enlarging the dictionary can
+    only increase values. The one-row case of grand_maximal_table."""
+    return grand_maximal_table([f], [dictionary])[0][0]

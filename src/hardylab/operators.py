@@ -34,6 +34,7 @@ from .grid import (
     SampledSymbol,
     convolve,
     fourier_multiplier,
+    padded_spectrum,
     reflect,
     sample_function,
     sample_symbol,
@@ -99,11 +100,16 @@ class MultiplierOp(OperatorSpec):
 
 @dataclass
 class KernelOp(OperatorSpec):
-    """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x)."""
+    """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x).
+
+    The kernel's padded spectrum is taken on the first application and kept,
+    so later applications only transform f.
+    """
 
     kernel: GridFunction
     name: str = "kernel"
     params: dict = field(default_factory=dict)
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def translation_invariant(self) -> bool:
@@ -112,7 +118,9 @@ class KernelOp(OperatorSpec):
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.kernel.spec:
             raise ValueError("grid mismatch")
-        return convolve(f, self.kernel)
+        if self._spectrum is None:
+            self._spectrum = padded_spectrum(self.kernel)
+        return convolve(f, self.kernel, self._spectrum)
 
     def adjoint(self) -> "KernelOp":
         return KernelOp(reflect(self.kernel).conj(), name=f"{self.name}*", params=self.params)

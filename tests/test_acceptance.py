@@ -155,7 +155,7 @@ def test_criterion_05_moment_decay_trend():
             r = 2.0**-k
             ball = Ball((0.0,), r)
             g = GridFunction(grid, ball.mask(grid).astype(float))
-            (row,) = moment_bound_check(g, ball, idx, mol, scales).rows
+            (row,) = moment_bound_check(g, ball, idx, hp_norm(g, idx, mol, scales)).rows
             ratios.append(row.ratio)
         spans[idx.p] = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - start

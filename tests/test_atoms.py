@@ -14,7 +14,7 @@ from hardylab.atoms import (
 )
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, sample_function
-from hardylab.maximal import MollifierSpec, ScaleGrid
+from hardylab.maximal import MollifierSpec, ScaleGrid, hp_norm
 from hardylab.moments import HardyIndex, moment
 
 IDX1 = HardyIndex(1.0, 1)
@@ -151,7 +151,7 @@ def test_premolecule_lambda_monotone(grid):
 def test_moment_bound_check_atom_ratios_vanish(grid):
     B = Ball((0.0,), 0.25)
     a = make_atom(AtomSpec(IDX1, 2.0, B, "local"), 0, grid)
-    table = moment_bound_check(a, B, IDX1)
+    table = moment_bound_check(a, B, IDX1, hp_norm(a, IDX1))
     assert all(row.ratio <= 1e-10 for row in table.rows)
 
 
@@ -162,7 +162,7 @@ def test_moment_bound_check_indicator_bounded(grid):
     for k in range(1, 7):
         r = 2.0**-k
         g = GridFunction(grid, Ball((0.0,), r).mask(grid).astype(float))
-        table = moment_bound_check(g, Ball((0.0,), r), IDX1, mol, scales)
+        table = moment_bound_check(g, Ball((0.0,), r), IDX1, hp_norm(g, IDX1, mol, scales))
         (row,) = table.rows
         assert row.critical and row.bound == pytest.approx(1 / np.log1p(1 / r))
         ratios.append(row.ratio)
@@ -172,7 +172,7 @@ def test_moment_bound_check_indicator_bounded(grid):
 def test_moment_bound_check_subcritical_branch(grid):
     r = 0.25
     g = GridFunction(grid, Ball((0.0,), r).mask(grid).astype(float))
-    table = moment_bound_check(g, Ball((0.0,), r), IDX23)
+    table = moment_bound_check(g, Ball((0.0,), r), IDX23, hp_norm(g, IDX23))
     (row,) = table.rows
     assert not row.critical and row.bound == 1.0
 
@@ -180,7 +180,7 @@ def test_moment_bound_check_subcritical_branch(grid):
 def test_moment_bound_check_rejects_zero(grid):
     z = GridFunction(grid, np.zeros(grid.shape))
     with pytest.raises(NumericalError, match="zero input"):
-        moment_bound_check(z, Ball((0.0,), 0.25), IDX1)
+        moment_bound_check(z, Ball((0.0,), 0.25), IDX1, hp_norm(z, IDX1))
 
 
 def gaussian_family(grid, r):

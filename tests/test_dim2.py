@@ -44,7 +44,7 @@ def test_small_maximal_2d(grid):
 def test_moment_bound_2d(grid):
     B = Ball((0.0, 0.0), 0.25)
     g = GridFunction(grid, B.mask(grid).astype(float))
-    (row,) = moment_bound_check(g, B, IDX).rows
+    (row,) = moment_bound_check(g, B, IDX, hp_norm(g, IDX)).rows
     assert row.critical and 0 < row.ratio < 10
 
 

@@ -168,6 +168,36 @@ r_ladder = 2^-2, 2^-3
     assert data and all(r[8] <= 1e-6 for r in data)  # cancelling profiles
 
 
+def test_e1_one_small_maximal_per_distinct_field(tmp_path, monkeypatch):
+    # indicator and bump fields do not depend on p: one maximal function each
+    # per r; the random field is drawn per (p, r)
+    import hardylab.experiments as experiments
+
+    path = write(tmp_path, "e1.cfg", """
+[experiment]
+scenario = E1-moment-decay
+seed = 3
+[grid]
+m = 1024
+[scenario]
+p_values = 1, 2/3
+profiles = indicator, bump, random
+r_ladder = 2^-2, 2^-3
+""")
+    fields = []
+    small_maximal = experiments.small_maximal
+
+    def counting(f, mollifier, scales):
+        fields.append(f.samples.tobytes())
+        return small_maximal(f, mollifier, scales)
+
+    monkeypatch.setattr(experiments, "small_maximal", counting)
+    cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path / "out"), quiet=True)
+    rows = run_experiment(cfg).rows
+    assert len(fields) == 8 and len(set(fields)) == 8  # 2 r x (indicator, bump) + 2 p x 2 r random
+    assert len([r for r in rows if r[0] == "data"]) == 2 * 3 * 2
+
+
 def test_e3_image_moment_ratios_bounded(tmp_path):
     # images of cancelling atoms under bounded convolution-type operators keep
     # normalized moments below a fixed constant across the ladder

@@ -3,7 +3,8 @@ import signal
 import sys
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hardylab.maximal import (
     build_test_dictionary,
     cutoff_eta,
     grand_maximal,
+    grand_maximal_table,
     hp_norm,
     phi_x_alpha,
     small_maximal,
@@ -401,6 +403,106 @@ def test_grand_maximal_matches_serial_loop_bitwise(grid):
     out = grand_maximal(f, dct).samples
     assert np.any(out != without)
     assert np.array_equal(out, serial_grand_maximal(f, dct))
+
+
+def table_case(dim, is_complex):
+    # functions: noise and a compact bump; dictionaries: two k (so two
+    # amplitudes) on one ladder, an overlapping ladder, a disjoint ladder, and
+    # one dictionary that mixes both amplitudes
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    rng = np.random.default_rng(40 + dim)
+    x = rng.normal(size=spec.shape)
+    noise = x + 1j * rng.normal(size=spec.shape) if is_complex else x
+    bump = sample_function(spec, lambda p: np.clip(1 - np.sum(p**2, axis=0), 0, None) ** 2)
+    fs = [GridFunction(spec, noise), bump]
+    idx1, idxh = HardyIndex(1.0, dim), HardyIndex(0.5, dim)
+    assert idx1.N_p != idxh.N_p
+    base = ScaleGrid.default(spec, 1.0)
+    wide = ScaleGrid.default(spec, 2.0)
+    apart = ScaleGrid(tuple(np.geomspace(1.1, 1.9, 16)))
+    assert set(base.scales) & set(wide.scales) and not set(apart.scales) & set(base.scales + wide.scales)
+    dicts = [build_test_dictionary(spec, idx1, 1.0, scales=base),
+             build_test_dictionary(spec, idxh, 1.0, scales=base),
+             build_test_dictionary(spec, idx1, 2.0, scales=wide),
+             build_test_dictionary(spec, idxh, 2.0, scales=apart)]
+    dicts.append(TestDictionary(3, 2.0, idxh, dicts[0].entries + dicts[3].entries))
+    assert dicts[0].entries[0].amplitude != dicts[1].entries[0].amplitude
+    return fs, dicts
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
+    fs, dicts = table_case(dim, is_complex)
+    table = grand_maximal_table(fs, dicts)
+    assert len(table) == len(fs) and all(len(row) == len(dicts) for row in table)
+    for f, row in zip(fs, table):
+        for dct, cell in zip(dicts, row):
+            assert np.array_equal(cell.samples, grand_maximal(f, dct).samples)
+            assert np.array_equal(cell.samples, serial_grand_maximal(f, dct))
+
+
+def count_kernel_builds(monkeypatch):
+    # (mollifier, t) -> kernels sampled by the maximal functions
+    built = Counter()
+    dilate = maximal.dilate
+
+    def counting(phi, t, spec):
+        built[phi, t] += 1
+        return dilate(phi, t, spec)
+
+    monkeypatch.setattr(maximal, "dilate", counting)
+    return built
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
+    fs, dicts = table_case(dim, False)
+    built = count_kernel_builds(monkeypatch)
+    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
+    grand_maximal_table(fs, dicts)
+    distinct = {(e.mollifier, e.scale) for d in dicts for e in d.entries}
+    assert built == Counter(dict.fromkeys(distinct, 1))
+    assert not maximal._kernel_cache
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
+    # a budget below one padded spectrum: every function is a group of its own
+    fs, dicts = table_case(dim, True)
+    fs.append(fs[0] * 0.5 + fs[1])
+    whole = grand_maximal_table(fs, dicts)
+    built = count_kernel_builds(monkeypatch)
+    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 1)
+    grouped = grand_maximal_table(fs, dicts)
+    distinct = {(e.mollifier, e.scale) for d in dicts for e in d.entries}
+    assert built == Counter(dict.fromkeys(distinct, len(fs)))
+    for a, b in zip(whole, grouped):
+        assert all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
+
+
+def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
+    # eight chunks fold into one shared set of maxima under a tiny switch
+    # interval: a lost update would break the bitwise match
+    fs, dicts = table_case(2, False)
+    expected = [[serial_grand_maximal(f, d) for d in dicts] for f in fs]
+    pool = ThreadPoolExecutor(8)
+    monkeypatch.setattr(maximal, "_WORKERS", 8)
+    monkeypatch.setattr(maximal, "_pool", pool)
+    tables = []
+    caller = threading.Thread(target=lambda: tables.append(grand_maximal_table(fs, dicts)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert not caller.is_alive()
+    (table,) = tables
+    for want, row in zip(expected, table):
+        assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
 
 
 def test_kernel_cache_bounded_in_bytes(monkeypatch):

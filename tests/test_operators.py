@@ -5,7 +5,7 @@ import pytest
 
 from hardylab.atoms import AtomSpec, make_atom
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, inner, integrate, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, convolve, inner, integrate, sample_function
 from hardylab.maximal import quintic_step
 from hardylab.moments import HardyIndex, local_oscillation, monomial_field
 from hardylab.operators import (
@@ -414,3 +414,27 @@ def test_catalog_non_pathological_size_checks(grid):
         mu = dict(entry.claimed).get("mu", 1.0)
         rep = kernel_size_check(T, mu, grid)
         assert rep.no_off_diagonal or np.isfinite(rep.fitted_C), name
+
+
+def test_kernel_op_transforms_its_kernel_once(monkeypatch):
+    import hardylab.grid as grid_mod
+    import hardylab.operators as operators_mod
+
+    spec = GridSpec(2, 4.0, 64)
+    T = ladder_operator("kernel", spec)
+    rng = np.random.default_rng(9)
+    fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(3)]
+    expected = [convolve(f, T.kernel).samples for f in fs]
+    transforms = []
+    spectrum = grid_mod.padded_spectrum
+
+    def counting(f):
+        transforms.append(f)
+        return spectrum(f)
+
+    monkeypatch.setattr(grid_mod, "padded_spectrum", counting)
+    monkeypatch.setattr(operators_mod, "padded_spectrum", counting)
+    got = [T.apply(f).samples for f in fs]
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert sum(t is T.kernel for t in transforms) == 1
+    assert len(transforms) == len(fs) + 1
