@@ -195,8 +195,7 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
                                 "local"), cfg.seed + s, grid)
              for p, r in blocks for s in range(n_seeds)]
     keys = [(p, T) for p in dict.fromkeys(p for p, _ in blocks) for T in Ts]
-    dicts = [build_test_dictionary(grid, HardyIndex(p, grid.dim), T, mol, ScaleGrid.default(grid, T))
-             for p, T in keys]
+    dicts = [build_test_dictionary(grid, HardyIndex(p, grid.dim), T, mol) for p, T in keys]
     table = grand_maximal_table(atoms, dicts)
 
     def norms_for(b: int) -> np.ndarray:
@@ -294,7 +293,7 @@ def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
 
 
 def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
-    """Dual-norm probes: deterministic mode certifies the identity, random
+    """Dual-norm checks: deterministic mode certifies the identity, random
     mode gives the Monte-Carlo lower bound."""
     grid = cfg.grid
     n_instances = cfg.source.get_int("scenario", "n_instances", default=10)

@@ -7,10 +7,10 @@ sup that is nondecreasing under scale refinement.
 
 The grand maximal function is taken over a finite certified dictionary of
 test functions admissible for the family {phi smooth, supp phi in B(x,t),
-t < T, ||D^beta phi||_inf <= t^{-n-|beta|}}. The dictionary holds rescaled
-copies of a compactly supported mollifier (one per scale) and, optionally,
-the explicit moment-probe bumps phi^{x,alpha} used to bound moments of
-small-ball functions from below.
+t < T, ||D^beta phi||_inf <= t^{-n-|beta|}}. A dictionary is the triple
+(mollifier, scale ladder, amplitude): the copies c * phi_t(x - .) of one
+compactly supported mollifier, one per scale of the ladder, translated to
+every grid site, with the one amplitude c that certifies them all.
 
 Both maximal functions fold |f * phi_t| into running maxima, one distinct
 scale at a time, on a thread pool. small_maximal takes its kernel spectra
@@ -33,9 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import NumericalError
 from .grid import (
-    Ball,
     GridFunction,
     GridSpec,
     convolve_spectra,
@@ -44,7 +42,7 @@ from .grid import (
     padded_spectrum,
     sq_distance,
 )
-from .moments import HardyIndex, MultiIndex, as_multiindex, monomial, multiindices, order
+from .moments import HardyIndex, MultiIndex, multiindices
 
 # ---------------------------------------------------------------------------
 # smooth profiles
@@ -54,15 +52,6 @@ def quintic_step(u):
     """C^2 smoothstep: 0 for u<=0, 1 for u>=1, 6u^5-15u^4+10u^3 between."""
     u = np.clip(u, 0.0, 1.0)
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
-
-
-def cutoff_eta(s):
-    """Radial cutoff: 1 on [0, 3/2], quintic descent on [3/2, 2], 0 beyond."""
-    return 1.0 - quintic_step(2.0 * (np.asarray(s, dtype=float) - 1.5))
-
-
-def _radius(pts: np.ndarray, center=None) -> np.ndarray:
-    return np.sqrt(sq_distance(pts, (0.0,) * pts.shape[0] if center is None else center))
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,7 +88,7 @@ class MollifierSpec:
             raise ValueError(f"unknown mollifier shape {self.shape!r}")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        r = _radius(pts)
+        r = np.sqrt(sq_distance(pts, (0.0,) * self.dim))
         if self.shape == "gaussian":
             return np.pi ** (-self.dim / 2.0) * np.exp(-(r**2))
         return _bump_profile(r) / _bump_normalizer(self.dim)
@@ -107,10 +96,6 @@ class MollifierSpec:
     @property
     def compact_support(self) -> bool:
         return self.shape == "smooth-bump"
-
-    @property
-    def integral(self) -> float:
-        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +242,8 @@ def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = 
 # finite-difference certification of derivative bounds
 
 
-def _fd_sups(fn, center, radius: float, dim: int, max_order: int,
-             samples_per_axis: int | None = None) -> dict[MultiIndex, float]:
+def derivative_sups(fn, center, radius: float, dim: int, max_order: int,
+                    samples_per_axis: int | None = None) -> dict[MultiIndex, float]:
     """Sup of |D^beta fn| for |beta| <= max_order via dense iterated central
     differences over the box of the given radius around center."""
     n = samples_per_axis or (4001 if dim == 1 else 401)
@@ -286,189 +271,19 @@ def _fd_sups(fn, center, radius: float, dim: int, max_order: int,
 
 
 # ---------------------------------------------------------------------------
-# the explicit moment-probe bumps
-
-
-@dataclass(frozen=True)
-class Phi0Bump:
-    """C_alpha y^alpha times a cutoff equal to 1 for |y| < 1, supported in
-    B(v/2, 2), with all derivative sups up to order k below 2^{-|beta|-2n}.
-
-    The quoted construction bounds the derivatives by 2^{|beta|-2n}; the
-    tighter exponent used here is what actually survives the rescaling to
-    phi^{x,alpha}, so the rescaled copies meet the admissible-family bounds.
-    """
-
-    v: tuple[float, ...]
-    alpha: MultiIndex
-    c_alpha: float
-    k: int
-    fallback: bool
-    lobe_sign: float
-    lobe_center: tuple[float, ...]
-    integral: float
-    certification: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.v)
-
-    @property
-    def support(self) -> Ball:
-        return Ball(tuple(c / 2.0 for c in self.v), 2.0)
-
-    def _profile(self, pts: np.ndarray) -> np.ndarray:
-        z = _radius(pts, tuple(c / 2.0 for c in self.v))
-        prof = cutoff_eta(z)
-        if self.fallback:
-            s = _radius(pts, self.lobe_center) / _LOBE_RADIUS
-            prof = prof + self.lobe_sign * np.clip(1.0 - s**2, 0.0, None) ** 3
-        return prof
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        mono = monomial(pts, (0.0,) * self.dim, self.alpha)
-        return self.c_alpha * mono * self._profile(pts)
-
-
-_LOBE_RADIUS = 0.2
-_LOBE_DISTANCE = 1.75
-_PHI0_SAFETY = 0.9
-_PHI0_INTEGRAL_FLOOR = 1e-4
-
-
-def _box_integral(fn, center, radius, n):
-    """Iterated trapezoid rule over the box, last axis first."""
-    axes = [np.linspace(c - radius, c + radius, n) for c in center]
-    d = axes[0][1] - axes[0][0]
-    vals = np.asarray(fn(np.stack(np.meshgrid(*axes, indexing="ij"))))
-    for _ in center:
-        vals = np.trapezoid(vals, dx=d)
-    return float(vals)
-
-
-def _lobe_directions(v):
-    dim = len(v)
-    if dim == 1:
-        return [(1.0,), (-1.0,)]
-    s = 1.0 / math.sqrt(2.0)
-    return [(s, s), (s, -s), (1.0, 0.0), (0.0, 1.0), tuple(v)]
-
-
-@functools.lru_cache(maxsize=256)
-def _build_phi0_cached(v: tuple, alpha: MultiIndex, k: int) -> Phi0Bump:
-    dim = len(v)
-    center = tuple(c / 2.0 for c in v)
-
-    def make(fallback, sign, lobe_center):
-        probe = Phi0Bump(v, alpha, 1.0, k, fallback, sign, lobe_center, 0.0)
-        sups = _fd_sups(probe, center, 2.1, dim, k,
-                        samples_per_axis=4001 if dim == 1 else 321)
-        c = _PHI0_SAFETY * min(
-            2.0 ** (-order(beta) - 2 * dim) / max(s, 1e-300)
-            for beta, s in sups.items()
-        )
-        raw_integral = _box_integral(probe, center, 2.05, n=20001 if dim == 1 else 801)
-        cert = tuple(
-            (beta, c * sups[beta], 2.0 ** (-order(beta) - 2 * dim))
-            for beta in multiindices(dim, k)
-        )
-        return Phi0Bump(v, alpha, c, k, fallback, sign, lobe_center,
-                        c * raw_integral, cert)
-
-    bump = make(False, 0.0, center)
-    if abs(bump.integral) >= _PHI0_INTEGRAL_FLOOR:
-        return bump
-
-    # the radial cutoff can annihilate the moment of y^alpha (mixed alpha in
-    # dim 2); perturb it with a small off-axis lobe in the outer annulus,
-    # which leaves the |y| < 1 monomial region untouched
-    best = None
-    for u in _lobe_directions(v):
-        lc = tuple(center[i] + _LOBE_DISTANCE * u[i] for i in range(dim))
-        mono_at = math.prod(lc[i] ** alpha[i] for i in range(dim))
-        if mono_at == 0.0:
-            continue
-        for sign in (math.copysign(1.0, mono_at) * s for s in (1.0,)):
-            cand = make(True, sign, lc)
-            if best is None or abs(cand.integral) > abs(best.integral):
-                best = cand
-    if best is None or abs(best.integral) < _PHI0_INTEGRAL_FLOOR:
-        raise NumericalError("degenerate phi0 construction")
-    return best
-
-
-def build_phi0(v, alpha, idx: HardyIndex) -> Phi0Bump:
-    """The explicit bump of the moment lower-bound construction: equal to
-    C_alpha y^alpha on |y| < 1, supported in B(v/2, 2), derivative-certified
-    up to order N_p + 1, with a numerically certified nonzero integral."""
-    alpha = as_multiindex(alpha, idx.dim)
-    if order(alpha) > idx.N_p:
-        raise ValueError(f"|alpha| = {order(alpha)} exceeds N_p = {idx.N_p}")
-    nv = math.sqrt(sum(c * c for c in v))
-    if nv == 0:
-        raise ValueError("v must be a nonzero direction")
-    v = tuple(round(c / nv, 12) for c in v)
-    return _build_phi0_cached(v, alpha, idx.N_p + 1)
-
-
-@dataclass(frozen=True)
-class RescaledProbe:
-    """phi^{x,alpha}(y) = |x|^{-n} phi0^{x/|x|,alpha}(y / (2|x|)); supported in
-    B(x, 4|x|) and admissible for the family with T = 2, t = 4|x|."""
-
-    x: tuple[float, ...]
-    phi0: Phi0Bump
-
-    @property
-    def scale(self) -> float:
-        return 4.0 * math.sqrt(sum(c * c for c in self.x))
-
-    @property
-    def support(self) -> Ball:
-        return Ball(self.x, self.scale)
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        ax = math.sqrt(sum(c * c for c in self.x))
-        return ax ** (-len(self.x)) * self.phi0(pts / (2.0 * ax))
-
-
-def phi_x_alpha(x, alpha, idx: HardyIndex) -> RescaledProbe:
-    x = tuple(float(c) for c in x)
-    if all(c == 0 for c in x):
-        raise ValueError("x must be nonzero")
-    return RescaledProbe(x, build_phi0(x, alpha, idx))
-
-
-# ---------------------------------------------------------------------------
 # dictionary-based grand maximal function
 
 
 @dataclass(frozen=True)
-class MollifierCopyEntry:
-    """Amplitude-normalized copy of the mollifier at one scale: the test
-    function at site x is c * phi_t(x - .), admissible by the scaling law."""
-
-    mollifier: MollifierSpec
-    scale: float
-    amplitude: float
-
-
-@dataclass(frozen=True)
-class MomentProbeEntry:
-    """phi^{x,alpha} probes evaluated at explicit sites."""
-
-    alpha: MultiIndex
-    sites: tuple[tuple[float, ...], ...]
-
-
-@dataclass
 class TestDictionary:
+    """The copies amplitude * phi_t(x - .) of one mollifier, one per scale t of
+    the ladder, each translated to every grid site."""
+
     __test__ = False  # not a pytest class
 
-    k: int
-    T: float
-    idx: HardyIndex
-    entries: list
+    mollifier: MollifierSpec
+    scales: ScaleGrid
+    amplitude: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -477,41 +292,19 @@ def _mollifier_amplitude(mollifier: MollifierSpec, k: int) -> float:
     derivative bound of the admissible family; t-independent by scaling."""
     if not mollifier.compact_support:
         raise ValueError("dictionary entries need a compactly supported mollifier")
-    sups = _fd_sups(mollifier, (0.0,) * mollifier.dim, 1.02, mollifier.dim, k)
+    sups = derivative_sups(mollifier, (0.0,) * mollifier.dim, 1.02, mollifier.dim, k)
     return 0.99 / max(max(sups.values()), 1e-300)
 
 
 def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
                           mollifier: MollifierSpec | None = None,
-                          scales: ScaleGrid | None = None,
-                          probe_alphas: tuple = (),
-                          probe_sites: tuple = ()) -> TestDictionary:
-    """Dictionary with one normalized mollifier copy per scale plus optional
-    moment probes; k = N_p + 1 matches the regularity the index requires."""
-    k = idx.N_p + 1
+                          scales: ScaleGrid | None = None) -> TestDictionary:
+    """Dictionary of the mollifier copies at every scale of the ladder (by
+    default ScaleGrid.default(spec, T)), certified up to the order
+    k = N_p + 1 that the index requires."""
     mollifier = mollifier or MollifierSpec("smooth-bump", spec.dim)
     scales = scales or ScaleGrid.default(spec, T)
-    amp = _mollifier_amplitude(mollifier, k)
-    entries: list = [MollifierCopyEntry(mollifier, t, amp) for t in scales.scales]
-    for alpha in probe_alphas:
-        entries.append(MomentProbeEntry(as_multiindex(alpha, spec.dim),
-                                        tuple(tuple(map(float, s)) for s in probe_sites)))
-    return TestDictionary(k=k, T=T, idx=idx, entries=entries)
-
-
-def _fold_probes(out: np.ndarray, f: GridFunction, dictionary: TestDictionary) -> None:
-    spec = f.spec
-    for entry in dictionary.entries:
-        if not isinstance(entry, MomentProbeEntry):
-            continue
-        for site in entry.sites:
-            probe = phi_x_alpha(site, entry.alpha, dictionary.idx)
-            if probe.scale >= dictionary.T or not probe.support.fits_in(spec):
-                continue  # outside the family or the domain: skip (lower bound)
-            vals = probe(spec.points())
-            pairing = abs(np.sum(f.samples * vals) * spec.cell_volume)
-            i = spec.index_of(site)
-            out[i] = max(out[i], pairing)
+    return TestDictionary(mollifier, scales, _mollifier_amplitude(mollifier, idx.N_p + 1))
 
 
 def grand_maximal_table(fs: list[GridFunction],
@@ -521,53 +314,29 @@ def grand_maximal_table(fs: list[GridFunction],
 
     Each distinct scale's kernel is built once, convolved with every function
     and dropped; it never enters the small_maximal kernel cache. |f * phi_t|
-    is folded into a running max per scale set (the mollifier copies of one
-    dictionary that share an amplitude), and the amplitude is applied once at
-    the end: rounding is monotone, so amp * max|.| equals max(amp * |.|) bit
-    for bit."""
+    is folded into a running max per distinct (mollifier, ladder), and each
+    dictionary's amplitude is applied once at the end: rounding is monotone,
+    so amp * max|.| equals max(amp * |.|) bit for bit."""
     if not fs:
         return []
     spec = fs[0].spec
     if any(f.spec != spec for f in fs):
         raise ValueError("grid mismatch")
-    scale_sets: dict[frozenset, int] = {}
-    work: dict[tuple, list[int]] = {}  # (mollifier, t) -> the scale sets holding it
-    terms = []  # per dictionary: its (amplitude, scale set) pairs
-    for dictionary in dictionaries:
-        if not dictionary.entries:
-            raise ValueError("empty dictionary")
-        by_amplitude: dict[float, dict] = {}
-        for entry in dictionary.entries:
-            if isinstance(entry, MollifierCopyEntry):
-                by_amplitude.setdefault(entry.amplitude, {})[(entry.mollifier, entry.scale)] = None
-            elif not isinstance(entry, MomentProbeEntry):
-                raise TypeError(f"unknown dictionary entry {entry!r}")
-        pairs = []
-        for amplitude, keys in by_amplitude.items():
-            key_set = frozenset(keys)
-            if key_set not in scale_sets:
-                scale_sets[key_set] = len(scale_sets)
-                for key in keys:  # in dictionary order
-                    work.setdefault(key, []).append(scale_sets[key_set])
-            pairs.append((amplitude, scale_sets[key_set]))
-        terms.append(pairs)
-    maxima = _running_maxima(fs, work, len(scale_sets), lambda key: _build_kernel_fft(key[0], spec, key[1]))
-    out = []
-    for f, row in zip(fs, maxima):
-        cells = []
-        for dictionary, pairs in zip(dictionaries, terms):
-            vals = np.zeros(spec.shape)
-            for amplitude, s in pairs:
-                np.maximum(vals, amplitude * row[s], out=vals)
-            _fold_probes(vals, f, dictionary)
-            cells.append(GridFunction(spec, vals))
-        out.append(cells)
-    return out
+    ladders: dict[tuple, int] = {}  # (mollifier, scales) -> its running max
+    work: dict[tuple, list[int]] = {}  # (mollifier, t) -> the ladders holding it
+    for d in dictionaries:
+        if (d.mollifier, d.scales) not in ladders:
+            s = ladders[d.mollifier, d.scales] = len(ladders)
+            for t in d.scales.scales:
+                work.setdefault((d.mollifier, t), []).append(s)
+    maxima = _running_maxima(fs, work, len(ladders), lambda key: _build_kernel_fft(key[0], spec, key[1]))
+    return [[GridFunction(spec, d.amplitude * row[ladders[d.mollifier, d.scales]]) for d in dictionaries]
+            for row in maxima]
 
 
 def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
-    """Pointwise max of |<f, phi>| over the dictionary (each mollifier copy is
-    translated to every grid site; probes only at their sites). A certified
-    lower bound for the grand maximal function: enlarging the dictionary can
-    only increase values. The one-row case of grand_maximal_table."""
+    """Pointwise max of |<f, phi>| over the dictionary's mollifier copies. A
+    certified lower bound for the grand maximal function: a ladder that holds
+    every scale of another can only increase values. The one-row case of
+    grand_maximal_table."""
     return grand_maximal_table([f], [dictionary])[0][0]

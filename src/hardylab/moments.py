@@ -151,7 +151,7 @@ class BallBasis:
     G_ab = int_B w ((y-x0)/r)^(a+b) dy (w = 1 unless a weight is given).
 
     Values on the ball are passed as `slab.gather(samples)`, one column per
-    probe.
+    function.
     """
 
     def __init__(self, spec: GridSpec, ball: Ball, degree: int, weight: GridFunction | None = None):
@@ -199,17 +199,17 @@ class BallBasis:
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
         """The polynomial sum_a c_a ((y-x0)/r)^a at the ball's points, summed
-        monomial by monomial. With one column of c per probe, the result has
-        one contiguous row per probe."""
+        monomial by monomial. With one column of c per function, the result
+        has one contiguous row per function."""
         fit = np.zeros(c.shape[1:] + (self.npts,), dtype=c.dtype)
         for m, s, ca in zip(self._monomials, self.scales, c):
             fit = fit + np.multiply.outer(ca, m) / s
         return fit
 
     def residual(self, values: np.ndarray) -> np.ndarray:
-        """values minus their projection. For values = np.stack(probes).T
+        """values minus their projection. For values = np.stack(fields).T
         every residual column is contiguous and sums over it equal the sums
-        over a single probe."""
+        over a single field."""
         return values - self.evaluate(self.coeffs(values)).T
 
 
@@ -283,7 +283,7 @@ def dual_norm_check(
     seed: int = 0,
     include_deterministic: bool = True,
 ) -> tuple[float, float]:
-    """Probe the identity sup{|<f,psi>| : psi in L2(B), moments 0, ||psi|| <= 1}
+    """Test the identity sup{|<f,psi>| : psi in L2(B), moments 0, ||psi|| <= 1}
     = ||f - P_B^N(f)||_{L2(B)}.
 
     Returns (lhs, rhs): lhs maximizes over `trials` random moment-free test
@@ -302,7 +302,7 @@ def dual_norm_check(
     candidates = ball_smooth_fields(f.spec, ball, ball.radius / 2.0, trials,
                                     np.random.default_rng(seed))
     if include_deterministic and rhs > 0:
-        # one contiguous column per probe, as residual expects
+        # one contiguous column per candidate, as residual expects
         candidates = np.vstack([candidates.T, resid]).T
     if candidates.shape[1] == 0:
         return 0.0, rhs

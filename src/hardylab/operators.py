@@ -412,13 +412,13 @@ def default_holder_triples(spec: GridSpec, sigma: float) -> list:
     Six anchors z sweep [-L/8, L/8] on the first axis. Up to six separations
     |y - z| double from one cell upward along the first axis; the
     distances |x - z| sweep both multiples of the admissibility floor and a
-    fixed ladder of absolute probes, so that jump discontinuities at O(1)
-    distances are straddled by one-cell separations (the refinement probe).
+    fixed ladder of absolute distances, so that jump discontinuities at O(1)
+    distances are straddled by one-cell separations (the refinement check).
     """
     h = spec.spacing
     L = spec.half_width
     axis_dirs = [np.eye(spec.dim)[i] for i in range(spec.dim)]
-    probes = [c * L for c in (0.0625, 0.09375, 0.125, 0.1875, 0.25, 0.375, 0.5)]
+    absolute = [c * L for c in (0.0625, 0.09375, 0.125, 0.1875, 0.25, 0.375, 0.5)]
     triples = []
     rng_anchors = np.linspace(-L / 8, L / 8, 6)
     for za in rng_anchors:
@@ -431,7 +431,7 @@ def default_holder_triples(spec: GridSpec, sigma: float) -> list:
             y = z + s * axis_dirs[0]
             dmin = 2.0 * s**sigma
             cands = [dmin * fac for fac in (1.0, 1.5, 2.0, 3.0, 5.0)]
-            cands += [d for d in probes if d >= dmin]
+            cands += [d for d in absolute if d >= dmin]
             for d in cands:
                 if d > L / 2:
                     continue

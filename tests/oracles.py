@@ -6,9 +6,14 @@ support and derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container, and
 `reference_cancellation_test` runs the cancellation test one row at a time,
 with a fresh adjoint and symbol per application and full-grid windows and
-masks. None of them is used by the experiments.
+masks. The explicit moment-probe bumps phi^{x,alpha} of the paper's moment
+lower bound (`build_phi0`, `phi_x_alpha`) live here too, with `with_probes`,
+which raises a grand maximal function to their pairings at given sites.
+None of them is used by the experiments.
 """
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -16,12 +21,14 @@ import numpy as np
 
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, sq_distance
-from hardylab.maximal import _fd_sups, _radius, quintic_step
+from hardylab.maximal import derivative_sups, quintic_step
 from hardylab.moments import (
+    HardyIndex,
     MultiIndex,
     as_multiindex,
     dual_norm_check,
     local_oscillation,
+    monomial,
     monomial_field,
     multiindices,
     order,
@@ -119,13 +126,13 @@ def verify_admissible(phi, k: int, t: float, x, samples_per_axis: int | None = N
     |beta| <= k by dense sampling plus finite differences (1% slack)."""
     x = tuple(float(c) for c in x)
     dim = len(x)
-    sups = _fd_sups(phi, x, 1.05 * t, dim, k, samples_per_axis)
+    sups = derivative_sups(phi, x, 1.05 * t, dim, k, samples_per_axis)
 
     n = samples_per_axis or (4001 if dim == 1 else 401)
     axes = [np.linspace(c - 1.5 * t, c + 1.5 * t, n) for c in x]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"))
     vals = np.abs(np.asarray(phi(pts), dtype=float))
-    outside = _radius(pts, x) > t * (1.0 + 1e-9)
+    outside = np.sqrt(sq_distance(pts, x)) > t * (1.0 + 1e-9)
     scale = float(vals.max()) or 1.0
     leak = float(vals[outside].max(initial=0.0)) / scale
     support_ok = leak <= 1e-12
@@ -190,3 +197,179 @@ def reference_cancellation_test(T: OperatorSpec, idx, balls, alphas, spec: GridS
             rows.append(CancellationRow(ball, alpha, float(osc), float(psival),
                                         float(osc / psival), W, sens, gap))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the explicit moment-probe bumps
+
+
+def cutoff_eta(s):
+    """Radial cutoff: 1 on [0, 3/2], quintic descent on [3/2, 2], 0 beyond."""
+    return 1.0 - quintic_step(2.0 * (np.asarray(s, dtype=float) - 1.5))
+
+
+@dataclass(frozen=True)
+class Phi0Bump:
+    """C_alpha y^alpha times a cutoff equal to 1 for |y| < 1, supported in
+    B(v/2, 2), with all derivative sups up to order k below 2^{-|beta|-2n}.
+
+    The quoted construction bounds the derivatives by 2^{|beta|-2n}; the
+    tighter exponent used here is what actually survives the rescaling to
+    phi^{x,alpha}, so the rescaled copies meet the admissible-family bounds.
+    """
+
+    v: tuple[float, ...]
+    alpha: MultiIndex
+    c_alpha: float
+    k: int
+    fallback: bool
+    lobe_sign: float
+    lobe_center: tuple[float, ...]
+    integral: float
+    certification: tuple = ()
+
+    @property
+    def dim(self) -> int:
+        return len(self.v)
+
+    @property
+    def support(self) -> Ball:
+        return Ball(tuple(c / 2.0 for c in self.v), 2.0)
+
+    def _profile(self, pts: np.ndarray) -> np.ndarray:
+        z = np.sqrt(sq_distance(pts, tuple(c / 2.0 for c in self.v)))
+        prof = cutoff_eta(z)
+        if self.fallback:
+            s = np.sqrt(sq_distance(pts, self.lobe_center)) / _LOBE_RADIUS
+            prof = prof + self.lobe_sign * np.clip(1.0 - s**2, 0.0, None) ** 3
+        return prof
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        mono = monomial(pts, (0.0,) * self.dim, self.alpha)
+        return self.c_alpha * mono * self._profile(pts)
+
+
+_LOBE_RADIUS = 0.2
+_LOBE_DISTANCE = 1.75
+_PHI0_SAFETY = 0.9
+_PHI0_INTEGRAL_FLOOR = 1e-4
+
+
+def _box_integral(fn, center, radius, n):
+    """Iterated trapezoid rule over the box, last axis first."""
+    axes = [np.linspace(c - radius, c + radius, n) for c in center]
+    d = axes[0][1] - axes[0][0]
+    vals = np.asarray(fn(np.stack(np.meshgrid(*axes, indexing="ij"))))
+    for _ in center:
+        vals = np.trapezoid(vals, dx=d)
+    return float(vals)
+
+
+def _lobe_directions(v):
+    dim = len(v)
+    if dim == 1:
+        return [(1.0,), (-1.0,)]
+    s = 1.0 / math.sqrt(2.0)
+    return [(s, s), (s, -s), (1.0, 0.0), (0.0, 1.0), tuple(v)]
+
+
+@functools.lru_cache(maxsize=256)
+def _build_phi0_cached(v: tuple, alpha: MultiIndex, k: int) -> Phi0Bump:
+    dim = len(v)
+    center = tuple(c / 2.0 for c in v)
+
+    def make(fallback, sign, lobe_center):
+        probe = Phi0Bump(v, alpha, 1.0, k, fallback, sign, lobe_center, 0.0)
+        sups = derivative_sups(probe, center, 2.1, dim, k,
+                               samples_per_axis=4001 if dim == 1 else 321)
+        c = _PHI0_SAFETY * min(
+            2.0 ** (-order(beta) - 2 * dim) / max(s, 1e-300)
+            for beta, s in sups.items()
+        )
+        raw_integral = _box_integral(probe, center, 2.05, n=20001 if dim == 1 else 801)
+        cert = tuple(
+            (beta, c * sups[beta], 2.0 ** (-order(beta) - 2 * dim))
+            for beta in multiindices(dim, k)
+        )
+        return Phi0Bump(v, alpha, c, k, fallback, sign, lobe_center,
+                        c * raw_integral, cert)
+
+    bump = make(False, 0.0, center)
+    if abs(bump.integral) >= _PHI0_INTEGRAL_FLOOR:
+        return bump
+
+    # the radial cutoff can annihilate the moment of y^alpha (mixed alpha in
+    # dim 2); perturb it with a small off-axis lobe in the outer annulus,
+    # which leaves the |y| < 1 monomial region untouched
+    best = None
+    for u in _lobe_directions(v):
+        lc = tuple(center[i] + _LOBE_DISTANCE * u[i] for i in range(dim))
+        mono_at = math.prod(lc[i] ** alpha[i] for i in range(dim))
+        if mono_at == 0.0:
+            continue
+        for sign in (math.copysign(1.0, mono_at) * s for s in (1.0,)):
+            cand = make(True, sign, lc)
+            if best is None or abs(cand.integral) > abs(best.integral):
+                best = cand
+    if best is None or abs(best.integral) < _PHI0_INTEGRAL_FLOOR:
+        raise NumericalError("degenerate phi0 construction")
+    return best
+
+
+def build_phi0(v, alpha, idx: HardyIndex) -> Phi0Bump:
+    """The explicit bump of the moment lower-bound construction: equal to
+    C_alpha y^alpha on |y| < 1, supported in B(v/2, 2), derivative-certified
+    up to order N_p + 1, with a numerically certified nonzero integral."""
+    alpha = as_multiindex(alpha, idx.dim)
+    if order(alpha) > idx.N_p:
+        raise ValueError(f"|alpha| = {order(alpha)} exceeds N_p = {idx.N_p}")
+    nv = math.sqrt(sum(c * c for c in v))
+    if nv == 0:
+        raise ValueError("v must be a nonzero direction")
+    v = tuple(round(c / nv, 12) for c in v)
+    return _build_phi0_cached(v, alpha, idx.N_p + 1)
+
+
+@dataclass(frozen=True)
+class RescaledProbe:
+    """phi^{x,alpha}(y) = |x|^{-n} phi0^{x/|x|,alpha}(y / (2|x|)); supported in
+    B(x, 4|x|) and admissible for the family with T = 2, t = 4|x|."""
+
+    x: tuple[float, ...]
+    phi0: Phi0Bump
+
+    @property
+    def scale(self) -> float:
+        return 4.0 * math.sqrt(sum(c * c for c in self.x))
+
+    @property
+    def support(self) -> Ball:
+        return Ball(self.x, self.scale)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        ax = math.sqrt(sum(c * c for c in self.x))
+        return ax ** (-len(self.x)) * self.phi0(pts / (2.0 * ax))
+
+
+def phi_x_alpha(x, alpha, idx: HardyIndex) -> RescaledProbe:
+    x = tuple(float(c) for c in x)
+    if all(c == 0 for c in x):
+        raise ValueError("x must be nonzero")
+    return RescaledProbe(x, build_phi0(x, alpha, idx))
+
+
+def with_probes(values: np.ndarray, f: GridFunction, alpha, sites, idx: HardyIndex,
+                T: float) -> np.ndarray:
+    """values raised, at each site x, to |<f, phi^{x,alpha}>|: a grand maximal
+    function over a dictionary plus the moment probes at the given sites.
+    Probes outside the family (scale >= T) or the domain are skipped."""
+    spec = f.spec
+    out = values.copy()
+    for site in sites:
+        probe = phi_x_alpha(site, alpha, idx)
+        if probe.scale >= T or not probe.support.fits_in(spec):
+            continue
+        pairing = abs(np.sum(f.samples * probe(spec.points())) * spec.cell_volume)
+        i = spec.index_of(site)
+        out[i] = max(out[i], pairing)
+    return out

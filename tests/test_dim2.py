@@ -5,9 +5,10 @@ import pytest
 
 from hardylab.atoms import AtomSpec, make_atom, moment_bound_check, pseudo_decompose, validate_atom
 from hardylab.grid import Ball, GridFunction, GridSpec, sample_function
-from hardylab.maximal import MollifierSpec, ScaleGrid, build_phi0, hp_norm, small_maximal
+from hardylab.maximal import MollifierSpec, ScaleGrid, hp_norm, small_maximal
 from hardylab.moments import BallBasis, HardyIndex, local_oscillation
 from hardylab.operators import cancellation_test, get_operator
+from oracles import build_phi0
 
 IDX = HardyIndex(1.0, 2)
 

@@ -22,22 +22,19 @@ from hardylab.grid import (
     sample_function,
 )
 from hardylab.maximal import (
-    MollifierCopyEntry,
     MollifierSpec,
-    MomentProbeEntry,
     ScaleGrid,
     TestDictionary,
-    build_phi0,
     build_test_dictionary,
-    cutoff_eta,
     grand_maximal,
     grand_maximal_table,
     hp_norm,
-    phi_x_alpha,
     small_maximal,
 )
 from hardylab.moments import HardyIndex, moment
-from oracles import verify_admissible
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import build_phi0, cutoff_eta, phi_x_alpha, verify_admissible, with_probes
 
 IDX1 = HardyIndex(1.0, 1)
 IDXH = HardyIndex(0.5, 1)
@@ -60,7 +57,7 @@ def test_mollifier_integrals():
             mol = MollifierSpec(shape, dim)
             val = integrate(sample_function(spec, mol))
             assert val == pytest.approx(1.0, abs=1e-4)
-            assert abs(mol.integral) >= 0.5
+            assert abs(val) >= 0.5
 
 
 def test_scale_grid_validation(grid):
@@ -80,7 +77,8 @@ def test_small_maximal_mollification_floor(grid, scales):
     f = sample_function(grid, lambda p: np.exp(-4 * p[0] ** 2))
     sm = small_maximal(f, mol, scales)
     core = np.abs(grid.axis()) < 1.0
-    assert np.all(sm.samples[core] >= 0.9 * abs(mol.integral) * f.samples[core])
+    integral = integrate(sample_function(grid, mol))
+    assert np.all(sm.samples[core] >= 0.9 * abs(integral) * f.samples[core])
 
 
 def test_small_maximal_homogeneity(grid, scales):
@@ -229,12 +227,10 @@ def test_phi_x_alpha_admissible_for_random_sites():
             assert rep.passed, rep.to_text()
 
 
-def test_verify_admissible_detects_violation():
+def test_verify_admissible_detects_violation(grid, scales):
     mol = MollifierSpec("smooth-bump", 1)
     t = 0.5
-    from hardylab.maximal import _mollifier_amplitude
-
-    amp = _mollifier_amplitude(mol, 1)
+    amp = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales).amplitude  # k = 1
 
     def entry(pts):
         return amp * t**-1 * mol(pts / t)
@@ -262,24 +258,29 @@ def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
     f = sample_function(grid, lambda p: np.exp(-2 * p[0] ** 2))
     gm = grand_maximal(f, dct)
     sm = small_maximal(f, mol, scales)
-    amp = dct.entries[0].amplitude
+    amp = dct.amplitude
+    assert dct == TestDictionary(mol, scales, amp)
     assert np.max(np.abs(gm.samples - amp * sm.samples)) == 0.0
     zero = GridFunction(grid, np.zeros(grid.shape))
     assert np.all(grand_maximal(zero, dct).samples == 0.0)
 
 
+def union_ladder(*ladders):
+    return ScaleGrid(tuple(sorted({t for sg in ladders for t in sg.scales})))
+
+
 def test_grand_maximal_monotone_in_dictionary(grid, scales):
+    # the T = 2 ladder joined to the T = 1 one: the same kernels and
+    # convolutions plus more, so the max can only rise, exactly
     mol = MollifierSpec("smooth-bump", 1)
     small_dct = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales)
-    big = TestDictionary(small_dct.k, 2.0, IDX1, list(small_dct.entries))
-    extra = build_test_dictionary(grid, IDX1, T=2.0, mollifier=mol,
-                                  scales=ScaleGrid.default(grid, 2.0))
-    big.entries.extend(extra.entries)
+    big = build_test_dictionary(grid, IDX1, T=2.0, mollifier=mol,
+                                scales=union_ladder(scales, ScaleGrid.default(grid, 2.0)))
     rng = np.random.default_rng(1)
     f = GridFunction(grid, rng.normal(size=grid.shape))
     a = grand_maximal(f, small_dct)
     b = grand_maximal(f, big)
-    assert np.all(b.samples >= a.samples - 1e-15)
+    assert np.all(b.samples >= a.samples)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -298,19 +299,42 @@ def test_small_maximal_monotone_under_scale_refinement(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_monotone_under_dictionary_superset(dim):
-    # more copies, a larger T and moment probes on top of every base entry
+    # more copies, a larger T and moment probes on top of every base copy
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     idx = HardyIndex(1.0, dim)
     f = sample_function(spec, lambda p: np.exp(-4 * np.sum(p**2, axis=0)) * (1 + p[0]))
-    base = build_test_dictionary(spec, idx, T=1.0, scales=ScaleGrid.default(spec, 1.0))
+    base = build_test_dictionary(spec, idx, T=1.0)
     sites = ((0.2, 0.1)[:dim], (0.3, 0.15)[:dim])
-    extra = build_test_dictionary(spec, idx, T=2.0, scales=ScaleGrid.default(spec, 2.0),
-                                  probe_alphas=((0,) * dim,), probe_sites=sites)
-    big = TestDictionary(base.k, 2.0, idx, base.entries + extra.entries)
+    big = build_test_dictionary(spec, idx, T=2.0, scales=union_ladder(
+        base.scales, ScaleGrid.default(spec, 2.0)))
     small_vals = grand_maximal(f, base).samples
-    big_vals = grand_maximal(f, big).samples
+    big_vals = with_probes(grand_maximal(f, big).samples, f, (0,) * dim, sites, idx, T=2.0)
     assert np.all(big_vals >= small_vals)
     assert np.any(big_vals > small_vals)
+
+
+@st.composite
+def nested_ladders(draw, fine):
+    # two ladders of at least 16 scales each, the smaller inside the larger
+    big = draw(st.lists(st.sampled_from(list(fine)), min_size=16, unique=True))
+    small = draw(st.lists(st.sampled_from(big), min_size=16, max_size=len(big), unique=True))
+    return ScaleGrid(tuple(sorted(small))), ScaleGrid(tuple(sorted(big)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_grand_maximal_monotone_under_nested_ladders(dim, data):
+    # any two nested ladders of one fine ladder: the larger dictionary
+    # reuses every kernel and convolution of the smaller, so >= is exact
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    idx = HardyIndex(1.0, dim)
+    small, big = data.draw(nested_ladders(np.geomspace(2.0 * spec.spacing, 2.0, 24)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = GridFunction(spec, rng.normal(size=spec.shape))
+    a = grand_maximal(f, build_test_dictionary(spec, idx, 2.0, scales=small)).samples
+    b = grand_maximal(f, build_test_dictionary(spec, idx, 2.0, scales=big)).samples
+    assert np.all(b >= a)
 
 
 def test_grand_maximal_sublinear(grid, scales):
@@ -325,20 +349,24 @@ def test_grand_maximal_sublinear(grid, scales):
 
 
 def test_grand_maximal_probe_lower_bound(grid):
-    # with the explicit probes in the dictionary, the grand maximal function
-    # at the probe sites dominates the rescaled moment exactly
+    # with the explicit probes on top of a dictionary of the T = 2 family, the
+    # grand maximal function at the probe sites dominates the rescaled moment
+    # exactly: on the full ladder, and on small copies only, where the probes
+    # alone carry the bound off the support
     r = 0.25
     g = sample_function(grid, lambda p: (np.abs(p[0]) < r).astype(float))
     sites = ((0.2,), (0.3,), (0.45,))
-    dct = build_test_dictionary(grid, IDX1, T=2.0, probe_alphas=((0,),),
-                                probe_sites=sites)
-    gm = grand_maximal(g, dct)
     m0 = moment(g, (0.0,), (0,))
-    for (xv,) in sites:
-        probe = phi_x_alpha((xv,), (0,), IDX1)
-        claimed = probe.phi0.c_alpha * abs(xv) ** -1 * abs(m0)
-        i = int(round((xv + grid.half_width) / grid.spacing))
-        assert gm.samples[i] >= claimed - 1e-12
+    for t_max in (2.0, 0.05):
+        dct = build_test_dictionary(grid, IDX1, T=2.0, scales=ScaleGrid.default(grid, t_max))
+        copies = grand_maximal(g, dct).samples
+        gm = with_probes(copies, g, (0,), sites, IDX1, T=2.0)
+        for (xv,) in sites:
+            probe = phi_x_alpha((xv,), (0,), IDX1)
+            claimed = probe.phi0.c_alpha * abs(xv) ** -1 * abs(m0)
+            i = int(round((xv + grid.half_width) / grid.spacing))
+            assert gm[i] >= claimed - 1e-12
+    assert np.any(gm > copies)  # on the small copies, the probes raise the value
 
 
 def test_dictionary_requires_compact_mollifier(grid, scales):
@@ -355,24 +383,19 @@ def roll_window(Ff, Fg, spec):
     return raw[emb].copy()
 
 
-def serial_grand_maximal(f, dictionary):
-    # one convolution per entry in dictionary order, probes interleaved
+def serial_grand_maximal(f, dictionary, probes=()):
+    # one convolution per copy in ladder order, the (alpha, sites, idx, T)
+    # moment probes folded in halfway up the ladder
     spec = f.spec
     out = np.zeros(spec.shape)
     Ff = padded_spectrum(f)
-    for entry in dictionary.entries:
-        if isinstance(entry, MollifierCopyEntry):
-            Fk = padded_spectrum(dilate(entry.mollifier, entry.scale, spec))
-            np.maximum(out, entry.amplitude * np.abs(roll_window(Ff, Fk, spec)), out=out)
-            continue
-        for site in entry.sites:
-            probe = phi_x_alpha(site, entry.alpha, dictionary.idx)
-            if probe.scale >= dictionary.T or not probe.support.fits_in(spec):
-                continue
-            pairing = abs(np.sum(f.samples * probe(spec.points())) * spec.cell_volume)
-            i = tuple(int(round((c + spec.half_width) / spec.spacing)) % spec.points_per_axis
-                      for c in site)
-            out[i] = max(out[i], pairing)
+    scales = dictionary.scales.scales
+    for n, t in enumerate(scales):
+        if n == len(scales) // 2:
+            for alpha, sites, idx, T in probes:
+                out = with_probes(out, f, alpha, sites, idx, T)
+        Fk = padded_spectrum(dilate(dictionary.mollifier, t, spec))
+        np.maximum(out, dictionary.amplitude * np.abs(roll_window(Ff, Fk, spec)), out=out)
     return out
 
 
@@ -399,16 +422,17 @@ def test_grand_maximal_matches_serial_loop_bitwise(grid):
     x = grid.axis()
     f = GridFunction(grid, (np.abs(x) < 0.25) * np.exp(1j * x))
     without = grand_maximal(f, dct).samples
-    dct.entries.insert(len(dct.entries) // 2, MomentProbeEntry((0,), ((0.2,), (-0.3,), (0.45,))))
-    out = grand_maximal(f, dct).samples
+    assert np.array_equal(without, serial_grand_maximal(f, dct))
+    probes = ((0,), ((0.2,), (-0.3,), (0.45,)), IDX1, 2.0)
+    out = with_probes(without, f, *probes)
     assert np.any(out != without)
-    assert np.array_equal(out, serial_grand_maximal(f, dct))
+    assert np.array_equal(out, serial_grand_maximal(f, dct, [probes]))
 
 
 def table_case(dim, is_complex):
     # functions: noise and a compact bump; dictionaries: two k (so two
     # amplitudes) on one ladder, an overlapping ladder, a disjoint ladder, and
-    # one dictionary that mixes both amplitudes
+    # the union of the first and the disjoint one
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     rng = np.random.default_rng(40 + dim)
     x = rng.normal(size=spec.shape)
@@ -425,8 +449,8 @@ def table_case(dim, is_complex):
              build_test_dictionary(spec, idxh, 1.0, scales=base),
              build_test_dictionary(spec, idx1, 2.0, scales=wide),
              build_test_dictionary(spec, idxh, 2.0, scales=apart)]
-    dicts.append(TestDictionary(3, 2.0, idxh, dicts[0].entries + dicts[3].entries))
-    assert dicts[0].entries[0].amplitude != dicts[1].entries[0].amplitude
+    dicts.append(build_test_dictionary(spec, idx1, 2.0, scales=union_ladder(base, apart)))
+    assert dicts[0].amplitude != dicts[1].amplitude
     return fs, dicts
 
 
@@ -461,7 +485,7 @@ def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
     built = count_kernel_builds(monkeypatch)
     monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
     grand_maximal_table(fs, dicts)
-    distinct = {(e.mollifier, e.scale) for d in dicts for e in d.entries}
+    distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
     assert built == Counter(dict.fromkeys(distinct, 1))
     assert not maximal._kernel_cache
 
@@ -475,7 +499,7 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
     built = count_kernel_builds(monkeypatch)
     monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 1)
     grouped = grand_maximal_table(fs, dicts)
-    distinct = {(e.mollifier, e.scale) for d in dicts for e in d.entries}
+    distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
     assert built == Counter(dict.fromkeys(distinct, len(fs)))
     for a, b in zip(whole, grouped):
         assert all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
