@@ -7,8 +7,9 @@ which for these periodic grids is the midpoint rule up to an index shift
 and is exact enough (O(h^2)) for the indicator-like and smooth integrands
 used throughout.
 
-All operations here are pure: they never mutate their inputs and are safe
-to share across threads.
+All operations here are pure: they never mutate their inputs, apart from
+the scratch and the output array handed to abs_convolve_spectra, and are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -295,41 +296,95 @@ def lp_norm(f: GridFunction, s: float, region: Ball | None = None) -> float:
     return lp_quasinorm(f, s, region)
 
 
-def _embedding(spec: GridSpec):
-    m = spec.points_per_axis
-    off = m // 2
-    return (2 * m,) * spec.dim, tuple(slice(off, off + m) for _ in range(spec.dim))
+# rows of the padded product that the 2D inverse transforms at a time: a
+# constant, so that a convolution always takes the same number of transforms
+TILE_ROWS = 64
 
 
 def padded_spectrum(f: GridFunction) -> np.ndarray:
-    """FFT of f zero-padded to twice the side, the operand of convolve_spectra."""
-    big, emb = _embedding(f.spec)
-    F = np.zeros(big, dtype=np.complex128 if not f.is_real else np.float64)
-    F[emb] = f.samples
-    return np.fft.fftn(F)
+    """FFT of f zero-padded to twice the side, the operand of convolve_spectra.
+
+    In 2D no padded copy is built: each run of rows of f that hold a nonzero
+    sample is written at its embedding rows of the complex spectrum and
+    transformed there along the last axis, in place; the axis-0 FFT then runs
+    in place. fftn takes the same transforms in the same axis order (casting
+    real rows to complex first), and a zero row transforms to +0.0, so the
+    result equals fftn of the padded copy bit for bit.
+    """
+    m = f.spec.points_per_axis
+    off = m // 2
+    if f.spec.dim == 1:
+        F = np.zeros(2 * m, dtype=np.float64 if f.is_real else np.complex128)
+        F[off:off + m] = f.samples
+        return np.fft.fftn(F)
+    F = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+    edges = np.flatnonzero(np.diff(f.samples.any(axis=1), prepend=False, append=False))
+    for lo, hi in zip(edges[::2], edges[1::2]):  # the runs of nonzero rows
+        rows = F[off + lo:off + hi]
+        rows[:, off:off + m] = f.samples[lo:hi]
+        np.fft.fft(rows, axis=-1, out=rows)
+    return np.fft.fft(F, axis=0, out=F)
 
 
-def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
-                     buf: np.ndarray | None = None) -> np.ndarray:
+def spectral_scratch(spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """Scratch for abs_convolve_spectra, reusable from call to call: in 1D
+    the padded product; in 2D the (2m x m) half that the axis-0 inverse runs
+    on and one tile of rows."""
+    m = spec.points_per_axis
+    if spec.dim == 1:
+        return (np.empty(2 * m, dtype=np.complex128),)
+    return (np.empty((2 * m, m), dtype=np.complex128),
+            np.empty((min(TILE_ROWS, 2 * m), 2 * m), dtype=np.complex128))
+
+
+def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
+                        scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # the first and the second half along axis 0 of the samples of f * g,
+    # two views of scratch
+    m = spec.points_per_axis
+    first, second = slice(3 * m // 2, 2 * m), slice(0, m // 2)
+    if spec.dim == 1:
+        (buf,) = scratch
+        np.multiply(Ff, Fg, out=buf)
+        np.fft.ifft(buf, axis=-1, out=buf)
+    else:
+        buf, tile = scratch
+        for r in range(0, 2 * m, len(tile)):
+            rows = slice(r, r + len(tile))
+            np.multiply(Ff[rows], Fg[rows], out=tile)
+            np.fft.ifft(tile, axis=-1, out=tile)
+            buf[rows, :m // 2] = tile[:, first]
+            buf[rows, m // 2:] = tile[:, second]
+        np.fft.ifft(buf, axis=0, out=buf)
+    parts = buf[first], buf[second]
+    for part in parts:
+        part *= spec.cell_volume
+    return parts
+
+
+def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Complex samples of f * g (h^dim scaling) from two padded spectra.
 
-    buf, a complex scratch array of the padded shape, receives Ff * Fg and is
-    overwritten. Circular convolution of arrays anchored at -2L returns the
-    true convolution shifted by half the padded period, so the window is
-    gathered from the indices (i - m) mod 2m. The inverse FFT runs along the
-    last axis first, as ifftn does, and in 2D the axis-0 pass covers only the
-    m window columns: the result equals ifftn followed by the window bit for
-    bit.
+    Circular convolution of arrays anchored at -2L returns the true
+    convolution shifted by half the padded period, so the window is the
+    indices (i - m) mod 2m: the last m/2 of the 2m, then the first m/2. The
+    inverse FFT runs along the last axis first, as ifftn does. In 2D it runs
+    on TILE_ROWS rows of the product at a time, only the m window columns of
+    each tile are kept, and the axis-0 pass covers those columns alone, so
+    no (2m)^2 array is built. The result equals ifftn of Ff * Fg, windowed
+    and scaled, bit for bit.
     """
-    m = spec.points_per_axis
-    buf = np.multiply(Ff, Fg, out=buf)
-    np.fft.ifft(buf, axis=-1, out=buf)
-    window = (np.arange(m // 2, 3 * m // 2) - m) % (2 * m)
-    out = buf[..., window]
-    if spec.dim == 2:
-        np.fft.ifft(out, axis=0, out=out)
-        out = out[window]
-    out *= spec.cell_volume
+    return np.concatenate(_convolution_window(Ff, Fg, spec, spectral_scratch(spec)))
+
+
+def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
+                         scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """np.abs(convolve_spectra(Ff, Fg, spec)) written into out, bit for bit,
+    with no array allocated: scratch is a spectral_scratch(spec)."""
+    first, second = _convolution_window(Ff, Fg, spec, scratch)
+    half = spec.points_per_axis // 2
+    np.abs(first, out=out[:half])
+    np.abs(second, out=out[half:])
     return out
 
 

@@ -36,10 +36,11 @@ import numpy as np
 from .grid import (
     GridFunction,
     GridSpec,
-    convolve_spectra,
+    abs_convolve_spectra,
     dilate,
     lp_quasinorm,
     padded_spectrum,
+    spectral_scratch,
     sq_distance,
 )
 from .moments import HardyIndex, MultiIndex, multiindices
@@ -176,11 +177,12 @@ if hasattr(os, "register_at_fork"):
 
 
 def _fold_chunk(work: list, kernel, spectra: list, maxima: list, spec: GridSpec,
-                buf: np.ndarray, lock: threading.Lock) -> None:
+                scratch: tuple, lock: threading.Lock) -> None:
+    spectral, vals = scratch
     for key, slots in work:
         Fk = kernel(key)
         for Ff, row in zip(spectra, maxima):
-            vals = np.abs(convolve_spectra(Ff, Fk, spec, buf))
+            abs_convolve_spectra(Ff, Fk, spec, spectral, vals)
             with lock:
                 for s in slots:
                     np.maximum(row[s], vals, out=row[s])
@@ -197,12 +199,14 @@ def _running_maxima(fs: list, work: dict, nsets: int, kernel) -> list:
     GIL) and folds into the one shared set of maxima under a lock; max is
     exact, so the result does not depend on the split or the order.
 
-    The functions run in groups, so that their padded spectra plus one kernel
-    and one scratch buffer per chunk stay within KERNEL_CACHE_BYTES; a group
-    holds at least one function, and every kernel is built once per group.
-    The scratch buffers live for one group and are allocated here, in the
-    calling thread: freed in a worker, they would stay in that thread's malloc
-    arena and raise the peak RSS."""
+    Each chunk has one scratch, reused for every convolution it takes: a
+    spectral_scratch (in 2D a (2m x m) half and one tile of rows, in 1D the
+    padded product) and one grid-sized float array for |.|. The scratch is
+    allocated here, in the calling thread: freed in a worker, it would stay
+    in that thread's malloc arena and raise the peak RSS. The functions run
+    in groups, so that their padded spectra plus one kernel and one scratch
+    per chunk stay within KERNEL_CACHE_BYTES; a group holds at least one
+    function, and every kernel is built once per group."""
     spec = fs[0].spec
     maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
     items = list(work.items())
@@ -210,14 +214,16 @@ def _running_maxima(fs: list, work: dict, nsets: int, kernel) -> list:
     if not chunks:
         return maxima
     lock = threading.Lock()
+    scratch = [(spectral_scratch(spec), np.empty(spec.shape)) for _ in chunks]
     nbytes = 16 * (2 * spec.points_per_axis) ** spec.dim  # one padded spectrum
-    group = max(1, KERNEL_CACHE_BYTES // nbytes - 2 * len(chunks))
+    spectral, vals = scratch[0]
+    per_chunk = nbytes + sum(a.nbytes for a in spectral) + vals.nbytes  # a kernel and a scratch
+    group = max(1, (KERNEL_CACHE_BYTES - len(chunks) * per_chunk) // nbytes)
     for start in range(0, len(fs), group):
         spectra = [padded_spectrum(f) for f in fs[start:start + group]]
-        bufs = [np.empty(spectra[0].shape, dtype=np.complex128) for _ in chunks]
         list(_pool.map(_fold_chunk, chunks, repeat(kernel), repeat(spectra),
-                       repeat(maxima[start:start + group]), repeat(spec), bufs, repeat(lock)))
-        del spectra, bufs
+                       repeat(maxima[start:start + group]), repeat(spec), scratch, repeat(lock)))
+        del spectra
     return maxima
 
 

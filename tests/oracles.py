@@ -3,13 +3,15 @@
 `materialize` turns any operator into its dense matrix (O(m^{2 dim}) memory,
 so only on small grids), `verify_admissible` certifies a test function's
 support and derivative bounds by dense sampling and finite differences,
-`container_bytes` writes the binary grid-function container, and
+`container_bytes` writes the binary grid-function container,
+`reference_padded_spectrum` and `reference_convolve_spectra` are the padded
+convolution as full-size fftn/ifftn with a fancy-index window, and
 `reference_cancellation_test` runs the cancellation test one row at a time,
-with a fresh adjoint and symbol per application and full-grid windows and
-masks. The explicit moment-probe bumps phi^{x,alpha} of the paper's moment
-lower bound (`build_phi0`, `phi_x_alpha`) live here too, with `with_probes`,
-which raises a grand maximal function to their pairings at given sites.
-None of them is used by the experiments.
+with one adjoint per operator, a field per application and full-grid
+windows and masks. The explicit moment-probe bumps phi^{x,alpha} of the
+paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here too, with
+`with_probes`, which raises a grand maximal function to their pairings at
+given sites. None of them is used by the experiments.
 """
 
 import functools
@@ -151,6 +153,21 @@ def container_bytes(f: GridFunction) -> bytes:
     return header + f.samples.ravel().astype("<c16" if flag else "<f8").tobytes()
 
 
+def reference_padded_spectrum(f: GridFunction) -> np.ndarray:
+    """np.fft.fftn of the copy of f zero-padded to twice the side."""
+    m = f.spec.points_per_axis
+    F = np.zeros((2 * m,) * f.spec.dim, dtype=np.float64 if f.is_real else np.complex128)
+    F[(slice(m // 2, m // 2 + m),) * f.spec.dim] = f.samples
+    return np.fft.fftn(F)
+
+
+def reference_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """ifftn(Ff * Fg) on the window of indices (i - m) mod 2m, times cell_volume."""
+    m = spec.points_per_axis
+    window = (np.arange(m // 2, 3 * m // 2) - m) % (2 * m)
+    return np.fft.ifftn(Ff * Fg)[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+
+
 def _full_grid_rms(f: GridFunction, ball: Ball) -> float:
     mask = sq_distance(f.spec.points(), ball.center) < ball.radius**2
     if not mask.any():
@@ -158,9 +175,12 @@ def _full_grid_rms(f: GridFunction, ball: Ball) -> float:
     return float(np.sqrt(np.mean(np.abs(f.samples[mask]) ** 2)))
 
 
-def reference_tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpec):
+def reference_tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpec,
+                             adjoint: OperatorSpec | None = None):
     """(T* of the windowed monomial at W, window sensitivity), each field by
-    its own T.adjoint().apply on a full-grid window."""
+    its own apply of T* (adjoint, or T.adjoint()) on a full-grid window."""
+    if adjoint is None:
+        adjoint = T.adjoint()
     x0 = tuple(float(c) for c in x0)
     alpha = as_multiindex(alpha, spec.dim)
     mono = monomial_field(spec, x0, alpha)
@@ -169,8 +189,8 @@ def reference_tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpe
     def window(R):
         return GridFunction(spec, 1.0 - quintic_step(dist / R - 1.0))
 
-    f_full = T.adjoint().apply(window(W) * mono)
-    f_half = T.adjoint().apply(window(W / 2.0) * mono)
+    f_full = adjoint.apply(window(W) * mono)
+    f_half = adjoint.apply(window(W / 2.0) * mono)
     scale = _full_grid_rms(window(W) * mono, Ball(x0, 2.0 * W))
     sens = _full_grid_rms(f_full - f_half, Ball(x0, W / 4.0)) / max(scale, 1e-300)
     if sens > WINDOW_SENSITIVITY_LIMIT:
@@ -181,13 +201,14 @@ def reference_tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpe
 def reference_cancellation_test(T: OperatorSpec, idx, balls, alphas, spec: GridSpec,
                                 check_duality: bool = True) -> list[CancellationRow]:
     """The rows of cancellation_test, ball by ball and alpha by alpha, each
-    from its own reference_tstar_monomial."""
+    from its own reference_tstar_monomial with the one adjoint of T."""
+    adjoint = T.adjoint()
     rows = []
     for ball in balls:
         W = max(8.0 * ball.radius, 1.0)
         for alpha in alphas:
             alpha = as_multiindex(alpha, spec.dim)
-            field, sens = reference_tstar_monomial(T, ball.center, alpha, W, spec)
+            field, sens = reference_tstar_monomial(T, ball.center, alpha, W, spec, adjoint)
             osc = local_oscillation(field, ball, idx.N_p)
             psival = psi(idx, alpha, ball.radius)
             gap = float("nan")

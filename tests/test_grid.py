@@ -9,6 +9,7 @@ from hardylab.grid import (
     Ball,
     GridFunction,
     GridSpec,
+    abs_convolve_spectra,
     ball_smooth_fields,
     convolve,
     convolve_spectra,
@@ -21,11 +22,12 @@ from hardylab.grid import (
     padded_spectrum,
     random_smooth_field,
     sample_function,
+    spectral_scratch,
 )
 from hardylab.maximal import quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
 from hardylab.operators import smooth_window
-from oracles import container_bytes
+from oracles import container_bytes, reference_convolve_spectra, reference_padded_spectrum
 
 
 def gauss(p):
@@ -292,12 +294,61 @@ def test_convolve_spectra_matches_roll_reference_bitwise(dim, m, is_complex):
     Ff0, Fg0 = Ff.copy(), Fg.copy()
     ref = roll_window_reference(Ff, Fg, spec, real=False)
     assert np.array_equal(convolve_spectra(Ff, Fg, spec), ref)
-    buf = np.empty(Ff.shape, dtype=np.complex128)
-    for _ in range(2):  # the scratch buffer is reusable
-        assert np.array_equal(convolve_spectra(Ff, Fg, spec, buf), ref)
+    scratch, out = spectral_scratch(spec), np.empty(spec.shape)
+    for _ in range(2):  # the scratch is reusable
+        assert np.array_equal(abs_convolve_spectra(Ff, Fg, spec, scratch, out), np.abs(ref))
     assert np.array_equal(Ff, Ff0) and np.array_equal(Fg, Fg0)
     assert np.array_equal(convolve(f, g).samples,
                           roll_window_reference(Ff, Fg, spec, real=not is_complex))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def row_supported(draw, dim: int, m: int, is_complex: bool) -> GridFunction:
+    # random samples on GridSpec(dim, 1.5, m) (h^dim is not a power of two,
+    # so scaling by it rounds) whose nonzero rows along axis 0 are none, one,
+    # several runs with gaps between them, or all
+    spec = GridSpec(dim, 1.5, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=spec.shape)
+    if is_complex:
+        x = x + 1j * rng.normal(size=spec.shape)
+    pattern = draw(st.sampled_from(["zero", "one row", "gaps", "full"]))
+    keep = np.full(m, pattern == "full")
+    if pattern == "one row":
+        keep[rng.integers(m)] = True
+    elif pattern == "gaps":
+        keep = rng.random(m) < 0.5
+        i = rng.integers(m - 2)
+        keep[i:i + 3] = True, False, True
+    x[~keep] = 0.0
+    return GridFunction(spec, x)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_padded_convolution_matches_fftn_bitwise(dim, data):
+    # the pruned forward transform and the tiled inverse against full-size
+    # fftn/ifftn, on the raw bits; m = 8 has fewer rows than one tile
+    m = data.draw(st.sampled_from([8, 16, 64, 256]))
+    f = data.draw(row_supported(dim, m, data.draw(st.booleans())))
+    g = data.draw(row_supported(dim, m, data.draw(st.booleans())))
+    spec = f.spec
+    Ff, Fg = padded_spectrum(f), padded_spectrum(g)
+    assert np.array_equal(bits(Ff), bits(reference_padded_spectrum(f)))
+    assert np.array_equal(bits(Fg), bits(reference_padded_spectrum(g)))
+    ref = reference_convolve_spectra(Ff, Fg, spec)
+    assert np.array_equal(bits(convolve_spectra(Ff, Fg, spec)), bits(ref))
+    scratch, out = spectral_scratch(spec), np.empty(spec.shape)
+    for _ in range(2):  # the scratch is reusable
+        abs_convolve_spectra(Ff, Fg, spec, scratch, out)
+        assert np.array_equal(bits(out), bits(np.abs(ref)))
+    out = convolve(f, g).samples
+    assert np.array_equal(bits(out), bits(ref.real.copy() if f.is_real and g.is_real else ref))
 
 
 def test_serialization_roundtrip(tmp_path):

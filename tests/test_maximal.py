@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ import pytest
 import hardylab.maximal as maximal
 from hardylab.errors import NumericalError
 from hardylab.grid import (
+    TILE_ROWS,
     Ball,
     GridFunction,
     GridSpec,
@@ -34,7 +36,15 @@ from hardylab.maximal import (
 from hardylab.moments import HardyIndex, moment
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_phi0, cutoff_eta, phi_x_alpha, verify_admissible, with_probes
+from oracles import (
+    build_phi0,
+    cutoff_eta,
+    phi_x_alpha,
+    reference_convolve_spectra,
+    reference_padded_spectrum,
+    verify_admissible,
+    with_probes,
+)
 
 IDX1 = HardyIndex(1.0, 1)
 IDXH = HardyIndex(0.5, 1)
@@ -375,14 +385,6 @@ def test_dictionary_requires_compact_mollifier(grid, scales):
                               mollifier=MollifierSpec("gaussian", 1), scales=scales)
 
 
-def roll_window(Ff, Fg, spec):
-    # the earlier padded convolution: full inverse FFT, roll, window copy
-    m = spec.points_per_axis
-    emb = tuple(slice(m // 2, m // 2 + m) for _ in range(spec.dim))
-    raw = np.roll(np.fft.ifftn(Ff * Fg) * spec.cell_volume, m, axis=tuple(range(spec.dim)))
-    return raw[emb].copy()
-
-
 def serial_grand_maximal(f, dictionary, probes=()):
     # one convolution per copy in ladder order, the (alpha, sites, idx, T)
     # moment probes folded in halfway up the ladder
@@ -395,7 +397,7 @@ def serial_grand_maximal(f, dictionary, probes=()):
             for alpha, sites, idx, T in probes:
                 out = with_probes(out, f, alpha, sites, idx, T)
         Fk = padded_spectrum(dilate(dictionary.mollifier, t, spec))
-        np.maximum(out, dictionary.amplitude * np.abs(roll_window(Ff, Fk, spec)), out=out)
+        np.maximum(out, dictionary.amplitude * np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
     return out
 
 
@@ -412,8 +414,54 @@ def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
     Ff = padded_spectrum(f)
     for t in sc.scales:
         Fk = padded_spectrum(dilate(mol, t, spec))
-        np.maximum(ref, np.abs(roll_window(Ff, Fk, spec)), out=ref)
+        np.maximum(ref, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=ref)
     assert np.array_equal(small_maximal(f, mol, sc).samples, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_small_maximal_matches_reference_fold_bitwise(dim, data):
+    # each |f * phi_t| scaled by h^dim before its modulus, as the full-size
+    # ifftn does; h^dim = (3/m)^dim is not a power of two, so the order shows
+    m = data.draw(st.sampled_from([8, 16, 64, 256] if dim == 1 else [8, 16, 64]))
+    spec = GridSpec(dim, 1.5, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=spec.shape)
+    f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if data.draw(st.booleans()) else x)
+    mol = MollifierSpec(data.draw(st.sampled_from(["gaussian", "smooth-bump"])), dim)
+    sc = ScaleGrid.default(spec, 1.0)
+    ref = np.zeros(spec.shape)
+    Ff = reference_padded_spectrum(f)
+    for t in sc.scales:
+        Fk = reference_padded_spectrum(dilate(mol, t, spec))
+        np.maximum(ref, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=ref)
+    assert np.array_equal(small_maximal(f, mol, sc).samples.view(np.uint64), ref.view(np.uint64))
+
+
+def test_small_maximal_memory_by_design(monkeypatch):
+    # traced peak of one warm-cache call at 2D m = 256, from the design: f's
+    # padded spectrum, per chunk one (2m x m) half, one tile of rows and one
+    # grid-sized float for |.|, the result, and 64 KiB for Python objects;
+    # a (2m)^2 product buffer per chunk does not fit
+    spec = GridSpec(2, 4.0, 256)
+    m = spec.points_per_axis
+    mol = MollifierSpec("gaussian", 2)
+    sc = ScaleGrid.default(spec, 1.0)
+    f = GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))
+    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
+    expected = small_maximal(f, mol, sc).samples  # warms the kernel cache
+    chunks = min(maximal._WORKERS, len(sc.scales))
+    per_chunk = 16 * 2 * m * m + 16 * min(TILE_ROWS, 2 * m) * 2 * m + 8 * m * m
+    bound = 16 * (2 * m) ** 2 + chunks * per_chunk + 8 * m * m + 2**16
+    tracemalloc.start()
+    try:
+        out = small_maximal(f, mol, sc).samples
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, expected)
+    assert peak <= bound, (peak, bound)
 
 
 def test_grand_maximal_matches_serial_loop_bitwise(grid):
