@@ -27,7 +27,7 @@ from .atoms import (
 )
 from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
 from .grid import Ball, GridFunction, GridSpec, integrate, lp_quasinorm, random_smooth_field
-from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, hp_norm, small_maximal
+from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, small_ball_factor
 from .operators import cancellation_test, get_operator, smooth_window, window_radius
 from .svgchart import Series, line_chart
@@ -142,19 +142,28 @@ def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
     rows = []
     for ip, p in enumerate(p_values):
         idx = HardyIndex(p, grid.dim)
+        cells = []  # per profile, (r, ball, field, norms key) per r
+        new = {}  # norms key -> (field, the p its norms are needed at)
         for iprof, prof in enumerate(profiles):
-            ratios: dict[tuple, list[float]] = {}
+            cells.append([])
             for ir, r in enumerate(ladder):
                 ball = Ball((0.0,) * grid.dim, r)
                 rng = np.random.default_rng([cfg.seed, ip, iprof, ir])
                 g = _profile_field(prof, grid, ball, rng, idx)
                 p_free = prof in _P_FREE_PROFILES
-                field = (iprof, ir) if p_free else (iprof, ir, ip)
-                if field not in norms:
-                    mg = small_maximal(g, mol, scales)
-                    norms[field] = {q: lp_quasinorm(mg, q) for q in (p_values if p_free else [p])}
-                    del mg
-                table = moment_bound_check(g, ball, idx, norms[field][p])
+                key = (iprof, ir) if p_free else (iprof, ir, ip)
+                cells[-1].append((r, ball, g, key))
+                if key not in norms:
+                    new[key] = (g, p_values if p_free else [p])
+        # one streamed pass over the scales for the fields new at this p
+        maxima = small_maximal_table([g for g, _ in new.values()], mol, scales)
+        for (key, (_, qs)), mg in zip(new.items(), maxima):
+            norms[key] = {q: lp_quasinorm(mg, q) for q in qs}
+        del maxima
+        for prof, row_cells in zip(profiles, cells):
+            ratios: dict[tuple, list[float]] = {}
+            for r, ball, g, key in row_cells:
+                table = moment_bound_check(g, ball, idx, norms[key][p])
                 for row in table.rows:
                     rows.append(["data", p, prof, r, _alpha_str(row.alpha),
                                  row.abs_moment, row.bound, table.hp, row.ratio])
@@ -239,22 +248,25 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     mol = MollifierSpec("gaussian", grid.dim)
     scales = ScaleGrid.default(grid, 1.0)
     alphas = multiindices(grid.dim, idx.N_p)
-    rows = []
+    cells = []  # (r, ball, seed, image of the atom); the atoms are not kept
     for r in ladder:
         ball = Ball((0.0,) * grid.dim, r)
+        spec_a = AtomSpec(idx, s, ball, "local")
         for seed in range(n_seeds):
-            a = make_atom(AtomSpec(idx, s, ball, "local"), cfg.seed + seed, grid)
-            Ta = T_op.apply(a)
-            rep = validate_premolecule(Ta, PreMoleculeSpec(idx, s, lam, C, ball))
-            best = min_premolecule_constant(Ta, idx, s, lam, ball)
-            hp = hp_norm(Ta, idx, mol, scales)
-            window = smooth_window(grid, ball.center, window_radius(r))
-            for alpha in alphas:
-                bound = small_ball_factor(idx, alpha, r)
-                pairing = abs(integrate(Ta * window * monomial_field(grid, ball.center, alpha)))
-                rows.append([T_op.name, p, s, lam, r, seed, _alpha_str(alpha),
-                             rep.m1_ratio, rep.m2_ratio, best, pairing, bound,
-                             pairing / (hp * bound) if hp > 0 else float("inf")])
+            cells.append((r, ball, seed, T_op.apply(make_atom(spec_a, cfg.seed + seed, grid))))
+    # every h^p norm from one streamed pass over the scales
+    hps = [lp_quasinorm(m, p) for m in small_maximal_table([Ta for *_, Ta in cells], mol, scales)]
+    rows = []
+    for (r, ball, seed, Ta), hp in zip(cells, hps):
+        rep = validate_premolecule(Ta, PreMoleculeSpec(idx, s, lam, C, ball))
+        best = min_premolecule_constant(Ta, idx, s, lam, ball)
+        window = smooth_window(grid, ball.center, window_radius(r))
+        for alpha in alphas:
+            bound = small_ball_factor(idx, alpha, r)
+            pairing = abs(integrate(Ta * window * monomial_field(grid, ball.center, alpha)))
+            rows.append([T_op.name, p, s, lam, r, seed, _alpha_str(alpha),
+                         rep.m1_ratio, rep.m2_ratio, best, pairing, bound,
+                         pairing / (hp * bound) if hp > 0 else float("inf")])
     rows.sort(key=lambda row: (-row[4], row[5], row[6]))
     return rows
 

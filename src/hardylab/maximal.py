@@ -13,11 +13,11 @@ compactly supported mollifier, one per scale of the ladder, translated to
 every grid site, with the one amplitude c that certifies them all.
 
 Both maximal functions fold |f * phi_t| into running maxima, one distinct
-scale at a time, on a thread pool. small_maximal takes its kernel spectra
-from a cache bounded by KERNEL_CACHE_BYTES; grand_maximal_table streams:
-each distinct kernel of all its dictionaries is built once, used for every
-function and dropped, and the padded spectra alive at one time stay under
-the same bound.
+scale at a time, on a thread pool, through one streamed pass: each distinct
+kernel is built once, used for every function of the call and dropped, and
+the padded spectra alive at one time stay under FOLD_SPECTRA_BYTES.
+small_maximal_table runs the pass over one ladder, grand_maximal_table over
+the distinct ladders of all its dictionaries.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import functools
 import math
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -130,36 +129,9 @@ class ScaleGrid:
         return cls(tuple(np.geomspace(lo, t_max, count)))
 
 
-# padded mollifier spectra of small_maximal, least recently used first; one
-# 2D m=4096 spectrum is 1 GiB, so the cache is bounded in bytes, not in
-# entries, and grand_maximal_table keeps the padded spectra it holds at one
-# time under the same bound
-KERNEL_CACHE_BYTES = 512 * 2**20
-_kernel_cache: OrderedDict = OrderedDict()
-_kernel_cache_lock = threading.Lock()
-
-
-def _mollifier_kernel_fft(mollifier: MollifierSpec, spec: GridSpec, t: float) -> np.ndarray:
-    key = (mollifier, spec, t)
-    with _kernel_cache_lock:
-        F = _kernel_cache.get(key)
-        if F is not None:
-            _kernel_cache.move_to_end(key)
-            return F
-    F = _build_kernel_fft(mollifier, spec, t)
-    if F.nbytes <= KERNEL_CACHE_BYTES:
-        with _kernel_cache_lock:
-            _kernel_cache[key] = F
-            cached = sum(a.nbytes for a in _kernel_cache.values())
-            while cached > KERNEL_CACHE_BYTES:
-                cached -= _kernel_cache.popitem(last=False)[1].nbytes
-    return F
-
-
-def _build_kernel_fft(mollifier: MollifierSpec, spec: GridSpec, t: float) -> np.ndarray:
-    F = padded_spectrum(dilate(mollifier, t, spec))
-    F.flags.writeable = False
-    return F
+# the padded spectra alive in one fold: one 2D m=4096 spectrum is 1 GiB, so
+# the functions of one call run in groups bounded in bytes
+FOLD_SPECTRA_BYTES = 512 * 2**20
 
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -176,11 +148,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _fold_chunk(work: list, kernel, spectra: list, maxima: list, spec: GridSpec,
+def _fold_chunk(work: list, spectra: list, maxima: list, spec: GridSpec,
                 scratch: tuple, lock: threading.Lock) -> None:
     spectral, vals = scratch
-    for key, slots in work:
-        Fk = kernel(key)
+    for (mollifier, t), slots in work:
+        Fk = padded_spectrum(dilate(mollifier, t, spec))
         for Ff, row in zip(spectra, maxima):
             abs_convolve_spectra(Ff, Fk, spec, spectral, vals)
             with lock:
@@ -189,15 +161,16 @@ def _fold_chunk(work: list, kernel, spectra: list, maxima: list, spec: GridSpec,
         del Fk  # this scale is done: drop its kernel before building the next
 
 
-def _running_maxima(fs: list, work: dict, nsets: int, kernel) -> list:
+def _running_maxima(fs: list, work: dict, nsets: int) -> list:
     """maxima[i][s], the pointwise max of |fs[i] * phi_t| over the scales of
     scale set s, walking each distinct scale once.
 
-    work maps each distinct (mollifier, t) to the scale sets that hold it,
-    and kernel((mollifier, t)) gives its padded spectrum. One interleaved
-    chunk of the scales per CPU runs on the pool (NumPy's FFT releases the
-    GIL) and folds into the one shared set of maxima under a lock; max is
-    exact, so the result does not depend on the split or the order.
+    work maps each distinct (mollifier, t) to the scale sets that hold it.
+    One interleaved chunk of the scales per CPU runs on the pool (NumPy's
+    FFT releases the GIL) and folds into the one shared set of maxima under
+    a lock; max is exact, so the result does not depend on the split or the
+    order. A chunk builds the padded spectrum of each of its kernels, folds
+    it against every function of the group and drops it before the next.
 
     Each chunk has one scratch, reused for every convolution it takes: a
     spectral_scratch (in 2D a (2m x m) half and one tile of rows, in 1D the
@@ -205,9 +178,14 @@ def _running_maxima(fs: list, work: dict, nsets: int, kernel) -> list:
     allocated here, in the calling thread: freed in a worker, it would stay
     in that thread's malloc arena and raise the peak RSS. The functions run
     in groups, so that their padded spectra plus one kernel and one scratch
-    per chunk stay within KERNEL_CACHE_BYTES; a group holds at least one
-    function, and every kernel is built once per group."""
+    per chunk stay within FOLD_SPECTRA_BYTES; a group holds at least one
+    function, and every kernel is built once per group. No functions give
+    no maxima; functions on different grids raise ValueError."""
+    if not fs:
+        return []
     spec = fs[0].spec
+    if any(f.spec != spec for f in fs):
+        raise ValueError("grid mismatch")
     maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
     items = list(work.items())
     chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
@@ -218,22 +196,29 @@ def _running_maxima(fs: list, work: dict, nsets: int, kernel) -> list:
     nbytes = 16 * (2 * spec.points_per_axis) ** spec.dim  # one padded spectrum
     spectral, vals = scratch[0]
     per_chunk = nbytes + sum(a.nbytes for a in spectral) + vals.nbytes  # a kernel and a scratch
-    group = max(1, (KERNEL_CACHE_BYTES - len(chunks) * per_chunk) // nbytes)
+    group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * per_chunk) // nbytes)
     for start in range(0, len(fs), group):
         spectra = [padded_spectrum(f) for f in fs[start:start + group]]
-        list(_pool.map(_fold_chunk, chunks, repeat(kernel), repeat(spectra),
-                       repeat(maxima[start:start + group]), repeat(spec), scratch, repeat(lock)))
+        list(_pool.map(_fold_chunk, chunks, repeat(spectra), repeat(maxima[start:start + group]),
+                       repeat(spec), scratch, repeat(lock)))
         del spectra
     return maxima
 
 
+def small_maximal_table(fs: list[GridFunction], mollifier: MollifierSpec,
+                        scales: ScaleGrid) -> list[GridFunction]:
+    """out[i] = small_maximal(fs[i], mollifier, scales) for every function, in
+    one pass over the scales: each kernel is built once, convolved with every
+    function and dropped. As in grand_maximal_table, no functions give [] and
+    functions on different grids raise ValueError."""
+    maxima = _running_maxima(fs, dict.fromkeys(((mollifier, t) for t in scales.scales), (0,)), 1)
+    return [GridFunction(f.spec, row[0]) for f, row in zip(fs, maxima)]
+
+
 def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> GridFunction:
-    """Pointwise max over the scale grid of |f * phi_t| (lower bound for m_phi f)."""
-    # fetched here, in the calling thread: built in a worker, the cached
-    # spectra would sit in that thread's malloc arena (2D E1 peak RSS +10%)
-    kernels = {(mollifier, t): _mollifier_kernel_fft(mollifier, f.spec, t) for t in scales.scales}
-    maxima = _running_maxima([f], dict.fromkeys(kernels, (0,)), 1, kernels.__getitem__)
-    return GridFunction(f.spec, maxima[0][0])
+    """Pointwise max over the scale grid of |f * phi_t| (lower bound for m_phi f).
+    The one-row case of small_maximal_table."""
+    return small_maximal_table([f], mollifier, scales)[0]
 
 
 def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,
@@ -319,15 +304,10 @@ def grand_maximal_table(fs: list[GridFunction],
     pass over the distinct (mollifier, scale) pairs of all the dictionaries.
 
     Each distinct scale's kernel is built once, convolved with every function
-    and dropped; it never enters the small_maximal kernel cache. |f * phi_t|
-    is folded into a running max per distinct (mollifier, ladder), and each
-    dictionary's amplitude is applied once at the end: rounding is monotone,
-    so amp * max|.| equals max(amp * |.|) bit for bit."""
-    if not fs:
-        return []
-    spec = fs[0].spec
-    if any(f.spec != spec for f in fs):
-        raise ValueError("grid mismatch")
+    and dropped. |f * phi_t| is folded into a running max per distinct
+    (mollifier, ladder), and each dictionary's amplitude is applied once at
+    the end: rounding is monotone, so amp * max|.| equals max(amp * |.|) bit
+    for bit."""
     ladders: dict[tuple, int] = {}  # (mollifier, scales) -> its running max
     work: dict[tuple, list[int]] = {}  # (mollifier, t) -> the ladders holding it
     for d in dictionaries:
@@ -335,9 +315,9 @@ def grand_maximal_table(fs: list[GridFunction],
             s = ladders[d.mollifier, d.scales] = len(ladders)
             for t in d.scales.scales:
                 work.setdefault((d.mollifier, t), []).append(s)
-    maxima = _running_maxima(fs, work, len(ladders), lambda key: _build_kernel_fft(key[0], spec, key[1]))
-    return [[GridFunction(spec, d.amplitude * row[ladders[d.mollifier, d.scales]]) for d in dictionaries]
-            for row in maxima]
+    maxima = _running_maxima(fs, work, len(ladders))
+    return [[GridFunction(f.spec, d.amplitude * row[ladders[d.mollifier, d.scales]]) for d in dictionaries]
+            for f, row in zip(fs, maxima)]
 
 
 def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:

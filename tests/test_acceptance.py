@@ -20,8 +20,8 @@ from hardylab.atoms import (
 from hardylab.config import ExperimentConfig
 from hardylab.errors import NumericalError
 from hardylab.experiments import run_experiment
-from hardylab.grid import Ball, GridFunction, GridSpec, convolve, sample_function
-from hardylab.maximal import MollifierSpec, ScaleGrid, hp_norm
+from hardylab.grid import Ball, GridFunction, GridSpec, convolve, lp_quasinorm, sample_function
+from hardylab.maximal import MollifierSpec, ScaleGrid, small_maximal_table
 from hardylab.moments import HardyIndex, dual_norm_check, local_oscillation, multiindices, poly_project
 from hardylab.operators import cancellation_test, get_operator, kernel_holder_check, kernel_size_check
 
@@ -129,12 +129,9 @@ def test_criterion_04_atom_suite():
     ok = True
     for idx, s, space in classes:
         spec_a = AtomSpec(idx, s, Ball((0.0,), 0.25), space)
-        hps = []
-        for seed in range(100):
-            a = make_atom(spec_a, seed, grid)
-            rep = validate_atom(a, spec_a, tol=1e-8)
-            ok = ok and rep.passed
-            hps.append(hp_norm(a, idx, mol, scales))
+        atoms = [make_atom(spec_a, seed, grid) for seed in range(100)]
+        ok = ok and all(validate_atom(a, spec_a, tol=1e-8).passed for a in atoms)
+        hps = [lp_quasinorm(m, idx.p) for m in small_maximal_table(atoms, mol, scales)]
         spread = max(hps) / min(hps)
         ok = ok and spread <= 20.0
         detail.append(f"(p={idx.p:.3g},s={s:g},{space}): spread {spread:.2f}")
@@ -151,11 +148,10 @@ def test_criterion_05_moment_decay_trend():
     spans = {}
     for idx in (IDX1, IDX23):
         ratios = []
-        for k in range(1, 9):
-            r = 2.0**-k
-            ball = Ball((0.0,), r)
-            g = GridFunction(grid, ball.mask(grid).astype(float))
-            (row,) = moment_bound_check(g, ball, idx, hp_norm(g, idx, mol, scales)).rows
+        balls = [Ball((0.0,), 2.0**-k) for k in range(1, 9)]
+        gs = [GridFunction(grid, ball.mask(grid).astype(float)) for ball in balls]
+        for ball, g, mg in zip(balls, gs, small_maximal_table(gs, mol, scales)):
+            (row,) = moment_bound_check(g, ball, idx, lp_quasinorm(mg, idx.p)).rows
             ratios.append(row.ratio)
         spans[idx.p] = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - start

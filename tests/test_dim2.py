@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hardylab.atoms import AtomSpec, make_atom, moment_bound_check, pseudo_decompose, validate_atom
-from hardylab.grid import Ball, GridFunction, GridSpec, sample_function
-from hardylab.maximal import MollifierSpec, ScaleGrid, hp_norm, small_maximal
+from hardylab.grid import Ball, GridFunction, GridSpec, lp_quasinorm, sample_function
+from hardylab.maximal import MollifierSpec, ScaleGrid, hp_norm, small_maximal, small_maximal_table
 from hardylab.moments import BallBasis, HardyIndex, local_oscillation
 from hardylab.operators import cancellation_test, get_operator
 from oracles import build_phi0
@@ -29,7 +29,8 @@ def test_atoms_2d(grid):
     spec_a = AtomSpec(IDX, 2.0, Ball((0.0, 0.0), 0.3), "local")
     atoms = [make_atom(spec_a, seed, grid) for seed in range(5)]
     assert all(validate_atom(a, spec_a, 1e-8).passed for a in atoms)
-    hps = [hp_norm(a, IDX) for a in atoms]
+    maxima = small_maximal_table(atoms, MollifierSpec("gaussian", 2), ScaleGrid.default(grid, 1.0))
+    hps = [lp_quasinorm(m, IDX.p) for m in maxima]
     assert max(hps) / min(hps) <= 20.0
 
 

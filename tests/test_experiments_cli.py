@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hardylab.config import (
 )
 from hardylab.experiments import RUNNERS, SCHEMAS, run_experiment
 from hardylab.grid import Ball, GridSpec
+from hardylab.maximal import MollifierSpec, ScaleGrid
 from hardylab.moments import HardyIndex
 from oracles import container_bytes
 
@@ -170,8 +172,10 @@ r_ladder = 2^-2, 2^-3
 
 def test_e1_one_small_maximal_per_distinct_field(tmp_path, monkeypatch):
     # indicator and bump fields do not depend on p: one maximal function each
-    # per r; the random field is drawn per (p, r)
+    # per r, in the first p's table call; the random field is drawn per (p, r).
+    # One table call per p, each building the kernel ladder once
     import hardylab.experiments as experiments
+    import hardylab.maximal as maximal
 
     path = write(tmp_path, "e1.cfg", """
 [experiment]
@@ -184,17 +188,28 @@ p_values = 1, 2/3
 profiles = indicator, bump, random
 r_ladder = 2^-2, 2^-3
 """)
-    fields = []
-    small_maximal = experiments.small_maximal
+    calls = []
+    small_maximal_table = experiments.small_maximal_table
+    built = Counter()
+    dilate = maximal.dilate
 
-    def counting(f, mollifier, scales):
-        fields.append(f.samples.tobytes())
-        return small_maximal(f, mollifier, scales)
+    def counting(fs, mollifier, scales):
+        calls.append([f.samples.tobytes() for f in fs])
+        return small_maximal_table(fs, mollifier, scales)
 
-    monkeypatch.setattr(experiments, "small_maximal", counting)
+    def counting_dilate(phi, t, spec):
+        built[phi, t] += 1
+        return dilate(phi, t, spec)
+
+    monkeypatch.setattr(experiments, "small_maximal_table", counting)
+    monkeypatch.setattr(maximal, "dilate", counting_dilate)
     cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path / "out"), quiet=True)
     rows = run_experiment(cfg).rows
-    assert len(fields) == 8 and len(set(fields)) == 8  # 2 r x (indicator, bump) + 2 p x 2 r random
+    # 2 r x (indicator, bump, random), then 2 r x random
+    assert [len(fields) for fields in calls] == [6, 2]
+    assert len({f for fields in calls for f in fields}) == 8
+    scales = ScaleGrid.default(cfg.grid, 1.0)
+    assert built == Counter(dict.fromkeys(((MollifierSpec("gaussian", 1), t) for t in scales.scales), 2))
     assert len([r for r in rows if r[0] == "data"]) == 2 * 3 * 2
 
 

@@ -4,7 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter, OrderedDict
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,6 +32,7 @@ from hardylab.maximal import (
     grand_maximal_table,
     hp_norm,
     small_maximal,
+    small_maximal_table,
 )
 from hardylab.moments import HardyIndex, moment
 from hypothesis import given, settings
@@ -137,8 +138,8 @@ def test_hp_norm_uniform_over_atom_seeds(grid, scales):
 
     mol = MollifierSpec("gaussian", 1)
     spec_a = AtomSpec(IDX1, np.inf, Ball((0.0,), 0.25), "local")
-    vals = [hp_norm(make_atom(spec_a, seed, grid), IDX1, mol, scales)
-            for seed in range(50)]
+    atoms = [make_atom(spec_a, seed, grid) for seed in range(50)]
+    vals = [lp_quasinorm(m, IDX1.p) for m in small_maximal_table(atoms, mol, scales)]
     assert max(vals) / min(vals) <= 20.0
 
 
@@ -385,6 +386,17 @@ def test_dictionary_requires_compact_mollifier(grid, scales):
                               mollifier=MollifierSpec("gaussian", 1), scales=scales)
 
 
+def serial_small_maximal(f, mol, scales):
+    # one convolution per scale in ladder order
+    spec = f.spec
+    out = np.zeros(spec.shape)
+    Ff = padded_spectrum(f)
+    for t in scales.scales:
+        Fk = padded_spectrum(dilate(mol, t, spec))
+        np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
+    return out
+
+
 def serial_grand_maximal(f, dictionary, probes=()):
     # one convolution per copy in ladder order, the (alpha, sites, idx, T)
     # moment probes folded in halfway up the ladder
@@ -410,12 +422,7 @@ def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if is_complex else x)
     mol = MollifierSpec("gaussian", dim)
     sc = ScaleGrid.default(spec, 1.0)
-    ref = np.zeros(spec.shape)
-    Ff = padded_spectrum(f)
-    for t in sc.scales:
-        Fk = padded_spectrum(dilate(mol, t, spec))
-        np.maximum(ref, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=ref)
-    assert np.array_equal(small_maximal(f, mol, sc).samples, ref)
+    assert np.array_equal(small_maximal(f, mol, sc).samples, serial_small_maximal(f, mol, sc))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -439,21 +446,24 @@ def test_small_maximal_matches_reference_fold_bitwise(dim, data):
     assert np.array_equal(small_maximal(f, mol, sc).samples.view(np.uint64), ref.view(np.uint64))
 
 
-def test_small_maximal_memory_by_design(monkeypatch):
-    # traced peak of one warm-cache call at 2D m = 256, from the design: f's
-    # padded spectrum, per chunk one (2m x m) half, one tile of rows and one
-    # grid-sized float for |.|, the result, and 64 KiB for Python objects;
-    # a (2m)^2 product buffer per chunk does not fit
+def test_small_maximal_memory_by_design():
+    # traced peak of one cold call at 2D m = 256, from the design: f's padded
+    # spectrum; per chunk one (2m x m) half, one tile of rows and one
+    # grid-sized float for |.|, and one kernel build: its padded spectrum, its
+    # samples and dilate's temporaries (the points, their scaled copy and one
+    # work array: 2 dim + 1 grid-sized floats); the result; and 64 KiB for
+    # Python objects. A (2m)^2 product buffer per chunk does not fit, nor
+    # does a second kernel per chunk
     spec = GridSpec(2, 4.0, 256)
-    m = spec.points_per_axis
+    m, dim = spec.points_per_axis, spec.dim
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
     f = GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))
-    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
-    expected = small_maximal(f, mol, sc).samples  # warms the kernel cache
+    expected = small_maximal(f, mol, sc).samples  # starts the pool's workers
     chunks = min(maximal._WORKERS, len(sc.scales))
-    per_chunk = 16 * 2 * m * m + 16 * min(TILE_ROWS, 2 * m) * 2 * m + 8 * m * m
-    bound = 16 * (2 * m) ** 2 + chunks * per_chunk + 8 * m * m + 2**16
+    scratch = 16 * 2 * m * m + 16 * min(TILE_ROWS, 2 * m) * 2 * m + 8 * m * m
+    kernel = 16 * (2 * m) ** 2 + 8 * m * m + (2 * dim + 1) * 8 * m * m
+    bound = 16 * (2 * m) ** 2 + chunks * (scratch + kernel) + 8 * m * m + 2**16
     tracemalloc.start()
     try:
         out = small_maximal(f, mol, sc).samples
@@ -480,7 +490,8 @@ def test_grand_maximal_matches_serial_loop_bitwise(grid):
 def table_case(dim, is_complex):
     # functions: noise and a compact bump; dictionaries: two k (so two
     # amplitudes) on one ladder, an overlapping ladder, a disjoint ladder, and
-    # the union of the first and the disjoint one
+    # the union of the first and the disjoint one; small maximal functions:
+    # the Gaussian on the first ladder and the bump on the union
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     rng = np.random.default_rng(40 + dim)
     x = rng.normal(size=spec.shape)
@@ -499,19 +510,26 @@ def table_case(dim, is_complex):
              build_test_dictionary(spec, idxh, 2.0, scales=apart)]
     dicts.append(build_test_dictionary(spec, idx1, 2.0, scales=union_ladder(base, apart)))
     assert dicts[0].amplitude != dicts[1].amplitude
-    return fs, dicts
+    ladders = [(MollifierSpec("gaussian", dim), base), (dicts[-1].mollifier, dicts[-1].scales)]
+    return fs, dicts, ladders
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
-    fs, dicts = table_case(dim, is_complex)
+    fs, dicts, ladders = table_case(dim, is_complex)
     table = grand_maximal_table(fs, dicts)
     assert len(table) == len(fs) and all(len(row) == len(dicts) for row in table)
     for f, row in zip(fs, table):
         for dct, cell in zip(dicts, row):
             assert np.array_equal(cell.samples, grand_maximal(f, dct).samples)
             assert np.array_equal(cell.samples, serial_grand_maximal(f, dct))
+    for mol, sc in ladders:
+        small = small_maximal_table(fs, mol, sc)
+        assert len(small) == len(fs)
+        for f, cell in zip(fs, small):
+            assert np.array_equal(cell.samples, small_maximal(f, mol, sc).samples)
+            assert np.array_equal(cell.samples, serial_small_maximal(f, mol, sc))
 
 
 def count_kernel_builds(monkeypatch):
@@ -529,34 +547,56 @@ def count_kernel_builds(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
-    fs, dicts = table_case(dim, False)
+    fs, dicts, ladders = table_case(dim, False)
     built = count_kernel_builds(monkeypatch)
-    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
     grand_maximal_table(fs, dicts)
     distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
     assert built == Counter(dict.fromkeys(distinct, 1))
-    assert not maximal._kernel_cache
+    for mol, sc in ladders:
+        built.clear()
+        small_maximal_table(fs, mol, sc)
+        assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), 1))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
     # a budget below one padded spectrum: every function is a group of its own
-    fs, dicts = table_case(dim, True)
+    fs, dicts, ladders = table_case(dim, True)
     fs.append(fs[0] * 0.5 + fs[1])
     whole = grand_maximal_table(fs, dicts)
+    whole_small = [small_maximal_table(fs, mol, sc) for mol, sc in ladders]
     built = count_kernel_builds(monkeypatch)
-    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 1)
+    monkeypatch.setattr(maximal, "FOLD_SPECTRA_BYTES", 1)
     grouped = grand_maximal_table(fs, dicts)
     distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
     assert built == Counter(dict.fromkeys(distinct, len(fs)))
     for a, b in zip(whole, grouped):
         assert all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
+    for (mol, sc), want in zip(ladders, whole_small):
+        built.clear()
+        grouped = small_maximal_table(fs, mol, sc)
+        assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), len(fs)))
+        assert all(np.array_equal(x.samples, y.samples) for x, y in zip(want, grouped))
+
+
+def test_maximal_tables_empty_and_mismatched_grids():
+    mol = MollifierSpec("smooth-bump", 1)
+    spec, other = GridSpec(1, 4.0, 64), GridSpec(1, 4.0, 128)
+    sc = ScaleGrid.default(spec, 1.0)
+    dct = build_test_dictionary(spec, IDX1, 1.0, mollifier=mol, scales=sc)
+    assert small_maximal_table([], mol, sc) == []
+    assert grand_maximal_table([], [dct]) == []
+    fs = [GridFunction(spec, np.ones(spec.shape)), GridFunction(other, np.ones(other.shape))]
+    with pytest.raises(ValueError, match="grid mismatch"):
+        small_maximal_table(fs, mol, sc)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        grand_maximal_table(fs, [dct])
 
 
 def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
     # eight chunks fold into one shared set of maxima under a tiny switch
     # interval: a lost update would break the bitwise match
-    fs, dicts = table_case(2, False)
+    fs, dicts, _ = table_case(2, False)
     expected = [[serial_grand_maximal(f, d) for d in dicts] for f in fs]
     pool = ThreadPoolExecutor(8)
     monkeypatch.setattr(maximal, "_WORKERS", 8)
@@ -577,36 +617,12 @@ def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
         assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
 
 
-def test_kernel_cache_bounded_in_bytes(monkeypatch):
-    spec = GridSpec(2, 4.0, 16)  # one padded spectrum is 32 * 32 * 16 bytes
-    mol = MollifierSpec("smooth-bump", 2)
-    nbytes = 32 * 32 * 16
-    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
-    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 3 * nbytes)
-    ts = [1.0 + 0.25 * i for i in range(8)]
-    first = {}
-    for t in ts:
-        first[t] = maximal._mollifier_kernel_fft(mol, spec, t).copy()
-        cached = sum(a.nbytes for a in maximal._kernel_cache.values())
-        assert 0 < cached <= maximal.KERNEL_CACHE_BYTES
-    assert [k[2] for k in maximal._kernel_cache] == ts[-3:]
-    again = maximal._mollifier_kernel_fft(mol, spec, ts[0])  # evicted: recomputed
-    assert np.array_equal(again, first[ts[0]])
-    assert [k[2] for k in maximal._kernel_cache] == ts[-2:] + ts[:1]
-    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", nbytes - 1)
-    big = maximal._mollifier_kernel_fft(mol, spec, 3.0)  # larger than the cap
-    assert np.array_equal(big, padded_spectrum(dilate(mol, 3.0, spec)))
-    assert all(k[2] != 3.0 for k in maximal._kernel_cache)
-
-
-def test_concurrent_callers_share_pool_and_cache(monkeypatch):
-    # more calling threads than CPUs, a tiny switch interval and a cache that
-    # holds three spectra: every result must still equal the serial one
+def test_concurrent_callers_share_pool():
+    # more calling threads than CPUs and a tiny switch interval: every result
+    # must still equal the serial one
     spec = GridSpec(2, 4.0, 32)
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
-    monkeypatch.setattr(maximal, "_kernel_cache", OrderedDict())
-    monkeypatch.setattr(maximal, "KERNEL_CACHE_BYTES", 3 * 64 * 64 * 16)
     rng = np.random.default_rng(11)
     fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(6)]
     expected = [small_maximal(f, mol, sc).samples for f in fs]
@@ -628,7 +644,6 @@ def test_concurrent_callers_share_pool_and_cache(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(np.array_equal(r, e) for r, e in zip(results, expected))
-    assert sum(a.nbytes for a in maximal._kernel_cache.values()) <= maximal.KERNEL_CACHE_BYTES
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
