@@ -241,8 +241,9 @@ class MomentBoundTable:
 def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex, hp: float) -> MomentBoundTable:
     """Empirical constants in the small-ball moment bounds: for each
     |alpha| <= N_p, ratio = |<g, (.-x0)^alpha>| / (hp * bound) with hp the
-    caller's ||g||_{h^p} (maximal.hp_norm) and bound = 1 below the critical
-    order and [log(1+1/r)]^{-1/p} at it."""
+    caller's ||g||_{h^p} (the L^p quasi-norm of g's small maximal function,
+    as E1 and E3 take it from small_maximal_table) and bound = 1 below the
+    critical order and [log(1+1/r)]^{-1/p} at it."""
     if not ball.radius < 1.0:
         raise ValueError("moment bounds need r < 1")
     if hp == 0.0:

@@ -296,41 +296,79 @@ def lp_norm(f: GridFunction, s: float, region: Ball | None = None) -> float:
     return lp_quasinorm(f, s, region)
 
 
-# rows of the padded product that the 2D inverse transforms at a time: a
+# rows of the padded product that the 2D inverse transforms at a time, and
+# of padded real rows that the 2D real forward transforms at a time: a
 # constant, so that a convolution always takes the same number of transforms
 TILE_ROWS = 64
 
 
-def padded_spectrum(f: GridFunction) -> np.ndarray:
-    """FFT of f zero-padded to twice the side, the operand of convolve_spectra.
+def spectrum_shape(spec: GridSpec, real: bool = False) -> tuple[int, ...]:
+    """Shape of a padded_spectrum: (2m)^dim, or with real the half spectrum
+    of rfftn, whose last axis keeps the m + 1 nonnegative frequencies."""
+    n = 2 * spec.points_per_axis
+    return (n,) * (spec.dim - 1) + (n // 2 + 1 if real else n,)
 
-    In 2D no padded copy is built: each run of rows of f that hold a nonzero
-    sample is written at its embedding rows of the complex spectrum and
-    transformed there along the last axis, in place; the axis-0 FFT then runs
-    in place. fftn takes the same transforms in the same axis order (casting
-    real rows to complex first), and a zero row transforms to +0.0, so the
-    result equals fftn of the padded copy bit for bit.
+
+def padded_spectrum(f: GridFunction, real: bool = False) -> np.ndarray:
+    """FFT of f zero-padded to twice the side, the operand of convolve_spectra
+    (complex layer only) and abs_convolve_spectra.
+
+    By default the complex layer: fftn of the padded copy. In 2D no padded
+    copy is built: each run of rows of f that hold a nonzero sample is
+    written at its embedding rows of the complex spectrum and transformed
+    there along the last axis, in place; the axis-0 FFT then runs in place.
+    fftn takes the same transforms in the same axis order (casting real rows
+    to complex first), and a zero row transforms to +0.0, so the result
+    equals fftn of the padded copy bit for bit.
+
+    With real, for real f only, the real layer: rfftn of the padded copy,
+    of spectrum_shape(spec, real=True). In 2D the nonzero rows are padded
+    TILE_ROWS at a time in one real tile and rfft'd into their rows of the
+    half spectrum, the remaining rows hold the transform of a zero row, and
+    the axis-0 FFT runs in place on the m + 1 columns: rfftn's transforms in
+    rfftn's order, so again equal bit for bit.
     """
-    m = f.spec.points_per_axis
+    spec = f.spec
+    m = spec.points_per_axis
     off = m // 2
-    if f.spec.dim == 1:
+    if real and not f.is_real:
+        raise ValueError("the real layer needs real samples")
+    if spec.dim == 1:
         F = np.zeros(2 * m, dtype=np.float64 if f.is_real else np.complex128)
         F[off:off + m] = f.samples
-        return np.fft.fftn(F)
-    F = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+        return np.fft.rfft(F) if real else np.fft.fftn(F)
+    if real:
+        # rfft leaves -0.0 at some frequencies of a zero row: copy its
+        # transform into every row, then overwrite the nonzero ones
+        F = np.empty(spectrum_shape(spec, real), dtype=np.complex128)
+        F[:] = np.fft.rfft(np.zeros(2 * m))
+        tile = np.zeros((min(TILE_ROWS, m), 2 * m))
+    else:
+        F = np.zeros(spectrum_shape(spec), dtype=np.complex128)
     edges = np.flatnonzero(np.diff(f.samples.any(axis=1), prepend=False, append=False))
     for lo, hi in zip(edges[::2], edges[1::2]):  # the runs of nonzero rows
-        rows = F[off + lo:off + hi]
-        rows[:, off:off + m] = f.samples[lo:hi]
-        np.fft.fft(rows, axis=-1, out=rows)
+        if real:
+            for r in range(lo, hi, len(tile)):
+                k = min(len(tile), hi - r)
+                tile[:k, off:off + m] = f.samples[r:r + k]
+                np.fft.rfft(tile[:k], axis=-1, out=F[off + r:off + r + k])
+        else:
+            rows = F[off + lo:off + hi]
+            rows[:, off:off + m] = f.samples[lo:hi]
+            np.fft.fft(rows, axis=-1, out=rows)
     return np.fft.fft(F, axis=0, out=F)
 
 
-def spectral_scratch(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    """Scratch for abs_convolve_spectra, reusable from call to call: in 1D
-    the padded product; in 2D the (2m x m) half that the axis-0 inverse runs
-    on and one tile of rows."""
+def spectral_scratch(spec: GridSpec, real: bool = False) -> tuple[np.ndarray, ...]:
+    """Scratch for abs_convolve_spectra, reusable from call to call. In the
+    complex layer: in 1D the padded product; in 2D the (2m x m) half that
+    the axis-0 inverse runs on and one tile of rows. In the real layer: the
+    product of the half spectra and the real output of irfft: in 1D the
+    padded row, in 2D a tile of rows."""
     m = spec.points_per_axis
+    if real:
+        return (np.empty(spectrum_shape(spec, real=True), dtype=np.complex128),
+                np.empty((min(TILE_ROWS, m // 2),) * (spec.dim - 1) + (2 * m,)))
     if spec.dim == 1:
         return (np.empty(2 * m, dtype=np.complex128),)
     return (np.empty((2 * m, m), dtype=np.complex128),
@@ -379,10 +417,33 @@ def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarr
 
 def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
                          scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    """np.abs(convolve_spectra(Ff, Fg, spec)) written into out, bit for bit,
-    with no array allocated: scratch is a spectral_scratch(spec)."""
+    """|f * g| written into out, with no array allocated, from two padded
+    spectra of one layer: scratch is the spectral_scratch of that layer.
+    Both layers scale by h^dim before the modulus.
+
+    Complex spectra give np.abs(convolve_spectra(Ff, Fg, spec)) bit for bit.
+    Half spectra (padded_spectrum with real) give np.abs of irfftn of
+    Ff * Fg, windowed and scaled, bit for bit: irfftn's transforms in its
+    order, the axis-0 inverse on the (2m x m + 1) product, then irfft on its
+    m window rows alone, a tile of rows at a time.
+    """
+    m, half = spec.points_per_axis, spec.points_per_axis // 2
+    if Ff.shape[-1] == m + 1:  # half spectra: the real layer
+        prod, rows = scratch
+        np.multiply(Ff, Fg, out=prod)
+        if spec.dim == 1:
+            blocks = [(prod, out)]
+        else:  # the window rows of the product, a tile at a time
+            np.fft.ifft(prod, axis=0, out=prod)
+            n = len(rows)  # divides m/2: both are powers of two
+            blocks = [(prod[src + r:src + r + n], out[dst + r:dst + r + n])
+                      for src, dst in ((3 * half, 0), (0, half)) for r in range(0, half, n)]
+        for spectrum, target in blocks:
+            np.fft.irfft(spectrum, 2 * m, axis=-1, out=rows)
+            np.multiply(rows[..., 3 * half:], spec.cell_volume, out=target[..., :half])
+            np.multiply(rows[..., :half], spec.cell_volume, out=target[..., half:])
+        return np.abs(out, out=out)
     first, second = _convolution_window(Ff, Fg, spec, scratch)
-    half = spec.points_per_axis // 2
     np.abs(first, out=out[:half])
     np.abs(second, out=out[half:])
     return out

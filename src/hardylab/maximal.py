@@ -18,6 +18,15 @@ kernel is built once, used for every function of the call and dropped, and
 the padded spectra alive at one time stay under FOLD_SPECTRA_BYTES.
 small_maximal_table runs the pass over one ladder, grand_maximal_table over
 the distinct ladders of all its dictionaries.
+
+The fold takes one of the two spectral layers of grid.py for each pair of a
+function and a mollifier. Real samples through a mollifier without compact
+support (the Gaussian small maximal function of E1 and E3) take the real
+layer: rfft spectra, half the transform work and half the bytes. Complex
+samples and every compactly supported kernel, so every test dictionary,
+take the complex layer, whose results are unchanged bit for bit: the
+recorded p < 1 grand maximal norms contain its far-field round-off, which
+another transform would move.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ from .grid import (
     GridSpec,
     abs_convolve_spectra,
     dilate,
-    lp_quasinorm,
     padded_spectrum,
     spectral_scratch,
+    spectrum_shape,
     sq_distance,
 )
 from .moments import HardyIndex, MultiIndex, multiindices
@@ -148,13 +157,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _fold_chunk(work: list, spectra: list, maxima: list, spec: GridSpec,
+def _real_layer(is_real: bool, mollifier: MollifierSpec) -> bool:
+    # the spectral layer of |f * phi_t|: real for real samples through a
+    # mollifier without compact support, complex otherwise
+    return is_real and not mollifier.compact_support
+
+
+def _fold_chunk(work: list, members: list, maxima: list, spec: GridSpec,
                 scratch: tuple, lock: threading.Lock) -> None:
     spectral, vals = scratch
     for (mollifier, t), slots in work:
-        Fk = padded_spectrum(dilate(mollifier, t, spec))
-        for Ff, row in zip(spectra, maxima):
-            abs_convolve_spectra(Ff, Fk, spec, spectral, vals)
+        reals = [_real_layer(is_real, mollifier) for is_real, _ in members]
+        kernel = dilate(mollifier, t, spec)
+        Fk = {real: padded_spectrum(kernel, real) for real in set(reals)}
+        del kernel
+        for (_, spectra), real, row in zip(members, reals, maxima):
+            abs_convolve_spectra(spectra[real], Fk[real], spec, spectral[real], vals)
             with lock:
                 for s in slots:
                     np.maximum(row[s], vals, out=row[s])
@@ -169,18 +187,24 @@ def _running_maxima(fs: list, work: dict, nsets: int) -> list:
     One interleaved chunk of the scales per CPU runs on the pool (NumPy's
     FFT releases the GIL) and folds into the one shared set of maxima under
     a lock; max is exact, so the result does not depend on the split or the
-    order. A chunk builds the padded spectrum of each of its kernels, folds
-    it against every function of the group and drops it before the next.
+    order. A chunk builds the padded spectra of each of its kernels, folds
+    them against every function of the group and drops them before the next.
+
+    Each pair of a function and a mollifier takes one spectral layer (see
+    _real_layer), so a row equals its one-row call bit for bit; a function
+    has a padded spectrum in each layer its mollifiers need, and a kernel in
+    each layer the group's functions need.
 
     Each chunk has one scratch, reused for every convolution it takes: a
-    spectral_scratch (in 2D a (2m x m) half and one tile of rows, in 1D the
-    padded product) and one grid-sized float array for |.|. The scratch is
-    allocated here, in the calling thread: freed in a worker, it would stay
-    in that thread's malloc arena and raise the peak RSS. The functions run
-    in groups, so that their padded spectra plus one kernel and one scratch
-    per chunk stay within FOLD_SPECTRA_BYTES; a group holds at least one
-    function, and every kernel is built once per group. No functions give
-    no maxima; functions on different grids raise ValueError."""
+    spectral_scratch per layer of the call and one grid-sized float array
+    for |.|. The scratch is allocated here, in the calling thread: freed in
+    a worker, it would stay in that thread's malloc arena and raise the peak
+    RSS. The functions run in groups, so that their padded spectra plus the
+    kernels and the scratch of every chunk stay within FOLD_SPECTRA_BYTES,
+    with the bytes of each layer's spectrum taken from spectrum_shape; a
+    group holds at least one function, and every kernel is built once per
+    group. No functions give no maxima;
+    functions on different grids raise ValueError."""
     if not fs:
         return []
     spec = fs[0].spec
@@ -191,17 +215,26 @@ def _running_maxima(fs: list, work: dict, nsets: int) -> list:
     chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
     if not chunks:
         return maxima
+    mollifiers = {mollifier for mollifier, _ in work}
+    layers = [{_real_layer(f.is_real, mollifier) for mollifier in mollifiers} for f in fs]
+    used = set().union(*layers)
     lock = threading.Lock()
-    scratch = [(spectral_scratch(spec), np.empty(spec.shape)) for _ in chunks]
-    nbytes = 16 * (2 * spec.points_per_axis) ** spec.dim  # one padded spectrum
+    scratch = [({real: spectral_scratch(spec, real) for real in used}, np.empty(spec.shape))
+               for _ in chunks]
+
+    def nbytes(real):  # one padded spectrum of the layer
+        return 16 * math.prod(spectrum_shape(spec, real))
+
     spectral, vals = scratch[0]
-    per_chunk = nbytes + sum(a.nbytes for a in spectral) + vals.nbytes  # a kernel and a scratch
-    group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * per_chunk) // nbytes)
+    per_chunk = vals.nbytes + sum(nbytes(real) + sum(a.nbytes for a in spectral[real]) for real in used)
+    per_function = max(sum(map(nbytes, ls)) for ls in layers)
+    group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * per_chunk) // per_function)
     for start in range(0, len(fs), group):
-        spectra = [padded_spectrum(f) for f in fs[start:start + group]]
-        list(_pool.map(_fold_chunk, chunks, repeat(spectra), repeat(maxima[start:start + group]),
+        members = [(f.is_real, {real: padded_spectrum(f, real) for real in ls})
+                   for f, ls in zip(fs[start:start + group], layers[start:start + group])]
+        list(_pool.map(_fold_chunk, chunks, repeat(members), repeat(maxima[start:start + group]),
                        repeat(spec), scratch, repeat(lock)))
-        del spectra
+        del members
     return maxima
 
 
@@ -219,14 +252,6 @@ def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) 
     """Pointwise max over the scale grid of |f * phi_t| (lower bound for m_phi f).
     The one-row case of small_maximal_table."""
     return small_maximal_table([f], mollifier, scales)[0]
-
-
-def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,
-            scales: ScaleGrid | None = None) -> float:
-    """||m_phi f||_{L^p} over scales 0 < t < 1, a quasi-norm for p < 1."""
-    mollifier = mollifier or MollifierSpec("gaussian", f.spec.dim)
-    scales = scales or ScaleGrid.default(f.spec, 1.0)
-    return lp_quasinorm(small_maximal(f, mollifier, scales), idx.p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ so only on small grids), `verify_admissible` certifies a test function's
 support and derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
-convolution as full-size fftn/ifftn with a fancy-index window, and
-`reference_cancellation_test` runs the cancellation test one row at a time,
-with one adjoint per operator, a field per application and full-grid
-windows and masks. The explicit moment-probe bumps phi^{x,alpha} of the
-paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here too, with
-`with_probes`, which raises a grand maximal function to their pairings at
-given sites. None of them is used by the experiments.
+convolution as full-size fftn/ifftn (rfftn/irfftn in the real layer) with a
+fancy-index window, `hp_norm` is the h^p quasi-norm of one small maximal
+function, and `reference_cancellation_test` runs the cancellation test one
+row at a time, with one adjoint per operator, a field per application and
+full-grid windows and masks. The explicit moment-probe bumps phi^{x,alpha}
+of the paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here
+too, with `with_probes`, which raises a grand maximal function to their
+pairings at given sites. None of them is used by the experiments.
 """
 
 import functools
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, sq_distance
-from hardylab.maximal import derivative_sups, quintic_step
+from hardylab.grid import Ball, GridFunction, GridSpec, lp_quasinorm, sq_distance
+from hardylab.maximal import MollifierSpec, ScaleGrid, derivative_sups, quintic_step, small_maximal
 from hardylab.moments import (
     HardyIndex,
     MultiIndex,
@@ -153,19 +154,33 @@ def container_bytes(f: GridFunction) -> bytes:
     return header + f.samples.ravel().astype("<c16" if flag else "<f8").tobytes()
 
 
-def reference_padded_spectrum(f: GridFunction) -> np.ndarray:
-    """np.fft.fftn of the copy of f zero-padded to twice the side."""
+def reference_padded_spectrum(f: GridFunction, real: bool = False) -> np.ndarray:
+    """np.fft.fftn of the copy of f zero-padded to twice the side; with real,
+    np.fft.rfftn, the half spectrum of the real layer."""
     m = f.spec.points_per_axis
     F = np.zeros((2 * m,) * f.spec.dim, dtype=np.float64 if f.is_real else np.complex128)
     F[(slice(m // 2, m // 2 + m),) * f.spec.dim] = f.samples
-    return np.fft.fftn(F)
+    return np.fft.rfftn(F) if real else np.fft.fftn(F)
 
 
 def reference_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """ifftn(Ff * Fg) on the window of indices (i - m) mod 2m, times cell_volume."""
+    """ifftn(Ff * Fg) on the window of indices (i - m) mod 2m, times
+    cell_volume; irfftn for half spectra, whose last axis has m + 1 entries."""
     m = spec.points_per_axis
     window = (np.arange(m // 2, 3 * m // 2) - m) % (2 * m)
-    return np.fft.ifftn(Ff * Fg)[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+    if Ff.shape[-1] == m + 1:
+        raw = np.fft.irfftn(Ff * Fg, s=(2 * m,) * spec.dim, axes=tuple(range(spec.dim)))
+    else:
+        raw = np.fft.ifftn(Ff * Fg)
+    return raw[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+
+
+def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,
+            scales: ScaleGrid | None = None) -> float:
+    """||m_phi f||_{L^p} over scales 0 < t < 1, a quasi-norm for p < 1."""
+    mollifier = mollifier or MollifierSpec("gaussian", f.spec.dim)
+    scales = scales or ScaleGrid.default(f.spec, 1.0)
+    return lp_quasinorm(small_maximal(f, mollifier, scales), idx.p)
 
 
 def _full_grid_rms(f: GridFunction, ball: Ball) -> float:

@@ -14,8 +14,9 @@ from hardylab.atoms import (
 )
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, sample_function
-from hardylab.maximal import MollifierSpec, ScaleGrid, hp_norm
+from hardylab.maximal import MollifierSpec, ScaleGrid
 from hardylab.moments import HardyIndex, moment
+from oracles import hp_norm
 
 IDX1 = HardyIndex(1.0, 1)
 IDX23 = HardyIndex(2 / 3, 1)

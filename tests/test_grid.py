@@ -23,6 +23,7 @@ from hardylab.grid import (
     random_smooth_field,
     sample_function,
     spectral_scratch,
+    spectrum_shape,
 )
 from hardylab.maximal import quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
@@ -349,6 +350,37 @@ def test_padded_convolution_matches_fftn_bitwise(dim, data):
         assert np.array_equal(bits(out), bits(np.abs(ref)))
     out = convolve(f, g).samples
     assert np.array_equal(bits(out), bits(ref.real.copy() if f.is_real and g.is_real else ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_real_padded_convolution_matches_rfftn_bitwise(dim, data):
+    # the real layer: the pruned forward against full-size rfftn and the
+    # windowed inverse against full-size irfftn, on the raw bits; zero rows
+    # keep rfft's -0.0 entries
+    m = data.draw(st.sampled_from([8, 16, 64, 256]))
+    f = data.draw(row_supported(dim, m, False))
+    g = data.draw(row_supported(dim, m, False))
+    spec = f.spec
+    Ff, Fg = padded_spectrum(f, real=True), padded_spectrum(g, real=True)
+    assert Ff.shape == spectrum_shape(spec, real=True)
+    assert np.array_equal(bits(Ff), bits(reference_padded_spectrum(f, real=True)))
+    assert np.array_equal(bits(Fg), bits(reference_padded_spectrum(g, real=True)))
+    Ff0, Fg0 = Ff.copy(), Fg.copy()
+    ref = reference_convolve_spectra(Ff, Fg, spec)
+    assert ref.dtype == np.float64
+    scratch, out = spectral_scratch(spec, real=True), np.empty(spec.shape)
+    for _ in range(2):  # the scratch is reusable
+        abs_convolve_spectra(Ff, Fg, spec, scratch, out)
+        assert np.array_equal(bits(out), bits(np.abs(ref)))
+    assert np.array_equal(bits(Ff), bits(Ff0)) and np.array_equal(bits(Fg), bits(Fg0))
+
+
+def test_real_layer_needs_real_samples():
+    spec = GridSpec(2, 1.5, 8)
+    with pytest.raises(ValueError, match="real samples"):
+        padded_spectrum(GridFunction(spec, np.ones(spec.shape, dtype=complex)), real=True)
 
 
 def test_serialization_roundtrip(tmp_path):

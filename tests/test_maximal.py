@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hardylab.maximal as maximal
+from hardylab.atoms import edge_cutoff
 from hardylab.errors import NumericalError
 from hardylab.grid import (
     TILE_ROWS,
@@ -21,7 +22,9 @@ from hardylab.grid import (
     integrate,
     lp_quasinorm,
     padded_spectrum,
+    random_smooth_field,
     sample_function,
+    spectral_scratch,
 )
 from hardylab.maximal import (
     MollifierSpec,
@@ -30,7 +33,6 @@ from hardylab.maximal import (
     build_test_dictionary,
     grand_maximal,
     grand_maximal_table,
-    hp_norm,
     small_maximal,
     small_maximal_table,
 )
@@ -40,6 +42,7 @@ from hypothesis import strategies as st
 from oracles import (
     build_phi0,
     cutoff_eta,
+    hp_norm,
     phi_x_alpha,
     reference_convolve_spectra,
     reference_padded_spectrum,
@@ -386,13 +389,20 @@ def test_dictionary_requires_compact_mollifier(grid, scales):
                               mollifier=MollifierSpec("gaussian", 1), scales=scales)
 
 
+def real_layer(f, mol):
+    # the layer the fold takes: real for real samples through a mollifier
+    # without compact support, complex otherwise
+    return f.is_real and not mol.compact_support
+
+
 def serial_small_maximal(f, mol, scales):
-    # one convolution per scale in ladder order
+    # one convolution per scale in ladder order, in the layer the fold takes
     spec = f.spec
+    real = real_layer(f, mol)
     out = np.zeros(spec.shape)
-    Ff = padded_spectrum(f)
+    Ff = padded_spectrum(f, real)
     for t in scales.scales:
-        Fk = padded_spectrum(dilate(mol, t, spec))
+        Fk = padded_spectrum(dilate(mol, t, spec), real)
         np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
     return out
 
@@ -430,7 +440,8 @@ def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
 @settings(max_examples=6, deadline=None)
 def test_small_maximal_matches_reference_fold_bitwise(dim, data):
     # each |f * phi_t| scaled by h^dim before its modulus, as the full-size
-    # ifftn does; h^dim = (3/m)^dim is not a power of two, so the order shows
+    # ifftn (irfftn in the real layer) does; h^dim = (3/m)^dim is not a
+    # power of two, so the order shows
     m = data.draw(st.sampled_from([8, 16, 64, 256] if dim == 1 else [8, 16, 64]))
     spec = GridSpec(dim, 1.5, m)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -438,32 +449,63 @@ def test_small_maximal_matches_reference_fold_bitwise(dim, data):
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if data.draw(st.booleans()) else x)
     mol = MollifierSpec(data.draw(st.sampled_from(["gaussian", "smooth-bump"])), dim)
     sc = ScaleGrid.default(spec, 1.0)
+    real = real_layer(f, mol)
     ref = np.zeros(spec.shape)
-    Ff = reference_padded_spectrum(f)
+    Ff = reference_padded_spectrum(f, real)
     for t in sc.scales:
-        Fk = reference_padded_spectrum(dilate(mol, t, spec))
+        Fk = reference_padded_spectrum(dilate(mol, t, spec), real)
         np.maximum(ref, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=ref)
     assert np.array_equal(small_maximal(f, mol, sc).samples.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_small_maximal_layers_agree(dim):
+    # the real layer against the complex one on E1's profiles (indicator,
+    # bump, random on balls of radius 1/2 and 1/16): pointwise within
+    # 64 eps of the complex result's max, a tolerance fixed from float64 eps
+    # beforehand, and E1's h^p norms at p = 1 and 2/3 within 1e-12 relative
+    spec = GridSpec(dim, 4.0, 2048 if dim == 1 else 128)
+    mol = MollifierSpec("gaussian", dim)
+    sc = ScaleGrid.default(spec, 1.0)
+    rng = np.random.default_rng(30 + dim)
+    fs = []
+    for r in (0.5, 1 / 16):
+        ball = Ball((0.0,) * dim, r)
+        fs += [GridFunction(spec, ball.mask(spec).astype(float)),
+               edge_cutoff(spec, ball, width_frac=0.6),
+               edge_cutoff(spec, ball) * GridFunction(spec, random_smooth_field(spec, r / 3, rng))]
+    real = small_maximal_table(fs, mol, sc)
+    cplx = small_maximal_table([GridFunction(spec, f.samples.astype(complex)) for f in fs], mol, sc)
+    eps = np.finfo(float).eps
+    for f, a, b in zip(fs, real, cplx):
+        assert f.is_real and np.array_equal(a.samples, serial_small_maximal(f, mol, sc))
+        assert np.max(np.abs(a.samples - b.samples)) <= 64 * eps * np.max(b.samples)
+        for p in (1.0, 2 / 3):
+            assert lp_quasinorm(a, p) == pytest.approx(lp_quasinorm(b, p), rel=1e-12, abs=0)
+
+
 def test_small_maximal_memory_by_design():
-    # traced peak of one cold call at 2D m = 256, from the design: f's padded
-    # spectrum; per chunk one (2m x m) half, one tile of rows and one
-    # grid-sized float for |.|, and one kernel build: its padded spectrum, its
-    # samples and dilate's temporaries (the points, their scaled copy and one
-    # work array: 2 dim + 1 grid-sized floats); the result; and 64 KiB for
-    # Python objects. A (2m)^2 product buffer per chunk does not fit, nor
-    # does a second kernel per chunk
+    # traced peak of one cold call at 2D m = 256 on real samples, which take
+    # the real layer, from the design: f's (2m x m + 1) half spectrum; per
+    # chunk one half-spectrum product, one tile of 2m reals that irfft
+    # writes and one grid-sized float for |.|, and one kernel build:
+    # its samples, then either dilate's temporaries (the points, their
+    # scaled copy and one work array: 2 dim + 1 grid-sized floats) or its
+    # half spectrum with the tile of padded real rows; the result; and 64
+    # KiB for Python objects. A complex spectrum for f or per chunk does not
+    # fit, nor does a second kernel per chunk
     spec = GridSpec(2, 4.0, 256)
     m, dim = spec.points_per_axis, spec.dim
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
     f = GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))
     expected = small_maximal(f, mol, sc).samples  # starts the pool's workers
+    assert np.array_equal(expected, serial_small_maximal(f, mol, sc))
     chunks = min(maximal._WORKERS, len(sc.scales))
-    scratch = 16 * 2 * m * m + 16 * min(TILE_ROWS, 2 * m) * 2 * m + 8 * m * m
-    kernel = 16 * (2 * m) ** 2 + 8 * m * m + (2 * dim + 1) * 8 * m * m
-    bound = 16 * (2 * m) ** 2 + chunks * (scratch + kernel) + 8 * m * m + 2**16
+    half = 16 * 2 * m * (m + 1)
+    scratch = half + 8 * min(TILE_ROWS, m // 2) * 2 * m + 8 * m * m
+    kernel = 8 * m * m + max((2 * dim + 1) * 8 * m * m, half + 8 * min(TILE_ROWS, m) * 2 * m)
+    bound = half + chunks * (scratch + kernel) + 8 * m * m + 2**16
     tracemalloc.start()
     try:
         out = small_maximal(f, mol, sc).samples
@@ -577,6 +619,32 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
         grouped = small_maximal_table(fs, mol, sc)
         assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), len(fs)))
         assert all(np.array_equal(x.samples, y.samples) for x, y in zip(want, grouped))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_fold_groups_are_sized_from_the_spectra_built(monkeypatch, is_complex):
+    # a budget that holds the per-chunk kernels and scratch plus exactly two
+    # padded spectra of the layer that runs gives groups of two functions
+    # (each kernel built twice for four functions); one byte less, groups
+    # of one. A real spectrum is the half spectrum, not 16 (2m)^dim bytes
+    spec = GridSpec(2, 1.0, 16)
+    mol = MollifierSpec("gaussian", 2)
+    sc = ScaleGrid.default(spec, 1.0)
+    rng = np.random.default_rng(50)
+    fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if is_complex else 1)) for _ in range(4)]
+    real = not is_complex
+    spectrum = padded_spectrum(fs[0], real).nbytes
+    assert spectrum == 16 * 32 * (17 if real else 32)
+    per_chunk = spectrum + sum(a.nbytes for a in spectral_scratch(spec, real)) + 8 * 16**2
+    chunks = min(maximal._WORKERS, len(sc.scales))
+    whole = small_maximal_table(fs, mol, sc)
+    built = count_kernel_builds(monkeypatch)
+    for spare, groups in ((0, 2), (-1, 4)):
+        monkeypatch.setattr(maximal, "FOLD_SPECTRA_BYTES", chunks * per_chunk + 2 * spectrum + spare)
+        built.clear()
+        grouped = small_maximal_table(fs, mol, sc)
+        assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), groups))
+        assert all(np.array_equal(x.samples, y.samples) for x, y in zip(whole, grouped))
 
 
 def test_maximal_tables_empty_and_mismatched_grids():
