@@ -8,8 +8,8 @@ and is exact enough (O(h^2)) for the indicator-like and smooth integrands
 used throughout.
 
 All operations here are pure: they never mutate their inputs, apart from
-the scratch and the output array handed to abs_convolve_spectra, and are
-safe to share across threads.
+the scratch and the output arrays handed to padded_spectrum and
+abs_convolve_spectra, and are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -309,9 +309,11 @@ def spectrum_shape(spec: GridSpec, real: bool = False) -> tuple[int, ...]:
     return (n,) * (spec.dim - 1) + (n // 2 + 1 if real else n,)
 
 
-def padded_spectrum(f: GridFunction, real: bool = False) -> np.ndarray:
+def padded_spectrum(f: GridFunction, real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """FFT of f zero-padded to twice the side, the operand of convolve_spectra
-    (complex layer only) and abs_convolve_spectra.
+    and abs_convolve_spectra. With out, a contiguous complex array of
+    spectrum_shape(spec, real) such as one row of a stack of spectra, the
+    spectrum is written there; no other spectrum-sized array is built.
 
     By default the complex layer: fftn of the padded copy. In 2D no padded
     copy is built: each run of rows of f that hold a nonzero sample is
@@ -336,15 +338,15 @@ def padded_spectrum(f: GridFunction, real: bool = False) -> np.ndarray:
     if spec.dim == 1:
         F = np.zeros(2 * m, dtype=np.float64 if f.is_real else np.complex128)
         F[off:off + m] = f.samples
-        return np.fft.rfft(F) if real else np.fft.fftn(F)
+        return np.fft.rfft(F, out=out) if real else np.fft.fftn(F, out=out)
+    F = np.empty(spectrum_shape(spec, real), dtype=np.complex128) if out is None else out
     if real:
         # rfft leaves -0.0 at some frequencies of a zero row: copy its
         # transform into every row, then overwrite the nonzero ones
-        F = np.empty(spectrum_shape(spec, real), dtype=np.complex128)
         F[:] = np.fft.rfft(np.zeros(2 * m))
         tile = np.zeros((min(TILE_ROWS, m), 2 * m))
     else:
-        F = np.zeros(spectrum_shape(spec), dtype=np.complex128)
+        F[:] = 0.0
     edges = np.flatnonzero(np.diff(f.samples.any(axis=1), prepend=False, append=False))
     for lo, hi in zip(edges[::2], edges[1::2]):  # the runs of nonzero rows
         if real:
@@ -359,26 +361,51 @@ def padded_spectrum(f: GridFunction, real: bool = False) -> np.ndarray:
     return np.fft.fft(F, axis=0, out=F)
 
 
-def spectral_scratch(spec: GridSpec, real: bool = False) -> tuple[np.ndarray, ...]:
+def spectral_scratch(spec: GridSpec, real: bool = False, stack: int | None = None) -> tuple[np.ndarray, ...]:
     """Scratch for abs_convolve_spectra, reusable from call to call. In the
     complex layer: in 1D the padded product; in 2D the (2m x m) half that
     the axis-0 inverse runs on and one tile of rows. In the real layer: the
     product of the half spectra and the real output of irfft: in 1D the
-    padded row, in 2D a tile of rows."""
+    padded row, in 2D a tile of rows. With stack, every array has a leading
+    axis of that length: the scratch of a stack of that many spectra."""
     m = spec.points_per_axis
+    lead = () if stack is None else (stack,)
     if real:
-        return (np.empty(spectrum_shape(spec, real=True), dtype=np.complex128),
-                np.empty((min(TILE_ROWS, m // 2),) * (spec.dim - 1) + (2 * m,)))
+        return (np.empty(lead + spectrum_shape(spec, real=True), dtype=np.complex128),
+                np.empty(lead + (min(TILE_ROWS, m // 2),) * (spec.dim - 1) + (2 * m,)))
     if spec.dim == 1:
-        return (np.empty(2 * m, dtype=np.complex128),)
-    return (np.empty((2 * m, m), dtype=np.complex128),
-            np.empty((min(TILE_ROWS, 2 * m), 2 * m), dtype=np.complex128))
+        return (np.empty(lead + (2 * m,), dtype=np.complex128),)
+    return (np.empty(lead + (2 * m, m), dtype=np.complex128),
+            np.empty(lead + (min(TILE_ROWS, 2 * m), 2 * m), dtype=np.complex128))
+
+
+def abs_convolve_output(spec: GridSpec, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """An out for abs_convolve_spectra with this spectral_scratch, stacked
+    alike. In the real layer it is a view of the scratch's product, of the
+    rows the inverse reads no more by the time it writes out (in 1D all of
+    them, in 2D the middle m), so that the layer needs no array of its own
+    for |f * g|; in the complex layer it is a new array."""
+    prod = scratch[0]
+    if not _is_half(prod, spec):
+        return np.empty(prod.shape[:-spec.dim] + spec.shape)
+    half = spec.points_per_axis // 2
+    return prod[_along_axis0(slice(half, 3 * half), spec.dim)].view(np.float64)[..., :spec.points_per_axis]
+
+
+def _along_axis0(rows: slice, dim: int) -> tuple:
+    # the index of rows along the first grid axis, after any stack axis
+    return (Ellipsis, rows) + (slice(None),) * (dim - 1)
+
+
+def _is_half(F: np.ndarray, spec: GridSpec) -> bool:
+    # a half spectrum of the real layer keeps m + 1 entries on its last axis
+    return F.shape[-1] == spec.points_per_axis + 1
 
 
 def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
                         scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     # the first and the second half along axis 0 of the samples of f * g,
-    # two views of scratch
+    # two views of scratch; Ff may be a stack of spectra along a leading axis
     m = spec.points_per_axis
     first, second = slice(3 * m // 2, 2 * m), slice(0, m // 2)
     if spec.dim == 1:
@@ -387,21 +414,46 @@ def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
         np.fft.ifft(buf, axis=-1, out=buf)
     else:
         buf, tile = scratch
-        for r in range(0, 2 * m, len(tile)):
-            rows = slice(r, r + len(tile))
-            np.multiply(Ff[rows], Fg[rows], out=tile)
+        n = tile.shape[-2]
+        for r in range(0, 2 * m, n):
+            rows = slice(r, r + n)
+            np.multiply(Ff[..., rows, :], Fg[rows], out=tile)
             np.fft.ifft(tile, axis=-1, out=tile)
-            buf[rows, :m // 2] = tile[:, first]
-            buf[rows, m // 2:] = tile[:, second]
-        np.fft.ifft(buf, axis=0, out=buf)
-    parts = buf[first], buf[second]
+            buf[..., rows, :m // 2] = tile[..., first]
+            buf[..., rows, m // 2:] = tile[..., second]
+        np.fft.ifft(buf, axis=-2, out=buf)
+    parts = buf[_along_axis0(first, spec.dim)], buf[_along_axis0(second, spec.dim)]
     for part in parts:
         part *= spec.cell_volume
     return parts
 
 
+def _real_convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
+                             scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    # the samples of f * g from two half spectra, written into out: the
+    # axis-0 inverse on the (2m x m + 1) product, then irfft on its m window
+    # rows alone, a tile of rows at a time, scaled by h^dim; Ff and out may
+    # be stacks along a leading axis
+    m, half = spec.points_per_axis, spec.points_per_axis // 2
+    prod, rows = scratch
+    np.multiply(Ff, Fg, out=prod)
+    if spec.dim == 1:
+        blocks = [(prod, out)]
+    else:  # the window rows of the product, a tile at a time
+        np.fft.ifft(prod, axis=-2, out=prod)
+        n = rows.shape[-2]  # divides m/2: both are powers of two
+        blocks = [(prod[..., src + r:src + r + n, :], out[..., dst + r:dst + r + n, :])
+                  for src, dst in ((3 * half, 0), (0, half)) for r in range(0, half, n)]
+    for spectrum, target in blocks:
+        np.fft.irfft(spectrum, 2 * m, axis=-1, out=rows)
+        np.multiply(rows[..., 3 * half:], spec.cell_volume, out=target[..., :half])
+        np.multiply(rows[..., :half], spec.cell_volume, out=target[..., half:])
+    return out
+
+
 def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Complex samples of f * g (h^dim scaling) from two padded spectra.
+    """Samples of f * g (h^dim scaling) from two padded spectra of one layer:
+    complex samples from complex spectra, real ones from half spectra.
 
     Circular convolution of arrays anchored at -2L returns the true
     convolution shifted by half the padded period, so the window is the
@@ -410,8 +462,11 @@ def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarr
     on TILE_ROWS rows of the product at a time, only the m window columns of
     each tile are kept, and the axis-0 pass covers those columns alone, so
     no (2m)^2 array is built. The result equals ifftn of Ff * Fg, windowed
-    and scaled, bit for bit.
+    and scaled, bit for bit; for half spectra, irfftn's (see
+    abs_convolve_spectra).
     """
+    if _is_half(Ff, spec):
+        return _real_convolution_window(Ff, Fg, spec, spectral_scratch(spec, True), np.empty(spec.shape))
     return np.concatenate(_convolution_window(Ff, Fg, spec, spectral_scratch(spec)))
 
 
@@ -419,7 +474,11 @@ def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
                          scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """|f * g| written into out, with no array allocated, from two padded
     spectra of one layer: scratch is the spectral_scratch of that layer.
-    Both layers scale by h^dim before the modulus.
+    Both layers scale by h^dim before the modulus. Ff may be a stack of
+    spectra along a leading axis, with out and scratch stacked alike: each
+    row of out then equals its one-row call bit for bit, because every
+    transform runs row by row with the plan of a one-row call and the
+    products, scaling and modulus act on each element alone.
 
     Complex spectra give np.abs(convolve_spectra(Ff, Fg, spec)) bit for bit.
     Half spectra (padded_spectrum with real) give np.abs of irfftn of
@@ -427,25 +486,12 @@ def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
     order, the axis-0 inverse on the (2m x m + 1) product, then irfft on its
     m window rows alone, a tile of rows at a time.
     """
-    m, half = spec.points_per_axis, spec.points_per_axis // 2
-    if Ff.shape[-1] == m + 1:  # half spectra: the real layer
-        prod, rows = scratch
-        np.multiply(Ff, Fg, out=prod)
-        if spec.dim == 1:
-            blocks = [(prod, out)]
-        else:  # the window rows of the product, a tile at a time
-            np.fft.ifft(prod, axis=0, out=prod)
-            n = len(rows)  # divides m/2: both are powers of two
-            blocks = [(prod[src + r:src + r + n], out[dst + r:dst + r + n])
-                      for src, dst in ((3 * half, 0), (0, half)) for r in range(0, half, n)]
-        for spectrum, target in blocks:
-            np.fft.irfft(spectrum, 2 * m, axis=-1, out=rows)
-            np.multiply(rows[..., 3 * half:], spec.cell_volume, out=target[..., :half])
-            np.multiply(rows[..., :half], spec.cell_volume, out=target[..., half:])
-        return np.abs(out, out=out)
+    if _is_half(Ff, spec):
+        return np.abs(_real_convolution_window(Ff, Fg, spec, scratch, out), out=out)
+    half = spec.points_per_axis // 2
     first, second = _convolution_window(Ff, Fg, spec, scratch)
-    np.abs(first, out=out[:half])
-    np.abs(second, out=out[half:])
+    np.abs(first, out=out[_along_axis0(slice(None, half), spec.dim)])
+    np.abs(second, out=out[_along_axis0(slice(half, None), spec.dim)])
     return out
 
 
@@ -453,15 +499,17 @@ def convolve(f: GridFunction, g: GridFunction, g_spectrum: np.ndarray | None = N
     """Convolution f * g with h^dim scaling, FFT on a grid padded to twice the side.
 
     The padding guarantees that no periodic wrap-around contaminates the
-    result as long as supp f + supp g fits inside [-2L, 2L)^dim. A caller
-    that convolves with the same g many times passes g_spectrum, its
-    padded_spectrum, so that it is taken once.
+    result as long as supp f + supp g fits inside [-2L, 2L)^dim. Real f and
+    g take the real layer and give real samples; otherwise the complex
+    layer. A caller that convolves with the same g many times passes
+    g_spectrum, its padded_spectrum in that layer
+    (padded_spectrum(g, f.is_real and g.is_real)), so that it is taken once.
     """
     f._check_compatible(g)
+    real = f.is_real and g.is_real
     if g_spectrum is None:
-        g_spectrum = padded_spectrum(g)
-    out = convolve_spectra(padded_spectrum(f), g_spectrum, f.spec)
-    return GridFunction(f.spec, out.real.copy() if f.is_real and g.is_real else out)
+        g_spectrum = padded_spectrum(g, real)
+    return GridFunction(f.spec, convolve_spectra(padded_spectrum(f, real), g_spectrum, f.spec))
 
 
 def _negation_index(m: int) -> np.ndarray:
@@ -528,14 +576,14 @@ def fourier_multiplier(f: GridFunction,
         symbol = sample_symbol(spec, symbol)
     elif symbol.spec != spec:
         raise ValueError("grid mismatch")
-    # S * fftn(...) as one expression: NumPy may multiply into the
-    # temporary spectrum, and a complex product's bits depend on the operand
-    # order it then picks, so the expression stays as it always was
-    if f.is_real and symbol.hermitian is not None:
-        F = symbol.hermitian * np.fft.fftn(f.samples)
-        return GridFunction(spec, np.fft.ifftn(F, out=F).real.copy())
-    F = symbol.values * np.fft.fftn(f.samples)
-    return GridFunction(spec, np.fft.ifftn(F, out=F))
+    # the operand order of S * F is fixed: a complex product's last bits
+    # depend on it, and for S * fftn(...) written as one expression NumPy
+    # swaps the operands once the temporary spectrum reaches 256 KiB
+    real = f.is_real and symbol.hermitian is not None
+    F = np.fft.fftn(f.samples)
+    np.multiply(symbol.hermitian if real else symbol.values, F, out=F)
+    np.fft.ifftn(F, out=F)
+    return GridFunction(spec, F.real.copy() if real else F)
 
 
 def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:

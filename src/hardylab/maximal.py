@@ -17,7 +17,12 @@ scale at a time, on a thread pool, through one streamed pass: each distinct
 kernel is built once, used for every function of the call and dropped, and
 the padded spectra alive at one time stay under FOLD_SPECTRA_BYTES.
 small_maximal_table runs the pass over one ladder, grand_maximal_table over
-the distinct ladders of all its dictionaries.
+the distinct ladders of all its dictionaries. The functions' spectra are
+held as one stacked array per spectral layer, and each kernel meets them a
+sub-stack at a time: one product and one inverse transform for all the
+rows, with the stacked scratch of a chunk under FOLD_STACK_BYTES. In 1D
+that puts several functions in one call; a 2D function at the sizes the
+configs run fills the bound alone.
 
 The fold takes one of the two spectral layers of grid.py for each pair of a
 function and a mollifier. Real samples through a mollifier without compact
@@ -44,6 +49,7 @@ import numpy as np
 from .grid import (
     GridFunction,
     GridSpec,
+    abs_convolve_output,
     abs_convolve_spectra,
     dilate,
     padded_spectrum,
@@ -142,6 +148,13 @@ class ScaleGrid:
 # the functions of one call run in groups bounded in bytes
 FOLD_SPECTRA_BYTES = 512 * 2**20
 
+# the stacked scratch of one chunk in one spectral layer, |.| included: a
+# fold group's functions meet each kernel a sub-stack at a time, as many as
+# fit here (at least one). Two real 1D m=8192 functions fit, and no 2D
+# function at m >= 128: each chunk adds its stack to the peak RSS, and E1's
+# 1D peak is close to E5's, the battery-1d peak
+FOLD_STACK_BYTES = 768 * 2**10
+
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = ThreadPoolExecutor(_WORKERS)
@@ -163,19 +176,23 @@ def _real_layer(is_real: bool, mollifier: MollifierSpec) -> bool:
     return is_real and not mollifier.compact_support
 
 
-def _fold_chunk(work: list, members: list, maxima: list, spec: GridSpec,
-                scratch: tuple, lock: threading.Lock) -> None:
-    spectral, vals = scratch
+def _fold_chunk(work: list, runs: dict, stacks: dict, maxima: list, spec: GridSpec,
+                scratch: dict, lock: threading.Lock) -> None:
     for (mollifier, t), slots in work:
-        reals = [_real_layer(is_real, mollifier) for is_real, _ in members]
         kernel = dilate(mollifier, t, spec)
-        Fk = {real: padded_spectrum(kernel, real) for real in set(reals)}
+        Fk = {real: padded_spectrum(kernel, real) for real, _, _ in runs[mollifier]}
         del kernel
-        for (_, spectra), real, row in zip(members, reals, maxima):
-            abs_convolve_spectra(spectra[real], Fk[real], spec, spectral[real], vals)
-            with lock:
-                for s in slots:
-                    np.maximum(row[s], vals, out=row[s])
+        for real, lo, hi in runs[mollifier]:
+            first, spectra = stacks[real]
+            bufs, vals = scratch[real]
+            for i in range(lo, hi, len(vals)):
+                k = min(len(vals), hi - i)
+                abs_convolve_spectra(spectra[i - first:i - first + k], Fk[real], spec,
+                                     tuple(b[:k] for b in bufs), vals[:k])
+                with lock:
+                    for row, val in zip(maxima[i:i + k], vals):
+                        for s in slots:
+                            np.maximum(row[s], val, out=row[s])
         del Fk  # this scale is done: drop its kernel before building the next
 
 
@@ -191,51 +208,96 @@ def _running_maxima(fs: list, work: dict, nsets: int) -> list:
     them against every function of the group and drops them before the next.
 
     Each pair of a function and a mollifier takes one spectral layer (see
-    _real_layer), so a row equals its one-row call bit for bit; a function
-    has a padded spectrum in each layer its mollifiers need, and a kernel in
-    each layer the group's functions need.
+    _real_layer); the complex functions are ordered before the real ones,
+    so the functions of a group that share a layer for a mollifier are one
+    run of rows. A group holds its padded spectra as one stacked array per
+    layer, each function a row, built in place, and a kernel has a spectrum
+    in each layer its runs need. Against a kernel, a run is transformed a
+    sub-stack of rows at a time: one product with the kernel spectrum and
+    one inverse transform along the last axis for all its rows, then the
+    window, the scale and |.|, and the lock is taken once per sub-stack.
+    Every transform runs row by row with the plan of a one-row call, and
+    the rest acts on each element alone, so a row equals its one-row call
+    bit for bit. Each function keeps its maxima in arrays of its own: one
+    array for all of them measured 1.3 MB more peak RSS in 2D E2, where the
+    separate arrays reuse memory that atom generation freed.
 
-    Each chunk has one scratch, reused for every convolution it takes: a
-    spectral_scratch per layer of the call and one grid-sized float array
-    for |.|. The scratch is allocated here, in the calling thread: freed in
-    a worker, it would stay in that thread's malloc arena and raise the peak
-    RSS. The functions run in groups, so that their padded spectra plus the
-    kernels and the scratch of every chunk stay within FOLD_SPECTRA_BYTES,
-    with the bytes of each layer's spectrum taken from spectrum_shape; a
-    group holds at least one function, and every kernel is built once per
-    group. No functions give no maxima;
-    functions on different grids raise ValueError."""
+    Each chunk has one scratch, reused for every sub-stack it takes: per
+    layer of the call a spectral_scratch stacked to the sub-stack size and
+    its abs_convolve_output for |.|, which the real layer keeps in its
+    product. The sub-stack size of a layer is the largest count of rows
+    whose stacked scratch and |.| fit in FOLD_STACK_BYTES, at least one and
+    at most the functions in that layer.
+    The scratch is allocated here, in the calling thread: freed in a worker,
+    it would stay in that thread's malloc arena and raise the peak RSS. The
+    functions run in groups, so that their padded spectra plus the kernels
+    and the scratch of every chunk stay within FOLD_SPECTRA_BYTES, with the
+    bytes of each layer's spectrum taken from spectrum_shape; a group holds
+    at least one function, and every kernel is built once per group. No
+    functions give no maxima; functions on different grids raise ValueError."""
     if not fs:
         return []
     spec = fs[0].spec
     if any(f.spec != spec for f in fs):
         raise ValueError("grid mismatch")
+    order = sorted(range(len(fs)), key=lambda i: fs[i].is_real)  # stable: complex, then real
+    fs = [fs[i] for i in order]
+    ncomplex = sum(not f.is_real for f in fs)
     maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
+    rows = [maxima[pos] for pos in np.argsort(order)]
     items = list(work.items())
     chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
     if not chunks:
-        return maxima
-    mollifiers = {mollifier for mollifier, _ in work}
-    layers = [{_real_layer(f.is_real, mollifier) for mollifier in mollifiers} for f in fs]
-    used = set().union(*layers)
-    lock = threading.Lock()
-    scratch = [({real: spectral_scratch(spec, real) for real in used}, np.empty(spec.shape))
-               for _ in chunks]
+        return rows
+
+    def layer_runs(lo, hi):  # mollifier -> (layer, first, end) of each run in [lo, hi)
+        mid = min(max(lo, ncomplex), hi)
+        runs = {}
+        for mollifier in {mollifier for mollifier, _ in work}:
+            real = _real_layer(True, mollifier)
+            parts = [(False, lo, mid), (real, mid, hi)] if real else [(False, lo, hi)]
+            runs[mollifier] = [run for run in parts if run[1] < run[2]]
+        return runs
+
+    def spans(runs):  # layer -> (first, end) of the functions that need it
+        out = {}
+        for real, lo, hi in (run for rs in runs.values() for run in rs):
+            a, b = out.get(real, (lo, hi))
+            out[real] = (min(a, lo), max(b, hi))
+        return out
 
     def nbytes(real):  # one padded spectrum of the layer
         return 16 * math.prod(spectrum_shape(spec, real))
 
-    spectral, vals = scratch[0]
-    per_chunk = vals.nbytes + sum(nbytes(real) + sum(a.nbytes for a in spectral[real]) for real in used)
-    per_function = max(sum(map(nbytes, ls)) for ls in layers)
+    def layer_scratch(real, n):  # a layer's scratch and |.| for n rows
+        bufs = spectral_scratch(spec, real, n)
+        return bufs, abs_convolve_output(spec, bufs)
+
+    def owned(bufs, vals):  # their bytes, views of the scratch not counted
+        return sum(a.nbytes for a in (*bufs, vals) if a.base is None)
+
+    counts = {real: hi - lo for real, (lo, hi) in spans(layer_runs(0, len(fs))).items()}
+    stack = {real: max(1, min(count, FOLD_STACK_BYTES // owned(*layer_scratch(real, 1))))
+             for real, count in counts.items()}
+    lock = threading.Lock()
+    scratch = [{real: layer_scratch(real, n) for real, n in stack.items()} for _ in chunks]
+    per_chunk = sum(nbytes(real) + owned(*layers) for real, layers in scratch[0].items())
+    # a function's layers follow from is_real alone: the first function is
+    # complex if any is, the last real if any is
+    per_function = max(sum(map(nbytes, spans(layer_runs(i, i + 1)))) for i in {0, len(fs) - 1})
     group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * per_chunk) // per_function)
     for start in range(0, len(fs), group):
-        members = [(f.is_real, {real: padded_spectrum(f, real) for real in ls})
-                   for f, ls in zip(fs[start:start + group], layers[start:start + group])]
-        list(_pool.map(_fold_chunk, chunks, repeat(members), repeat(maxima[start:start + group]),
+        runs = layer_runs(start, min(start + group, len(fs)))
+        stacks = {}
+        for real, (lo, hi) in spans(runs).items():
+            spectra = np.empty((hi - lo,) + spectrum_shape(spec, real), dtype=np.complex128)
+            for j in range(lo, hi):
+                padded_spectrum(fs[j], real, out=spectra[j - lo])
+            stacks[real] = lo, spectra
+        list(_pool.map(_fold_chunk, chunks, repeat(runs), repeat(stacks), repeat(maxima),
                        repeat(spec), scratch, repeat(lock)))
-        del members
-    return maxima
+        del stacks
+    return rows
 
 
 def small_maximal_table(fs: list[GridFunction], mollifier: MollifierSpec,

@@ -102,14 +102,16 @@ class MultiplierOp(OperatorSpec):
 class KernelOp(OperatorSpec):
     """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x).
 
-    The kernel's padded spectrum is taken on the first application and kept,
-    so later applications only transform f.
+    The kernel's padded spectrum in the layer an application uses (real for
+    real f and a real kernel, see convolve) is taken on the first
+    application in that layer and kept, so later applications only
+    transform f.
     """
 
     kernel: GridFunction
     name: str = "kernel"
     params: dict = field(default_factory=dict)
-    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def translation_invariant(self) -> bool:
@@ -118,9 +120,10 @@ class KernelOp(OperatorSpec):
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.kernel.spec:
             raise ValueError("grid mismatch")
-        if self._spectrum is None:
-            self._spectrum = padded_spectrum(self.kernel)
-        return convolve(f, self.kernel, self._spectrum)
+        real = f.is_real and self.kernel.is_real
+        if real not in self._spectra:
+            self._spectra[real] = padded_spectrum(self.kernel, real)
+        return convolve(f, self.kernel, self._spectra[real])
 
     def adjoint(self) -> "KernelOp":
         return KernelOp(reflect(self.kernel).conj(), name=f"{self.name}*", params=self.params)

@@ -9,12 +9,14 @@ from hardylab.grid import (
     Ball,
     GridFunction,
     GridSpec,
+    abs_convolve_output,
     abs_convolve_spectra,
     ball_smooth_fields,
     convolve,
     convolve_spectra,
     dilate,
     fourier_multiplier,
+    sample_symbol,
     integrate,
     load_gridfunction,
     lp_norm,
@@ -27,7 +29,7 @@ from hardylab.grid import (
 )
 from hardylab.maximal import quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
-from hardylab.operators import smooth_window
+from hardylab.operators import get_operator, smooth_window
 from oracles import container_bytes, reference_convolve_spectra, reference_padded_spectrum
 
 
@@ -226,6 +228,26 @@ def test_fourier_multiplier_derivative_vs_finite_differences():
     assert d.is_real  # odd imaginary symbol is Hermitian
 
 
+@pytest.mark.parametrize("m", [1024, 32768])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_fourier_multiplier_product_order_is_fixed(m, is_complex):
+    # order-zero's symbol has both parts nonzero, so the operand order of its
+    # product with the spectrum shows in the last bits; spectra of 16 KiB and
+    # 512 KiB lie either side of the 256 KiB from which NumPy multiplies into
+    # a temporary in place
+    spec = GridSpec(1, 8.0, m)
+    S = sample_symbol(spec, get_operator("order-zero", spec).symbol)
+    assert np.all(S.values.real != 0) and np.any(S.values.imag != 0)
+    rng = np.random.default_rng(m + is_complex)
+    x = rng.normal(size=spec.shape)
+    f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if is_complex else x)
+    real = f.is_real and S.hermitian is not None
+    assert real == (not is_complex)
+    want = np.fft.ifftn(np.multiply(S.hermitian if real else S.values, np.fft.fftn(f.samples)))
+    want = want.real if real else want
+    assert np.array_equal(bits(fourier_multiplier(f, S).samples), bits(want))
+
+
 def test_fourier_multiplier_singular_symbol():
     spec = GridSpec(1, 4.0, 64)
     f = GridFunction(spec, np.ones(spec.shape))
@@ -299,8 +321,30 @@ def test_convolve_spectra_matches_roll_reference_bitwise(dim, m, is_complex):
     for _ in range(2):  # the scratch is reusable
         assert np.array_equal(abs_convolve_spectra(Ff, Fg, spec, scratch, out), np.abs(ref))
     assert np.array_equal(Ff, Ff0) and np.array_equal(Fg, Fg0)
-    assert np.array_equal(convolve(f, g).samples,
-                          roll_window_reference(Ff, Fg, spec, real=not is_complex))
+    want = ref if is_complex else real_layer_reference(f, g)
+    assert np.array_equal(convolve(f, g).samples, want)
+
+
+def real_layer_reference(f: GridFunction, g: GridFunction) -> np.ndarray:
+    # the real layer of convolve: irfftn of the product of full-size rfftn
+    # spectra, windowed and scaled
+    return reference_convolve_spectra(reference_padded_spectrum(f, real=True),
+                                      reference_padded_spectrum(g, real=True), f.spec)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convolve_layers_agree(dim):
+    # real f and g take the real layer; the complex layer on the same samples
+    # agrees pointwise within 64 eps of the complex result's max, a tolerance
+    # fixed from float64 eps beforehand
+    spec = GridSpec(dim, 4.0, 1024 if dim == 1 else 64)
+    rng = np.random.default_rng(60 + dim)
+    f = GridFunction(spec, rng.normal(size=spec.shape))
+    g = GridFunction(spec, rng.normal(size=spec.shape))
+    real = convolve(f, g).samples
+    cplx = convolve(GridFunction(spec, f.samples.astype(complex)), g).samples
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx)) <= 64 * np.finfo(float).eps * np.max(np.abs(cplx))
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -349,7 +393,7 @@ def test_padded_convolution_matches_fftn_bitwise(dim, data):
         abs_convolve_spectra(Ff, Fg, spec, scratch, out)
         assert np.array_equal(bits(out), bits(np.abs(ref)))
     out = convolve(f, g).samples
-    assert np.array_equal(bits(out), bits(ref.real.copy() if f.is_real and g.is_real else ref))
+    assert np.array_equal(bits(out), bits(real_layer_reference(f, g) if f.is_real and g.is_real else ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -374,6 +418,10 @@ def test_real_padded_convolution_matches_rfftn_bitwise(dim, data):
     for _ in range(2):  # the scratch is reusable
         abs_convolve_spectra(Ff, Fg, spec, scratch, out)
         assert np.array_equal(bits(out), bits(np.abs(ref)))
+    # the output that lives in the scratch's product gives the same bits
+    inner = abs_convolve_output(spec, scratch)
+    assert inner.shape == spec.shape and np.shares_memory(inner, scratch[0])
+    assert np.array_equal(bits(abs_convolve_spectra(Ff, Fg, spec, scratch, inner)), bits(np.abs(ref)))
     assert np.array_equal(bits(Ff), bits(Ff0)) and np.array_equal(bits(Fg), bits(Fg0))
 
 

@@ -487,8 +487,8 @@ def test_small_maximal_layers_agree(dim):
 def test_small_maximal_memory_by_design():
     # traced peak of one cold call at 2D m = 256 on real samples, which take
     # the real layer, from the design: f's (2m x m + 1) half spectrum; per
-    # chunk one half-spectrum product, one tile of 2m reals that irfft
-    # writes and one grid-sized float for |.|, and one kernel build:
+    # chunk one half-spectrum product, whose middle m rows take |.|, and one
+    # tile of 2m reals that irfft writes, and one kernel build:
     # its samples, then either dilate's temporaries (the points, their
     # scaled copy and one work array: 2 dim + 1 grid-sized floats) or its
     # half spectrum with the tile of padded real rows; the result; and 64
@@ -503,7 +503,7 @@ def test_small_maximal_memory_by_design():
     assert np.array_equal(expected, serial_small_maximal(f, mol, sc))
     chunks = min(maximal._WORKERS, len(sc.scales))
     half = 16 * 2 * m * (m + 1)
-    scratch = half + 8 * min(TILE_ROWS, m // 2) * 2 * m + 8 * m * m
+    scratch = half + 8 * min(TILE_ROWS, m // 2) * 2 * m
     kernel = 8 * m * m + max((2 * dim + 1) * 8 * m * m, half + 8 * min(TILE_ROWS, m) * 2 * m)
     bound = half + chunks * (scratch + kernel) + 8 * m * m + 2**16
     tracemalloc.start()
@@ -514,6 +514,75 @@ def test_small_maximal_memory_by_design():
         tracemalloc.stop()
     assert np.array_equal(out, expected)
     assert peak <= bound, (peak, bound)
+
+
+def test_small_maximal_table_memory_by_design_1d():
+    # traced peak of one cold call on E1's 24 real fields at 1D m = 8192,
+    # from the design: the functions' stacked half spectra and the maxima;
+    # per chunk the stacked scratch of one sub-stack (per row the product of
+    # the half spectra, which takes |.| once irfft has read it, and the 2m
+    # reals irfft writes) and one kernel build: its samples, then either dilate's
+    # temporaries (2 dim + 1 grid-sized floats) or its half spectrum with
+    # the padded real row; and 64 KiB for Python objects. An unbounded stack
+    # does not fit
+    spec = GridSpec(1, 4.0, 8192)
+    m, dim, n = spec.points_per_axis, spec.dim, 24
+    mol = MollifierSpec("gaussian", 1)
+    sc = ScaleGrid.default(spec, 1.0)
+    rng = np.random.default_rng(6)
+    fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(n)]
+    expected = small_maximal_table(fs, mol, sc)  # starts the pool's workers
+    chunks = min(maximal._WORKERS, len(sc.scales))
+    half = 16 * (m + 1)
+    row = half + 8 * 2 * m
+    stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
+    kernel = 8 * m + max((2 * dim + 1) * 8 * m, half + 8 * 2 * m)
+    bound = n * half + n * 8 * m + chunks * (stack * row + kernel) + 2**16
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            out = small_maximal_table(fs, mol, sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(out, expected))
+        return peak
+
+    peak = traced_peak()
+    assert peak <= bound, (peak, bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maximal, "FOLD_STACK_BYTES", 2**40)
+        unbounded = traced_peak()
+    assert unbounded > bound, (unbounded, bound)
+
+
+def test_fold_transforms_a_sub_stack_per_call(monkeypatch):
+    # five real and four complex 1D functions through the Gaussian, with a
+    # stack bound of two rows in either layer: against each kernel the real
+    # layer takes ceil(5/2) irfft calls and the complex layer ceil(4/2) ifft
+    # calls, on sub-stacks of 2, 2, 1 and 2, 2 rows
+    spec = GridSpec(1, 4.0, 512)
+    mol = MollifierSpec("gaussian", 1)
+    sc = ScaleGrid.default(spec, 1.0)
+    rng = np.random.default_rng(70)
+    fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if i % 2 else 1)) for i in range(9)]
+    expected = [small_maximal(f, mol, sc).samples for f in fs]
+    rows = [sum(a.nbytes for a in spectral_scratch(spec, real)) + (0 if real else 8 * spec.num_samples)
+            for real in (False, True)]
+    monkeypatch.setattr(maximal, "FOLD_STACK_BYTES", 2 * max(rows))
+    assert all(maximal.FOLD_STACK_BYTES // r == 2 for r in rows)
+    calls = []
+    for name in ("irfft", "ifft"):
+        def counting(a, *args, inverse=getattr(np.fft, name), name=name, **kwargs):
+            calls.append((name, len(a)))
+            return inverse(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    got = small_maximal_table(fs, mol, sc)
+    monkeypatch.undo()
+    assert all(np.array_equal(a.samples, b) for a, b in zip(got, expected))
+    per_kernel = [("irfft", 2), ("irfft", 2), ("irfft", 1), ("ifft", 2), ("ifft", 2)]
+    assert sorted(calls) == sorted(per_kernel * len(sc.scales))
 
 
 def test_grand_maximal_matches_serial_loop_bitwise(grid):
@@ -529,16 +598,19 @@ def test_grand_maximal_matches_serial_loop_bitwise(grid):
     assert np.array_equal(out, serial_grand_maximal(f, dct, [probes]))
 
 
-def table_case(dim, is_complex):
-    # functions: noise and a compact bump; dictionaries: two k (so two
+def table_case(dim, kind):
+    # functions: noise and a compact bump, both real, both complex, or
+    # complex noise and the real bump ("mixed"); dictionaries: two k (so two
     # amplitudes) on one ladder, an overlapping ladder, a disjoint ladder, and
     # the union of the first and the disjoint one; small maximal functions:
     # the Gaussian on the first ladder and the bump on the union
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     rng = np.random.default_rng(40 + dim)
     x = rng.normal(size=spec.shape)
-    noise = x + 1j * rng.normal(size=spec.shape) if is_complex else x
+    noise = x if kind == "real" else x + 1j * rng.normal(size=spec.shape)
     bump = sample_function(spec, lambda p: np.clip(1 - np.sum(p**2, axis=0), 0, None) ** 2)
+    if kind == "complex":
+        bump = bump * (1 - 2j)
     fs = [GridFunction(spec, noise), bump]
     idx1, idxh = HardyIndex(1.0, dim), HardyIndex(0.5, dim)
     assert idx1.N_p != idxh.N_p
@@ -559,7 +631,7 @@ def table_case(dim, is_complex):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
-    fs, dicts, ladders = table_case(dim, is_complex)
+    fs, dicts, ladders = table_case(dim, "mixed" if is_complex else "real")
     table = grand_maximal_table(fs, dicts)
     assert len(table) == len(fs) and all(len(row) == len(dicts) for row in table)
     for f, row in zip(fs, table):
@@ -589,7 +661,7 @@ def count_kernel_builds(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
-    fs, dicts, ladders = table_case(dim, False)
+    fs, dicts, ladders = table_case(dim, "real")
     built = count_kernel_builds(monkeypatch)
     grand_maximal_table(fs, dicts)
     distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
@@ -602,31 +674,51 @@ def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
-    # a budget below one padded spectrum: every function is a group of its own
-    fs, dicts, ladders = table_case(dim, True)
-    fs.append(fs[0] * 0.5 + fs[1])
-    whole = grand_maximal_table(fs, dicts)
-    whole_small = [small_maximal_table(fs, mol, sc) for mol, sc in ladders]
+    # real, complex and mixed real/complex calls against the one-row calls
+    # and the serial oracles: with sub-stacks of one function (a 1-byte stack
+    # bound), of the whole group (2**40 bytes), and with a budget below one
+    # padded spectrum, where every function is a group of its own and each
+    # kernel is built once per function
     built = count_kernel_builds(monkeypatch)
-    monkeypatch.setattr(maximal, "FOLD_SPECTRA_BYTES", 1)
-    grouped = grand_maximal_table(fs, dicts)
-    distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
-    assert built == Counter(dict.fromkeys(distinct, len(fs)))
-    for a, b in zip(whole, grouped):
-        assert all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
-    for (mol, sc), want in zip(ladders, whole_small):
-        built.clear()
-        grouped = small_maximal_table(fs, mol, sc)
-        assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), len(fs)))
-        assert all(np.array_equal(x.samples, y.samples) for x, y in zip(want, grouped))
+    for kind in ("real", "complex", "mixed"):
+        fs, dicts, ladders = table_case(dim, kind)
+        fs.append(fs[0] * 0.5 + fs[1])
+        grand = [[serial_grand_maximal(f, d) for d in dicts] for f in fs]
+        small = [[serial_small_maximal(f, mol, sc) for f in fs] for mol, sc in ladders]
+        for f, want in zip(fs, grand):
+            assert all(np.array_equal(w, grand_maximal(f, d).samples) for w, d in zip(want, dicts))
+        for (mol, sc), want in zip(ladders, small):
+            assert all(np.array_equal(w, small_maximal(f, mol, sc).samples) for w, f in zip(want, fs))
+        for stack_bytes, spectra_bytes in ((1, None), (2**40, None), (None, 1)):
+            with monkeypatch.context() as patch:
+                if stack_bytes is not None:
+                    patch.setattr(maximal, "FOLD_STACK_BYTES", stack_bytes)
+                if spectra_bytes is not None:
+                    patch.setattr(maximal, "FOLD_SPECTRA_BYTES", spectra_bytes)
+                builds = len(fs) if spectra_bytes == 1 else 1
+                built.clear()
+                table = grand_maximal_table(fs, dicts)
+                distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
+                assert built == Counter(dict.fromkeys(distinct, builds))
+                for want, row in zip(grand, table):
+                    assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
+                for (mol, sc), want in zip(ladders, small):
+                    built.clear()
+                    got = small_maximal_table(fs, mol, sc)
+                    assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), builds))
+                    assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, got))
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_fold_groups_are_sized_from_the_spectra_built(monkeypatch, is_complex):
-    # a budget that holds the per-chunk kernels and scratch plus exactly two
-    # padded spectra of the layer that runs gives groups of two functions
-    # (each kernel built twice for four functions); one byte less, groups
-    # of one. A real spectrum is the half spectrum, not 16 (2m)^dim bytes
+    # a budget that holds the per-chunk kernels and stacked scratch plus
+    # exactly two padded spectra of the layer that runs gives groups of two
+    # functions (each kernel built twice for four functions); one byte less,
+    # groups of one. A real spectrum is the half spectrum, not 16 (2m)^dim
+    # bytes. The scratch is stacked for all four functions, the sub-stack
+    # that fits in FOLD_STACK_BYTES: per row the layer's spectral scratch
+    # and, in the complex layer, one grid-sized float for |.|; the real
+    # layer keeps |.| in its product
     spec = GridSpec(2, 1.0, 16)
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
@@ -635,7 +727,9 @@ def test_fold_groups_are_sized_from_the_spectra_built(monkeypatch, is_complex):
     real = not is_complex
     spectrum = padded_spectrum(fs[0], real).nbytes
     assert spectrum == 16 * 32 * (17 if real else 32)
-    per_chunk = spectrum + sum(a.nbytes for a in spectral_scratch(spec, real)) + 8 * 16**2
+    row = sum(a.nbytes for a in spectral_scratch(spec, real)) + (0 if real else 8 * 16**2)
+    assert len(fs) * row <= maximal.FOLD_STACK_BYTES
+    per_chunk = spectrum + len(fs) * row
     chunks = min(maximal._WORKERS, len(sc.scales))
     whole = small_maximal_table(fs, mol, sc)
     built = count_kernel_builds(monkeypatch)
@@ -664,7 +758,7 @@ def test_maximal_tables_empty_and_mismatched_grids():
 def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
     # eight chunks fold into one shared set of maxima under a tiny switch
     # interval: a lost update would break the bitwise match
-    fs, dicts, _ = table_case(2, False)
+    fs, dicts, _ = table_case(2, "real")
     expected = [[serial_grand_maximal(f, d) for d in dicts] for f in fs]
     pool = ThreadPoolExecutor(8)
     monkeypatch.setattr(maximal, "_WORKERS", 8)

@@ -22,7 +22,13 @@ from hardylab.operators import (
     smooth_window,
     tstar_monomial,
 )
-from oracles import materialize, reference_cancellation_test, reference_tstar_monomial
+from oracles import (
+    materialize,
+    reference_cancellation_test,
+    reference_convolve_spectra,
+    reference_padded_spectrum,
+    reference_tstar_monomial,
+)
 
 IDX1 = HardyIndex(1.0, 1)
 IDXH = HardyIndex(0.5, 1)
@@ -424,13 +430,16 @@ def test_kernel_op_transforms_its_kernel_once(monkeypatch):
     T = ladder_operator("kernel", spec)
     rng = np.random.default_rng(9)
     fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(3)]
-    expected = [convolve(f, T.kernel).samples for f in fs]
+    # real f and a real kernel: the real layer's full-size rfftn/irfftn
+    kernel = reference_padded_spectrum(T.kernel, real=True)
+    expected = [reference_convolve_spectra(reference_padded_spectrum(f, real=True), kernel, spec) for f in fs]
+    assert all(np.array_equal(convolve(f, T.kernel).samples, e) for f, e in zip(fs, expected))
     transforms = []
     spectrum = grid_mod.padded_spectrum
 
-    def counting(f):
+    def counting(f, real=False):
         transforms.append(f)
-        return spectrum(f)
+        return spectrum(f, real)
 
     monkeypatch.setattr(grid_mod, "padded_spectrum", counting)
     monkeypatch.setattr(operators_mod, "padded_spectrum", counting)
