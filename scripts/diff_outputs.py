@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Print every CSV cell that differs between two output trees.
+
+Usage: python scripts/diff_outputs.py DIR_A DIR_B
+
+Every *.csv under DIR_A or DIR_B (searched recursively, matched by relative
+path) is compared row by row and cell by cell. Each differing cell is
+printed as `file:row:column  a -> b  (relative change)`; the relative change
+is |b - a| / |a| for numeric cells (inf where a is 0) and empty otherwise.
+The exit code is 0 when every file is present in both trees with the same
+number of rows, whether or not cells differ, and 1 otherwise. Nothing is
+written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import sys
+from pathlib import Path
+
+
+def _csvs(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*.csv")}
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _relative(a: str, b: str) -> str:
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return ""
+    if math.isnan(x) or math.isnan(y) or math.isinf(x) or math.isinf(y):
+        return ""
+    return f"{abs(y - x) / abs(x):.3e}" if x else "inf"
+
+
+def diff_trees(a: Path, b: Path, out=sys.stdout) -> int:
+    """Print the differing cells of the CSVs of two trees; return the count of
+    structural faults (a file missing on one side, a different row count)."""
+    faults = 0
+    files_a, files_b = _csvs(a), _csvs(b)
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"{rel}: missing in {a if rel not in files_a else b}", file=out)
+            faults += 1
+            continue
+        rows_a, rows_b = _rows(a / rel), _rows(b / rel)
+        if len(rows_a) != len(rows_b):
+            print(f"{rel}: {len(rows_a)} rows against {len(rows_b)}", file=out)
+            faults += 1
+            continue
+        header = rows_a[0] if rows_a else []
+        for n, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+            for c in range(max(len(ra), len(rb))):
+                x = ra[c] if c < len(ra) else ""
+                y = rb[c] if c < len(rb) else ""
+                if x != y:
+                    name = header[c] if c < len(header) else str(c)
+                    print(f"{rel}:{n}:{name}  {x} -> {y}  ({_relative(x, y)})", file=out)
+    return faults
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir_a", type=Path)
+    ap.add_argument("dir_b", type=Path)
+    args = ap.parse_args(argv)
+    for d in (args.dir_a, args.dir_b):
+        if not d.is_dir():
+            print(f"{d}: not a directory", file=sys.stderr)
+            return 1
+    return 1 if diff_trees(args.dir_a, args.dir_b) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -197,21 +197,25 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
     n_seeds = cfg.source.get_int("scenario", "n_seeds", default=6)
     mol = MollifierSpec("smooth-bump", grid.dim)
     p_values = _p_values(cfg, "1, 1/2")
-    # the atoms of every (p, r) block against every (p, T) dictionary, in one
-    # streamed pass over the distinct scales
+    # per p, the atoms of its (p, r) blocks against its T dictionaries, in one
+    # streamed pass over the distinct scales: the p = 1 dictionaries (order 1)
+    # fold on each atom's support and the p < 1 ones on the full grid
     blocks = [(p, r_large) for p in p_values] + [(1.0, r_small)]
-    atoms = [make_atom(AtomSpec(HardyIndex(p, grid.dim), np.inf, Ball((0.0,) * grid.dim, r),
-                                "local"), cfg.seed + s, grid)
-             for p, r in blocks for s in range(n_seeds)]
-    keys = [(p, T) for p in dict.fromkeys(p for p, _ in blocks) for T in Ts]
-    dicts = [build_test_dictionary(grid, HardyIndex(p, grid.dim), T, mol) for p, T in keys]
-    table = grand_maximal_table(atoms, dicts)
+    atoms = [[make_atom(AtomSpec(HardyIndex(p, grid.dim), np.inf, Ball((0.0,) * grid.dim, r),
+                                 "local"), cfg.seed + s, grid) for s in range(n_seeds)]
+             for p, r in blocks]
+    tables: list = [None] * len(blocks)  # block -> its atoms' rows, one cell per T
+    for p in dict.fromkeys(p for p, _ in blocks):
+        members = [b for b, (q, _) in enumerate(blocks) if q == p]
+        dicts = [build_test_dictionary(grid, HardyIndex(p, grid.dim), T, mol) for T in Ts]
+        table = grand_maximal_table([f for b in members for f in atoms[b]], dicts)
+        for n, b in enumerate(members):
+            tables[b] = table[n * n_seeds:(n + 1) * n_seeds]
 
     def norms_for(b: int) -> np.ndarray:
         p = blocks[b][0]
-        block = table[b * n_seeds:(b + 1) * n_seeds]
-        return np.asarray([float(np.mean([lp_quasinorm(row[keys.index((p, T))], p) for row in block]))
-                           for T in Ts])
+        return np.asarray([float(np.mean([lp_quasinorm(row[j], p) for row in tables[b]]))
+                           for j in range(len(Ts))])
 
     rows = []
     for b, p in enumerate(p_values):

@@ -611,8 +611,9 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
     path on purpose: atoms and the E1/E5 instance fields keep
     random_smooth_field, because moving the atoms' draws moved E2 p < 1
     norms by 5e-9 relative through far-field FFT round-off, which the
-    reference outputs record. The two paths become one once the grand
-    maximal function is cut to its support and those references are remade.
+    reference outputs record. Only the order-1 (p = 1) grand maximal
+    function is cut to its support; the two paths become one once the p < 1
+    dictionaries are cut too and those references are remade.
     """
     slab = ball.box(spec)
     idx, inside = slab

@@ -29,9 +29,17 @@ function and a mollifier. Real samples through a mollifier without compact
 support (the Gaussian small maximal function of E1 and E3) take the real
 layer: rfft spectra, half the transform work and half the bytes. Complex
 samples and every compactly supported kernel, so every test dictionary,
-take the complex layer, whose results are unchanged bit for bit: the
-recorded p < 1 grand maximal norms contain its far-field round-off, which
-another transform would move.
+take the complex layer.
+
+A test dictionary of order 1 (N_p = 0, so every p = 1 dictionary) is folded
+on sub-grids: phi_t vanishes off B(0, t), so |f * phi_t| is exactly 0 more
+than ceil(t/h) samples from the box of f's nonzero samples, and each pair
+of a function and a scale runs the same fold on the smallest power-of-two
+window that holds that neighbourhood, pasted into full-size maxima that
+stay 0 elsewhere. Every other dictionary, and the small maximal function,
+runs on the padded full grid: the recorded p < 1 grand maximal norms
+contain its far-field round-off, which a sub-grid or another transform
+would move.
 """
 
 from __future__ import annotations
@@ -355,13 +363,17 @@ def derivative_sups(fn, center, radius: float, dim: int, max_order: int,
 @dataclass(frozen=True)
 class TestDictionary:
     """The copies amplitude * phi_t(x - .) of one mollifier, one per scale t of
-    the ladder, each translated to every grid site."""
+    the ladder, each translated to every grid site, with the order k = N_p + 1
+    up to which the amplitude certifies their derivative bounds. A dictionary
+    of order 1 has its grand maximal function folded on sub-grids around the
+    support of f (see grand_maximal_table)."""
 
     __test__ = False  # not a pytest class
 
     mollifier: MollifierSpec
     scales: ScaleGrid
     amplitude: float
+    order: int
 
 
 @functools.lru_cache(maxsize=64)
@@ -382,7 +394,82 @@ def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
     k = N_p + 1 that the index requires."""
     mollifier = mollifier or MollifierSpec("smooth-bump", spec.dim)
     scales = scales or ScaleGrid.default(spec, T)
-    return TestDictionary(mollifier, scales, _mollifier_amplitude(mollifier, idx.N_p + 1))
+    k = idx.N_p + 1
+    return TestDictionary(mollifier, scales, _mollifier_amplitude(mollifier, k), k)
+
+
+def _on_support(dictionary: TestDictionary) -> bool:
+    # whether grand_maximal_table folds the dictionary on sub-grids around
+    # the support of f: order 1 and a compactly supported mollifier
+    return dictionary.order == 1 and dictionary.mollifier.compact_support
+
+
+def _support_box(f: GridFunction) -> list[tuple[int, int]] | None:
+    # per axis, the first index of a nonzero sample and one past the last;
+    # None for a function with no nonzero sample
+    nonzero = f.samples != 0
+    if not nonzero.any():
+        return None
+    dim = f.spec.dim
+    hits = [np.flatnonzero(nonzero.any(axis=tuple(a for a in range(dim) if a != axis)))
+            for axis in range(dim)]
+    return [(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
+
+
+def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
+    """Fold |fs[i] * phi_t| for the compactly supported kernels of work into
+    maxima[i][s], each function and scale on a sub-grid around f's support.
+
+    phi_t vanishes off B(0, t), so |f * phi_t| is 0 more than K = ceil(t/h)
+    samples from the box of f's nonzero samples (of side b, the longest
+    axis). The pair takes the sub-grid of side s = min(m, max(8, the least
+    power of two >= b + 2K)), of the grid's spacing, and f's samples on the
+    s-point window centred on the box (clamped to the grid), which holds
+    the box widened by K. The fold _running_maxima runs there unchanged, one
+    call for each side and each set of functions that meet a kernel at that
+    side, so every kernel is built once per side. Its maxima are pasted with
+    np.maximum on the window's part of the box widened by the largest K of
+    the scale set; the rest stays exactly 0. The window depends on the box
+    and the side alone, and max is exact, so a row equals its one-row call
+    bit for bit; where s = m the window is the grid, and the bits are the
+    full grid's. A function with no nonzero sample takes no transform."""
+    if not fs or not work:
+        return
+    spec = fs[0].spec
+    m, h = spec.points_per_axis, spec.spacing
+    reach = {key: math.ceil(key[1] / h) for key in work}
+    set_reach: dict[int, int] = {}
+    for key, sets in work.items():
+        for s in sets:
+            set_reach[s] = max(set_reach.get(s, 0), reach[key])
+    boxes = [_support_box(f) for f in fs]
+    meets: dict[tuple, list[int]] = {}  # (side, (mollifier, t)) -> the functions
+    for i, box in enumerate(boxes):
+        if box is not None:
+            b = max(hi - lo for lo, hi in box)
+            for key in work:
+                side = min(m, max(8, 1 << (b + 2 * reach[key] - 1).bit_length()))
+                meets.setdefault((side, key), []).append(i)
+    calls: dict[tuple, list] = {}  # (side, functions) -> their kernels
+    for (side, key), members in meets.items():
+        calls.setdefault((side, tuple(members)), []).append(key)
+    for (side, members), keys in calls.items():
+        sub = GridSpec(spec.dim, side * h / 2, side)  # == spec where side = m
+        starts = [[min(max(lo - (side - (hi - lo)) // 2, 0), m - side) for lo, hi in boxes[i]]
+                  for i in members]
+        crops = [GridFunction(sub, fs[i].samples[tuple(slice(a, a + side) for a in start)])
+                 for i, start in zip(members, starts)]
+        sets = sorted({s for key in keys for s in work[key]})
+        local = {s: n for n, s in enumerate(sets)}
+        folded = _running_maxima(crops, {key: [local[s] for s in work[key]] for key in keys}, len(sets))
+        for i, start, row in zip(members, starts, folded):
+            for s, vals in zip(sets, row):
+                cut = [(max(a, lo - set_reach[s]), min(a + side, hi + set_reach[s]))
+                       for (lo, hi), a in zip(boxes[i], start)]
+                target = maxima[i][s][tuple(slice(u, v) for u, v in cut)]
+                np.maximum(target, vals[tuple(slice(u - a, v - a) for (u, v), a in zip(cut, start))],
+                           out=target)
+        del folded  # before the next call allocates its own
 
 
 def grand_maximal_table(fs: list[GridFunction],
@@ -390,20 +477,29 @@ def grand_maximal_table(fs: list[GridFunction],
     """out[i][j] = grand_maximal(fs[i], dictionaries[j]) for every pair, in one
     pass over the distinct (mollifier, scale) pairs of all the dictionaries.
 
-    Each distinct scale's kernel is built once, convolved with every function
-    and dropped. |f * phi_t| is folded into a running max per distinct
-    (mollifier, ladder), and each dictionary's amplitude is applied once at
-    the end: rounding is monotone, so amp * max|.| equals max(amp * |.|) bit
-    for bit."""
-    ladders: dict[tuple, int] = {}  # (mollifier, scales) -> its running max
-    work: dict[tuple, list[int]] = {}  # (mollifier, t) -> the ladders holding it
+    Each distinct scale's kernel is built once (once per sub-grid side on
+    the support path), convolved with every function and dropped.
+    |f * phi_t| is folded into a running max per distinct (mollifier,
+    ladder, path), and each dictionary's amplitude is applied once at the
+    end: rounding is monotone, so amp * max|.| equals max(amp * |.|) bit for
+    bit. A dictionary of order 1 takes the support path (_fold_on_support):
+    its values are exactly 0 more than ceil(t_max/h) samples from the box of
+    f's nonzero samples, t_max its largest scale, and equal the full grid's
+    within round-off elsewhere. Every other dictionary is folded on the
+    padded full grid, whose far-field round-off the recorded p < 1 norms
+    contain."""
+    ladders: dict[tuple, int] = {}  # (mollifier, scales, support path) -> its running max
+    work: tuple[dict, dict] = ({}, {})  # per path: (mollifier, t) -> the ladders holding it
     for d in dictionaries:
-        if (d.mollifier, d.scales) not in ladders:
-            s = ladders[d.mollifier, d.scales] = len(ladders)
+        key = (d.mollifier, d.scales, _on_support(d))
+        if key not in ladders:
+            s = ladders[key] = len(ladders)
             for t in d.scales.scales:
-                work.setdefault((d.mollifier, t), []).append(s)
-    maxima = _running_maxima(fs, work, len(ladders))
-    return [[GridFunction(f.spec, d.amplitude * row[ladders[d.mollifier, d.scales]]) for d in dictionaries]
+                work[key[2]].setdefault((d.mollifier, t), []).append(s)
+    maxima = _running_maxima(fs, work[False], len(ladders))
+    _fold_on_support(fs, work[True], maxima)
+    return [[GridFunction(f.spec, d.amplitude * row[ladders[d.mollifier, d.scales, _on_support(d)]])
+             for d in dictionaries]
             for f, row in zip(fs, maxima)]
 
 

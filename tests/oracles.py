@@ -6,8 +6,10 @@ support and derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
 convolution as full-size fftn/ifftn (rfftn/irfftn in the real layer) with a
-fancy-index window, `hp_norm` is the h^p quasi-norm of one small maximal
-function, and `reference_cancellation_test` runs the cancellation test one
+fancy-index window, `serial_grand_maximal` is the grand maximal function
+of a dictionary one scale at a time on the padded full grid and
+`support_grand_maximal` that of an order-1 dictionary on sub-grids around
+the support of f, `hp_norm` is the h^p quasi-norm of one small maximal function, and `reference_cancellation_test` runs the cancellation test one
 row at a time, with one adjoint per operator, a field per application and
 full-grid windows and masks. The explicit moment-probe bumps phi^{x,alpha}
 of the paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, lp_quasinorm, sq_distance
+from hardylab.grid import Ball, GridFunction, GridSpec, dilate, lp_quasinorm, sq_distance
 from hardylab.maximal import MollifierSpec, ScaleGrid, derivative_sups, quintic_step, small_maximal
 from hardylab.moments import (
     HardyIndex,
@@ -173,6 +175,79 @@ def reference_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -
     else:
         raw = np.fft.ifftn(Ff * Fg)
     return raw[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+
+
+def serial_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:
+    """The grand maximal function of a dictionary on the padded full grid, one
+    convolution per copy in ladder order, with the (alpha, sites, idx, T)
+    moment probes folded in halfway up the ladder."""
+    spec = f.spec
+    out = np.zeros(spec.shape)
+    Ff = reference_padded_spectrum(f)
+    scales = dictionary.scales.scales
+    for n, t in enumerate(scales):
+        if n == len(scales) // 2:
+            for alpha, sites, idx, T in probes:
+                out = with_probes(out, f, alpha, sites, idx, T)
+        Fk = reference_padded_spectrum(dilate(dictionary.mollifier, t, spec))
+        np.maximum(out, dictionary.amplitude * np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
+    return out
+
+
+def support_box(f: GridFunction):
+    """Per axis, the first index of a nonzero sample of f and one past the
+    last; None if f has no nonzero sample."""
+    hits = np.nonzero(f.samples)
+    if not hits[0].size:
+        return None
+    return [(int(i.min()), int(i.max()) + 1) for i in hits]
+
+
+def support_window(f: GridFunction, t: float):
+    """The side s and the per-axis start of the window on which the support
+    path convolves f with phi_t: s is the least power of two, at least 8 and
+    at most m, that holds b + 2 ceil(t/h) (b the longest side of f's support
+    box), and the window is centred on the box, then moved inside the grid."""
+    spec = f.spec
+    m = spec.points_per_axis
+    box = support_box(f)
+    need = max(hi - lo for lo, hi in box) + 2 * math.ceil(t / spec.spacing)
+    s = m
+    while s // 2 >= max(8, need):
+        s //= 2
+    return s, [min(max(lo - (s - (hi - lo)) // 2, 0), m - s) for lo, hi in box]
+
+
+def support_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:
+    """The grand maximal function of an order-1 dictionary on sub-grids around
+    the support of f, one scale at a time in ladder order: f's samples on its
+    support_window for t, on a grid of that side and f's spacing, take one
+    padded convolution with phi_t sampled there, and amplitude * |.| is
+    pasted with max into the full grid on the window's part of the support
+    box widened by ceil(t_max/h), t_max the largest scale; every other
+    sample is 0. The (alpha, sites, idx, T) moment probes are folded in
+    halfway up the ladder."""
+    spec = f.spec
+    h = spec.spacing
+    out = np.zeros(spec.shape)
+    box = support_box(f)
+    scales = dictionary.scales.scales
+    reach = math.ceil(scales[-1] / h)
+    for n, t in enumerate(scales):
+        if n == len(scales) // 2:
+            for alpha, sites, idx, T in probes:
+                out = with_probes(out, f, alpha, sites, idx, T)
+        if box is None:
+            continue
+        s, starts = support_window(f, t)
+        sub = GridSpec(spec.dim, s * h / 2, s)
+        crop = GridFunction(sub, f.samples[tuple(slice(a, a + s) for a in starts)])
+        Fk = reference_padded_spectrum(dilate(dictionary.mollifier, t, sub))
+        vals = dictionary.amplitude * np.abs(reference_convolve_spectra(reference_padded_spectrum(crop), Fk, sub))
+        cut = [(max(a, lo - reach), min(a + s, hi + reach)) for (lo, hi), a in zip(box, starts)]
+        target = out[tuple(slice(u, v) for u, v in cut)]
+        np.maximum(target, vals[tuple(slice(u - a, v - a) for (u, v), a in zip(cut, starts))], out=target)
+    return out
 
 
 def hp_norm(f: GridFunction, idx: HardyIndex, mollifier: MollifierSpec | None = None,

@@ -23,7 +23,7 @@ from hardylab.experiments import RUNNERS, SCHEMAS, run_experiment
 from hardylab.grid import Ball, GridSpec
 from hardylab.maximal import MollifierSpec, ScaleGrid
 from hardylab.moments import HardyIndex
-from oracles import container_bytes
+from oracles import container_bytes, serial_grand_maximal
 
 
 def write(tmp_path, name, text):
@@ -213,6 +213,58 @@ r_ladder = 2^-2, 2^-3
     assert len([r for r in rows if r[0] == "data"]) == 2 * 3 * 2
 
 
+def test_e2_one_grand_maximal_table_per_p(tmp_path, monkeypatch):
+    # one table call per p, holding that p's atoms (r_large, and r_small at
+    # p = 1) against that p's T dictionaries: order 1 at p = 1, order 2 at
+    # p = 1/2 in 1D. The p = 1/2 cells equal those of one call for every atom
+    # and every (p, T) bit for bit, and the serial full-grid fold
+    import hardylab.experiments as experiments
+    from hardylab.maximal import build_test_dictionary, grand_maximal_table
+
+    path = write(tmp_path, "e2.cfg", """
+[experiment]
+scenario = E2-grand-maximal-constant
+seed = 4
+[grid]
+m = 512
+L = 8
+[scenario]
+p_values = 1, 1/2
+T_ladder = 1, 2
+r_large = 1.0
+r_small = 0.25
+n_seeds = 2
+""")
+    calls = []
+
+    def recording(fs, dictionaries):
+        out = grand_maximal_table(fs, dictionaries)
+        calls.append((fs, dictionaries, out))
+        return out
+
+    monkeypatch.setattr(experiments, "grand_maximal_table", recording)
+    cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path / "out"), quiet=True)
+    run_experiment(cfg)
+    grid = cfg.grid
+
+    def atoms(p, r):
+        return [make_atom(AtomSpec(HardyIndex(p, 1), np.inf, Ball((0.0,), r), "local"), 4 + s, grid)
+                for s in range(2)]
+
+    want = {1.0: atoms(1.0, 1.0) + atoms(1.0, 0.25), 0.5: atoms(0.5, 1.0)}
+    assert len(calls) == 2
+    for (fs, dicts, _), (p, expected) in zip(calls, want.items()):
+        assert [f.samples.tobytes() for f in fs] == [f.samples.tobytes() for f in expected]
+        assert dicts == [build_test_dictionary(grid, HardyIndex(p, 1), T) for T in (1.0, 2.0)]
+        assert {d.order for d in dicts} == {1 if p == 1.0 else 2}
+    (ones, one_dicts, _), (halves, half_dicts, half_table) = calls
+    single = grand_maximal_table(ones + halves, one_dicts + half_dicts)[len(ones):]
+    for f, row, want_row in zip(halves, half_table, single):
+        for d, cell, want_cell in zip(half_dicts, row, want_row[len(one_dicts):]):
+            assert np.array_equal(cell.samples, want_cell.samples)
+            assert np.array_equal(cell.samples, serial_grand_maximal(f, d))
+
+
 def test_e3_image_moment_ratios_bounded(tmp_path):
     # images of cancelling atoms under bounded convolution-type operators keep
     # normalized moments below a fixed constant across the ladder
@@ -356,3 +408,30 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_diff_outputs_lists_cells_and_faults(tmp_path):
+    # every differing cell with both values and the relative change; exit 1
+    # on a file missing from one tree or a different row count, else 0
+    script = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b, a / "sub", b / "sub"):
+        d.mkdir()
+    (a / "E2.csv").write_text("kind,value\ndata,2.5\nfit,x\n")
+    (b / "E2.csv").write_text("kind,value\ndata,2.5000001\nfit,y\n")
+    (a / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n")
+    (b / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n")
+
+    def run():
+        return subprocess.run([sys.executable, str(script), str(a), str(b)],
+                              capture_output=True, text=True)
+
+    done = run()
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == ["E2.csv:1:value  2.5 -> 2.5000001  (4.000e-08)",
+                                        "E2.csv:2:value  x -> y  ()"]
+    (b / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n2,4\n")
+    (a / "E3.csv").write_text("r\n1\n")
+    done = run()
+    assert done.returncode == 1
+    assert "E3.csv: missing in" in done.stdout and "sub/E1.csv: 2 rows against 3" in done.stdout

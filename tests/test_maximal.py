@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hardylab.maximal as maximal
-from hardylab.atoms import edge_cutoff
+from hardylab.atoms import AtomSpec, edge_cutoff, make_atom
 from hardylab.errors import NumericalError
 from hardylab.grid import (
     TILE_ROWS,
@@ -46,6 +47,10 @@ from oracles import (
     phi_x_alpha,
     reference_convolve_spectra,
     reference_padded_spectrum,
+    serial_grand_maximal,
+    support_box,
+    support_grand_maximal,
+    support_window,
     verify_admissible,
     with_probes,
 )
@@ -273,7 +278,7 @@ def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
     gm = grand_maximal(f, dct)
     sm = small_maximal(f, mol, scales)
     amp = dct.amplitude
-    assert dct == TestDictionary(mol, scales, amp)
+    assert dct == TestDictionary(mol, scales, amp, 1)
     assert np.max(np.abs(gm.samples - amp * sm.samples)) == 0.0
     zero = GridFunction(grid, np.zeros(grid.shape))
     assert np.all(grand_maximal(zero, dct).samples == 0.0)
@@ -313,18 +318,22 @@ def test_small_maximal_monotone_under_scale_refinement(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_monotone_under_dictionary_superset(dim):
-    # more copies, a larger T and moment probes on top of every base copy
+    # more copies, a larger T and moment probes on top of every base copy;
+    # on the function cut to a ball the order-1 dictionaries take the
+    # support path, where the larger T pastes on a larger box
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     idx = HardyIndex(1.0, dim)
-    f = sample_function(spec, lambda p: np.exp(-4 * np.sum(p**2, axis=0)) * (1 + p[0]))
+    smooth = sample_function(spec, lambda p: np.exp(-4 * np.sum(p**2, axis=0)) * (1 + p[0]))
+    cut = smooth * GridFunction(spec, Ball((0.1,) * dim, 0.5).mask(spec).astype(float))
     base = build_test_dictionary(spec, idx, T=1.0)
     sites = ((0.2, 0.1)[:dim], (0.3, 0.15)[:dim])
     big = build_test_dictionary(spec, idx, T=2.0, scales=union_ladder(
         base.scales, ScaleGrid.default(spec, 2.0)))
-    small_vals = grand_maximal(f, base).samples
-    big_vals = with_probes(grand_maximal(f, big).samples, f, (0,) * dim, sites, idx, T=2.0)
-    assert np.all(big_vals >= small_vals)
-    assert np.any(big_vals > small_vals)
+    for f in (smooth, cut):
+        small_vals = grand_maximal(f, base).samples
+        big_vals = with_probes(grand_maximal(f, big).samples, f, (0,) * dim, sites, idx, T=2.0)
+        assert np.all(big_vals >= small_vals)
+        assert np.any(big_vals > small_vals)
 
 
 @st.composite
@@ -340,15 +349,112 @@ def nested_ladders(draw, fine):
 @settings(max_examples=4, deadline=None)
 def test_grand_maximal_monotone_under_nested_ladders(dim, data):
     # any two nested ladders of one fine ladder: the larger dictionary
-    # reuses every kernel and convolution of the smaller, so >= is exact
+    # reuses every kernel and convolution of the smaller, so >= is exact; on
+    # a compact function also on the support path, where each scale takes
+    # the same sub-grid in both and the larger cap pastes on a larger box
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     idx = HardyIndex(1.0, dim)
     small, big = data.draw(nested_ladders(np.geomspace(2.0 * spec.spacing, 2.0, 24)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     f = GridFunction(spec, rng.normal(size=spec.shape))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, spec.points_per_axis - 8))
+        cube = np.zeros(spec.shape)
+        cube[(slice(lo, lo + 8),) * dim] = 1.0
+        f = f * GridFunction(spec, cube)
     a = grand_maximal(f, build_test_dictionary(spec, idx, 2.0, scales=small)).samples
     b = grand_maximal(f, build_test_dictionary(spec, idx, 2.0, scales=big)).samples
     assert np.all(b >= a)
+
+
+@st.composite
+def compact_cases(draw, dim):
+    # a real or complex function whose nonzero samples lie in a random box
+    # of a small grid (zeros inside it too), and an order-1 dictionary with
+    # a random cap T
+    m = draw(st.sampled_from([64, 256] if dim == 1 else [16, 32, 64]))
+    spec = GridSpec(dim, 2.0, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=spec.shape) * (rng.random(spec.shape) < 0.8)
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=spec.shape)
+    box = []
+    for _ in range(dim):
+        width = draw(st.integers(1, m))
+        lo = draw(st.integers(0, m - width))
+        box.append(slice(lo, lo + width))
+    x[tuple(b.start for b in box)] = 1.0  # not all zero
+    samples = np.zeros_like(x)
+    samples[tuple(box)] = x[tuple(box)]
+    f = GridFunction(spec, samples)
+    T = draw(st.sampled_from([0.6, 1.0, 1.5]))
+    return f, build_test_dictionary(spec, HardyIndex(1.0, dim), T)
+
+
+def near_support(f, dictionary):
+    # the box of f's nonzero samples widened by ceil(t_max/h) samples, which
+    # holds supp f + B(0, T) on the grid
+    reach = int(np.ceil(dictionary.scales.scales[-1] / f.spec.spacing))
+    near = np.zeros(f.spec.shape, dtype=bool)
+    near[tuple(slice(max(lo - reach, 0), hi + reach) for lo, hi in support_box(f))] = True
+    return near
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_support_path_matches_full_grid(dim, data):
+    # near the support, within 64 eps of the max of the full padded path (a
+    # tolerance fixed from float64 eps beforehand); off it exactly 0, where
+    # the full path holds round-off of at most the same size
+    f, dct = data.draw(compact_cases(dim))
+    assert dct.order == 1
+    got = grand_maximal(f, dct).samples
+    full = serial_grand_maximal(f, dct)
+    assert np.array_equal(got, support_grand_maximal(f, dct))
+    near = near_support(f, dct)
+    tol = 64 * np.finfo(float).eps * np.max(full)
+    assert np.max(np.abs(got - full)[near]) <= tol
+    assert np.all(got[~near] == 0.0)
+    assert np.max(full[~near], initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_full_grid_path_keeps_its_bits(dim, data):
+    # an order >= 2 dictionary on a compact function, and an order-1 one on
+    # a function whose support fills the grid, take the full padded path
+    f, dct = data.draw(compact_cases(dim))
+    spec = f.spec
+    higher = build_test_dictionary(spec, HardyIndex(0.5, dim), dct.scales.scales[-1])
+    assert higher.order > 1
+    assert np.array_equal(grand_maximal(f, higher).samples, serial_grand_maximal(f, higher))
+    filled = GridFunction(spec, f.samples + np.random.default_rng(dim).normal(size=spec.shape))
+    assert fills_grid(filled)
+    assert np.array_equal(grand_maximal(filled, dct).samples, serial_grand_maximal(filled, dct))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_function_takes_no_transform_on_support_path(monkeypatch, dim):
+    # an all-zero function gives zeros on both paths; on the support path it
+    # takes no spectrum and builds no kernel
+    spec = GridSpec(dim, 2.0, 64)
+    zero = GridFunction(spec, np.zeros(spec.shape))
+    order1, higher = (build_test_dictionary(spec, HardyIndex(p, dim), 1.0) for p in (1.0, 0.5))
+    built = count_kernel_builds(monkeypatch)
+    spectra = []
+    transform = maximal.padded_spectrum
+
+    def counting(f, *args, **kwargs):
+        spectra.append(f)
+        return transform(f, *args, **kwargs)
+
+    monkeypatch.setattr(maximal, "padded_spectrum", counting)
+    assert not grand_maximal(zero, order1).samples.any()
+    assert not built and not spectra
+    assert not any(cell.samples.any() for cell in grand_maximal_table([zero], [order1, higher])[0])
+    assert built == Counter(dict.fromkeys(((higher.mollifier, t) for t in higher.scales.scales), 1))
 
 
 def test_grand_maximal_sublinear(grid, scales):
@@ -404,22 +510,6 @@ def serial_small_maximal(f, mol, scales):
     for t in scales.scales:
         Fk = padded_spectrum(dilate(mol, t, spec), real)
         np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
-    return out
-
-
-def serial_grand_maximal(f, dictionary, probes=()):
-    # one convolution per copy in ladder order, the (alpha, sites, idx, T)
-    # moment probes folded in halfway up the ladder
-    spec = f.spec
-    out = np.zeros(spec.shape)
-    Ff = padded_spectrum(f)
-    scales = dictionary.scales.scales
-    for n, t in enumerate(scales):
-        if n == len(scales) // 2:
-            for alpha, sites, idx, T in probes:
-                out = with_probes(out, f, alpha, sites, idx, T)
-        Fk = padded_spectrum(dilate(dictionary.mollifier, t, spec))
-        np.maximum(out, dictionary.amplitude * np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
     return out
 
 
@@ -557,6 +647,53 @@ def test_small_maximal_table_memory_by_design_1d():
     assert unbounded > bound, (unbounded, bound)
 
 
+def test_grand_maximal_support_path_memory_by_design():
+    # traced peak of one cold call of an E2-like 2D order-1 table (m = 256,
+    # L = 16, atoms on balls of radius 1 and 1/2, T = 1, 2, 4), from the
+    # design: the full-size maxima of every function and ladder, then either
+    # the cells made from them at the end, or one sub-grid call of the
+    # largest side s the call meets: every function's (2s)^2 complex
+    # spectrum and its sub-grid maxima per ladder, with per chunk the
+    # stacked complex scratch and |.| of one sub-stack and one kernel build
+    # (its samples, then either dilate's temporaries, 2 dim + 1 grid-sized
+    # floats, or its spectrum); and 64 KiB for Python objects. The
+    # full-grid fold of the same functions, a (2m)^2 spectrum each, does
+    # not fit
+    spec = GridSpec(2, 16.0, 256)
+    m, dim = spec.points_per_axis, spec.dim
+    fs = [make_atom(AtomSpec(HardyIndex(1.0, dim), np.inf, Ball((0.0, 0.0), r), "local"), seed, spec)
+          for r in (1.0, 0.5) for seed in (1, 2)]
+    dicts = [build_test_dictionary(spec, HardyIndex(1.0, dim), T) for T in (1.0, 2.0, 4.0)]
+    n, sets = len(fs), len(dicts)
+    side = max(support_window(f, 4.0)[0] for f in fs)
+    assert side < m
+    sub = GridSpec(dim, side * spec.spacing / 2, side)
+    row = sum(a.nbytes for a in spectral_scratch(sub)) + 8 * side**2
+    stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
+    spectrum = 16 * (2 * side) ** 2
+    kernel = 8 * side**2 + max((2 * dim + 1) * 8 * side**2, spectrum)
+    chunks = maximal._WORKERS
+    group = n * (spectrum + sets * 8 * side**2) + chunks * (stack * row + kernel)
+    maxima = n * sets * 8 * m * m
+    bound = maxima + max(maxima, group) + 2**16
+
+    def traced_peak(dictionaries):
+        expected = grand_maximal_table(fs, dictionaries)  # starts the pool's workers
+        tracemalloc.start()
+        try:
+            out = grand_maximal_table(fs, dictionaries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(a.samples, b.samples) for x, y in zip(out, expected) for a, b in zip(x, y))
+        return peak
+
+    peak = traced_peak(dicts)
+    assert peak <= bound, (peak, bound)
+    full = traced_peak([dataclasses.replace(d, order=2) for d in dicts])
+    assert full > bound, (full, bound)
+
+
 def test_fold_transforms_a_sub_stack_per_call(monkeypatch):
     # five real and four complex 1D functions through the Gaussian, with a
     # stack bound of two rows in either layer: against each kernel the real
@@ -586,16 +723,29 @@ def test_fold_transforms_a_sub_stack_per_call(monkeypatch):
 
 
 def test_grand_maximal_matches_serial_loop_bitwise(grid):
-    # small copies only, so that the probes raise the max at some sites
+    # small copies only, so that the probes raise the max at some sites; an
+    # order-1 dictionary on a compact f takes the support path
     dct = build_test_dictionary(grid, IDX1, T=2.0, scales=ScaleGrid.default(grid, 0.05))
     x = grid.axis()
     f = GridFunction(grid, (np.abs(x) < 0.25) * np.exp(1j * x))
     without = grand_maximal(f, dct).samples
-    assert np.array_equal(without, serial_grand_maximal(f, dct))
+    assert np.array_equal(without, support_grand_maximal(f, dct))
     probes = ((0,), ((0.2,), (-0.3,), (0.45,)), IDX1, 2.0)
     out = with_probes(without, f, *probes)
     assert np.any(out != without)
-    assert np.array_equal(out, serial_grand_maximal(f, dct, [probes]))
+    assert np.array_equal(out, support_grand_maximal(f, dct, [probes]))
+
+
+def serial_cell(f, dictionary):
+    # the serial oracle of the path grand_maximal_table takes for the pair
+    if dictionary.order == 1:
+        return support_grand_maximal(f, dictionary)
+    return serial_grand_maximal(f, dictionary)
+
+
+def fills_grid(f):
+    # a support box of the whole grid: every scale's window is the grid
+    return support_box(f) == [(0, f.spec.points_per_axis)] * f.spec.dim
 
 
 def table_case(dim, kind):
@@ -637,7 +787,9 @@ def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
     for f, row in zip(fs, table):
         for dct, cell in zip(dicts, row):
             assert np.array_equal(cell.samples, grand_maximal(f, dct).samples)
-            assert np.array_equal(cell.samples, serial_grand_maximal(f, dct))
+            assert np.array_equal(cell.samples, serial_cell(f, dct))
+            if fills_grid(f) or dct.order > 1:
+                assert np.array_equal(cell.samples, serial_grand_maximal(f, dct))
     for mol, sc in ladders:
         small = small_maximal_table(fs, mol, sc)
         assert len(small) == len(fs)
@@ -659,13 +811,29 @@ def count_kernel_builds(monkeypatch):
     return built
 
 
+def expected_builds(fs, dicts, per_function=False):
+    # (mollifier, t) -> kernel builds of one grand_maximal_table call: one on
+    # the full grid, and one per sub-grid side at which a nonzero function
+    # meets the kernel on the support path; with per_function, where every
+    # function is a group of its own, one per function instead
+    built = Counter()
+    for mol, t in {(d.mollifier, t) for d in dicts if d.order > 1 for t in d.scales.scales}:
+        built[mol, t] += len(fs) if per_function else 1
+    for mol, t in {(d.mollifier, t) for d in dicts if d.order == 1 for t in d.scales.scales}:
+        sides = Counter(support_window(f, t)[0] for f in fs if support_box(f) is not None)
+        built[mol, t] += sum(sides.values()) if per_function else len(sides)
+    return built
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
+    # once per sub-grid side on the support path: the compact bump meets
+    # the small scales on a smaller side than the noise
     fs, dicts, ladders = table_case(dim, "real")
     built = count_kernel_builds(monkeypatch)
     grand_maximal_table(fs, dicts)
-    distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
-    assert built == Counter(dict.fromkeys(distinct, 1))
+    assert built == expected_builds(fs, dicts)
+    assert max(expected_builds(fs, [d for d in dicts if d.order == 1]).values()) == 2
     for mol, sc in ladders:
         built.clear()
         small_maximal_table(fs, mol, sc)
@@ -683,7 +851,7 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
     for kind in ("real", "complex", "mixed"):
         fs, dicts, ladders = table_case(dim, kind)
         fs.append(fs[0] * 0.5 + fs[1])
-        grand = [[serial_grand_maximal(f, d) for d in dicts] for f in fs]
+        grand = [[serial_cell(f, d) for d in dicts] for f in fs]
         small = [[serial_small_maximal(f, mol, sc) for f in fs] for mol, sc in ladders]
         for f, want in zip(fs, grand):
             assert all(np.array_equal(w, grand_maximal(f, d).samples) for w, d in zip(want, dicts))
@@ -698,8 +866,7 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
                 builds = len(fs) if spectra_bytes == 1 else 1
                 built.clear()
                 table = grand_maximal_table(fs, dicts)
-                distinct = {(d.mollifier, t) for d in dicts for t in d.scales.scales}
-                assert built == Counter(dict.fromkeys(distinct, builds))
+                assert built == expected_builds(fs, dicts, per_function=spectra_bytes == 1)
                 for want, row in zip(grand, table):
                     assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
                 for (mol, sc), want in zip(ladders, small):
@@ -759,7 +926,7 @@ def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
     # eight chunks fold into one shared set of maxima under a tiny switch
     # interval: a lost update would break the bitwise match
     fs, dicts, _ = table_case(2, "real")
-    expected = [[serial_grand_maximal(f, d) for d in dicts] for f in fs]
+    expected = [[serial_cell(f, d) for d in dicts] for f in fs]
     pool = ThreadPoolExecutor(8)
     monkeypatch.setattr(maximal, "_WORKERS", 8)
     monkeypatch.setattr(maximal, "_pool", pool)
