@@ -18,18 +18,19 @@ kernel is built once, used for every function of the call and dropped, and
 the padded spectra alive at one time stay under FOLD_SPECTRA_BYTES.
 small_maximal_table runs the pass over one ladder, grand_maximal_table over
 the distinct ladders of all its dictionaries. The functions' spectra are
-held as one stacked array per spectral layer, and each kernel meets them a
-sub-stack at a time: one product and one inverse transform for all the
-rows, with the stacked scratch of a chunk under FOLD_STACK_BYTES. In 1D
-that puts several functions in one call; a 2D function at the sizes the
-configs run fills the bound alone.
+held as one stacked array, and each kernel meets them a sub-stack at a
+time: one product and one inverse transform for all the rows, with the
+stacked scratch of a chunk under FOLD_STACK_BYTES. In 1D that puts several
+functions in one call; a 2D function at the sizes the configs run fills
+the bound alone.
 
-The fold takes one of the two spectral layers of grid.py for each pair of a
-function and a mollifier. Real samples through a mollifier without compact
+Each call of the fold runs in one of the two spectral layers of grid.py,
+picked by its caller. Real samples through a mollifier without compact
 support (the Gaussian small maximal function of E1 and E3) take the real
-layer: rfft spectra, half the transform work and half the bytes. Complex
-samples and every compactly supported kernel, so every test dictionary,
-take the complex layer.
+layer: rfft spectra, half the transform work and half the bytes; the rest
+take the complex layer. small_maximal_table runs one call per layer
+present; every test dictionary's mollifier is compactly supported, so
+grand_maximal_table runs in the complex layer alone.
 
 A test dictionary of order 1 (N_p = 0, so every p = 1 dictionary) is folded
 on sub-grids: phi_t vanishes off B(0, t), so |f * phi_t| is exactly 0 more
@@ -178,49 +179,35 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _real_layer(is_real: bool, mollifier: MollifierSpec) -> bool:
-    # the spectral layer of |f * phi_t|: real for real samples through a
-    # mollifier without compact support, complex otherwise
-    return is_real and not mollifier.compact_support
-
-
-def _fold_chunk(work: list, runs: dict, stacks: dict, maxima: list, spec: GridSpec,
-                scratch: dict, lock: threading.Lock) -> None:
+def _fold_chunk(work: list, spectra: np.ndarray, maxima: list, spec: GridSpec, real: bool,
+                scratch: tuple, lock: threading.Lock) -> None:
+    bufs, vals = scratch
     for (mollifier, t), slots in work:
-        kernel = dilate(mollifier, t, spec)
-        Fk = {real: padded_spectrum(kernel, real) for real, _, _ in runs[mollifier]}
-        del kernel
-        for real, lo, hi in runs[mollifier]:
-            first, spectra = stacks[real]
-            bufs, vals = scratch[real]
-            for i in range(lo, hi, len(vals)):
-                k = min(len(vals), hi - i)
-                abs_convolve_spectra(spectra[i - first:i - first + k], Fk[real], spec,
-                                     tuple(b[:k] for b in bufs), vals[:k])
-                with lock:
-                    for row, val in zip(maxima[i:i + k], vals):
-                        for s in slots:
-                            np.maximum(row[s], val, out=row[s])
+        Fk = padded_spectrum(dilate(mollifier, t, spec), real)
+        for i in range(0, len(spectra), len(vals)):
+            k = min(len(vals), len(spectra) - i)
+            abs_convolve_spectra(spectra[i:i + k], Fk, spec, tuple(b[:k] for b in bufs), vals[:k])
+            with lock:
+                for row, val in zip(maxima[i:i + k], vals):
+                    for s in slots:
+                        np.maximum(row[s], val, out=row[s])
         del Fk  # this scale is done: drop its kernel before building the next
 
 
-def _running_maxima(fs: list, work: dict, nsets: int) -> list:
+def _running_maxima(fs: list, work: dict, nsets: int, real: bool) -> list:
     """maxima[i][s], the pointwise max of |fs[i] * phi_t| over the scales of
-    scale set s, walking each distinct scale once.
+    scale set s, walking each distinct scale once, in the real spectral
+    layer with real (real samples only) and in the complex one without.
 
     work maps each distinct (mollifier, t) to the scale sets that hold it.
     One interleaved chunk of the scales per CPU runs on the pool (NumPy's
     FFT releases the GIL) and folds into the one shared set of maxima under
     a lock; max is exact, so the result does not depend on the split or the
-    order. A chunk builds the padded spectra of each of its kernels, folds
-    them against every function of the group and drops them before the next.
+    order. A chunk builds the padded spectrum of each of its kernels, folds
+    it against every function of the group and drops it before the next.
 
-    Each pair of a function and a mollifier takes one spectral layer (see
-    _real_layer); the complex functions are ordered before the real ones,
-    so the functions of a group that share a layer for a mollifier are one
-    run of rows. A group holds its padded spectra as one stacked array per
-    layer, each function a row, built in place, and a kernel has a spectrum
-    in each layer its runs need. Against a kernel, a run is transformed a
+    A group holds its padded spectra as one stacked array, each function a
+    row, built in place. Against a kernel, the stack is transformed a
     sub-stack of rows at a time: one product with the kernel spectrum and
     one inverse transform along the last axis for all its rows, then the
     window, the scale and |.|, and the lock is taken once per sub-stack.
@@ -230,98 +217,71 @@ def _running_maxima(fs: list, work: dict, nsets: int) -> list:
     array for all of them measured 1.3 MB more peak RSS in 2D E2, where the
     separate arrays reuse memory that atom generation freed.
 
-    Each chunk has one scratch, reused for every sub-stack it takes: per
-    layer of the call a spectral_scratch stacked to the sub-stack size and
-    its abs_convolve_output for |.|, which the real layer keeps in its
-    product. The sub-stack size of a layer is the largest count of rows
-    whose stacked scratch and |.| fit in FOLD_STACK_BYTES, at least one and
-    at most the functions in that layer.
+    Each chunk has one scratch, reused for every sub-stack it takes: a
+    spectral_scratch stacked to the sub-stack size and its |.|
+    (abs_convolve_output, which the real layer keeps in its product), as
+    many rows as fit in FOLD_STACK_BYTES, at least one, at most all.
     The scratch is allocated here, in the calling thread: freed in a worker,
     it would stay in that thread's malloc arena and raise the peak RSS. The
     functions run in groups, so that their padded spectra plus the kernels
     and the scratch of every chunk stay within FOLD_SPECTRA_BYTES, with the
-    bytes of each layer's spectrum taken from spectrum_shape; a group holds
-    at least one function, and every kernel is built once per group. No
-    functions give no maxima; functions on different grids raise ValueError."""
+    bytes of a spectrum taken from spectrum_shape; a group holds at least
+    one function, and every kernel is built once per group. No functions
+    give no maxima; functions on different grids raise ValueError."""
     if not fs:
         return []
     spec = fs[0].spec
     if any(f.spec != spec for f in fs):
         raise ValueError("grid mismatch")
-    order = sorted(range(len(fs)), key=lambda i: fs[i].is_real)  # stable: complex, then real
-    fs = [fs[i] for i in order]
-    ncomplex = sum(not f.is_real for f in fs)
     maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
-    rows = [maxima[pos] for pos in np.argsort(order)]
     items = list(work.items())
     chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
     if not chunks:
-        return rows
+        return maxima
 
-    def layer_runs(lo, hi):  # mollifier -> (layer, first, end) of each run in [lo, hi)
-        mid = min(max(lo, ncomplex), hi)
-        runs = {}
-        for mollifier in {mollifier for mollifier, _ in work}:
-            real = _real_layer(True, mollifier)
-            parts = [(False, lo, mid), (real, mid, hi)] if real else [(False, lo, hi)]
-            runs[mollifier] = [run for run in parts if run[1] < run[2]]
-        return runs
-
-    def spans(runs):  # layer -> (first, end) of the functions that need it
-        out = {}
-        for real, lo, hi in (run for rs in runs.values() for run in rs):
-            a, b = out.get(real, (lo, hi))
-            out[real] = (min(a, lo), max(b, hi))
-        return out
-
-    def nbytes(real):  # one padded spectrum of the layer
-        return 16 * math.prod(spectrum_shape(spec, real))
-
-    def layer_scratch(real, n):  # a layer's scratch and |.| for n rows
+    def chunk_scratch(n):  # a chunk's scratch and |.| for n rows
         bufs = spectral_scratch(spec, real, n)
         return bufs, abs_convolve_output(spec, bufs)
 
     def owned(bufs, vals):  # their bytes, views of the scratch not counted
         return sum(a.nbytes for a in (*bufs, vals) if a.base is None)
 
-    counts = {real: hi - lo for real, (lo, hi) in spans(layer_runs(0, len(fs))).items()}
-    stack = {real: max(1, min(count, FOLD_STACK_BYTES // owned(*layer_scratch(real, 1))))
-             for real, count in counts.items()}
+    stack = max(1, min(len(fs), FOLD_STACK_BYTES // owned(*chunk_scratch(1))))
+    scratch = [chunk_scratch(stack) for _ in chunks]
+    shape = spectrum_shape(spec, real)
+    spectrum = 16 * math.prod(shape)
+    group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * (spectrum + owned(*scratch[0]))) // spectrum)
     lock = threading.Lock()
-    scratch = [{real: layer_scratch(real, n) for real, n in stack.items()} for _ in chunks]
-    per_chunk = sum(nbytes(real) + owned(*layers) for real, layers in scratch[0].items())
-    # a function's layers follow from is_real alone: the first function is
-    # complex if any is, the last real if any is
-    per_function = max(sum(map(nbytes, spans(layer_runs(i, i + 1)))) for i in {0, len(fs) - 1})
-    group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * per_chunk) // per_function)
     for start in range(0, len(fs), group):
-        runs = layer_runs(start, min(start + group, len(fs)))
-        stacks = {}
-        for real, (lo, hi) in spans(runs).items():
-            spectra = np.empty((hi - lo,) + spectrum_shape(spec, real), dtype=np.complex128)
-            for j in range(lo, hi):
-                padded_spectrum(fs[j], real, out=spectra[j - lo])
-            stacks[real] = lo, spectra
-        list(_pool.map(_fold_chunk, chunks, repeat(runs), repeat(stacks), repeat(maxima),
-                       repeat(spec), scratch, repeat(lock)))
-        del stacks
-    return rows
+        members = fs[start:start + group]
+        spectra = np.empty((len(members),) + shape, dtype=np.complex128)
+        for f, out in zip(members, spectra):
+            padded_spectrum(f, real, out=out)
+        list(_pool.map(_fold_chunk, chunks, repeat(spectra), repeat(maxima[start:start + group]),
+                       repeat(spec), repeat(real), scratch, repeat(lock)))
+        del spectra
+    return maxima
 
 
 def small_maximal_table(fs: list[GridFunction], mollifier: MollifierSpec,
                         scales: ScaleGrid) -> list[GridFunction]:
-    """out[i] = small_maximal(fs[i], mollifier, scales) for every function, in
-    one pass over the scales: each kernel is built once, convolved with every
-    function and dropped. As in grand_maximal_table, no functions give [] and
-    functions on different grids raise ValueError."""
-    maxima = _running_maxima(fs, dict.fromkeys(((mollifier, t) for t in scales.scales), (0,)), 1)
-    return [GridFunction(f.spec, row[0]) for f, row in zip(fs, maxima)]
-
-
-def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> GridFunction:
-    """Pointwise max over the scale grid of |f * phi_t| (lower bound for m_phi f).
-    The one-row case of small_maximal_table."""
-    return small_maximal_table([f], mollifier, scales)[0]
+    """out[i], the pointwise max over the scale grid of |fs[i] * phi_t| (a
+    lower bound for m_phi fs[i]), equals the one-row call
+    small_maximal_table([fs[i]], mollifier, scales)[0] bit for bit. One fold
+    per spectral layer present (real for real samples through a mollifier
+    without compact support): each kernel is built once per layer, used for
+    every function in it and dropped. No functions give [] and functions on
+    different grids raise ValueError."""
+    if any(f.spec != fs[0].spec for f in fs):
+        raise ValueError("grid mismatch")
+    work = dict.fromkeys(((mollifier, t) for t in scales.scales), (0,))
+    layers = [f.is_real and not mollifier.compact_support for f in fs]
+    out = [None] * len(fs)
+    for real in set(layers):
+        members = [i for i, layer in enumerate(layers) if layer == real]
+        for i, row in zip(members, _running_maxima([fs[i] for i in members], work, 1, real)):
+            out[i] = GridFunction(fs[i].spec, row[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +322,11 @@ def derivative_sups(fn, center, radius: float, dim: int, max_order: int,
 
 @dataclass(frozen=True)
 class TestDictionary:
-    """The copies amplitude * phi_t(x - .) of one mollifier, one per scale t of
-    the ladder, each translated to every grid site, with the order k = N_p + 1
-    up to which the amplitude certifies their derivative bounds. A dictionary
-    of order 1 has its grand maximal function folded on sub-grids around the
+    """The copies amplitude * phi_t(x - .) of one compactly supported
+    mollifier (any other raises ValueError), one per scale t of the ladder,
+    each translated to every grid site, with the order k = N_p + 1 up to
+    which the amplitude certifies their derivative bounds. A dictionary of
+    order 1 has its grand maximal function folded on sub-grids around the
     support of f (see grand_maximal_table)."""
 
     __test__ = False  # not a pytest class
@@ -375,13 +336,15 @@ class TestDictionary:
     amplitude: float
     order: int
 
+    def __post_init__(self):
+        if not self.mollifier.compact_support:
+            raise ValueError("dictionary entries need a compactly supported mollifier")
+
 
 @functools.lru_cache(maxsize=64)
 def _mollifier_amplitude(mollifier: MollifierSpec, k: int) -> float:
     """Largest c (with 1% headroom) so that c * phi_t(x-.) meets every
     derivative bound of the admissible family; t-independent by scaling."""
-    if not mollifier.compact_support:
-        raise ValueError("dictionary entries need a compactly supported mollifier")
     sups = derivative_sups(mollifier, (0.0,) * mollifier.dim, 1.02, mollifier.dim, k)
     return 0.99 / max(max(sups.values()), 1e-300)
 
@@ -396,12 +359,6 @@ def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
     scales = scales or ScaleGrid.default(spec, T)
     k = idx.N_p + 1
     return TestDictionary(mollifier, scales, _mollifier_amplitude(mollifier, k), k)
-
-
-def _on_support(dictionary: TestDictionary) -> bool:
-    # whether grand_maximal_table folds the dictionary on sub-grids around
-    # the support of f: order 1 and a compactly supported mollifier
-    return dictionary.order == 1 and dictionary.mollifier.compact_support
 
 
 def _support_box(f: GridFunction) -> list[tuple[int, int]] | None:
@@ -461,7 +418,8 @@ def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
                  for i, start in zip(members, starts)]
         sets = sorted({s for key in keys for s in work[key]})
         local = {s: n for n, s in enumerate(sets)}
-        folded = _running_maxima(crops, {key: [local[s] for s in work[key]] for key in keys}, len(sets))
+        folded = _running_maxima(crops, {key: [local[s] for s in work[key]] for key in keys},
+                                 len(sets), False)
         for i, start, row in zip(members, starts, folded):
             for s, vals in zip(sets, row):
                 cut = [(max(a, lo - set_reach[s]), min(a + side, hi + set_reach[s]))
@@ -474,38 +432,34 @@ def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
 
 def grand_maximal_table(fs: list[GridFunction],
                         dictionaries: list[TestDictionary]) -> list[list[GridFunction]]:
-    """out[i][j] = grand_maximal(fs[i], dictionaries[j]) for every pair, in one
-    pass over the distinct (mollifier, scale) pairs of all the dictionaries.
+    """out[i][j] = max |<fs[i], phi>| over the copies phi in dictionaries[j],
+    a certified lower bound for the grand maximal function (a ladder that
+    holds every scale of another can only increase values); each cell equals
+    its one-row call grand_maximal_table([fs[i]], [d])[0][0] bit for bit.
 
-    Each distinct scale's kernel is built once (once per sub-grid side on
-    the support path), convolved with every function and dropped.
-    |f * phi_t| is folded into a running max per distinct (mollifier,
-    ladder, path), and each dictionary's amplitude is applied once at the
-    end: rounding is monotone, so amp * max|.| equals max(amp * |.|) bit for
-    bit. A dictionary of order 1 takes the support path (_fold_on_support):
-    its values are exactly 0 more than ceil(t_max/h) samples from the box of
-    f's nonzero samples, t_max its largest scale, and equal the full grid's
-    within round-off elsewhere. Every other dictionary is folded on the
-    padded full grid, whose far-field round-off the recorded p < 1 norms
-    contain."""
+    One pass in the complex layer over the distinct (mollifier, scale)
+    pairs of all the dictionaries: each kernel is built once (once per
+    sub-grid side on the support path), convolved with every function and
+    dropped. |f * phi_t| is folded into a running max per distinct
+    (mollifier, ladder, path), and each dictionary's amplitude is applied
+    once at the end: rounding is monotone, so amp * max|.| equals
+    max(amp * |.|) bit for bit. A dictionary of order 1 takes the support
+    path (_fold_on_support): its values are exactly 0 more than
+    ceil(t_max/h) samples from the box of f's nonzero samples, t_max its
+    largest scale, and equal the full grid's within round-off elsewhere.
+    Every other dictionary is folded on the padded full grid, whose
+    far-field round-off the recorded p < 1 norms contain."""
     ladders: dict[tuple, int] = {}  # (mollifier, scales, support path) -> its running max
     work: tuple[dict, dict] = ({}, {})  # per path: (mollifier, t) -> the ladders holding it
     for d in dictionaries:
-        key = (d.mollifier, d.scales, _on_support(d))
+        key = (d.mollifier, d.scales, d.order == 1)
         if key not in ladders:
             s = ladders[key] = len(ladders)
             for t in d.scales.scales:
                 work[key[2]].setdefault((d.mollifier, t), []).append(s)
-    maxima = _running_maxima(fs, work[False], len(ladders))
+    maxima = _running_maxima(fs, work[False], len(ladders), False)
     _fold_on_support(fs, work[True], maxima)
-    return [[GridFunction(f.spec, d.amplitude * row[ladders[d.mollifier, d.scales, _on_support(d)]])
+    return [[GridFunction(f.spec, d.amplitude * row[ladders[d.mollifier, d.scales, d.order == 1]])
              for d in dictionaries]
             for f, row in zip(fs, maxima)]
 
-
-def grand_maximal(f: GridFunction, dictionary: TestDictionary) -> GridFunction:
-    """Pointwise max of |<f, phi>| over the dictionary's mollifier copies. A
-    certified lower bound for the grand maximal function: a ladder that holds
-    every scale of another can only increase values. The one-row case of
-    grand_maximal_table."""
-    return grand_maximal_table([f], [dictionary])[0][0]

@@ -9,9 +9,11 @@ convolution as full-size fftn/ifftn (rfftn/irfftn in the real layer) with a
 fancy-index window, `serial_grand_maximal` is the grand maximal function
 of a dictionary one scale at a time on the padded full grid and
 `support_grand_maximal` that of an order-1 dictionary on sub-grids around
-the support of f, `hp_norm` is the h^p quasi-norm of one small maximal function, and `reference_cancellation_test` runs the cancellation test one
-row at a time, with one adjoint per operator, a field per application and
-full-grid windows and masks. The explicit moment-probe bumps phi^{x,alpha}
+the support of f, `small_maximal` and `grand_maximal` are the one-row
+calls of the library's tables, `hp_norm` is the h^p quasi-norm of one
+small maximal function, and `reference_cancellation_test` runs the
+cancellation test one row at a time, with one adjoint per operator, a
+field per application and full-grid windows and masks. The explicit moment-probe bumps phi^{x,alpha}
 of the paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here
 too, with `with_probes`, which raises a grand maximal function to their
 pairings at given sites. None of them is used by the experiments.
@@ -26,7 +28,14 @@ import numpy as np
 
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, dilate, lp_quasinorm, sq_distance
-from hardylab.maximal import MollifierSpec, ScaleGrid, derivative_sups, quintic_step, small_maximal
+from hardylab.maximal import (
+    MollifierSpec,
+    ScaleGrid,
+    derivative_sups,
+    grand_maximal_table,
+    quintic_step,
+    small_maximal_table,
+)
 from hardylab.moments import (
     HardyIndex,
     MultiIndex,
@@ -175,6 +184,18 @@ def reference_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -
     else:
         raw = np.fft.ifftn(Ff * Fg)
     return raw[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+
+
+def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> GridFunction:
+    """Pointwise max over the scale grid of |f * phi_t|: the one-row
+    small_maximal_table call."""
+    return small_maximal_table([f], mollifier, scales)[0]
+
+
+def grand_maximal(f: GridFunction, dictionary) -> GridFunction:
+    """Pointwise max of |<f, phi>| over the dictionary's mollifier copies: the
+    one-row grand_maximal_table call."""
+    return grand_maximal_table([f], [dictionary])[0][0]
 
 
 def serial_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:

@@ -32,9 +32,7 @@ from hardylab.maximal import (
     ScaleGrid,
     TestDictionary,
     build_test_dictionary,
-    grand_maximal,
     grand_maximal_table,
-    small_maximal,
     small_maximal_table,
 )
 from hardylab.moments import HardyIndex, moment
@@ -43,11 +41,13 @@ from hypothesis import strategies as st
 from oracles import (
     build_phi0,
     cutoff_eta,
+    grand_maximal,
     hp_norm,
     phi_x_alpha,
     reference_convolve_spectra,
     reference_padded_spectrum,
     serial_grand_maximal,
+    small_maximal,
     support_box,
     support_grand_maximal,
     support_window,
@@ -489,10 +489,21 @@ def test_grand_maximal_probe_lower_bound(grid):
     assert np.any(gm > copies)  # on the small copies, the probes raise the value
 
 
-def test_dictionary_requires_compact_mollifier(grid, scales):
-    with pytest.raises(ValueError, match="compact"):
-        build_test_dictionary(grid, IDX1, T=1.0,
-                              mollifier=MollifierSpec("gaussian", 1), scales=scales)
+def test_dictionary_requires_compact_mollifier():
+    # every way to a Gaussian dictionary raises, in dims 1 and 2: the
+    # builder, the constructor, and dataclasses.replace of a certified one
+    for dim in (1, 2):
+        spec = GridSpec(dim, 4.0, 64 if dim == 1 else 32)
+        gaussian = MollifierSpec("gaussian", dim)
+        sc = ScaleGrid.default(spec, 1.0)
+        idx = HardyIndex(1.0, dim)
+        with pytest.raises(ValueError, match="compact"):
+            build_test_dictionary(spec, idx, T=1.0, mollifier=gaussian, scales=sc)
+        dct = build_test_dictionary(spec, idx, T=1.0, scales=sc)
+        with pytest.raises(ValueError, match="compact"):
+            TestDictionary(gaussian, sc, dct.amplitude, dct.order)
+        with pytest.raises(ValueError, match="compact"):
+            dataclasses.replace(dct, mollifier=gaussian)
 
 
 def real_layer(f, mol):
@@ -863,13 +874,17 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
                     patch.setattr(maximal, "FOLD_STACK_BYTES", stack_bytes)
                 if spectra_bytes is not None:
                     patch.setattr(maximal, "FOLD_SPECTRA_BYTES", spectra_bytes)
-                builds = len(fs) if spectra_bytes == 1 else 1
                 built.clear()
                 table = grand_maximal_table(fs, dicts)
                 assert built == expected_builds(fs, dicts, per_function=spectra_bytes == 1)
                 for want, row in zip(grand, table):
                     assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
                 for (mol, sc), want in zip(ladders, small):
+                    # one fold per layer present: a mixed call through the
+                    # Gaussian builds each kernel once per layer
+                    layers = {real_layer(f, mol) for f in fs}
+                    assert len(layers) == (2 if kind == "mixed" and not mol.compact_support else 1)
+                    builds = len(fs) if spectra_bytes == 1 else len(layers)
                     built.clear()
                     got = small_maximal_table(fs, mol, sc)
                     assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), builds))
