@@ -8,12 +8,13 @@ and is exact enough (O(h^2)) for the indicator-like and smooth integrands
 used throughout.
 
 All operations here are pure: they never mutate their inputs, apart from
-the scratch and the output arrays handed to padded_spectrum and
-abs_convolve_spectra, and are safe to share across threads.
+the scratch, output and window arrays handed to padded_spectrum,
+abs_convolve_spectra and window_convolve, and are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -512,6 +513,39 @@ def convolve(f: GridFunction, g: GridFunction, g_spectrum: np.ndarray | None = N
     return GridFunction(f.spec, convolve_spectra(padded_spectrum(f, real), g_spectrum, f.spec))
 
 
+@functools.lru_cache(maxsize=1024)  # the window path asks once per (function, scale)
+def window_side(need: int) -> int:
+    """The least 2^i 3^j >= need, a fast FFT size. The window layer convolves
+    a function whose nonzero samples fit in b per axis, at the start of a
+    zero window, with a kernel within K samples of the origin: on a side
+    >= b + 2K + 1 its circular convolution holds the linear one on the box
+    widened by K, shifted by K, with no wrap-around."""
+    powers = range(need.bit_length() + 1)
+    return min(2**a * 3**b for a in powers for b in powers if 2**a * 3**b >= need)
+
+
+def kernel_spectrum(g: GridFunction, reach: int, n: int) -> np.ndarray:
+    """np.fft.rfftn of the window of side n > 2 reach that holds the samples
+    of g at most reach samples from the origin, the one at offset k at index
+    k + reach, and 0 elsewhere."""
+    m, half, dim = g.spec.points_per_axis, g.spec.points_per_axis // 2, g.spec.dim
+    lo, hi = max(half - reach, 0), min(half + reach + 1, m)
+    window = np.zeros((n,) * dim)
+    window[(slice(lo - half + reach, hi - half + reach),) * dim] = g.samples[(slice(lo, hi),) * dim]
+    return np.fft.rfftn(window)
+
+
+def window_convolve(windows: np.ndarray, Fk: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """h^dim times the circular convolution of each real window, stacked
+    along a leading axis, with the kernel of kernel_spectrum Fk, written
+    back into windows: np.fft.rfftn, the product, np.fft.irfftn, each along
+    the last dim axes and so row by row, bit for bit the one-row call."""
+    axes = tuple(range(-spec.dim, 0))
+    F = np.fft.rfftn(windows, axes=axes)
+    np.fft.irfftn(np.multiply(F, Fk, out=F), windows.shape[-spec.dim:], axes=axes, out=windows)
+    return np.multiply(windows, spec.cell_volume, out=windows)
+
+
 def _negation_index(m: int) -> np.ndarray:
     return (-np.arange(m)) % m
 
@@ -641,10 +675,20 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
 def dilate(phi: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec) -> GridFunction:
     """Samples of the L1-normalized dilation t^{-dim} phi(x/t), with the
     closed form phi (a callable on points of shape (dim,)+grid) evaluated at
-    the scaled points."""
+    the scaled points. A phi with compact_support (a MollifierSpec) is
+    sampled by its radial form at axes_sq_distance only on the box where
+    (x/t)^2 < 1 per axis, widened by one sample; off it |x/t|^2 >= 1, so the
+    +0.0 left there is the full evaluation's, bit for bit."""
     if t < 2 * spec.spacing:
         raise NumericalError("scale below grid resolution")
     scale = t ** (-spec.dim)
+    if getattr(phi, "compact_support", False):
+        ax = spec.axis() / t
+        hit = np.flatnonzero(ax**2 < 1.0)
+        box = (slice(max(hit[0] - 1, 0), min(hit[-1] + 2, spec.points_per_axis)),) * spec.dim
+        out = np.zeros(spec.shape)
+        out[box] = scale * phi.radial(np.sqrt(axes_sq_distance([ax[b] for b in box], (0.0,) * spec.dim)))
+        return GridFunction(spec, out)
     return GridFunction(spec, scale * np.broadcast_to(np.asarray(phi(spec.points() / t)), spec.shape).copy())
 
 

@@ -13,34 +13,34 @@ compactly supported mollifier, one per scale of the ladder, translated to
 every grid site, with the one amplitude c that certifies them all.
 
 Both maximal functions fold |f * phi_t| into running maxima, one distinct
-scale at a time, on a thread pool, through one streamed pass: each distinct
-kernel is built once, used for every function of the call and dropped, and
-the padded spectra alive at one time stay under FOLD_SPECTRA_BYTES.
-small_maximal_table runs the pass over one ladder, grand_maximal_table over
-the distinct ladders of all its dictionaries. The functions' spectra are
-held as one stacked array, and each kernel meets them a sub-stack at a
-time: one product and one inverse transform for all the rows, with the
-stacked scratch of a chunk under FOLD_STACK_BYTES. In 1D that puts several
-functions in one call; a 2D function at the sizes the configs run fills
-the bound alone.
+scale at a time. On the padded full grid that is one streamed pass on a
+thread pool (_running_maxima): each distinct kernel is built once, used
+for every function of the call and dropped, and the padded spectra alive
+at one time stay under FOLD_SPECTRA_BYTES. small_maximal_table runs the
+pass over one ladder, grand_maximal_table over the distinct ladders of its
+full-grid dictionaries. The functions' spectra are held as one stacked
+array, and each kernel meets them a sub-stack at a time: one product and
+one inverse transform for all the rows, with the stacked scratch of a
+chunk under FOLD_STACK_BYTES. In 1D that puts several functions in one
+call; a 2D function at the sizes the configs run fills the bound alone.
 
-Each call of the fold runs in one of the two spectral layers of grid.py,
-picked by its caller. Real samples through a mollifier without compact
-support (the Gaussian small maximal function of E1 and E3) take the real
-layer: rfft spectra, half the transform work and half the bytes; the rest
-take the complex layer. small_maximal_table runs one call per layer
-present; every test dictionary's mollifier is compactly supported, so
-grand_maximal_table runs in the complex layer alone.
+Each call of the full-grid fold runs in one of the two padded spectral
+layers of grid.py, picked by its caller. Real samples through a mollifier
+without compact support (the Gaussian small maximal function of E1 and E3)
+take the real layer: rfft spectra, half the transform work and half the
+bytes; the rest take the complex layer. small_maximal_table runs one call
+per layer present; every test dictionary's mollifier is compactly
+supported, so grand_maximal_table folds in the complex layer alone.
 
 A test dictionary of order 1 (N_p = 0, so every p = 1 dictionary) is folded
-on sub-grids: phi_t vanishes off B(0, t), so |f * phi_t| is exactly 0 more
-than ceil(t/h) samples from the box of f's nonzero samples, and each pair
-of a function and a scale runs the same fold on the smallest power-of-two
-window that holds that neighbourhood, pasted into full-size maxima that
-stay 0 elsewhere. Every other dictionary, and the small maximal function,
-runs on the padded full grid: the recorded p < 1 grand maximal norms
-contain its far-field round-off, which a sub-grid or another transform
-would move.
+on exact windows instead, serially: phi_t vanishes off B(0, t), so
+|f * phi_t| is exactly 0 more than K = ceil(t/h) samples from the box of
+f's nonzero samples, and each pair of a function and a scale takes one
+unpadded circular real transform (the window layer of grid.py) of the
+least side 2^i 3^j that holds that box widened by K, pasted there into
+full-size maxima that stay 0 elsewhere. The p < 1 dictionaries and the
+small maximal function run on the padded full grid: the recorded p < 1
+norms contain its far-field round-off, which another transform would move.
 """
 
 from __future__ import annotations
@@ -61,10 +61,13 @@ from .grid import (
     abs_convolve_output,
     abs_convolve_spectra,
     dilate,
+    kernel_spectrum,
     padded_spectrum,
     spectral_scratch,
     spectrum_shape,
     sq_distance,
+    window_convolve,
+    window_side,
 )
 from .moments import HardyIndex, MultiIndex, multiindices
 
@@ -112,7 +115,10 @@ class MollifierSpec:
             raise ValueError(f"unknown mollifier shape {self.shape!r}")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        r = np.sqrt(sq_distance(pts, (0.0,) * self.dim))
+        return self.radial(np.sqrt(sq_distance(pts, (0.0,) * self.dim)))
+
+    def radial(self, r: np.ndarray) -> np.ndarray:
+        """phi at the points at distance r from the origin."""
         if self.shape == "gaussian":
             return np.pi ** (-self.dim / 2.0) * np.exp(-(r**2))
         return _bump_profile(r) / _bump_normalizer(self.dim)
@@ -157,11 +163,12 @@ class ScaleGrid:
 # the functions of one call run in groups bounded in bytes
 FOLD_SPECTRA_BYTES = 512 * 2**20
 
-# the stacked scratch of one chunk in one spectral layer, |.| included: a
-# fold group's functions meet each kernel a sub-stack at a time, as many as
-# fit here (at least one). Two real 1D m=8192 functions fit, and no 2D
-# function at m >= 128: each chunk adds its stack to the peak RSS, and E1's
-# 1D peak is close to E5's, the battery-1d peak
+# the stacked scratch of one chunk in one spectral layer, |.| included (or
+# the windows and half spectra of a window sub-stack): a fold group's
+# functions meet each kernel a sub-stack at a time, as many as fit here (at
+# least one). Two real 1D m=8192 functions fit, and no 2D function at
+# m >= 128: each chunk adds its stack to the peak RSS, and E1's 1D peak is
+# close to E5's, the battery-1d peak
 FOLD_STACK_BYTES = 768 * 2**10
 
 
@@ -325,9 +332,8 @@ class TestDictionary:
     """The copies amplitude * phi_t(x - .) of one compactly supported
     mollifier (any other raises ValueError), one per scale t of the ladder,
     each translated to every grid site, with the order k = N_p + 1 up to
-    which the amplitude certifies their derivative bounds. A dictionary of
-    order 1 has its grand maximal function folded on sub-grids around the
-    support of f (see grand_maximal_table)."""
+    which the amplitude certifies their derivative bounds (order 1 folds on
+    exact windows around f's support, see grand_maximal_table)."""
 
     __test__ = False  # not a pytest class
 
@@ -361,73 +367,49 @@ def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
     return TestDictionary(mollifier, scales, _mollifier_amplitude(mollifier, k), k)
 
 
-def _support_box(f: GridFunction) -> list[tuple[int, int]] | None:
-    # per axis, the first index of a nonzero sample and one past the last;
-    # None for a function with no nonzero sample
-    nonzero = f.samples != 0
-    if not nonzero.any():
-        return None
-    dim = f.spec.dim
-    hits = [np.flatnonzero(nonzero.any(axis=tuple(a for a in range(dim) if a != axis)))
-            for axis in range(dim)]
-    return [(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
-
-
 def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
-    """Fold |fs[i] * phi_t| for the compactly supported kernels of work into
-    maxima[i][s], each function and scale on a sub-grid around f's support.
-
-    phi_t vanishes off B(0, t), so |f * phi_t| is 0 more than K = ceil(t/h)
-    samples from the box of f's nonzero samples (of side b, the longest
-    axis). The pair takes the sub-grid of side s = min(m, max(8, the least
-    power of two >= b + 2K)), of the grid's spacing, and f's samples on the
-    s-point window centred on the box (clamped to the grid), which holds
-    the box widened by K. The fold _running_maxima runs there unchanged, one
-    call for each side and each set of functions that meet a kernel at that
-    side, so every kernel is built once per side. Its maxima are pasted with
-    np.maximum on the window's part of the box widened by the largest K of
-    the scale set; the rest stays exactly 0. The window depends on the box
-    and the side alone, and max is exact, so a row equals its one-row call
-    bit for bit; where s = m the window is the grid, and the bits are the
-    full grid's. A function with no nonzero sample takes no transform."""
+    """Fold h^dim |fs[i] * phi_t| for the compactly supported kernels of
+    work into maxima[i][s], each pair on the window of side
+    window_side(b + 2K + 1), b the longest side of f's box and K = ceil(t/h):
+    each kernel sampled once by dilate (the full grid's bits), its spectrum
+    built once per side, its functions there stacked in sub-stacks whose
+    windows and spectra fit in FOLD_STACK_BYTES (at least one function), a
+    complex f as two rows, Re f and Im f, combined by hypot. A window depends
+    on f and t alone, so a row equals its one-row call bit for bit. A
+    function with no nonzero sample takes no transform. Serial: the pool
+    lost on these small transforms."""
     if not fs or not work:
         return
     spec = fs[0].spec
-    m, h = spec.points_per_axis, spec.spacing
-    reach = {key: math.ceil(key[1] / h) for key in work}
-    set_reach: dict[int, int] = {}
-    for key, sets in work.items():
-        for s in sets:
-            set_reach[s] = max(set_reach.get(s, 0), reach[key])
-    boxes = [_support_box(f) for f in fs]
-    meets: dict[tuple, list[int]] = {}  # (side, (mollifier, t)) -> the functions
-    for i, box in enumerate(boxes):
-        if box is not None:
-            b = max(hi - lo for lo, hi in box)
-            for key in work:
-                side = min(m, max(8, 1 << (b + 2 * reach[key] - 1).bit_length()))
-                meets.setdefault((side, key), []).append(i)
-    calls: dict[tuple, list] = {}  # (side, functions) -> their kernels
-    for (side, key), members in meets.items():
-        calls.setdefault((side, tuple(members)), []).append(key)
-    for (side, members), keys in calls.items():
-        sub = GridSpec(spec.dim, side * h / 2, side)  # == spec where side = m
-        starts = [[min(max(lo - (side - (hi - lo)) // 2, 0), m - side) for lo, hi in boxes[i]]
-                  for i in members]
-        crops = [GridFunction(sub, fs[i].samples[tuple(slice(a, a + side) for a in start)])
-                 for i, start in zip(members, starts)]
-        sets = sorted({s for key in keys for s in work[key]})
-        local = {s: n for n, s in enumerate(sets)}
-        folded = _running_maxima(crops, {key: [local[s] for s in work[key]] for key in keys},
-                                 len(sets), False)
-        for i, start, row in zip(members, starts, folded):
-            for s, vals in zip(sets, row):
-                cut = [(max(a, lo - set_reach[s]), min(a + side, hi + set_reach[s]))
-                       for (lo, hi), a in zip(boxes[i], start)]
-                target = maxima[i][s][tuple(slice(u, v) for u, v in cut)]
-                np.maximum(target, vals[tuple(slice(u - a, v - a) for (u, v), a in zip(cut, start))],
-                           out=target)
-        del folded  # before the next call allocates its own
+    m, dim = spec.points_per_axis, spec.dim
+    boxes, blocks = {}, {}  # per nonzero f: its nonzero range per axis; its real planes there
+    for i, f in enumerate(fs):
+        if (hits := np.nonzero(f.samples))[0].size:
+            boxes[i] = [(int(a.min()), int(a.max()) + 1) for a in hits]
+            planes = (f.samples,) if f.is_real else (f.samples.real, f.samples.imag)
+            blocks[i] = [p[tuple(slice(*b) for b in boxes[i])] for p in planes]
+    for (mollifier, t), sets in work.items():
+        reach = math.ceil(t / spec.spacing)
+        sides: dict[int, list[int]] = {}  # window side -> the functions that take it
+        for i in boxes:
+            sides.setdefault(window_side(max(hi - lo for lo, hi in boxes[i]) + 2 * reach + 1), []).append(i)
+        kernel = dilate(mollifier, t, spec) if sides else None
+        for n, members in sides.items():
+            Fk = kernel_spectrum(kernel, reach, n)
+            per = FOLD_STACK_BYTES // (max(len(blocks[i]) for i in members) * (8 * n**dim + Fk.nbytes)) or 1
+            for j in range(0, len(members), per):
+                planes = [block for i in members[j:j + per] for block in blocks[i]]
+                windows = np.zeros((len(planes),) + (n,) * dim)
+                for w, block in zip(windows, planes):
+                    w[tuple(map(slice, block.shape))] = block
+                vals = iter(window_convolve(windows, Fk, spec))
+                for i in members[j:j + per]:
+                    cut = [(max(lo - reach, 0), min(hi + reach, m), lo - reach) for lo, hi in boxes[i]]
+                    parts = [next(vals)[tuple(slice(u - o, v - o) for u, v, o in cut)] for _ in blocks[i]]
+                    near = np.abs(parts[0]) if len(parts) == 1 else np.hypot(*parts)
+                    for s in sets:
+                        target = maxima[i][s][tuple(slice(u, v) for u, v, _ in cut)]
+                        np.maximum(target, near, out=target)
 
 
 def grand_maximal_table(fs: list[GridFunction],
@@ -437,18 +419,17 @@ def grand_maximal_table(fs: list[GridFunction],
     holds every scale of another can only increase values); each cell equals
     its one-row call grand_maximal_table([fs[i]], [d])[0][0] bit for bit.
 
-    One pass in the complex layer over the distinct (mollifier, scale)
-    pairs of all the dictionaries: each kernel is built once (once per
-    sub-grid side on the support path), convolved with every function and
-    dropped. |f * phi_t| is folded into a running max per distinct
-    (mollifier, ladder, path), and each dictionary's amplitude is applied
-    once at the end: rounding is monotone, so amp * max|.| equals
-    max(amp * |.|) bit for bit. A dictionary of order 1 takes the support
-    path (_fold_on_support): its values are exactly 0 more than
-    ceil(t_max/h) samples from the box of f's nonzero samples, t_max its
-    largest scale, and equal the full grid's within round-off elsewhere.
-    Every other dictionary is folded on the padded full grid, whose
-    far-field round-off the recorded p < 1 norms contain."""
+    One pass over the distinct (mollifier, scale) pairs of the full-grid
+    dictionaries, in the complex layer, and one over those of the order-1
+    ones on exact windows (_fold_on_support): each kernel is built once per
+    pass, convolved with every function and dropped. h^dim |f * phi_t| is
+    folded into a running max per distinct (mollifier, ladder, path), and
+    each dictionary's amplitude is applied once at the end: rounding is
+    monotone, so amp * max|.| equals max(amp * |.|) bit for bit. On the
+    window path each scale t adds its values only on the box of f's nonzero
+    samples widened by ceil(t/h), within round-off of the full grid's, so a
+    cell is exactly 0 where every scale's exact result is 0. The full grid's
+    far-field round-off is in the recorded p < 1 norms."""
     ladders: dict[tuple, int] = {}  # (mollifier, scales, support path) -> its running max
     work: tuple[dict, dict] = ({}, {})  # per path: (mollifier, t) -> the ladders holding it
     for d in dictionaries:

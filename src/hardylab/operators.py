@@ -154,32 +154,6 @@ class PointwiseOp(OperatorSpec):
         return PointwiseOp(self.factor.conj(), name=f"{self.name}*", params=self.params)
 
 
-@dataclass
-class CompositionOp(OperatorSpec):
-    """Pipeline [T1, T2, ...]: f -> ... (T2 (T1 f))."""
-
-    parts: list
-    name: str = "composition"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("composition must be non-empty")
-
-    @property
-    def translation_invariant(self) -> bool:
-        return all(p.translation_invariant for p in self.parts)
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        for part in self.parts:
-            f = part.apply(f)
-        return f
-
-    def adjoint(self) -> "CompositionOp":
-        return CompositionOp([p.adjoint() for p in reversed(self.parts)],
-                             name=f"{self.name}*", params=self.params)
-
-
 # ---------------------------------------------------------------------------
 # windowed monomials and the cancellation test
 

@@ -1,23 +1,24 @@
 """Brute-force oracles the tests check the library against.
 
 `materialize` turns any operator into its dense matrix (O(m^{2 dim}) memory,
-so only on small grids), `verify_admissible` certifies a test function's
-support and derivative bounds by dense sampling and finite differences,
+so only on small grids), `CompositionOp` chains operators (no experiment
+composes them), `verify_admissible` certifies a test function's support and
+derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
 convolution as full-size fftn/ifftn (rfftn/irfftn in the real layer) with a
 fancy-index window, `serial_grand_maximal` is the grand maximal function
 of a dictionary one scale at a time on the padded full grid and
-`support_grand_maximal` that of an order-1 dictionary on sub-grids around
-the support of f, `small_maximal` and `grand_maximal` are the one-row
-calls of the library's tables, `hp_norm` is the h^p quasi-norm of one
-small maximal function, and `reference_cancellation_test` runs the
-cancellation test one row at a time, with one adjoint per operator, a
-field per application and full-grid windows and masks. The explicit moment-probe bumps phi^{x,alpha}
-of the paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here
-too, with `with_probes`, which raises a grand maximal function to their
-pairings at given sites. None of them is used by the experiments.
-"""
+`window_grand_maximal` that of an order-1 dictionary, each scale on its own
+unpadded window around the support of f, `small_maximal` and
+`grand_maximal` are the one-row calls of the library's tables, `hp_norm` is
+the h^p quasi-norm of one small maximal function, and
+`reference_cancellation_test` runs the cancellation test one row at a time,
+with one adjoint per operator, a field per application and full-grid
+windows and masks. The explicit moment-probe bumps phi^{x,alpha} of the
+paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here too,
+with `with_probes`, which raises a grand maximal function to their pairings
+at given sites. None of them is used by the experiments."""
 
 import functools
 import math
@@ -76,6 +77,32 @@ class MatrixOp(OperatorSpec):
     def adjoint(self) -> "MatrixOp":
         return MatrixOp(self.matrix.conj().T.copy(), self.spec, name=f"{self.name}*",
                         params=self.params)
+
+
+@dataclass
+class CompositionOp(OperatorSpec):
+    """Pipeline [T1, T2, ...]: f -> ... (T2 (T1 f))."""
+
+    parts: list
+    name: str = "composition"
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("composition must be non-empty")
+
+    @property
+    def translation_invariant(self) -> bool:
+        return all(p.translation_invariant for p in self.parts)
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        for part in self.parts:
+            f = part.apply(f)
+        return f
+
+    def adjoint(self) -> "CompositionOp":
+        return CompositionOp([p.adjoint() for p in reversed(self.parts)],
+                             name=f"{self.name}*", params=self.params)
 
 
 def materialize(T: OperatorSpec, spec: GridSpec) -> MatrixOp:
@@ -224,50 +251,65 @@ def support_box(f: GridFunction):
     return [(int(i.min()), int(i.max()) + 1) for i in hits]
 
 
-def support_window(f: GridFunction, t: float):
-    """The side s and the per-axis start of the window on which the support
-    path convolves f with phi_t: s is the least power of two, at least 8 and
-    at most m, that holds b + 2 ceil(t/h) (b the longest side of f's support
-    box), and the window is centred on the box, then moved inside the grid."""
-    spec = f.spec
-    m = spec.points_per_axis
-    box = support_box(f)
-    need = max(hi - lo for lo, hi in box) + 2 * math.ceil(t / spec.spacing)
-    s = m
-    while s // 2 >= max(8, need):
-        s //= 2
-    return s, [min(max(lo - (s - (hi - lo)) // 2, 0), m - s) for lo, hi in box]
+def smooth_side(need: int) -> int:
+    """The least n >= need with no prime factor but 2 and 3, by search."""
+    n = need
+    while True:
+        rest = n
+        for prime in (2, 3):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
 
 
-def support_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:
-    """The grand maximal function of an order-1 dictionary on sub-grids around
-    the support of f, one scale at a time in ladder order: f's samples on its
-    support_window for t, on a grid of that side and f's spacing, take one
-    padded convolution with phi_t sampled there, and amplitude * |.| is
-    pasted with max into the full grid on the window's part of the support
-    box widened by ceil(t_max/h), t_max the largest scale; every other
+def window_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:
+    """The grand maximal function of an order-1 dictionary, one scale at a
+    time in ladder order, each on its own unpadded window: with
+    K = ceil(t/h) and b the longest side of f's support box, the side n is
+    smooth_side(b + 2K + 1). f's box samples (Re f and Im f apart for a
+    complex f) sit at the start of a zero window of side n, and phi_t's
+    samples at offset k from the origin at index k + K of another (every
+    sample placed off [0, n) is 0). h^dim times np.fft.irfftn of the
+    product of their np.fft.rfftn is f * phi_t shifted by K, and
+    amplitude * |.| (np.hypot of the two parts for a complex f) is pasted
+    with max on the grid's part of f's box widened by K; every other
     sample is 0. The (alpha, sites, idx, T) moment probes are folded in
     halfway up the ladder."""
     spec = f.spec
-    h = spec.spacing
+    m, h, dim = spec.points_per_axis, spec.spacing, spec.dim
     out = np.zeros(spec.shape)
     box = support_box(f)
     scales = dictionary.scales.scales
-    reach = math.ceil(scales[-1] / h)
-    for n, t in enumerate(scales):
-        if n == len(scales) // 2:
+    for count, t in enumerate(scales):
+        if count == len(scales) // 2:
             for alpha, sites, idx, T in probes:
                 out = with_probes(out, f, alpha, sites, idx, T)
         if box is None:
             continue
-        s, starts = support_window(f, t)
-        sub = GridSpec(spec.dim, s * h / 2, s)
-        crop = GridFunction(sub, f.samples[tuple(slice(a, a + s) for a in starts)])
-        Fk = reference_padded_spectrum(dilate(dictionary.mollifier, t, sub))
-        vals = dictionary.amplitude * np.abs(reference_convolve_spectra(reference_padded_spectrum(crop), Fk, sub))
-        cut = [(max(a, lo - reach), min(a + s, hi + reach)) for (lo, hi), a in zip(box, starts)]
+        K = math.ceil(t / h)
+        n = smooth_side(max(hi - lo for lo, hi in box) + 2 * K + 1)
+        kernel = dilate(dictionary.mollifier, t, spec).samples
+        at = np.arange(m) - m // 2 + K
+        keep = (at >= 0) & (at < n)
+        placed = np.zeros(spec.shape, dtype=bool)
+        placed[np.ix_(*[keep] * dim)] = True
+        assert not kernel[~placed].any()
+        Wk = np.zeros((n,) * dim)
+        Wk[np.ix_(*[at[keep]] * dim)] = kernel[np.ix_(*[keep] * dim)]
+        Fk = np.fft.rfftn(Wk)
+        parts = []
+        for plane in ([f.samples] if f.is_real else [f.samples.real, f.samples.imag]):
+            Wf = np.zeros((n,) * dim)
+            Wf[tuple(slice(0, hi - lo) for lo, hi in box)] = plane[tuple(slice(lo, hi) for lo, hi in box)]
+            conv = np.fft.irfftn(np.fft.rfftn(Wf) * Fk, s=(n,) * dim, axes=tuple(range(dim)))
+            parts.append(conv * spec.cell_volume)
+        vals = dictionary.amplitude * (np.abs(parts[0]) if f.is_real else np.hypot(*parts))
+        cut = [(max(lo - K, 0), min(hi + K, m)) for lo, hi in box]
         target = out[tuple(slice(u, v) for u, v in cut)]
-        np.maximum(target, vals[tuple(slice(u - a, v - a) for (u, v), a in zip(cut, starts))], out=target)
+        np.maximum(target, vals[tuple(slice(u - lo + K, v - lo + K) for (u, v), (lo, _) in zip(cut, box))],
+                   out=target)
     return out
 
 

@@ -26,11 +26,12 @@ from hardylab.grid import (
     sample_function,
     spectral_scratch,
     spectrum_shape,
+    window_side,
 )
-from hardylab.maximal import quintic_step
+from hardylab.maximal import MollifierSpec, quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
 from hardylab.operators import get_operator, smooth_window
-from oracles import container_bytes, reference_convolve_spectra, reference_padded_spectrum
+from oracles import container_bytes, reference_convolve_spectra, reference_padded_spectrum, smooth_side
 
 
 def gauss(p):
@@ -276,6 +277,23 @@ def test_dilate_floor():
     spec = GridSpec(1, 4.0, 256)
     with pytest.raises(NumericalError, match="scale below grid resolution"):
         dilate(lambda p: np.exp(-p[0]**2), spec.spacing, spec)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dilate_samples_compact_mollifier_on_its_box(dim):
+    # the bump is sampled on its box alone, and equals the full evaluation
+    # bit for bit, signs of zero included, for t from 2h to L/2 (integer
+    # multiples of h among them)
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    mol = MollifierSpec("smooth-bump", dim)
+    h = spec.spacing
+    for t in (*np.geomspace(2 * h, spec.half_width / 2, 12), 3 * h, 8 * h):
+        full = t ** -dim * mol(spec.points() / t)
+        assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
+
+
+def test_window_side_is_the_least_3_smooth_size():
+    assert [window_side(n) for n in range(1, 5000)] == [smooth_side(n) for n in range(1, 5000)]
 
 
 def test_two_dimensional_convolution_identity():

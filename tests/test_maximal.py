@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import signal
 import sys
@@ -48,10 +49,10 @@ from oracles import (
     reference_padded_spectrum,
     serial_grand_maximal,
     small_maximal,
+    smooth_side,
     support_box,
-    support_grand_maximal,
-    support_window,
     verify_admissible,
+    window_grand_maximal,
     with_probes,
 )
 
@@ -272,14 +273,18 @@ def test_verify_admissible_detects_violation(grid, scales):
 
 
 def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
+    # on the padded full grid (order 2, the same amplitude) the grand
+    # maximal function is the scaled small one exactly; order 1 takes the
+    # window path, which its oracle pins
     mol = MollifierSpec("smooth-bump", 1)
     dct = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales)
     f = sample_function(grid, lambda p: np.exp(-2 * p[0] ** 2))
-    gm = grand_maximal(f, dct)
     sm = small_maximal(f, mol, scales)
     amp = dct.amplitude
     assert dct == TestDictionary(mol, scales, amp, 1)
+    gm = grand_maximal(f, dataclasses.replace(dct, order=2))
     assert np.max(np.abs(gm.samples - amp * sm.samples)) == 0.0
+    assert np.array_equal(grand_maximal(f, dct).samples, window_grand_maximal(f, dct))
     zero = GridFunction(grid, np.zeros(grid.shape))
     assert np.all(grand_maximal(zero, dct).samples == 0.0)
 
@@ -404,14 +409,19 @@ def near_support(f, dictionary):
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
 def test_support_path_matches_full_grid(dim, data):
-    # near the support, within 64 eps of the max of the full padded path (a
-    # tolerance fixed from float64 eps beforehand); off it exactly 0, where
-    # the full path holds round-off of at most the same size
+    # per scale: on the first k scales of a fine ladder, real or complex f
+    # gives exactly 0 more than ceil(t_k/h) samples from its box, t_k the
+    # largest of them, where the full padded path holds round-off of at most
+    # the tolerance, and within 64 eps of the max of the full path elsewhere
+    # (a tolerance fixed from float64 eps beforehand); bit for bit the
+    # window oracle's
     f, dct = data.draw(compact_cases(dim))
     assert dct.order == 1
+    fine = np.geomspace(2 * f.spec.spacing, dct.scales.scales[-1], 40)
+    dct = dataclasses.replace(dct, scales=ScaleGrid(tuple(fine[:data.draw(st.integers(16, 40))])))
     got = grand_maximal(f, dct).samples
     full = serial_grand_maximal(f, dct)
-    assert np.array_equal(got, support_grand_maximal(f, dct))
+    assert np.array_equal(got, window_grand_maximal(f, dct))
     near = near_support(f, dct)
     tol = 64 * np.finfo(float).eps * np.max(full)
     assert np.max(np.abs(got - full)[near]) <= tol
@@ -423,8 +433,9 @@ def test_support_path_matches_full_grid(dim, data):
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_full_grid_path_keeps_its_bits(dim, data):
-    # an order >= 2 dictionary on a compact function, and an order-1 one on
-    # a function whose support fills the grid, take the full padded path
+    # an order >= 2 dictionary on a compact function takes the full padded
+    # path; an order-1 one takes the window path even on a function whose
+    # support fills the grid, there on a window wider than the grid
     f, dct = data.draw(compact_cases(dim))
     spec = f.spec
     higher = build_test_dictionary(spec, HardyIndex(0.5, dim), dct.scales.scales[-1])
@@ -432,7 +443,7 @@ def test_full_grid_path_keeps_its_bits(dim, data):
     assert np.array_equal(grand_maximal(f, higher).samples, serial_grand_maximal(f, higher))
     filled = GridFunction(spec, f.samples + np.random.default_rng(dim).normal(size=spec.shape))
     assert fills_grid(filled)
-    assert np.array_equal(grand_maximal(filled, dct).samples, serial_grand_maximal(filled, dct))
+    assert np.array_equal(grand_maximal(filled, dct).samples, window_grand_maximal(filled, dct))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -444,13 +455,11 @@ def test_zero_function_takes_no_transform_on_support_path(monkeypatch, dim):
     order1, higher = (build_test_dictionary(spec, HardyIndex(p, dim), 1.0) for p in (1.0, 0.5))
     built = count_kernel_builds(monkeypatch)
     spectra = []
-    transform = maximal.padded_spectrum
-
-    def counting(f, *args, **kwargs):
-        spectra.append(f)
-        return transform(f, *args, **kwargs)
-
-    monkeypatch.setattr(maximal, "padded_spectrum", counting)
+    for name in ("padded_spectrum", "window_convolve"):
+        def counting(f, *args, transform=getattr(maximal, name), **kwargs):
+            spectra.append(f)
+            return transform(f, *args, **kwargs)
+        monkeypatch.setattr(maximal, name, counting)
     assert not grand_maximal(zero, order1).samples.any()
     assert not built and not spectra
     assert not any(cell.samples.any() for cell in grand_maximal_table([zero], [order1, higher])[0])
@@ -662,31 +671,30 @@ def test_grand_maximal_support_path_memory_by_design():
     # traced peak of one cold call of an E2-like 2D order-1 table (m = 256,
     # L = 16, atoms on balls of radius 1 and 1/2, T = 1, 2, 4), from the
     # design: the full-size maxima of every function and ladder, then either
-    # the cells made from them at the end, or one sub-grid call of the
-    # largest side s the call meets: every function's (2s)^2 complex
-    # spectrum and its sub-grid maxima per ladder, with per chunk the
-    # stacked complex scratch and |.| of one sub-stack and one kernel build
-    # (its samples, then either dilate's temporaries, 2 dim + 1 grid-sized
-    # floats, or its spectrum); and 64 KiB for Python objects. The
-    # full-grid fold of the same functions, a (2m)^2 spectrum each, does
-    # not fit
+    # the cells made from them at the end, with one cell's finiteness mask,
+    # or the window convolutions of the largest side n the call meets: one
+    # kernel (its full-grid samples, then either dilate's temporaries, at
+    # most 8 arrays on its box of side 2 ceil(T/h) + 3, or its window and
+    # half spectrum), one sub-stack of windows and half spectra within
+    # FOLD_STACK_BYTES, and |.| of one function on its widened box; and 64
+    # KiB for Python objects. The full-grid fold of the same functions, a
+    # (2m)^2 spectrum each, does not fit
     spec = GridSpec(2, 16.0, 256)
     m, dim = spec.points_per_axis, spec.dim
     fs = [make_atom(AtomSpec(HardyIndex(1.0, dim), np.inf, Ball((0.0, 0.0), r), "local"), seed, spec)
           for r in (1.0, 0.5) for seed in (1, 2)]
     dicts = [build_test_dictionary(spec, HardyIndex(1.0, dim), T) for T in (1.0, 2.0, 4.0)]
     n, sets = len(fs), len(dicts)
-    side = max(support_window(f, 4.0)[0] for f in fs)
+    reach = math.ceil(4.0 / spec.spacing)
+    side = max(smooth_side(max(hi - lo for lo, hi in support_box(f)) + 2 * reach + 1) for f in fs)
     assert side < m
-    sub = GridSpec(dim, side * spec.spacing / 2, side)
-    row = sum(a.nbytes for a in spectral_scratch(sub)) + 8 * side**2
+    half = 16 * side * (side // 2 + 1)
+    row = 8 * side**2 + half
     stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
-    spectrum = 16 * (2 * side) ** 2
-    kernel = 8 * side**2 + max((2 * dim + 1) * 8 * side**2, spectrum)
-    chunks = maximal._WORKERS
-    group = n * (spectrum + sets * 8 * side**2) + chunks * (stack * row + kernel)
+    kernel = 8 * m * m + max(8 * 8 * (2 * reach + 3) ** 2, row)
+    fold = kernel + stack * row + 8 * side**2
     maxima = n * sets * 8 * m * m
-    bound = maxima + max(maxima, group) + 2**16
+    bound = maxima + max(maxima + m * m, fold) + 2**16
 
     def traced_peak(dictionaries):
         expected = grand_maximal_table(fs, dictionaries)  # starts the pool's workers
@@ -740,22 +748,22 @@ def test_grand_maximal_matches_serial_loop_bitwise(grid):
     x = grid.axis()
     f = GridFunction(grid, (np.abs(x) < 0.25) * np.exp(1j * x))
     without = grand_maximal(f, dct).samples
-    assert np.array_equal(without, support_grand_maximal(f, dct))
+    assert np.array_equal(without, window_grand_maximal(f, dct))
     probes = ((0,), ((0.2,), (-0.3,), (0.45,)), IDX1, 2.0)
     out = with_probes(without, f, *probes)
     assert np.any(out != without)
-    assert np.array_equal(out, support_grand_maximal(f, dct, [probes]))
+    assert np.array_equal(out, window_grand_maximal(f, dct, [probes]))
 
 
 def serial_cell(f, dictionary):
     # the serial oracle of the path grand_maximal_table takes for the pair
     if dictionary.order == 1:
-        return support_grand_maximal(f, dictionary)
+        return window_grand_maximal(f, dictionary)
     return serial_grand_maximal(f, dictionary)
 
 
 def fills_grid(f):
-    # a support box of the whole grid: every scale's window is the grid
+    # a support box of the whole grid
     return support_box(f) == [(0, f.spec.points_per_axis)] * f.spec.dim
 
 
@@ -799,7 +807,7 @@ def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
         for dct, cell in zip(dicts, row):
             assert np.array_equal(cell.samples, grand_maximal(f, dct).samples)
             assert np.array_equal(cell.samples, serial_cell(f, dct))
-            if fills_grid(f) or dct.order > 1:
+            if dct.order > 1:
                 assert np.array_equal(cell.samples, serial_grand_maximal(f, dct))
     for mol, sc in ladders:
         small = small_maximal_table(fs, mol, sc)
@@ -810,41 +818,57 @@ def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
 
 
 def count_kernel_builds(monkeypatch):
-    # (mollifier, t) -> kernels sampled by the maximal functions
+    # (mollifier, t) -> kernels sampled by the maximal functions, and
+    # (mollifier, t, n) -> the window spectra of side n made from them on
+    # the support path
     built = Counter()
-    dilate = maximal.dilate
+    dilate, kernel_spectrum = maximal.dilate, maximal.kernel_spectrum
+    sampled = {}  # id of a kernel -> the kernel, kept alive, and its (mollifier, t)
 
     def counting(phi, t, spec):
         built[phi, t] += 1
-        return dilate(phi, t, spec)
+        g = dilate(phi, t, spec)
+        sampled[id(g)] = g, (phi, t)
+        return g
+
+    def windowing(g, reach, n):
+        built[(*sampled[id(g)][1], n)] += 1
+        return kernel_spectrum(g, reach, n)
 
     monkeypatch.setattr(maximal, "dilate", counting)
+    monkeypatch.setattr(maximal, "kernel_spectrum", windowing)
     return built
 
 
 def expected_builds(fs, dicts, per_function=False):
-    # (mollifier, t) -> kernel builds of one grand_maximal_table call: one on
-    # the full grid, and one per sub-grid side at which a nonzero function
-    # meets the kernel on the support path; with per_function, where every
-    # function is a group of its own, one per function instead
+    # the count_kernel_builds of one grand_maximal_table call: on the full
+    # grid one kernel per scale (with per_function, where every function is
+    # a group of its own, one per function); on the support path one kernel
+    # per scale that a nonzero function meets, and one window per scale and
+    # window side that a nonzero function takes
     built = Counter()
     for mol, t in {(d.mollifier, t) for d in dicts if d.order > 1 for t in d.scales.scales}:
         built[mol, t] += len(fs) if per_function else 1
+    boxes = [box for box in map(support_box, fs) if box is not None]
     for mol, t in {(d.mollifier, t) for d in dicts if d.order == 1 for t in d.scales.scales}:
-        sides = Counter(support_window(f, t)[0] for f in fs if support_box(f) is not None)
-        built[mol, t] += sum(sides.values()) if per_function else len(sides)
+        reach = math.ceil(t / fs[0].spec.spacing)
+        sides = {smooth_side(max(hi - lo for lo, hi in box) + 2 * reach + 1) for box in boxes}
+        if sides:
+            built[mol, t] += 1
+            built.update((mol, t, n) for n in sides)
     return built
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
-    # once per sub-grid side on the support path: the compact bump meets
-    # the small scales on a smaller side than the noise
+    # once per scale on either path, and one window per scale and side on
+    # the support path: the compact bump meets the small scales on a
+    # smaller side than the noise
     fs, dicts, ladders = table_case(dim, "real")
     built = count_kernel_builds(monkeypatch)
     grand_maximal_table(fs, dicts)
     assert built == expected_builds(fs, dicts)
-    assert max(expected_builds(fs, [d for d in dicts if d.order == 1]).values()) == 2
+    assert max(Counter(key[:2] for key in built if len(key) == 3).values()) == 2
     for mol, sc in ladders:
         built.clear()
         small_maximal_table(fs, mol, sc)
@@ -856,8 +880,8 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
     # real, complex and mixed real/complex calls against the one-row calls
     # and the serial oracles: with sub-stacks of one function (a 1-byte stack
     # bound), of the whole group (2**40 bytes), and with a budget below one
-    # padded spectrum, where every function is a group of its own and each
-    # kernel is built once per function
+    # padded spectrum, where every function is a group of its own on the
+    # full grid and each kernel there is built once per function
     built = count_kernel_builds(monkeypatch)
     for kind in ("real", "complex", "mixed"):
         fs, dicts, ladders = table_case(dim, kind)

@@ -10,7 +10,6 @@ from hardylab.maximal import quintic_step
 from hardylab.moments import HardyIndex, local_oscillation, monomial_field
 from hardylab.operators import (
     WINDOW_SENSITIVITY_LIMIT,
-    CompositionOp,
     KernelOp,
     MultiplierOp,
     OperatorSpec,
@@ -23,6 +22,7 @@ from hardylab.operators import (
     tstar_monomial,
 )
 from oracles import (
+    CompositionOp,
     materialize,
     reference_cancellation_test,
     reference_convolve_spectra,
