@@ -561,19 +561,22 @@ def reflect(f: GridFunction) -> GridFunction:
 class SampledSymbol:
     """A multiplier symbol evaluated once on one grid, ready to apply by FFT.
 
-    values: the symbol at the discrete frequencies; hermitian: its Hermitian
-    symmetrization when the symmetrization defect away from the self-paired
-    bins is negligible (real inputs then give real outputs), else None.
+    hermitian: whether S(-k) = conj S(k) up to a defect of 1e-12 max|S| off
+    the Nyquist planes and the zero frequency (real inputs then give real
+    outputs). values: for a Hermitian symbol only the rfftn half of its
+    Hermitian part (S(k) + conj S(-k)) / 2, the last axis cut to m/2 + 1, in
+    the symbol's dtype; for any other, the symbol at every frequency.
     """
 
     spec: GridSpec
     values: np.ndarray
-    hermitian: np.ndarray | None
+    hermitian: bool
 
 
 def sample_symbol(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) -> SampledSymbol:
     """Evaluate a symbol, check it is finite and take its Hermitian part:
-    the build step of fourier_multiplier, to be done once per grid."""
+    the build step of fourier_multiplier, to be done once per grid. The
+    defect of a bin equals that of its negative, so the half holds it."""
     S = np.asarray(symbol(spec.frequencies()))
     S = np.broadcast_to(S, spec.shape)
     bad = ~np.isfinite(S)
@@ -584,14 +587,31 @@ def sample_symbol(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) ->
         raise NumericalError(f"singular symbol at frequency {tuple(int(i) for i in k)}")
     m = spec.points_per_axis
     idx = _negation_index(m)
-    S_neg = S[idx] if spec.dim == 1 else S[np.ix_(idx, idx)]
-    S_sym = 0.5 * (S + np.conj(S_neg))
-    ax = np.zeros(m, dtype=bool)
-    ax[0] = ax[m // 2] = True  # bins with -k = k mod m
-    self_paired = ax if spec.dim == 1 else np.logical_and.outer(ax, ax)
-    defect = np.max(np.abs((S - S_sym)[~self_paired]), initial=0.0)
-    hermitian = S_sym if defect <= 1e-12 * max(float(np.max(np.abs(S))), 1e-300) else None
-    return SampledSymbol(spec, S, hermitian)
+    half = slice(0, m // 2 + 1)
+    S_half = S[..., half]
+    S_neg = S[idx[half]] if spec.dim == 1 else S[np.ix_(idx, idx[half])]
+    H = 0.5 * (S_half + np.conj(S_neg))
+    # on a Nyquist plane +-pi/h alias, so negation mod m is not the
+    # frequency's negation there; those bins and the zero frequency take
+    # their Hermitian part without counting in the defect
+    skip = np.zeros(H.shape, dtype=bool)
+    skip[..., m // 2] = skip[m // 2] = skip[(0,) * spec.dim] = True
+    defect = np.max(np.abs((S_half - H)[~skip]), initial=0.0)
+    if defect <= 1e-12 * max(float(np.max(np.abs(S))), 1e-300):
+        return SampledSymbol(spec, H, True)
+    return SampledSymbol(spec, S, False)
+
+
+def _real_multiplier(x: np.ndarray, half: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """irfftn(half * rfftn(x)) for real x, the transforms in place on one
+    half spectrum: np.fft.irfftn's calls, with out given to the complex
+    inverse of the leading axis, so the bits are those of that expression."""
+    axes = tuple(range(spec.dim))
+    F = np.fft.rfftn(x, axes=axes, out=np.empty(half.shape, np.complex128))
+    np.multiply(half, F, out=F)
+    if spec.dim == 2:
+        np.fft.ifft(F, axis=0, out=F)
+    return np.fft.irfft(F, spec.points_per_axis, axis=-1)
 
 
 def fourier_multiplier(f: GridFunction,
@@ -600,10 +620,13 @@ def fourier_multiplier(f: GridFunction,
 
     symbol is a callable on frequencies of shape (dim,) + grid, sampled here,
     or a SampledSymbol from sample_symbol(f.spec, ...), so that an operator
-    applied many times builds its symbol once. Real input with a
-    Hermitian-symmetric symbol returns a real output; the self-paired Nyquist
-    bins are symmetrized (real part) in that case, the usual spectral
-    convention for odd symbols such as derivatives.
+    applied many times builds its symbol once. A Hermitian symbol acts by
+    its Hermitian part on the real FFT: a real input gives
+    irfftn(half * rfftn(f)), real, and a complex one runs as Re f and Im f
+    through that path, recombined. On the self-paired Nyquist bins the
+    Hermitian part is the real part, the usual spectral convention for odd
+    symbols such as derivatives. Any other symbol multiplies fftn(f) in
+    full and returns a complex output.
     """
     spec = f.spec
     if not isinstance(symbol, SampledSymbol):
@@ -613,11 +636,16 @@ def fourier_multiplier(f: GridFunction,
     # the operand order of S * F is fixed: a complex product's last bits
     # depend on it, and for S * fftn(...) written as one expression NumPy
     # swaps the operands once the temporary spectrum reaches 256 KiB
-    real = f.is_real and symbol.hermitian is not None
-    F = np.fft.fftn(f.samples)
-    np.multiply(symbol.hermitian if real else symbol.values, F, out=F)
-    np.fft.ifftn(F, out=F)
-    return GridFunction(spec, F.real.copy() if real else F)
+    if not symbol.hermitian:
+        F = np.fft.fftn(f.samples)
+        np.multiply(symbol.values, F, out=F)
+        return GridFunction(spec, np.fft.ifftn(F, out=F))
+    if f.is_real:
+        return GridFunction(spec, _real_multiplier(f.samples, symbol.values, spec))
+    out = np.empty(spec.shape, np.complex128)
+    out.real = _real_multiplier(f.samples.real, symbol.values, spec)
+    out.imag = _real_multiplier(f.samples.imag, symbol.values, spec)
+    return GridFunction(spec, out)
 
 
 def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:

@@ -393,6 +393,7 @@ def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
         sides: dict[int, list[int]] = {}  # window side -> the functions that take it
         for i in boxes:
             sides.setdefault(window_side(max(hi - lo for lo, hi in boxes[i]) + 2 * reach + 1), []).append(i)
+        kernel = Fk = windows = vals = None  # the last scale's, freed before this kernel is built
         kernel = dilate(mollifier, t, spec) if sides else None
         for n, members in sides.items():
             Fk = kernel_spectrum(kernel, reach, n)
@@ -424,12 +425,13 @@ def grand_maximal_table(fs: list[GridFunction],
     ones on exact windows (_fold_on_support): each kernel is built once per
     pass, convolved with every function and dropped. h^dim |f * phi_t| is
     folded into a running max per distinct (mollifier, ladder, path), and
-    each dictionary's amplitude is applied once at the end: rounding is
-    monotone, so amp * max|.| equals max(amp * |.|) bit for bit. On the
-    window path each scale t adds its values only on the box of f's nonzero
-    samples widened by ceil(t/h), within round-off of the full grid's, so a
-    cell is exactly 0 where every scale's exact result is 0. The full grid's
-    far-field round-off is in the recorded p < 1 norms."""
+    each dictionary's amplitude is applied once at the end, in place on a
+    ladder no other dictionary reads: rounding is monotone, so amp * max|.|
+    equals max(amp * |.|) bit for bit. On the window path each scale t adds
+    its values only on the box of f's nonzero samples widened by ceil(t/h),
+    within round-off of the full grid's, so a cell is exactly 0 where every
+    scale's exact result is 0. The full grid's far-field round-off is in the
+    recorded p < 1 norms."""
     ladders: dict[tuple, int] = {}  # (mollifier, scales, support path) -> its running max
     work: tuple[dict, dict] = ({}, {})  # per path: (mollifier, t) -> the ladders holding it
     for d in dictionaries:
@@ -440,7 +442,9 @@ def grand_maximal_table(fs: list[GridFunction],
                 work[key[2]].setdefault((d.mollifier, t), []).append(s)
     maxima = _running_maxima(fs, work[False], len(ladders), False)
     _fold_on_support(fs, work[True], maxima)
-    return [[GridFunction(f.spec, d.amplitude * row[ladders[d.mollifier, d.scales, d.order == 1]])
-             for d in dictionaries]
+    cells = [ladders[d.mollifier, d.scales, d.order == 1] for d in dictionaries]
+    owned = {s for s in cells if cells.count(s) == 1}  # scaled in place, no copy
+    return [[GridFunction(f.spec, np.multiply(row[s], d.amplitude, out=row[s] if s in owned else None))
+             for d, s in zip(dictionaries, cells)]
             for f, row in zip(fs, maxima)]
 

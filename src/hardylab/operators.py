@@ -75,8 +75,10 @@ class OperatorSpec:
 class MultiplierOp(OperatorSpec):
     """Fourier multiplier with a closed-form symbol xi -> complex.
 
-    The symbol is sampled on the grid of the first application and kept, so
-    later applications on that grid only run the FFTs.
+    The symbol is sampled on the grid of the first application and kept (a
+    Hermitian one as the half spectrum of its Hermitian part), so later
+    applications on that grid only run the FFTs: real ones, on one half
+    spectrum, for a Hermitian symbol.
     """
 
     symbol: object

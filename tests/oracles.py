@@ -7,7 +7,8 @@ derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
 convolution as full-size fftn/ifftn (rfftn/irfftn in the real layer) with a
-fancy-index window, `serial_grand_maximal` is the grand maximal function
+fancy-index window, `reference_fourier_multiplier` is a multiplier as
+full-grid fftn/ifftn with the symbol's full-grid Hermitian part, `serial_grand_maximal` is the grand maximal function
 of a dictionary one scale at a time on the padded full grid and
 `window_grand_maximal` that of an order-1 dictionary, each scale on its own
 unpadded window around the support of f, `small_maximal` and
@@ -211,6 +212,18 @@ def reference_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -
     else:
         raw = np.fft.ifftn(Ff * Fg)
     return raw[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+
+
+def reference_fourier_multiplier(f: GridFunction, symbol, hermitian: bool) -> np.ndarray:
+    """ifftn(S * fftn(f)) on the full grid, S the sampled symbol, or for a
+    Hermitian one its Hermitian part (S(k) + conj S(-k)) / 2 over every
+    frequency, with the real part taken for real f."""
+    S = np.broadcast_to(symbol(f.spec.frequencies()), f.spec.shape)
+    if hermitian:
+        neg = (-np.arange(f.spec.points_per_axis)) % f.spec.points_per_axis
+        S = 0.5 * (S + np.conj(S[np.ix_(*(neg,) * f.spec.dim)]))
+    out = np.fft.ifftn(S * np.fft.fftn(f.samples))
+    return out.real if hermitian and f.is_real else out
 
 
 def small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> GridFunction:

@@ -31,7 +31,13 @@ from hardylab.grid import (
 from hardylab.maximal import MollifierSpec, quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
 from hardylab.operators import get_operator, smooth_window
-from oracles import container_bytes, reference_convolve_spectra, reference_padded_spectrum, smooth_side
+from oracles import (
+    container_bytes,
+    reference_convolve_spectra,
+    reference_fourier_multiplier,
+    reference_padded_spectrum,
+    smooth_side,
+)
 
 
 def gauss(p):
@@ -232,21 +238,61 @@ def test_fourier_multiplier_derivative_vs_finite_differences():
 @pytest.mark.parametrize("m", [1024, 32768])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_fourier_multiplier_product_order_is_fixed(m, is_complex):
-    # order-zero's symbol has both parts nonzero, so the operand order of its
-    # product with the spectrum shows in the last bits; spectra of 16 KiB and
-    # 512 KiB lie either side of the 256 KiB from which NumPy multiplies into
-    # a temporary in place
+    # symbols with both parts nonzero, so the operand order of their product
+    # with the spectrum shows in the last bits: order-zero's Hermitian half
+    # times rfftn of a real input, and bessel-phase, which is not Hermitian,
+    # times fftn of a complex one; spectra of 16 KiB and 512 KiB (half
+    # spectra of 8 KiB and just over 256 KiB) lie either side of the 256 KiB
+    # from which NumPy multiplies into a temporary in place
     spec = GridSpec(1, 8.0, m)
-    S = sample_symbol(spec, get_operator("order-zero", spec).symbol)
+    S = sample_symbol(spec, get_operator("bessel-phase" if is_complex else "order-zero", spec).symbol)
+    assert S.hermitian == (not is_complex)
     assert np.all(S.values.real != 0) and np.any(S.values.imag != 0)
     rng = np.random.default_rng(m + is_complex)
     x = rng.normal(size=spec.shape)
+    if is_complex:
+        x = x + 1j * rng.normal(size=spec.shape)
+        want = np.fft.ifftn(np.multiply(S.values, np.fft.fftn(x)))
+    else:
+        want = np.fft.irfftn(np.multiply(S.values, np.fft.rfftn(x, axes=(0,))), spec.shape, axes=(0,))
+    assert np.array_equal(bits(fourier_multiplier(GridFunction(spec, x), S).samples), bits(want))
+
+
+MULTIPLIERS = ("identity", "gaussian", "riesz", "order-zero", "bessel-phase", "strongly-singular")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_catalog_hermitian_symbols_keep_a_half_spectrum(dim):
+    spec = GridSpec(dim, 4.0, 256 if dim == 1 else 64)
+    m = spec.points_per_axis
+    for name in MULTIPLIERS:
+        S = sample_symbol(spec, get_operator(name, spec).symbol)
+        assert S.hermitian == (name not in ("bessel-phase", "strongly-singular")), name
+        half = spec.shape[:-1] + (m // 2 + 1,)
+        assert S.values.shape == (half if S.hermitian else spec.shape), name
+        if S.hermitian:
+            assert S.values.dtype == (np.complex128 if name in ("riesz", "order-zero") else np.float64)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_fourier_multiplier_matches_full_grid_complex_path(dim, is_complex):
+    # the real-FFT path of a Hermitian symbol, for complex f on Re f and Im f,
+    # within 64 eps max of the full-grid complex oracle; any other symbol
+    # runs that complex path itself
+    spec = GridSpec(dim, 4.0, 256 if dim == 1 else 64)
+    rng = np.random.default_rng(dim + 2 * is_complex)
+    x = rng.normal(size=spec.shape)
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if is_complex else x)
-    real = f.is_real and S.hermitian is not None
-    assert real == (not is_complex)
-    want = np.fft.ifftn(np.multiply(S.hermitian if real else S.values, np.fft.fftn(f.samples)))
-    want = want.real if real else want
-    assert np.array_equal(bits(fourier_multiplier(f, S).samples), bits(want))
+    for name in MULTIPLIERS:
+        for T in (get_operator(name, spec), get_operator(name, spec).adjoint()):
+            S = sample_symbol(spec, T.symbol)
+            got = fourier_multiplier(f, S).samples
+            want = reference_fourier_multiplier(f, T.symbol, S.hermitian)
+            assert got.dtype == want.dtype, name
+            assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want)), name
+            if not S.hermitian:
+                assert np.array_equal(got, want), name
 
 
 def test_fourier_multiplier_singular_symbol():

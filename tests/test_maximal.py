@@ -671,8 +671,8 @@ def test_grand_maximal_support_path_memory_by_design():
     # traced peak of one cold call of an E2-like 2D order-1 table (m = 256,
     # L = 16, atoms on balls of radius 1 and 1/2, T = 1, 2, 4), from the
     # design: the full-size maxima of every function and ladder, then either
-    # the cells made from them at the end, with one cell's finiteness mask,
-    # or the window convolutions of the largest side n the call meets: one
+    # one cell's finiteness mask at the end, each cell its ladder's maxima
+    # scaled in place, or the window convolutions of the largest side n the call meets: one
     # kernel (its full-grid samples, then either dilate's temporaries, at
     # most 8 arrays on its box of side 2 ceil(T/h) + 3, or its window and
     # half spectrum), one sub-stack of windows and half spectra within
@@ -694,7 +694,7 @@ def test_grand_maximal_support_path_memory_by_design():
     kernel = 8 * m * m + max(8 * 8 * (2 * reach + 3) ** 2, row)
     fold = kernel + stack * row + 8 * side**2
     maxima = n * sets * 8 * m * m
-    bound = maxima + max(maxima + m * m, fold) + 2**16
+    bound = maxima + max(m * m, fold) + 2**16
 
     def traced_peak(dictionaries):
         expected = grand_maximal_table(fs, dictionaries)  # starts the pool's workers

@@ -16,10 +16,21 @@ from hardylab.moments import (
     local_oscillation,
     match_moments_with_bump,
     moment,
+    monomial,
+    monomial_field,
     multiindices,
     poly_project,
     psi,
 )
+
+
+@given(data=st.data(), dim=st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_monomial_field_matches_monomial_on_points(data, dim):
+    spec = GridSpec(dim, data.draw(st.sampled_from([1.0, 4.0, 16.0])), data.draw(st.sampled_from([8, 32])))
+    x0 = data.draw(st.tuples(*[st.floats(-spec.half_width, spec.half_width)] * dim))
+    alpha = data.draw(st.tuples(*[st.integers(0, 4)] * dim))
+    assert np.array_equal(monomial_field(spec, x0, alpha).samples, monomial(spec.points(), x0, alpha))
 
 
 @given(dim=st.integers(1, 2), degree=st.integers(0, 5))

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -447,3 +448,24 @@ def test_kernel_op_transforms_its_kernel_once(monkeypatch):
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
     assert sum(t is T.kernel for t in transforms) == 1
     assert len(transforms) == len(fs) + 1
+
+
+def test_multiplier_apply_memory_by_design():
+    # traced peak of one warm application of the Gaussian multiplier at 2D
+    # m = 512, from the design: the half spectrum rfftn transforms in place
+    # and the real output irfft writes, with 64 KiB for Python objects; the
+    # full-grid complex spectrum alone, 4 MiB, does not fit
+    spec = GridSpec(2, 4.0, 512)
+    m = spec.points_per_axis
+    T = get_operator("gaussian", spec)
+    f = GridFunction(spec, np.random.default_rng(3).normal(size=spec.shape))
+    expected = T.apply(f)  # samples the symbol
+    tracemalloc.start()
+    try:
+        out = T.apply(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.samples, expected.samples)
+    bound = 16 * m * (m // 2 + 1) + 8 * m * m + 2**16
+    assert peak <= bound, (peak, bound)
