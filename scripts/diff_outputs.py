@@ -7,6 +7,9 @@ Every *.csv under DIR_A or DIR_B (searched recursively, matched by relative
 path) is compared row by row and cell by cell. Each differing cell is
 printed as `file:row:column  a -> b  (relative change)`; the relative change
 is |b - a| / |a| for numeric cells (inf where a is 0) and empty otherwise.
+The last line is a summary: the count of differing cells, and the largest
+relative change among numeric cells whose magnitude in DIR_A is at least
+1e-12 (the gate for changes that should move cells by round-off only).
 The exit code is 0 when every file is present in both trees with the same
 number of rows, whether or not cells differ, and 1 otherwise. Nothing is
 written.
@@ -30,20 +33,34 @@ def _rows(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
-def _relative(a: str, b: str) -> str:
+# parent magnitude from which a numeric cell counts toward the summary's
+# largest relative change
+GATE_FLOOR = 1e-12
+
+
+def _numbers(a: str, b: str) -> tuple[float, float] | None:
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return ""
+        return None
     if math.isnan(x) or math.isnan(y) or math.isinf(x) or math.isinf(y):
+        return None
+    return x, y
+
+
+def _relative(a: str, b: str) -> str:
+    if (pair := _numbers(a, b)) is None:
         return ""
+    x, y = pair
     return f"{abs(y - x) / abs(x):.3e}" if x else "inf"
 
 
 def diff_trees(a: Path, b: Path, out=sys.stdout) -> int:
-    """Print the differing cells of the CSVs of two trees; return the count of
-    structural faults (a file missing on one side, a different row count)."""
-    faults = 0
+    """Print the differing cells of the CSVs of two trees, then the summary
+    line; return the count of structural faults (a file missing on one side,
+    a different row count)."""
+    faults = cells = 0
+    worst = 0.0  # largest relative change of a numeric cell of magnitude >= GATE_FLOOR
     files_a, files_b = _csvs(a), _csvs(b)
     for rel in sorted(files_a | files_b):
         if rel not in files_a or rel not in files_b:
@@ -63,6 +80,10 @@ def diff_trees(a: Path, b: Path, out=sys.stdout) -> int:
                 if x != y:
                     name = header[c] if c < len(header) else str(c)
                     print(f"{rel}:{n}:{name}  {x} -> {y}  ({_relative(x, y)})", file=out)
+                    cells += 1
+                    if (pair := _numbers(x, y)) is not None and abs(pair[0]) >= GATE_FLOOR:
+                        worst = max(worst, abs(pair[1] - pair[0]) / abs(pair[0]))
+    print(f"{cells} differing cells; largest relative change at |a| >= {GATE_FLOOR:g}: {worst:.3e}", file=out)
     return faults
 
 

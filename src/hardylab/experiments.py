@@ -136,30 +136,31 @@ def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
     profiles = [s.strip() for s in
                 cfg.source.get("scenario", "profiles", default="indicator,bump,random").split(",")]
     p_values = _p_values(cfg, "1, 2/3")
-    # h^p norms by field; a field that does not depend on p has its maximal
-    # function computed once, and only the norms are kept
-    norms: dict[tuple, dict[float, float]] = {}
-    rows = []
+    # the fields by p, profile and r; a field that does not depend on p is
+    # made once and its norms are taken at every p
+    fields = {}  # norms key -> (field, the p its norms are needed at)
+    grids = []  # per p: per profile, (r, ball, field, norms key) per r
     for ip, p in enumerate(p_values):
         idx = HardyIndex(p, grid.dim)
-        cells = []  # per profile, (r, ball, field, norms key) per r
-        new = {}  # norms key -> (field, the p its norms are needed at)
+        grids.append([])
         for iprof, prof in enumerate(profiles):
-            cells.append([])
+            grids[-1].append([])
             for ir, r in enumerate(ladder):
                 ball = Ball((0.0,) * grid.dim, r)
-                rng = np.random.default_rng([cfg.seed, ip, iprof, ir])
-                g = _profile_field(prof, grid, ball, rng, idx)
                 p_free = prof in _P_FREE_PROFILES
                 key = (iprof, ir) if p_free else (iprof, ir, ip)
-                cells[-1].append((r, ball, g, key))
-                if key not in norms:
-                    new[key] = (g, p_values if p_free else [p])
-        # one streamed pass over the scales for the fields new at this p
-        maxima = small_maximal_table([g for g, _ in new.values()], mol, scales)
-        for (key, (_, qs)), mg in zip(new.items(), maxima):
-            norms[key] = {q: lp_quasinorm(mg, q) for q in qs}
-        del maxima
+                if key not in fields:
+                    rng = np.random.default_rng([cfg.seed, ip, iprof, ir])
+                    fields[key] = (_profile_field(prof, grid, ball, rng, idx), p_values if p_free else [p])
+                grids[-1][-1].append((r, ball, fields[key][0], key))
+    # one streamed pass over the scales for every (field, p) pair: each
+    # kernel is built once; only the h^p norms are kept
+    maxima = small_maximal_table([g for g, _ in fields.values()], mol, scales)
+    norms = {key: {q: lp_quasinorm(mg, q) for q in qs} for (key, (_, qs)), mg in zip(fields.items(), maxima)}
+    del maxima
+    rows = []
+    for p, cells in zip(p_values, grids):
+        idx = HardyIndex(p, grid.dim)
         for prof, row_cells in zip(profiles, cells):
             ratios: dict[tuple, list[float]] = {}
             for r, ball, g, key in row_cells:
@@ -204,22 +205,20 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
     atoms = [[make_atom(AtomSpec(HardyIndex(p, grid.dim), np.inf, Ball((0.0,) * grid.dim, r),
                                  "local"), cfg.seed + s, grid) for s in range(n_seeds)]
              for p, r in blocks]
-    tables: list = [None] * len(blocks)  # block -> its atoms' rows, one cell per T
+    norms: list = [None] * len(blocks)  # block -> its atoms' mean h^p norm per T
     for p in dict.fromkeys(p for p, _ in blocks):
         members = [b for b, (q, _) in enumerate(blocks) if q == p]
         dicts = [build_test_dictionary(grid, HardyIndex(p, grid.dim), T, mol) for T in Ts]
         table = grand_maximal_table([f for b in members for f in atoms[b]], dicts)
         for n, b in enumerate(members):
-            tables[b] = table[n * n_seeds:(n + 1) * n_seeds]
-
-    def norms_for(b: int) -> np.ndarray:
-        p = blocks[b][0]
-        return np.asarray([float(np.mean([lp_quasinorm(row[j], p) for row in tables[b]]))
-                           for j in range(len(Ts))])
+            cells = table[n * n_seeds:(n + 1) * n_seeds]
+            norms[b] = np.asarray([float(np.mean([lp_quasinorm(row[j], p) for row in cells]))
+                                   for j in range(len(Ts))])
+        del table, cells  # only the norms outlive the call: the cells go before the next fold
 
     rows = []
     for b, p in enumerate(p_values):
-        vals = norms_for(b)
+        vals = norms[b]
         for T, v in zip(Ts, vals):
             rows.append(["data", p, r_large, T, v, "", "", "", ""])
         if p == 1.0:
@@ -229,7 +228,7 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
             # power model vals ~ A T^b, fitted on a log scale
             log_amp, expo, r2 = _fit_log_model(Ts, np.log(vals))
             rows.append(["fit", p, r_large, "", "", "power", float(np.exp(log_amp)), expo, r2])
-    small = norms_for(len(p_values))
+    small = norms[len(p_values)]
     for T, v in zip(Ts, small):
         rows.append(["data", 1.0, r_small, T, v, "", "", "", ""])
     variation = float((small.max() - small.min()) / small.min())

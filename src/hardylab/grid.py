@@ -8,8 +8,17 @@ and is exact enough (O(h^2)) for the indicator-like and smooth integrands
 used throughout.
 
 All operations here are pure: they never mutate their inputs, apart from
-the scratch, output and window arrays handed to padded_spectrum,
-abs_convolve_spectra and window_convolve, and are safe to share across threads.
+the scratch, output and window arrays handed to the spectral functions
+(padded_spectrum, abs_convolve_spectra, window_spectrum, window_product,
+window_inverse and window_convolve), and are safe to share across threads.
+
+Convolutions run in three spectral layers. The complex padded layer
+(padded_spectrum, convolve_spectra) pads to twice the side. The sized real
+layer (sized_side, window_spectrum, window_product, window_inverse) puts a
+real function's nonzero box at the start of a window just long enough to
+hold its linear convolution with a kernel of the grid's m offsets. The
+window layer (window_side, window_convolve) does the same for a kernel
+within K samples of the origin.
 """
 
 from __future__ import annotations
@@ -297,110 +306,63 @@ def lp_norm(f: GridFunction, s: float, region: Ball | None = None) -> float:
     return lp_quasinorm(f, s, region)
 
 
-# rows of the padded product that the 2D inverse transforms at a time, and
-# of padded real rows that the 2D real forward transforms at a time: a
+# rows of the padded product that the 2D inverse transforms at a time: a
 # constant, so that a convolution always takes the same number of transforms
 TILE_ROWS = 64
 
 
-def spectrum_shape(spec: GridSpec, real: bool = False) -> tuple[int, ...]:
-    """Shape of a padded_spectrum: (2m)^dim, or with real the half spectrum
-    of rfftn, whose last axis keeps the m + 1 nonnegative frequencies."""
-    n = 2 * spec.points_per_axis
-    return (n,) * (spec.dim - 1) + (n // 2 + 1 if real else n,)
+def spectrum_shape(spec: GridSpec) -> tuple[int, ...]:
+    """Shape of a padded_spectrum: (2m)^dim."""
+    return (2 * spec.points_per_axis,) * spec.dim
 
 
-def padded_spectrum(f: GridFunction, real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+def padded_spectrum(f: GridFunction, out: np.ndarray | None = None) -> np.ndarray:
     """FFT of f zero-padded to twice the side, the operand of convolve_spectra
-    and abs_convolve_spectra. With out, a contiguous complex array of
-    spectrum_shape(spec, real) such as one row of a stack of spectra, the
-    spectrum is written there; no other spectrum-sized array is built.
+    and abs_convolve_spectra: the complex padded layer. With out, a
+    contiguous complex array of spectrum_shape(spec) such as one row of a
+    stack of spectra, the spectrum is written there; no other spectrum-sized
+    array is built.
 
-    By default the complex layer: fftn of the padded copy. In 2D no padded
-    copy is built: each run of rows of f that hold a nonzero sample is
-    written at its embedding rows of the complex spectrum and transformed
+    In 2D no padded copy is built: each run of rows of f that hold a nonzero
+    sample is written at its embedding rows of the spectrum and transformed
     there along the last axis, in place; the axis-0 FFT then runs in place.
     fftn takes the same transforms in the same axis order (casting real rows
     to complex first), and a zero row transforms to +0.0, so the result
     equals fftn of the padded copy bit for bit.
-
-    With real, for real f only, the real layer: rfftn of the padded copy,
-    of spectrum_shape(spec, real=True). In 2D the nonzero rows are padded
-    TILE_ROWS at a time in one real tile and rfft'd into their rows of the
-    half spectrum, the remaining rows hold the transform of a zero row, and
-    the axis-0 FFT runs in place on the m + 1 columns: rfftn's transforms in
-    rfftn's order, so again equal bit for bit.
     """
     spec = f.spec
     m = spec.points_per_axis
     off = m // 2
-    if real and not f.is_real:
-        raise ValueError("the real layer needs real samples")
     if spec.dim == 1:
-        F = np.zeros(2 * m, dtype=np.float64 if f.is_real else np.complex128)
+        F = np.zeros(2 * m, dtype=f.samples.dtype)
         F[off:off + m] = f.samples
-        return np.fft.rfft(F, out=out) if real else np.fft.fftn(F, out=out)
-    F = np.empty(spectrum_shape(spec, real), dtype=np.complex128) if out is None else out
-    if real:
-        # rfft leaves -0.0 at some frequencies of a zero row: copy its
-        # transform into every row, then overwrite the nonzero ones
-        F[:] = np.fft.rfft(np.zeros(2 * m))
-        tile = np.zeros((min(TILE_ROWS, m), 2 * m))
-    else:
-        F[:] = 0.0
+        return np.fft.fftn(F, out=out)
+    F = np.empty(spectrum_shape(spec), dtype=np.complex128) if out is None else out
+    F[:] = 0.0
     edges = np.flatnonzero(np.diff(f.samples.any(axis=1), prepend=False, append=False))
     for lo, hi in zip(edges[::2], edges[1::2]):  # the runs of nonzero rows
-        if real:
-            for r in range(lo, hi, len(tile)):
-                k = min(len(tile), hi - r)
-                tile[:k, off:off + m] = f.samples[r:r + k]
-                np.fft.rfft(tile[:k], axis=-1, out=F[off + r:off + r + k])
-        else:
-            rows = F[off + lo:off + hi]
-            rows[:, off:off + m] = f.samples[lo:hi]
-            np.fft.fft(rows, axis=-1, out=rows)
+        rows = F[off + lo:off + hi]
+        rows[:, off:off + m] = f.samples[lo:hi]
+        np.fft.fft(rows, axis=-1, out=rows)
     return np.fft.fft(F, axis=0, out=F)
 
 
-def spectral_scratch(spec: GridSpec, real: bool = False, stack: int | None = None) -> tuple[np.ndarray, ...]:
-    """Scratch for abs_convolve_spectra, reusable from call to call. In the
-    complex layer: in 1D the padded product; in 2D the (2m x m) half that
-    the axis-0 inverse runs on and one tile of rows. In the real layer: the
-    product of the half spectra and the real output of irfft: in 1D the
-    padded row, in 2D a tile of rows. With stack, every array has a leading
-    axis of that length: the scratch of a stack of that many spectra."""
+def spectral_scratch(spec: GridSpec, stack: int | None = None) -> tuple[np.ndarray, ...]:
+    """Scratch for abs_convolve_spectra, reusable from call to call: in 1D
+    the padded product; in 2D the (2m x m) half that the axis-0 inverse runs
+    on and one tile of rows. With stack, every array has a leading axis of
+    that length: the scratch of a stack of that many spectra."""
     m = spec.points_per_axis
     lead = () if stack is None else (stack,)
-    if real:
-        return (np.empty(lead + spectrum_shape(spec, real=True), dtype=np.complex128),
-                np.empty(lead + (min(TILE_ROWS, m // 2),) * (spec.dim - 1) + (2 * m,)))
     if spec.dim == 1:
         return (np.empty(lead + (2 * m,), dtype=np.complex128),)
     return (np.empty(lead + (2 * m, m), dtype=np.complex128),
             np.empty(lead + (min(TILE_ROWS, 2 * m), 2 * m), dtype=np.complex128))
 
 
-def abs_convolve_output(spec: GridSpec, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
-    """An out for abs_convolve_spectra with this spectral_scratch, stacked
-    alike. In the real layer it is a view of the scratch's product, of the
-    rows the inverse reads no more by the time it writes out (in 1D all of
-    them, in 2D the middle m), so that the layer needs no array of its own
-    for |f * g|; in the complex layer it is a new array."""
-    prod = scratch[0]
-    if not _is_half(prod, spec):
-        return np.empty(prod.shape[:-spec.dim] + spec.shape)
-    half = spec.points_per_axis // 2
-    return prod[_along_axis0(slice(half, 3 * half), spec.dim)].view(np.float64)[..., :spec.points_per_axis]
-
-
 def _along_axis0(rows: slice, dim: int) -> tuple:
     # the index of rows along the first grid axis, after any stack axis
     return (Ellipsis, rows) + (slice(None),) * (dim - 1)
-
-
-def _is_half(F: np.ndarray, spec: GridSpec) -> bool:
-    # a half spectrum of the real layer keeps m + 1 entries on its last axis
-    return F.shape[-1] == spec.points_per_axis + 1
 
 
 def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
@@ -429,32 +391,8 @@ def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
     return parts
 
 
-def _real_convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
-                             scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    # the samples of f * g from two half spectra, written into out: the
-    # axis-0 inverse on the (2m x m + 1) product, then irfft on its m window
-    # rows alone, a tile of rows at a time, scaled by h^dim; Ff and out may
-    # be stacks along a leading axis
-    m, half = spec.points_per_axis, spec.points_per_axis // 2
-    prod, rows = scratch
-    np.multiply(Ff, Fg, out=prod)
-    if spec.dim == 1:
-        blocks = [(prod, out)]
-    else:  # the window rows of the product, a tile at a time
-        np.fft.ifft(prod, axis=-2, out=prod)
-        n = rows.shape[-2]  # divides m/2: both are powers of two
-        blocks = [(prod[..., src + r:src + r + n, :], out[..., dst + r:dst + r + n, :])
-                  for src, dst in ((3 * half, 0), (0, half)) for r in range(0, half, n)]
-    for spectrum, target in blocks:
-        np.fft.irfft(spectrum, 2 * m, axis=-1, out=rows)
-        np.multiply(rows[..., 3 * half:], spec.cell_volume, out=target[..., :half])
-        np.multiply(rows[..., :half], spec.cell_volume, out=target[..., half:])
-    return out
-
-
 def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Samples of f * g (h^dim scaling) from two padded spectra of one layer:
-    complex samples from complex spectra, real ones from half spectra.
+    """Samples of f * g (h^dim scaling) from two padded spectra.
 
     Circular convolution of arrays anchored at -2L returns the true
     convolution shifted by half the padded period, so the window is the
@@ -463,32 +401,20 @@ def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarr
     on TILE_ROWS rows of the product at a time, only the m window columns of
     each tile are kept, and the axis-0 pass covers those columns alone, so
     no (2m)^2 array is built. The result equals ifftn of Ff * Fg, windowed
-    and scaled, bit for bit; for half spectra, irfftn's (see
-    abs_convolve_spectra).
+    and scaled, bit for bit.
     """
-    if _is_half(Ff, spec):
-        return _real_convolution_window(Ff, Fg, spec, spectral_scratch(spec, True), np.empty(spec.shape))
     return np.concatenate(_convolution_window(Ff, Fg, spec, spectral_scratch(spec)))
 
 
 def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
                          scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    """|f * g| written into out, with no array allocated, from two padded
-    spectra of one layer: scratch is the spectral_scratch of that layer.
-    Both layers scale by h^dim before the modulus. Ff may be a stack of
-    spectra along a leading axis, with out and scratch stacked alike: each
+    """np.abs(convolve_spectra(Ff, Fg, spec)) written into out, bit for bit,
+    with no array allocated: scratch is a spectral_scratch. Ff may be a stack
+    of spectra along a leading axis, with out and scratch stacked alike: each
     row of out then equals its one-row call bit for bit, because every
     transform runs row by row with the plan of a one-row call and the
     products, scaling and modulus act on each element alone.
-
-    Complex spectra give np.abs(convolve_spectra(Ff, Fg, spec)) bit for bit.
-    Half spectra (padded_spectrum with real) give np.abs of irfftn of
-    Ff * Fg, windowed and scaled, bit for bit: irfftn's transforms in its
-    order, the axis-0 inverse on the (2m x m + 1) product, then irfft on its
-    m window rows alone, a tile of rows at a time.
     """
-    if _is_half(Ff, spec):
-        return np.abs(_real_convolution_window(Ff, Fg, spec, scratch, out), out=out)
     half = spec.points_per_axis // 2
     first, second = _convolution_window(Ff, Fg, spec, scratch)
     np.abs(first, out=out[_along_axis0(slice(None, half), spec.dim)])
@@ -496,21 +422,126 @@ def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
     return out
 
 
-def convolve(f: GridFunction, g: GridFunction, g_spectrum: np.ndarray | None = None) -> GridFunction:
-    """Convolution f * g with h^dim scaling, FFT on a grid padded to twice the side.
+# the window sides of the sized real layer: c 2^i for c in these factors,
+# picked by timing irfft at 8192 to 16384 points (8192: 107 us, 8748 =
+# 2^2 3^7: 130 us, 9216 = 9 2^10: 124 us, 16384: 150 us); the factor 9
+# gives E1's 2D fields at m = 256 a side of 288
+SIZED_SIDE_FACTORS = (1, 3, 9)
 
-    The padding guarantees that no periodic wrap-around contaminates the
-    result as long as supp f + supp g fits inside [-2L, 2L)^dim. Real f and
-    g take the real layer and give real samples; otherwise the complex
-    layer. A caller that convolves with the same g many times passes
-    g_spectrum, its padded_spectrum in that layer
-    (padded_spectrum(g, f.is_real and g.is_real)), so that it is taken once.
+
+def nonzero_box(samples: np.ndarray) -> list[tuple[int, int]] | None:
+    """Per axis, the first index of a nonzero sample and one past the last;
+    None if no sample is nonzero."""
+    hits = np.nonzero(samples)
+    if not hits[0].size:
+        return None
+    return [(int(a.min()), int(a.max()) + 1) for a in hits]
+
+
+def sized_side(spec: GridSpec, box) -> int:
+    """The window side of a function with this nonzero box in the sized real
+    layer: the least c 2^i >= b + m - 1 (c in SIZED_SIDE_FACTORS), b the
+    longest side of the box. A kernel sampled on the grid has the m offsets
+    -m/2 ... m/2 - 1 from the origin, so on that side the circular
+    convolution of the box, at the start of a zero window, with the kernel
+    at indices 0 ... m - 1 holds their linear convolution with no
+    wrap-around. A function that fills the grid takes 2m, the padded side."""
+    need = max(hi - lo for lo, hi in box) + spec.points_per_axis - 1
+    return min(c << (-(-need // c) - 1).bit_length() for c in SIZED_SIDE_FACTORS)
+
+
+def window_cut(box, before: int, after: int, m: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Where a window convolution lands: the grid samples from `before`
+    samples below a function's nonzero box to `after` samples above it, per
+    axis and clipped to the grid, and the window indices that hold them when
+    the box sits at the start of its window and the kernel's offset k at
+    index k + before."""
+    cut = [(max(lo - before, 0), min(hi + after, m), lo - before) for lo, hi in box]
+    return tuple(slice(u, v) for u, v, _ in cut), tuple(slice(u - o, v - o) for u, v, o in cut)
+
+
+def window_spectrum(g: np.ndarray, first: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.rfftn of the zero window of side n that holds the real samples
+    g from index first on, per axis, bit for bit; with out (such as a row of
+    a stack of spectra) written there. In 2D only the rows that hold g take
+    rfft, TILE_ROWS at a time, written into their rows of the half
+    spectrum; every other row holds the transform of a zero row (rfft
+    leaves -0.0 at some of its frequencies), and the axis-0 FFT runs in
+    place: rfftn's transforms in its order."""
+    if g.ndim == 1:
+        window = np.zeros(n)
+        window[first:first + len(g)] = g
+        return np.fft.rfft(window, out=out)
+    F = np.empty((n, n // 2 + 1), dtype=np.complex128) if out is None else out
+    F[:] = np.fft.rfft(np.zeros(n))
+    tile = np.zeros((min(TILE_ROWS, len(g)), n))
+    for r in range(0, len(g), len(tile)):
+        k = min(len(tile), len(g) - r)
+        tile[:k, first:first + g.shape[1]] = g[r:r + k]
+        np.fft.rfft(tile[:k], axis=-1, out=F[first + r:first + r + k])
+    return np.fft.fft(F, axis=0, out=F)
+
+
+def window_product(F: np.ndarray, Fk: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """F * Fk written into prod, then in 2D the axis-0 inverse FFT in place:
+    the first steps of np.fft.irfftn of the product on the window. F is a
+    half spectrum, or a stack of them along a leading axis, and Fk a
+    window_spectrum of the same side, the kernel's offset k at index
+    k + m/2."""
+    np.multiply(F, Fk, out=prod)
+    if Fk.ndim == 2:
+        np.fft.ifft(prod, axis=-2, out=prod)
+    return prod
+
+
+def window_inverse(prod: np.ndarray, n: int, dim: int, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """The window indices rows, along the first of the dim window axes, of
+    np.fft.irfftn on side n of the product that window_product left in
+    prod, unscaled, written into out if given. In 2D irfft runs on those
+    rows alone; in 1D on the whole window, and the rows are a view. These
+    are irfftn's transforms in its order, row by row, so every value equals
+    irfftn's bit for bit, and each row of a stack its one-row call."""
+    if dim == 1:
+        return np.fft.irfft(prod, n, axis=-1, out=out)[..., rows]
+    return np.fft.irfft(prod[..., rows, :], n, axis=-1, out=out)
+
+
+def convolve(f: GridFunction, g: GridFunction, spectra: dict | None = None) -> GridFunction:
+    """Convolution f * g with h^dim scaling, g sampled at the offsets
+    -m/2 ... m/2 - 1 from the origin (its sample at index k at offset
+    k - m/2).
+
+    Real f and g take the sized real layer: f's nonzero box at the start of
+    a zero window of side sized_side, g's samples at indices 0 ... m - 1 of
+    another, window_product and window_inverse of their rfftn, scaled and cut
+    to the grid (window_cut). That is the linear convolution up to round-off,
+    exactly 0 more than m/2 samples from f's box. Otherwise the complex
+    padded layer: FFT on a grid padded to twice the side, with no periodic
+    wrap-around as long as supp f + supp g fits inside [-2L, 2L)^dim.
+
+    A caller that convolves with the same g many times passes spectra, a
+    dict in which g's spectra are kept (by window side, and None in the
+    padded layer), so that each is taken once.
     """
     f._check_compatible(g)
-    real = f.is_real and g.is_real
-    if g_spectrum is None:
-        g_spectrum = padded_spectrum(g, real)
-    return GridFunction(f.spec, convolve_spectra(padded_spectrum(f, real), g_spectrum, f.spec))
+    spec = f.spec
+    spectra = {} if spectra is None else spectra
+    if not (f.is_real and g.is_real):
+        if None not in spectra:
+            spectra[None] = padded_spectrum(g)
+        return GridFunction(spec, convolve_spectra(padded_spectrum(f), spectra[None], spec))
+    out = np.zeros(spec.shape)
+    box = nonzero_box(f.samples)
+    if box is not None:
+        n, half = sized_side(spec, box), spec.points_per_axis // 2
+        if n not in spectra:
+            spectra[n] = window_spectrum(g.samples, 0, n)
+        where, window = window_cut(box, half, half - 1, spec.points_per_axis)
+        F = window_spectrum(f.samples[tuple(slice(*b) for b in box)], 0, n)
+        vals = window_inverse(window_product(F, spectra[n], F), n, spec.dim, window[0])
+        at = (slice(0, window[0].stop - window[0].start),) + window[1:]
+        np.multiply(vals[at], spec.cell_volume, out=out[where])
+    return GridFunction(spec, out)
 
 
 @functools.lru_cache(maxsize=1024)  # the window path asks once per (function, scale)
@@ -524,20 +555,10 @@ def window_side(need: int) -> int:
     return min(2**a * 3**b for a in powers for b in powers if 2**a * 3**b >= need)
 
 
-def kernel_spectrum(g: GridFunction, reach: int, n: int) -> np.ndarray:
-    """np.fft.rfftn of the window of side n > 2 reach that holds the samples
-    of g at most reach samples from the origin, the one at offset k at index
-    k + reach, and 0 elsewhere."""
-    m, half, dim = g.spec.points_per_axis, g.spec.points_per_axis // 2, g.spec.dim
-    lo, hi = max(half - reach, 0), min(half + reach + 1, m)
-    window = np.zeros((n,) * dim)
-    window[(slice(lo - half + reach, hi - half + reach),) * dim] = g.samples[(slice(lo, hi),) * dim]
-    return np.fft.rfftn(window)
-
-
 def window_convolve(windows: np.ndarray, Fk: np.ndarray, spec: GridSpec) -> np.ndarray:
     """h^dim times the circular convolution of each real window, stacked
-    along a leading axis, with the kernel of kernel_spectrum Fk, written
+    along a leading axis, with the kernel spectrum Fk (window_spectrum of
+    its samples within K of the origin, the offset k at index k + K), written
     back into windows: np.fft.rfftn, the product, np.fft.irfftn, each along
     the last dim axes and so row by row, bit for bit the one-row call."""
     axes = tuple(range(-spec.dim, 0))
@@ -718,6 +739,22 @@ def dilate(phi: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec) ->
         out[box] = scale * phi.radial(np.sqrt(axes_sq_distance([ax[b] for b in box], (0.0,) * spec.dim)))
         return GridFunction(spec, out)
     return GridFunction(spec, scale * np.broadcast_to(np.asarray(phi(spec.points() / t)), spec.shape).copy())
+
+
+def dilate_box(phi, t: float, spec: GridSpec, reach: int) -> tuple[np.ndarray, int]:
+    """dilate(phi, t, spec)'s samples at the offsets -reach ... reach from
+    the origin that lie on the grid, for a phi with compact_support and
+    reach >= t/h, with no full-grid array: the same radial expression on
+    that box alone, so the same bits (+0.0 off the support). Also returns
+    the window index of the first of them when the offset k sits at index
+    k + reach, the placement of the window path."""
+    if t < 2 * spec.spacing:
+        raise NumericalError("scale below grid resolution")
+    m, half = spec.points_per_axis, spec.points_per_axis // 2
+    lo, hi = max(half - reach, 0), min(half + reach + 1, m)
+    ax = spec.axis()[lo:hi] / t
+    box = t ** (-spec.dim) * phi.radial(np.sqrt(axes_sq_distance([ax] * spec.dim, (0.0,) * spec.dim)))
+    return box, lo - half + reach
 
 
 def load_gridfunction(path) -> GridFunction:

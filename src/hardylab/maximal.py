@@ -13,24 +13,28 @@ compactly supported mollifier, one per scale of the ladder, translated to
 every grid site, with the one amplitude c that certifies them all.
 
 Both maximal functions fold |f * phi_t| into running maxima, one distinct
-scale at a time. On the padded full grid that is one streamed pass on a
-thread pool (_running_maxima): each distinct kernel is built once, used
-for every function of the call and dropped, and the padded spectra alive
-at one time stay under FOLD_SPECTRA_BYTES. small_maximal_table runs the
-pass over one ladder, grand_maximal_table over the distinct ladders of its
-full-grid dictionaries. The functions' spectra are held as one stacked
-array, and each kernel meets them a sub-stack at a time: one product and
-one inverse transform for all the rows, with the stacked scratch of a
-chunk under FOLD_STACK_BYTES. In 1D that puts several functions in one
-call; a 2D function at the sizes the configs run fills the bound alone.
+scale at a time. Off the support path that is one streamed pass on a
+thread pool (_running_maxima): each distinct kernel is sampled once, used
+for every function of the call and dropped, and the spectra alive at one
+time stay under FOLD_SPECTRA_BYTES. small_maximal_table runs the pass over
+one ladder, grand_maximal_table over the distinct ladders of its full-grid
+dictionaries. The functions' spectra are held as stacked arrays, and each
+kernel meets them a sub-stack at a time: one product and one inverse
+transform for all the rows, with the stacked scratch of a chunk under
+FOLD_STACK_BYTES. In 1D that puts several functions in one call; a 2D
+function at the sizes the configs run fills the bound alone.
 
-Each call of the full-grid fold runs in one of the two padded spectral
-layers of grid.py, picked by its caller. Real samples through a mollifier
-without compact support (the Gaussian small maximal function of E1 and E3)
-take the real layer: rfft spectra, half the transform work and half the
-bytes; the rest take the complex layer. small_maximal_table runs one call
-per layer present; every test dictionary's mollifier is compactly
-supported, so grand_maximal_table folds in the complex layer alone.
+small_maximal_table runs in the sized real layer of grid.py: each function
+takes the least window side c 2^i (c = 1, 3, 9) that holds the linear
+convolution of its nonzero box with a kernel of the grid's m offsets,
+b + m - 1 for a box of longest side b (288 for E1's 2D fields at m = 256,
+2m for a function that fills the grid). Its box sits at the start of the
+window, the kernel's m offsets at indices 0 ... m - 1, and the result is
+cut to the grid, exactly 0 where the kernel cannot reach. The functions
+are grouped by side, so each kernel spectrum is built once per (scale,
+side), and a complex f runs as two real rows, Re f and Im f, combined by
+hypot. Every test dictionary's mollifier is compactly supported, and the
+full-grid fold of grand_maximal_table runs in the complex padded layer.
 
 A test dictionary of order 1 (N_p = 0, so every p = 1 dictionary) is folded
 on exact windows instead, serially: phi_t vanishes off B(0, t), so
@@ -38,9 +42,10 @@ on exact windows instead, serially: phi_t vanishes off B(0, t), so
 f's nonzero samples, and each pair of a function and a scale takes one
 unpadded circular real transform (the window layer of grid.py) of the
 least side 2^i 3^j that holds that box widened by K, pasted there into
-full-size maxima that stay 0 elsewhere. The p < 1 dictionaries and the
-small maximal function run on the padded full grid: the recorded p < 1
-norms contain its far-field round-off, which another transform would move.
+full-size maxima that stay 0 elsewhere; each kernel is sampled on its
+(2K + 1)^dim box alone. The p < 1 dictionaries run on the padded full grid:
+the recorded p < 1 norms contain its far-field round-off, which another
+transform would move.
 """
 
 from __future__ import annotations
@@ -56,18 +61,24 @@ from itertools import repeat
 import numpy as np
 
 from .grid import (
+    TILE_ROWS,
     GridFunction,
     GridSpec,
-    abs_convolve_output,
     abs_convolve_spectra,
     dilate,
-    kernel_spectrum,
+    dilate_box,
+    nonzero_box,
     padded_spectrum,
+    sized_side,
     spectral_scratch,
     spectrum_shape,
     sq_distance,
     window_convolve,
+    window_cut,
+    window_inverse,
+    window_product,
     window_side,
+    window_spectrum,
 )
 from .moments import HardyIndex, MultiIndex, multiindices
 
@@ -159,16 +170,16 @@ class ScaleGrid:
         return cls(tuple(np.geomspace(lo, t_max, count)))
 
 
-# the padded spectra alive in one fold: one 2D m=4096 spectrum is 1 GiB, so
+# the spectra alive in one fold: one padded 2D m=4096 spectrum is 1 GiB, so
 # the functions of one call run in groups bounded in bytes
 FOLD_SPECTRA_BYTES = 512 * 2**20
 
 # the stacked scratch of one chunk in one spectral layer, |.| included (or
 # the windows and half spectra of a window sub-stack): a fold group's
 # functions meet each kernel a sub-stack at a time, as many as fit here (at
-# least one). Two real 1D m=8192 functions fit, and no 2D function at
-# m >= 128: each chunk adds its stack to the peak RSS, and E1's 1D peak is
-# close to E5's, the battery-1d peak
+# least one). Five of E1's 1D fields at m=8192 (window side 9216) fit, and
+# no 2D function at m >= 128: each chunk adds its stack to the peak RSS, and
+# E1's 1D peak is close to E5's, the battery-1d peak
 FOLD_STACK_BYTES = 768 * 2**10
 
 
@@ -186,55 +197,160 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _fold_chunk(work: list, spectra: np.ndarray, maxima: list, spec: GridSpec, real: bool,
-                scratch: tuple, lock: threading.Lock) -> None:
-    bufs, vals = scratch
+class _PaddedSide:
+    """The functions of a fold group in the complex padded layer: one
+    (2m)^dim spectrum each, stacked, and sub-stacks of `stack` of them.
+    |f * phi_t| covers the grid."""
+
+    def __init__(self, spec: GridSpec, fs: list, members: list, stack: int):
+        self.spec, self.members = spec, members
+        self.spectra = np.empty((len(members),) + spectrum_shape(spec), dtype=np.complex128)
+        for i, out in zip(members, self.spectra):
+            padded_spectrum(fs[i], out=out)
+        self.subs = [range(j, min(j + stack, len(members))) for j in range(0, len(members), stack)]
+
+    @staticmethod
+    def scratch(spec: GridSpec, stack: int) -> tuple:
+        return *spectral_scratch(spec, stack), np.empty((stack,) + spec.shape)
+
+    def kernel_spectrum(self, kernel: GridFunction) -> np.ndarray:
+        return padded_spectrum(kernel)
+
+    def abs_convolve(self, sub: range, Fk: np.ndarray, scratch: tuple):
+        *bufs, vals = scratch
+        k = len(sub)
+        abs_convolve_spectra(self.spectra[sub.start:sub.stop], Fk, self.spec, tuple(b[:k] for b in bufs), vals[:k])
+        return zip((self.members[j] for j in sub), repeat(...), vals)
+
+
+def _planes(f: GridFunction) -> tuple:
+    # the real planes that carry f in the sized layer
+    return (f.samples,) if f.is_real else (f.samples.real, f.samples.imag)
+
+
+def _half_shape(n: int, dim: int) -> tuple[int, ...]:
+    # the rfftn half spectrum of a window of side n
+    return (n,) * (dim - 1) + (n // 2 + 1,)
+
+
+class _SizedSide:
+    """The functions of a fold group that take window side n in the sized
+    real layer: one row per real plane (Re f and Im f of a complex f), the
+    window_spectrum of its nonzero box, stacked; sub-stacks of whole
+    functions, at most `stack` rows each (at least one function). |f * phi_t|
+    covers the grid samples within the kernel's m offsets of f's box, and
+    the maxima stay exactly 0 elsewhere."""
+
+    def __init__(self, spec: GridSpec, n: int, fs: list, members: list, boxes: dict, stack: int):
+        m = spec.points_per_axis
+        self.spec, self.n = spec, n
+        self.spectra = np.empty((sum(len(_planes(fs[i])) for i in members),) + _half_shape(n, spec.dim),
+                                dtype=np.complex128)
+        self.subs, row = [], 0  # per sub-stack: (function, first row, rows, grid cut, window cut)
+        for i in members:
+            planes = _planes(fs[i])
+            for plane in planes:
+                window_spectrum(plane[tuple(slice(*b) for b in boxes[i])], 0, n, out=self.spectra[row])
+                row += 1
+            func = (i, row - len(planes), len(planes)) + window_cut(boxes[i], m // 2, m // 2 - 1, m)
+            if self.subs and row - self.subs[-1][0][1] <= stack:
+                self.subs[-1].append(func)
+            else:
+                self.subs.append([func])
+
+    @staticmethod
+    def scratch(spec: GridSpec, n: int, stack: int, planes: int) -> tuple:
+        # flat, so that each side takes views of a prefix: the product of a
+        # sub-stack, and what irfft writes: in 1D the sub-stack's windows, in
+        # 2D one function's planes on a tile of TILE_ROWS window rows
+        rows = stack if spec.dim == 1 else planes * min(TILE_ROWS, n)
+        return np.empty(stack * math.prod(_half_shape(n, spec.dim)), dtype=np.complex128), np.empty(rows * n)
+
+    def kernel_spectrum(self, kernel: GridFunction) -> np.ndarray:
+        return window_spectrum(kernel.samples, 0, self.n)
+
+    def abs_convolve(self, sub: list, Fk: np.ndarray, scratch: tuple):
+        # yields each function's h^dim |f * phi_t| on its cut (in 2D a tile
+        # of rows at a time), in the scratch: the caller folds it before the
+        # next is made
+        prod, real = scratch
+        n, dim, first = self.n, self.spec.dim, sub[0][1]
+        spectra = self.spectra[first:sub[-1][1] + sub[-1][2]]
+        prod = window_product(spectra, Fk, prod[:spectra.size].reshape(spectra.shape))
+        if dim == 1:  # one irfft for the sub-stack
+            whole = window_inverse(prod, n, dim, slice(None), real[:len(spectra) * n].reshape(len(spectra), n))
+        for i, row, count, where, window in sub:
+            if dim == 1:
+                yield i, where, self._modulus(whole[row - first:row - first + count], window)
+                continue
+            for r in range(window[0].start, window[0].stop, TILE_ROWS):
+                rows = slice(r, min(r + TILE_ROWS, window[0].stop))
+                size = rows.stop - rows.start
+                vals = window_inverse(prod[row - first:row - first + count], n, dim, rows,
+                                      real[:count * size * n].reshape(count, size, n))
+                start = where[0].start + r - window[0].start
+                yield i, (slice(start, start + size), where[1]), self._modulus(vals, (slice(None), window[1]))
+
+    def _modulus(self, vals: np.ndarray, at: tuple) -> np.ndarray:
+        # h^dim |.| of one function's planes at the window indices at, in place
+        parts = [np.multiply(v[at], self.spec.cell_volume, out=v[at]) for v in vals]
+        return np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts, out=parts[0])
+
+
+def _fold_chunk(work: list, sides: list, maxima: list, spec: GridSpec, scratch: tuple,
+                lock: threading.Lock) -> None:
     for (mollifier, t), slots in work:
-        Fk = padded_spectrum(dilate(mollifier, t, spec), real)
-        for i in range(0, len(spectra), len(vals)):
-            k = min(len(vals), len(spectra) - i)
-            abs_convolve_spectra(spectra[i:i + k], Fk, spec, tuple(b[:k] for b in bufs), vals[:k])
-            with lock:
-                for row, val in zip(maxima[i:i + k], vals):
-                    for s in slots:
-                        np.maximum(row[s], val, out=row[s])
-        del Fk  # this scale is done: drop its kernel before building the next
+        kernel = dilate(mollifier, t, spec)
+        for side in sides:
+            Fk = side.kernel_spectrum(kernel)
+            for sub in side.subs:
+                for i, where, near in side.abs_convolve(sub, Fk, scratch):
+                    with lock:
+                        for s in slots:
+                            target = maxima[i][s][where]
+                            np.maximum(target, near, out=target)
+            del Fk
+        del kernel  # this scale is done: drop its kernel before building the next
 
 
-def _running_maxima(fs: list, work: dict, nsets: int, real: bool) -> list:
+def _running_maxima(fs: list, work: dict, nsets: int, sized: bool) -> list:
     """maxima[i][s], the pointwise max of |fs[i] * phi_t| over the scales of
-    scale set s, walking each distinct scale once, in the real spectral
-    layer with real (real samples only) and in the complex one without.
+    scale set s, walking each distinct scale once: with sized in the sized
+    real layer, otherwise in the complex padded one.
 
     work maps each distinct (mollifier, t) to the scale sets that hold it.
     One interleaved chunk of the scales per CPU runs on the pool (NumPy's
     FFT releases the GIL) and folds into the one shared set of maxima under
     a lock; max is exact, so the result does not depend on the split or the
-    order. A chunk builds the padded spectrum of each of its kernels, folds
-    it against every function of the group and drops it before the next.
+    order. A chunk samples each of its kernels once, builds its spectrum
+    once per side of the group, folds it against every function there and
+    drops it before the next.
 
-    A group holds its padded spectra as one stacked array, each function a
-    row, built in place. Against a kernel, the stack is transformed a
-    sub-stack of rows at a time: one product with the kernel spectrum and
-    one inverse transform along the last axis for all its rows, then the
-    window, the scale and |.|, and the lock is taken once per sub-stack.
-    Every transform runs row by row with the plan of a one-row call, and
-    the rest acts on each element alone, so a row equals its one-row call
-    bit for bit. Each function keeps its maxima in arrays of its own: one
-    array for all of them measured 1.3 MB more peak RSS in 2D E2, where the
-    separate arrays reuse memory that atom generation freed.
+    In the padded layer every function has a (2m)^dim spectrum. In the sized
+    layer each function takes the least window side sized_side that holds
+    its nonzero box's linear convolution with a kernel of m offsets; the
+    functions of one side hold their spectra as one stacked array, a row per
+    real plane (Re f and Im f of a complex f, combined by hypot), and a
+    function with no nonzero sample takes no transform and keeps maxima of
+    0. Against a kernel, the stack is transformed a sub-stack of rows at a
+    time: one product with the kernel spectrum and one inverse transform
+    along the last axis for all its rows, then the scale and |.|. Every
+    transform runs row by row with the plan of a one-row call, the side
+    depends on f and m alone, and the rest acts on each element alone, so a
+    row equals its one-row call bit for bit. Each function keeps its maxima
+    in arrays of its own: one array for all of them measured 1.3 MB more
+    peak RSS in 2D E2, where the separate arrays reuse memory that atom
+    generation freed.
 
-    Each chunk has one scratch, reused for every sub-stack it takes: a
-    spectral_scratch stacked to the sub-stack size and its |.|
-    (abs_convolve_output, which the real layer keeps in its product), as
-    many rows as fit in FOLD_STACK_BYTES, at least one, at most all.
-    The scratch is allocated here, in the calling thread: freed in a worker,
-    it would stay in that thread's malloc arena and raise the peak RSS. The
-    functions run in groups, so that their padded spectra plus the kernels
-    and the scratch of every chunk stay within FOLD_SPECTRA_BYTES, with the
-    bytes of a spectrum taken from spectrum_shape; a group holds at least
-    one function, and every kernel is built once per group. No functions
-    give no maxima; functions on different grids raise ValueError."""
+    Each chunk has one scratch, reused for every sub-stack it takes: as many
+    rows as fit in FOLD_STACK_BYTES at the call's largest side, at least one
+    function, at most all. The scratch is allocated here, in the calling
+    thread: freed in a worker, it would stay in that thread's malloc arena
+    and raise the peak RSS. The functions run in groups, so that their
+    spectra plus one kernel spectrum and the scratch of every chunk stay
+    within FOLD_SPECTRA_BYTES; a group holds at least one function, and
+    every kernel is built once per group. No functions give no maxima;
+    functions on different grids raise ValueError."""
     if not fs:
         return []
     spec = fs[0].spec
@@ -245,28 +361,43 @@ def _running_maxima(fs: list, work: dict, nsets: int, real: bool) -> list:
     chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
     if not chunks:
         return maxima
-
-    def chunk_scratch(n):  # a chunk's scratch and |.| for n rows
-        bufs = spectral_scratch(spec, real, n)
-        return bufs, abs_convolve_output(spec, bufs)
-
-    def owned(bufs, vals):  # their bytes, views of the scratch not counted
-        return sum(a.nbytes for a in (*bufs, vals) if a.base is None)
-
-    stack = max(1, min(len(fs), FOLD_STACK_BYTES // owned(*chunk_scratch(1))))
-    scratch = [chunk_scratch(stack) for _ in chunks]
-    shape = spectrum_shape(spec, real)
-    spectrum = 16 * math.prod(shape)
-    group = max(1, (FOLD_SPECTRA_BYTES - len(chunks) * (spectrum + owned(*scratch[0]))) // spectrum)
+    if sized:
+        boxes = {i: box for i, f in enumerate(fs) if (box := nonzero_box(f.samples)) is not None}
+        if not boxes:
+            return maxima
+        side_of = {i: sized_side(spec, boxes[i]) for i in boxes}
+        rows = {i: len(_planes(fs[i])) for i in boxes}
+        row_bytes = {i: 16 * math.prod(_half_shape(side_of[i], spec.dim)) * rows[i] for i in boxes}
+        n = max(side_of.values())
+        per_row = 16 * math.prod(_half_shape(n, spec.dim)) + (8 * n if spec.dim == 1 else 0)
+        stack = max(max(rows.values()), min(sum(rows.values()), FOLD_STACK_BYTES // per_row))
+        scratch = [_SizedSide.scratch(spec, n, stack, max(rows.values())) for _ in chunks]
+        kernel = 16 * math.prod(_half_shape(n, spec.dim))
+    else:
+        boxes = dict.fromkeys(range(len(fs)))
+        row_bytes = dict.fromkeys(boxes, 16 * math.prod(spectrum_shape(spec)))
+        per_row = sum(a.nbytes for a in _PaddedSide.scratch(spec, 1))
+        stack = max(1, min(len(fs), FOLD_STACK_BYTES // per_row))
+        scratch = [_PaddedSide.scratch(spec, stack) for _ in chunks]
+        kernel = row_bytes[0]
+    owned = sum(a.nbytes for a in scratch[0])
+    budget = FOLD_SPECTRA_BYTES - len(chunks) * (kernel + owned)
     lock = threading.Lock()
-    for start in range(0, len(fs), group):
-        members = fs[start:start + group]
-        spectra = np.empty((len(members),) + shape, dtype=np.complex128)
-        for f, out in zip(members, spectra):
-            padded_spectrum(f, real, out=out)
-        list(_pool.map(_fold_chunk, chunks, repeat(spectra), repeat(maxima[start:start + group]),
-                       repeat(spec), repeat(real), scratch, repeat(lock)))
-        del spectra
+    todo = list(boxes)
+    while todo:
+        group, used = [], 0  # the next functions whose spectra fit the budget, at least one
+        while todo and (not group or used + row_bytes[todo[0]] <= budget):
+            used += row_bytes[todo[0]]
+            group.append(todo.pop(0))
+        if sized:
+            by_side: dict[int, list] = {}
+            for i in group:
+                by_side.setdefault(side_of[i], []).append(i)
+            parts = [_SizedSide(spec, side, fs, members, boxes, stack) for side, members in by_side.items()]
+        else:
+            parts = [_PaddedSide(spec, fs, group, stack)]
+        list(_pool.map(_fold_chunk, chunks, repeat(parts), repeat(maxima), repeat(spec), scratch, repeat(lock)))
+        del parts
     return maxima
 
 
@@ -275,20 +406,11 @@ def small_maximal_table(fs: list[GridFunction], mollifier: MollifierSpec,
     """out[i], the pointwise max over the scale grid of |fs[i] * phi_t| (a
     lower bound for m_phi fs[i]), equals the one-row call
     small_maximal_table([fs[i]], mollifier, scales)[0] bit for bit. One fold
-    per spectral layer present (real for real samples through a mollifier
-    without compact support): each kernel is built once per layer, used for
-    every function in it and dropped. No functions give [] and functions on
-    different grids raise ValueError."""
-    if any(f.spec != fs[0].spec for f in fs):
-        raise ValueError("grid mismatch")
+    in the sized real layer, a complex f as Re f and Im f combined by hypot:
+    each kernel is built once, used for every function and dropped. No
+    functions give [] and functions on different grids raise ValueError."""
     work = dict.fromkeys(((mollifier, t) for t in scales.scales), (0,))
-    layers = [f.is_real and not mollifier.compact_support for f in fs]
-    out = [None] * len(fs)
-    for real in set(layers):
-        members = [i for i, layer in enumerate(layers) if layer == real]
-        for i, row in zip(members, _running_maxima([fs[i] for i in members], work, 1, real)):
-            out[i] = GridFunction(fs[i].spec, row[0])
-    return out
+    return [GridFunction(f.spec, row[0]) for f, row in zip(fs, _running_maxima(fs, work, 1, True))]
 
 
 # ---------------------------------------------------------------------------
@@ -371,32 +493,31 @@ def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
     """Fold h^dim |fs[i] * phi_t| for the compactly supported kernels of
     work into maxima[i][s], each pair on the window of side
     window_side(b + 2K + 1), b the longest side of f's box and K = ceil(t/h):
-    each kernel sampled once by dilate (the full grid's bits), its spectrum
-    built once per side, its functions there stacked in sub-stacks whose
-    windows and spectra fit in FOLD_STACK_BYTES (at least one function), a
-    complex f as two rows, Re f and Im f, combined by hypot. A window depends
-    on f and t alone, so a row equals its one-row call bit for bit. A
-    function with no nonzero sample takes no transform. Serial: the pool
-    lost on these small transforms."""
+    each kernel sampled once by dilate_box on its (2K + 1)^dim box (the full
+    grid's bits), its spectrum built once per side, its functions there
+    stacked in sub-stacks whose windows and spectra fit in FOLD_STACK_BYTES
+    (at least one function), a complex f as two rows, Re f and Im f,
+    combined by hypot. A window depends on f and t alone, so a row equals
+    its one-row call bit for bit. A function with no nonzero sample takes no
+    transform. Serial: the pool lost on these small transforms."""
     if not fs or not work:
         return
     spec = fs[0].spec
     m, dim = spec.points_per_axis, spec.dim
     boxes, blocks = {}, {}  # per nonzero f: its nonzero range per axis; its real planes there
     for i, f in enumerate(fs):
-        if (hits := np.nonzero(f.samples))[0].size:
-            boxes[i] = [(int(a.min()), int(a.max()) + 1) for a in hits]
-            planes = (f.samples,) if f.is_real else (f.samples.real, f.samples.imag)
-            blocks[i] = [p[tuple(slice(*b) for b in boxes[i])] for p in planes]
+        if (box := nonzero_box(f.samples)) is not None:
+            boxes[i] = box
+            blocks[i] = [p[tuple(slice(*b) for b in box)] for p in _planes(f)]
     for (mollifier, t), sets in work.items():
         reach = math.ceil(t / spec.spacing)
         sides: dict[int, list[int]] = {}  # window side -> the functions that take it
         for i in boxes:
             sides.setdefault(window_side(max(hi - lo for lo, hi in boxes[i]) + 2 * reach + 1), []).append(i)
         kernel = Fk = windows = vals = None  # the last scale's, freed before this kernel is built
-        kernel = dilate(mollifier, t, spec) if sides else None
+        kernel = dilate_box(mollifier, t, spec, reach) if sides else None
         for n, members in sides.items():
-            Fk = kernel_spectrum(kernel, reach, n)
+            Fk = window_spectrum(*kernel, n)
             per = FOLD_STACK_BYTES // (max(len(blocks[i]) for i in members) * (8 * n**dim + Fk.nbytes)) or 1
             for j in range(0, len(members), per):
                 planes = [block for i in members[j:j + per] for block in blocks[i]]
@@ -405,11 +526,11 @@ def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
                     w[tuple(map(slice, block.shape))] = block
                 vals = iter(window_convolve(windows, Fk, spec))
                 for i in members[j:j + per]:
-                    cut = [(max(lo - reach, 0), min(hi + reach, m), lo - reach) for lo, hi in boxes[i]]
-                    parts = [next(vals)[tuple(slice(u - o, v - o) for u, v, o in cut)] for _ in blocks[i]]
+                    where, window = window_cut(boxes[i], reach, reach, m)
+                    parts = [next(vals)[window] for _ in blocks[i]]
                     near = np.abs(parts[0]) if len(parts) == 1 else np.hypot(*parts)
                     for s in sets:
-                        target = maxima[i][s][tuple(slice(u, v) for u, v, _ in cut)]
+                        target = maxima[i][s][where]
                         np.maximum(target, near, out=target)
 
 

@@ -34,7 +34,6 @@ from .grid import (
     SampledSymbol,
     convolve,
     fourier_multiplier,
-    padded_spectrum,
     reflect,
     sample_function,
     sample_symbol,
@@ -104,10 +103,9 @@ class MultiplierOp(OperatorSpec):
 class KernelOp(OperatorSpec):
     """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x).
 
-    The kernel's padded spectrum in the layer an application uses (real for
-    real f and a real kernel, see convolve) is taken on the first
-    application in that layer and kept, so later applications only
-    transform f.
+    convolve keeps the kernel's spectra here, one per window side of the
+    sized real layer and one for the complex padded layer, each taken on the
+    first application that needs it, so later applications only transform f.
     """
 
     kernel: GridFunction
@@ -122,10 +120,7 @@ class KernelOp(OperatorSpec):
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.kernel.spec:
             raise ValueError("grid mismatch")
-        real = f.is_real and self.kernel.is_real
-        if real not in self._spectra:
-            self._spectra[real] = padded_spectrum(self.kernel, real)
-        return convolve(f, self.kernel, self._spectra[real])
+        return convolve(f, self.kernel, self._spectra)
 
     def adjoint(self) -> "KernelOp":
         return KernelOp(reflect(self.kernel).conj(), name=f"{self.name}*", params=self.params)

@@ -6,8 +6,11 @@ composes them), `verify_admissible` certifies a test function's support and
 derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
-convolution as full-size fftn/ifftn (rfftn/irfftn in the real layer) with a
-fancy-index window, `reference_fourier_multiplier` is a multiplier as
+convolution as full-size fftn/ifftn (rfftn/irfftn in the 2m real layer that
+the sized one replaced) with a fancy-index window, `sized_convolve` is the
+sized real layer's convolution on its window, `sized_small_maximal` and
+`padded_small_maximal` are the small maximal function one scale at a time
+in the sized layer and on the padded grid, `reference_fourier_multiplier` is a multiplier as
 full-grid fftn/ifftn with the symbol's full-grid Hermitian part, `serial_grand_maximal` is the grand maximal function
 of a dictionary one scale at a time on the padded full grid and
 `window_grand_maximal` that of an order-1 dictionary, each scale on its own
@@ -275,6 +278,73 @@ def smooth_side(need: int) -> int:
         if rest == 1:
             return n
         n += 1
+
+
+def sized_side_by_search(need: int) -> int:
+    """The least n >= need of the form 2^i, 3 2^i or 9 2^i, by search."""
+    n = need
+    while True:
+        rest = n
+        while rest % 2 == 0:
+            rest //= 2
+        if rest in (1, 3, 9):
+            return n
+        n += 1
+
+
+def sized_convolve(plane: np.ndarray, box, g: GridFunction) -> np.ndarray:
+    """The sized real layer's f * g for the real samples plane of f, whose
+    nonzero samples lie in box: with b the longest side of the box, the side
+    n is sized_side_by_search(b + m - 1); plane's box sits at the start of a
+    zero window of side n and g's samples at indices 0 ... m - 1 of another
+    (g's offset k from the origin at index k + m/2). h^dim times
+    np.fft.irfftn of the product of their np.fft.rfftn is f * g shifted by
+    m/2 - lo per axis, lo the box's start; the grid sample i takes window
+    index i - lo + m/2 when that lies in [0, b_axis + m - 1), the linear
+    convolution's reach, and is 0 otherwise."""
+    spec = g.spec
+    m, dim = spec.points_per_axis, spec.dim
+    n = sized_side_by_search(max(hi - lo for lo, hi in box) + m - 1)
+    Wf, Wg = np.zeros((n,) * dim), np.zeros((n,) * dim)
+    Wf[tuple(slice(0, hi - lo) for lo, hi in box)] = plane[tuple(slice(lo, hi) for lo, hi in box)]
+    Wg[(slice(0, m),) * dim] = g.samples
+    conv = np.fft.irfftn(np.fft.rfftn(Wf) * np.fft.rfftn(Wg), s=(n,) * dim, axes=tuple(range(dim)))
+    conv = conv * spec.cell_volume
+    at = [np.arange(m) - lo + m // 2 for lo, _ in box]
+    keep = [(q >= 0) & (q < hi - lo + m - 1) for q, (lo, hi) in zip(at, box)]
+    out = np.zeros(spec.shape)
+    out[np.ix_(*keep)] = conv[np.ix_(*[q[k] for q, k in zip(at, keep)])]
+    return out
+
+
+def sized_small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> np.ndarray:
+    """The small maximal function in the sized real layer, one scale at a
+    time in ladder order: |sized_convolve| of f, or for a complex f np.hypot
+    of those of Re f and Im f, both on the box of f's nonzero samples."""
+    out = np.zeros(f.spec.shape)
+    box = support_box(f)
+    if box is None:
+        return out
+    planes = [f.samples] if f.is_real else [f.samples.real, f.samples.imag]
+    for t in scales.scales:
+        kernel = dilate(mollifier, t, f.spec)
+        parts = [sized_convolve(plane, box, kernel) for plane in planes]
+        np.maximum(out, np.abs(parts[0]) if f.is_real else np.hypot(*parts), out=out)
+    return out
+
+
+def padded_small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid,
+                         real: bool = False) -> np.ndarray:
+    """The small maximal function on the grid padded to twice the side, one
+    scale at a time in ladder order: the complex padded layer (fftn/ifftn),
+    or with real the 2m real layer (rfftn/irfftn) that the sized one
+    replaced."""
+    out = np.zeros(f.spec.shape)
+    Ff = reference_padded_spectrum(f, real)
+    for t in scales.scales:
+        Fk = reference_padded_spectrum(dilate(mollifier, t, f.spec), real)
+        np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, f.spec)), out=out)
+    return out
 
 
 def window_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:

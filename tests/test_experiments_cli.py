@@ -172,8 +172,8 @@ r_ladder = 2^-2, 2^-3
 
 def test_e1_one_small_maximal_per_distinct_field(tmp_path, monkeypatch):
     # indicator and bump fields do not depend on p: one maximal function each
-    # per r, in the first p's table call; the random field is drawn per (p, r).
-    # One table call per p, each building the kernel ladder once
+    # per r; the random field is drawn per (p, r). One table call for every
+    # (field, p) pair, building the kernel ladder once
     import hardylab.experiments as experiments
     import hardylab.maximal as maximal
 
@@ -205,11 +205,11 @@ r_ladder = 2^-2, 2^-3
     monkeypatch.setattr(maximal, "dilate", counting_dilate)
     cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path / "out"), quiet=True)
     rows = run_experiment(cfg).rows
-    # 2 r x (indicator, bump, random), then 2 r x random
-    assert [len(fields) for fields in calls] == [6, 2]
+    # 2 r x (indicator, bump, random) at p = 1, and 2 r x random at p = 2/3
+    assert [len(fields) for fields in calls] == [8]
     assert len({f for fields in calls for f in fields}) == 8
     scales = ScaleGrid.default(cfg.grid, 1.0)
-    assert built == Counter(dict.fromkeys(((MollifierSpec("gaussian", 1), t) for t in scales.scales), 2))
+    assert built == Counter(dict.fromkeys(((MollifierSpec("gaussian", 1), t) for t in scales.scales), 1))
     assert len([r for r in rows if r[0] == "data"]) == 2 * 3 * 2
 
 
@@ -458,9 +458,19 @@ def test_diff_outputs_lists_cells_and_faults(tmp_path):
     done = run()
     assert done.returncode == 0
     assert done.stdout.splitlines() == ["E2.csv:1:value  2.5 -> 2.5000001  (4.000e-08)",
-                                        "E2.csv:2:value  x -> y  ()"]
+                                        "E2.csv:2:value  x -> y  ()",
+                                        "2 differing cells; largest relative change at |a| >= 1e-12: 4.000e-08"]
+    # the summary's largest change skips cells whose parent magnitude is
+    # below 1e-12, and a cell that moves from 0
+    (a / "sub" / "E1.csv").write_text("p,hp_norm,osc\n1,3,1e-16\n0,3,2\n")
+    (b / "sub" / "E1.csv").write_text("p,hp_norm,osc\n1,3.03,3e-16\n1,3,2\n")
+    done = run()
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "5 differing cells; largest relative change at |a| >= 1e-12: 1.000e-02"
+    (a / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n")
     (b / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n2,4\n")
     (a / "E3.csv").write_text("r\n1\n")
     done = run()
     assert done.returncode == 1
     assert "E3.csv: missing in" in done.stdout and "sub/E1.csv: 2 rows against 3" in done.stdout
+    assert done.stdout.splitlines()[-1].startswith("2 differing cells;")

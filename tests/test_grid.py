@@ -9,12 +9,12 @@ from hardylab.grid import (
     Ball,
     GridFunction,
     GridSpec,
-    abs_convolve_output,
     abs_convolve_spectra,
     ball_smooth_fields,
     convolve,
     convolve_spectra,
     dilate,
+    dilate_box,
     fourier_multiplier,
     sample_symbol,
     integrate,
@@ -24,9 +24,10 @@ from hardylab.grid import (
     padded_spectrum,
     random_smooth_field,
     sample_function,
+    sized_side,
     spectral_scratch,
-    spectrum_shape,
     window_side,
+    window_spectrum,
 )
 from hardylab.maximal import MollifierSpec, quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
@@ -36,7 +37,10 @@ from oracles import (
     reference_convolve_spectra,
     reference_fourier_multiplier,
     reference_padded_spectrum,
+    sized_convolve,
+    sized_side_by_search,
     smooth_side,
+    support_box,
 )
 
 
@@ -338,6 +342,28 @@ def test_dilate_samples_compact_mollifier_on_its_box(dim):
         assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dilate_box_matches_dilate_bitwise(dim):
+    # the bump's samples within K = ceil(t/h) of the origin, without a
+    # full-grid array: dilate's bits on that box, clipped to the grid, and
+    # the window index of its first sample
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    mol = MollifierSpec("smooth-bump", dim)
+    m, h = spec.points_per_axis, spec.spacing
+    for t in (*np.geomspace(2 * h, 1.5 * spec.half_width, 10), 3 * h, 8 * h):
+        reach = int(np.ceil(t / h))
+        box, first = dilate_box(mol, t, spec, reach)
+        lo, hi = max(m // 2 - reach, 0), min(m // 2 + reach + 1, m)
+        assert first == lo - m // 2 + reach
+        full = dilate(mol, t, spec).samples
+        assert np.array_equal(box.view(np.uint64), full[(slice(lo, hi),) * dim].view(np.uint64))
+        outside = np.ones(spec.shape, dtype=bool)
+        outside[(slice(lo, hi),) * dim] = False
+        assert not full[outside].any()
+    with pytest.raises(NumericalError):
+        dilate_box(mol, h, spec, 1)
+
+
 def test_window_side_is_the_least_3_smooth_size():
     assert [window_side(n) for n in range(1, 5000)] == [smooth_side(n) for n in range(1, 5000)]
 
@@ -390,10 +416,9 @@ def test_convolve_spectra_matches_roll_reference_bitwise(dim, m, is_complex):
 
 
 def real_layer_reference(f: GridFunction, g: GridFunction) -> np.ndarray:
-    # the real layer of convolve: irfftn of the product of full-size rfftn
-    # spectra, windowed and scaled
-    return reference_convolve_spectra(reference_padded_spectrum(f, real=True),
-                                      reference_padded_spectrum(g, real=True), f.spec)
+    # the sized real layer of convolve, written independently
+    box = support_box(f)
+    return np.zeros(f.spec.shape) if box is None else sized_convolve(f.samples, box, g)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -464,35 +489,56 @@ def test_padded_convolution_matches_fftn_bitwise(dim, data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_real_padded_convolution_matches_rfftn_bitwise(dim, data):
-    # the real layer: the pruned forward against full-size rfftn and the
-    # windowed inverse against full-size irfftn, on the raw bits; zero rows
-    # keep rfft's -0.0 entries
+    # the sized real layer of convolve against full-size rfftn/irfftn of its
+    # window, on the raw bits: f with no, one, gapped or all nonzero rows;
+    # exactly 0 beyond the kernel's reach of f's box; against the 2m real
+    # layer it replaced within 64 eps of the larger of its max and one term
+    # h^dim max|f| max|g| (the scale of its round-off where the exact result
+    # is 0), a tolerance fixed from float64 eps beforehand
     m = data.draw(st.sampled_from([8, 16, 64, 256]))
     f = data.draw(row_supported(dim, m, False))
     g = data.draw(row_supported(dim, m, False))
     spec = f.spec
-    Ff, Fg = padded_spectrum(f, real=True), padded_spectrum(g, real=True)
-    assert Ff.shape == spectrum_shape(spec, real=True)
-    assert np.array_equal(bits(Ff), bits(reference_padded_spectrum(f, real=True)))
-    assert np.array_equal(bits(Fg), bits(reference_padded_spectrum(g, real=True)))
-    Ff0, Fg0 = Ff.copy(), Fg.copy()
-    ref = reference_convolve_spectra(Ff, Fg, spec)
-    assert ref.dtype == np.float64
-    scratch, out = spectral_scratch(spec, real=True), np.empty(spec.shape)
-    for _ in range(2):  # the scratch is reusable
-        abs_convolve_spectra(Ff, Fg, spec, scratch, out)
-        assert np.array_equal(bits(out), bits(np.abs(ref)))
-    # the output that lives in the scratch's product gives the same bits
-    inner = abs_convolve_output(spec, scratch)
-    assert inner.shape == spec.shape and np.shares_memory(inner, scratch[0])
-    assert np.array_equal(bits(abs_convolve_spectra(Ff, Fg, spec, scratch, inner)), bits(np.abs(ref)))
-    assert np.array_equal(bits(Ff), bits(Ff0)) and np.array_equal(bits(Fg), bits(Fg0))
+    got = convolve(f, g).samples
+    assert got.dtype == np.float64
+    assert np.array_equal(bits(got), bits(real_layer_reference(f, g)))
+    old = reference_convolve_spectra(reference_padded_spectrum(f, real=True),
+                                     reference_padded_spectrum(g, real=True), spec)
+    term = spec.cell_volume * np.max(np.abs(f.samples)) * np.max(np.abs(g.samples))
+    assert np.max(np.abs(got - old)) <= 64 * np.finfo(float).eps * max(np.max(np.abs(old)), term)
+    box = support_box(f)
+    reach = np.zeros(spec.shape, dtype=bool)
+    if box is not None:
+        reach[tuple(slice(max(lo - m // 2, 0), hi + m // 2 - 1) for lo, hi in box)] = True
+    assert not got[~reach].any()
 
 
-def test_real_layer_needs_real_samples():
-    spec = GridSpec(2, 1.5, 8)
-    with pytest.raises(ValueError, match="real samples"):
-        padded_spectrum(GridFunction(spec, np.ones(spec.shape, dtype=complex)), real=True)
+def test_sized_side_is_the_least_factor_size():
+    # c 2^i for c in 1, 3, 9, and at least b + m - 1: 288 for E1's 2D
+    # fields (b <= 31 at m = 256), 9216 for its 1D ones, 2m for a function
+    # that fills the grid
+    for m in (8, 64, 256, 8192):
+        for b in {1, 2, 3, 7, 31, m // 2 - 1, m // 2, m // 2 + 1, m - 1, m}:
+            assert sized_side(GridSpec(1, 1.0, m), [(0, b)]) == sized_side_by_search(b + m - 1)
+    assert sized_side(GridSpec(2, 1.0, 256), [(112, 143), (120, 130)]) == 288
+    assert sized_side(GridSpec(1, 1.0, 8192), [(3584, 4607)]) == 9216
+    assert sized_side(GridSpec(2, 1.0, 64), [(0, 64), (3, 4)]) == 128
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_window_spectrum_is_rfftn_of_the_window(dim):
+    # at the start of the window and off it, with fewer and more rows than
+    # one tile; in 2D the rows without samples keep rfft's bits for a zero
+    # row, -0.0 included
+    rng = np.random.default_rng(12)
+    for rows, first, n in ((6, 0, 27), (6, 5, 16), (70, 3, 96), (16, 0, 32)):
+        g = rng.normal(size=(rows,) * dim)
+        window = np.zeros((n,) * dim)
+        window[(slice(first, first + rows),) * dim] = g
+        out = np.empty((n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
+        assert window_spectrum(g, first, n, out=out) is out
+        assert np.array_equal(bits(out), bits(np.fft.rfftn(window)))
+        assert np.array_equal(bits(window_spectrum(g, first, n)), bits(np.fft.rfftn(window)))
 
 
 def test_serialization_roundtrip(tmp_path):

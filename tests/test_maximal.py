@@ -23,10 +23,9 @@ from hardylab.grid import (
     dilate,
     integrate,
     lp_quasinorm,
-    padded_spectrum,
     random_smooth_field,
     sample_function,
-    spectral_scratch,
+    sized_side,
 )
 from hardylab.maximal import (
     MollifierSpec,
@@ -44,10 +43,12 @@ from oracles import (
     cutoff_eta,
     grand_maximal,
     hp_norm,
+    padded_small_maximal,
     phi_x_alpha,
     reference_convolve_spectra,
     reference_padded_spectrum,
     serial_grand_maximal,
+    sized_small_maximal,
     small_maximal,
     smooth_side,
     support_box,
@@ -274,8 +275,9 @@ def test_verify_admissible_detects_violation(grid, scales):
 
 def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
     # on the padded full grid (order 2, the same amplitude) the grand
-    # maximal function is the scaled small one exactly; order 1 takes the
-    # window path, which its oracle pins
+    # maximal function is the scaled small one of the padded oracle exactly,
+    # and the library's sized one within 64 eps of the max; order 1 takes
+    # the window path, which its oracle pins
     mol = MollifierSpec("smooth-bump", 1)
     dct = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales)
     f = sample_function(grid, lambda p: np.exp(-2 * p[0] ** 2))
@@ -283,7 +285,8 @@ def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
     amp = dct.amplitude
     assert dct == TestDictionary(mol, scales, amp, 1)
     gm = grand_maximal(f, dataclasses.replace(dct, order=2))
-    assert np.max(np.abs(gm.samples - amp * sm.samples)) == 0.0
+    assert np.max(np.abs(gm.samples - amp * padded_small_maximal(f, mol, scales))) == 0.0
+    assert np.max(np.abs(gm.samples - amp * sm.samples)) <= 64 * np.finfo(float).eps * np.max(gm.samples)
     assert np.array_equal(grand_maximal(f, dct).samples, window_grand_maximal(f, dct))
     zero = GridFunction(grid, np.zeros(grid.shape))
     assert np.all(grand_maximal(zero, dct).samples == 0.0)
@@ -515,24 +518,6 @@ def test_dictionary_requires_compact_mollifier():
             dataclasses.replace(dct, mollifier=gaussian)
 
 
-def real_layer(f, mol):
-    # the layer the fold takes: real for real samples through a mollifier
-    # without compact support, complex otherwise
-    return f.is_real and not mol.compact_support
-
-
-def serial_small_maximal(f, mol, scales):
-    # one convolution per scale in ladder order, in the layer the fold takes
-    spec = f.spec
-    real = real_layer(f, mol)
-    out = np.zeros(spec.shape)
-    Ff = padded_spectrum(f, real)
-    for t in scales.scales:
-        Fk = padded_spectrum(dilate(mol, t, spec), real)
-        np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=out)
-    return out
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
@@ -542,16 +527,16 @@ def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if is_complex else x)
     mol = MollifierSpec("gaussian", dim)
     sc = ScaleGrid.default(spec, 1.0)
-    assert np.array_equal(small_maximal(f, mol, sc).samples, serial_small_maximal(f, mol, sc))
+    assert np.array_equal(small_maximal(f, mol, sc).samples, sized_small_maximal(f, mol, sc))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_small_maximal_matches_reference_fold_bitwise(dim, data):
-    # each |f * phi_t| scaled by h^dim before its modulus, as the full-size
-    # ifftn (irfftn in the real layer) does; h^dim = (3/m)^dim is not a
-    # power of two, so the order shows
+    # each |f * phi_t| scaled by h^dim before its modulus, as the sized
+    # oracle's full-window irfftn does; h^dim = (3/m)^dim is not a power of
+    # two, so the order shows
     m = data.draw(st.sampled_from([8, 16, 64, 256] if dim == 1 else [8, 16, 64]))
     spec = GridSpec(dim, 1.5, m)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -559,21 +544,91 @@ def test_small_maximal_matches_reference_fold_bitwise(dim, data):
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if data.draw(st.booleans()) else x)
     mol = MollifierSpec(data.draw(st.sampled_from(["gaussian", "smooth-bump"])), dim)
     sc = ScaleGrid.default(spec, 1.0)
-    real = real_layer(f, mol)
-    ref = np.zeros(spec.shape)
-    Ff = reference_padded_spectrum(f, real)
-    for t in sc.scales:
-        Fk = reference_padded_spectrum(dilate(mol, t, spec), real)
-        np.maximum(ref, np.abs(reference_convolve_spectra(Ff, Fk, spec)), out=ref)
+    ref = sized_small_maximal(f, mol, sc)
     assert np.array_equal(small_maximal(f, mol, sc).samples.view(np.uint64), ref.view(np.uint64))
+
+
+@st.composite
+def boxed_fields(draw, dim):
+    # a real or complex field whose nonzero samples fill a random box of a
+    # small grid: off-centre, touching an edge or filling an axis
+    m = draw(st.sampled_from([16, 64, 256] if dim == 1 else [16, 32, 64]))
+    spec = GridSpec(dim, 2.0, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=spec.shape)
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=spec.shape)
+    box = []
+    for _ in range(dim):
+        width = draw(st.integers(1, m))
+        lo = draw(st.sampled_from([0, m - width, draw(st.integers(0, m - width))]))
+        box.append(slice(lo, lo + width))
+    samples = np.zeros_like(x)
+    samples[tuple(box)] = x[tuple(box)]
+    return GridFunction(spec, samples)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_sized_fold_matches_padded_fold(dim, data):
+    # the sized real layer against the 2m real layer it replaced (for a
+    # complex f, Re f and Im f through it, combined by hypot): within 64 eps
+    # of the max, a tolerance fixed from float64 eps beforehand, and exactly
+    # 0 where the grid's kernel, m offsets, cannot reach from f's box
+    f = data.draw(boxed_fields(dim))
+    spec, m = f.spec, f.spec.points_per_axis
+    mol = MollifierSpec(data.draw(st.sampled_from(["gaussian", "smooth-bump"])), dim)
+    sc = ScaleGrid.default(spec, 1.0)
+    got = small_maximal(f, mol, sc).samples
+    if f.is_real:
+        old = padded_small_maximal(f, mol, sc, real=True)
+    else:
+        parts = [GridFunction(spec, p) for p in (f.samples.real, f.samples.imag)]
+        old = np.maximum.reduce([np.zeros(spec.shape)] + [
+            np.hypot(*(padded_real_convolution(p, mol, t) for p in parts)) for t in sc.scales])
+    assert np.max(np.abs(got - old)) <= 64 * np.finfo(float).eps * np.max(old)
+    reach = np.zeros(spec.shape, dtype=bool)
+    reach[tuple(slice(max(lo - m // 2, 0), hi + m // 2 - 1) for lo, hi in support_box(f))] = True
+    assert not got[~reach].any()
+
+
+def padded_real_convolution(f, mol, t):
+    # f * phi_t in the 2m real layer
+    return reference_convolve_spectra(reference_padded_spectrum(f, real=True),
+                                      reference_padded_spectrum(dilate(mol, t, f.spec), real=True), f.spec)
+
+
+def test_mixed_box_call_matches_one_row_calls_bitwise():
+    # 1D fields of box sides 1023 and 7 share a window side and a sub-stack
+    # but are cut to different parts of the grid; a one-sample field at the
+    # edge takes a smaller side in the same call. Each row equals its
+    # one-row call and the sized oracle
+    spec = GridSpec(1, 4.0, 8192)
+    rng = np.random.default_rng(71)
+    fs = []
+    for lo, width in ((3000, 1023), (4100, 7), (0, 1)):
+        x = np.zeros(spec.shape)
+        x[lo:lo + width] = rng.normal(size=width)
+        x[lo] = x[lo + width - 1] = 1.0
+        fs.append(GridFunction(spec, x))
+    assert [sized_side(spec, support_box(f)) for f in fs] == [9216, 9216, 8192]
+    mol = MollifierSpec("gaussian", 1)
+    sc = ScaleGrid.default(spec, 1.0)
+    table = small_maximal_table(fs, mol, sc)
+    for f, row in zip(fs, table):
+        assert np.array_equal(row.samples, small_maximal(f, mol, sc).samples)
+        assert np.array_equal(row.samples, sized_small_maximal(f, mol, sc))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_small_maximal_layers_agree(dim):
-    # the real layer against the complex one on E1's profiles (indicator,
-    # bump, random on balls of radius 1/2 and 1/16): pointwise within
-    # 64 eps of the complex result's max, a tolerance fixed from float64 eps
-    # beforehand, and E1's h^p norms at p = 1 and 2/3 within 1e-12 relative
+    # the sized real layer, on real samples and on the same samples cast to
+    # complex (Re f and Im f = 0, combined by hypot), against the complex
+    # padded oracle on E1's profiles (indicator, bump, random on balls of
+    # radius 1/2 and 1/16): pointwise within 64 eps of the oracle's max, a
+    # tolerance fixed from float64 eps beforehand, and E1's h^p norms at
+    # p = 1 and 2/3 within 1e-12 relative
     spec = GridSpec(dim, 4.0, 2048 if dim == 1 else 128)
     mol = MollifierSpec("gaussian", dim)
     sc = ScaleGrid.default(spec, 1.0)
@@ -588,53 +643,71 @@ def test_small_maximal_layers_agree(dim):
     cplx = small_maximal_table([GridFunction(spec, f.samples.astype(complex)) for f in fs], mol, sc)
     eps = np.finfo(float).eps
     for f, a, b in zip(fs, real, cplx):
-        assert f.is_real and np.array_equal(a.samples, serial_small_maximal(f, mol, sc))
-        assert np.max(np.abs(a.samples - b.samples)) <= 64 * eps * np.max(b.samples)
-        for p in (1.0, 2 / 3):
-            assert lp_quasinorm(a, p) == pytest.approx(lp_quasinorm(b, p), rel=1e-12, abs=0)
+        oracle = GridFunction(spec, padded_small_maximal(GridFunction(spec, f.samples.astype(complex)), mol, sc))
+        assert f.is_real and np.array_equal(a.samples, sized_small_maximal(f, mol, sc))
+        for got in (a, b):
+            assert np.max(np.abs(got.samples - oracle.samples)) <= 64 * eps * np.max(oracle.samples)
+            for p in (1.0, 2 / 3):
+                assert lp_quasinorm(got, p) == pytest.approx(lp_quasinorm(oracle, p), rel=1e-12, abs=0)
+
+
+def e1_fields(spec, radii, seed):
+    # E1's profiles on balls of these radii: indicator, bump, random
+    rng = np.random.default_rng(seed)
+    fs = []
+    for r in radii:
+        ball = Ball((0.0,) * spec.dim, r)
+        fs += [GridFunction(spec, ball.mask(spec).astype(float)), edge_cutoff(spec, ball, width_frac=0.6),
+               edge_cutoff(spec, ball) * GridFunction(spec, random_smooth_field(spec, r / 3, rng))]
+    return fs
 
 
 def test_small_maximal_memory_by_design():
-    # traced peak of one cold call at 2D m = 256 on real samples, which take
-    # the real layer, from the design: f's (2m x m + 1) half spectrum; per
-    # chunk one half-spectrum product, whose middle m rows take |.|, and one
-    # tile of 2m reals that irfft writes, and one kernel build:
-    # its samples, then either dilate's temporaries (the points, their
-    # scaled copy and one work array: 2 dim + 1 grid-sized floats) or its
-    # half spectrum with the tile of padded real rows; the result; and 64
-    # KiB for Python objects. A complex spectrum for f or per chunk does not
-    # fit, nor does a second kernel per chunk
+    # traced peak of one cold call at 2D m = 256, from the design, on a
+    # random field that fills the grid (window side 2m) and on E1's twelve
+    # 2D fields (radii 1/2 to 1/16, side 288): the functions' half spectra
+    # of their sides and their maxima; per chunk one half-spectrum product,
+    # one tile of TILE_ROWS window rows that irfft writes, and one kernel
+    # build: its samples, then either dilate's temporaries (the points,
+    # their scaled copy and one work array: 2 dim + 1 grid-sized floats) or
+    # its half spectrum with one tile of TILE_ROWS window rows that rfft
+    # reads; and 64 KiB for Python objects. For E1's fields the 2m real
+    # layer's half spectra alone did not fit
     spec = GridSpec(2, 4.0, 256)
     m, dim = spec.points_per_axis, spec.dim
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
-    f = GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))
-    expected = small_maximal(f, mol, sc).samples  # starts the pool's workers
-    assert np.array_equal(expected, serial_small_maximal(f, mol, sc))
     chunks = min(maximal._WORKERS, len(sc.scales))
-    half = 16 * 2 * m * (m + 1)
-    scratch = half + 8 * min(TILE_ROWS, m // 2) * 2 * m
-    kernel = 8 * m * m + max((2 * dim + 1) * 8 * m * m, half + 8 * min(TILE_ROWS, m) * 2 * m)
-    bound = half + chunks * (scratch + kernel) + 8 * m * m + 2**16
-    tracemalloc.start()
-    try:
-        out = small_maximal(f, mol, sc).samples
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(out, expected)
-    assert peak <= bound, (peak, bound)
+    full = [GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))]
+    fields = e1_fields(spec, (1 / 2, 1 / 4, 1 / 8, 1 / 16), 5)
+    for fs, n in ((full, 2 * m), (fields, 288)):
+        assert {sized_side(spec, support_box(f)) for f in fs} == {n}
+        expected = small_maximal_table(fs, mol, sc)  # starts the pool's workers
+        assert all(np.array_equal(a.samples, sized_small_maximal(f, mol, sc)) for f, a in zip(fs, expected))
+        half = 16 * n * (n // 2 + 1)
+        scratch = half + 8 * TILE_ROWS * n
+        kernel = 8 * m * m + max((2 * dim + 1) * 8 * m * m, half + 8 * TILE_ROWS * n)
+        bound = len(fs) * (half + 8 * m * m) + chunks * (scratch + kernel) + 2**16
+        tracemalloc.start()
+        try:
+            out = small_maximal_table(fs, mol, sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(out, expected))
+        assert peak <= bound, (peak, bound)
+    assert len(fields) * 16 * 2 * m * (m + 1) > bound
 
 
 def test_small_maximal_table_memory_by_design_1d():
-    # traced peak of one cold call on E1's 24 real fields at 1D m = 8192,
-    # from the design: the functions' stacked half spectra and the maxima;
-    # per chunk the stacked scratch of one sub-stack (per row the product of
-    # the half spectra, which takes |.| once irfft has read it, and the 2m
-    # reals irfft writes) and one kernel build: its samples, then either dilate's
-    # temporaries (2 dim + 1 grid-sized floats) or its half spectrum with
-    # the padded real row; and 64 KiB for Python objects. An unbounded stack
-    # does not fit
+    # traced peak of one cold call on 24 real fields that fill the grid at
+    # 1D m = 8192 (window side 2m), from the design: the functions' stacked
+    # half spectra and the maxima; per chunk the stacked scratch of one
+    # sub-stack (per row the product of the half spectra and the window that
+    # irfft writes) and one kernel build: its samples, then either dilate's
+    # temporaries (2 dim + 1 grid-sized floats) or its window and half
+    # spectrum; and 64 KiB for Python objects. An unbounded stack does not
+    # fit
     spec = GridSpec(1, 4.0, 8192)
     m, dim, n = spec.points_per_axis, spec.dim, 24
     mol = MollifierSpec("gaussian", 1)
@@ -673,9 +746,9 @@ def test_grand_maximal_support_path_memory_by_design():
     # design: the full-size maxima of every function and ladder, then either
     # one cell's finiteness mask at the end, each cell its ladder's maxima
     # scaled in place, or the window convolutions of the largest side n the call meets: one
-    # kernel (its full-grid samples, then either dilate's temporaries, at
-    # most 8 arrays on its box of side 2 ceil(T/h) + 3, or its window and
-    # half spectrum), one sub-stack of windows and half spectra within
+    # kernel (its samples on its box of side 2 ceil(T/h) + 1, then either
+    # dilate_box's temporaries, at most 8 arrays on that box, or its window
+    # and half spectrum), one sub-stack of windows and half spectra within
     # FOLD_STACK_BYTES, and |.| of one function on its widened box; and 64
     # KiB for Python objects. The full-grid fold of the same functions, a
     # (2m)^2 spectrum each, does not fit
@@ -691,7 +764,7 @@ def test_grand_maximal_support_path_memory_by_design():
     half = 16 * side * (side // 2 + 1)
     row = 8 * side**2 + half
     stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
-    kernel = 8 * m * m + max(8 * 8 * (2 * reach + 3) ** 2, row)
+    kernel = 8 * (2 * reach + 1) ** 2 + max(8 * 8 * (2 * reach + 1) ** 2, row)
     fold = kernel + stack * row + 8 * side**2
     maxima = n * sets * 8 * m * m
     bound = maxima + max(m * m, fold) + 2**16
@@ -714,31 +787,30 @@ def test_grand_maximal_support_path_memory_by_design():
 
 
 def test_fold_transforms_a_sub_stack_per_call(monkeypatch):
-    # five real and four complex 1D functions through the Gaussian, with a
-    # stack bound of two rows in either layer: against each kernel the real
-    # layer takes ceil(5/2) irfft calls and the complex layer ceil(4/2) ifft
-    # calls, on sub-stacks of 2, 2, 1 and 2, 2 rows
+    # five real and then four complex 1D functions through the Gaussian,
+    # with a stack bound of two rows: a sub-stack holds whole functions, so
+    # against each kernel irfft runs on sub-stacks of 2, 2 and 1 real rows
+    # and then on each complex function's two rows
     spec = GridSpec(1, 4.0, 512)
     mol = MollifierSpec("gaussian", 1)
     sc = ScaleGrid.default(spec, 1.0)
     rng = np.random.default_rng(70)
-    fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if i % 2 else 1)) for i in range(9)]
+    fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if i >= 5 else 1)) for i in range(9)]
     expected = [small_maximal(f, mol, sc).samples for f in fs]
-    rows = [sum(a.nbytes for a in spectral_scratch(spec, real)) + (0 if real else 8 * spec.num_samples)
-            for real in (False, True)]
-    monkeypatch.setattr(maximal, "FOLD_STACK_BYTES", 2 * max(rows))
-    assert all(maximal.FOLD_STACK_BYTES // r == 2 for r in rows)
+    n = 2 * spec.points_per_axis
+    assert {sized_side(spec, support_box(f)) for f in fs} == {n}
+    monkeypatch.setattr(maximal, "FOLD_STACK_BYTES", 2 * (16 * (n // 2 + 1) + 8 * n))
     calls = []
-    for name in ("irfft", "ifft"):
-        def counting(a, *args, inverse=getattr(np.fft, name), name=name, **kwargs):
-            calls.append((name, len(a)))
-            return inverse(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counting)
+
+    def counting(a, *args, inverse=np.fft.irfft, **kwargs):
+        calls.append(len(a))
+        return inverse(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
     got = small_maximal_table(fs, mol, sc)
     monkeypatch.undo()
     assert all(np.array_equal(a.samples, b) for a, b in zip(got, expected))
-    per_kernel = [("irfft", 2), ("irfft", 2), ("irfft", 1), ("ifft", 2), ("ifft", 2)]
-    assert sorted(calls) == sorted(per_kernel * len(sc.scales))
+    assert sorted(calls) == sorted([2, 2, 1, 2, 2, 2, 2] * len(sc.scales))
 
 
 def test_grand_maximal_matches_serial_loop_bitwise(grid):
@@ -814,29 +886,50 @@ def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
         assert len(small) == len(fs)
         for f, cell in zip(fs, small):
             assert np.array_equal(cell.samples, small_maximal(f, mol, sc).samples)
-            assert np.array_equal(cell.samples, serial_small_maximal(f, mol, sc))
+            assert np.array_equal(cell.samples, sized_small_maximal(f, mol, sc))
 
 
 def count_kernel_builds(monkeypatch):
-    # (mollifier, t) -> kernels sampled by the maximal functions, and
-    # (mollifier, t, n) -> the window spectra of side n made from them on
-    # the support path
+    # (mollifier, t) -> kernels sampled by the maximal functions (by dilate
+    # on the grid, by dilate_box on the support path), and (mollifier, t, n)
+    # -> the window spectra of side n made from them
     built = Counter()
-    dilate, kernel_spectrum = maximal.dilate, maximal.kernel_spectrum
-    sampled = {}  # id of a kernel -> the kernel, kept alive, and its (mollifier, t)
+    dilate, dilate_box, window_spectrum = maximal.dilate, maximal.dilate_box, maximal.window_spectrum
+    sampled = {}  # id of a kernel's samples -> the samples, kept alive, and its (mollifier, t)
 
     def counting(phi, t, spec):
         built[phi, t] += 1
         g = dilate(phi, t, spec)
-        sampled[id(g)] = g, (phi, t)
+        sampled[id(g.samples)] = g.samples, (phi, t)
         return g
 
-    def windowing(g, reach, n):
-        built[(*sampled[id(g)][1], n)] += 1
-        return kernel_spectrum(g, reach, n)
+    def boxing(phi, t, spec, reach):
+        built[phi, t] += 1
+        box, first = dilate_box(phi, t, spec, reach)
+        sampled[id(box)] = box, (phi, t)
+        return box, first
+
+    def windowing(g, first, n, **kwargs):
+        if id(g) in sampled:  # a kernel's, not a function's
+            built[(*sampled[id(g)][1], n)] += 1
+        return window_spectrum(g, first, n, **kwargs)
 
     monkeypatch.setattr(maximal, "dilate", counting)
-    monkeypatch.setattr(maximal, "kernel_spectrum", windowing)
+    monkeypatch.setattr(maximal, "dilate_box", boxing)
+    monkeypatch.setattr(maximal, "window_spectrum", windowing)
+    return built
+
+
+def expected_small_builds(mol, sc, groups):
+    # the count_kernel_builds of one small_maximal_table call whose
+    # functions run in these groups: per group one kernel per scale, and one
+    # window spectrum per scale and window side of its nonzero functions
+    built = Counter()
+    for group in groups:
+        sides = {sized_side(f.spec, box) for f in group if (box := support_box(f)) is not None}
+        for t in sc.scales if sides else ():
+            built[mol, t] += 1
+            built.update((mol, t, n) for n in sides)
     return built
 
 
@@ -872,7 +965,7 @@ def test_grand_maximal_table_builds_each_kernel_once(monkeypatch, dim):
     for mol, sc in ladders:
         built.clear()
         small_maximal_table(fs, mol, sc)
-        assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), 1))
+        assert built == expected_small_builds(mol, sc, [fs])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -887,7 +980,7 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
         fs, dicts, ladders = table_case(dim, kind)
         fs.append(fs[0] * 0.5 + fs[1])
         grand = [[serial_cell(f, d) for d in dicts] for f in fs]
-        small = [[serial_small_maximal(f, mol, sc) for f in fs] for mol, sc in ladders]
+        small = [[sized_small_maximal(f, mol, sc) for f in fs] for mol, sc in ladders]
         for f, want in zip(fs, grand):
             assert all(np.array_equal(w, grand_maximal(f, d).samples) for w, d in zip(want, dicts))
         for (mol, sc), want in zip(ladders, small):
@@ -904,46 +997,42 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
                 for want, row in zip(grand, table):
                     assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
                 for (mol, sc), want in zip(ladders, small):
-                    # one fold per layer present: a mixed call through the
-                    # Gaussian builds each kernel once per layer
-                    layers = {real_layer(f, mol) for f in fs}
-                    assert len(layers) == (2 if kind == "mixed" and not mol.compact_support else 1)
-                    builds = len(fs) if spectra_bytes == 1 else len(layers)
+                    # one fold in the sized layer, also for a mixed call
                     built.clear()
                     got = small_maximal_table(fs, mol, sc)
-                    assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), builds))
+                    groups = [[f] for f in fs] if spectra_bytes == 1 else [fs]
+                    assert built == expected_small_builds(mol, sc, groups)
                     assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, got))
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_fold_groups_are_sized_from_the_spectra_built(monkeypatch, is_complex):
-    # a budget that holds the per-chunk kernels and stacked scratch plus
-    # exactly two padded spectra of the layer that runs gives groups of two
-    # functions (each kernel built twice for four functions); one byte less,
-    # groups of one. A real spectrum is the half spectrum, not 16 (2m)^dim
-    # bytes. The scratch is stacked for all four functions, the sub-stack
-    # that fits in FOLD_STACK_BYTES: per row the layer's spectral scratch
-    # and, in the complex layer, one grid-sized float for |.|; the real
-    # layer keeps |.| in its product
+    # a budget that holds the per-chunk kernel spectrum and stacked scratch
+    # plus exactly two functions' spectra gives groups of two functions
+    # (each kernel built twice for four functions); one byte less, groups of
+    # one. A function's spectra are the half spectra of its window side, one
+    # per real plane (two for a complex f), not 16 (2m)^dim bytes. The
+    # scratch is stacked for every row, the sub-stack that fits in
+    # FOLD_STACK_BYTES, with one tile of rows for irfft per plane
     spec = GridSpec(2, 1.0, 16)
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
     rng = np.random.default_rng(50)
     fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if is_complex else 1)) for _ in range(4)]
-    real = not is_complex
-    spectrum = padded_spectrum(fs[0], real).nbytes
-    assert spectrum == 16 * 32 * (17 if real else 32)
-    row = sum(a.nbytes for a in spectral_scratch(spec, real)) + (0 if real else 8 * 16**2)
-    assert len(fs) * row <= maximal.FOLD_STACK_BYTES
-    per_chunk = spectrum + len(fs) * row
+    n, planes = 32, 2 if is_complex else 1
+    assert {sized_side(spec, support_box(f)) for f in fs} == {n}
+    half = 16 * n * (n // 2 + 1)
+    spectrum = planes * half
+    assert len(fs) * spectrum <= maximal.FOLD_STACK_BYTES
+    per_chunk = half + len(fs) * spectrum + planes * min(TILE_ROWS, n) * n * 8
     chunks = min(maximal._WORKERS, len(sc.scales))
     whole = small_maximal_table(fs, mol, sc)
     built = count_kernel_builds(monkeypatch)
-    for spare, groups in ((0, 2), (-1, 4)):
+    for spare, size in ((0, 2), (-1, 1)):
         monkeypatch.setattr(maximal, "FOLD_SPECTRA_BYTES", chunks * per_chunk + 2 * spectrum + spare)
         built.clear()
         grouped = small_maximal_table(fs, mol, sc)
-        assert built == Counter(dict.fromkeys(((mol, t) for t in sc.scales), groups))
+        assert built == expected_small_builds(mol, sc, [fs[i:i + size] for i in range(0, len(fs), size)])
         assert all(np.array_equal(x.samples, y.samples) for x, y in zip(whole, grouped))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from hardylab.atoms import AtomSpec, make_atom
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, convolve, inner, integrate, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, convolve, inner, integrate, sample_function, sized_side
 from hardylab.maximal import quintic_step
 from hardylab.moments import HardyIndex, local_oscillation, monomial_field
 from hardylab.operators import (
@@ -26,9 +26,9 @@ from oracles import (
     CompositionOp,
     materialize,
     reference_cancellation_test,
-    reference_convolve_spectra,
-    reference_padded_spectrum,
     reference_tstar_monomial,
+    sized_convolve,
+    support_box,
 )
 
 IDX1 = HardyIndex(1.0, 1)
@@ -424,30 +424,33 @@ def test_catalog_non_pathological_size_checks(grid):
 
 
 def test_kernel_op_transforms_its_kernel_once(monkeypatch):
+    # real f and a real kernel take the sized real layer: the kernel's
+    # spectrum is taken once per window side (three fields that fill the
+    # grid share 2m, a small box takes less), each f's once per application
     import hardylab.grid as grid_mod
-    import hardylab.operators as operators_mod
 
     spec = GridSpec(2, 4.0, 64)
     T = ladder_operator("kernel", spec)
     rng = np.random.default_rng(9)
     fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(3)]
-    # real f and a real kernel: the real layer's full-size rfftn/irfftn
-    kernel = reference_padded_spectrum(T.kernel, real=True)
-    expected = [reference_convolve_spectra(reference_padded_spectrum(f, real=True), kernel, spec) for f in fs]
+    small = np.zeros(spec.shape)
+    small[40:45, 3:9] = rng.normal(size=(5, 6))
+    fs.append(GridFunction(spec, small))
+    expected = [sized_convolve(f.samples, support_box(f), T.kernel) for f in fs]
     assert all(np.array_equal(convolve(f, T.kernel).samples, e) for f, e in zip(fs, expected))
+    sides = [sized_side(spec, support_box(f)) for f in fs]
+    assert sides == [128, 128, 128, 72]
     transforms = []
-    spectrum = grid_mod.padded_spectrum
+    window_spectrum = grid_mod.window_spectrum
 
-    def counting(f, real=False):
-        transforms.append(f)
-        return spectrum(f, real)
+    def counting(g, first, n, **kwargs):
+        transforms.append((g is T.kernel.samples, n))
+        return window_spectrum(g, first, n, **kwargs)
 
-    monkeypatch.setattr(grid_mod, "padded_spectrum", counting)
-    monkeypatch.setattr(operators_mod, "padded_spectrum", counting)
+    monkeypatch.setattr(grid_mod, "window_spectrum", counting)
     got = [T.apply(f).samples for f in fs]
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-    assert sum(t is T.kernel for t in transforms) == 1
-    assert len(transforms) == len(fs) + 1
+    assert sorted(transforms) == sorted([(True, 128), (True, 72)] + [(False, n) for n in sides])
 
 
 def test_multiplier_apply_memory_by_design():
