@@ -3,7 +3,7 @@
 Subpackages cover the uniform-grid substrate (grid), moments and polynomial
 projections (moments), small/grand maximal functions (maximal), atoms and
 molecule checks (atoms), linear operators and cancellation tests (operators),
-and the experiment harness (experiments, cli).
+the one thread pool (pool), and the experiment harness (experiments, cli).
 """
 
 from .errors import ConfigError, NumericalError

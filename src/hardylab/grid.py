@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 import numpy.fft  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
+from . import pool
 from .errors import NumericalError
 
 MAX_TOTAL_SAMPLES = 2**24
@@ -559,11 +560,16 @@ def window_convolve(windows: np.ndarray, Fk: np.ndarray, spec: GridSpec) -> np.n
     """h^dim times the circular convolution of each real window, stacked
     along a leading axis, with the kernel spectrum Fk (window_spectrum of
     its samples within K of the origin, the offset k at index k + K), written
-    back into windows: np.fft.rfftn, the product, np.fft.irfftn, each along
-    the last dim axes and so row by row, bit for bit the one-row call."""
-    axes = tuple(range(-spec.dim, 0))
-    F = np.fft.rfftn(windows, axes=axes)
-    np.fft.irfftn(np.multiply(F, Fk, out=F), windows.shape[-spec.dim:], axes=axes, out=windows)
+    back into windows: np.fft.rfftn, the product and np.fft.irfftn, their
+    calls run in place on one stacked half spectrum (the bits of those
+    expressions), each along the last dim axes and so row by row, bit for
+    bit the one-row call."""
+    shape = windows.shape[:-1] + (windows.shape[-1] // 2 + 1,)
+    F = np.fft.rfftn(windows, axes=tuple(range(-spec.dim, 0)), out=np.empty(shape, np.complex128))
+    np.multiply(F, Fk, out=F)
+    if spec.dim == 2:
+        np.fft.ifft(F, axis=-2, out=F)
+    np.fft.irfft(F, windows.shape[-1], axis=-1, out=windows)
     return np.multiply(windows, spec.cell_volume, out=windows)
 
 
@@ -676,27 +682,58 @@ def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) ->
     return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
 
 
-# normal samples drawn per batch by ball_smooth_fields (1 MiB of float64)
+# normal samples in flight in ball_smooth_fields across the pool (1 MiB of
+# float64)
 NOISE_BATCH_SAMPLES = 2**17
+
+# the most multiply-adds m n k of one dgemm that OpenBLAS runs on the
+# calling thread (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4);
+# above it OpenBLAS may hand the product to threads of its own
+BLAS_SERIAL_MADDS = 2**18
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out, where each call to BLAS has at most BLAS_SERIAL_MADDS
+    multiply-adds if one column of b allows it: one call if the whole product
+    does, otherwise blocks of b's columns of the largest power-of-two width
+    that does. With OpenBLAS 0.3.31's Haswell kernels, blocks of 8, 16, 32,
+    ... columns give every entry the bits of one call, and blocks of 1, 2, 4,
+    12 or 33 columns do not."""
+    per_col = a.shape[-2] * a.shape[-1]
+    cols = max(b.shape[-1], 1)
+    if cols * per_col > BLAS_SERIAL_MADDS:
+        cols = 1 << max((BLAS_SERIAL_MADDS // per_col).bit_length() - 1, 0)
+    for c in range(0, b.shape[-1], cols):
+        np.matmul(a, b[..., c:c + cols], out=out[..., c:c + cols])
+    return out
 
 
 def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
     """count draws of random_smooth_field(spec, ell, rng)[ball.mask(spec)] as
     the columns of an (npts, count) array, each column contiguous, taking the
-    same normals from rng.
+    same normals from rng. They are drawn max(1, NOISE_BATCH_SAMPLES //
+    (WORKERS m^dim)) fields at a time, so that one call per worker of the
+    pool holds at most NOISE_BATCH_SAMPLES normals in all.
 
-    The periodic Gaussian filter is separable, so a field is C N C^T (C N in
-    1D), C the circulant of a = ifft(exp(-ell^2 xi^2 / 2)). Only the rows of
-    C at the ball's slab indices are formed, and they are applied by matmul
-    to batches of normals; the result equals the FFT route up to round-off
-    (about 1e-15 relative), not bit for bit. That makes this a second noise
-    path on purpose: atoms and the E1/E5 instance fields keep
-    random_smooth_field, because moving the atoms' draws moved E2 p < 1
-    norms by 5e-9 relative through far-field FFT round-off, which the
-    reference outputs record. Only the order-1 (p = 1) grand maximal
-    function is cut to its support; the two paths become one once the p < 1
-    dictionaries are cut too and those references are remade.
+    The periodic filter multiplies each frequency by g = exp(-ell^2 xi^2 / 2),
+    and none of its work goes to BLAS's own threads, which would spin beside
+    the pool's workers (E5 runs its instances there):
+    - 1D: each batch takes rfft, is multiplied by the half of g and is
+      inverted in place into its normals, then cut to the ball;
+    - 2D: the filter is separable, so a field is C N C^T, C the circulant of
+      a = ifft(g). Only the rows of C at the ball's slab indices are formed,
+      and each product with them runs in column blocks that OpenBLAS keeps
+      on the calling thread. Such blocks would be too thin in 1D.
+
+    The result equals random_smooth_field's up to round-off (about 1e-15
+    relative), not bit for bit. That makes this a second noise path on
+    purpose: atoms and the E1/E5 instance fields keep random_smooth_field,
+    because moving the atoms' draws moved E2 p < 1 norms by 5e-9 relative
+    through far-field FFT round-off, which the reference outputs record.
+    Only the order-1 (p = 1) grand maximal function is cut to its support;
+    the two paths become one once the p < 1 dictionaries are cut too and
+    those references are remade.
     """
     slab = ball.box(spec)
     idx, inside = slab
@@ -705,40 +742,49 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
         return out.T
     m = spec.points_per_axis
     xi = 2.0 * np.pi * np.fft.fftfreq(m, d=spec.spacing)
-    a = np.fft.ifft(np.exp(-(ell**2) * xi**2 / 2.0)).real
+    g = np.exp(-(ell**2) * xi**2 / 2.0)
+    batch = max(1, NOISE_BATCH_SAMPLES // (pool.WORKERS * spec.num_samples))
+    if spec.dim == 1:
+        half, cut = g[:m // 2 + 1], idx[0][inside]  # xi^2 is even: g's first half is rfft's
+        for start in range(0, count, batch):
+            noise = rng.standard_normal((min(batch, count - start), m))
+            F = np.fft.rfft(noise)
+            out[start:start + len(noise)] = np.fft.irfft(np.multiply(F, half, out=F), m, out=noise)[:, cut]
+        return out.T
+    a = np.fft.ifft(g).real
     # window s of the doubled reversed kernel is a[(m - 1 - s - j) mod m],
     # so row x of C, a[(x - j) mod m], is window m - 1 - x
     windows = np.lib.stride_tricks.sliding_window_view(np.tile(a[::-1], 2), m)
     rows = [windows[m - 1 - i] for i in idx]
-    batch = max(1, NOISE_BATCH_SAMPLES // spec.num_samples)
     for start in range(0, count, batch):
         k = min(batch, count - start)
         noise = rng.standard_normal((k,) + spec.shape)
-        if spec.dim == 1:
-            out[start:start + k] = (noise @ rows[0].T)[:, inside]
-        else:
-            out[start:start + k] = (rows[0] @ noise @ rows[1].T)[:, inside]
+        left = _serial_matmul(rows[0], noise, np.empty((k, len(rows[0]), m)))
+        out[start:start + k] = _serial_matmul(left, rows[1].T, np.empty((k, len(rows[0]), len(rows[1]))))[:, inside]
     return out.T
 
 
-def dilate(phi: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec) -> GridFunction:
-    """Samples of the L1-normalized dilation t^{-dim} phi(x/t), with the
-    closed form phi (a callable on points of shape (dim,)+grid) evaluated at
-    the scaled points. A phi with compact_support (a MollifierSpec) is
-    sampled by its radial form at axes_sq_distance only on the box where
-    (x/t)^2 < 1 per axis, widened by one sample; off it |x/t|^2 >= 1, so the
-    +0.0 left there is the full evaluation's, bit for bit."""
+def dilate(phi, t: float, spec: GridSpec) -> GridFunction:
+    """Samples of the L1-normalized dilation t^{-dim} phi(x/t) of a mollifier
+    phi (a MollifierSpec: its radial form phi.radial and compact_support),
+    sampled by phi.radial at axes_sq_distance of the scaled axis, with no
+    meshgrid: bit for bit t^{-dim} phi(spec.points() / t). Without compact
+    support the values are scaled in place, so no other grid-sized array is
+    built. With it only the box where (x/t)^2 < 1 per axis, widened by one
+    sample, is evaluated; off it |x/t|^2 >= 1, so the +0.0 left there is the
+    full evaluation's, bit for bit."""
     if t < 2 * spec.spacing:
         raise NumericalError("scale below grid resolution")
     scale = t ** (-spec.dim)
-    if getattr(phi, "compact_support", False):
-        ax = spec.axis() / t
-        hit = np.flatnonzero(ax**2 < 1.0)
-        box = (slice(max(hit[0] - 1, 0), min(hit[-1] + 2, spec.points_per_axis)),) * spec.dim
-        out = np.zeros(spec.shape)
-        out[box] = scale * phi.radial(np.sqrt(axes_sq_distance([ax[b] for b in box], (0.0,) * spec.dim)))
-        return GridFunction(spec, out)
-    return GridFunction(spec, scale * np.broadcast_to(np.asarray(phi(spec.points() / t)), spec.shape).copy())
+    ax = spec.axis() / t
+    if not phi.compact_support:
+        vals = phi.radial(np.sqrt(axes_sq_distance([ax] * spec.dim, (0.0,) * spec.dim)))
+        return GridFunction(spec, np.multiply(scale, vals, out=vals))
+    hit = np.flatnonzero(ax**2 < 1.0)
+    box = (slice(max(hit[0] - 1, 0), min(hit[-1] + 2, spec.points_per_axis)),) * spec.dim
+    out = np.zeros(spec.shape)
+    out[box] = scale * phi.radial(np.sqrt(axes_sq_distance([ax[b] for b in box], (0.0,) * spec.dim)))
+    return GridFunction(spec, out)
 
 
 def dilate_box(phi, t: float, spec: GridSpec, reach: int) -> tuple[np.ndarray, int]:

@@ -13,8 +13,8 @@ compactly supported mollifier, one per scale of the ladder, translated to
 every grid site, with the one amplitude c that certifies them all.
 
 Both maximal functions fold |f * phi_t| into running maxima, one distinct
-scale at a time. Off the support path that is one streamed pass on a
-thread pool (_running_maxima): each distinct kernel is sampled once, used
+scale at a time. Off the support path that is one streamed pass on
+pool.POOL (_running_maxima): each distinct kernel is sampled once, used
 for every function of the call and dropped, and the spectra alive at one
 time stay under FOLD_SPECTRA_BYTES. small_maximal_table runs the pass over
 one ladder, grand_maximal_table over the distinct ladders of its full-grid
@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from . import pool
 from .grid import (
     TILE_ROWS,
     GridFunction,
@@ -181,20 +180,6 @@ FOLD_SPECTRA_BYTES = 512 * 2**20
 # no 2D function at m >= 128: each chunk adds its stack to the peak RSS, and
 # E1's 1D peak is close to E5's, the battery-1d peak
 FOLD_STACK_BYTES = 768 * 2**10
-
-
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = ThreadPoolExecutor(_WORKERS)
-
-
-def _reset_pool():
-    # a forked child inherits the executor but none of its threads
-    global _pool
-    _pool = ThreadPoolExecutor(_WORKERS)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
 
 
 class _PaddedSide:
@@ -358,7 +343,7 @@ def _running_maxima(fs: list, work: dict, nsets: int, sized: bool) -> list:
         raise ValueError("grid mismatch")
     maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
     items = list(work.items())
-    chunks = [items[i::_WORKERS] for i in range(min(_WORKERS, len(items)))]
+    chunks = [items[i::pool.WORKERS] for i in range(min(pool.WORKERS, len(items)))]
     if not chunks:
         return maxima
     if sized:
@@ -396,7 +381,7 @@ def _running_maxima(fs: list, work: dict, nsets: int, sized: bool) -> list:
             parts = [_SizedSide(spec, side, fs, members, boxes, stack) for side, members in by_side.items()]
         else:
             parts = [_PaddedSide(spec, fs, group, stack)]
-        list(_pool.map(_fold_chunk, chunks, repeat(parts), repeat(maxima), repeat(spec), scratch, repeat(lock)))
+        list(pool.POOL.map(_fold_chunk, chunks, repeat(parts), repeat(maxima), repeat(spec), scratch, repeat(lock)))
         del parts
     return maxima
 

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hardylab
+from hardylab import experiments, pool
 from hardylab.atoms import AtomSpec, make_atom
 from hardylab.cli import main
 from hardylab.config import (
@@ -19,7 +21,8 @@ from hardylab.config import (
     parse_number,
     parse_number_list,
 )
-from hardylab.experiments import RUNNERS, SCHEMAS, run_experiment
+from hardylab.errors import NumericalError
+from hardylab.experiments import RUNNERS, SCHEMAS, run_E5_duality, run_experiment
 from hardylab.grid import Ball, GridSpec
 from hardylab.maximal import MollifierSpec, ScaleGrid
 from hardylab.moments import HardyIndex
@@ -150,6 +153,54 @@ mode = both
     assert len(det) == len(rnd) == 3
     assert all(r[6] <= 1e-9 for r in det)      # gap column
     assert all(r[7] >= 0.5 for r in rnd)       # Monte-Carlo lower bound
+
+
+E5_CFG = """
+[experiment]
+scenario = E5-duality
+seed = 3
+[grid]
+dim = {dim}
+m = {m}
+[scenario]
+n_instances = 4
+trials = 40
+degree = 1
+mode = both
+"""
+
+
+@pytest.mark.parametrize("dim,m", [(1, 512), (2, 128)])
+def test_e5_rows_do_not_depend_on_the_pool(tmp_path, monkeypatch, dim, m):
+    # every instance draws from generators of its own, so a 1-worker pool,
+    # a serial loop, and a 2-worker one give equal rows
+    cfg = ExperimentConfig.from_file(write(tmp_path, "e5.cfg", E5_CFG.format(dim=dim, m=m)), quiet=True)
+    runs = []
+    for workers in (1, 2):
+        executor = ThreadPoolExecutor(workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        monkeypatch.setattr(pool, "POOL", executor)
+        try:
+            runs.append(run_E5_duality(cfg))
+        finally:
+            executor.shutdown()
+    assert len(runs[0]) == 8
+    assert runs[0] == runs[1]
+
+
+def test_cli_numerical_failure_in_one_pooled_instance_exit_code(tmp_path, monkeypatch, capsys):
+    # a NumericalError raised in one instance on a worker reaches the CLI
+    check = experiments.dual_norm_check
+
+    def failing(f, ball, degree, trials, seed=0, include_deterministic=True):
+        if seed == 3 + 2:
+            raise NumericalError("instance 2 failed")
+        return check(f, ball, degree, trials, seed, include_deterministic)
+
+    monkeypatch.setattr(experiments, "dual_norm_check", failing)
+    cfg = write(tmp_path, "e5.cfg", E5_CFG.format(dim=1, m=512))
+    assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 3
+    assert "instance 2 failed" in capsys.readouterr().err
 
 
 def test_e1_atom_profile_ratios_vanish(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import pool
 from hardylab.errors import NumericalError
 from hardylab.grid import (
     NOISE_BATCH_SAMPLES,
@@ -313,7 +314,7 @@ def test_fourier_multiplier_singular_symbol():
 
 def test_dilate_closed_form():
     spec = GridSpec(1, 8.0, 2048)
-    phi = lambda p: np.pi**-0.5 * np.exp(-p[0]**2)
+    phi = MollifierSpec("gaussian", 1)  # pi^(-1/2) exp(-x^2)
     base = integrate(sample_function(spec, phi))
     for t in (0.25, 1.0, 2.0):
         ft = dilate(phi, t, spec)
@@ -326,7 +327,7 @@ def test_dilate_closed_form():
 def test_dilate_floor():
     spec = GridSpec(1, 4.0, 256)
     with pytest.raises(NumericalError, match="scale below grid resolution"):
-        dilate(lambda p: np.exp(-p[0]**2), spec.spacing, spec)
+        dilate(MollifierSpec("gaussian", 1), spec.spacing, spec)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -338,6 +339,18 @@ def test_dilate_samples_compact_mollifier_on_its_box(dim):
     mol = MollifierSpec("smooth-bump", dim)
     h = spec.spacing
     for t in (*np.geomspace(2 * h, spec.half_width / 2, 12), 3 * h, 8 * h):
+        full = t ** -dim * mol(spec.points() / t)
+        assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dilate_samples_gaussian_without_meshgrid(dim):
+    # the Gaussian is sampled at axes_sq_distance of the scaled axis, and
+    # equals its evaluation on the full meshgrid bit for bit
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    mol = MollifierSpec("gaussian", dim)
+    h = spec.spacing
+    for t in (*np.geomspace(2 * h, 1.0, 12), 3 * h, 8 * h):
         full = t ** -dim * mol(spec.points() / t)
         assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
 
@@ -730,11 +743,12 @@ BALL_CASES = {
 
 @pytest.mark.parametrize("dim,m", [(1, 1024), (2, 128)])
 @pytest.mark.parametrize("case", sorted(BALL_CASES))
-def test_ball_smooth_fields_match_per_trial_draws(dim, m, case):
+def test_ball_smooth_fields_match_per_trial_draws(dim, m, case, monkeypatch):
     spec = GridSpec(dim, 2.0, m)
     c, r = BALL_CASES[case](spec.half_width)
     ball = Ball((c, -0.5 * c)[:dim], r)
-    batch = NOISE_BATCH_SAMPLES // spec.num_samples
+    monkeypatch.setattr(pool, "WORKERS", 2)  # each worker draws its share of the batch
+    batch = NOISE_BATCH_SAMPLES // (2 * spec.num_samples)
     assert batch > 2
     for count in (0, 1, batch - 1, batch + 1):
         rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hardylab.maximal as maximal
+from hardylab import pool
 from hardylab.atoms import AtomSpec, edge_cutoff, make_atom
 from hardylab.errors import NumericalError
 from hardylab.grid import (
@@ -668,16 +669,16 @@ def test_small_maximal_memory_by_design():
     # 2D fields (radii 1/2 to 1/16, side 288): the functions' half spectra
     # of their sides and their maxima; per chunk one half-spectrum product,
     # one tile of TILE_ROWS window rows that irfft writes, and one kernel
-    # build: its samples, then either dilate's temporaries (the points,
-    # their scaled copy and one work array: 2 dim + 1 grid-sized floats) or
-    # its half spectrum with one tile of TILE_ROWS window rows that rfft
-    # reads; and 64 KiB for Python objects. For E1's fields the 2m real
-    # layer's half spectra alone did not fit
+    # build: its samples, then either dilate's temporaries (the radii and
+    # one work array: 2 grid-sized floats, with no meshgrid) or its half
+    # spectrum with one tile of TILE_ROWS window rows that rfft reads; and
+    # 64 KiB for Python objects. For E1's fields the 2m real layer's half
+    # spectra alone did not fit
     spec = GridSpec(2, 4.0, 256)
-    m, dim = spec.points_per_axis, spec.dim
+    m = spec.points_per_axis
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
-    chunks = min(maximal._WORKERS, len(sc.scales))
+    chunks = min(pool.WORKERS, len(sc.scales))
     full = [GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))]
     fields = e1_fields(spec, (1 / 2, 1 / 4, 1 / 8, 1 / 16), 5)
     for fs, n in ((full, 2 * m), (fields, 288)):
@@ -686,7 +687,7 @@ def test_small_maximal_memory_by_design():
         assert all(np.array_equal(a.samples, sized_small_maximal(f, mol, sc)) for f, a in zip(fs, expected))
         half = 16 * n * (n // 2 + 1)
         scratch = half + 8 * TILE_ROWS * n
-        kernel = 8 * m * m + max((2 * dim + 1) * 8 * m * m, half + 8 * TILE_ROWS * n)
+        kernel = 8 * m * m + max(2 * 8 * m * m, half + 8 * TILE_ROWS * n)
         bound = len(fs) * (half + 8 * m * m) + chunks * (scratch + kernel) + 2**16
         tracemalloc.start()
         try:
@@ -715,7 +716,7 @@ def test_small_maximal_table_memory_by_design_1d():
     rng = np.random.default_rng(6)
     fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(n)]
     expected = small_maximal_table(fs, mol, sc)  # starts the pool's workers
-    chunks = min(maximal._WORKERS, len(sc.scales))
+    chunks = min(pool.WORKERS, len(sc.scales))
     half = 16 * (m + 1)
     row = half + 8 * 2 * m
     stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
@@ -1025,7 +1026,7 @@ def test_fold_groups_are_sized_from_the_spectra_built(monkeypatch, is_complex):
     spectrum = planes * half
     assert len(fs) * spectrum <= maximal.FOLD_STACK_BYTES
     per_chunk = half + len(fs) * spectrum + planes * min(TILE_ROWS, n) * n * 8
-    chunks = min(maximal._WORKERS, len(sc.scales))
+    chunks = min(pool.WORKERS, len(sc.scales))
     whole = small_maximal_table(fs, mol, sc)
     built = count_kernel_builds(monkeypatch)
     for spare, size in ((0, 2), (-1, 1)):
@@ -1055,9 +1056,9 @@ def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
     # interval: a lost update would break the bitwise match
     fs, dicts, _ = table_case(2, "real")
     expected = [[serial_cell(f, d) for d in dicts] for f in fs]
-    pool = ThreadPoolExecutor(8)
-    monkeypatch.setattr(maximal, "_WORKERS", 8)
-    monkeypatch.setattr(maximal, "_pool", pool)
+    executor = ThreadPoolExecutor(8)
+    monkeypatch.setattr(pool, "WORKERS", 8)
+    monkeypatch.setattr(pool, "POOL", executor)
     tables = []
     caller = threading.Thread(target=lambda: tables.append(grand_maximal_table(fs, dicts)))
     old = sys.getswitchinterval()
@@ -1067,7 +1068,7 @@ def test_grand_maximal_table_more_workers_than_cpus(monkeypatch):
         caller.join(timeout=120)
     finally:
         sys.setswitchinterval(old)
-        pool.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
     assert not caller.is_alive()
     (table,) = tables
     for want, row in zip(expected, table):
