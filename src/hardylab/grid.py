@@ -9,21 +9,21 @@ used throughout.
 
 All operations here are pure: they never mutate their inputs, apart from
 the scratch, output and window arrays handed to the spectral functions
-(padded_spectrum, abs_convolve_spectra, window_spectrum, window_product,
-window_inverse and window_convolve), and are safe to share across threads.
+(padded_spectrum, abs_convolve_spectra, window_spectrum, window_product and
+window_inverse), and are safe to share across threads.
 
-Convolutions run in three spectral layers. The complex padded layer
-(padded_spectrum, convolve_spectra) pads to twice the side. The sized real
-layer (sized_side, window_spectrum, window_product, window_inverse) puts a
-real function's nonzero box at the start of a window just long enough to
-hold its linear convolution with a kernel of the grid's m offsets. The
-window layer (window_side, window_convolve) does the same for a kernel
-within K samples of the origin.
+Convolutions run in two spectral layers. The real window layer
+(sized_side, window_spectrum, window_product, window_inverse, window_cut)
+puts a real function's nonzero box at the start of a window just long
+enough to hold its linear convolution with a kernel of a given span, and
+cuts the result to the kernel's reach. The complex padded layer
+(padded_spectrum, convolve_spectra, abs_convolve_spectra) pads to twice the
+side; it serves complex operands of convolve and the full-grid fold of the
+grand maximal function.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -423,7 +423,7 @@ def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
     return out
 
 
-# the window sides of the sized real layer: c 2^i for c in these factors,
+# the window sides of the real window layer: c 2^i for c in these factors,
 # picked by timing irfft at 8192 to 16384 points (8192: 107 us, 8748 =
 # 2^2 3^7: 130 us, 9216 = 9 2^10: 124 us, 16384: 150 us); the factor 9
 # gives E1's 2D fields at m = 256 a side of 288
@@ -439,15 +439,16 @@ def nonzero_box(samples: np.ndarray) -> list[tuple[int, int]] | None:
     return [(int(a.min()), int(a.max()) + 1) for a in hits]
 
 
-def sized_side(spec: GridSpec, box) -> int:
-    """The window side of a function with this nonzero box in the sized real
-    layer: the least c 2^i >= b + m - 1 (c in SIZED_SIDE_FACTORS), b the
-    longest side of the box. A kernel sampled on the grid has the m offsets
-    -m/2 ... m/2 - 1 from the origin, so on that side the circular
-    convolution of the box, at the start of a zero window, with the kernel
-    at indices 0 ... m - 1 holds their linear convolution with no
-    wrap-around. A function that fills the grid takes 2m, the padded side."""
-    need = max(hi - lo for lo, hi in box) + spec.points_per_axis - 1
+def sized_side(box, span: int) -> int:
+    """The window side of a function with this nonzero box against a kernel
+    whose samples span `span` consecutive offsets per axis: the least c 2^i
+    >= b + span - 1 (c in SIZED_SIDE_FACTORS), b the longest side of the
+    box. On that side the circular convolution of the box, at the start of a
+    zero window, with the kernel right after it holds their linear
+    convolution with no wrap-around. A kernel sampled on the grid spans its
+    m offsets, so a function that fills the grid then takes 2m, the padded
+    side; a kernel within K samples of the origin spans 2K + 1."""
+    need = max(hi - lo for lo, hi in box) + span - 1
     return min(c << (-(-need // c) - 1).bit_length() for c in SIZED_SIDE_FACTORS)
 
 
@@ -483,13 +484,16 @@ def window_spectrum(g: np.ndarray, first: int, n: int, out: np.ndarray | None = 
     return np.fft.fft(F, axis=0, out=F)
 
 
-def window_product(F: np.ndarray, Fk: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """F * Fk written into prod, then in 2D the axis-0 inverse FFT in place:
-    the first steps of np.fft.irfftn of the product on the window. F is a
-    half spectrum, or a stack of them along a leading axis, and Fk a
-    window_spectrum of the same side, the kernel's offset k at index
-    k + m/2."""
-    np.multiply(F, Fk, out=prod)
+def window_product(stacks, Fk: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """The product of every half spectrum in stacks (arrays of them stacked
+    along a leading axis, whose rows fill prod's leading axis in order) with
+    Fk, a window_spectrum of the same side, written into prod; then in 2D
+    the axis-0 inverse FFT in place, one call for every row: the first steps
+    of np.fft.irfftn of each product on the window."""
+    row = 0
+    for F in stacks:
+        np.multiply(F, Fk, out=prod[row:row + len(F)])
+        row += len(F)
     if Fk.ndim == 2:
         np.fft.ifft(prod, axis=-2, out=prod)
     return prod
@@ -512,13 +516,14 @@ def convolve(f: GridFunction, g: GridFunction, spectra: dict | None = None) -> G
     -m/2 ... m/2 - 1 from the origin (its sample at index k at offset
     k - m/2).
 
-    Real f and g take the sized real layer: f's nonzero box at the start of
-    a zero window of side sized_side, g's samples at indices 0 ... m - 1 of
-    another, window_product and window_inverse of their rfftn, scaled and cut
-    to the grid (window_cut). That is the linear convolution up to round-off,
-    exactly 0 more than m/2 samples from f's box. Otherwise the complex
-    padded layer: FFT on a grid padded to twice the side, with no periodic
-    wrap-around as long as supp f + supp g fits inside [-2L, 2L)^dim.
+    Real f and g take the real window layer: f's nonzero box at the start of
+    a zero window of side sized_side(box, m), g's samples at indices
+    0 ... m - 1 of another, window_product and window_inverse of their
+    rfftn, scaled and cut to the grid (window_cut). That is the linear
+    convolution up to round-off, exactly 0 more than m/2 samples from f's
+    box. Otherwise the complex padded layer: FFT on a grid padded to twice
+    the side, with no periodic wrap-around as long as supp f + supp g fits
+    inside [-2L, 2L)^dim.
 
     A caller that convolves with the same g many times passes spectra, a
     dict in which g's spectra are kept (by window side, and None in the
@@ -534,43 +539,16 @@ def convolve(f: GridFunction, g: GridFunction, spectra: dict | None = None) -> G
     out = np.zeros(spec.shape)
     box = nonzero_box(f.samples)
     if box is not None:
-        n, half = sized_side(spec, box), spec.points_per_axis // 2
+        m = spec.points_per_axis
+        n = sized_side(box, m)
         if n not in spectra:
             spectra[n] = window_spectrum(g.samples, 0, n)
-        where, window = window_cut(box, half, half - 1, spec.points_per_axis)
-        F = window_spectrum(f.samples[tuple(slice(*b) for b in box)], 0, n)
-        vals = window_inverse(window_product(F, spectra[n], F), n, spec.dim, window[0])
+        where, window = window_cut(box, m // 2, m // 2 - 1, m)
+        F = window_spectrum(f.samples[tuple(slice(*b) for b in box)], 0, n)[None]
+        vals = window_inverse(window_product([F], spectra[n], F), n, spec.dim, window[0])[0]
         at = (slice(0, window[0].stop - window[0].start),) + window[1:]
         np.multiply(vals[at], spec.cell_volume, out=out[where])
     return GridFunction(spec, out)
-
-
-@functools.lru_cache(maxsize=1024)  # the window path asks once per (function, scale)
-def window_side(need: int) -> int:
-    """The least 2^i 3^j >= need, a fast FFT size. The window layer convolves
-    a function whose nonzero samples fit in b per axis, at the start of a
-    zero window, with a kernel within K samples of the origin: on a side
-    >= b + 2K + 1 its circular convolution holds the linear one on the box
-    widened by K, shifted by K, with no wrap-around."""
-    powers = range(need.bit_length() + 1)
-    return min(2**a * 3**b for a in powers for b in powers if 2**a * 3**b >= need)
-
-
-def window_convolve(windows: np.ndarray, Fk: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """h^dim times the circular convolution of each real window, stacked
-    along a leading axis, with the kernel spectrum Fk (window_spectrum of
-    its samples within K of the origin, the offset k at index k + K), written
-    back into windows: np.fft.rfftn, the product and np.fft.irfftn, their
-    calls run in place on one stacked half spectrum (the bits of those
-    expressions), each along the last dim axes and so row by row, bit for
-    bit the one-row call."""
-    shape = windows.shape[:-1] + (windows.shape[-1] // 2 + 1,)
-    F = np.fft.rfftn(windows, axes=tuple(range(-spec.dim, 0)), out=np.empty(shape, np.complex128))
-    np.multiply(F, Fk, out=F)
-    if spec.dim == 2:
-        np.fft.ifft(F, axis=-2, out=F)
-    np.fft.irfft(F, windows.shape[-1], axis=-1, out=windows)
-    return np.multiply(windows, spec.cell_volume, out=windows)
 
 
 def _negation_index(m: int) -> np.ndarray:
@@ -793,7 +771,7 @@ def dilate_box(phi, t: float, spec: GridSpec, reach: int) -> tuple[np.ndarray, i
     reach >= t/h, with no full-grid array: the same radial expression on
     that box alone, so the same bits (+0.0 off the support). Also returns
     the window index of the first of them when the offset k sits at index
-    k + reach, the placement of the window path."""
+    k + reach, the placement of the window layer."""
     if t < 2 * spec.spacing:
         raise NumericalError("scale below grid resolution")
     m, half = spec.points_per_axis, spec.points_per_axis // 2

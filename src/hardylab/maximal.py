@@ -13,39 +13,42 @@ compactly supported mollifier, one per scale of the ladder, translated to
 every grid site, with the one amplitude c that certifies them all.
 
 Both maximal functions fold |f * phi_t| into running maxima, one distinct
-scale at a time. Off the support path that is one streamed pass on
-pool.POOL (_running_maxima): each distinct kernel is sampled once, used
-for every function of the call and dropped, and the spectra alive at one
-time stay under FOLD_SPECTRA_BYTES. small_maximal_table runs the pass over
-one ladder, grand_maximal_table over the distinct ladders of its full-grid
-dictionaries. The functions' spectra are held as stacked arrays, and each
-kernel meets them a sub-stack at a time: one product and one inverse
-transform for all the rows, with the stacked scratch of a chunk under
-FOLD_STACK_BYTES. In 1D that puts several functions in one call; a 2D
-function at the sizes the configs run fills the bound alone.
+scale at a time: each distinct kernel is sampled once, used for every
+function of the call and dropped, and the spectra alive at one time stay
+under FOLD_SPECTRA_BYTES. The functions' spectra meet each kernel a
+sub-stack at a time: one product and one inverse transform for all the
+rows, then the scale and |.| in place, with the stacked scratch of a chunk
+under FOLD_STACK_BYTES. In 1D that puts several functions in one call; a
+2D function at the sizes the configs run fills the bound alone.
 
-small_maximal_table runs in the sized real layer of grid.py: each function
-takes the least window side c 2^i (c = 1, 3, 9) that holds the linear
-convolution of its nonzero box with a kernel of the grid's m offsets,
-b + m - 1 for a box of longest side b (288 for E1's 2D fields at m = 256,
-2m for a function that fills the grid). Its box sits at the start of the
-window, the kernel's m offsets at indices 0 ... m - 1, and the result is
-cut to the grid, exactly 0 where the kernel cannot reach. The functions
-are grouped by side, so each kernel spectrum is built once per (scale,
-side), and a complex f runs as two real rows, Re f and Im f, combined by
-hypot. Every test dictionary's mollifier is compactly supported, and the
-full-grid fold of grand_maximal_table runs in the complex padded layer.
+There is one real fold, the window fold (_window_fold, on the real window
+layer of grid.py), and it serves small_maximal_table and every order-1
+test dictionary (N_p = 0, so every p = 1 dictionary) of
+grand_maximal_table. phi_t reaches K = ceil(t/h) samples from the origin
+for a compactly supported mollifier, and the grid's m offsets otherwise.
+Each pair of a function f and a scale takes one unpadded circular real
+transform on a window of the least side c 2^i (c = 1, 3, 9) that holds the
+linear convolution of f's nonzero box with that kernel: b + 2K for a box of
+longest side b, or b + m - 1 (288 for E1's 2D fields at m = 256, 2m for a
+function that fills the grid). The result is cut to the samples the kernel
+reaches from the box, exactly 0 elsewhere, and a complex f runs as two
+real rows, Re f and Im f, combined by hypot. The scales are walked in
+ascending order, and each function's half spectra are built once per run
+of scales at which its side does not change: once per call for the
+Gaussian.
 
-A test dictionary of order 1 (N_p = 0, so every p = 1 dictionary) is folded
-on exact windows instead, serially: phi_t vanishes off B(0, t), so
-|f * phi_t| is exactly 0 more than K = ceil(t/h) samples from the box of
-f's nonzero samples, and each pair of a function and a scale takes one
-unpadded circular real transform (the window layer of grid.py) of the
-least side 2^i 3^j that holds that box widened by K, pasted there into
-full-size maxima that stay 0 elsewhere; each kernel is sampled on its
-(2K + 1)^dim box alone. The p < 1 dictionaries run on the padded full grid:
-the recorded p < 1 norms contain its far-field round-off, which another
-transform would move.
+The pool rule: a run of scales runs on pool.POOL, one chunk of its scales
+per worker, only when its kernels span the grid's m offsets (the Gaussian);
+otherwise it folds serially in the calling thread. On a 2-CPU host (best
+of 7 calls, three rounds) E1's twelve 2D fields at m = 256 took 0.21 s on
+the pool against 0.23-0.36 s serially, and the order-1 2D E2 call (six
+atoms at m = 256, T = 1 ... 8) 0.044-0.065 s serially against
+0.077-0.081 s on the pool, where its small transforms pay more for the
+hand-off than they gain.
+
+The p < 1 dictionaries run on the padded full grid in the complex layer
+(_padded_fold, always on the pool): the recorded p < 1 norms contain its
+far-field round-off, which another transform would move.
 """
 
 from __future__ import annotations
@@ -72,11 +75,9 @@ from .grid import (
     spectral_scratch,
     spectrum_shape,
     sq_distance,
-    window_convolve,
     window_cut,
     window_inverse,
     window_product,
-    window_side,
     window_spectrum,
 )
 from .moments import HardyIndex, MultiIndex, multiindices
@@ -173,43 +174,86 @@ class ScaleGrid:
 # the functions of one call run in groups bounded in bytes
 FOLD_SPECTRA_BYTES = 512 * 2**20
 
-# the stacked scratch of one chunk in one spectral layer, |.| included (or
-# the windows and half spectra of a window sub-stack): a fold group's
-# functions meet each kernel a sub-stack at a time, as many as fit here (at
-# least one). Five of E1's 1D fields at m=8192 (window side 9216) fit, and
-# no 2D function at m >= 128: each chunk adds its stack to the peak RSS, and
-# E1's 1D peak is close to E5's, the battery-1d peak
+# the stacked scratch of one chunk, |.| included: a fold group's functions
+# meet each kernel a sub-stack at a time, as many as fit here (at least
+# one). Five of E1's 1D fields at m=8192 (window side 9216) fit, and no 2D
+# function at m >= 128: each chunk adds its stack to the peak RSS, and E1's
+# 1D peak is close to E5's, the battery-1d peak
 FOLD_STACK_BYTES = 768 * 2**10
 
 
-class _PaddedSide:
-    """The functions of a fold group in the complex padded layer: one
-    (2m)^dim spectrum each, stacked, and sub-stacks of `stack` of them.
-    |f * phi_t| covers the grid."""
+def _maxima(fs: list, nsets: int) -> list:
+    # zero running maxima, nsets per function; functions on different grids
+    # raise ValueError
+    if any(f.spec != fs[0].spec for f in fs):
+        raise ValueError("grid mismatch")
+    return [[np.zeros(f.spec.shape) for _ in range(nsets)] for f in fs]
 
-    def __init__(self, spec: GridSpec, fs: list, members: list, stack: int):
-        self.spec, self.members = spec, members
-        self.spectra = np.empty((len(members),) + spectrum_shape(spec), dtype=np.complex128)
-        for i, out in zip(members, self.spectra):
+
+def _groups(todo: list, size: dict, budget: int):
+    # the functions in order, in groups whose sizes fit the budget, at least
+    # one function each
+    group, used = [], 0
+    for i in todo:
+        if group and used + size[i] > budget:
+            yield group
+            group, used = [], 0
+        group.append(i)
+        used += size[i]
+    if group:
+        yield group
+
+
+def _padded_chunk(items: list, group: list, spectra: np.ndarray, stack: int, maxima: list,
+                  spec: GridSpec, scratch: tuple, lock: threading.Lock) -> None:
+    *bufs, vals = scratch
+    for (mollifier, t), slots in items:
+        Fk = padded_spectrum(dilate(mollifier, t, spec))
+        for j in range(0, len(group), stack):
+            k = min(stack, len(group) - j)
+            abs_convolve_spectra(spectra[j:j + k], Fk, spec, tuple(b[:k] for b in bufs), vals[:k])
+            with lock:
+                for i, near in zip(group[j:j + k], vals):
+                    for s in slots:
+                        np.maximum(maxima[i][s], near, out=maxima[i][s])
+        del Fk  # this scale is done: drop its spectrum before building the next
+
+
+def _padded_fold(fs: list, work: dict, maxima: list) -> None:
+    """Fold h^dim |fs[i] * phi_t| into maxima[i][s] for every distinct
+    (mollifier, t) of work and scale set s that holds it, in the complex
+    padded layer: a (2m)^dim spectrum per function, the functions in groups
+    whose spectra, plus one kernel spectrum and the scratch of every chunk,
+    stay within FOLD_SPECTRA_BYTES, each group's spectra stacked and met by
+    each kernel FOLD_STACK_BYTES of sub-stack at a time. Every kernel spans
+    the grid's m offsets, so one interleaved chunk of the scales per worker
+    runs on pool.POOL (NumPy's FFT releases the GIL) and folds into the
+    shared maxima under a lock; max is exact, so the result depends neither
+    on the split nor on the order. The scratch is allocated here, in the
+    calling thread: freed in a worker, it would stay in that thread's malloc
+    arena and raise the peak RSS."""
+    if not fs or not work:
+        return
+    spec = fs[0].spec
+    items = list(work.items())
+    chunks = [items[c::pool.WORKERS] for c in range(min(pool.WORKERS, len(items)))]
+    per_row = sum(a.nbytes for a in spectral_scratch(spec, 1)) + 8 * spec.num_samples
+    stack = max(1, min(len(fs), FOLD_STACK_BYTES // per_row))
+    scratch = [(*spectral_scratch(spec, stack), np.empty((stack,) + spec.shape)) for _ in chunks]
+    spectrum = 16 * math.prod(spectrum_shape(spec))
+    budget = FOLD_SPECTRA_BYTES - len(chunks) * (spectrum + sum(a.nbytes for a in scratch[0]))
+    lock = threading.Lock()
+    for group in _groups(list(range(len(fs))), dict.fromkeys(range(len(fs)), spectrum), budget):
+        spectra = np.empty((len(group),) + spectrum_shape(spec), dtype=np.complex128)
+        for i, out in zip(group, spectra):
             padded_spectrum(fs[i], out=out)
-        self.subs = [range(j, min(j + stack, len(members))) for j in range(0, len(members), stack)]
-
-    @staticmethod
-    def scratch(spec: GridSpec, stack: int) -> tuple:
-        return *spectral_scratch(spec, stack), np.empty((stack,) + spec.shape)
-
-    def kernel_spectrum(self, kernel: GridFunction) -> np.ndarray:
-        return padded_spectrum(kernel)
-
-    def abs_convolve(self, sub: range, Fk: np.ndarray, scratch: tuple):
-        *bufs, vals = scratch
-        k = len(sub)
-        abs_convolve_spectra(self.spectra[sub.start:sub.stop], Fk, self.spec, tuple(b[:k] for b in bufs), vals[:k])
-        return zip((self.members[j] for j in sub), repeat(...), vals)
+        list(pool.POOL.map(_padded_chunk, chunks, repeat(group), repeat(spectra), repeat(stack),
+                           repeat(maxima), repeat(spec), scratch, repeat(lock)))
+        del spectra
 
 
 def _planes(f: GridFunction) -> tuple:
-    # the real planes that carry f in the sized layer
+    # the real planes that carry f in the window layer
     return (f.samples,) if f.is_real else (f.samples.real, f.samples.imag)
 
 
@@ -218,172 +262,154 @@ def _half_shape(n: int, dim: int) -> tuple[int, ...]:
     return (n,) * (dim - 1) + (n // 2 + 1,)
 
 
-class _SizedSide:
-    """The functions of a fold group that take window side n in the sized
-    real layer: one row per real plane (Re f and Im f of a complex f), the
-    window_spectrum of its nonzero box, stacked; sub-stacks of whole
-    functions, at most `stack` rows each (at least one function). |f * phi_t|
-    covers the grid samples within the kernel's m offsets of f's box, and
-    the maxima stay exactly 0 elsewhere."""
-
-    def __init__(self, spec: GridSpec, n: int, fs: list, members: list, boxes: dict, stack: int):
-        m = spec.points_per_axis
-        self.spec, self.n = spec, n
-        self.spectra = np.empty((sum(len(_planes(fs[i])) for i in members),) + _half_shape(n, spec.dim),
-                                dtype=np.complex128)
-        self.subs, row = [], 0  # per sub-stack: (function, first row, rows, grid cut, window cut)
-        for i in members:
-            planes = _planes(fs[i])
-            for plane in planes:
-                window_spectrum(plane[tuple(slice(*b) for b in boxes[i])], 0, n, out=self.spectra[row])
-                row += 1
-            func = (i, row - len(planes), len(planes)) + window_cut(boxes[i], m // 2, m // 2 - 1, m)
-            if self.subs and row - self.subs[-1][0][1] <= stack:
-                self.subs[-1].append(func)
-            else:
-                self.subs.append([func])
-
-    @staticmethod
-    def scratch(spec: GridSpec, n: int, stack: int, planes: int) -> tuple:
-        # flat, so that each side takes views of a prefix: the product of a
-        # sub-stack, and what irfft writes: in 1D the sub-stack's windows, in
-        # 2D one function's planes on a tile of TILE_ROWS window rows
-        rows = stack if spec.dim == 1 else planes * min(TILE_ROWS, n)
-        return np.empty(stack * math.prod(_half_shape(n, spec.dim)), dtype=np.complex128), np.empty(rows * n)
-
-    def kernel_spectrum(self, kernel: GridFunction) -> np.ndarray:
-        return window_spectrum(kernel.samples, 0, self.n)
-
-    def abs_convolve(self, sub: list, Fk: np.ndarray, scratch: tuple):
-        # yields each function's h^dim |f * phi_t| on its cut (in 2D a tile
-        # of rows at a time), in the scratch: the caller folds it before the
-        # next is made
-        prod, real = scratch
-        n, dim, first = self.n, self.spec.dim, sub[0][1]
-        spectra = self.spectra[first:sub[-1][1] + sub[-1][2]]
-        prod = window_product(spectra, Fk, prod[:spectra.size].reshape(spectra.shape))
-        if dim == 1:  # one irfft for the sub-stack
-            whole = window_inverse(prod, n, dim, slice(None), real[:len(spectra) * n].reshape(len(spectra), n))
-        for i, row, count, where, window in sub:
-            if dim == 1:
-                yield i, where, self._modulus(whole[row - first:row - first + count], window)
-                continue
-            for r in range(window[0].start, window[0].stop, TILE_ROWS):
-                rows = slice(r, min(r + TILE_ROWS, window[0].stop))
-                size = rows.stop - rows.start
-                vals = window_inverse(prod[row - first:row - first + count], n, dim, rows,
-                                      real[:count * size * n].reshape(count, size, n))
-                start = where[0].start + r - window[0].start
-                yield i, (slice(start, start + size), where[1]), self._modulus(vals, (slice(None), window[1]))
-
-    def _modulus(self, vals: np.ndarray, at: tuple) -> np.ndarray:
-        # h^dim |.| of one function's planes at the window indices at, in place
-        parts = [np.multiply(v[at], self.spec.cell_volume, out=v[at]) for v in vals]
-        return np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts, out=parts[0])
+def _reach(mollifier: MollifierSpec, t: float, spec: GridSpec) -> tuple[int, int]:
+    # the offsets below and above the origin that phi_t's samples reach: K =
+    # ceil(t/h) each way for a compactly supported mollifier, otherwise the
+    # grid's m offsets -m/2 ... m/2 - 1
+    if mollifier.compact_support:
+        K = math.ceil(t / spec.spacing)
+        return K, K
+    return spec.points_per_axis // 2, spec.points_per_axis // 2 - 1
 
 
-def _fold_chunk(work: list, sides: list, maxima: list, spec: GridSpec, scratch: tuple,
-                lock: threading.Lock) -> None:
-    for (mollifier, t), slots in work:
-        kernel = dilate(mollifier, t, spec)
-        for side in sides:
-            Fk = side.kernel_spectrum(kernel)
-            for sub in side.subs:
-                for i, where, near in side.abs_convolve(sub, Fk, scratch):
-                    with lock:
-                        for s in slots:
-                            target = maxima[i][s][where]
-                            np.maximum(target, near, out=target)
-            del Fk
-        del kernel  # this scale is done: drop its kernel before building the next
+@dataclass
+class _Window:
+    """What one fold group shares with the chunks of a run of scales."""
+
+    spec: GridSpec
+    boxes: dict  # function -> the box of its nonzero samples
+    spectra: dict  # function -> (its side, its half spectra, one row per real plane)
+    subs: list  # (side, functions): sub-stacks of whole functions, grouped by side
+    maxima: list
+    lock: threading.Lock
 
 
-def _running_maxima(fs: list, work: dict, nsets: int, sized: bool) -> list:
-    """maxima[i][s], the pointwise max of |fs[i] * phi_t| over the scales of
-    scale set s, walking each distinct scale once: with sized in the sized
-    real layer, otherwise in the complex padded one.
-
-    work maps each distinct (mollifier, t) to the scale sets that hold it.
-    One interleaved chunk of the scales per CPU runs on the pool (NumPy's
-    FFT releases the GIL) and folds into the one shared set of maxima under
-    a lock; max is exact, so the result does not depend on the split or the
-    order. A chunk samples each of its kernels once, builds its spectrum
-    once per side of the group, folds it against every function there and
-    drops it before the next.
-
-    In the padded layer every function has a (2m)^dim spectrum. In the sized
-    layer each function takes the least window side sized_side that holds
-    its nonzero box's linear convolution with a kernel of m offsets; the
-    functions of one side hold their spectra as one stacked array, a row per
-    real plane (Re f and Im f of a complex f, combined by hypot), and a
-    function with no nonzero sample takes no transform and keeps maxima of
-    0. Against a kernel, the stack is transformed a sub-stack of rows at a
-    time: one product with the kernel spectrum and one inverse transform
-    along the last axis for all its rows, then the scale and |.|. Every
-    transform runs row by row with the plan of a one-row call, the side
-    depends on f and m alone, and the rest acts on each element alone, so a
-    row equals its one-row call bit for bit. Each function keeps its maxima
-    in arrays of its own: one array for all of them measured 1.3 MB more
-    peak RSS in 2D E2, where the separate arrays reuse memory that atom
-    generation freed.
-
-    Each chunk has one scratch, reused for every sub-stack it takes: as many
-    rows as fit in FOLD_STACK_BYTES at the call's largest side, at least one
-    function, at most all. The scratch is allocated here, in the calling
-    thread: freed in a worker, it would stay in that thread's malloc arena
-    and raise the peak RSS. The functions run in groups, so that their
-    spectra plus one kernel spectrum and the scratch of every chunk stay
-    within FOLD_SPECTRA_BYTES; a group holds at least one function, and
-    every kernel is built once per group. No functions give no maxima;
-    functions on different grids raise ValueError."""
-    if not fs:
-        return []
-    spec = fs[0].spec
-    if any(f.spec != spec for f in fs):
-        raise ValueError("grid mismatch")
-    maxima = [[np.zeros(spec.shape) for _ in range(nsets)] for _ in fs]
-    items = list(work.items())
-    chunks = [items[i::pool.WORKERS] for i in range(min(pool.WORKERS, len(items)))]
-    if not chunks:
-        return maxima
-    if sized:
-        boxes = {i: box for i, f in enumerate(fs) if (box := nonzero_box(f.samples)) is not None}
-        if not boxes:
-            return maxima
-        side_of = {i: sized_side(spec, boxes[i]) for i in boxes}
-        rows = {i: len(_planes(fs[i])) for i in boxes}
-        row_bytes = {i: 16 * math.prod(_half_shape(side_of[i], spec.dim)) * rows[i] for i in boxes}
-        n = max(side_of.values())
-        per_row = 16 * math.prod(_half_shape(n, spec.dim)) + (8 * n if spec.dim == 1 else 0)
-        stack = max(max(rows.values()), min(sum(rows.values()), FOLD_STACK_BYTES // per_row))
-        scratch = [_SizedSide.scratch(spec, n, stack, max(rows.values())) for _ in chunks]
-        kernel = 16 * math.prod(_half_shape(n, spec.dim))
-    else:
-        boxes = dict.fromkeys(range(len(fs)))
-        row_bytes = dict.fromkeys(boxes, 16 * math.prod(spectrum_shape(spec)))
-        per_row = sum(a.nbytes for a in _PaddedSide.scratch(spec, 1))
-        stack = max(1, min(len(fs), FOLD_STACK_BYTES // per_row))
-        scratch = [_PaddedSide.scratch(spec, stack) for _ in chunks]
-        kernel = row_bytes[0]
-    owned = sum(a.nbytes for a in scratch[0])
-    budget = FOLD_SPECTRA_BYTES - len(chunks) * (kernel + owned)
-    lock = threading.Lock()
-    todo = list(boxes)
-    while todo:
-        group, used = [], 0  # the next functions whose spectra fit the budget, at least one
-        while todo and (not group or used + row_bytes[todo[0]] <= budget):
-            used += row_bytes[todo[0]]
-            group.append(todo.pop(0))
-        if sized:
-            by_side: dict[int, list] = {}
-            for i in group:
-                by_side.setdefault(side_of[i], []).append(i)
-            parts = [_SizedSide(spec, side, fs, members, boxes, stack) for side, members in by_side.items()]
+def _fold_sub(win: _Window, n: int, sub: list, Fk: np.ndarray, reach: tuple, slots,
+              scratch: tuple) -> None:
+    # h^dim |f * phi_t| of the functions of one sub-stack, folded into their
+    # maxima: one product and one inverse transform for all their rows (in
+    # 2D a band of TILE_ROWS window rows at a time), then the scale and |.|
+    # in place on the rows and columns that some function's cut holds, one
+    # hypot per complex function and one lock
+    spec = win.spec
+    prod_buf, real_buf = scratch
+    F = [win.spectra[i][1] for i in sub]
+    k = sum(map(len, F))
+    prod = window_product(F, Fk, prod_buf[:k * Fk.size].reshape((k,) + Fk.shape))
+    cuts = [window_cut(win.boxes[i], *reach, spec.points_per_axis) for i in sub]
+    lo, hi = min(w[0].start for _, w in cuts), max(w[0].stop for _, w in cuts)
+    cols = slice(min(w[-1].start for _, w in cuts), max(w[-1].stop for _, w in cuts))
+    step = hi - lo if spec.dim == 1 else TILE_ROWS
+    for r in range(lo, hi, step):
+        band = slice(r, min(r + step, hi))
+        size = band.stop - band.start
+        if spec.dim == 1:  # the whole window, and band a view of it
+            vals = window_inverse(prod, n, 1, band, real_buf[:k * n].reshape(k, n))
+            block = vals
         else:
-            parts = [_PaddedSide(spec, fs, group, stack)]
-        list(pool.POOL.map(_fold_chunk, chunks, repeat(parts), repeat(maxima), repeat(spec), scratch, repeat(lock)))
-        del parts
-    return maxima
+            vals = window_inverse(prod, n, 2, band, real_buf[:k * size * n].reshape(k, size, n))
+            block = vals[..., cols]
+        np.multiply(block, spec.cell_volume, out=block)
+        np.abs(block, out=block)
+        near, row = [], 0
+        for i, (where, window), planes in zip(sub, cuts, F):
+            u, v = max(window[0].start, r), min(window[0].stop, band.stop)
+            if u < v:
+                at = (slice(u - r, v - r),) + window[1:]
+                start = where[0].start + u - window[0].start
+                val = vals[row][at] if len(planes) == 1 else np.hypot(vals[row][at], vals[row + 1][at],
+                                                                       out=vals[row][at])
+                near.append((win.maxima[i], (slice(start, start + v - u),) + where[1:], val))
+            row += len(planes)
+        with win.lock:
+            for maxima, where, val in near:
+                for s in slots:
+                    target = maxima[s][where]
+                    np.maximum(target, val, out=target)
+
+
+def _window_chunk(items: list, win: _Window, scratch: tuple) -> None:
+    for (mollifier, t), slots in items:
+        reach = _reach(mollifier, t, win.spec)
+        if mollifier.compact_support:
+            g, first = dilate_box(mollifier, t, win.spec, reach[0])
+        else:
+            g, first = dilate(mollifier, t, win.spec).samples, 0
+        Fk, side = None, None
+        for n, sub in win.subs:
+            if n != side:
+                Fk, side = None, n  # the last side's spectrum, freed before this one is built
+                Fk = window_spectrum(g, first, n)
+            _fold_sub(win, n, sub, Fk, reach, slots, scratch)
+        del g, Fk  # this scale is done: drop its kernel before building the next
+
+
+def _window_fold(fs: list, work: dict, maxima: list) -> None:
+    """Fold h^dim |fs[i] * phi_t| into maxima[i][s] for every distinct
+    (mollifier, t) of work and scale set s that holds it, in the real window
+    layer, by the side and pool rules of the module docstring. A function
+    with no nonzero sample takes no transform. A function's half spectra,
+    one row per real plane, are built in the calling thread whenever its side
+    changes; a kernel is sampled once per group (by dilate_box if compactly
+    supported), its spectrum built once per side. The functions run in
+    groups whose spectra at their largest side, plus one kernel spectrum and
+    the scratch of every chunk, stay within FOLD_SPECTRA_BYTES. Each chunk
+    has one scratch, allocated in the calling thread and reused for every
+    sub-stack: whole functions of one side, as many rows as fit in
+    FOLD_STACK_BYTES at that side (per row its product and what irfft
+    writes, the window in 1D and a band of TILE_ROWS window rows in 2D), at
+    least one function. Every transform runs row by row with the plan of a
+    one-row call, the side depends on f and the kernel alone, and the rest
+    acts on each element alone, so a row equals its one-row call bit for
+    bit; max is exact, so the result depends neither on the chunks nor on
+    the order."""
+    boxes = {i: box for i, f in enumerate(fs) if (box := nonzero_box(f.samples)) is not None}
+    if not boxes or not work:
+        return
+    spec = fs[0].spec
+    dim, m = spec.dim, spec.points_per_axis
+    rows = {i: len(_planes(fs[i])) for i in boxes}
+    longest = {i: max(hi - lo for lo, hi in box) for i, box in boxes.items()}
+    shapes = {b: boxes[i] for i, b in longest.items()}  # a box of each longest side
+    runs: list = []  # (on the pool, {function: side}, [(mollifier, t), slots])
+    for key in sorted(work, key=lambda key: (key[0].shape, key[1])):
+        span = sum(_reach(*key, spec)) + 1
+        side = {b: sized_side(box, span) for b, box in shapes.items()}
+        sides = {i: side[b] for i, b in longest.items()}
+        if runs and runs[-1][:2] == (span >= m, sides):
+            runs[-1][2].append((key, work[key]))
+        else:
+            runs.append((span >= m, sides, [(key, work[key])]))
+    per_row = {n: 16 * math.prod(_half_shape(n, dim)) + 8 * n * (1 if dim == 1 else min(TILE_ROWS, n))
+               for _, sides, _ in runs for n in sides.values()}
+    stack = {n: max(max(rows.values()), min(sum(rows.values()), FOLD_STACK_BYTES // b)) for n, b in per_row.items()}
+    chunks = max([min(pool.WORKERS, len(items)) for on_pool, _, items in runs if on_pool], default=1)
+    scratch = [(np.empty(max(stack[n] * math.prod(_half_shape(n, dim)) for n in stack), dtype=np.complex128),
+                np.empty(max(stack[n] * n * (1 if dim == 1 else min(TILE_ROWS, n)) for n in stack)))
+               for _ in range(chunks)]
+    top = {i: max(sides[i] for _, sides, _ in runs) for i in boxes}
+    size = {i: rows[i] * 16 * math.prod(_half_shape(top[i], dim)) for i in boxes}
+    kernel = 16 * math.prod(_half_shape(max(top.values()), dim))
+    budget = FOLD_SPECTRA_BYTES - chunks * (kernel + sum(a.nbytes for a in scratch[0]))
+    for group in _groups(list(boxes), size, budget):
+        win = _Window(spec, boxes, {}, [], maxima, threading.Lock())
+        for on_pool, sides, items in runs:
+            for i in group:
+                n = sides[i]
+                if win.spectra.get(i, (None,))[0] != n:
+                    win.spectra.pop(i, None)  # freed before the new side's are built
+                    F = np.empty((rows[i],) + _half_shape(n, dim), dtype=np.complex128)
+                    for plane, out in zip(_planes(fs[i]), F):
+                        window_spectrum(plane[tuple(slice(*b) for b in boxes[i])], 0, n, out=out)
+                    win.spectra[i] = n, F
+            win.subs = [(n, sub) for n in dict.fromkeys(sides[i] for i in group)
+                        for sub in _groups([i for i in group if sides[i] == n], rows, stack[n])]
+            if on_pool:
+                parts = [items[c::pool.WORKERS] for c in range(min(pool.WORKERS, len(items)))]
+                list(pool.POOL.map(_window_chunk, parts, repeat(win), scratch))
+            else:
+                _window_chunk(items, win, scratch[0])
+        del win
 
 
 def small_maximal_table(fs: list[GridFunction], mollifier: MollifierSpec,
@@ -391,11 +417,13 @@ def small_maximal_table(fs: list[GridFunction], mollifier: MollifierSpec,
     """out[i], the pointwise max over the scale grid of |fs[i] * phi_t| (a
     lower bound for m_phi fs[i]), equals the one-row call
     small_maximal_table([fs[i]], mollifier, scales)[0] bit for bit. One fold
-    in the sized real layer, a complex f as Re f and Im f combined by hypot:
-    each kernel is built once, used for every function and dropped. No
-    functions give [] and functions on different grids raise ValueError."""
-    work = dict.fromkeys(((mollifier, t) for t in scales.scales), (0,))
-    return [GridFunction(f.spec, row[0]) for f, row in zip(fs, _running_maxima(fs, work, 1, True))]
+    in the real window layer (_window_fold), a complex f as Re f and Im f
+    combined by hypot: each kernel is built once, used for every function
+    and dropped. No functions give [] and functions on different grids
+    raise ValueError."""
+    maxima = _maxima(fs, 1)
+    _window_fold(fs, dict.fromkeys(((mollifier, t) for t in scales.scales), (0,)), maxima)
+    return [GridFunction(f.spec, row[0]) for f, row in zip(fs, maxima)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,51 +502,6 @@ def build_test_dictionary(spec: GridSpec, idx: HardyIndex, T: float,
     return TestDictionary(mollifier, scales, _mollifier_amplitude(mollifier, k), k)
 
 
-def _fold_on_support(fs: list, work: dict, maxima: list) -> None:
-    """Fold h^dim |fs[i] * phi_t| for the compactly supported kernels of
-    work into maxima[i][s], each pair on the window of side
-    window_side(b + 2K + 1), b the longest side of f's box and K = ceil(t/h):
-    each kernel sampled once by dilate_box on its (2K + 1)^dim box (the full
-    grid's bits), its spectrum built once per side, its functions there
-    stacked in sub-stacks whose windows and spectra fit in FOLD_STACK_BYTES
-    (at least one function), a complex f as two rows, Re f and Im f,
-    combined by hypot. A window depends on f and t alone, so a row equals
-    its one-row call bit for bit. A function with no nonzero sample takes no
-    transform. Serial: the pool lost on these small transforms."""
-    if not fs or not work:
-        return
-    spec = fs[0].spec
-    m, dim = spec.points_per_axis, spec.dim
-    boxes, blocks = {}, {}  # per nonzero f: its nonzero range per axis; its real planes there
-    for i, f in enumerate(fs):
-        if (box := nonzero_box(f.samples)) is not None:
-            boxes[i] = box
-            blocks[i] = [p[tuple(slice(*b) for b in box)] for p in _planes(f)]
-    for (mollifier, t), sets in work.items():
-        reach = math.ceil(t / spec.spacing)
-        sides: dict[int, list[int]] = {}  # window side -> the functions that take it
-        for i in boxes:
-            sides.setdefault(window_side(max(hi - lo for lo, hi in boxes[i]) + 2 * reach + 1), []).append(i)
-        kernel = Fk = windows = vals = None  # the last scale's, freed before this kernel is built
-        kernel = dilate_box(mollifier, t, spec, reach) if sides else None
-        for n, members in sides.items():
-            Fk = window_spectrum(*kernel, n)
-            per = FOLD_STACK_BYTES // (max(len(blocks[i]) for i in members) * (8 * n**dim + Fk.nbytes)) or 1
-            for j in range(0, len(members), per):
-                planes = [block for i in members[j:j + per] for block in blocks[i]]
-                windows = np.zeros((len(planes),) + (n,) * dim)
-                for w, block in zip(windows, planes):
-                    w[tuple(map(slice, block.shape))] = block
-                vals = iter(window_convolve(windows, Fk, spec))
-                for i in members[j:j + per]:
-                    where, window = window_cut(boxes[i], reach, reach, m)
-                    parts = [next(vals)[window] for _ in blocks[i]]
-                    near = np.abs(parts[0]) if len(parts) == 1 else np.hypot(*parts)
-                    for s in sets:
-                        target = maxima[i][s][where]
-                        np.maximum(target, near, out=target)
-
-
 def grand_maximal_table(fs: list[GridFunction],
                         dictionaries: list[TestDictionary]) -> list[list[GridFunction]]:
     """out[i][j] = max |<fs[i], phi>| over the copies phi in dictionaries[j],
@@ -527,18 +510,18 @@ def grand_maximal_table(fs: list[GridFunction],
     its one-row call grand_maximal_table([fs[i]], [d])[0][0] bit for bit.
 
     One pass over the distinct (mollifier, scale) pairs of the full-grid
-    dictionaries, in the complex layer, and one over those of the order-1
-    ones on exact windows (_fold_on_support): each kernel is built once per
-    pass, convolved with every function and dropped. h^dim |f * phi_t| is
-    folded into a running max per distinct (mollifier, ladder, path), and
-    each dictionary's amplitude is applied once at the end, in place on a
-    ladder no other dictionary reads: rounding is monotone, so amp * max|.|
-    equals max(amp * |.|) bit for bit. On the window path each scale t adds
-    its values only on the box of f's nonzero samples widened by ceil(t/h),
-    within round-off of the full grid's, so a cell is exactly 0 where every
-    scale's exact result is 0. The full grid's far-field round-off is in the
-    recorded p < 1 norms."""
-    ladders: dict[tuple, int] = {}  # (mollifier, scales, support path) -> its running max
+    dictionaries, in the complex padded layer (_padded_fold), and one over
+    those of the order-1 ones in the real window layer (_window_fold): each
+    kernel is built once per pass, convolved with every function and
+    dropped. h^dim |f * phi_t| is folded into a running max per distinct
+    (mollifier, ladder, path), and each dictionary's amplitude is applied
+    once at the end, in place on a ladder no other dictionary reads:
+    rounding is monotone, so amp * max |.| equals max(amp * |.|) bit for
+    bit. On the window path each scale t adds its values only on the box of
+    f's nonzero samples widened by ceil(t/h), within round-off of the full
+    grid's, so a cell is exactly 0 where every scale's exact result is 0.
+    The full grid's far-field round-off is in the recorded p < 1 norms."""
+    ladders: dict[tuple, int] = {}  # (mollifier, scales, window path) -> its running max
     work: tuple[dict, dict] = ({}, {})  # per path: (mollifier, t) -> the ladders holding it
     for d in dictionaries:
         key = (d.mollifier, d.scales, d.order == 1)
@@ -546,8 +529,9 @@ def grand_maximal_table(fs: list[GridFunction],
             s = ladders[key] = len(ladders)
             for t in d.scales.scales:
                 work[key[2]].setdefault((d.mollifier, t), []).append(s)
-    maxima = _running_maxima(fs, work[False], len(ladders), False)
-    _fold_on_support(fs, work[True], maxima)
+    maxima = _maxima(fs, len(ladders))
+    _padded_fold(fs, work[False], maxima)
+    _window_fold(fs, work[True], maxima)
     cells = [ladders[d.mollifier, d.scales, d.order == 1] for d in dictionaries]
     owned = {s for s in cells if cells.count(s) == 1}  # scaled in place, no copy
     return [[GridFunction(f.spec, np.multiply(row[s], d.amplitude, out=row[s] if s in owned else None))

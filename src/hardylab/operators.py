@@ -104,7 +104,7 @@ class KernelOp(OperatorSpec):
     """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x).
 
     convolve keeps the kernel's spectra here, one per window side of the
-    sized real layer and one for the complex padded layer, each taken on the
+    real window layer and one for the complex padded layer, each taken on the
     first application that needs it, so later applications only transform f.
     """
 

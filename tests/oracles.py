@@ -7,16 +7,16 @@ derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
 convolution as full-size fftn/ifftn (rfftn/irfftn in the 2m real layer that
-the sized one replaced) with a fancy-index window, `sized_convolve` is the
-sized real layer's convolution on its window, `sized_small_maximal` and
-`padded_small_maximal` are the small maximal function one scale at a time
-in the sized layer and on the padded grid, `reference_fourier_multiplier` is a multiplier as
-full-grid fftn/ifftn with the symbol's full-grid Hermitian part, `serial_grand_maximal` is the grand maximal function
-of a dictionary one scale at a time on the padded full grid and
-`window_grand_maximal` that of an order-1 dictionary, each scale on its own
-unpadded window around the support of f, `small_maximal` and
-`grand_maximal` are the one-row calls of the library's tables, `hp_norm` is
-the h^p quasi-norm of one small maximal function, and
+the window layer replaced) with a fancy-index window, `window_convolution`
+is the real window layer's convolution on its window, `window_maximal` is
+the maximal function of both tables one scale at a time in that layer (the
+small one, and the grand one of an order-1 dictionary), and
+`padded_small_maximal` the small one on the padded grid,
+`reference_fourier_multiplier` is a multiplier as full-grid fftn/ifftn with
+the symbol's full-grid Hermitian part, `serial_grand_maximal` is the grand
+maximal function of a dictionary one scale at a time on the padded full
+grid, `small_maximal` and `grand_maximal` are the one-row calls of the
+library's tables, `hp_norm` is the h^p quasi-norm of one small maximal function, and
 `reference_cancellation_test` runs the cancellation test one row at a time,
 with one adjoint per operator, a field per application and full-grid
 windows and masks. The explicit moment-probe bumps phi^{x,alpha} of the
@@ -267,20 +267,7 @@ def support_box(f: GridFunction):
     return [(int(i.min()), int(i.max()) + 1) for i in hits]
 
 
-def smooth_side(need: int) -> int:
-    """The least n >= need with no prime factor but 2 and 3, by search."""
-    n = need
-    while True:
-        rest = n
-        for prime in (2, 3):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return n
-        n += 1
-
-
-def sized_side_by_search(need: int) -> int:
+def side_by_search(need: int) -> int:
     """The least n >= need of the form 2^i, 3 2^i or 9 2^i, by search."""
     n = need
     while True:
@@ -292,107 +279,81 @@ def sized_side_by_search(need: int) -> int:
         n += 1
 
 
-def sized_convolve(plane: np.ndarray, box, g: GridFunction) -> np.ndarray:
-    """The sized real layer's f * g for the real samples plane of f, whose
-    nonzero samples lie in box: with b the longest side of the box, the side
-    n is sized_side_by_search(b + m - 1); plane's box sits at the start of a
-    zero window of side n and g's samples at indices 0 ... m - 1 of another
-    (g's offset k from the origin at index k + m/2). h^dim times
-    np.fft.irfftn of the product of their np.fft.rfftn is f * g shifted by
-    m/2 - lo per axis, lo the box's start; the grid sample i takes window
-    index i - lo + m/2 when that lies in [0, b_axis + m - 1), the linear
-    convolution's reach, and is 0 otherwise."""
+def kernel_reach(mollifier: MollifierSpec, t: float, spec: GridSpec) -> tuple[int, int]:
+    """The offsets below and above the origin that phi_t reaches on the grid:
+    K = ceil(t/h) each way for a compactly supported mollifier, otherwise
+    all m offsets, -m/2 ... m/2 - 1."""
+    m = spec.points_per_axis
+    if mollifier.compact_support:
+        K = math.ceil(t / spec.spacing)
+        return K, K
+    return m // 2, m // 2 - 1
+
+
+def window_convolution(plane: np.ndarray, box, g: GridFunction, before: int, after: int) -> np.ndarray:
+    """The real window layer's f * g for the real samples plane of f, whose
+    nonzero samples lie in box, and a kernel g whose samples are 0 beyond
+    `before` offsets below and `after` above the origin: with b the longest
+    side of the box, the side n is side_by_search(b + before + after).
+    plane's box sits at the start of a zero window of side n and g's sample
+    at offset k from the origin at index k + before of another (every sample
+    placed off [0, n) must be 0). h^dim times np.fft.irfftn of the product
+    of their np.fft.rfftn is f * g shifted by before - lo per axis, lo the
+    box's start; the grid sample i takes window index i - lo + before when
+    that lies in [0, b_axis + before + after), the linear convolution's
+    reach, and is 0 otherwise."""
     spec = g.spec
     m, dim = spec.points_per_axis, spec.dim
-    n = sized_side_by_search(max(hi - lo for lo, hi in box) + m - 1)
+    n = side_by_search(max(hi - lo for lo, hi in box) + before + after)
+    at = np.arange(m) - m // 2 + before
+    keep = (at >= 0) & (at < n)
+    placed = np.zeros(spec.shape, dtype=bool)
+    placed[np.ix_(*[keep] * dim)] = True
+    assert not g.samples[~placed].any()
     Wf, Wg = np.zeros((n,) * dim), np.zeros((n,) * dim)
     Wf[tuple(slice(0, hi - lo) for lo, hi in box)] = plane[tuple(slice(lo, hi) for lo, hi in box)]
-    Wg[(slice(0, m),) * dim] = g.samples
+    Wg[np.ix_(*[at[keep]] * dim)] = g.samples[np.ix_(*[keep] * dim)]
     conv = np.fft.irfftn(np.fft.rfftn(Wf) * np.fft.rfftn(Wg), s=(n,) * dim, axes=tuple(range(dim)))
     conv = conv * spec.cell_volume
-    at = [np.arange(m) - lo + m // 2 for lo, _ in box]
-    keep = [(q >= 0) & (q < hi - lo + m - 1) for q, (lo, hi) in zip(at, box)]
+    at = [np.arange(m) - lo + before for lo, _ in box]
+    keep = [(q >= 0) & (q < hi - lo + before + after) for q, (lo, hi) in zip(at, box)]
     out = np.zeros(spec.shape)
     out[np.ix_(*keep)] = conv[np.ix_(*[q[k] for q, k in zip(at, keep)])]
     return out
 
 
-def sized_small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> np.ndarray:
-    """The small maximal function in the sized real layer, one scale at a
-    time in ladder order: |sized_convolve| of f, or for a complex f np.hypot
-    of those of Re f and Im f, both on the box of f's nonzero samples."""
-    out = np.zeros(f.spec.shape)
-    box = support_box(f)
-    if box is None:
-        return out
-    planes = [f.samples] if f.is_real else [f.samples.real, f.samples.imag]
-    for t in scales.scales:
-        kernel = dilate(mollifier, t, f.spec)
-        parts = [sized_convolve(plane, box, kernel) for plane in planes]
-        np.maximum(out, np.abs(parts[0]) if f.is_real else np.hypot(*parts), out=out)
-    return out
-
-
-def padded_small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid,
-                         real: bool = False) -> np.ndarray:
-    """The small maximal function on the grid padded to twice the side, one
-    scale at a time in ladder order: the complex padded layer (fftn/ifftn),
-    or with real the 2m real layer (rfftn/irfftn) that the sized one
-    replaced."""
-    out = np.zeros(f.spec.shape)
-    Ff = reference_padded_spectrum(f, real)
-    for t in scales.scales:
-        Fk = reference_padded_spectrum(dilate(mollifier, t, f.spec), real)
-        np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, f.spec)), out=out)
-    return out
-
-
-def window_grand_maximal(f: GridFunction, dictionary, probes=()) -> np.ndarray:
-    """The grand maximal function of an order-1 dictionary, one scale at a
-    time in ladder order, each on its own unpadded window: with
-    K = ceil(t/h) and b the longest side of f's support box, the side n is
-    smooth_side(b + 2K + 1). f's box samples (Re f and Im f apart for a
-    complex f) sit at the start of a zero window of side n, and phi_t's
-    samples at offset k from the origin at index k + K of another (every
-    sample placed off [0, n) is 0). h^dim times np.fft.irfftn of the
-    product of their np.fft.rfftn is f * phi_t shifted by K, and
-    amplitude * |.| (np.hypot of the two parts for a complex f) is pasted
-    with max on the grid's part of f's box widened by K; every other
-    sample is 0. The (alpha, sites, idx, T) moment probes are folded in
+def window_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid, amplitude: float = 1.0,
+                   probes=()) -> np.ndarray:
+    """The maximal function of both tables in the real window layer, one
+    scale at a time in ladder order: amplitude * |window_convolution| of f
+    with phi_t on the offsets kernel_reach(mollifier, t) (for a complex f
+    np.hypot of those of Re f and Im f, both on the box of f's nonzero
+    samples), with the (alpha, sites, idx, T) moment probes folded in
     halfway up the ladder."""
-    spec = f.spec
-    m, h, dim = spec.points_per_axis, spec.spacing, spec.dim
-    out = np.zeros(spec.shape)
+    out = np.zeros(f.spec.shape)
     box = support_box(f)
-    scales = dictionary.scales.scales
-    for count, t in enumerate(scales):
-        if count == len(scales) // 2:
+    planes = [f.samples] if f.is_real else [f.samples.real, f.samples.imag]
+    for count, t in enumerate(scales.scales):
+        if count == len(scales.scales) // 2:
             for alpha, sites, idx, T in probes:
                 out = with_probes(out, f, alpha, sites, idx, T)
         if box is None:
             continue
-        K = math.ceil(t / h)
-        n = smooth_side(max(hi - lo for lo, hi in box) + 2 * K + 1)
-        kernel = dilate(dictionary.mollifier, t, spec).samples
-        at = np.arange(m) - m // 2 + K
-        keep = (at >= 0) & (at < n)
-        placed = np.zeros(spec.shape, dtype=bool)
-        placed[np.ix_(*[keep] * dim)] = True
-        assert not kernel[~placed].any()
-        Wk = np.zeros((n,) * dim)
-        Wk[np.ix_(*[at[keep]] * dim)] = kernel[np.ix_(*[keep] * dim)]
-        Fk = np.fft.rfftn(Wk)
-        parts = []
-        for plane in ([f.samples] if f.is_real else [f.samples.real, f.samples.imag]):
-            Wf = np.zeros((n,) * dim)
-            Wf[tuple(slice(0, hi - lo) for lo, hi in box)] = plane[tuple(slice(lo, hi) for lo, hi in box)]
-            conv = np.fft.irfftn(np.fft.rfftn(Wf) * Fk, s=(n,) * dim, axes=tuple(range(dim)))
-            parts.append(conv * spec.cell_volume)
-        vals = dictionary.amplitude * (np.abs(parts[0]) if f.is_real else np.hypot(*parts))
-        cut = [(max(lo - K, 0), min(hi + K, m)) for lo, hi in box]
-        target = out[tuple(slice(u, v) for u, v in cut)]
-        np.maximum(target, vals[tuple(slice(u - lo + K, v - lo + K) for (u, v), (lo, _) in zip(cut, box))],
-                   out=target)
+        kernel = dilate(mollifier, t, f.spec)
+        parts = [window_convolution(plane, box, kernel, *kernel_reach(mollifier, t, f.spec)) for plane in planes]
+        np.maximum(out, amplitude * (np.abs(parts[0]) if f.is_real else np.hypot(*parts)), out=out)
+    return out
+
+
+def padded_small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> np.ndarray:
+    """The small maximal function on the grid padded to twice the side, one
+    scale at a time in ladder order: the complex padded layer
+    (fftn/ifftn)."""
+    out = np.zeros(f.spec.shape)
+    Ff = reference_padded_spectrum(f)
+    for t in scales.scales:
+        Fk = reference_padded_spectrum(dilate(mollifier, t, f.spec))
+        np.maximum(out, np.abs(reference_convolve_spectra(Ff, Fk, f.spec)), out=out)
     return out
 
 

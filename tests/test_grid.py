@@ -27,7 +27,6 @@ from hardylab.grid import (
     sample_function,
     sized_side,
     spectral_scratch,
-    window_side,
     window_spectrum,
 )
 from hardylab.maximal import MollifierSpec, quintic_step
@@ -38,10 +37,9 @@ from oracles import (
     reference_convolve_spectra,
     reference_fourier_multiplier,
     reference_padded_spectrum,
-    sized_convolve,
-    sized_side_by_search,
-    smooth_side,
+    side_by_search,
     support_box,
+    window_convolution,
 )
 
 
@@ -377,10 +375,6 @@ def test_dilate_box_matches_dilate_bitwise(dim):
         dilate_box(mol, h, spec, 1)
 
 
-def test_window_side_is_the_least_3_smooth_size():
-    assert [window_side(n) for n in range(1, 5000)] == [smooth_side(n) for n in range(1, 5000)]
-
-
 def test_two_dimensional_convolution_identity():
     spec = GridSpec(2, 4.0, 64)
     rng = np.random.default_rng(6)
@@ -429,9 +423,10 @@ def test_convolve_spectra_matches_roll_reference_bitwise(dim, m, is_complex):
 
 
 def real_layer_reference(f: GridFunction, g: GridFunction) -> np.ndarray:
-    # the sized real layer of convolve, written independently
-    box = support_box(f)
-    return np.zeros(f.spec.shape) if box is None else sized_convolve(f.samples, box, g)
+    # the real window layer of convolve, written independently: a kernel of
+    # the grid's m offsets
+    box, half = support_box(f), f.spec.points_per_axis // 2
+    return np.zeros(f.spec.shape) if box is None else window_convolution(f.samples, box, g, half, half - 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -502,7 +497,7 @@ def test_padded_convolution_matches_fftn_bitwise(dim, data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_real_padded_convolution_matches_rfftn_bitwise(dim, data):
-    # the sized real layer of convolve against full-size rfftn/irfftn of its
+    # the real window layer of convolve against full-size rfftn/irfftn of its
     # window, on the raw bits: f with no, one, gapped or all nonzero rows;
     # exactly 0 beyond the kernel's reach of f's box; against the 2m real
     # layer it replaced within 64 eps of the larger of its max and one term
@@ -527,15 +522,18 @@ def test_real_padded_convolution_matches_rfftn_bitwise(dim, data):
 
 
 def test_sized_side_is_the_least_factor_size():
-    # c 2^i for c in 1, 3, 9, and at least b + m - 1: 288 for E1's 2D
-    # fields (b <= 31 at m = 256), 9216 for its 1D ones, 2m for a function
-    # that fills the grid
-    for m in (8, 64, 256, 8192):
-        for b in {1, 2, 3, 7, 31, m // 2 - 1, m // 2, m // 2 + 1, m - 1, m}:
-            assert sized_side(GridSpec(1, 1.0, m), [(0, b)]) == sized_side_by_search(b + m - 1)
-    assert sized_side(GridSpec(2, 1.0, 256), [(112, 143), (120, 130)]) == 288
-    assert sized_side(GridSpec(1, 1.0, 8192), [(3584, 4607)]) == 9216
-    assert sized_side(GridSpec(2, 1.0, 64), [(0, 64), (3, 4)]) == 128
+    # c 2^i for c in 1, 3, 9, and at least b + span - 1: against the grid's m
+    # offsets 288 for E1's 2D fields (b <= 31 at m = 256), 9216 for its 1D
+    # ones, 2m for a function that fills the grid; against a compact kernel
+    # of span 2K + 1 as small as its box needs, odd sides included
+    for span in (1, 5, 8, 64, 255, 256, 1025, 8192):
+        for b in {1, 2, 3, 7, 31, span // 2 - 1, span // 2, span // 2 + 1, span - 1, span} - {0, -1}:
+            assert sized_side([(0, b)], span) == side_by_search(b + span - 1)
+    assert [side_by_search(n) for n in (1, 5, 7, 9, 10, 13, 17, 19, 25)] == [1, 6, 8, 9, 12, 16, 18, 24, 32]
+    assert sized_side([(112, 143), (120, 130)], 256) == 288
+    assert sized_side([(3584, 4607)], 8192) == 9216
+    assert sized_side([(0, 64), (3, 4)], 64) == 128
+    assert sized_side([(40, 41)], 2 * 4 + 1) == 9
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -46,15 +46,12 @@ from oracles import (
     hp_norm,
     padded_small_maximal,
     phi_x_alpha,
-    reference_convolve_spectra,
-    reference_padded_spectrum,
+    kernel_reach,
     serial_grand_maximal,
-    sized_small_maximal,
     small_maximal,
-    smooth_side,
     support_box,
     verify_admissible,
-    window_grand_maximal,
+    window_maximal,
     with_probes,
 )
 
@@ -277,7 +274,7 @@ def test_verify_admissible_detects_violation(grid, scales):
 def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
     # on the padded full grid (order 2, the same amplitude) the grand
     # maximal function is the scaled small one of the padded oracle exactly,
-    # and the library's sized one within 64 eps of the max; order 1 takes
+    # and the library's window one within 64 eps of the max; order 1 takes
     # the window path, which its oracle pins
     mol = MollifierSpec("smooth-bump", 1)
     dct = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales)
@@ -288,7 +285,7 @@ def test_grand_maximal_matches_scaled_small_maximal(grid, scales):
     gm = grand_maximal(f, dataclasses.replace(dct, order=2))
     assert np.max(np.abs(gm.samples - amp * padded_small_maximal(f, mol, scales))) == 0.0
     assert np.max(np.abs(gm.samples - amp * sm.samples)) <= 64 * np.finfo(float).eps * np.max(gm.samples)
-    assert np.array_equal(grand_maximal(f, dct).samples, window_grand_maximal(f, dct))
+    assert np.array_equal(grand_maximal(f, dct).samples, window_maximal(f, mol, scales, amp))
     zero = GridFunction(grid, np.zeros(grid.shape))
     assert np.all(grand_maximal(zero, dct).samples == 0.0)
 
@@ -425,7 +422,7 @@ def test_support_path_matches_full_grid(dim, data):
     dct = dataclasses.replace(dct, scales=ScaleGrid(tuple(fine[:data.draw(st.integers(16, 40))])))
     got = grand_maximal(f, dct).samples
     full = serial_grand_maximal(f, dct)
-    assert np.array_equal(got, window_grand_maximal(f, dct))
+    assert np.array_equal(got, serial_cell(f, dct))
     near = near_support(f, dct)
     tol = 64 * np.finfo(float).eps * np.max(full)
     assert np.max(np.abs(got - full)[near]) <= tol
@@ -447,7 +444,7 @@ def test_full_grid_path_keeps_its_bits(dim, data):
     assert np.array_equal(grand_maximal(f, higher).samples, serial_grand_maximal(f, higher))
     filled = GridFunction(spec, f.samples + np.random.default_rng(dim).normal(size=spec.shape))
     assert fills_grid(filled)
-    assert np.array_equal(grand_maximal(filled, dct).samples, window_grand_maximal(filled, dct))
+    assert np.array_equal(grand_maximal(filled, dct).samples, serial_cell(filled, dct))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -459,7 +456,7 @@ def test_zero_function_takes_no_transform_on_support_path(monkeypatch, dim):
     order1, higher = (build_test_dictionary(spec, HardyIndex(p, dim), 1.0) for p in (1.0, 0.5))
     built = count_kernel_builds(monkeypatch)
     spectra = []
-    for name in ("padded_spectrum", "window_convolve"):
+    for name in ("padded_spectrum", "window_spectrum"):
         def counting(f, *args, transform=getattr(maximal, name), **kwargs):
             spectra.append(f)
             return transform(f, *args, **kwargs)
@@ -528,16 +525,17 @@ def test_small_maximal_matches_serial_loop_bitwise(dim, is_complex):
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if is_complex else x)
     mol = MollifierSpec("gaussian", dim)
     sc = ScaleGrid.default(spec, 1.0)
-    assert np.array_equal(small_maximal(f, mol, sc).samples, sized_small_maximal(f, mol, sc))
+    assert np.array_equal(small_maximal(f, mol, sc).samples, window_maximal(f, mol, sc))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_small_maximal_matches_reference_fold_bitwise(dim, data):
-    # each |f * phi_t| scaled by h^dim before its modulus, as the sized
+    # each |f * phi_t| scaled by h^dim before its modulus, as the window
     # oracle's full-window irfftn does; h^dim = (3/m)^dim is not a power of
-    # two, so the order shows
+    # two, so the order shows. The smooth bump is cut at K = ceil(t/h), on
+    # the side its span 2K + 1 needs
     m = data.draw(st.sampled_from([8, 16, 64, 256] if dim == 1 else [8, 16, 64]))
     spec = GridSpec(dim, 1.5, m)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -545,66 +543,66 @@ def test_small_maximal_matches_reference_fold_bitwise(dim, data):
     f = GridFunction(spec, x + 1j * rng.normal(size=spec.shape) if data.draw(st.booleans()) else x)
     mol = MollifierSpec(data.draw(st.sampled_from(["gaussian", "smooth-bump"])), dim)
     sc = ScaleGrid.default(spec, 1.0)
-    ref = sized_small_maximal(f, mol, sc)
+    ref = window_maximal(f, mol, sc)
     assert np.array_equal(small_maximal(f, mol, sc).samples.view(np.uint64), ref.view(np.uint64))
 
 
 @st.composite
 def boxed_fields(draw, dim):
-    # a real or complex field whose nonzero samples fill a random box of a
-    # small grid: off-centre, touching an edge or filling an axis
+    # one to three real or complex fields on one small grid, each with its
+    # nonzero samples filling a random box: off-centre, touching an edge or
+    # filling an axis
     m = draw(st.sampled_from([16, 64, 256] if dim == 1 else [16, 32, 64]))
     spec = GridSpec(dim, 2.0, m)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.normal(size=spec.shape)
-    if draw(st.booleans()):
-        x = x + 1j * rng.normal(size=spec.shape)
-    box = []
-    for _ in range(dim):
-        width = draw(st.integers(1, m))
-        lo = draw(st.sampled_from([0, m - width, draw(st.integers(0, m - width))]))
-        box.append(slice(lo, lo + width))
-    samples = np.zeros_like(x)
-    samples[tuple(box)] = x[tuple(box)]
-    return GridFunction(spec, samples)
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = rng.normal(size=spec.shape)
+        if draw(st.booleans()):
+            x = x + 1j * rng.normal(size=spec.shape)
+        box = []
+        for _ in range(dim):
+            width = draw(st.integers(1, m))
+            lo = draw(st.sampled_from([0, m - width, draw(st.integers(0, m - width))]))
+            box.append(slice(lo, lo + width))
+        samples = np.zeros_like(x)
+        samples[tuple(box)] = x[tuple(box)]
+        fs.append(GridFunction(spec, samples))
+    return fs
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
-def test_sized_fold_matches_padded_fold(dim, data):
-    # the sized real layer against the 2m real layer it replaced (for a
-    # complex f, Re f and Im f through it, combined by hypot): within 64 eps
-    # of the max, a tolerance fixed from float64 eps beforehand, and exactly
-    # 0 where the grid's kernel, m offsets, cannot reach from f's box
-    f = data.draw(boxed_fields(dim))
-    spec, m = f.spec, f.spec.points_per_axis
+def test_window_fold_matches_padded_oracle(dim, data):
+    # the real window fold of one to three boxed fields, real or complex
+    # (Re f and Im f combined by hypot), with either mollifier: within 64
+    # eps of the max of the complex padded oracle, a tolerance fixed from
+    # float64 eps beforehand; exactly 0 beyond the kernel's reach from f's
+    # box (the m offsets of the Gaussian, ceil(t_max/h) of the bump); and
+    # each row bit for bit its one-row call and the window oracle
+    fs = data.draw(boxed_fields(dim))
+    spec = fs[0].spec
     mol = MollifierSpec(data.draw(st.sampled_from(["gaussian", "smooth-bump"])), dim)
     sc = ScaleGrid.default(spec, 1.0)
-    got = small_maximal(f, mol, sc).samples
-    if f.is_real:
-        old = padded_small_maximal(f, mol, sc, real=True)
-    else:
-        parts = [GridFunction(spec, p) for p in (f.samples.real, f.samples.imag)]
-        old = np.maximum.reduce([np.zeros(spec.shape)] + [
-            np.hypot(*(padded_real_convolution(p, mol, t) for p in parts)) for t in sc.scales])
-    assert np.max(np.abs(got - old)) <= 64 * np.finfo(float).eps * np.max(old)
-    reach = np.zeros(spec.shape, dtype=bool)
-    reach[tuple(slice(max(lo - m // 2, 0), hi + m // 2 - 1) for lo, hi in support_box(f))] = True
-    assert not got[~reach].any()
-
-
-def padded_real_convolution(f, mol, t):
-    # f * phi_t in the 2m real layer
-    return reference_convolve_spectra(reference_padded_spectrum(f, real=True),
-                                      reference_padded_spectrum(dilate(mol, t, f.spec), real=True), f.spec)
+    before, after = kernel_reach(mol, sc.scales[-1], spec)
+    for f, got in zip(fs, small_maximal_table(fs, mol, sc)):
+        got = got.samples
+        assert np.array_equal(got, small_maximal(f, mol, sc).samples)
+        assert np.array_equal(got, window_maximal(f, mol, sc))
+        box = support_box(f)
+        old = padded_small_maximal(GridFunction(spec, f.samples.astype(complex)), mol, sc)
+        assert np.max(np.abs(got - old)) <= 64 * np.finfo(float).eps * np.max(old)
+        reach = np.zeros(spec.shape, dtype=bool)
+        reach[tuple(slice(max(lo - before, 0), hi + after) for lo, hi in box)] = True
+        assert not got[~reach].any()
 
 
 def test_mixed_box_call_matches_one_row_calls_bitwise():
     # 1D fields of box sides 1023 and 7 share a window side and a sub-stack
     # but are cut to different parts of the grid; a one-sample field at the
     # edge takes a smaller side in the same call. Each row equals its
-    # one-row call and the sized oracle
+    # one-row call and the window oracle
     spec = GridSpec(1, 4.0, 8192)
     rng = np.random.default_rng(71)
     fs = []
@@ -613,18 +611,18 @@ def test_mixed_box_call_matches_one_row_calls_bitwise():
         x[lo:lo + width] = rng.normal(size=width)
         x[lo] = x[lo + width - 1] = 1.0
         fs.append(GridFunction(spec, x))
-    assert [sized_side(spec, support_box(f)) for f in fs] == [9216, 9216, 8192]
+    assert [sized_side(support_box(f), 8192) for f in fs] == [9216, 9216, 8192]
     mol = MollifierSpec("gaussian", 1)
     sc = ScaleGrid.default(spec, 1.0)
     table = small_maximal_table(fs, mol, sc)
     for f, row in zip(fs, table):
         assert np.array_equal(row.samples, small_maximal(f, mol, sc).samples)
-        assert np.array_equal(row.samples, sized_small_maximal(f, mol, sc))
+        assert np.array_equal(row.samples, window_maximal(f, mol, sc))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_small_maximal_layers_agree(dim):
-    # the sized real layer, on real samples and on the same samples cast to
+    # the real window layer, on real samples and on the same samples cast to
     # complex (Re f and Im f = 0, combined by hypot), against the complex
     # padded oracle on E1's profiles (indicator, bump, random on balls of
     # radius 1/2 and 1/16): pointwise within 64 eps of the oracle's max, a
@@ -645,7 +643,7 @@ def test_small_maximal_layers_agree(dim):
     eps = np.finfo(float).eps
     for f, a, b in zip(fs, real, cplx):
         oracle = GridFunction(spec, padded_small_maximal(GridFunction(spec, f.samples.astype(complex)), mol, sc))
-        assert f.is_real and np.array_equal(a.samples, sized_small_maximal(f, mol, sc))
+        assert f.is_real and np.array_equal(a.samples, window_maximal(f, mol, sc))
         for got in (a, b):
             assert np.max(np.abs(got.samples - oracle.samples)) <= 64 * eps * np.max(oracle.samples)
             for p in (1.0, 2 / 3):
@@ -663,17 +661,44 @@ def e1_fields(spec, radii, seed):
     return fs
 
 
+def window_fold_bound(spec, rows, tops, met, kernel_samples, kernel_temps, chunks):
+    # the real window fold's traced peak from its design, term by term, for
+    # functions of these rows (real planes) whose largest sides are tops, a
+    # call that meets the window sides met, kernels of kernel_samples
+    # samples whose build allocates kernel_temps bytes of temporaries, and
+    # that many chunks:
+    # - the half spectra held per function, one row per real plane at its
+    #   side (a function's old ones go before its new ones are built);
+    # - per chunk one scratch: at each side met the stack that fits in
+    #   FOLD_STACK_BYTES (at least the most rows of one function), per row
+    #   its product and what irfft writes, the window in 1D and a band of
+    #   TILE_ROWS window rows in 2D, the two parts sized to their largest;
+    # - per chunk one kernel build: its samples, then either its
+    #   temporaries or its half spectrum with the band that rfft reads
+    #   (held while it meets the functions of its side)
+    dim = spec.dim
+
+    def half(n):
+        return 16 * n ** (dim - 1) * (n // 2 + 1)
+
+    def band(n):
+        return 8 * n * (1 if dim == 1 else min(TILE_ROWS, n))
+
+    stack = {n: max(max(rows), min(sum(rows), maximal.FOLD_STACK_BYTES // (half(n) + band(n)))) for n in met}
+    spectra = sum(r * half(n) for r, n in zip(rows, tops))
+    scratch = max(stack[n] * half(n) for n in stack) + max(stack[n] * band(n) for n in stack)
+    kernel = 8 * kernel_samples + max(kernel_temps, max(half(n) + band(n) for n in stack))
+    return spectra + chunks * (scratch + kernel)
+
+
 def test_small_maximal_memory_by_design():
     # traced peak of one cold call at 2D m = 256, from the design, on a
     # random field that fills the grid (window side 2m) and on E1's twelve
-    # 2D fields (radii 1/2 to 1/16, side 288): the functions' half spectra
-    # of their sides and their maxima; per chunk one half-spectrum product,
-    # one tile of TILE_ROWS window rows that irfft writes, and one kernel
-    # build: its samples, then either dilate's temporaries (the radii and
-    # one work array: 2 grid-sized floats, with no meshgrid) or its half
-    # spectrum with one tile of TILE_ROWS window rows that rfft reads; and
-    # 64 KiB for Python objects. For E1's fields the 2m real layer's half
-    # spectra alone did not fit
+    # 2D fields (radii 1/2 to 1/16, side 288): window_fold_bound with the
+    # Gaussian's m^2 samples and dilate's temporaries (the radii and one work
+    # array: 2 grid-sized floats, with no meshgrid), one chunk per worker,
+    # plus the functions' maxima and 64 KiB for Python objects. For E1's
+    # fields the 2m real layer's half spectra alone did not fit
     spec = GridSpec(2, 4.0, 256)
     m = spec.points_per_axis
     mol = MollifierSpec("gaussian", 2)
@@ -682,13 +707,11 @@ def test_small_maximal_memory_by_design():
     full = [GridFunction(spec, np.random.default_rng(5).normal(size=spec.shape))]
     fields = e1_fields(spec, (1 / 2, 1 / 4, 1 / 8, 1 / 16), 5)
     for fs, n in ((full, 2 * m), (fields, 288)):
-        assert {sized_side(spec, support_box(f)) for f in fs} == {n}
+        assert {sized_side(support_box(f), spec.points_per_axis) for f in fs} == {n}
         expected = small_maximal_table(fs, mol, sc)  # starts the pool's workers
-        assert all(np.array_equal(a.samples, sized_small_maximal(f, mol, sc)) for f, a in zip(fs, expected))
-        half = 16 * n * (n // 2 + 1)
-        scratch = half + 8 * TILE_ROWS * n
-        kernel = 8 * m * m + max(2 * 8 * m * m, half + 8 * TILE_ROWS * n)
-        bound = len(fs) * (half + 8 * m * m) + chunks * (scratch + kernel) + 2**16
+        assert all(np.array_equal(a.samples, window_maximal(f, mol, sc)) for f, a in zip(fs, expected))
+        fold = window_fold_bound(spec, [1] * len(fs), [n] * len(fs), {n}, m * m, 2 * 8 * m * m, chunks)
+        bound = len(fs) * 8 * m * m + fold + 2**16
         tracemalloc.start()
         try:
             out = small_maximal_table(fs, mol, sc)
@@ -702,13 +725,10 @@ def test_small_maximal_memory_by_design():
 
 def test_small_maximal_table_memory_by_design_1d():
     # traced peak of one cold call on 24 real fields that fill the grid at
-    # 1D m = 8192 (window side 2m), from the design: the functions' stacked
-    # half spectra and the maxima; per chunk the stacked scratch of one
-    # sub-stack (per row the product of the half spectra and the window that
-    # irfft writes) and one kernel build: its samples, then either dilate's
-    # temporaries (2 dim + 1 grid-sized floats) or its window and half
-    # spectrum; and 64 KiB for Python objects. An unbounded stack does not
-    # fit
+    # 1D m = 8192 (window side 2m), from the design: window_fold_bound with
+    # the Gaussian's m samples and dilate's temporaries (2 dim + 1
+    # grid-sized floats), one chunk per worker, plus the maxima and 64 KiB
+    # for Python objects. An unbounded stack does not fit
     spec = GridSpec(1, 4.0, 8192)
     m, dim, n = spec.points_per_axis, spec.dim, 24
     mol = MollifierSpec("gaussian", 1)
@@ -717,11 +737,8 @@ def test_small_maximal_table_memory_by_design_1d():
     fs = [GridFunction(spec, rng.normal(size=spec.shape)) for _ in range(n)]
     expected = small_maximal_table(fs, mol, sc)  # starts the pool's workers
     chunks = min(pool.WORKERS, len(sc.scales))
-    half = 16 * (m + 1)
-    row = half + 8 * 2 * m
-    stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
-    kernel = 8 * m + max((2 * dim + 1) * 8 * m, half + 8 * 2 * m)
-    bound = n * half + n * 8 * m + chunks * (stack * row + kernel) + 2**16
+    fold = window_fold_bound(spec, [1] * n, [2 * m] * n, {2 * m}, m, (2 * dim + 1) * 8 * m, chunks)
+    bound = n * 8 * m + fold + 2**16
 
     def traced_peak():
         tracemalloc.start()
@@ -746,13 +763,12 @@ def test_grand_maximal_support_path_memory_by_design():
     # L = 16, atoms on balls of radius 1 and 1/2, T = 1, 2, 4), from the
     # design: the full-size maxima of every function and ladder, then either
     # one cell's finiteness mask at the end, each cell its ladder's maxima
-    # scaled in place, or the window convolutions of the largest side n the call meets: one
-    # kernel (its samples on its box of side 2 ceil(T/h) + 1, then either
-    # dilate_box's temporaries, at most 8 arrays on that box, or its window
-    # and half spectrum), one sub-stack of windows and half spectra within
-    # FOLD_STACK_BYTES, and |.| of one function on its widened box; and 64
-    # KiB for Python objects. The full-grid fold of the same functions, a
-    # (2m)^2 spectrum each, does not fit
+    # scaled in place, or the serial window fold (one chunk): each function's
+    # half spectra at its side for T = 4, every side the call meets, and one
+    # kernel sampled on its box of side 2 ceil(T/h) + 1 with dilate_box's
+    # temporaries, at most 8 arrays on that box; and 64 KiB for Python
+    # objects. The full-grid fold of the same functions, a (2m)^2 spectrum
+    # each, does not fit
     spec = GridSpec(2, 16.0, 256)
     m, dim = spec.points_per_axis, spec.dim
     fs = [make_atom(AtomSpec(HardyIndex(1.0, dim), np.inf, Ball((0.0, 0.0), r), "local"), seed, spec)
@@ -760,13 +776,12 @@ def test_grand_maximal_support_path_memory_by_design():
     dicts = [build_test_dictionary(spec, HardyIndex(1.0, dim), T) for T in (1.0, 2.0, 4.0)]
     n, sets = len(fs), len(dicts)
     reach = math.ceil(4.0 / spec.spacing)
-    side = max(smooth_side(max(hi - lo for lo, hi in support_box(f)) + 2 * reach + 1) for f in fs)
-    assert side < m
-    half = 16 * side * (side // 2 + 1)
-    row = 8 * side**2 + half
-    stack = max(1, min(n, maximal.FOLD_STACK_BYTES // row))
-    kernel = 8 * (2 * reach + 1) ** 2 + max(8 * 8 * (2 * reach + 1) ** 2, row)
-    fold = kernel + stack * row + 8 * side**2
+    boxes = [support_box(f) for f in fs]
+    sides = {sized_side(box, 2 * math.ceil(t / spec.spacing) + 1) for d in dicts for t in d.scales.scales
+             for box in boxes}
+    top = [sized_side(box, 2 * reach + 1) for box in boxes]
+    assert max(top) == max(sides) < m
+    fold = window_fold_bound(spec, [1] * n, top, sides, (2 * reach + 1) ** 2, 8 * 8 * (2 * reach + 1) ** 2, 1)
     maxima = n * sets * 8 * m * m
     bound = maxima + max(m * m, fold) + 2**16
 
@@ -799,7 +814,7 @@ def test_fold_transforms_a_sub_stack_per_call(monkeypatch):
     fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if i >= 5 else 1)) for i in range(9)]
     expected = [small_maximal(f, mol, sc).samples for f in fs]
     n = 2 * spec.points_per_axis
-    assert {sized_side(spec, support_box(f)) for f in fs} == {n}
+    assert {sized_side(support_box(f), spec.points_per_axis) for f in fs} == {n}
     monkeypatch.setattr(maximal, "FOLD_STACK_BYTES", 2 * (16 * (n // 2 + 1) + 8 * n))
     calls = []
 
@@ -821,17 +836,17 @@ def test_grand_maximal_matches_serial_loop_bitwise(grid):
     x = grid.axis()
     f = GridFunction(grid, (np.abs(x) < 0.25) * np.exp(1j * x))
     without = grand_maximal(f, dct).samples
-    assert np.array_equal(without, window_grand_maximal(f, dct))
+    assert np.array_equal(without, serial_cell(f, dct))
     probes = ((0,), ((0.2,), (-0.3,), (0.45,)), IDX1, 2.0)
     out = with_probes(without, f, *probes)
     assert np.any(out != without)
-    assert np.array_equal(out, window_grand_maximal(f, dct, [probes]))
+    assert np.array_equal(out, window_maximal(f, dct.mollifier, dct.scales, dct.amplitude, [probes]))
 
 
 def serial_cell(f, dictionary):
     # the serial oracle of the path grand_maximal_table takes for the pair
     if dictionary.order == 1:
-        return window_grand_maximal(f, dictionary)
+        return window_maximal(f, dictionary.mollifier, dictionary.scales, dictionary.amplitude)
     return serial_grand_maximal(f, dictionary)
 
 
@@ -887,7 +902,7 @@ def test_grand_maximal_table_matches_pairs_bitwise(dim, is_complex):
         assert len(small) == len(fs)
         for f, cell in zip(fs, small):
             assert np.array_equal(cell.samples, small_maximal(f, mol, sc).samples)
-            assert np.array_equal(cell.samples, sized_small_maximal(f, mol, sc))
+            assert np.array_equal(cell.samples, window_maximal(f, mol, sc))
 
 
 def count_kernel_builds(monkeypatch):
@@ -927,29 +942,29 @@ def expected_small_builds(mol, sc, groups):
     # window spectrum per scale and window side of its nonzero functions
     built = Counter()
     for group in groups:
-        sides = {sized_side(f.spec, box) for f in group if (box := support_box(f)) is not None}
-        for t in sc.scales if sides else ():
+        boxes = [box for box in map(support_box, group) if box is not None]
+        for t in sc.scales if boxes else ():
+            span = sum(kernel_reach(mol, t, group[0].spec)) + 1
             built[mol, t] += 1
-            built.update((mol, t, n) for n in sides)
+            built.update((mol, t, n) for n in {sized_side(box, span) for box in boxes})
     return built
 
 
 def expected_builds(fs, dicts, per_function=False):
-    # the count_kernel_builds of one grand_maximal_table call: on the full
-    # grid one kernel per scale (with per_function, where every function is
-    # a group of its own, one per function); on the support path one kernel
-    # per scale that a nonzero function meets, and one window per scale and
-    # window side that a nonzero function takes
+    # the count_kernel_builds of one grand_maximal_table call, where with
+    # per_function every function is a group of its own: on the full grid one
+    # kernel per scale and group; on the window path one kernel per scale
+    # and group with a nonzero function, and one window per scale and window
+    # side that a nonzero function of the group takes
     built = Counter()
     for mol, t in {(d.mollifier, t) for d in dicts if d.order > 1 for t in d.scales.scales}:
         built[mol, t] += len(fs) if per_function else 1
     boxes = [box for box in map(support_box, fs) if box is not None]
     for mol, t in {(d.mollifier, t) for d in dicts if d.order == 1 for t in d.scales.scales}:
         reach = math.ceil(t / fs[0].spec.spacing)
-        sides = {smooth_side(max(hi - lo for lo, hi in box) + 2 * reach + 1) for box in boxes}
-        if sides:
+        for group in [[box] for box in boxes] if per_function else [boxes] if boxes else []:
             built[mol, t] += 1
-            built.update((mol, t, n) for n in sides)
+            built.update((mol, t, n) for n in {sized_side(box, 2 * reach + 1) for box in group})
     return built
 
 
@@ -974,14 +989,14 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
     # real, complex and mixed real/complex calls against the one-row calls
     # and the serial oracles: with sub-stacks of one function (a 1-byte stack
     # bound), of the whole group (2**40 bytes), and with a budget below one
-    # padded spectrum, where every function is a group of its own on the
-    # full grid and each kernel there is built once per function
+    # function's spectra, where every function is a group of its own on
+    # either path and each kernel is built once per function
     built = count_kernel_builds(monkeypatch)
     for kind in ("real", "complex", "mixed"):
         fs, dicts, ladders = table_case(dim, kind)
         fs.append(fs[0] * 0.5 + fs[1])
         grand = [[serial_cell(f, d) for d in dicts] for f in fs]
-        small = [[sized_small_maximal(f, mol, sc) for f in fs] for mol, sc in ladders]
+        small = [[window_maximal(f, mol, sc) for f in fs] for mol, sc in ladders]
         for f, want in zip(fs, grand):
             assert all(np.array_equal(w, grand_maximal(f, d).samples) for w, d in zip(want, dicts))
         for (mol, sc), want in zip(ladders, small):
@@ -998,7 +1013,7 @@ def test_grand_maximal_table_in_groups_bitwise(monkeypatch, dim):
                 for want, row in zip(grand, table):
                     assert all(np.array_equal(w, cell.samples) for w, cell in zip(want, row))
                 for (mol, sc), want in zip(ladders, small):
-                    # one fold in the sized layer, also for a mixed call
+                    # one fold in the window layer, also for a mixed call
                     built.clear()
                     got = small_maximal_table(fs, mol, sc)
                     groups = [[f] for f in fs] if spectra_bytes == 1 else [fs]
@@ -1014,18 +1029,19 @@ def test_fold_groups_are_sized_from_the_spectra_built(monkeypatch, is_complex):
     # one. A function's spectra are the half spectra of its window side, one
     # per real plane (two for a complex f), not 16 (2m)^dim bytes. The
     # scratch is stacked for every row, the sub-stack that fits in
-    # FOLD_STACK_BYTES, with one tile of rows for irfft per plane
+    # FOLD_STACK_BYTES: per row its product and a band of TILE_ROWS window
+    # rows for irfft
     spec = GridSpec(2, 1.0, 16)
     mol = MollifierSpec("gaussian", 2)
     sc = ScaleGrid.default(spec, 1.0)
     rng = np.random.default_rng(50)
     fs = [GridFunction(spec, rng.normal(size=spec.shape) * (1j if is_complex else 1)) for _ in range(4)]
     n, planes = 32, 2 if is_complex else 1
-    assert {sized_side(spec, support_box(f)) for f in fs} == {n}
+    assert {sized_side(support_box(f), spec.points_per_axis) for f in fs} == {n}
     half = 16 * n * (n // 2 + 1)
     spectrum = planes * half
-    assert len(fs) * spectrum <= maximal.FOLD_STACK_BYTES
-    per_chunk = half + len(fs) * spectrum + planes * min(TILE_ROWS, n) * n * 8
+    assert len(fs) * (spectrum + planes * min(TILE_ROWS, n) * n * 8) <= maximal.FOLD_STACK_BYTES
+    per_chunk = half + len(fs) * (spectrum + planes * min(TILE_ROWS, n) * n * 8)
     chunks = min(pool.WORKERS, len(sc.scales))
     whole = small_maximal_table(fs, mol, sc)
     built = count_kernel_builds(monkeypatch)
@@ -1127,3 +1143,42 @@ def test_small_maximal_runs_in_forked_child():
         os.waitpid(pid, 0)
         pytest.fail("small_maximal hung in a forked child")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that records the name of every task submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks.append(fn.__name__)
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fold_pools_only_kernels_that_span_the_grid(monkeypatch, dim):
+    # a run of scales goes to pool.POOL only when its kernels span the grid's
+    # m offsets: an order-1 grand_maximal_table call (the bump within
+    # K = ceil(t/h) < m/2 of the origin) submits nothing, a Gaussian
+    # small_maximal_table call maps one chunk per worker over it; both bit
+    # for bit their serial window oracles
+    spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
+    fs, dicts, ladders = table_case(dim, "mixed")
+    order1 = [d for d in dicts if d.order == 1]
+    mol, sc = ladders[0]
+    assert sum(kernel_reach(order1[-1].mollifier, order1[-1].scales.scales[-1], spec)) + 1 < spec.points_per_axis
+    recorder = RecordingPool(2)
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    monkeypatch.setattr(pool, "POOL", recorder)
+    try:
+        grand = grand_maximal_table(fs, order1)
+        assert recorder.tasks == []
+        small = small_maximal_table(fs, mol, sc)
+        assert recorder.tasks == ["_window_chunk"] * 2
+    finally:
+        recorder.shutdown()
+    for f, row, cell in zip(fs, grand, small):
+        assert all(np.array_equal(c.samples, serial_cell(f, d)) for c, d in zip(row, order1))
+        assert np.array_equal(cell.samples, window_maximal(f, mol, sc))

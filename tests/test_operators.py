@@ -27,8 +27,8 @@ from oracles import (
     materialize,
     reference_cancellation_test,
     reference_tstar_monomial,
-    sized_convolve,
     support_box,
+    window_convolution,
 )
 
 IDX1 = HardyIndex(1.0, 1)
@@ -424,7 +424,7 @@ def test_catalog_non_pathological_size_checks(grid):
 
 
 def test_kernel_op_transforms_its_kernel_once(monkeypatch):
-    # real f and a real kernel take the sized real layer: the kernel's
+    # real f and a real kernel take the real window layer: the kernel's
     # spectrum is taken once per window side (three fields that fill the
     # grid share 2m, a small box takes less), each f's once per application
     import hardylab.grid as grid_mod
@@ -436,9 +436,9 @@ def test_kernel_op_transforms_its_kernel_once(monkeypatch):
     small = np.zeros(spec.shape)
     small[40:45, 3:9] = rng.normal(size=(5, 6))
     fs.append(GridFunction(spec, small))
-    expected = [sized_convolve(f.samples, support_box(f), T.kernel) for f in fs]
+    expected = [window_convolution(f.samples, support_box(f), T.kernel, 32, 31) for f in fs]
     assert all(np.array_equal(convolve(f, T.kernel).samples, e) for f, e in zip(fs, expected))
-    sides = [sized_side(spec, support_box(f)) for f in fs]
+    sides = [sized_side(support_box(f), 64) for f in fs]
     assert sides == [128, 128, 128, 72]
     transforms = []
     window_spectrum = grid_mod.window_spectrum
