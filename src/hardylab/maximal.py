@@ -369,7 +369,7 @@ def _window_fold(fs: list, work: dict, maxima: list) -> None:
     compact kernel too: a group's spectra stay across its runs of scales,
     where a fold that re-transformed every window at every scale would hold
     one sub-stack of them at a time (the order-1 E2 calls' traced peak: 1D
-    1.22 to 1.32 MB, 2D 14.07 to 14.92 MB, at 12 and 6 atoms). Each chunk
+    1.22 to 1.32 MB, 2D 14.07 to 14.93 MB, at 12 and 6 atoms). Each chunk
     has one scratch, allocated in the calling thread and reused for every
     sub-stack: whole functions of one side, as many rows as fit in
     FOLD_STACK_BYTES at that side (per row its product and what irfft

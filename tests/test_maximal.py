@@ -1182,3 +1182,29 @@ def test_fold_pools_only_kernels_that_span_the_grid(monkeypatch, dim):
     for f, row, cell in zip(fs, grand, small):
         assert all(np.array_equal(c.samples, serial_cell(f, d)) for c, d in zip(row, order1))
         assert np.array_equal(cell.samples, window_maximal(f, mol, sc))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gaussian_fold_takes_sides_and_cuts_once_per_call(monkeypatch, dim):
+    # every Gaussian kernel spans the grid's m offsets, so the fold's work
+    # outside the transforms is per call, not per scale: each function's
+    # side is taken once, and each chunk takes each function's cut once
+    fs, _, ladders = table_case(dim, "mixed")
+    mol, sc = ladders[0]
+    seen = []
+    for name in ("sized_side", "window_cut"):
+        def counted(*args, real=getattr(maximal, name), name=name):
+            seen.append(name)
+            return real(*args)
+        monkeypatch.setattr(maximal, name, counted)
+    recorder = RecordingPool(2)
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    monkeypatch.setattr(pool, "POOL", recorder)
+    try:
+        small = small_maximal_table(fs, mol, sc)
+    finally:
+        recorder.shutdown()
+    assert len(sc.scales) > 2 and recorder.tasks == ["_window_chunk"] * 2
+    assert Counter(seen) == {"sized_side": len(fs), "window_cut": 2 * len(fs)}
+    for f, cell in zip(fs, small):
+        assert np.array_equal(cell.samples, window_maximal(f, mol, sc))
