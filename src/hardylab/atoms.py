@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec, lp_norm, lp_quasinorm, random_smooth_field, sq_distance
+from .grid import Ball, GridFunction, GridSpec, axes_sq_distance, lp_norm, lp_quasinorm, random_smooth_field
 from .maximal import quintic_step
 from .moments import (
     HardyIndex,
@@ -197,7 +197,8 @@ class PreMoleculeReport:
 
 
 def _weighted_tail_norm(M: GridFunction, ball: Ball, s: float, lam: float) -> float:
-    d2 = sq_distance(M.spec.points(), ball.center)
+    # axes_sq_distance: sq_distance's bits with no meshgrid of the points
+    d2 = axes_sq_distance([M.spec.axis()] * M.spec.dim, ball.center)
     outside = ~ball.mask(M.spec)
     vals = np.abs(M.samples[outside]) ** s * d2[outside] ** (lam / 2.0)
     return float((vals.sum() * M.spec.cell_volume) ** (1.0 / s))

@@ -81,9 +81,18 @@ class ConfigFile:
             line = self.sections[section][key][1]
             raise ConfigError(f"{self.path}:{line}: bad number for {key!r}: {raw!r}") from None
 
-    def get_int(self, section: str, key: str, default=None, required: bool = False):
-        val = self.get_number(section, key, default=default, required=required)
-        return None if val is None else int(val)
+    def get_int(self, section: str, key: str, default=None, required: bool = False,
+                minimum: int | None = None):
+        """The value as an int; a value that is not a finite integer, or one
+        below minimum, raises ConfigError with its line."""
+        val = self.get_number(section, key, required=required)
+        if val is None:
+            return default
+        if not (math.isfinite(val) and val.is_integer()) or (minimum is not None and val < minimum):
+            value, line = self.sections[section][key]
+            floor = "" if minimum is None else f" >= {minimum}"
+            raise ConfigError(f"{self.path}:{line}: {key!r} must be an integer{floor}, got {value!r}")
+        return int(val)
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
         raw = self.get(section, key)

@@ -196,7 +196,7 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
         raise ConfigError(f"{cfg.source.path}: T ladder exceeds L/2 (wrap-around guard)")
     r_large = cfg.source.get_number("scenario", "r_large", default=1.0)
     r_small = cfg.source.get_number("scenario", "r_small", default=0.25)
-    n_seeds = cfg.source.get_int("scenario", "n_seeds", default=6)
+    n_seeds = cfg.source.get_int("scenario", "n_seeds", default=6, minimum=1)
     mol = MollifierSpec("smooth-bump", grid.dim)
     p_values = _p_values(cfg, "1, 1/2")
     # per p, the atoms of its (p, r) blocks against its T dictionaries, in one
@@ -246,7 +246,7 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     s = cfg.source.get_number("scenario", "s", default=2.0)
     lam = cfg.source.get_number("scenario", "lambda", default=2.0)
     C = cfg.source.get_number("scenario", "C", default=1.0)
-    n_seeds = cfg.source.get_int("scenario", "n_seeds", default=3)
+    n_seeds = cfg.source.get_int("scenario", "n_seeds", default=3, minimum=1)
     idx = HardyIndex(p, grid.dim)
     ladder = cfg.ladder(default="2^-2,2^-3,2^-4,2^-5")
     mol = MollifierSpec("gaussian", grid.dim)
@@ -313,8 +313,8 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
     mode gives the Monte-Carlo lower bound. The instances run on the worker
     pool, each with its own generators, so the rows equal a serial loop's."""
     grid = cfg.grid
-    n_instances = cfg.source.get_int("scenario", "n_instances", default=10)
-    trials = cfg.source.get_int("scenario", "trials", default=500)
+    n_instances = cfg.source.get_int("scenario", "n_instances", default=10, minimum=1)
+    trials = cfg.source.get_int("scenario", "trials", default=500, minimum=0)
     degree = cfg.source.get_int("scenario", "degree", default=1)
     mode = cfg.source.get("scenario", "mode", default="both")
     if mode not in ("both", "deterministic", "random"):

@@ -12,14 +12,13 @@ the scratch, output and window arrays handed to the spectral functions
 (padded_spectrum, abs_convolve_spectra, window_spectrum, window_product and
 window_inverse), and are safe to share across threads.
 
-Convolutions run in two spectral layers. The real window layer
-(sized_side, window_spectrum, window_product, window_inverse, window_cut)
-puts a real function's nonzero box at the start of a window just long
-enough to hold its linear convolution with a kernel of a given span, and
-cuts the result to the kernel's reach. The complex padded layer
-(padded_spectrum, convolve_spectra, abs_convolve_spectra) pads to twice the
-side; it serves complex operands of convolve and the full-grid fold of the
-grand maximal function.
+Convolutions run in one spectral layer, the real window layer (sized_side,
+window_spectrum, window_product, window_inverse, window_cut): it puts a real
+function's nonzero box at the start of a window just long enough to hold
+its linear convolution with a kernel of a given span, and cuts the result
+to the kernel's reach. The padded transforms (padded_spectrum,
+spectral_scratch, abs_convolve_spectra) pad to twice the side and serve one
+caller, the full-grid fold of the p < 1 grand maximal function.
 """
 
 from __future__ import annotations
@@ -261,9 +260,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def abs(self) -> "GridFunction":
-        return GridFunction(self.spec, np.abs(self.samples))
-
     def conj(self) -> "GridFunction":
         return GridFunction(self.spec, np.conj(self.samples))
 
@@ -318,11 +314,10 @@ def spectrum_shape(spec: GridSpec) -> tuple[int, ...]:
 
 
 def padded_spectrum(f: GridFunction, out: np.ndarray | None = None) -> np.ndarray:
-    """FFT of f zero-padded to twice the side, the operand of convolve_spectra
-    and abs_convolve_spectra: the complex padded layer. With out, a
-    contiguous complex array of spectrum_shape(spec) such as one row of a
-    stack of spectra, the spectrum is written there; no other spectrum-sized
-    array is built.
+    """FFT of f zero-padded to twice the side, the operand of
+    abs_convolve_spectra. With out, a contiguous complex array of
+    spectrum_shape(spec) such as one row of a stack of spectra, the spectrum
+    is written there; no other spectrum-sized array is built.
 
     In 2D no padded copy is built: each run of rows of f that hold a nonzero
     sample is written at its embedding rows of the spectrum and transformed
@@ -348,28 +343,35 @@ def padded_spectrum(f: GridFunction, out: np.ndarray | None = None) -> np.ndarra
     return np.fft.fft(F, axis=0, out=F)
 
 
-def spectral_scratch(spec: GridSpec, stack: int | None = None) -> tuple[np.ndarray, ...]:
-    """Scratch for abs_convolve_spectra, reusable from call to call: in 1D
-    the padded product; in 2D the (2m x m) half that the axis-0 inverse runs
-    on and one tile of rows. With stack, every array has a leading axis of
-    that length: the scratch of a stack of that many spectra."""
+def spectral_scratch(spec: GridSpec, stack: int) -> tuple[np.ndarray, ...]:
+    """Scratch for abs_convolve_spectra on a stack of up to `stack` spectra,
+    reusable from call to call: in 1D the padded products; in 2D the
+    (2m x m) halves that the axis-0 inverse runs on and one tile of rows of
+    each, every array with a leading axis of length stack."""
     m = spec.points_per_axis
-    lead = () if stack is None else (stack,)
     if spec.dim == 1:
-        return (np.empty(lead + (2 * m,), dtype=np.complex128),)
-    return (np.empty(lead + (2 * m, m), dtype=np.complex128),
-            np.empty(lead + (min(TILE_ROWS, 2 * m), 2 * m), dtype=np.complex128))
+        return (np.empty((stack, 2 * m), dtype=np.complex128),)
+    return (np.empty((stack, 2 * m, m), dtype=np.complex128),
+            np.empty((stack, min(TILE_ROWS, 2 * m), 2 * m), dtype=np.complex128))
 
 
-def _along_axis0(rows: slice, dim: int) -> tuple:
-    # the index of rows along the first grid axis, after any stack axis
-    return (Ellipsis, rows) + (slice(None),) * (dim - 1)
+def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
+                         scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """|f * g| (h^dim scaling) from padded spectra, for a stack Ff of them
+    along a leading axis against one Fg, written into out (stacked alike)
+    with no array allocated: scratch is a spectral_scratch of that stack.
 
-
-def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
-                        scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    # the first and the second half along axis 0 of the samples of f * g,
-    # two views of scratch; Ff may be a stack of spectra along a leading axis
+    Circular convolution of arrays anchored at -2L returns the true
+    convolution shifted by half the padded period, so the window is the
+    indices (i - m) mod 2m: the last m/2 of the 2m, then the first m/2. The
+    inverse FFT runs along the last axis first, as ifftn does. In 2D it runs
+    on TILE_ROWS rows of the product at a time, only the m window columns of
+    each tile are kept, and the axis-0 pass covers those columns alone, so
+    no (2m)^2 array is built. Each row of out equals np.abs of ifftn of its
+    Ff * Fg, windowed and scaled, bit for bit: every transform runs row by
+    row with the plan of a one-row call, and the products, scaling and
+    modulus act on each element alone.
+    """
     m = spec.points_per_axis
     first, second = slice(3 * m // 2, 2 * m), slice(0, m // 2)
     if spec.dim == 1:
@@ -381,45 +383,15 @@ def _convolution_window(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
         n = tile.shape[-2]
         for r in range(0, 2 * m, n):
             rows = slice(r, r + n)
-            np.multiply(Ff[..., rows, :], Fg[rows], out=tile)
+            np.multiply(Ff[:, rows], Fg[rows], out=tile)
             np.fft.ifft(tile, axis=-1, out=tile)
-            buf[..., rows, :m // 2] = tile[..., first]
-            buf[..., rows, m // 2:] = tile[..., second]
+            buf[:, rows, :m // 2] = tile[..., first]
+            buf[:, rows, m // 2:] = tile[..., second]
         np.fft.ifft(buf, axis=-2, out=buf)
-    parts = buf[_along_axis0(first, spec.dim)], buf[_along_axis0(second, spec.dim)]
-    for part in parts:
+    # the grid's first axis is the second of every stacked array
+    for part, at in ((buf[:, first], slice(None, m // 2)), (buf[:, second], slice(m // 2, None))):
         part *= spec.cell_volume
-    return parts
-
-
-def convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Samples of f * g (h^dim scaling) from two padded spectra.
-
-    Circular convolution of arrays anchored at -2L returns the true
-    convolution shifted by half the padded period, so the window is the
-    indices (i - m) mod 2m: the last m/2 of the 2m, then the first m/2. The
-    inverse FFT runs along the last axis first, as ifftn does. In 2D it runs
-    on TILE_ROWS rows of the product at a time, only the m window columns of
-    each tile are kept, and the axis-0 pass covers those columns alone, so
-    no (2m)^2 array is built. The result equals ifftn of Ff * Fg, windowed
-    and scaled, bit for bit.
-    """
-    return np.concatenate(_convolution_window(Ff, Fg, spec, spectral_scratch(spec)))
-
-
-def abs_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec,
-                         scratch: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    """np.abs(convolve_spectra(Ff, Fg, spec)) written into out, bit for bit,
-    with no array allocated: scratch is a spectral_scratch. Ff may be a stack
-    of spectra along a leading axis, with out and scratch stacked alike: each
-    row of out then equals its one-row call bit for bit, because every
-    transform runs row by row with the plan of a one-row call and the
-    products, scaling and modulus act on each element alone.
-    """
-    half = spec.points_per_axis // 2
-    first, second = _convolution_window(Ff, Fg, spec, scratch)
-    np.abs(first, out=out[_along_axis0(slice(None, half), spec.dim)])
-    np.abs(second, out=out[_along_axis0(slice(half, None), spec.dim)])
+        np.abs(part, out=out[:, at])
     return out
 
 
@@ -512,30 +484,33 @@ def window_inverse(prod: np.ndarray, n: int, dim: int, rows: slice, out: np.ndar
 
 
 def convolve(f: GridFunction, g: GridFunction, spectra: dict | None = None) -> GridFunction:
-    """Convolution f * g with h^dim scaling, g sampled at the offsets
-    -m/2 ... m/2 - 1 from the origin (its sample at index k at offset
-    k - m/2).
+    """Convolution f * g with h^dim scaling, g real and sampled at the
+    offsets -m/2 ... m/2 - 1 from the origin (its sample at index k at
+    offset k - m/2).
 
-    Real f and g take the real window layer: f's nonzero box at the start of
-    a zero window of side sized_side(box, m), g's samples at indices
-    0 ... m - 1 of another, window_product and window_inverse of their
-    rfftn, scaled and cut to the grid (window_cut). That is the linear
-    convolution up to round-off, exactly 0 more than m/2 samples from f's
-    box. Otherwise the complex padded layer: FFT on a grid padded to twice
-    the side, with no periodic wrap-around as long as supp f + supp g fits
-    inside [-2L, 2L)^dim.
+    One path, the real window layer: f's nonzero box at the start of a zero
+    window of side sized_side(box, m), g's samples at indices 0 ... m - 1 of
+    another, window_product and window_inverse of their rfftn, scaled and
+    cut to the grid (window_cut). That is the linear convolution up to
+    round-off, exactly 0 more than m/2 samples from f's box. A complex f
+    runs as the real convolutions of Re f and Im f, which share g's
+    spectra, as the real and imaginary parts of the result. A complex g
+    raises ValueError: no operator of the lab has one.
 
     A caller that convolves with the same g many times passes spectra, a
-    dict in which g's spectra are kept (by window side, and None in the
-    padded layer), so that each is taken once.
+    dict in which g's spectra are kept by window side, so that each is
+    taken once.
     """
     f._check_compatible(g)
+    if not g.is_real:
+        raise ValueError("convolve takes a real kernel")
     spec = f.spec
     spectra = {} if spectra is None else spectra
-    if not (f.is_real and g.is_real):
-        if None not in spectra:
-            spectra[None] = padded_spectrum(g)
-        return GridFunction(spec, convolve_spectra(padded_spectrum(f), spectra[None], spec))
+    if not f.is_real:
+        out = np.empty(spec.shape, np.complex128)
+        out.real = convolve(GridFunction(spec, f.samples.real), g, spectra).samples
+        out.imag = convolve(GridFunction(spec, f.samples.imag), g, spectra).samples
+        return GridFunction(spec, out)
     out = np.zeros(spec.shape)
     box = nonzero_box(f.samples)
     if box is not None:

@@ -21,12 +21,12 @@ rows, then the scale and |.| in place, with the stacked scratch of a chunk
 under FOLD_STACK_BYTES. In 1D that puts several functions in one call; a
 2D function at the sizes the configs run fills the bound alone.
 
-There is one real fold, the window fold (_window_fold, on the real window
-layer of grid.py), and it serves small_maximal_table and every order-1
-test dictionary (N_p = 0, so every p = 1 dictionary) of
-grand_maximal_table. phi_t reaches K = ceil(t/h) samples from the origin
-for a compactly supported mollifier, and the grid's m offsets otherwise.
-Each pair of a function f and a scale takes one unpadded circular real
+The fold runs on the one convolution layer of grid.py, the real window
+layer (_window_fold), for small_maximal_table and every order-1 test
+dictionary (N_p = 0, so every p = 1 dictionary) of grand_maximal_table;
+the p < 1 dictionaries are the one exception (below). phi_t reaches
+K = ceil(t/h) samples from the origin for a compactly supported mollifier,
+and the grid's m offsets otherwise. Each pair of a function f and a scale takes one unpadded circular real
 transform on a window of the least side c 2^i (c = 1, 3, 9) that holds the
 linear convolution of f's nonzero box with that kernel: b + 2K for a box of
 longest side b, or b + m - 1 (288 for E1's 2D fields at m = 256, 2m for a
@@ -46,9 +46,10 @@ atoms at m = 256, T = 1 ... 8) 0.044-0.065 s serially against
 0.077-0.081 s on the pool, where its small transforms pay more for the
 hand-off than they gain.
 
-The p < 1 dictionaries run on the padded full grid in the complex layer
-(_padded_fold, always on the pool): the recorded p < 1 norms contain its
-far-field round-off, which another transform would move.
+The p < 1 dictionaries alone fold on the padded full grid (_padded_fold,
+always on the pool), with grid.py's padded transforms, which serve no other
+caller: the recorded p < 1 norms contain their far-field round-off, which
+the window fold would move.
 """
 
 from __future__ import annotations
@@ -221,10 +222,10 @@ def _padded_chunk(items: list, group: list, spectra: np.ndarray, stack: int, max
 
 def _padded_fold(fs: list, work: dict, maxima: list) -> None:
     """Fold h^dim |fs[i] * phi_t| into maxima[i][s] for every distinct
-    (mollifier, t) of work and scale set s that holds it, in the complex
-    padded layer: a (2m)^dim spectrum per function, the functions in groups
-    whose spectra, plus one kernel spectrum and the scratch of every chunk,
-    stay within FOLD_SPECTRA_BYTES, each group's spectra stacked and met by
+    (mollifier, t) of work and scale set s that holds it, on the padded
+    full grid: a (2m)^dim complex spectrum per function, the functions in
+    groups whose spectra, plus one kernel spectrum and the scratch of every
+    chunk, stay within FOLD_SPECTRA_BYTES, each group's spectra stacked and met by
     each kernel FOLD_STACK_BYTES of sub-stack at a time. Every kernel spans
     the grid's m offsets, so one interleaved chunk of the scales per worker
     runs on pool.POOL (NumPy's FFT releases the GIL) and folds into the
@@ -521,9 +522,9 @@ def grand_maximal_table(fs: list[GridFunction],
     holds every scale of another can only increase values); each cell equals
     its one-row call grand_maximal_table([fs[i]], [d])[0][0] bit for bit.
 
-    One pass over the distinct (mollifier, scale) pairs of the full-grid
-    dictionaries, in the complex padded layer (_padded_fold), and one over
-    those of the order-1 ones in the real window layer (_window_fold): each
+    One pass over the distinct (mollifier, scale) pairs of the p < 1
+    dictionaries on the padded full grid (_padded_fold), and one over those
+    of the order-1 ones in the real window layer (_window_fold): each
     kernel is built once per pass, convolved with every function and
     dropped. h^dim |f * phi_t| is folded into a running max per distinct
     (mollifier, ladder, path), and each dictionary's amplitude is applied

@@ -142,11 +142,13 @@ def _boundary_l1_fraction(f: GridFunction) -> float:
 
 
 def moment(f: GridFunction, x0, alpha) -> float | complex:
-    """The moment <f, (.-x0)^alpha>; f must be supported inside the domain."""
+    """The moment <f, (.-x0)^alpha>; f must be supported inside the domain.
+    The monomial comes from monomial_field, with no meshgrid of the grid's
+    points: the bits of monomial at spec.points()."""
     alpha = as_multiindex(alpha, f.spec.dim)
     if _boundary_l1_fraction(f) > 1e-12:
         raise NumericalError("moment undefined: support escapes domain")
-    vals = f.samples * monomial(f.spec.points(), x0, alpha)
+    vals = f.samples * monomial_field(f.spec, x0, alpha).samples
     out = vals.sum() * f.spec.cell_volume
     return float(out) if f.is_real else complex(out)
 

@@ -103,9 +103,10 @@ class MultiplierOp(OperatorSpec):
 class KernelOp(OperatorSpec):
     """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x).
 
-    convolve keeps the kernel's spectra here, one per window side of the
-    real window layer and one for the complex padded layer, each taken on the
-    first application that needs it, so later applications only transform f.
+    The kernel is real (convolve raises ValueError otherwise), and so is its
+    adjoint. convolve keeps its spectra here, one per window side of the real
+    window layer, each taken on the first application that needs it, so later
+    applications only transform f; a complex f's two real planes share them.
     """
 
     kernel: GridFunction
@@ -266,9 +267,6 @@ class CancellationReport:
     operator: str
     idx: HardyIndex
     rows: list[CancellationRow]
-
-    def ratios(self, alpha=None) -> list[float]:
-        return [r.ratio for r in self.rows if alpha is None or r.alpha == tuple(alpha)]
 
 
 def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,

@@ -6,8 +6,9 @@ composes them), `verify_admissible` certifies a test function's support and
 derivative bounds by dense sampling and finite differences,
 `container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
-convolution as full-size fftn/ifftn (rfftn/irfftn in the 2m real layer that
-the window layer replaced) with a fancy-index window, `window_convolution`
+convolution as full-size fftn/ifftn with a fancy-index window, the
+reference of the padded transforms that only the p < 1 grand maximal fold
+runs (rfftn/irfftn in the 2m real layer that the window layer replaced), `window_convolution`
 is the real window layer's convolution on its window, `window_maximal` is
 the maximal function of both tables one scale at a time in that layer (the
 small one, and the grand one of an order-1 dictionary), and
@@ -347,8 +348,7 @@ def window_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid,
 
 def padded_small_maximal(f: GridFunction, mollifier: MollifierSpec, scales: ScaleGrid) -> np.ndarray:
     """The small maximal function on the grid padded to twice the side, one
-    scale at a time in ladder order: the complex padded layer
-    (fftn/ifftn)."""
+    scale at a time in ladder order, by full-size fftn/ifftn."""
     out = np.zeros(f.spec.shape)
     Ff = reference_padded_spectrum(f)
     for t in scales.scales:

@@ -12,10 +12,11 @@ from hardylab.atoms import (
     validate_atom,
     validate_premolecule,
 )
+from hardylab.atoms import _weighted_tail_norm
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, sample_function, sq_distance
 from hardylab.maximal import MollifierSpec, ScaleGrid
-from hardylab.moments import HardyIndex, moment
+from hardylab.moments import HardyIndex, moment, monomial
 from oracles import hp_norm
 
 IDX1 = HardyIndex(1.0, 1)
@@ -35,6 +36,28 @@ def test_atoms_validate_across_seeds(grid, idx, s):
         a = make_atom(spec_a, seed, grid)
         rep = validate_atom(a, spec_a, tol=1e-8)
         assert rep.passed, rep.to_text()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_moment_and_tail_norm_take_no_meshgrid_bitwise(dim):
+    # moment and the weighted tail norm build their monomial and distances
+    # per axis; each equals its expression on the meshgrid of spec.points()
+    # bit for bit, for real and complex f
+    spec = GridSpec(dim, 4.0, 2048 if dim == 1 else 64)
+    rng = np.random.default_rng(40 + dim)
+    ball = Ball((0.3, -0.7)[:dim], 1.1)
+    inner = Ball((0.0,) * dim, 3.0).mask(spec)
+    pts = spec.points()
+    for f in (GridFunction(spec, rng.normal(size=spec.shape) * inner),
+              GridFunction(spec, (rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)) * inner)):
+        for alpha in [(0,) * dim, (1,) * dim, (3, 0)[:dim], (0, 2)[-dim:]]:
+            old = (f.samples * monomial(pts, ball.center, alpha)).sum() * spec.cell_volume
+            assert np.array_equal(moment(f, ball.center, alpha), old)
+        d2, outside = sq_distance(pts, ball.center), ~ball.mask(spec)
+        for s_, lam in ((2.0, 3.0), (1.0, 1.5)):
+            vals = np.abs(f.samples[outside]) ** s_ * d2[outside] ** (lam / 2.0)
+            old = float((vals.sum() * spec.cell_volume) ** (1.0 / s_))
+            assert np.array_equal(_weighted_tail_norm(f, ball, s_, lam), old)
 
 
 def test_atom_size_bound_is_equality(grid):

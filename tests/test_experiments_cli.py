@@ -386,6 +386,35 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("config,key,value", [
+    ("e5_duality", "n_instances", "inf"),
+    ("e5_duality", "n_instances", "2.5"),
+    ("e5_duality", "n_instances", "-3"),
+    ("e5_duality", "n_instances", "0"),
+    ("e5_duality", "trials", "-1"),
+    ("e5_duality", "trials", "nan"),
+    ("e2_grand_maximal", "n_seeds", "0"),
+    ("e3_atom_image_gaussian", "n_seeds", "1/2"),
+])
+def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
+    # an integer key that is not a finite integer, or is below its floor
+    # (n_instances and n_seeds 1, trials 0), is a config error that cites
+    # its line: exit 2 and no output, never a truncated count or a traceback
+    lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} = {value}"
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: {key!r} must be an integer" in err and value in err
+    assert not list(tmp_path.glob("o/*.csv"))
+    ok = load_config(write(tmp_path, "ok.cfg", f"[scenario]\n{key} = 2^3\n"))
+    assert type(ok.get_int("scenario", key, minimum=1)) is int and ok.get_int("scenario", key) == 8
+
+
 def test_cli_env_out_dir(tmp_path, monkeypatch):
     cfg = write(tmp_path, "e4.cfg", E4_CFG)
     monkeypatch.setenv("HARDYLAB_OUT_DIR", str(tmp_path / "envout"))

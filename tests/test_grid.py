@@ -13,7 +13,6 @@ from hardylab.grid import (
     abs_convolve_spectra,
     ball_smooth_fields,
     convolve,
-    convolve_spectra,
     dilate,
     dilate_box,
     fourier_multiplier,
@@ -31,7 +30,7 @@ from hardylab.grid import (
 )
 from hardylab.maximal import MollifierSpec, quintic_step
 from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
-from hardylab.operators import get_operator, smooth_window
+from hardylab.operators import KernelOp, get_operator, smooth_window
 from oracles import (
     container_bytes,
     reference_convolve_spectra,
@@ -413,13 +412,15 @@ def test_convolve_spectra_matches_roll_reference_bitwise(dim, m, is_complex):
     Ff, Fg = padded_spectrum(f), padded_spectrum(g)
     Ff0, Fg0 = Ff.copy(), Fg.copy()
     ref = roll_window_reference(Ff, Fg, spec, real=False)
-    assert np.array_equal(convolve_spectra(Ff, Fg, spec), ref)
-    scratch, out = spectral_scratch(spec), np.empty(spec.shape)
+    scratch, out = spectral_scratch(spec, 1), np.empty((1,) + spec.shape)
     for _ in range(2):  # the scratch is reusable
-        assert np.array_equal(abs_convolve_spectra(Ff, Fg, spec, scratch, out), np.abs(ref))
+        assert np.array_equal(abs_convolve_spectra(Ff[None], Fg, spec, scratch, out)[0], np.abs(ref))
     assert np.array_equal(Ff, Ff0) and np.array_equal(Fg, Fg0)
-    want = ref if is_complex else real_layer_reference(f, g)
-    assert np.array_equal(convolve(f, g).samples, want)
+    if is_complex:  # convolve takes real kernels only
+        with pytest.raises(ValueError):
+            convolve(f, g)
+    else:
+        assert np.array_equal(convolve(f, g).samples, real_layer_reference(f, g))
 
 
 def real_layer_reference(f: GridFunction, g: GridFunction) -> np.ndarray:
@@ -431,17 +432,58 @@ def real_layer_reference(f: GridFunction, g: GridFunction) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_convolve_layers_agree(dim):
-    # real f and g take the real layer; the complex layer on the same samples
-    # agrees pointwise within 64 eps of the complex result's max, a tolerance
-    # fixed from float64 eps beforehand
+    # real f and g take the real window layer, and the same samples cast to
+    # complex give its result in the real part and exact zeros in the
+    # imaginary one; both agree with the complex padded convolution (full
+    # fftn/ifftn) pointwise within 64 eps of its max, a tolerance fixed from
+    # float64 eps beforehand
     spec = GridSpec(dim, 4.0, 1024 if dim == 1 else 64)
     rng = np.random.default_rng(60 + dim)
     f = GridFunction(spec, rng.normal(size=spec.shape))
     g = GridFunction(spec, rng.normal(size=spec.shape))
     real = convolve(f, g).samples
-    cplx = convolve(GridFunction(spec, f.samples.astype(complex)), g).samples
+    fc = GridFunction(spec, f.samples.astype(complex))
+    cplx = convolve(fc, g).samples
     assert real.dtype == np.float64 and cplx.dtype == np.complex128
-    assert np.max(np.abs(real - cplx)) <= 64 * np.finfo(float).eps * np.max(np.abs(cplx))
+    assert np.array_equal(bits(cplx.real), bits(real)) and not cplx.imag.any()
+    padded = reference_convolve_spectra(reference_padded_spectrum(fc), reference_padded_spectrum(g), spec)
+    assert np.max(np.abs(cplx - padded)) <= 64 * np.finfo(float).eps * np.max(np.abs(padded))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convolve_never_reaches_padded_layer(monkeypatch, dim):
+    # with the padded transforms replaced by raisers: a complex f, through
+    # convolve and KernelOp.apply, gives the real convolutions of Re f and
+    # Im f bit for bit (here the two planes have different boxes, so
+    # different window sides, and share the kernel's spectra); a complex
+    # kernel raises ValueError, and a real kernel's adjoint is real
+    import hardylab.grid as grid_mod
+
+    def raiser(*args, **kwargs):
+        raise AssertionError("convolve reached the padded layer")
+
+    for name in ("padded_spectrum", "abs_convolve_spectra"):
+        monkeypatch.setattr(grid_mod, name, raiser)
+    spec = GridSpec(dim, 2.0, 64)
+    rng = np.random.default_rng(70 + dim)
+    g = GridFunction(spec, rng.normal(size=spec.shape))
+    re = np.zeros(spec.shape)
+    re[(slice(20, 26),) * dim] = rng.normal(size=(6,) * dim)
+    f = GridFunction(spec, re + 1j * rng.normal(size=spec.shape))
+    T = KernelOp(g)
+    for got in (convolve(f, g), T.apply(f), T.apply(f)):
+        assert got.samples.dtype == np.complex128
+        assert np.array_equal(bits(got.samples.real), bits(convolve(GridFunction(spec, re), g).samples))
+        assert np.array_equal(bits(got.samples.imag), bits(convolve(GridFunction(spec, f.samples.imag), g).samples))
+    assert sorted(T._spectra) == sorted({sized_side(support_box(GridFunction(spec, x)), 64)
+                                         for x in (f.samples.real, f.samples.imag)})
+    assert T.adjoint().kernel.is_real
+    gc = GridFunction(spec, g.samples + 1j * rng.normal(size=spec.shape))
+    for h in (GridFunction(spec, re), f):
+        with pytest.raises(ValueError):
+            convolve(h, gc)
+        with pytest.raises(ValueError):
+            KernelOp(gc).apply(h)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -484,13 +526,19 @@ def test_padded_convolution_matches_fftn_bitwise(dim, data):
     assert np.array_equal(bits(Ff), bits(reference_padded_spectrum(f)))
     assert np.array_equal(bits(Fg), bits(reference_padded_spectrum(g)))
     ref = reference_convolve_spectra(Ff, Fg, spec)
-    assert np.array_equal(bits(convolve_spectra(Ff, Fg, spec)), bits(ref))
-    scratch, out = spectral_scratch(spec), np.empty(spec.shape)
+    scratch, out = spectral_scratch(spec, 1), np.empty((1,) + spec.shape)
     for _ in range(2):  # the scratch is reusable
-        abs_convolve_spectra(Ff, Fg, spec, scratch, out)
-        assert np.array_equal(bits(out), bits(np.abs(ref)))
+        abs_convolve_spectra(Ff[None], Fg, spec, scratch, out)
+        assert np.array_equal(bits(out[0]), bits(np.abs(ref)))
+    if not g.is_real:  # convolve takes real kernels only
+        with pytest.raises(ValueError):
+            convolve(f, g)
+        return
     out = convolve(f, g).samples
-    assert np.array_equal(bits(out), bits(real_layer_reference(f, g) if f.is_real and g.is_real else ref))
+    planes = [f.samples] if f.is_real else [f.samples.real, f.samples.imag]
+    want = [real_layer_reference(GridFunction(spec, x), g) for x in planes]
+    got = [out] if f.is_real else [out.real, out.imag]
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
