@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec, axes_sq_distance, lp_norm, lp_quasinorm, random_smooth_field
+from .grid import Ball, GridFunction, GridSpec, axes_sq_distance, ball_smooth_fields, lp_norm, lp_quasinorm
 from .maximal import quintic_step
 from .moments import (
     HardyIndex,
@@ -105,16 +105,16 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
     ball, idx = spec_.ball, spec_.idx
     if not ball.fits_in(grid):
         raise ValueError("atom ball not contained in the grid domain")
-    npts = ball.box(grid).count
+    slab = ball.box(grid)
     needed = 4 * PolySpace(grid.dim, idx.N_p).dimension
-    if npts < needed:
+    if slab.count < needed:
         raise NumericalError(
-            f"ball too small to resolve an atom: {npts} grid points < {needed}"
+            f"ball too small to resolve an atom: {slab.count} grid points < {needed}"
         )
     w = edge_cutoff(grid, ball)
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        u = GridFunction(grid, random_smooth_field(grid, ball.radius / 3.0, rng))
+        u = GridFunction(grid, slab.scatter(ball_smooth_fields(grid, ball, ball.radius / 3.0, 1, rng)[:, 0]))
         raw = w * u
         if spec_.needs_cancellation:
             raw = w * (u - poly_project(u, ball, idx.N_p, weight=w))

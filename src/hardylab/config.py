@@ -37,19 +37,19 @@ def parse_number_list(text: str) -> list[float]:
 
 
 def parse_alpha_list(text: str) -> list[tuple[int, ...]]:
-    """Multi-indices: '0, 1' (dim 1) or '(1,0); (0,1)' (dim 2)."""
-    out = []
+    """Multi-indices of nonnegative integers: '0, 1' (dim 1) or
+    '(1,0); (0,1)' (dim 2)."""
     s = text.strip()
     if "(" in s:
-        chunks = [c for c in s.replace(")", ")|").split("|") if c.strip()]
-        for c in chunks:
-            c = c.strip().strip(";,").strip()
-            inner = c.strip("()")
-            out.append(tuple(int(v) for v in inner.split(",")))
+        chunks = [c.strip().strip(";,").strip().strip("()") for c in s.replace(")", ")|").split("|") if c.strip()]
     else:
-        for c in s.replace(";", ",").split(","):
-            if c.strip():
-                out.append((int(c),))
+        chunks = [c for c in s.replace(";", ",").split(",") if c.strip()]
+    try:
+        out = [tuple(int(v) for v in c.split(",")) for c in chunks]
+    except ValueError:
+        raise ConfigError(f"multi-index entries must be integers, got {text!r}") from None
+    if any(v < 0 for alpha in out for v in alpha):
+        raise ConfigError(f"multi-index entries must be nonnegative, got {text!r}")
     return out
 
 
@@ -71,6 +71,11 @@ class ConfigFile:
                 ) from None
             return default
 
+    def where(self, section: str, key: str) -> str:
+        """path:line of the key, or the path alone when the key is absent."""
+        entry = self.sections.get(section, {}).get(key)
+        return f"{self.path}:{entry[1]}" if entry else self.path
+
     def get_number(self, section: str, key: str, default=None, required: bool = False):
         raw = self.get(section, key, required=required)
         if raw is None:
@@ -78,8 +83,17 @@ class ConfigFile:
         try:
             return parse_number(raw)
         except ConfigError:
-            line = self.sections[section][key][1]
-            raise ConfigError(f"{self.path}:{line}: bad number for {key!r}: {raw!r}") from None
+            raise ConfigError(f"{self.where(section, key)}: bad number for {key!r}: {raw!r}") from None
+
+    def get_list(self, section: str, key: str, parse, default: str | None = None) -> list:
+        """parse (parse_number_list or parse_alpha_list) of the value, or of
+        default when the key is absent (required when default is None); a
+        value that parse rejects raises ConfigError with its line."""
+        raw = self.get(section, key, default=default, required=default is None)
+        try:
+            return parse(raw)
+        except ConfigError as e:
+            raise ConfigError(f"{self.where(section, key)}: bad list for {key!r}: {raw!r} ({e})") from None
 
     def get_int(self, section: str, key: str, default=None, required: bool = False,
                 minimum: int | None = None):
@@ -89,9 +103,9 @@ class ConfigFile:
         if val is None:
             return default
         if not (math.isfinite(val) and val.is_integer()) or (minimum is not None and val < minimum):
-            value, line = self.sections[section][key]
             floor = "" if minimum is None else f" >= {minimum}"
-            raise ConfigError(f"{self.path}:{line}: {key!r} must be an integer{floor}, got {value!r}")
+            raise ConfigError(f"{self.where(section, key)}: {key!r} must be an integer{floor}, "
+                              f"got {self.get(section, key)!r}")
         return int(val)
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
@@ -102,8 +116,7 @@ class ConfigFile:
             return True
         if raw.lower() in ("0", "no", "false", "off"):
             return False
-        line = self.sections[section][key][1]
-        raise ConfigError(f"{self.path}:{line}: bad boolean for {key!r}: {raw!r}")
+        raise ConfigError(f"{self.where(section, key)}: bad boolean for {key!r}: {raw!r}")
 
 
 def load_config(path) -> ConfigFile:
@@ -164,13 +177,12 @@ class ExperimentConfig:
 
     def ladder(self, default: str | None = None) -> list[float]:
         """The strictly decreasing [scenario] r_ladder, every r < 1."""
-        raw = self.source.get("scenario", "r_ladder", default=default,
-                              required=default is None)
-        vals = parse_number_list(raw)
+        vals = self.source.get_list("scenario", "r_ladder", parse_number_list, default=default)
+        where = self.source.where("scenario", "r_ladder")
         if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(f"{self.source.path}: r_ladder must be strictly decreasing")
+            raise ConfigError(f"{where}: r_ladder must be strictly decreasing")
         if any(v >= 1 for v in vals):
-            raise ConfigError(f"{self.source.path}: r_ladder requires every r < 1")
+            raise ConfigError(f"{where}: r_ladder requires every r < 1")
         if not vals:
-            raise ConfigError(f"{self.source.path}: r_ladder is empty")
+            raise ConfigError(f"{where}: r_ladder is empty")
         return vals

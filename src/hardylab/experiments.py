@@ -27,7 +27,7 @@ from .atoms import (
     validate_premolecule,
 )
 from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
-from .grid import Ball, GridFunction, GridSpec, integrate, lp_quasinorm, random_smooth_field
+from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, integrate, lp_quasinorm
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, small_ball_factor
 from .operators import cancellation_test, get_operator, smooth_window, window_radius
@@ -102,7 +102,7 @@ def _operator_from_cfg(cfg: ExperimentConfig):
 
 
 def _p_values(cfg: ExperimentConfig, default: str) -> list[float]:
-    return parse_number_list(cfg.source.get("scenario", "p_values", default=default))
+    return cfg.source.get_list("scenario", "p_values", parse_number_list, default=default)
 
 
 # the E1 profiles whose field does not depend on p
@@ -116,8 +116,8 @@ def _profile_field(kind: str, grid: GridSpec, ball: Ball, rng, idx: HardyIndex) 
     if kind == "bump":
         return edge_cutoff(grid, ball, width_frac=0.6)
     if kind == "random":
-        w = edge_cutoff(grid, ball)
-        return w * GridFunction(grid, random_smooth_field(grid, ball.radius / 3.0, rng))
+        noise = ball.box(grid).scatter(ball_smooth_fields(grid, ball, ball.radius / 3.0, 1, rng)[:, 0])
+        return edge_cutoff(grid, ball) * GridFunction(grid, noise)
     if kind == "atom":
         return make_atom(AtomSpec(idx, 2.0, ball, "local"),
                          int(rng.integers(0, 2**31)), grid)
@@ -191,7 +191,7 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
     """Grand-maximal norms of atoms across a T-ladder: log-model fit at p = 1,
     power-model fit at p < 1, and the T-variation of small-ball atoms."""
     grid = cfg.grid
-    Ts = parse_number_list(cfg.source.get("scenario", "T_ladder", default="1,2,4,8"))
+    Ts = cfg.source.get_list("scenario", "T_ladder", parse_number_list, default="1,2,4,8")
     if max(Ts) > grid.half_width / 2.0:
         raise ConfigError(f"{cfg.source.path}: T ladder exceeds L/2 (wrap-around guard)")
     r_large = cfg.source.get_number("scenario", "r_large", default=1.0)
@@ -282,7 +282,7 @@ def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
     T_op = _operator_from_cfg(cfg)
     p = cfg.source.get_number("scenario", "p", default=1.0)
     idx = HardyIndex(p, grid.dim)
-    alphas = parse_alpha_list(cfg.source.get("scenario", "alphas", default="0"))
+    alphas = cfg.source.get_list("scenario", "alphas", parse_alpha_list, default="0")
     ladder = cfg.ladder(default="2^-2,2^-3,2^-4,2^-5,2^-6")
     check_dual = cfg.source.get_bool("scenario", "check_duality", default=True)
     balls = [Ball((0.0,) * grid.dim, r) for r in ladder]
@@ -319,15 +319,14 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
     mode = cfg.source.get("scenario", "mode", default="both")
     if mode not in ("both", "deterministic", "random"):
         raise ConfigError(f"{cfg.source.path}: bad mode {mode!r}")
-    r_values = parse_number_list(cfg.source.get("scenario", "r_values", default="0.3, 0.5"))
+    r_values = cfg.source.get_list("scenario", "r_values", parse_number_list, default="0.3, 0.5")
 
     def instance(i: int) -> list[list]:
         r = r_values[i % len(r_values)]
         ball = Ball((0.0,) * grid.dim, r)
         rng = np.random.default_rng([cfg.seed, 51, i])
-        noise = random_smooth_field(grid, ball.radius / 2.0, rng)
-        noise[~ball.mask(grid)] = 0.0
-        f = GridFunction(grid, noise)
+        noise = ball_smooth_fields(grid, ball, ball.radius / 2.0, 1, rng)[:, 0]
+        f = GridFunction(grid, ball.box(grid).scatter(noise))
         rows = []
         if mode in ("both", "deterministic"):
             lhs, rhs = dual_norm_check(f, ball, degree, trials=0, seed=cfg.seed + i,

@@ -60,8 +60,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         m = self.points_per_axis
         if not _is_power_of_two(m) or m < 8:
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {m}")
@@ -275,15 +275,6 @@ def integrate(f: GridFunction):
     val = f.samples.sum() * f.spec.cell_volume
     if f.is_real:
         return float(val)
-    return complex(val)
-
-
-def inner(f: GridFunction, g: GridFunction):
-    """L2 inner product <f, g> = integral of f * conj(g)."""
-    f._check_compatible(g)
-    val = np.vdot(g.samples, f.samples) * f.spec.cell_volume
-    if f.is_real and g.is_real:
-        return float(val.real)
     return complex(val)
 
 
@@ -628,13 +619,6 @@ def fourier_multiplier(f: GridFunction,
     return GridFunction(spec, out)
 
 
-def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:
-    """White noise smoothed by a Gaussian of correlation length ell."""
-    noise = rng.standard_normal(spec.shape)
-    xi2 = np.sum(spec.frequencies() ** 2, axis=0)
-    return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
-
-
 # normal samples in flight in ball_smooth_fields across the pool (1 MiB of
 # float64)
 NOISE_BATCH_SAMPLES = 2**17
@@ -663,10 +647,13 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """count draws of random_smooth_field(spec, ell, rng)[ball.mask(spec)] as
-    the columns of an (npts, count) array, each column contiguous, taking the
-    same normals from rng. They are drawn max(1, NOISE_BATCH_SAMPLES //
-    (WORKERS m^dim)) fields at a time, so that one call per worker of the
+    """count random fields on the ball's samples, as the columns of an
+    (npts, count) array, each column contiguous: white noise on the grid (one
+    standard normal per sample, in row-major order) smoothed by the periodic
+    Gaussian of correlation length ell, cut to the ball. Every random field
+    of the lab (atoms, E1's random profile, E5's instances and dual-norm test
+    functions) lives on a ball and is drawn here, max(1, NOISE_BATCH_SAMPLES
+    // (WORKERS m^dim)) fields at a time, so that one call per worker of the
     pool holds at most NOISE_BATCH_SAMPLES normals in all.
 
     The periodic filter multiplies each frequency by g = exp(-ell^2 xi^2 / 2),
@@ -678,15 +665,6 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
       a = ifft(g). Only the rows of C at the ball's slab indices are formed,
       and each product with them runs in column blocks that OpenBLAS keeps
       on the calling thread. Such blocks would be too thin in 1D.
-
-    The result equals random_smooth_field's up to round-off (about 1e-15
-    relative), not bit for bit. That makes this a second noise path on
-    purpose: atoms and the E1/E5 instance fields keep random_smooth_field,
-    because moving the atoms' draws moved E2 p < 1 norms by 5e-9 relative
-    through far-field FFT round-off, which the reference outputs record.
-    Only the order-1 (p = 1) grand maximal function is cut to its support;
-    the two paths become one once the p < 1 dictionaries are cut too and
-    those references are remade.
     """
     slab = ball.box(spec)
     idx, inside = slab

@@ -13,6 +13,9 @@ is the real window layer's convolution on its window, `window_maximal` is
 the maximal function of both tables one scale at a time in that layer (the
 small one, and the grand one of an order-1 dictionary), and
 `padded_small_maximal` the small one on the padded grid,
+`inner` is the L2 inner product of two grid functions,
+`random_smooth_field` is the full-grid fftn/ifftn draw of the random
+fields that the library draws on their ball with `ball_smooth_fields`,
 `reference_fourier_multiplier` is a multiplier as full-grid fftn/ifftn with
 the symbol's full-grid Hermitian part, `serial_grand_maximal` is the grand
 maximal function of a dictionary one scale at a time on the padded full
@@ -216,6 +219,22 @@ def reference_convolve_spectra(Ff: np.ndarray, Fg: np.ndarray, spec: GridSpec) -
     else:
         raw = np.fft.ifftn(Ff * Fg)
     return raw[np.ix_(*(window,) * spec.dim)] * spec.cell_volume
+
+
+def inner(f: GridFunction, g: GridFunction):
+    """L2 inner product <f, g> = integral of f * conj(g)."""
+    f._check_compatible(g)
+    val = np.vdot(g.samples, f.samples) * f.spec.cell_volume
+    if f.is_real and g.is_real:
+        return float(val.real)
+    return complex(val)
+
+
+def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:
+    """White noise smoothed by a Gaussian of correlation length ell."""
+    noise = rng.standard_normal(spec.shape)
+    xi2 = np.sum(spec.frequencies() ** 2, axis=0)
+    return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
 
 
 def reference_fourier_multiplier(f: GridFunction, symbol, hermitian: bool) -> np.ndarray:

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -63,6 +64,9 @@ def test_parse_number_conveniences():
     assert parse_alpha_list("(1,0); (0,1)") == [(1, 0), (0, 1)]
     with pytest.raises(ConfigError):
         parse_number("abc")
+    for bad in ("0.5", "-1", "(1, -1)", "(1, x)"):
+        with pytest.raises(ConfigError, match="multi-index entr"):
+            parse_alpha_list(bad)
 
 
 def test_config_parser_line_numbers(tmp_path):
@@ -398,21 +402,48 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
     ("e5_duality", "trials", "nan"),
     ("e2_grand_maximal", "n_seeds", "0"),
     ("e3_atom_image_gaussian", "n_seeds", "1/2"),
+    ("e4_gaussian", "alphas", "0.5"),
+    ("e4_gaussian", "alphas", "-1"),
+    ("e1_moment_decay", "p_values", "1, x"),
+    ("e2_grand_maximal", "T_ladder", "1, x"),
+    ("e5_duality", "r_values", "0.3, x"),
+    ("e3_atom_image_gaussian", "r_ladder", "2^-2, y"),
 ])
 def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
     # an integer key that is not a finite integer, or is below its floor
-    # (n_instances and n_seeds 1, trials 0), is a config error that cites
-    # its line: exit 2 and no output, never a truncated count or a traceback
+    # (n_instances and n_seeds 1, trials 0), and a list key with an entry
+    # that does not parse (a number; for alphas a nonnegative integer), is a
+    # config error that cites its line: exit 2 and no output, never a
+    # truncated count or a traceback
     lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
     line = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} ="))
     lines[line - 1] = f"{key} = {value}"
     cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
     assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"bad.cfg:{line}: {key!r} must be an integer" in err and value in err
     assert not list(tmp_path.glob("o/*.csv"))
+    if key in ("alphas", "p_values", "T_ladder", "r_values", "r_ladder"):
+        assert f"bad.cfg:{line}: bad list for {key!r}: {value!r}" in err
+        return
+    assert f"bad.cfg:{line}: {key!r} must be an integer" in err and value in err
     ok = load_config(write(tmp_path, "ok.cfg", f"[scenario]\n{key} = 2^3\n"))
     assert type(ok.get_int("scenario", key, minimum=1)) is int and ok.get_int("scenario", key) == 8
+
+
+def test_cli_rejects_unbounded_grid(tmp_path, capsys):
+    # an infinite grid half-width is a config error: exit 2 with no output,
+    # never NumPy warnings and a numerical failure on the degenerate grid
+    lines = (CONFIGS / "e5_duality.cfg").read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith("L ="))
+    lines[line - 1] = "L = inf"
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "bad [grid] section: half_width must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*.csv"))
+    with pytest.raises(ValueError, match="positive and finite"):
+        GridSpec(1, np.inf, 64)
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import pool
+from hardylab import experiments, pool
+from hardylab.atoms import AtomSpec, edge_cutoff, make_atom
+from hardylab.config import ExperimentConfig
 from hardylab.errors import NumericalError
+from hardylab.experiments import _profile_field, run_E5_duality
 from hardylab.grid import (
     NOISE_BATCH_SAMPLES,
     Ball,
@@ -22,17 +25,17 @@ from hardylab.grid import (
     lp_norm,
     lp_quasinorm,
     padded_spectrum,
-    random_smooth_field,
     sample_function,
     sized_side,
     spectral_scratch,
     window_spectrum,
 )
 from hardylab.maximal import MollifierSpec, quintic_step
-from hardylab.moments import BallBasis, PolySpace, monomial, poly_project
+from hardylab.moments import BallBasis, HardyIndex, PolySpace, monomial, poly_project
 from hardylab.operators import KernelOp, get_operator, smooth_window
 from oracles import (
     container_bytes,
+    random_smooth_field,
     reference_convolve_spectra,
     reference_fourier_multiplier,
     reference_padded_spectrum,
@@ -803,3 +806,79 @@ def test_ball_smooth_fields_match_per_trial_draws(dim, m, case, monkeypatch):
         assert got.shape == want.shape == (int(ball.mask(spec).sum()), count)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=0.0)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+E5_ON_BALL_CFG = """
+[experiment]
+scenario = E5-duality
+seed = 3
+[grid]
+dim = {dim}
+m = {m}
+L = 2.0
+[scenario]
+n_instances = 2
+trials = 0
+mode = deterministic
+r_values = 0.5, 0.3
+"""
+
+
+def assert_field_on_ball(got, want, ball):
+    # exactly 0 off the ball, within 1e-13 of the reference's max on it
+    mask = ball.mask(got.spec)
+    assert np.all(got.samples[~mask] == 0.0)
+    assert np.max(np.abs(got.samples[mask] - want[mask])) <= 1e-13 * np.max(np.abs(want[mask]))
+
+
+@pytest.mark.parametrize("dim,m", [(1, 256), (2, 64)])
+def test_random_fields_drawn_on_the_ball(dim, m, monkeypatch, tmp_path):
+    # the atoms, E1's random profile and E5's instance fields take no
+    # full-grid FFT: each equals the field of the full-grid oracle (for the
+    # atom, the atom made from it), and each generator ends in the state of
+    # the oracle's draws
+    spec = GridSpec(dim, 2.0, m)
+    ball = Ball((0.3, -0.2)[:dim], 0.5)
+    idx = HardyIndex(0.5, dim)
+    atom_spec = AtomSpec(idx, 2.0, ball, "global")
+    w = edge_cutoff(spec, ball)
+    ref_atom_rng, ref_profile_rng = np.random.default_rng(4), np.random.default_rng(5)
+    u = GridFunction(spec, random_smooth_field(spec, ball.radius / 3.0, ref_atom_rng))
+    raw = w * (u - poly_project(u, ball, idx.N_p, weight=w))
+    ref_atom = (atom_spec.size_bound / lp_quasinorm(raw, 2.0)) * raw
+    ref_profile = w * GridFunction(spec, random_smooth_field(spec, ball.radius / 3.0, ref_profile_rng))
+    path = tmp_path / "e5.cfg"
+    path.write_text(E5_ON_BALL_CFG.format(dim=dim, m=m))
+    cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path))
+    ref_e5_rngs = [np.random.default_rng([cfg.seed, 51, i]) for i in range(2)]
+    ref_e5 = [random_smooth_field(spec, r / 2.0, rng) for r, rng in zip((0.5, 0.3), ref_e5_rngs)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-grid FFT")
+
+    made, make = {}, np.random.default_rng
+
+    def recorded(seed):
+        made[str(seed)] = rng = make(seed)
+        return rng
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    e5_fields = {}
+
+    def record_field(f, ball, degree, trials, seed, include_deterministic):
+        e5_fields[seed - cfg.seed] = f
+        return 1.0, 1.0
+
+    monkeypatch.setattr(experiments, "dual_norm_check", record_field)
+
+    assert_field_on_ball(make_atom(atom_spec, 4, spec), ref_atom.samples, ball)
+    assert made["4"].bit_generator.state == ref_atom_rng.bit_generator.state
+    profile_rng = make(5)
+    assert_field_on_ball(_profile_field("random", spec, ball, profile_rng, idx), ref_profile.samples, ball)
+    assert profile_rng.bit_generator.state == ref_profile_rng.bit_generator.state
+    run_E5_duality(cfg)
+    for i, r in enumerate((0.5, 0.3)):
+        assert_field_on_ball(e5_fields[i], ref_e5[i], Ball((0.0,) * dim, r))
+        assert made[str([cfg.seed, 51, i])].bit_generator.state == ref_e5_rngs[i].bit_generator.state

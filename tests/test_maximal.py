@@ -24,7 +24,6 @@ from hardylab.grid import (
     dilate,
     integrate,
     lp_quasinorm,
-    random_smooth_field,
     sample_function,
     sized_side,
 )
@@ -47,6 +46,7 @@ from oracles import (
     padded_small_maximal,
     phi_x_alpha,
     kernel_reach,
+    random_smooth_field,
     serial_grand_maximal,
     small_maximal,
     support_box,

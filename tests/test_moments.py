@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import linalg as scipy_linalg
 
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, random_smooth_field, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, sample_function
 from hardylab.moments import (
     BallBasis,
     HardyIndex,
@@ -22,6 +22,7 @@ from hardylab.moments import (
     poly_project,
     psi,
 )
+from oracles import random_smooth_field
 
 
 @given(data=st.data(), dim=st.integers(1, 2))

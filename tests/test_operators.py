@@ -6,7 +6,7 @@ import pytest
 
 from hardylab.atoms import AtomSpec, make_atom
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, convolve, inner, sample_function, sized_side
+from hardylab.grid import Ball, GridFunction, GridSpec, convolve, sample_function, sized_side
 from hardylab.maximal import quintic_step
 from hardylab.moments import HardyIndex, local_oscillation, monomial_field
 from hardylab.operators import (
@@ -24,6 +24,7 @@ from hardylab.operators import (
 )
 from oracles import (
     CompositionOp,
+    inner,
     materialize,
     reference_cancellation_test,
     reference_tstar_monomial,
