@@ -1,6 +1,5 @@
-"""Atom generation and validation, pre-molecule size checks, moment-decay
-tables for small-ball functions, and a constructive split of a decaying
-function into a compactly supported part plus cancelling atoms.
+"""Atom generation and validation, pre-molecule size checks, and
+moment-decay tables for small-ball functions.
 
 Atoms follow the local convention: supported in B(x0, r), L^s size bound
 r^{n(1/s - 1/p)} (imposed with equality by the generator), and vanishing
@@ -21,7 +20,6 @@ from .maximal import quintic_step
 from .moments import (
     HardyIndex,
     PolySpace,
-    match_moments_with_bump,
     moment,
     multiindices,
     order,
@@ -184,17 +182,6 @@ class PreMoleculeReport:
     m1_ratio: float
     m2_ratio: float
 
-    @property
-    def passed(self) -> bool:
-        return self.m1_ratio <= 1.0 + 1e-9 and self.m2_ratio <= 1.0 + 1e-9
-
-    def to_text(self) -> str:
-        return (
-            f"pre-molecule p={self.spec.idx.p!r} s={self.spec.s!r} lambda={self.spec.lam!r} "
-            f"C={self.spec.C!r} r={self.spec.ball.radius!r}: "
-            f"M1 lhs/rhs={self.m1_ratio!r} M2 lhs/rhs={self.m2_ratio!r} passed={self.passed}\n"
-        )
-
 
 def _weighted_tail_norm(M: GridFunction, ball: Ball, s: float, lam: float) -> float:
     # axes_sq_distance: sq_distance's bits with no meshgrid of the points
@@ -257,105 +244,3 @@ def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex, hp: float) 
         rows.append(MomentBoundRow(alpha, float(m), float(bound), critical,
                                    float(m / (hp * bound))))
     return MomentBoundTable(idx, ball, hp, rows)
-
-
-@dataclass
-class PseudoDecomposition:
-    """M = g + sum_j c_j a_j (+ discarded tail of size `residual` in L2):
-    g is supported in the base ball, each a_j is a cancelling (p,2) atom on
-    B(x0, 2^j r)."""
-
-    g: GridFunction
-    atoms: list[tuple[float, GridFunction, Ball]]
-    residual: float
-    sum_cp: float
-
-    def reconstruct(self) -> GridFunction:
-        out = self.g.copy()
-        for c, a, _ in self.atoms:
-            out = out + c * a
-        return out
-
-
-def pseudo_decompose(M: GridFunction, ball: Ball, idx: HardyIndex, J: int) -> PseudoDecomposition:
-    """Annular split with inward-telescoped moment corrections.
-
-    Pieces of M on the annuli B(x0, 2^j r) \\ B(x0, 2^{j-1} r) are corrected
-    by bump-carried polynomials so that each has vanishing moments up to N_p;
-    the corrections telescope inward and the innermost lands in g, supported
-    in the base ball. The sum is truncated at J annuli (or at the domain
-    edge); the discarded tail is reported as the residual, never hidden.
-    """
-    spec = M.spec
-    x0 = ball.center
-    r = ball.radius
-    max_r = spec.half_width - max(abs(c) for c in x0) - 2.0 * spec.spacing
-    J_eff = J
-    while J_eff > 0 and (2.0**J_eff) * r > max_r:
-        J_eff -= 1
-    if J_eff < 1:
-        raise NumericalError("tail too heavy for desk-scale decomposition")
-    clipped = J_eff < J
-
-    l2 = lp_quasinorm(M, 2.0)
-    outer = Ball(x0, (2.0**J_eff) * r)
-    tail = M.samples.copy()
-    tail[outer.mask(spec)] = 0.0
-    residual = float(np.sqrt(np.sum(np.abs(tail) ** 2) * spec.cell_volume))
-    if not clipped and residual > 1e-6 * max(l2, 1e-300):
-        raise NumericalError("tail too heavy for desk-scale decomposition")
-
-    basis = multiindices(spec.dim, idx.N_p)
-
-    def moments_of(samples: np.ndarray) -> np.ndarray:
-        f = GridFunction(spec, samples)
-        return np.array([moment(f, x0, a) for a in basis])
-
-    # annular pieces and their moment vectors
-    pieces = []
-    inner_mask = ball.mask(spec)
-    core = M.samples.copy()
-    core[~inner_mask] = 0.0
-    prev_mask = inner_mask
-    for j in range(1, J_eff + 1):
-        bj = Ball(x0, (2.0**j) * r)
-        mask = bj.mask(spec) & ~prev_mask
-        piece = M.samples.copy()
-        piece[~mask] = 0.0
-        pieces.append((j, bj, piece))
-        prev_mask = bj.mask(spec)
-
-    mu = [moments_of(piece) for _, _, piece in pieces]
-    # cumulative moments from annulus j outward
-    acc = np.zeros(len(basis), dtype=mu[0].dtype)
-    T: list = [None] * (J_eff + 2)
-    T[J_eff + 1] = acc
-    for j in range(J_eff, 0, -1):
-        acc = acc + mu[j - 1]
-        T[j] = acc
-
-    def carrier(ball_j: Ball, targets: np.ndarray) -> GridFunction:
-        bump = edge_cutoff(spec, ball_j, width_frac=0.5)
-        return match_moments_with_bump(spec, ball_j, idx.N_p, bump, targets)
-
-    atoms: list[tuple[float, GridFunction, Ball]] = []
-    sum_cp = 0.0
-    n, p = idx.dim, idx.p
-    q_next: GridFunction | None = None  # q_{j+1}, supported in B_j
-    for j in range(J_eff, 0, -1):
-        inner_ball = Ball(x0, (2.0 ** (j - 1)) * r)
-        q_j = carrier(inner_ball, T[j])
-        corrected = GridFunction(spec, pieces[j - 1][2]) - q_j
-        if q_next is not None:
-            corrected = corrected + q_next
-        c = lp_quasinorm(corrected, 2.0) / (2.0**j * r) ** (n * (0.5 - 1.0 / p))
-        if c > 0:
-            atoms.append((float(c), (1.0 / c) * corrected, pieces[j - 1][1]))
-            sum_cp += float(c) ** p
-        q_next = q_j
-
-    atoms.reverse()
-    g = GridFunction(spec, core)
-    if q_next is not None:
-        g = g + q_next
-    return PseudoDecomposition(g=g, atoms=atoms, residual=residual, sum_cp=sum_cp)

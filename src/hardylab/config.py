@@ -141,6 +141,9 @@ def load_config(path) -> ConfigFile:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in cfg.sections[section]:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{cfg.sections[section][key][1]} of [{section}]")
         cfg.sections[section][key] = (value, lineno)
     return cfg
 
@@ -183,6 +186,8 @@ class ExperimentConfig:
             raise ConfigError(f"{where}: r_ladder must be strictly decreasing")
         if any(v >= 1 for v in vals):
             raise ConfigError(f"{where}: r_ladder requires every r < 1")
+        if any(v <= 0 for v in vals):
+            raise ConfigError(f"{where}: r_ladder requires every r > 0")
         if not vals:
             raise ConfigError(f"{where}: r_ladder is empty")
         return vals

@@ -29,8 +29,8 @@ from .atoms import (
 from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
 from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, integrate, lp_quasinorm
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
-from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, small_ball_factor
-from .operators import cancellation_test, get_operator, smooth_window, window_radius
+from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, psi, small_ball_factor
+from .operators import builtin_operators, cancellation_test, get_operator, smooth_window, window_radius
 from .svgchart import Series, line_chart
 
 SCHEMAS = {
@@ -86,23 +86,39 @@ class RunResult:
     runtime: float
 
 
+def _checked(cfg: ExperimentConfig, key: str, build):
+    """build(), with the ValueError it raises on the [scenario] key's value
+    turned into a ConfigError that cites the key's line."""
+    try:
+        return build()
+    except ValueError as e:
+        raise ConfigError(f"{cfg.source.where('scenario', key)}: {e}") from None
+
+
 def _operator_from_cfg(cfg: ExperimentConfig):
     name = cfg.source.get("scenario", "operator", required=True)
+    if name not in builtin_operators():
+        raise ConfigError(f"{cfg.source.where('scenario', 'operator')}: unknown operator {name!r}; "
+                          f"see hardylab list-operators")
     raw = cfg.source.get("scenario", "operator_params", default="")
+    where = cfg.source.where("scenario", "operator_params")
     params = {}
     for tok in raw.replace(",", " ").split():
-        if "=" not in tok:
-            raise ConfigError(f"{cfg.source.path}: bad operator_params token {tok!r}")
-        k, v = tok.split("=", 1)
-        params[k] = parse_number(v)
-    try:
-        return get_operator(name, cfg.grid, **params)
-    except KeyError as e:
-        raise ConfigError(str(e)) from None
+        k, eq, v = tok.partition("=")
+        if not eq:
+            raise ConfigError(f"{where}: bad operator_params token {tok!r}")
+        try:
+            params[k] = parse_number(v)
+        except ConfigError as e:
+            raise ConfigError(f"{where}: bad operator_params token {tok!r} ({e})") from None
+    return get_operator(name, cfg.grid, **params)
 
 
 def _p_values(cfg: ExperimentConfig, default: str) -> list[float]:
-    return cfg.source.get_list("scenario", "p_values", parse_number_list, default=default)
+    vals = cfg.source.get_list("scenario", "p_values", parse_number_list, default=default)
+    for p in vals:
+        _checked(cfg, "p_values", lambda: HardyIndex(p, cfg.grid.dim))
+    return vals
 
 
 # the E1 profiles whose field does not depend on p
@@ -193,7 +209,8 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
     grid = cfg.grid
     Ts = cfg.source.get_list("scenario", "T_ladder", parse_number_list, default="1,2,4,8")
     if max(Ts) > grid.half_width / 2.0:
-        raise ConfigError(f"{cfg.source.path}: T ladder exceeds L/2 (wrap-around guard)")
+        raise ConfigError(f"{cfg.source.where('scenario', 'T_ladder')}: T ladder exceeds L/2 "
+                          f"(wrap-around guard)")
     r_large = cfg.source.get_number("scenario", "r_large", default=1.0)
     r_small = cfg.source.get_number("scenario", "r_small", default=0.25)
     n_seeds = cfg.source.get_int("scenario", "n_seeds", default=6, minimum=1)
@@ -247,7 +264,7 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     lam = cfg.source.get_number("scenario", "lambda", default=2.0)
     C = cfg.source.get_number("scenario", "C", default=1.0)
     n_seeds = cfg.source.get_int("scenario", "n_seeds", default=3, minimum=1)
-    idx = HardyIndex(p, grid.dim)
+    idx = _checked(cfg, "p", lambda: HardyIndex(p, grid.dim))
     ladder = cfg.ladder(default="2^-2,2^-3,2^-4,2^-5")
     mol = MollifierSpec("gaussian", grid.dim)
     scales = ScaleGrid.default(grid, 1.0)
@@ -281,8 +298,10 @@ def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
     grid = cfg.grid
     T_op = _operator_from_cfg(cfg)
     p = cfg.source.get_number("scenario", "p", default=1.0)
-    idx = HardyIndex(p, grid.dim)
+    idx = _checked(cfg, "p", lambda: HardyIndex(p, grid.dim))
     alphas = cfg.source.get_list("scenario", "alphas", parse_alpha_list, default="0")
+    # psi rejects an alpha of the wrong dimension or outside the admissible range
+    _checked(cfg, "alphas", lambda: [psi(idx, alpha, 0.5) for alpha in alphas])
     ladder = cfg.ladder(default="2^-2,2^-3,2^-4,2^-5,2^-6")
     check_dual = cfg.source.get_bool("scenario", "check_duality", default=True)
     balls = [Ball((0.0,) * grid.dim, r) for r in ladder]
@@ -315,15 +334,16 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
     grid = cfg.grid
     n_instances = cfg.source.get_int("scenario", "n_instances", default=10, minimum=1)
     trials = cfg.source.get_int("scenario", "trials", default=500, minimum=0)
-    degree = cfg.source.get_int("scenario", "degree", default=1)
+    degree = cfg.source.get_int("scenario", "degree", default=1, minimum=0)
     mode = cfg.source.get("scenario", "mode", default="both")
     if mode not in ("both", "deterministic", "random"):
-        raise ConfigError(f"{cfg.source.path}: bad mode {mode!r}")
+        raise ConfigError(f"{cfg.source.where('scenario', 'mode')}: bad mode {mode!r}")
     r_values = cfg.source.get_list("scenario", "r_values", parse_number_list, default="0.3, 0.5")
+    balls = _checked(cfg, "r_values", lambda: [Ball((0.0,) * grid.dim, r) for r in r_values])
 
     def instance(i: int) -> list[list]:
-        r = r_values[i % len(r_values)]
-        ball = Ball((0.0,) * grid.dim, r)
+        ball = balls[i % len(balls)]
+        r = ball.radius
         rng = np.random.default_rng([cfg.seed, 51, i])
         noise = ball_smooth_fields(grid, ball, ball.radius / 2.0, 1, rng)[:, 0]
         f = GridFunction(grid, ball.box(grid).scatter(noise))

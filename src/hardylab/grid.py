@@ -99,11 +99,6 @@ class GridSpec:
         xi = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
         return np.stack(np.meshgrid(*[xi] * self.dim, indexing="ij"))
 
-    def index_of(self, x) -> tuple[int, ...]:
-        """Grid index of the sample nearest to x, per axis modulo m."""
-        m, h, L = self.points_per_axis, self.spacing, self.half_width
-        return tuple(int(round((c + L) / h)) % m for c in x)
-
 
 def sq_distance(pts: np.ndarray, center) -> np.ndarray:
     """|x - center|^2 at every point of pts, shape (dim,) + grid."""
@@ -237,16 +232,9 @@ class GridFunction:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.samples)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.samples.copy())
-
     def _check_compatible(self, other: "GridFunction"):
         if other.spec != self.spec:
             raise ValueError("grid mismatch")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_compatible(other)
-        return GridFunction(self.spec, self.samples + other.samples)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_compatible(other)

@@ -239,19 +239,6 @@ def poly_project(f: GridFunction, ball: Ball, degree: int,
     return GridFunction(f.spec, basis.slab.scatter(fit))
 
 
-def match_moments_with_bump(spec: GridSpec, ball: Ball, degree: int,
-                            weight: GridFunction, targets: np.ndarray) -> GridFunction:
-    """A smooth function q = weight * (polynomial) supported in the ball whose
-    raw moments about the ball center equal `targets` (ordered like the
-    PolySpace basis) exactly at the quadrature level."""
-    targets = np.asarray(targets)
-    if targets.shape != (PolySpace(spec.dim, degree).dimension,):
-        raise ValueError("targets must match the polynomial basis size")
-    basis = BallBasis(spec, ball, degree, weight)
-    d = basis.solve(targets / basis.scales)
-    return GridFunction(spec, basis.slab.scatter(basis.weight * basis.evaluate(d)))
-
-
 def local_oscillation(f: GridFunction, ball: Ball, degree: int) -> float:
     """(|B|^{-1} int_B |f - P_B^N(f)|^2)^{1/2} with the discrete ball measure."""
     basis = BallBasis(f.spec, ball, degree)

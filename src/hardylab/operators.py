@@ -1,10 +1,10 @@
 """Linear operators (Fourier multipliers, convolution kernels, pointwise
-multipliers, compositions), adjoints, windowed monomial pairings,
-the cancellation-condition tester, and sample-based kernel checkers.
+multipliers), adjoints, windowed monomial pairings and the
+cancellation-condition tester.
 
 Adjoints are Hermitian (conjugate symbol / conjugate transpose); for the real
-windowed monomials fed to `tstar_monomial` this agrees with the pairing-based
-definition <T*[m], a> = <m, Ta>.
+windowed monomials that `cancellation_test` applies T* to, this agrees with
+the pairing-based definition <T*[m], a> = <m, Ta>.
 
 Since the monomial is not integrable, T*[(.-x0)^alpha] is realized through a
 smooth window equal to 1 on B(x0, W) and 0 outside B(x0, 2W). Every such
@@ -16,8 +16,8 @@ truncation to mean anything.
 `cancellation_test` computes each of these fields once: it takes the adjoint
 once, a `MultiplierOp` samples its symbol once per grid, and along a ladder
 of balls the fields at W and W/2 of one ball are reused by the next, which
-needs the same radii or half of them. The rows equal those of one
-`tstar_monomial` call per (ball, alpha) bit for bit.
+needs the same radii or half of them. The rows equal, bit for bit, those
+computed with a fresh pair of fields per (ball, alpha).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .grid import (
     reflect,
     sample_function,
     sample_symbol,
-    sq_distance,
 )
 from .maximal import quintic_step
 from .moments import (
@@ -58,10 +57,6 @@ class OperatorSpec:
 
     name: str = "operator"
     params: dict = {}
-
-    @property
-    def translation_invariant(self) -> bool:
-        return False
 
     def apply(self, f: GridFunction) -> GridFunction:
         raise NotImplementedError
@@ -84,10 +79,6 @@ class MultiplierOp(OperatorSpec):
     name: str = "multiplier"
     params: dict = field(default_factory=dict)
     _sampled: SampledSymbol | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def translation_invariant(self) -> bool:
-        return True
 
     def apply(self, f: GridFunction) -> GridFunction:
         if self._sampled is None or self._sampled.spec != f.spec:
@@ -114,10 +105,6 @@ class KernelOp(OperatorSpec):
     params: dict = field(default_factory=dict)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def translation_invariant(self) -> bool:
-        return True
-
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.kernel.spec:
             raise ValueError("grid mismatch")
@@ -138,10 +125,6 @@ class PointwiseOp(OperatorSpec):
     factor: GridFunction
     name: str = "pointwise"
     params: dict = field(default_factory=dict)
-
-    @property
-    def translation_invariant(self) -> bool:
-        return False
 
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.factor.spec:
@@ -236,20 +219,6 @@ class _TStarLadder:
         return TStarMonomial(f_full, x0, self.alpha, W, float(sens))
 
 
-def tstar_monomial(T: OperatorSpec, x0, alpha, W: float, spec: GridSpec) -> TStarMonomial:
-    """T* applied to the windowed monomial, with window-sensitivity control.
-
-    The sensitivity is the rms difference between the W and W/2 computations
-    on B(x0, W/4), normalized by the rms of the windowed monomial itself on
-    B(x0, 2W); above 10% the truncation of the non-integrable monomial is not
-    trustworthy and the computation fails.
-    """
-    x0 = tuple(float(c) for c in x0)
-    alpha = as_multiindex(alpha, spec.dim)
-    _check_window(spec, x0, W)
-    return _TStarLadder(T.adjoint(), spec, alpha).certify(x0, W)
-
-
 @dataclass
 class CancellationRow:
     ball: Ball
@@ -274,7 +243,8 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
     """Measure the local oscillation of T*[(.-x0)^alpha] against the decay
     modulus psi on each ball.
 
-    For each (B, alpha): f = tstar_monomial(T, x0, alpha, W = window_radius(r)),
+    For each (B, alpha): f = T*(window_W * (.-x0)^alpha) at
+    W = window_radius(r), with its window-sensitivity certificate,
     oscillation = (fint_B |f - P^{N_p}_B f|^2)^{1/2}, ratio = oscillation /
     psi(r). The duality identity behind this functional is re-validated per
     row by the deterministic dual-norm check; the gap is recorded.
@@ -312,141 +282,6 @@ def _cancellation_row(ts: TStarMonomial, ball: Ball, idx: HardyIndex,
         gap = abs(lhs - rhs)
     return CancellationRow(ball, ts.alpha, float(osc), float(psival),
                            float(osc / psival), ts.window_radius, ts.sensitivity, gap)
-
-
-# ---------------------------------------------------------------------------
-# sample-based kernel condition checkers
-
-
-def _materialized_kernel(T: OperatorSpec, spec: GridSpec) -> GridFunction:
-    if not T.translation_invariant:
-        raise NumericalError(f"operator {T.name!r} is not translation-invariant")
-    h = spec.cell_volume
-    e = np.zeros(spec.shape)
-    center = tuple(spec.points_per_axis // 2 for _ in range(spec.dim))
-    e[center] = 1.0 / h
-    return T.apply(GridFunction(spec, e))
-
-
-@dataclass
-class KernelSizeReport:
-    operator: str
-    mu: float
-    fitted_C: float
-    argmax_distance: float
-    n_samples: int
-    no_off_diagonal: bool
-
-    def to_text(self) -> str:
-        if self.no_off_diagonal:
-            return f"kernel-size {self.operator}: no off-diagonal kernel\n"
-        return (f"kernel-size {self.operator}: mu={self.mu!r} fitted_C={self.fitted_C!r} "
-                f"at |u|={self.argmax_distance!r} over {self.n_samples} samples\n")
-
-
-def kernel_size_check(T: OperatorSpec, mu: float, spec: GridSpec) -> KernelSizeReport:
-    """Fitted constant in |k(u)| <= C min(|u|^-n, |u|^-n-mu), sampled at every
-    grid offset with |u| >= 4h."""
-    k = _materialized_kernel(T, spec)
-    dist = np.sqrt(sq_distance(spec.points(), (0.0,) * spec.dim))
-    sel = dist >= 4.0 * spec.spacing
-    dvals = dist[sel]
-    kvals = np.abs(k.samples[sel])
-
-    diag = abs(k.samples[tuple(spec.points_per_axis // 2 for _ in range(spec.dim))])
-    off_max = float(kvals.max(initial=0.0))
-    if off_max <= 1e-12 * max(diag, 1e-300):
-        return KernelSizeReport(T.name, mu, 0.0, 0.0, int(dvals.size), True)
-
-    envelope = np.minimum(dvals ** (-spec.dim * 1.0), dvals ** (-(spec.dim + mu)))
-    ratios = kvals / envelope
-    i = int(np.argmax(ratios))
-    return KernelSizeReport(T.name, mu, float(ratios[i]), float(dvals[i]),
-                            int(dvals.size), False)
-
-
-@dataclass
-class KernelHolderReport:
-    operator: str
-    delta: float
-    sigma: float
-    fitted_C: float
-    n_triples: int
-
-    def to_text(self) -> str:
-        return (f"kernel-holder {self.operator}: delta={self.delta!r} sigma={self.sigma!r} "
-                f"fitted_C={self.fitted_C!r} over {self.n_triples} triples\n")
-
-
-def default_holder_triples(spec: GridSpec, sigma: float) -> list:
-    """Triples (x, y, z) on the grid with |x - z| >= 2 |y - z|^sigma.
-
-    Six anchors z sweep [-L/8, L/8] on the first axis. Up to six separations
-    |y - z| double from one cell upward along the first axis; the
-    distances |x - z| sweep both multiples of the admissibility floor and a
-    fixed ladder of absolute distances, so that jump discontinuities at O(1)
-    distances are straddled by one-cell separations (the refinement check).
-    """
-    h = spec.spacing
-    L = spec.half_width
-    axis_dirs = [np.eye(spec.dim)[i] for i in range(spec.dim)]
-    absolute = [c * L for c in (0.0625, 0.09375, 0.125, 0.1875, 0.25, 0.375, 0.5)]
-    triples = []
-    rng_anchors = np.linspace(-L / 8, L / 8, 6)
-    for za in rng_anchors:
-        z = np.zeros(spec.dim)
-        z[0] = round(za / h) * h
-        for ksep in range(6):
-            s = h * 2**ksep
-            if s > L / 8:
-                break
-            y = z + s * axis_dirs[0]
-            dmin = 2.0 * s**sigma
-            cands = [dmin * fac for fac in (1.0, 1.5, 2.0, 3.0, 5.0)]
-            cands += [d for d in absolute if d >= dmin]
-            for d in cands:
-                if d > L / 2:
-                    continue
-                d = max(round(d / h), 1) * h
-                if d < dmin:
-                    d += h
-                for direction in axis_dirs:
-                    x = z + d * direction
-                    if np.max(np.abs(x)) < L - 2 * h and np.max(np.abs(y)) < L - 2 * h:
-                        triples.append((tuple(x), tuple(y), tuple(z)))
-    return triples
-
-
-def kernel_holder_check(T: OperatorSpec, delta: float, sigma: float, spec: GridSpec,
-                        sample_triples=None) -> KernelHolderReport:
-    """Fitted constant in the kernel regularity bound
-    |K(x,y)-K(x,z)| + |K(y,x)-K(z,x)| <= C |y-z|^delta / |x-z|^{n+delta/sigma}
-    over sample triples with |x-z| >= 2 |y-z|^sigma."""
-    if not (0 < delta <= 1 and 0 < sigma <= 1):
-        raise ValueError("need delta, sigma in (0, 1]")
-    k = _materialized_kernel(T, spec)
-    if sample_triples is None:
-        sample_triples = default_holder_triples(spec, sigma)
-
-    h = spec.spacing
-
-    def k_at(u):
-        return k.samples[spec.index_of(u)]
-
-    best = 0.0
-    used = 0
-    for x, y, z in sample_triples:
-        x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-        dyz = float(np.linalg.norm(y - z))
-        dxz = float(np.linalg.norm(x - z))
-        if dyz < h / 2 or dxz < 2.0 * dyz**sigma:
-            continue
-        used += 1
-        num = abs(k_at(x - y) - k_at(x - z)) + abs(k_at(y - x) - k_at(z - x))
-        best = max(best, num * dxz ** (spec.dim + delta / sigma) / dyz**delta)
-    if used == 0:
-        raise NumericalError("no admissible triples at current resolution")
-    return KernelHolderReport(T.name, delta, sigma, float(best), used)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,21 @@ the symbol's full-grid Hermitian part, `serial_grand_maximal` is the grand
 maximal function of a dictionary one scale at a time on the padded full
 grid, `small_maximal` and `grand_maximal` are the one-row calls of the
 library's tables, `hp_norm` is the h^p quasi-norm of one small maximal function, and
-`reference_cancellation_test` runs the cancellation test one row at a time,
-with one adjoint per operator, a field per application and full-grid
-windows and masks. The explicit moment-probe bumps phi^{x,alpha} of the
-paper's moment lower bound (`build_phi0`, `phi_x_alpha`) live here too,
-with `with_probes`, which raises a grand maximal function to their pairings
-at given sites. None of them is used by the experiments."""
+`reference_cancellation_test` runs the cancellation test one row at a time
+from `reference_tstar_monomial`, with one adjoint per operator, a field per
+application and full-grid windows and masks. The explicit moment-probe
+bumps phi^{x,alpha} of the paper's moment lower bound (`build_phi0`,
+`phi_x_alpha`) live here too, with `with_probes`, which raises a grand
+maximal function to their pairings at given sites, and `index_of`, the grid
+index of a site.
+
+So do the paper's verification tools that no experiment runs: the
+pre-molecule split `pseudo_decompose` (with `PseudoDecomposition` and
+`match_moments_with_bump`, which carries its moment corrections on a bump),
+and the sample-based kernel condition checks `kernel_size_check` and
+`kernel_holder_check` (with `default_holder_triples`), which take the kernel
+of an operator that `translation_invariant` accepts by its class. None of
+them is used by the experiments."""
 
 import functools
 import math
@@ -35,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from hardylab.atoms import edge_cutoff
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, dilate, lp_quasinorm, sq_distance
 from hardylab.maximal import (
@@ -46,18 +56,21 @@ from hardylab.maximal import (
     small_maximal_table,
 )
 from hardylab.moments import (
+    BallBasis,
     HardyIndex,
     MultiIndex,
+    PolySpace,
     as_multiindex,
     dual_norm_check,
     local_oscillation,
+    moment,
     monomial,
     monomial_field,
     multiindices,
     order,
     psi,
 )
-from hardylab.operators import WINDOW_SENSITIVITY_LIMIT, CancellationRow, OperatorSpec
+from hardylab.operators import WINDOW_SENSITIVITY_LIMIT, CancellationRow, KernelOp, MultiplierOp, OperatorSpec
 
 MATERIALIZE_CAP = 128
 
@@ -98,10 +111,6 @@ class CompositionOp(OperatorSpec):
     def __post_init__(self):
         if not self.parts:
             raise ValueError("composition must be non-empty")
-
-    @property
-    def translation_invariant(self) -> bool:
-        return all(p.translation_invariant for p in self.parts)
 
     def apply(self, f: GridFunction) -> GridFunction:
         for part in self.parts:
@@ -437,6 +446,268 @@ def reference_cancellation_test(T: OperatorSpec, idx, balls, alphas, spec: GridS
 
 
 # ---------------------------------------------------------------------------
+# the pre-molecule split
+
+
+def match_moments_with_bump(spec: GridSpec, ball: Ball, degree: int,
+                            weight: GridFunction, targets: np.ndarray) -> GridFunction:
+    """A smooth function q = weight * (polynomial) supported in the ball whose
+    raw moments about the ball center equal `targets` (ordered like the
+    PolySpace basis) exactly at the quadrature level."""
+    targets = np.asarray(targets)
+    if targets.shape != (PolySpace(spec.dim, degree).dimension,):
+        raise ValueError("targets must match the polynomial basis size")
+    basis = BallBasis(spec, ball, degree, weight)
+    d = basis.solve(targets / basis.scales)
+    return GridFunction(spec, basis.slab.scatter(basis.weight * basis.evaluate(d)))
+
+
+@dataclass
+class PseudoDecomposition:
+    """M = g + sum_j c_j a_j (+ discarded tail of size `residual` in L2):
+    g is supported in the base ball, each a_j is a cancelling (p,2) atom on
+    B(x0, 2^j r)."""
+
+    g: GridFunction
+    atoms: list[tuple[float, GridFunction, Ball]]
+    residual: float
+    sum_cp: float
+
+    def reconstruct(self) -> GridFunction:
+        out = self.g.samples
+        for c, a, _ in self.atoms:
+            out = out + a.samples * c
+        return GridFunction(self.g.spec, out)
+
+
+def pseudo_decompose(M: GridFunction, ball: Ball, idx: HardyIndex, J: int) -> PseudoDecomposition:
+    """Annular split with inward-telescoped moment corrections.
+
+    Pieces of M on the annuli B(x0, 2^j r) \\ B(x0, 2^{j-1} r) are corrected
+    by bump-carried polynomials so that each has vanishing moments up to N_p;
+    the corrections telescope inward and the innermost lands in g, supported
+    in the base ball. The sum is truncated at J annuli (or at the domain
+    edge); the discarded tail is reported as the residual, never hidden.
+    """
+    spec = M.spec
+    x0 = ball.center
+    r = ball.radius
+    max_r = spec.half_width - max(abs(c) for c in x0) - 2.0 * spec.spacing
+    J_eff = J
+    while J_eff > 0 and (2.0**J_eff) * r > max_r:
+        J_eff -= 1
+    if J_eff < 1:
+        raise NumericalError("tail too heavy for desk-scale decomposition")
+    clipped = J_eff < J
+
+    l2 = lp_quasinorm(M, 2.0)
+    outer = Ball(x0, (2.0**J_eff) * r)
+    tail = M.samples.copy()
+    tail[outer.mask(spec)] = 0.0
+    residual = float(np.sqrt(np.sum(np.abs(tail) ** 2) * spec.cell_volume))
+    if not clipped and residual > 1e-6 * max(l2, 1e-300):
+        raise NumericalError("tail too heavy for desk-scale decomposition")
+
+    basis = multiindices(spec.dim, idx.N_p)
+
+    def moments_of(samples: np.ndarray) -> np.ndarray:
+        f = GridFunction(spec, samples)
+        return np.array([moment(f, x0, a) for a in basis])
+
+    # annular pieces and their moment vectors
+    pieces = []
+    inner_mask = ball.mask(spec)
+    core = M.samples.copy()
+    core[~inner_mask] = 0.0
+    prev_mask = inner_mask
+    for j in range(1, J_eff + 1):
+        bj = Ball(x0, (2.0**j) * r)
+        mask = bj.mask(spec) & ~prev_mask
+        piece = M.samples.copy()
+        piece[~mask] = 0.0
+        pieces.append((j, bj, piece))
+        prev_mask = bj.mask(spec)
+
+    mu = [moments_of(piece) for _, _, piece in pieces]
+    # cumulative moments from annulus j outward
+    acc = np.zeros(len(basis), dtype=mu[0].dtype)
+    T: list = [None] * (J_eff + 2)
+    T[J_eff + 1] = acc
+    for j in range(J_eff, 0, -1):
+        acc = acc + mu[j - 1]
+        T[j] = acc
+
+    def carrier(ball_j: Ball, targets: np.ndarray) -> GridFunction:
+        bump = edge_cutoff(spec, ball_j, width_frac=0.5)
+        return match_moments_with_bump(spec, ball_j, idx.N_p, bump, targets)
+
+    atoms: list[tuple[float, GridFunction, Ball]] = []
+    sum_cp = 0.0
+    n, p = idx.dim, idx.p
+    q_next: GridFunction | None = None  # q_{j+1}, supported in B_j
+    for j in range(J_eff, 0, -1):
+        inner_ball = Ball(x0, (2.0 ** (j - 1)) * r)
+        q_j = carrier(inner_ball, T[j])
+        corrected = GridFunction(spec, pieces[j - 1][2]) - q_j
+        if q_next is not None:
+            corrected = GridFunction(spec, corrected.samples + q_next.samples)
+        c = lp_quasinorm(corrected, 2.0) / (2.0**j * r) ** (n * (0.5 - 1.0 / p))
+        if c > 0:
+            atoms.append((float(c), (1.0 / c) * corrected, pieces[j - 1][1]))
+            sum_cp += float(c) ** p
+        q_next = q_j
+
+    atoms.reverse()
+    g = GridFunction(spec, core if q_next is None else core + q_next.samples)
+    return PseudoDecomposition(g=g, atoms=atoms, residual=residual, sum_cp=sum_cp)
+
+
+# ---------------------------------------------------------------------------
+# sample-based kernel condition checkers
+
+
+def translation_invariant(T: OperatorSpec) -> bool:
+    """Whether T commutes with translations, decided from its class: a
+    Fourier multiplier, a convolution kernel, or a composition of them."""
+    if isinstance(T, CompositionOp):
+        return all(translation_invariant(part) for part in T.parts)
+    return isinstance(T, (MultiplierOp, KernelOp))
+
+
+def _materialized_kernel(T: OperatorSpec, spec: GridSpec) -> GridFunction:
+    if not translation_invariant(T):
+        raise NumericalError(f"operator {T.name!r} is not translation-invariant")
+    h = spec.cell_volume
+    e = np.zeros(spec.shape)
+    center = tuple(spec.points_per_axis // 2 for _ in range(spec.dim))
+    e[center] = 1.0 / h
+    return T.apply(GridFunction(spec, e))
+
+
+@dataclass
+class KernelSizeReport:
+    operator: str
+    mu: float
+    fitted_C: float
+    argmax_distance: float
+    n_samples: int
+    no_off_diagonal: bool
+
+    def to_text(self) -> str:
+        if self.no_off_diagonal:
+            return f"kernel-size {self.operator}: no off-diagonal kernel\n"
+        return (f"kernel-size {self.operator}: mu={self.mu!r} fitted_C={self.fitted_C!r} "
+                f"at |u|={self.argmax_distance!r} over {self.n_samples} samples\n")
+
+
+def kernel_size_check(T: OperatorSpec, mu: float, spec: GridSpec) -> KernelSizeReport:
+    """Fitted constant in |k(u)| <= C min(|u|^-n, |u|^-n-mu), sampled at every
+    grid offset with |u| >= 4h."""
+    k = _materialized_kernel(T, spec)
+    dist = np.sqrt(sq_distance(spec.points(), (0.0,) * spec.dim))
+    sel = dist >= 4.0 * spec.spacing
+    dvals = dist[sel]
+    kvals = np.abs(k.samples[sel])
+
+    diag = abs(k.samples[tuple(spec.points_per_axis // 2 for _ in range(spec.dim))])
+    off_max = float(kvals.max(initial=0.0))
+    if off_max <= 1e-12 * max(diag, 1e-300):
+        return KernelSizeReport(T.name, mu, 0.0, 0.0, int(dvals.size), True)
+
+    envelope = np.minimum(dvals ** (-spec.dim * 1.0), dvals ** (-(spec.dim + mu)))
+    ratios = kvals / envelope
+    i = int(np.argmax(ratios))
+    return KernelSizeReport(T.name, mu, float(ratios[i]), float(dvals[i]),
+                            int(dvals.size), False)
+
+
+@dataclass
+class KernelHolderReport:
+    operator: str
+    delta: float
+    sigma: float
+    fitted_C: float
+    n_triples: int
+
+
+def default_holder_triples(spec: GridSpec, sigma: float) -> list:
+    """Triples (x, y, z) on the grid with |x - z| >= 2 |y - z|^sigma.
+
+    Six anchors z sweep [-L/8, L/8] on the first axis. Up to six separations
+    |y - z| double from one cell upward along the first axis; the
+    distances |x - z| sweep both multiples of the admissibility floor and a
+    fixed ladder of absolute distances, so that jump discontinuities at O(1)
+    distances are straddled by one-cell separations (the refinement check).
+    """
+    h = spec.spacing
+    L = spec.half_width
+    axis_dirs = [np.eye(spec.dim)[i] for i in range(spec.dim)]
+    absolute = [c * L for c in (0.0625, 0.09375, 0.125, 0.1875, 0.25, 0.375, 0.5)]
+    triples = []
+    rng_anchors = np.linspace(-L / 8, L / 8, 6)
+    for za in rng_anchors:
+        z = np.zeros(spec.dim)
+        z[0] = round(za / h) * h
+        for ksep in range(6):
+            s = h * 2**ksep
+            if s > L / 8:
+                break
+            y = z + s * axis_dirs[0]
+            dmin = 2.0 * s**sigma
+            cands = [dmin * fac for fac in (1.0, 1.5, 2.0, 3.0, 5.0)]
+            cands += [d for d in absolute if d >= dmin]
+            for d in cands:
+                if d > L / 2:
+                    continue
+                d = max(round(d / h), 1) * h
+                if d < dmin:
+                    d += h
+                for direction in axis_dirs:
+                    x = z + d * direction
+                    if np.max(np.abs(x)) < L - 2 * h and np.max(np.abs(y)) < L - 2 * h:
+                        triples.append((tuple(x), tuple(y), tuple(z)))
+    return triples
+
+
+def kernel_holder_check(T: OperatorSpec, delta: float, sigma: float, spec: GridSpec,
+                        sample_triples=None) -> KernelHolderReport:
+    """Fitted constant in the kernel regularity bound
+    |K(x,y)-K(x,z)| + |K(y,x)-K(z,x)| <= C |y-z|^delta / |x-z|^{n+delta/sigma}
+    over sample triples with |x-z| >= 2 |y-z|^sigma."""
+    if not (0 < delta <= 1 and 0 < sigma <= 1):
+        raise ValueError("need delta, sigma in (0, 1]")
+    k = _materialized_kernel(T, spec)
+    if sample_triples is None:
+        sample_triples = default_holder_triples(spec, sigma)
+
+    h = spec.spacing
+
+    def k_at(u):
+        return k.samples[index_of(spec, u)]
+
+    best = 0.0
+    used = 0
+    for x, y, z in sample_triples:
+        x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+        dyz = float(np.linalg.norm(y - z))
+        dxz = float(np.linalg.norm(x - z))
+        if dyz < h / 2 or dxz < 2.0 * dyz**sigma:
+            continue
+        used += 1
+        num = abs(k_at(x - y) - k_at(x - z)) + abs(k_at(y - x) - k_at(z - x))
+        best = max(best, num * dxz ** (spec.dim + delta / sigma) / dyz**delta)
+    if used == 0:
+        raise NumericalError("no admissible triples at current resolution")
+    return KernelHolderReport(T.name, delta, sigma, float(best), used)
+
+
+def index_of(spec: GridSpec, x) -> tuple[int, ...]:
+    """Grid index of the sample nearest to x, per axis modulo m."""
+    m, h, L = spec.points_per_axis, spec.spacing, spec.half_width
+    return tuple(int(round((c + L) / h)) % m for c in x)
+
+
+# ---------------------------------------------------------------------------
 # the explicit moment-probe bumps
 
 
@@ -607,6 +878,6 @@ def with_probes(values: np.ndarray, f: GridFunction, alpha, sites, idx: HardyInd
         if probe.scale >= T or not probe.support.fits_in(spec):
             continue
         pairing = abs(np.sum(f.samples * probe(spec.points())) * spec.cell_volume)
-        i = spec.index_of(site)
+        i = index_of(spec, site)
         out[i] = max(out[i], pairing)
     return out

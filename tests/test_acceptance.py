@@ -14,7 +14,6 @@ from hardylab.atoms import (
     make_atom,
     min_premolecule_constant,
     moment_bound_check,
-    pseudo_decompose,
     validate_atom,
 )
 from hardylab.config import ExperimentConfig
@@ -23,7 +22,8 @@ from hardylab.experiments import run_experiment
 from hardylab.grid import Ball, GridFunction, GridSpec, convolve, lp_quasinorm, sample_function
 from hardylab.maximal import MollifierSpec, ScaleGrid, small_maximal_table
 from hardylab.moments import HardyIndex, dual_norm_check, local_oscillation, multiindices, poly_project
-from hardylab.operators import cancellation_test, get_operator, kernel_holder_check, kernel_size_check
+from hardylab.operators import cancellation_test, get_operator
+from oracles import kernel_holder_check, kernel_size_check, pseudo_decompose
 
 IDX1 = HardyIndex(1.0, 1)
 IDX23 = HardyIndex(2 / 3, 1)

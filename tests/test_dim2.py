@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from hardylab.atoms import AtomSpec, make_atom, moment_bound_check, pseudo_decompose, validate_atom
+from hardylab.atoms import AtomSpec, make_atom, moment_bound_check, validate_atom
 from hardylab.grid import Ball, GridFunction, GridSpec, lp_quasinorm, sample_function
 from hardylab.maximal import MollifierSpec, ScaleGrid, small_maximal_table
 from hardylab.moments import BallBasis, HardyIndex, local_oscillation
 from hardylab.operators import cancellation_test, get_operator
-from oracles import build_phi0, hp_norm, small_maximal
+from oracles import build_phi0, hp_norm, pseudo_decompose, small_maximal
 
 IDX = HardyIndex(1.0, 2)
 

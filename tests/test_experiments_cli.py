@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -430,6 +431,46 @@ def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
     assert type(ok.get_int("scenario", key, minimum=1)) is int and ok.get_int("scenario", key) == 8
 
 
+@pytest.mark.parametrize("config,key,value,message", [
+    ("e3_atom_image_gaussian", "operator_params", "width=x",
+     "bad operator_params token 'width=x' (cannot parse number 'x')"),
+    ("e4_gaussian", "operator", "nosuch", "unknown operator 'nosuch'; see hardylab list-operators"),
+    ("e4_gaussian", "p", "2", "p must lie in (0, 1], got 2.0"),
+    ("e1_moment_decay", "p_values", "1, 2", "p must lie in (0, 1], got 2.0"),
+    ("e4_gaussian", "alphas", "5", "|alpha| = 5 outside the admissible range"),
+    ("e4_gaussian", "r_ladder", "2^-2, -1", "r_ladder requires every r > 0"),
+    ("e5_duality", "degree", "-1", "'degree' must be an integer >= 0, got '-1'"),
+    ("e5_duality", "r_values", "0.3, -1", "radius must be positive"),
+    ("e5_duality", "mode", "sideways", "bad mode 'sideways'"),
+    ("e2_grand_maximal", "T_ladder", "1, 2, 4, 16", "T ladder exceeds L/2"),
+])
+def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, message):
+    # a value that the scenario's runner rejects is a config error that cites
+    # its line: exit 2 and no output
+    lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} = {value}"
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"bad.cfg:{line}: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*.csv"))
+
+
+def test_config_rejects_repeated_key(tmp_path, capsys):
+    # a key given twice in one section is a config error that cites both
+    # lines, never a silent last-wins; no shipped config repeats a key
+    lines = (CONFIGS / "e4_gaussian.cfg").read_text().splitlines()
+    line = lines.index("operator = gaussian") + 1
+    lines.insert(line - 1, "operator = nosuch")
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=rf"bad.cfg:{line + 1}: key 'operator' repeats line {line} of \[scenario\]"):
+        load_config(cfg)
+    assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"bad.cfg:{line + 1}: key 'operator' repeats line {line}" in capsys.readouterr().err
+    for shipped in sorted(CONFIGS.glob("*.cfg")):
+        load_config(shipped)
+
+
 def test_cli_rejects_unbounded_grid(tmp_path, capsys):
     # an infinite grid half-width is a config error: exit 2 with no output,
     # never NumPy warnings and a numerical failure on the degenerate grid
@@ -511,48 +552,46 @@ def test_no_private_names_imported_across_modules():
     assert not bad
 
 
-# the public names of src/hardylab that only the tests use, each kept for
-# an open ROADMAP item (7: the kernel checks and pseudo_decompose; 4:
-# tstar_monomial); the list can only shrink
-TEST_ONLY_NAMES = {"kernel_size_check", "kernel_holder_check", "pseudo_decompose", "tstar_monomial"}
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(hardylab.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_no_src_name_used_only_by_tests():
-    # every public module-level def or class of src/hardylab is referenced
-    # from src/ or scripts/ outside its own body, save the listed ones, which
-    # must still exist and still have no such reference: a class that only
-    # its own methods construct counts as unused
-    src = sorted(Path(hardylab.__file__).parent.glob("*.py"))
-    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
-    defined, used = set(), set()
-    for path in [*src, *scripts]:
-        for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-            if path in src and own and not own.startswith("_"):
-                defined.add(own)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id != own:
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute) and node.attr != own:
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias) and node.name != own:
-                    used.add(node.name)
-    assert defined - used == TEST_ONLY_NAMES
+# the defs of src/hardylab that no shipped run enters: _reset_pool runs only
+# in a forked child, and OperatorSpec's apply and adjoint are abstract
+NEVER_RUN = {"pool._reset_pool", "operators.OperatorSpec.apply", "operators.OperatorSpec.adjoint"}
+
+
+def test_src_holds_only_what_runs(tmp_path):
+    # every def of src/hardylab, methods and nested defs included, is entered
+    # by one of the shipped entry points that tests/trace_runs.py runs under a
+    # profile hook, save the listed ones; every run exits 0, or 3 on a
+    # numerical failure
+    atom = make_atom(AtomSpec(HardyIndex(1.0, 1), 2.0, Ball((0.0,), 0.25)), 3,
+                     GridSpec(1, 4.0, 512))
+    (tmp_path / "atom.gfn").write_bytes(container_bytes(atom))
+    helper = Path(__file__).parent / "trace_runs.py"
+    proc = subprocess.run([sys.executable, str(helper), str(tmp_path), str(tmp_path / "atom.gfn")],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert all(code == 0 or (code == 3 and numerical) for _, code, numerical in out["runs"]), out["runs"]
+    assert {name for name, _ in out["unrun"]} == NEVER_RUN, out["unrun"]
 
 
 def test_import_leaves_scipy_unloaded():
-    src = os.path.dirname(os.path.dirname(hardylab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", "import sys, hardylab.cli; "
                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_diff_outputs_lists_cells_and_faults(tmp_path):
-    # every differing cell with both values and the relative change; exit 1
-    # on a file missing from one tree or a different row count, else 0
+    # every differing cell with both values and the relative change, and
+    # every SVG whose bytes differ; exit 1 on a file missing from one tree or
+    # a different row count, else 0
     script = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b, a / "sub", b / "sub"):
@@ -561,6 +600,10 @@ def test_diff_outputs_lists_cells_and_faults(tmp_path):
     (b / "E2.csv").write_text("kind,value\ndata,2.5000001\nfit,y\n")
     (a / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n")
     (b / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n")
+    for d in (a, b):
+        (d / "sub" / "same.svg").write_text("<svg>1</svg>\n")
+    (a / "E4.svg").write_text("<svg>1</svg>\n")
+    (b / "E4.svg").write_text("<svg>1 </svg>\n")
 
     def run():
         return subprocess.run([sys.executable, str(script), str(a), str(b)],
@@ -570,6 +613,7 @@ def test_diff_outputs_lists_cells_and_faults(tmp_path):
     assert done.returncode == 0
     assert done.stdout.splitlines() == ["E2.csv:1:value  2.5 -> 2.5000001  (4.000e-08)",
                                         "E2.csv:2:value  x -> y  ()",
+                                        "E4.svg: differs",
                                         "2 differing cells; largest relative change at |a| >= 1e-12: 4.000e-08"]
     # the summary's largest change skips cells whose parent magnitude is
     # below 1e-12, and a cell that moves from 0
@@ -585,3 +629,11 @@ def test_diff_outputs_lists_cells_and_faults(tmp_path):
     assert done.returncode == 1
     assert "E3.csv: missing in" in done.stdout and "sub/E1.csv: 2 rows against 3" in done.stdout
     assert done.stdout.splitlines()[-1].startswith("2 differing cells;")
+    # a chart in one tree only is a fault too
+    (a / "E3.csv").unlink()
+    (b / "sub" / "E1.csv").write_text("p,hp_norm\n1,3\n")
+    (b / "sub" / "same.svg").unlink()
+    done = run()
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-3:] == [f"sub/same.svg: missing in {b}", "E4.svg: differs",
+                                             "2 differing cells; largest relative change at |a| >= 1e-12: 4.000e-08"]

@@ -104,7 +104,7 @@ def test_integrate_linearity(a, b):
     rng = np.random.default_rng(7)
     f = GridFunction(spec, rng.normal(size=spec.shape))
     g = GridFunction(spec, rng.normal(size=spec.shape))
-    lhs = integrate(a * f + b * g)
+    lhs = integrate(GridFunction(spec, a * f.samples + b * g.samples))
     rhs = a * integrate(f) + b * integrate(g)
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(a) + abs(b)))
 
@@ -203,7 +203,7 @@ def test_convolve_commutative_and_bilinear(seed):
     fg = convolve(f, g)
     scale = np.max(np.abs(fg.samples)) + 1e-30
     assert np.max(np.abs(fg.samples - convolve(g, f).samples)) <= 1e-12 * scale
-    lin = convolve(f + 2.0 * k, g)
+    lin = convolve(GridFunction(spec, f.samples + 2.0 * k.samples), g)
     ref = fg.samples + 2.0 * convolve(k, g).samples
     assert np.max(np.abs(lin.samples - ref)) <= 1e-12 * (np.max(np.abs(ref)) + 1e-30)
 

@@ -14,7 +14,6 @@ from hardylab.moments import (
     PolySpace,
     dual_norm_check,
     local_oscillation,
-    match_moments_with_bump,
     moment,
     monomial,
     monomial_field,
@@ -22,7 +21,7 @@ from hardylab.moments import (
     poly_project,
     psi,
 )
-from oracles import random_smooth_field
+from oracles import match_moments_with_bump, random_smooth_field
 
 
 @given(data=st.data(), dim=st.integers(1, 2))

@@ -8,7 +8,7 @@ from hardylab.atoms import AtomSpec, make_atom
 from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, convolve, sample_function, sized_side
 from hardylab.maximal import quintic_step
-from hardylab.moments import HardyIndex, local_oscillation, monomial_field
+from hardylab.moments import HardyIndex, monomial_field
 from hardylab.operators import (
     WINDOW_SENSITIVITY_LIMIT,
     KernelOp,
@@ -17,18 +17,19 @@ from hardylab.operators import (
     builtin_operators,
     cancellation_test,
     get_operator,
-    kernel_holder_check,
-    kernel_size_check,
     smooth_window,
-    tstar_monomial,
+    window_radius,
 )
 from oracles import (
     CompositionOp,
     inner,
+    kernel_holder_check,
+    kernel_size_check,
     materialize,
     reference_cancellation_test,
     reference_tstar_monomial,
     support_box,
+    translation_invariant,
     window_convolution,
 )
 
@@ -142,46 +143,58 @@ def test_composition_adjoint_reverses(small):
     assert abs(inner(comp.apply(f), g) - inner(f, comp.adjoint().apply(g))) < 1e-10
 
 
+# a ball of radius 1/8 puts the window of cancellation_test at W = 1
+R_W1 = 0.125
+
+
 def test_tstar_identity_is_window(grid):
     T = get_operator("identity", grid)
-    ts = tstar_monomial(T, (0.0,), (0,), W=1.0, spec=grid)
+    (row,) = cancellation_test(T, IDX1, [Ball((0.0,), R_W1)], [(0,)], grid).rows
+    assert row.window_radius == window_radius(R_W1) == 1.0
+    assert row.window_sensitivity < 1e-12
+    assert row.oscillation < 1e-12  # the field is 1 on the ball
+    field, sens = reference_tstar_monomial(T, (0.0,), (0,), 1.0, grid)
     w = smooth_window(grid, (0.0,), 1.0)
-    assert np.max(np.abs(ts.field.samples - w.samples)) < 1e-12
+    assert np.max(np.abs(field.samples - w.samples)) < 1e-12
     core = np.abs(grid.axis()) < 1.0
-    assert np.allclose(ts.field.samples[core], 1.0)
-    assert ts.sensitivity < 1e-12
+    assert np.allclose(field.samples[core], 1.0)
+    assert sens < 1e-12
 
 
 def test_tstar_gaussian_reproduces_polynomials(grid):
     T = get_operator("gaussian", grid)  # narrow smoothing
-    for alpha in ((0,), (1,)):
-        ts = tstar_monomial(T, (0.0,), alpha, W=1.0, spec=grid)
-        osc = local_oscillation(ts.field, Ball((0.0,), 0.1), sum(alpha))
-        assert osc < 1e-6
+    ball = Ball((0.0,), 0.1)  # W = 1
+    for alpha, idx in (((0,), IDX1), ((1,), IDXH)):  # N_p = |alpha|
+        (row,) = cancellation_test(T, idx, [ball], [alpha], grid, check_duality=False).rows
+        assert row.window_radius == 1.0 and idx.N_p == sum(alpha)
+        assert row.oscillation < 1e-6
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("name", sorted(builtin_operators()))
 def test_tstar_certified_or_refused(dim, name):
-    # every catalog operator: a sensitivity within the limit, or NumericalError
+    # every catalog operator: a sensitivity within the limit, or the
+    # NumericalError of an unstable window
     spec = GridSpec(dim, 4.0, 256 if dim == 1 else 64)
     T = get_operator(name, spec)
     try:
-        ts = tstar_monomial(T, (0.0,) * dim, (0,) * dim, W=1.0, spec=spec)
-    except NumericalError:
+        (row,) = cancellation_test(T, HardyIndex(1.0, dim), [Ball((0.0,) * dim, R_W1)],
+                                   [(0,) * dim], spec, check_duality=False).rows
+    except NumericalError as e:
+        assert "not stable" in str(e)
         return
-    assert ts.sensitivity <= WINDOW_SENSITIVITY_LIMIT
+    assert row.window_sensitivity <= WINDOW_SENSITIVITY_LIMIT
 
 
 def test_tstar_matches_matrix_route(small):
     T = get_operator("riesz", small)
     W = 1.0
-    ts = tstar_monomial(T, (0.0,), (0,), W=W, spec=small)
+    field, _ = reference_tstar_monomial(T, (0.0,), (0,), W, small)
     M = materialize(T, small)
     wmono = smooth_window(small, (0.0,), W) * monomial_field(small, (0.0,), (0,))
     via_matrix = M.adjoint().apply(wmono)
     ball = Ball((0.0,), W / 4).mask(small)
-    assert np.max(np.abs(ts.field.samples[ball] - via_matrix.samples[ball])) < 1e-8
+    assert np.max(np.abs(field.samples[ball] - via_matrix.samples[ball])) < 1e-8
 
 
 def test_tstar_rejects_heavy_tail(grid):
@@ -193,15 +206,15 @@ def test_tstar_rejects_heavy_tail(grid):
 
     T = KernelOp(sample_function(grid, heavy), name="heavy")
     with pytest.raises(NumericalError, match="not stable"):
-        tstar_monomial(T, (0.0,), (0,), W=1.0, spec=grid)
+        cancellation_test(T, IDX1, [Ball((0.0,), R_W1)], [(0,)], grid)
 
 
 def test_tstar_validates_window(grid):
     T = get_operator("identity", grid)
-    with pytest.raises(ValueError):
-        tstar_monomial(T, (0.0,), (0,), W=3.0, spec=grid)  # W > L/2
-    with pytest.raises(ValueError):
-        tstar_monomial(T, (3.0,), (0,), W=1.0, spec=grid)  # 2W ball escapes
+    with pytest.raises(ValueError, match="at most L/2"):
+        cancellation_test(T, IDX1, [Ball((0.0,), 0.375)], [(0,)], grid)  # W = 3 > L/2
+    with pytest.raises(ValueError, match="escapes"):
+        cancellation_test(T, IDX1, [Ball((3.0,), R_W1)], [(0,)], grid)  # 2W ball escapes
 
 
 def test_pairing_consistency_with_atoms(grid):
@@ -210,8 +223,8 @@ def test_pairing_consistency_with_atoms(grid):
     T = get_operator("gaussian", grid)
     B = Ball((0.0,), 0.25)
     a = make_atom(AtomSpec(IDX1, 2.0, B, "local"), 0, grid)
-    ts = tstar_monomial(T, (0.0,), (0,), W=1.0, spec=grid)
-    lhs = inner(ts.field, a)
+    field, _ = reference_tstar_monomial(T, (0.0,), (0,), 1.0, grid)
+    lhs = inner(field, a)
     rhs = inner(monomial_field(grid, (0.0,), (0,)), T.apply(a))
     scale = np.sqrt(np.abs((T.apply(a) * T.apply(a)).samples).sum() * grid.cell_volume)
     assert abs(lhs - rhs) <= 1e-6 * max(scale, 1.0)
@@ -299,12 +312,6 @@ def test_cancellation_matches_per_row_reference(dim, op, kind):
             assert getattr(got, name) == getattr(want, name), name
         for name in ("oscillation", "psi_value", "ratio", "window_sensitivity", "dual_gap"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    ball, alpha = balls[0], alphas[-1]
-    W = max(8.0 * ball.radius, 1.0)
-    ts = tstar_monomial(T, ball.center, alpha, W, spec)
-    field, sens = reference_tstar_monomial(T, ball.center, alpha, W, spec)
-    assert np.array_equal(ts.field.samples, field.samples)
-    assert ts.sensitivity == sens
 
 
 class CountingOp(OperatorSpec):
@@ -407,10 +414,10 @@ def test_catalog_metadata():
 
 def test_catalog_pathological_flagged_non_translation_invariant(grid):
     for name in ("sign-mult", "halfpower-mult", "modulation"):
-        assert not get_operator(name, grid).translation_invariant
+        assert not translation_invariant(get_operator(name, grid))
     for name in ("identity", "gaussian", "riesz", "bessel-phase", "order-zero",
                  "strongly-singular", "truncated-power"):
-        assert get_operator(name, grid).translation_invariant
+        assert translation_invariant(get_operator(name, grid))
 
 
 def test_catalog_non_pathological_size_checks(grid):
