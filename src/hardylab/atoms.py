@@ -178,7 +178,6 @@ def validate_atom(a: GridFunction, spec_: AtomSpec, tol: float = 1e-8) -> AtomRe
 
 @dataclass
 class PreMoleculeReport:
-    spec: PreMoleculeSpec
     m1_ratio: float
     m2_ratio: float
 
@@ -199,7 +198,7 @@ def validate_premolecule(M: GridFunction, spec_: PreMoleculeSpec) -> PreMolecule
     m1_rhs = spec_.C * r ** (n * (1.0 / s - 1.0 / p))
     m2_lhs = _weighted_tail_norm(M, spec_.ball, s, lam)
     m2_rhs = spec_.C * r ** (lam / s + n * (1.0 / s - 1.0 / p))
-    return PreMoleculeReport(spec_, m1_lhs / m1_rhs, m2_lhs / m2_rhs)
+    return PreMoleculeReport(m1_lhs / m1_rhs, m2_lhs / m2_rhs)
 
 
 def min_premolecule_constant(M: GridFunction, idx: HardyIndex, s: float,
@@ -218,15 +217,7 @@ class MomentBoundRow:
     ratio: float
 
 
-@dataclass
-class MomentBoundTable:
-    idx: HardyIndex
-    ball: Ball
-    hp: float
-    rows: list[MomentBoundRow]
-
-
-def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex, hp: float) -> MomentBoundTable:
+def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex, hp: float) -> list[MomentBoundRow]:
     """Empirical constants in the small-ball moment bounds: for each
     |alpha| <= N_p, ratio = |<g, (.-x0)^alpha>| / (hp * bound) with hp the
     caller's ||g||_{h^p} (the L^p quasi-norm of g's small maximal function,
@@ -243,4 +234,4 @@ def moment_bound_check(g: GridFunction, ball: Ball, idx: HardyIndex, hp: float) 
         m = abs(moment(g, ball.center, alpha))
         rows.append(MomentBoundRow(alpha, float(m), float(bound), critical,
                                    float(m / (hp * bound))))
-    return MomentBoundTable(idx, ball, hp, rows)
+    return rows

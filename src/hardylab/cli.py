@@ -75,7 +75,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_list_operators(args) -> int:
     for name, entry in builtin_operators().items():
-        claims = " ".join(f"{k}={v!r}" for k, v in entry.claims().items())
+        claims = " ".join(f"{k}={v!r}" for k, v in entry.claimed)
         defaults = " ".join(f"{k}={v!r}" for k, v in entry.defaults)
         flags = " [pathological]" if entry.pathological else ""
         print(f"{name:18s} {entry.kind:10s} {entry.description}{flags}")
@@ -135,10 +135,7 @@ def main(argv=None) -> int:
         if args.command == "version":
             print(__version__)
             return 0
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

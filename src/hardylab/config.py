@@ -3,6 +3,14 @@
 Deliberately not INI-compatible-by-library: the hand parser keeps line
 numbers for every key so config errors can cite them, and values get the
 numeric conveniences the experiment files want (2^-3, 2/3, inf).
+
+SCENARIO_KEYS declares every section and key a scenario takes, each with its
+parser and default. `ExperimentConfig.from_file` applies it before anything
+runs: an unknown scenario, section or key, a missing required key and a value
+its parser rejects are each a ConfigError that cites path:line. The parsers
+check syntax only. A check that needs the grid or another key runs at the top
+of the scenario's runner, before any field is made, through
+`ExperimentConfig.check`.
 """
 
 from __future__ import annotations
@@ -59,64 +67,34 @@ class ConfigFile:
     sections: dict[str, dict[str, tuple[str, int]]] = field(default_factory=dict)
     section_lines: dict[str, int] = field(default_factory=dict)
 
-    def get(self, section: str, key: str, default=None, required: bool = False) -> str | None:
-        try:
-            return self.sections[section][key][0]
-        except KeyError:
-            if required:
-                line = self.section_lines.get(section)
-                where = f"{self.path}:{line}" if line else self.path
-                raise ConfigError(
-                    f"{where}: section [{section}] is missing required key {key!r}"
-                ) from None
-            return default
-
     def where(self, section: str, key: str) -> str:
         """path:line of the key, or the path alone when the key is absent."""
         entry = self.sections.get(section, {}).get(key)
         return f"{self.path}:{entry[1]}" if entry else self.path
 
-    def get_number(self, section: str, key: str, default=None, required: bool = False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return parse_number(raw)
-        except ConfigError:
-            raise ConfigError(f"{self.where(section, key)}: bad number for {key!r}: {raw!r}") from None
-
-    def get_list(self, section: str, key: str, parse, default: str | None = None) -> list:
-        """parse (parse_number_list or parse_alpha_list) of the value, or of
-        default when the key is absent (required when default is None); a
-        value that parse rejects raises ConfigError with its line."""
-        raw = self.get(section, key, default=default, required=default is None)
-        try:
-            return parse(raw)
-        except ConfigError as e:
-            raise ConfigError(f"{self.where(section, key)}: bad list for {key!r}: {raw!r} ({e})") from None
-
-    def get_int(self, section: str, key: str, default=None, required: bool = False,
-                minimum: int | None = None):
-        """The value as an int; a value that is not a finite integer, or one
-        below minimum, raises ConfigError with its line."""
-        val = self.get_number(section, key, required=required)
-        if val is None:
-            return default
-        if not (math.isfinite(val) and val.is_integer()) or (minimum is not None and val < minimum):
-            floor = "" if minimum is None else f" >= {minimum}"
-            raise ConfigError(f"{self.where(section, key)}: {key!r} must be an integer{floor}, "
-                              f"got {self.get(section, key)!r}")
-        return int(val)
-
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        if raw.lower() in ("1", "yes", "true", "on"):
-            return True
-        if raw.lower() in ("0", "no", "false", "off"):
-            return False
-        raise ConfigError(f"{self.where(section, key)}: bad boolean for {key!r}: {raw!r}")
+    def parsed(self, section: str, keys: dict) -> dict:
+        """Every key of keys (key -> (parser, default)) parsed from the
+        section, or from its default when absent. An unknown key, a missing
+        required key (default None) or a value its parser rejects is a
+        ConfigError that cites its line."""
+        given = self.sections.get(section, {})
+        for key, (_, line) in given.items():
+            if key not in keys:
+                raise ConfigError(f"{self.path}:{line}: unknown key {key!r} in [{section}]; "
+                                  f"it takes {', '.join(keys)}")
+        out = {}
+        for key, (parse, default) in keys.items():
+            where = self.where(section, key)
+            raw = given[key][0] if key in given else default
+            if raw is None:
+                line = self.section_lines.get(section)
+                where = f"{self.path}:{line}" if line else self.path
+                raise ConfigError(f"{where}: section [{section}] is missing required key {key!r}")
+            try:
+                out[key] = parse(key, raw)
+            except ConfigError as e:
+                raise ConfigError(f"{where}: {e}") from None
+        return out
 
 
 def load_config(path) -> ConfigFile:
@@ -148,9 +126,136 @@ def load_config(path) -> ConfigFile:
     return cfg
 
 
+# ---------------------------------------------------------------------------
+# value parsers, parse(key, text) -> value: syntax only; a check that needs the
+# grid or another key runs in the runner, through ExperimentConfig.check
+
+
+def string(key: str, raw: str) -> str:
+    return raw
+
+
+def _keyed(parse, what: str):
+    """parse(text) as a parser of a key's value: its ConfigError names the key."""
+
+    def parse_key(key: str, raw: str):
+        try:
+            return parse(raw)
+        except ConfigError as e:
+            raise ConfigError(f"bad {what} for {key!r}: {raw!r} ({e})") from None
+
+    return parse_key
+
+
+number = _keyed(parse_number, "number")
+number_list = _keyed(parse_number_list, "list")
+alpha_list = _keyed(parse_alpha_list, "list")
+
+
+def integer(floor: int | None = None):
+    """The parser of a finite integer, at least floor when one is given."""
+
+    def parse(key: str, raw: str) -> int:
+        val = number(key, raw)
+        if not (math.isfinite(val) and val.is_integer()) or (floor is not None and val < floor):
+            at_least = "" if floor is None else f" >= {floor}"
+            raise ConfigError(f"{key!r} must be an integer{at_least}, got {raw!r}")
+        return int(val)
+
+    return parse
+
+
+def r_ladder(key: str, raw: str) -> list[float]:
+    """A nonempty, strictly decreasing list of radii in (0, 1)."""
+    vals = number_list(key, raw)
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        raise ConfigError(f"{key} must be strictly decreasing")
+    if any(v >= 1 for v in vals):
+        raise ConfigError(f"{key} requires every r < 1")
+    if any(v <= 0 for v in vals):
+        raise ConfigError(f"{key} requires every r > 0")
+    if not vals:
+        raise ConfigError(f"{key} is empty")
+    return vals
+
+
+def flag(key: str, raw: str) -> bool:
+    if raw.lower() in ("1", "yes", "true", "on"):
+        return True
+    if raw.lower() in ("0", "no", "false", "off"):
+        return False
+    raise ConfigError(f"bad boolean for {key!r}: {raw!r}")
+
+
+def choice(*options: str, many: bool = False):
+    """The parser of one of options, or with many of a comma-separated list of them."""
+
+    def parse(key: str, raw: str):
+        vals = [v.strip() for v in raw.split(",")] if many else [raw]
+        for v in vals:
+            if v not in options:
+                raise ConfigError(f"bad {key} {v!r}; choose from {', '.join(options)}")
+        return vals if many else raw
+
+    return parse
+
+
+def operator_params(key: str, raw: str) -> dict[str, float]:
+    """`name=number` tokens, separated by commas or blanks."""
+    params = {}
+    for tok in raw.replace(",", " ").split():
+        name, eq, val = tok.partition("=")
+        if not eq:
+            raise ConfigError(f"bad {key} token {tok!r}")
+        try:
+            params[name] = parse_number(val)
+        except ConfigError as e:
+            raise ConfigError(f"bad {key} token {tok!r} ({e})") from None
+    return params
+
+
+# ---------------------------------------------------------------------------
+# the keys of every section, per scenario: key -> (parser, default text),
+# default None for a required key; a section or key not listed is an error
+
+_RUN_KEYS = {
+    "experiment": {"scenario": (string, None), "seed": (integer(0), "0"), "out_dir": (string, ".")},
+    "grid": {"dim": (integer(), "1"), "m": (integer(), "2048"), "L": (number, "4")},
+}
+# the output keys every scenario takes; an empty tag names the outputs
+# scenario[-operator]; only E4 draws a chart
+_OUTPUT_KEYS = {"tag": (string, ""), "svg": (flag, "yes")}
+_OPERATOR_KEYS = {"operator": (string, None), "operator_params": (operator_params, "")}
+
+
+def _scenario(keys: dict) -> dict:
+    return {**_RUN_KEYS, "scenario": {**keys, **_OUTPUT_KEYS}}
+
+
+SCENARIO_KEYS = {
+    "E1-moment-decay": _scenario({
+        "mollifier": (string, "gaussian"), "p_values": (number_list, "1, 2/3"),
+        "profiles": (choice("indicator", "bump", "random", "atom", many=True), "indicator, bump, random"),
+        "r_ladder": (r_ladder, "2^-1, 2^-2, 2^-3, 2^-4, 2^-5, 2^-6, 2^-7, 2^-8")}),
+    "E2-grand-maximal-constant": _scenario({
+        "p_values": (number_list, "1, 1/2"), "T_ladder": (number_list, "1, 2, 4, 8"),
+        "r_large": (number, "1"), "r_small": (number, "0.25"), "n_seeds": (integer(1), "6")}),
+    "E3-atom-image": _scenario({
+        **_OPERATOR_KEYS, "p": (number, "1"), "s": (number, "2"), "lambda": (number, "2"), "C": (number, "1"),
+        "r_ladder": (r_ladder, "2^-2, 2^-3, 2^-4, 2^-5"), "n_seeds": (integer(1), "3")}),
+    "E4-cancellation": _scenario({
+        **_OPERATOR_KEYS, "p": (number, "1"), "alphas": (alpha_list, "0"),
+        "r_ladder": (r_ladder, "2^-2, 2^-3, 2^-4, 2^-5, 2^-6"), "check_duality": (flag, "yes")}),
+    "E5-duality": _scenario({
+        "n_instances": (integer(1), "10"), "trials": (integer(0), "500"), "degree": (integer(0), "1"),
+        "mode": (choice("both", "deterministic", "random"), "both"), "r_values": (number_list, "0.3, 0.5")}),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated scenario description driving the harness."""
+    """A validated scenario run: every key parsed by SCENARIO_KEYS, the
+    [scenario] keys in params."""
 
     scenario: str
     grid: GridSpec
@@ -158,36 +263,38 @@ class ExperimentConfig:
     out_dir: Path
     quiet: bool
     source: ConfigFile
+    params: dict
 
     @classmethod
     def from_file(cls, path, out_dir=None, seed=None, grid_m=None, dim=None,
                   quiet: bool = False) -> "ExperimentConfig":
         cfg = load_config(path)
-        if "experiment" not in cfg.sections:
-            raise ConfigError(f"{path}: missing [experiment] section")
-        scenario = cfg.get("experiment", "scenario", required=True)
-        gdim = dim if dim is not None else cfg.get_int("grid", "dim", default=1)
-        gm = grid_m if grid_m is not None else cfg.get_int("grid", "m", default=2048)
-        gL = cfg.get_number("grid", "L", default=4.0)
+        experiment = cfg.parsed("experiment", _RUN_KEYS["experiment"])
+        scenario = experiment["scenario"]
+        if scenario not in SCENARIO_KEYS:
+            raise ConfigError(f"{cfg.where('experiment', 'scenario')}: unknown scenario {scenario!r}; "
+                              f"choose one of {', '.join(SCENARIO_KEYS)}")
+        keys = SCENARIO_KEYS[scenario]
+        for section, line in cfg.section_lines.items():
+            if section not in keys:
+                raise ConfigError(f"{path}:{line}: unknown section [{section}]; "
+                                  f"{scenario} takes {', '.join(f'[{s}]' for s in keys)}")
+        grid_keys = cfg.parsed("grid", keys["grid"])
+        params = cfg.parsed("scenario", keys["scenario"])
         try:
-            grid = GridSpec(gdim, gL, gm)
+            grid = GridSpec(grid_keys["dim"] if dim is None else dim, grid_keys["L"],
+                            grid_keys["m"] if grid_m is None else grid_m)
         except ValueError as e:
             raise ConfigError(f"{path}: bad [grid] section: {e}") from None
-        the_seed = seed if seed is not None else cfg.get_int("experiment", "seed", default=0)
-        out = out_dir or cfg.get("experiment", "out_dir", default=".")
-        return cls(scenario=scenario, grid=grid, seed=the_seed,
-                   out_dir=Path(out), quiet=quiet, source=cfg)
+        return cls(scenario=scenario, grid=grid,
+                   seed=experiment["seed"] if seed is None else seed,
+                   out_dir=Path(out_dir or experiment["out_dir"]), quiet=quiet, source=cfg,
+                   params=params)
 
-    def ladder(self, default: str | None = None) -> list[float]:
-        """The strictly decreasing [scenario] r_ladder, every r < 1."""
-        vals = self.source.get_list("scenario", "r_ladder", parse_number_list, default=default)
-        where = self.source.where("scenario", "r_ladder")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(f"{where}: r_ladder must be strictly decreasing")
-        if any(v >= 1 for v in vals):
-            raise ConfigError(f"{where}: r_ladder requires every r < 1")
-        if any(v <= 0 for v in vals):
-            raise ConfigError(f"{where}: r_ladder requires every r > 0")
-        if not vals:
-            raise ConfigError(f"{where}: r_ladder is empty")
-        return vals
+    def check(self, key: str, build):
+        """build(), with the ValueError it raises on the [scenario] key's
+        value turned into a ConfigError that cites the key's line."""
+        try:
+            return build()
+        except ValueError as e:
+            raise ConfigError(f"{self.source.where('scenario', key)}: {e}") from None

@@ -26,11 +26,11 @@ from .atoms import (
     moment_bound_check,
     validate_premolecule,
 )
-from .config import ConfigError, ExperimentConfig, parse_alpha_list, parse_number, parse_number_list
+from .config import ConfigError, ExperimentConfig
 from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, integrate, lp_quasinorm
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, psi, small_ball_factor
-from .operators import builtin_operators, cancellation_test, get_operator, smooth_window, window_radius
+from .operators import cancellation_test, catalog_entry, get_operator, smooth_window, window_radius
 from .svgchart import Series, line_chart
 
 SCHEMAS = {
@@ -86,41 +86,6 @@ class RunResult:
     runtime: float
 
 
-def _checked(cfg: ExperimentConfig, key: str, build):
-    """build(), with the ValueError it raises on the [scenario] key's value
-    turned into a ConfigError that cites the key's line."""
-    try:
-        return build()
-    except ValueError as e:
-        raise ConfigError(f"{cfg.source.where('scenario', key)}: {e}") from None
-
-
-def _operator_from_cfg(cfg: ExperimentConfig):
-    name = cfg.source.get("scenario", "operator", required=True)
-    if name not in builtin_operators():
-        raise ConfigError(f"{cfg.source.where('scenario', 'operator')}: unknown operator {name!r}; "
-                          f"see hardylab list-operators")
-    raw = cfg.source.get("scenario", "operator_params", default="")
-    where = cfg.source.where("scenario", "operator_params")
-    params = {}
-    for tok in raw.replace(",", " ").split():
-        k, eq, v = tok.partition("=")
-        if not eq:
-            raise ConfigError(f"{where}: bad operator_params token {tok!r}")
-        try:
-            params[k] = parse_number(v)
-        except ConfigError as e:
-            raise ConfigError(f"{where}: bad operator_params token {tok!r} ({e})") from None
-    return get_operator(name, cfg.grid, **params)
-
-
-def _p_values(cfg: ExperimentConfig, default: str) -> list[float]:
-    vals = cfg.source.get_list("scenario", "p_values", parse_number_list, default=default)
-    for p in vals:
-        _checked(cfg, "p_values", lambda: HardyIndex(p, cfg.grid.dim))
-    return vals
-
-
 # the E1 profiles whose field does not depend on p
 _P_FREE_PROFILES = ("indicator", "bump")
 
@@ -134,10 +99,8 @@ def _profile_field(kind: str, grid: GridSpec, ball: Ball, rng, idx: HardyIndex) 
     if kind == "random":
         noise = ball.box(grid).scatter(ball_smooth_fields(grid, ball, ball.radius / 3.0, 1, rng)[:, 0])
         return edge_cutoff(grid, ball) * GridFunction(grid, noise)
-    if kind == "atom":
-        return make_atom(AtomSpec(idx, 2.0, ball, "local"),
-                         int(rng.integers(0, 2**31)), grid)
-    raise ConfigError(f"unknown profile {kind!r}")
+    # "atom", the last profile that E1's key table takes
+    return make_atom(AtomSpec(idx, 2.0, ball, "local"), int(rng.integers(0, 2**31)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +109,11 @@ def _profile_field(kind: str, grid: GridSpec, ball: Ball, rng, idx: HardyIndex) 
 def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
     """Moment/norm ratios for small-ball profiles across an r-ladder, with a
     max/min summary per (p, profile, alpha)."""
-    grid = cfg.grid
-    mol = MollifierSpec(cfg.source.get("scenario", "mollifier", default="gaussian"), grid.dim)
+    grid, prm = cfg.grid, cfg.params
+    mol = cfg.check("mollifier", lambda: MollifierSpec(prm["mollifier"], grid.dim))
+    p_values, profiles, ladder = prm["p_values"], prm["profiles"], prm["r_ladder"]
+    cfg.check("p_values", lambda: [HardyIndex(p, grid.dim) for p in p_values])
     scales = ScaleGrid.default(grid, 1.0)
-    ladder = cfg.ladder(default="2^-1,2^-2,2^-3,2^-4,2^-5,2^-6,2^-7,2^-8")
-    profiles = [s.strip() for s in
-                cfg.source.get("scenario", "profiles", default="indicator,bump,random").split(",")]
-    p_values = _p_values(cfg, "1, 2/3")
     # the fields by p, profile and r; a field that does not depend on p is
     # made once and its norms are taken at every p
     fields = {}  # norms key -> (field, the p its norms are needed at)
@@ -181,10 +142,10 @@ def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
         for prof, row_cells in zip(profiles, cells):
             ratios: dict[tuple, list[float]] = {}
             for r, ball, g, key in row_cells:
-                table = moment_bound_check(g, ball, idx, norms[key][p])
-                for row in table.rows:
+                hp = norms[key][p]
+                for row in moment_bound_check(g, ball, idx, hp):
                     rows.append(["data", p, prof, r, _alpha_str(row.alpha),
-                                 row.abs_moment, row.bound, table.hp, row.ratio])
+                                 row.abs_moment, row.bound, hp, row.ratio])
                     ratios.setdefault(row.alpha, []).append(row.ratio)
             for alpha, vals in sorted(ratios.items()):
                 lo = min(vals)
@@ -206,16 +167,18 @@ def _fit_log_model(Ts, values):
 def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
     """Grand-maximal norms of atoms across a T-ladder: log-model fit at p = 1,
     power-model fit at p < 1, and the T-variation of small-ball atoms."""
-    grid = cfg.grid
-    Ts = cfg.source.get_list("scenario", "T_ladder", parse_number_list, default="1,2,4,8")
+    grid, prm = cfg.grid, cfg.params
+    Ts, p_values, n_seeds = prm["T_ladder"], prm["p_values"], prm["n_seeds"]
+    r_large, r_small = prm["r_large"], prm["r_small"]
     if max(Ts) > grid.half_width / 2.0:
         raise ConfigError(f"{cfg.source.where('scenario', 'T_ladder')}: T ladder exceeds L/2 "
                           f"(wrap-around guard)")
-    r_large = cfg.source.get_number("scenario", "r_large", default=1.0)
-    r_small = cfg.source.get_number("scenario", "r_small", default=0.25)
-    n_seeds = cfg.source.get_int("scenario", "n_seeds", default=6, minimum=1)
+    for key in ("r_large", "r_small"):
+        if not cfg.check(key, lambda: Ball((0.0,) * grid.dim, prm[key])).fits_in(grid):
+            raise ConfigError(f"{cfg.source.where('scenario', key)}: the ball of radius {prm[key]:g} "
+                              f"does not fit the grid")
+    cfg.check("p_values", lambda: [HardyIndex(p, grid.dim) for p in p_values])
     mol = MollifierSpec("smooth-bump", grid.dim)
-    p_values = _p_values(cfg, "1, 1/2")
     # per p, the atoms of its (p, r) blocks against its T dictionaries, in one
     # streamed pass over the distinct scales: the p = 1 dictionaries (order 1)
     # fold on each atom's support and the p < 1 ones on the full grid
@@ -257,15 +220,17 @@ def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
 def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     """Apply a catalog operator to atoms across the r-ladder; report both
     pre-molecule size ratios and the windowed moment decay of the images."""
-    grid = cfg.grid
-    T_op = _operator_from_cfg(cfg)
-    p = cfg.source.get_number("scenario", "p", default=1.0)
-    s = cfg.source.get_number("scenario", "s", default=2.0)
-    lam = cfg.source.get_number("scenario", "lambda", default=2.0)
-    C = cfg.source.get_number("scenario", "C", default=1.0)
-    n_seeds = cfg.source.get_int("scenario", "n_seeds", default=3, minimum=1)
-    idx = _checked(cfg, "p", lambda: HardyIndex(p, grid.dim))
-    ladder = cfg.ladder(default="2^-2,2^-3,2^-4,2^-5")
+    grid, prm = cfg.grid, cfg.params
+    name = prm["operator"]
+    cfg.check("operator", lambda: catalog_entry(name))
+    T_op = cfg.check("operator_params", lambda: get_operator(name, grid, **prm["operator_params"]))
+    p, s, lam, C, n_seeds, ladder = (prm[k] for k in ("p", "s", "lambda", "C", "n_seeds", "r_ladder"))
+    idx = cfg.check("p", lambda: HardyIndex(p, grid.dim))
+    # s, lambda and C as the atoms and the pre-molecule checks take them
+    largest = Ball((0.0,) * grid.dim, ladder[0])
+    cfg.check("s", lambda: (AtomSpec(idx, s, largest), PreMoleculeSpec(idx, s, np.inf, 1.0, largest)))
+    cfg.check("lambda", lambda: PreMoleculeSpec(idx, s, lam, 1.0, largest))
+    cfg.check("C", lambda: PreMoleculeSpec(idx, s, lam, C, largest))
     mol = MollifierSpec("gaussian", grid.dim)
     scales = ScaleGrid.default(grid, 1.0)
     alphas = multiindices(grid.dim, idx.N_p)
@@ -295,19 +260,18 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
 def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
     """Cancellation ratios across the r-ladder, plus an SVG overlaying the
     measured oscillation with the decay modulus."""
-    grid = cfg.grid
-    T_op = _operator_from_cfg(cfg)
-    p = cfg.source.get_number("scenario", "p", default=1.0)
-    idx = _checked(cfg, "p", lambda: HardyIndex(p, grid.dim))
-    alphas = cfg.source.get_list("scenario", "alphas", parse_alpha_list, default="0")
+    grid, prm = cfg.grid, cfg.params
+    name = prm["operator"]
+    cfg.check("operator", lambda: catalog_entry(name))
+    T_op = cfg.check("operator_params", lambda: get_operator(name, grid, **prm["operator_params"]))
+    p, alphas = prm["p"], prm["alphas"]
+    idx = cfg.check("p", lambda: HardyIndex(p, grid.dim))
     # psi rejects an alpha of the wrong dimension or outside the admissible range
-    _checked(cfg, "alphas", lambda: [psi(idx, alpha, 0.5) for alpha in alphas])
-    ladder = cfg.ladder(default="2^-2,2^-3,2^-4,2^-5,2^-6")
-    check_dual = cfg.source.get_bool("scenario", "check_duality", default=True)
-    balls = [Ball((0.0,) * grid.dim, r) for r in ladder]
-    report = cancellation_test(T_op, idx, balls, alphas, grid, check_duality=check_dual)
+    cfg.check("alphas", lambda: [psi(idx, alpha, 0.5) for alpha in alphas])
+    balls = [Ball((0.0,) * grid.dim, r) for r in prm["r_ladder"]]
+    report = cancellation_test(T_op, idx, balls, alphas, grid, check_duality=prm["check_duality"])
     rows = []
-    for row in report.rows:
+    for row in report:
         rows.append([T_op.name, p, _alpha_str(row.alpha), row.ball.radius,
                      row.oscillation, row.psi_value, row.ratio, row.window_radius,
                      row.window_sensitivity, row.dual_gap])
@@ -315,7 +279,7 @@ def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
 
     series = []
     for alpha in alphas:
-        sub = [r for r in report.rows if r.alpha == tuple(alpha)]
+        sub = [r for r in report if r.alpha == tuple(alpha)]
         rs = [r.ball.radius for r in sub]
         series.append(Series(f"oscillation a={_alpha_str(alpha)}", rs,
                              [r.oscillation for r in sub]))
@@ -331,15 +295,9 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
     """Dual-norm checks: deterministic mode certifies the identity, random
     mode gives the Monte-Carlo lower bound. The instances run on the worker
     pool, each with its own generators, so the rows equal a serial loop's."""
-    grid = cfg.grid
-    n_instances = cfg.source.get_int("scenario", "n_instances", default=10, minimum=1)
-    trials = cfg.source.get_int("scenario", "trials", default=500, minimum=0)
-    degree = cfg.source.get_int("scenario", "degree", default=1, minimum=0)
-    mode = cfg.source.get("scenario", "mode", default="both")
-    if mode not in ("both", "deterministic", "random"):
-        raise ConfigError(f"{cfg.source.where('scenario', 'mode')}: bad mode {mode!r}")
-    r_values = cfg.source.get_list("scenario", "r_values", parse_number_list, default="0.3, 0.5")
-    balls = _checked(cfg, "r_values", lambda: [Ball((0.0,) * grid.dim, r) for r in r_values])
+    grid, prm = cfg.grid, cfg.params
+    n_instances, trials, degree, mode = (prm[k] for k in ("n_instances", "trials", "degree", "mode"))
+    balls = cfg.check("r_values", lambda: [Ball((0.0,) * grid.dim, r) for r in prm["r_values"]])
 
     def instance(i: int) -> list[list]:
         ball = balls[i % len(balls)]
@@ -370,26 +328,21 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
-    if cfg.scenario not in RUNNERS:
-        line = cfg.source.sections["experiment"]["scenario"][1]
-        raise ConfigError(f"{cfg.source.path}:{line}: unknown scenario {cfg.scenario!r}; "
-                          f"choose one of {', '.join(RUNNERS)}")
     rows, extras = RUNNERS[cfg.scenario](cfg)
     runtime = time.perf_counter() - start
 
-    tag = cfg.source.get("scenario", "tag", default=None)
-    if tag is None:
-        op = cfg.source.get("scenario", "operator", default=None)
+    tag = cfg.params["tag"]
+    if not tag:
+        op = cfg.params.get("operator")
         tag = cfg.scenario if op is None else f"{cfg.scenario}-{op}"
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / f"{tag}.csv"
     write_csv(csv_path, SCHEMAS[cfg.scenario], rows)
 
     svg_paths = []
-    if extras.get("series") and cfg.source.get_bool("scenario", "svg", default=True):
+    if extras.get("series") and cfg.params["svg"]:
         svg_path = cfg.out_dir / f"{tag}.svg"
-        line_chart(svg_path, extras["title"], extras["series"], xlabel="r",
-                   ylabel="value", logx=True, logy=True)
+        line_chart(svg_path, extras["title"], extras["series"], "r", "value")
         svg_paths.append(svg_path)
 
     meta_path = cfg.out_dir / f"{tag}.meta.txt"

@@ -18,6 +18,11 @@ once, a `MultiplierOp` samples its symbol once per grid, and along a ladder
 of balls the fields at W and W/2 of one ball are reused by the next, which
 needs the same radii or half of them. The rows equal, bit for bit, those
 computed with a fresh pair of fields per (ball, alpha).
+
+Each entry of the builtin catalog holds its operator's closed form and its
+default parameters. `get_operator` merges the defaults with the given
+parameters, rejects a parameter the entry does not take, and has the entry
+build the operator.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ class OperatorSpec:
     """Base class: a linear operator with application and an adjoint."""
 
     name: str = "operator"
-    params: dict = {}
 
     def apply(self, f: GridFunction) -> GridFunction:
         raise NotImplementedError
@@ -77,7 +81,6 @@ class MultiplierOp(OperatorSpec):
 
     symbol: object
     name: str = "multiplier"
-    params: dict = field(default_factory=dict)
     _sampled: SampledSymbol | None = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, f: GridFunction) -> GridFunction:
@@ -87,7 +90,7 @@ class MultiplierOp(OperatorSpec):
 
     def adjoint(self) -> "MultiplierOp":
         sym = self.symbol
-        return MultiplierOp(lambda xi: np.conj(sym(xi)), name=f"{self.name}*", params=self.params)
+        return MultiplierOp(lambda xi: np.conj(sym(xi)), name=f"{self.name}*")
 
 
 @dataclass
@@ -102,7 +105,6 @@ class KernelOp(OperatorSpec):
 
     kernel: GridFunction
     name: str = "kernel"
-    params: dict = field(default_factory=dict)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, f: GridFunction) -> GridFunction:
@@ -111,7 +113,7 @@ class KernelOp(OperatorSpec):
         return convolve(f, self.kernel, self._spectra)
 
     def adjoint(self) -> "KernelOp":
-        return KernelOp(reflect(self.kernel).conj(), name=f"{self.name}*", params=self.params)
+        return KernelOp(reflect(self.kernel).conj(), name=f"{self.name}*")
 
 
 @dataclass
@@ -124,7 +126,6 @@ class PointwiseOp(OperatorSpec):
 
     factor: GridFunction
     name: str = "pointwise"
-    params: dict = field(default_factory=dict)
 
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.factor.spec:
@@ -132,7 +133,7 @@ class PointwiseOp(OperatorSpec):
         return self.factor * f
 
     def adjoint(self) -> "PointwiseOp":
-        return PointwiseOp(self.factor.conj(), name=f"{self.name}*", params=self.params)
+        return PointwiseOp(self.factor.conj(), name=f"{self.name}*")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,6 @@ class TStarMonomial:
     """T*(window * (.-x0)^alpha) plus its stability certificate."""
 
     field: GridFunction
-    x0: tuple[float, ...]
     alpha: tuple[int, ...]
     window_radius: float
     sensitivity: float
@@ -216,7 +216,7 @@ class _TStarLadder:
         sens = _rms(diff) / max(scale, 1e-300)
         if sens > WINDOW_SENSITIVITY_LIMIT:
             raise NumericalError("T* monomial not stable: kernel tail too heavy")
-        return TStarMonomial(f_full, x0, self.alpha, W, float(sens))
+        return TStarMonomial(f_full, self.alpha, W, float(sens))
 
 
 @dataclass
@@ -231,15 +231,8 @@ class CancellationRow:
     dual_gap: float
 
 
-@dataclass
-class CancellationReport:
-    operator: str
-    idx: HardyIndex
-    rows: list[CancellationRow]
-
-
 def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
-                      spec: GridSpec, check_duality: bool = True) -> CancellationReport:
+                      spec: GridSpec, check_duality: bool = True) -> list[CancellationRow]:
     """Measure the local oscillation of T*[(.-x0)^alpha] against the decay
     modulus psi on each ball.
 
@@ -269,7 +262,7 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
         for i, (ball, W) in enumerate(zip(balls, windows)):
             table[i][j] = _cancellation_row(ladder.certify(ball.center, W), ball, idx,
                                             check_duality)
-    return CancellationReport(T.name, idx, [row for ball_rows in table for row in ball_rows])
+    return [row for ball_rows in table for row in ball_rows]
 
 
 def _cancellation_row(ts: TStarMonomial, ball: Ball, idx: HardyIndex,
@@ -290,19 +283,24 @@ def _cancellation_row(ts: TStarMonomial, ball: Ball, idx: HardyIndex,
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A named operator. form(x, spec, **params) is its closed form: the
+    symbol at the frequencies x for a multiplier, the kernel or the factor at
+    the points x otherwise."""
+
     name: str
     kind: str
     description: str
+    form: object
     defaults: tuple = ()
     claimed: tuple = ()
     pathological: bool = False
 
-    def claims(self) -> dict:
-        return dict(self.claimed)
-
-
-def _xi_norm(xi):
-    return np.sqrt(np.sum(xi**2, axis=0))
+    def build(self, spec: GridSpec, **params) -> OperatorSpec:
+        """The operator on the grid, with every parameter given."""
+        if self.kind == "multiplier":
+            return MultiplierOp(lambda xi: self.form(xi, spec, **params), name=self.name)
+        op = KernelOp if self.kind == "kernel" else PointwiseOp
+        return op(sample_function(spec, lambda pts: self.form(pts, spec, **params)), name=self.name)
 
 
 def _jap(xi):
@@ -310,27 +308,63 @@ def _jap(xi):
     return np.sqrt(1.0 + np.sum(xi**2, axis=0))
 
 
+def _strongly_singular(xi, spec, b, a):
+    b = float(b)
+    a = spec.dim * (1.0 - b) / 2.0 if a is None else float(a)
+    return np.exp(1j * np.sqrt(np.sum(xi**2, axis=0)) ** b) * _jap(xi) ** (-a)
+
+
+def _truncated_power(pts, spec, mu):
+    u = np.sqrt(np.sum(pts**2, axis=0))
+    with np.errstate(divide="ignore"):
+        vals = np.where(u > 0, u, 1.0) ** (-(spec.dim + float(mu)))
+    vals = vals * quintic_step(2.0 * u - 1.0)  # zero below |u| = 1/2
+    return vals * (1.0 - quintic_step(u / (0.40 * spec.half_width) - 1.0))  # zero beyond 0.8 L
+
+
+def _halfpower(pts, spec):
+    r2 = np.sum(pts**2, axis=0)
+    return np.sqrt(np.abs(pts[0])) * (1.0 - quintic_step(np.sqrt(r2) / 1.5 - 1.0))
+
+
+def _modulation(pts, spec, xi0):
+    xi0 = (float(xi0),) * spec.dim if np.isscalar(xi0) else tuple(map(float, xi0))
+    phase = np.zeros(pts.shape[1:])
+    for i in range(spec.dim):
+        phase = phase + xi0[i] * pts[i]
+    return np.exp(1j * phase)
+
+
 _CATALOG = [
-    CatalogEntry("identity", "multiplier", "symbol 1", (), (("mu", 4.0), ("delta", 1.0), ("sigma", 1.0))),
+    CatalogEntry("identity", "multiplier", "symbol 1", lambda xi, spec: np.ones(xi.shape[1:]),
+                 (), (("mu", 4.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("gaussian", "multiplier", "smoothing exp(-(w|xi|)^2/4) at width w",
+                 lambda xi, spec, width: np.exp(-(float(width)**2) * np.sum(xi**2, axis=0) / 4.0),
                  (("width", 0.05),), (("mu", 4.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("riesz", "multiplier", "inhomogeneous Riesz -i xi_1/<xi>",
+                 lambda xi, spec: -1j * xi[0] / _jap(xi),
                  (), (("mu", 1.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("bessel-phase", "multiplier", "imaginary-order Bessel <xi>^{i beta}",
+                 lambda xi, spec, beta: _jap(xi) ** (1j * float(beta)),
                  (("beta", 1.0),), (("mu", 1.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("order-zero", "multiplier", "<xi>^{-1} (1 + i xi_1)",
+                 lambda xi, spec: (1.0 + 1j * xi[0]) / _jap(xi),
                  (), (("mu", 1.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("strongly-singular", "multiplier",
                  "e^{i |xi|^b} <xi>^{-a}; L^q -> L^2 bookkeeping 1/q = 1/2 + beta/n, "
-                 "beta = a = n(1-sigma)/2, sigma = b",
+                 "beta = a = n(1-sigma)/2, sigma = b", _strongly_singular,
                  (("b", 0.5), ("a", None)), (("mu", 1.0), ("delta", 1.0), ("sigma", 0.5))),
     CatalogEntry("truncated-power", "kernel", "|u|^{-n-mu} cut smoothly below |u|=1 "
-                 "and near the half-domain", (("mu", 1.0),), (("mu", 1.0),)),
+                 "and near the half-domain", _truncated_power, (("mu", 1.0),), (("mu", 1.0),)),
     CatalogEntry("jump-kernel", "kernel", "bounded kernel with a jump across |u1| = c",
+                 lambda pts, spec, c: np.exp(-np.sum(pts**2, axis=0))
+                 * (1.0 + 0.5 * np.sign(np.abs(pts[0]) - float(c))),
                  (("c", 0.5),), (), True),
-    CatalogEntry("sign-mult", "pointwise", "multiplication by sign(x1)", (), (), True),
-    CatalogEntry("halfpower-mult", "pointwise", "multiplication by |x1|^{1/2} cutoff", (), (), True),
-    CatalogEntry("modulation", "pointwise", "multiplication by e^{i x . xi0}",
+    CatalogEntry("sign-mult", "pointwise", "multiplication by sign(x1)",
+                 lambda pts, spec: np.sign(pts[0]), (), (), True),
+    CatalogEntry("halfpower-mult", "pointwise", "multiplication by |x1|^{1/2} cutoff", _halfpower,
+                 (), (), True),
+    CatalogEntry("modulation", "pointwise", "multiplication by e^{i x . xi0}", _modulation,
                  (("xi0", 8.0),), (), True),
 ]
 
@@ -340,79 +374,21 @@ def builtin_operators() -> dict[str, CatalogEntry]:
     return {e.name: e for e in _CATALOG}
 
 
-def get_operator(name: str, spec: GridSpec, **params) -> OperatorSpec:
-    """Instantiate a catalog operator on a grid; params override the defaults."""
+def catalog_entry(name: str) -> CatalogEntry:
+    """The catalog entry of name; ValueError for a name not in the catalog."""
     try:
-        entry = builtin_operators()[name]
+        return builtin_operators()[name]
     except KeyError:
-        raise KeyError(f"unknown operator {name!r}; see builtin_operators()") from None
+        raise ValueError(f"unknown operator {name!r}; see hardylab list-operators") from None
+
+
+def get_operator(name: str, spec: GridSpec, **params) -> OperatorSpec:
+    """Instantiate a catalog operator on a grid; params override the
+    defaults, and a parameter the entry does not take is a ValueError."""
+    entry = catalog_entry(name)
     opts = dict(entry.defaults)
-    opts.update(params)
-    meta = {**entry.claims(), **opts}
-
-    if name == "identity":
-        return MultiplierOp(lambda xi: np.ones(xi.shape[1:]), name=name, params=meta)
-    if name == "gaussian":
-        w = float(opts["width"])
-        return MultiplierOp(lambda xi: np.exp(-(w**2) * np.sum(xi**2, axis=0) / 4.0),
-                            name=name, params=meta)
-    if name == "riesz":
-        return MultiplierOp(lambda xi: -1j * xi[0] / _jap(xi), name=name, params=meta)
-    if name == "bessel-phase":
-        b = float(opts["beta"])
-        return MultiplierOp(lambda xi: _jap(xi) ** (1j * b), name=name, params=meta)
-    if name == "order-zero":
-        return MultiplierOp(lambda xi: (1.0 + 1j * xi[0]) / _jap(xi), name=name, params=meta)
-    if name == "strongly-singular":
-        b = float(opts["b"])
-        a = opts["a"]
-        a = spec.dim * (1.0 - b) / 2.0 if a is None else float(a)
-        meta["a"] = a
-        meta["beta"] = a
-        meta["sigma"] = b
-        meta["q"] = 1.0 / (0.5 + a / spec.dim)
-        return MultiplierOp(
-            lambda xi: np.exp(1j * _xi_norm(xi) ** b) * _jap(xi) ** (-a),
-            name=name, params=meta)
-    if name == "truncated-power":
-        mu = float(opts["mu"])
-        L = spec.half_width
-
-        def kern(pts):
-            u = np.sqrt(np.sum(pts**2, axis=0))
-            with np.errstate(divide="ignore"):
-                vals = np.where(u > 0, u, 1.0) ** (-(spec.dim + mu))
-            vals = vals * quintic_step(2.0 * u - 1.0)  # zero below |u| = 1/2
-            vals = vals * (1.0 - quintic_step(u / (0.40 * L) - 1.0))  # zero beyond 0.8 L
-            return vals
-
-        return KernelOp(sample_function(spec, kern), name=name, params=meta)
-    if name == "jump-kernel":
-        c = float(opts["c"])
-
-        def kern(pts):
-            u2 = np.sum(pts**2, axis=0)
-            return np.exp(-u2) * (1.0 + 0.5 * np.sign(np.abs(pts[0]) - c))
-
-        return KernelOp(sample_function(spec, kern), name=name, params=meta)
-    if name == "sign-mult":
-        return PointwiseOp(sample_function(spec, lambda p: np.sign(p[0])), name=name, params=meta)
-    if name == "halfpower-mult":
-        def factor(pts):
-            r2 = np.sum(pts**2, axis=0)
-            return np.sqrt(np.abs(pts[0])) * (1.0 - quintic_step(np.sqrt(r2) / 1.5 - 1.0))
-
-        return PointwiseOp(sample_function(spec, factor), name=name, params=meta)
-    if name == "modulation":
-        xi0 = opts["xi0"]
-        xi0 = (float(xi0),) * spec.dim if np.isscalar(xi0) else tuple(map(float, xi0))
-        meta["xi0"] = xi0
-
-        def factor(pts):
-            phase = np.zeros(pts.shape[1:])
-            for i in range(spec.dim):
-                phase = phase + xi0[i] * pts[i]
-            return np.exp(1j * phase)
-
-        return PointwiseOp(sample_function(spec, factor), name=name, params=meta)
-    raise AssertionError(f"catalog entry {name} without builder")
+    unknown = sorted(params.keys() - opts.keys())
+    if unknown:
+        takes = f"takes {', '.join(opts)}" if opts else "takes no parameters"
+        raise ValueError(f"operator {name!r} has no parameter {unknown[0]!r}; it {takes}")
+    return entry.build(spec, **{**opts, **params})

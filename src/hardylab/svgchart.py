@@ -1,4 +1,4 @@
-"""Minimal self-contained SVG line charts (no external assets)."""
+"""Minimal self-contained SVG line charts on log-log axes (no external assets)."""
 
 from __future__ import annotations
 
@@ -19,72 +19,43 @@ class Series:
     dashed: bool = False
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        vals = [10.0**e for e in range(lo_e, hi_e + 1)]
-        return [v for v in vals if lo / 1.001 <= v <= hi * 1.001] or [lo, hi]
-    span = hi - lo or 1.0
-    step = 10.0 ** math.floor(math.log10(span / 4))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + step * 1e-9:
-        out.append(round(v, 12))
-        v += step
-    return out or [lo, hi]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """The powers of ten in [lo, hi], or its ends when there is none."""
+    lo_e = math.floor(math.log10(lo))
+    hi_e = math.ceil(math.log10(hi))
+    vals = [10.0**e for e in range(lo_e, hi_e + 1)]
+    return [v for v in vals if lo / 1.001 <= v <= hi * 1.001] or [lo, hi]
 
 
 def _fmt(v: float) -> str:
-    if v == 0:
-        return "0"
     if abs(v) >= 1e4 or abs(v) < 1e-3:
         return f"{v:.1e}"
     return f"{v:g}"
 
 
-def line_chart(path, title: str, series: list[Series], xlabel: str = "",
-               ylabel: str = "", logx: bool = False, logy: bool = False) -> None:
-    pts = [(x, y) for s in series for x, y in zip(s.xs, s.ys)
-           if (not logx or x > 0) and (not logy or y > 0)]
+def line_chart(path, title: str, series: list[Series], xlabel: str, ylabel: str) -> None:
+    """Write the series as a log-log chart; points with x <= 0 or y <= 0 are left out."""
+    pts = [(x, y) for s in series for x, y in zip(s.xs, s.ys) if x > 0 and y > 0]
     if not pts:
         pts = [(1.0, 1.0), (2.0, 2.0)]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    if logx:
-        if x0 == x1:
-            x0, x1 = x0 / 2, x1 * 2
-    elif x0 == x1:
-        x0, x1 = x0 - 1, x1 + 1
-    if logy:
-        if y0 == y1:
-            y0, y1 = y0 / 2, y1 * 2
-        y0, y1 = y0 / 1.2, y1 * 1.2
-    elif y0 == y1:
-        y0, y1 = y0 - 1, y1 + 1
-    else:
-        pad = 0.06 * (y1 - y0)
-        y0, y1 = y0 - pad, y1 + pad
+    if x0 == x1:
+        x0, x1 = x0 / 2, x1 * 2
+    if y0 == y1:
+        y0, y1 = y0 / 2, y1 * 2
+    y0, y1 = y0 / 1.2, y1 * 1.2
 
     px0, px1 = MARGIN["left"], WIDTH - MARGIN["right"]
     py0, py1 = HEIGHT - MARGIN["bottom"], MARGIN["top"]
 
     def tx(x):
-        u = (math.log10(x) - math.log10(x0)) / (math.log10(x1) - math.log10(x0)) if logx \
-            else (x - x0) / (x1 - x0)
-        return px0 + u * (px1 - px0)
+        return px0 + (math.log10(x) - math.log10(x0)) / (math.log10(x1) - math.log10(x0)) * (px1 - px0)
 
     def ty(y):
-        u = (math.log10(y) - math.log10(y0)) / (math.log10(y1) - math.log10(y0)) if logy \
-            else (y - y0) / (y1 - y0)
-        return py0 + u * (py1 - py0)
+        return py0 + (math.log10(y) - math.log10(y0)) / (math.log10(y1) - math.log10(y0)) * (py1 - py0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -94,29 +65,25 @@ def line_chart(path, title: str, series: list[Series], xlabel: str = "",
         f'<rect x="{px0}" y="{py1}" width="{px1-px0}" height="{py0-py1}" '
         f'fill="none" stroke="#333"/>',
     ]
-    for xt in _ticks(x0, x1, logx):
+    for xt in _ticks(x0, x1):
         X = tx(xt)
         parts.append(f'<line x1="{X:.1f}" y1="{py0}" x2="{X:.1f}" y2="{py0+5}" stroke="#333"/>')
         parts.append(f'<line x1="{X:.1f}" y1="{py0}" x2="{X:.1f}" y2="{py1}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
         parts.append(f'<text x="{X:.1f}" y="{py0+18}" text-anchor="middle">{_fmt(xt)}</text>')
-    for yt in _ticks(y0, y1, logy):
+    for yt in _ticks(y0, y1):
         Y = ty(yt)
         parts.append(f'<line x1="{px0-5}" y1="{Y:.1f}" x2="{px0}" y2="{Y:.1f}" stroke="#333"/>')
         parts.append(f'<line x1="{px0}" y1="{Y:.1f}" x2="{px1}" y2="{Y:.1f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
         parts.append(f'<text x="{px0-8}" y="{Y+4:.1f}" text-anchor="end">{_fmt(yt)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{(px0+px1)/2:.0f}" y="{HEIGHT-12}" '
-                     f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="18" y="{(py0+py1)/2:.0f}" text-anchor="middle" '
-                     f'transform="rotate(-90 18 {(py0+py1)/2:.0f})">{ylabel}</text>')
+    parts.append(f'<text x="{(px0+px1)/2:.0f}" y="{HEIGHT-12}" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="18" y="{(py0+py1)/2:.0f}" text-anchor="middle" '
+                 f'transform="rotate(-90 18 {(py0+py1)/2:.0f})">{ylabel}</text>')
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        coords = [(tx(x), ty(y)) for x, y in zip(s.xs, s.ys)
-                  if (not logx or x > 0) and (not logy or y > 0)]
+        coords = [(tx(x), ty(y)) for x, y in zip(s.xs, s.ys) if x > 0 and y > 0]
         if coords:
             path_str = " ".join(f"{X:.2f},{Y:.2f}" for X, Y in coords)
             dash = ' stroke-dasharray="6,4"' if s.dashed else ""

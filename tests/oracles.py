@@ -40,7 +40,7 @@ them is used by the experiments."""
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class MatrixOp(OperatorSpec):
     matrix: np.ndarray
     spec: GridSpec
     name: str = "matrix"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.spec.num_samples
@@ -96,8 +95,7 @@ class MatrixOp(OperatorSpec):
         return GridFunction(self.spec, out.reshape(self.spec.shape))
 
     def adjoint(self) -> "MatrixOp":
-        return MatrixOp(self.matrix.conj().T.copy(), self.spec, name=f"{self.name}*",
-                        params=self.params)
+        return MatrixOp(self.matrix.conj().T.copy(), self.spec, name=f"{self.name}*")
 
 
 @dataclass
@@ -106,7 +104,6 @@ class CompositionOp(OperatorSpec):
 
     parts: list
     name: str = "composition"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.parts:
@@ -118,8 +115,7 @@ class CompositionOp(OperatorSpec):
         return f
 
     def adjoint(self) -> "CompositionOp":
-        return CompositionOp([p.adjoint() for p in reversed(self.parts)],
-                             name=f"{self.name}*", params=self.params)
+        return CompositionOp([p.adjoint() for p in reversed(self.parts)], name=f"{self.name}*")
 
 
 def materialize(T: OperatorSpec, spec: GridSpec) -> MatrixOp:
@@ -136,7 +132,7 @@ def materialize(T: OperatorSpec, spec: GridSpec) -> MatrixOp:
         cols[:, j] = T.apply(GridFunction(spec, e.reshape(spec.shape))).samples.ravel()
     if np.max(np.abs(cols.imag)) == 0:
         cols = cols.real.copy()
-    return MatrixOp(cols, spec, name=f"{T.name}.matrix", params=dict(T.params))
+    return MatrixOp(cols, spec, name=f"{T.name}.matrix")
 
 
 _SAMPLING_SLACK = 0.01

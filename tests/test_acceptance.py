@@ -151,7 +151,7 @@ def test_criterion_05_moment_decay_trend():
         balls = [Ball((0.0,), 2.0**-k) for k in range(1, 9)]
         gs = [GridFunction(grid, ball.mask(grid).astype(float)) for ball in balls]
         for ball, g, mg in zip(balls, gs, small_maximal_table(gs, mol, scales)):
-            (row,) = moment_bound_check(g, ball, idx, lp_quasinorm(mg, idx.p)).rows
+            (row,) = moment_bound_check(g, ball, idx, lp_quasinorm(mg, idx.p))
             ratios.append(row.ratio)
         spans[idx.p] = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - start
@@ -169,8 +169,8 @@ def test_criterion_06_cancellation_smoothing():
     worst = 0.0
     for idx in (IDX1, IDXH):
         alphas = multiindices(1, idx.N_p)
-        rep = cancellation_test(T, idx, balls, alphas, grid)
-        worst = max(worst, max(r.ratio for r in rep.rows))
+        rows = cancellation_test(T, idx, balls, alphas, grid)
+        worst = max(worst, max(r.ratio for r in rows))
     elapsed = time.perf_counter() - start
     report(6, "smoothing operator cancellation ratios (p in {1, 1/2}, r=2^-2..2^-6)",
            worst <= 1e-4, f"max ratio {worst:.2e} <= 1e-4", elapsed, 60.0)
@@ -181,8 +181,8 @@ def test_criterion_07_cancellation_stability():
     grid = GridSpec(1, 4.0, 8192)
     T = get_operator("riesz", grid)
     balls = [Ball((0.0,), 2.0**-k) for k in (3, 4, 5)]  # single window regime
-    rep = cancellation_test(T, IDX1, balls, [(0,)], grid)
-    ratios = [r.ratio for r in rep.rows if r.alpha == (0,)]
+    rows = cancellation_test(T, IDX1, balls, [(0,)], grid)
+    ratios = [r.ratio for r in rows if r.alpha == (0,)]
     span = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - start
     report(7, "smoothed Riesz cancellation ratio stability over the r-ladder",
@@ -194,8 +194,8 @@ def test_criterion_08_cancellation_failure():
     grid = GridSpec(1, 4.0, 8192)
     T = get_operator("sign-mult", grid)
     balls = [Ball((0.0,), 2.0**-2), Ball((0.0,), 2.0**-7)]
-    rep = cancellation_test(T, IDX1, balls, [(0,)], grid)
-    growth = rep.rows[1].ratio / rep.rows[0].ratio
+    rows = cancellation_test(T, IDX1, balls, [(0,)], grid)
+    growth = rows[1].ratio / rows[0].ratio
     elapsed = time.perf_counter() - start
     report(8, "sign multiplier: cancellation ratio grows from r=2^-2 to 2^-7",
            growth >= 2.0, f"growth {growth:.2f} >= 2", elapsed, 60.0)

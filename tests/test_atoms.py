@@ -172,8 +172,8 @@ def test_premolecule_lambda_monotone(grid):
 def test_moment_bound_check_atom_ratios_vanish(grid):
     B = Ball((0.0,), 0.25)
     a = make_atom(AtomSpec(IDX1, 2.0, B, "local"), 0, grid)
-    table = moment_bound_check(a, B, IDX1, hp_norm(a, IDX1))
-    assert all(row.ratio <= 1e-10 for row in table.rows)
+    rows = moment_bound_check(a, B, IDX1, hp_norm(a, IDX1))
+    assert all(row.ratio <= 1e-10 for row in rows)
 
 
 def test_moment_bound_check_indicator_bounded(grid):
@@ -183,8 +183,7 @@ def test_moment_bound_check_indicator_bounded(grid):
     for k in range(1, 7):
         r = 2.0**-k
         g = GridFunction(grid, Ball((0.0,), r).mask(grid).astype(float))
-        table = moment_bound_check(g, Ball((0.0,), r), IDX1, hp_norm(g, IDX1, mol, scales))
-        (row,) = table.rows
+        (row,) = moment_bound_check(g, Ball((0.0,), r), IDX1, hp_norm(g, IDX1, mol, scales))
         assert row.critical and row.bound == pytest.approx(1 / np.log1p(1 / r))
         ratios.append(row.ratio)
     assert max(ratios) / min(ratios) <= 6.0
@@ -193,8 +192,7 @@ def test_moment_bound_check_indicator_bounded(grid):
 def test_moment_bound_check_subcritical_branch(grid):
     r = 0.25
     g = GridFunction(grid, Ball((0.0,), r).mask(grid).astype(float))
-    table = moment_bound_check(g, Ball((0.0,), r), IDX23, hp_norm(g, IDX23))
-    (row,) = table.rows
+    (row,) = moment_bound_check(g, Ball((0.0,), r), IDX23, hp_norm(g, IDX23))
     assert not row.critical and row.bound == 1.0
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from hardylab import experiments, pool
 from hardylab.atoms import AtomSpec, make_atom
 from hardylab.cli import main
 from hardylab.config import (
+    SCENARIO_KEYS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -87,32 +89,26 @@ def test_config_missing_scenario(tmp_path):
 
 def test_config_unknown_scenario(tmp_path, capsys):
     path = write(tmp_path, "unk.cfg", "[experiment]\nscenario = E9-nope\n")
-    cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="unknown scenario") as exc:
-        run_experiment(cfg)
+        ExperimentConfig.from_file(path, out_dir=str(tmp_path))
     assert f"{path}:2:" in str(exc.value)
     assert all(name in str(exc.value) for name in RUNNERS)
     assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
     assert f"{path}:2: unknown scenario" in capsys.readouterr().err
 
 
-def test_runner_registry_matches_schemas(tmp_path):
-    assert set(RUNNERS) == set(SCHEMAS)
-    cfg = ExperimentConfig.from_file(write(tmp_path, "e4.cfg", E4_CFG), out_dir=str(tmp_path))
-    cfg.scenario = "E9-nope"
-    with pytest.raises(ConfigError, match="unknown scenario"):
-        run_experiment(cfg)
+def test_runner_registry_matches_schemas():
+    assert set(RUNNERS) == set(SCHEMAS) == set(SCENARIO_KEYS)
 
 
 def test_ladder_validation(tmp_path):
+    # a bad r_ladder is an error of from_file, at the key's line (15)
     path = write(tmp_path, "l.cfg", E4_CFG.replace("2^-2, 2^-3, 2^-4", "2^-3, 2^-2"))
-    cfg = ExperimentConfig.from_file(path, out_dir=str(tmp_path))
-    with pytest.raises(ConfigError, match="strictly decreasing"):
-        cfg.ladder()
+    with pytest.raises(ConfigError, match="l.cfg:15: r_ladder must be strictly decreasing"):
+        ExperimentConfig.from_file(path, out_dir=str(tmp_path))
     path2 = write(tmp_path, "l2.cfg", E4_CFG.replace("2^-2, 2^-3, 2^-4", "2, 0.5"))
-    cfg2 = ExperimentConfig.from_file(path2, out_dir=str(tmp_path))
-    with pytest.raises(ConfigError, match="r < 1"):
-        cfg2.ladder()
+    with pytest.raises(ConfigError, match="l2.cfg:15: r_ladder requires every r < 1"):
+        ExperimentConfig.from_file(path2, out_dir=str(tmp_path))
 
 
 def test_run_produces_schema_and_svg(tmp_path):
@@ -427,29 +423,66 @@ def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
         assert f"bad.cfg:{line}: bad list for {key!r}: {value!r}" in err
         return
     assert f"bad.cfg:{line}: {key!r} must be an integer" in err and value in err
-    ok = load_config(write(tmp_path, "ok.cfg", f"[scenario]\n{key} = 2^3\n"))
-    assert type(ok.get_int("scenario", key, minimum=1)) is int and ok.get_int("scenario", key) == 8
+    lines[line - 1] = f"{key} = 2^3"
+    ok = ExperimentConfig.from_file(write(tmp_path, "ok.cfg", "\n".join(lines) + "\n"))
+    assert type(ok.params[key]) is int and ok.params[key] == 8
 
 
 @pytest.mark.parametrize("config,key,value,message", [
     ("e3_atom_image_gaussian", "operator_params", "width=x",
      "bad operator_params token 'width=x' (cannot parse number 'x')"),
+    ("e3_atom_image_gaussian", "operator_params", "widht=0.5",
+     "operator 'gaussian' has no parameter 'widht'; it takes width"),
     ("e4_gaussian", "operator", "nosuch", "unknown operator 'nosuch'; see hardylab list-operators"),
     ("e4_gaussian", "p", "2", "p must lie in (0, 1], got 2.0"),
     ("e1_moment_decay", "p_values", "1, 2", "p must lie in (0, 1], got 2.0"),
+    ("e1_moment_decay", "mollifier", "gausian", "unknown mollifier shape 'gausian'"),
+    ("e1_moment_decay", "profiles", "indicator, bmp",
+     "bad profiles 'bmp'; choose from indicator, bump, random, atom"),
     ("e4_gaussian", "alphas", "5", "|alpha| = 5 outside the admissible range"),
     ("e4_gaussian", "r_ladder", "2^-2, -1", "r_ladder requires every r > 0"),
+    ("e3_atom_image_gaussian", "s", "0.5", "s must satisfy s >= 1 (or inf)"),
+    ("e3_atom_image_gaussian", "lambda", "0.5", "lambda = 0.5 must exceed n(s/p - 1) = 1.0"),
+    ("e3_atom_image_gaussian", "C", "0", "C must be positive"),
     ("e5_duality", "degree", "-1", "'degree' must be an integer >= 0, got '-1'"),
     ("e5_duality", "r_values", "0.3, -1", "radius must be positive"),
     ("e5_duality", "mode", "sideways", "bad mode 'sideways'"),
+    ("e5_duality", "mdoe", "random", "unknown key 'mdoe' in [scenario]"),
     ("e2_grand_maximal", "T_ladder", "1, 2, 4, 16", "T ladder exceeds L/2"),
+    ("e2_grand_maximal", "r_small", "0", "radius must be positive"),
+    ("e2_grand_maximal", "r_large", "17", "the ball of radius 17 does not fit the grid"),
 ])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, message):
-    # a value that the scenario's runner rejects is a config error that cites
-    # its line: exit 2 and no output
+    # a value that the scenario's key table or its runner rejects, and a key
+    # that the table does not list, is a config error that cites its line:
+    # exit 2 and no output. The key's line is rewritten, or appended to the
+    # [scenario] section (the last one) when the config does not set the key
     lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
-    line = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} ="))
+    line = next((i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} =")), None)
+    if line is None:
+        lines.append("")
+        line = len(lines)
     lines[line - 1] = f"{key} = {value}"
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"bad.cfg:{line}: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*.csv"))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("[scenario]", "[scenairo]", "unknown section [scenairo]; E2-grand-maximal-constant takes "
+                                 "[experiment], [grid], [scenario]"),
+    ("m = ", "M = 512", "unknown key 'M' in [grid]; it takes dim, m, L"),
+    ("seed = ", "sede = 1", "unknown key 'sede' in [experiment]; it takes scenario, seed, out_dir"),
+    ("seed = ", "seed = -1", "'seed' must be an integer >= 0, got '-1'"),
+])
+def test_cli_rejects_bad_section_lines(tmp_path, capsys, old, new, message):
+    # a misspelt section or key in any section is a config error that cites
+    # its line, never a run on the defaults; so is a negative seed, which
+    # NumPy's generators refuse
+    lines = (CONFIGS / "e2_grand_maximal.cfg").read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith(old))
+    lines[line - 1] = new
     cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
     assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
     assert f"bad.cfg:{line}: {message}" in capsys.readouterr().err
@@ -485,6 +518,24 @@ def test_cli_rejects_unbounded_grid(tmp_path, capsys):
     assert not list(tmp_path.glob("o/*.csv"))
     with pytest.raises(ValueError, match="positive and finite"):
         GridSpec(1, np.inf, 64)
+
+
+def test_every_shipped_and_workload_config_loads(tmp_path, monkeypatch):
+    # every section and key of the shipped configs and of the benchmark's
+    # workload configs is in the key table: each one loads, and none runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # where its dataclasses look
+    spec.loader.exec_module(workloads)
+    texts = {cfg.name: cfg.read_text() for cfg in sorted(CONFIGS.glob("*.cfg"))}
+    texts.update({f"{w.name}-{c.name}": c.text(0) for w in workloads.WORKLOADS.values() for c in w.configs})
+    assert len(texts) == 8 + 13
+    for name, text in texts.items():
+        cfg = ExperimentConfig.from_file(write(tmp_path, f"{name}.cfg", text), out_dir=str(tmp_path / "o"))
+        assert set(cfg.params) == set(SCENARIO_KEYS[cfg.scenario]["scenario"]), name
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):

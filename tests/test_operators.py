@@ -149,7 +149,7 @@ R_W1 = 0.125
 
 def test_tstar_identity_is_window(grid):
     T = get_operator("identity", grid)
-    (row,) = cancellation_test(T, IDX1, [Ball((0.0,), R_W1)], [(0,)], grid).rows
+    (row,) = cancellation_test(T, IDX1, [Ball((0.0,), R_W1)], [(0,)], grid)
     assert row.window_radius == window_radius(R_W1) == 1.0
     assert row.window_sensitivity < 1e-12
     assert row.oscillation < 1e-12  # the field is 1 on the ball
@@ -165,7 +165,7 @@ def test_tstar_gaussian_reproduces_polynomials(grid):
     T = get_operator("gaussian", grid)  # narrow smoothing
     ball = Ball((0.0,), 0.1)  # W = 1
     for alpha, idx in (((0,), IDX1), ((1,), IDXH)):  # N_p = |alpha|
-        (row,) = cancellation_test(T, idx, [ball], [alpha], grid, check_duality=False).rows
+        (row,) = cancellation_test(T, idx, [ball], [alpha], grid, check_duality=False)
         assert row.window_radius == 1.0 and idx.N_p == sum(alpha)
         assert row.oscillation < 1e-6
 
@@ -179,7 +179,7 @@ def test_tstar_certified_or_refused(dim, name):
     T = get_operator(name, spec)
     try:
         (row,) = cancellation_test(T, HardyIndex(1.0, dim), [Ball((0.0,) * dim, R_W1)],
-                                   [(0,) * dim], spec, check_duality=False).rows
+                                   [(0,) * dim], spec, check_duality=False)
     except NumericalError as e:
         assert "not stable" in str(e)
         return
@@ -233,24 +233,24 @@ def test_pairing_consistency_with_atoms(grid):
 def test_cancellation_gaussian_ratios_tiny(grid):
     T = get_operator("gaussian", grid)
     balls = [Ball((0.0,), 2.0**-k) for k in range(2, 7)]
-    rep = cancellation_test(T, IDX1, balls, [(0,)], grid)
-    assert all(r.ratio <= 1e-4 for r in rep.rows)
-    assert all(r.dual_gap <= 1e-9 for r in rep.rows)
+    rows = cancellation_test(T, IDX1, balls, [(0,)], grid)
+    assert all(r.ratio <= 1e-4 for r in rows)
+    assert all(r.dual_gap <= 1e-9 for r in rows)
 
 
 def test_cancellation_riesz_ratios_stable(grid):
     T = get_operator("riesz", grid)
     balls = [Ball((0.0,), 2.0**-k) for k in (3, 4, 5)]
-    rep = cancellation_test(T, IDX1, balls, [(0,)], grid)
-    ratios = [r.ratio for r in rep.rows if r.alpha == (0,)]
+    rows = cancellation_test(T, IDX1, balls, [(0,)], grid)
+    ratios = [r.ratio for r in rows if r.alpha == (0,)]
     assert max(ratios) / min(ratios) <= 4.0
 
 
 def test_cancellation_sign_ratios_grow(grid):
     T = get_operator("sign-mult", grid)
     balls = [Ball((0.0,), 2.0**-2), Ball((0.0,), 2.0**-7)]
-    rep = cancellation_test(T, IDX1, balls, [(0,)], grid)
-    r_big, r_small = rep.rows[0].ratio, rep.rows[1].ratio
+    rows = cancellation_test(T, IDX1, balls, [(0,)], grid)
+    r_big, r_small = rows[0].ratio, rows[1].ratio
     assert r_small / r_big >= 2.0
 
 
@@ -260,9 +260,9 @@ def test_cancellation_subadditive_in_operator(grid):
     T1, T2 = MultiplierOp(s1, name="a"), MultiplierOp(s2, name="b")
     Tsum = MultiplierOp(lambda xi: s1(xi) + s2(xi), name="a+b")
     balls = [Ball((0.0,), 0.125)]
-    o1 = cancellation_test(T1, IDX1, balls, [(0,)], grid).rows[0].oscillation
-    o2 = cancellation_test(T2, IDX1, balls, [(0,)], grid).rows[0].oscillation
-    osum = cancellation_test(Tsum, IDX1, balls, [(0,)], grid).rows[0].oscillation
+    o1 = cancellation_test(T1, IDX1, balls, [(0,)], grid)[0].oscillation
+    o2 = cancellation_test(T2, IDX1, balls, [(0,)], grid)[0].oscillation
+    osum = cancellation_test(Tsum, IDX1, balls, [(0,)], grid)[0].oscillation
     assert osum <= o1 + o2 + 1e-12
 
 
@@ -304,7 +304,7 @@ def test_cancellation_matches_per_row_reference(dim, op, kind):
     idx, alphas, _ = LADDER_CASES[dim]
     balls = ladder_balls(dim, kind)
     T = ladder_operator(op, spec)
-    rows = cancellation_test(T, idx, balls, alphas, spec).rows
+    rows = cancellation_test(T, idx, balls, alphas, spec)
     ref = reference_cancellation_test(T, idx, balls, alphas, spec)
     assert len(rows) == len(ref) == len(balls) * len(alphas)
     for got, want in zip(rows, ref):
@@ -408,8 +408,14 @@ def test_catalog_metadata():
     assert {"sign-mult", "halfpower-mult", "modulation"} <= patho
     ss = cat["strongly-singular"]
     assert dict(ss.claimed)["sigma"] == 0.5
-    with pytest.raises(KeyError):
-        get_operator("no-such-operator", GridSpec(1, 4.0, 64))
+    spec = GridSpec(1, 4.0, 64)
+    with pytest.raises(ValueError, match="unknown operator 'no-such-operator'; see hardylab list-operators"):
+        get_operator("no-such-operator", spec)
+    # a parameter the entry does not take is an error, never a silent default
+    with pytest.raises(ValueError, match="'gaussian' has no parameter 'widht'; it takes width"):
+        get_operator("gaussian", spec, widht=0.5)
+    with pytest.raises(ValueError, match="'riesz' has no parameter 'width'; it takes no parameters"):
+        get_operator("riesz", spec, width=0.5)
 
 
 def test_catalog_pathological_flagged_non_translation_invariant(grid):
