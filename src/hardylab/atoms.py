@@ -19,7 +19,6 @@ from .grid import Ball, GridFunction, GridSpec, axes_sq_distance, ball_smooth_fi
 from .maximal import quintic_step
 from .moments import (
     HardyIndex,
-    PolySpace,
     moment,
     multiindices,
     order,
@@ -104,7 +103,7 @@ def make_atom(spec_: AtomSpec, seed: int, grid: GridSpec) -> GridFunction:
     if not ball.fits_in(grid):
         raise ValueError("atom ball not contained in the grid domain")
     slab = ball.box(grid)
-    needed = 4 * PolySpace(grid.dim, idx.N_p).dimension
+    needed = 4 * len(multiindices(grid.dim, idx.N_p))
     if slab.count < needed:
         raise NumericalError(
             f"ball too small to resolve an atom: {slab.count} grid points < {needed}"

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 config/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -19,8 +18,6 @@ from .grid import Ball, GridSpec, load_gridfunction
 from .moments import HardyIndex, psi
 from .operators import builtin_operators
 
-OUT_DIR_ENV = "HARDYLAB_OUT_DIR"
-
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -30,9 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment described by a config file")
-    run.add_argument("config", nargs="?", help="config file (key = value with [sections])")
-    run.add_argument("--config", dest="config_opt", help="alternative to the positional config")
-    run.add_argument("--out-dir", help=f"output directory (env {OUT_DIR_ENV} overrides the config)")
+    run.add_argument("config", help="config file (key = value with [sections])")
+    run.add_argument("--out-dir", help="output directory (overrides the config's out_dir)")
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--grid-m", type=int, help="override grid points per axis")
     run.add_argument("--dim", type=int, choices=(1, 2), help="override grid dimension")
@@ -63,11 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    path = args.config_opt or args.config
-    if not path:
-        raise ConfigError("run: no config file given")
-    out_dir = os.environ.get(OUT_DIR_ENV) or args.out_dir
-    cfg = ExperimentConfig.from_file(path, out_dir=out_dir, seed=args.seed,
+    cfg = ExperimentConfig.from_file(args.config, out_dir=args.out_dir, seed=args.seed,
                                      grid_m=args.grid_m, dim=args.dim, quiet=args.quiet)
     run_experiment(cfg)
     return 0

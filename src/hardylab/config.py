@@ -147,9 +147,21 @@ def _keyed(parse, what: str):
     return parse_key
 
 
+def _nonempty(parse):
+    """parse as the parser of a list that must hold at least one entry."""
+
+    def parse_key(key: str, raw: str) -> list:
+        vals = parse(key, raw)
+        if not vals:
+            raise ConfigError(f"{key} is empty")
+        return vals
+
+    return parse_key
+
+
 number = _keyed(parse_number, "number")
-number_list = _keyed(parse_number_list, "list")
-alpha_list = _keyed(parse_alpha_list, "list")
+number_list = _nonempty(_keyed(parse_number_list, "list"))
+alpha_list = _nonempty(_keyed(parse_alpha_list, "list"))
 
 
 def integer(floor: int | None = None):
@@ -174,17 +186,7 @@ def r_ladder(key: str, raw: str) -> list[float]:
         raise ConfigError(f"{key} requires every r < 1")
     if any(v <= 0 for v in vals):
         raise ConfigError(f"{key} requires every r > 0")
-    if not vals:
-        raise ConfigError(f"{key} is empty")
     return vals
-
-
-def flag(key: str, raw: str) -> bool:
-    if raw.lower() in ("1", "yes", "true", "on"):
-        return True
-    if raw.lower() in ("0", "no", "false", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {key!r}: {raw!r}")
 
 
 def choice(*options: str, many: bool = False):
@@ -222,9 +224,9 @@ _RUN_KEYS = {
     "experiment": {"scenario": (string, None), "seed": (integer(0), "0"), "out_dir": (string, ".")},
     "grid": {"dim": (integer(), "1"), "m": (integer(), "2048"), "L": (number, "4")},
 }
-# the output keys every scenario takes; an empty tag names the outputs
-# scenario[-operator]; only E4 draws a chart
-_OUTPUT_KEYS = {"tag": (string, ""), "svg": (flag, "yes")}
+# the output key every scenario takes; an empty tag names the outputs
+# scenario[-operator]
+_OUTPUT_KEYS = {"tag": (string, "")}
 _OPERATOR_KEYS = {"operator": (string, None), "operator_params": (operator_params, "")}
 
 
@@ -245,7 +247,7 @@ SCENARIO_KEYS = {
         "r_ladder": (r_ladder, "2^-2, 2^-3, 2^-4, 2^-5"), "n_seeds": (integer(1), "3")}),
     "E4-cancellation": _scenario({
         **_OPERATOR_KEYS, "p": (number, "1"), "alphas": (alpha_list, "0"),
-        "r_ladder": (r_ladder, "2^-2, 2^-3, 2^-4, 2^-5, 2^-6"), "check_duality": (flag, "yes")}),
+        "r_ladder": (r_ladder, "2^-2, 2^-3, 2^-4, 2^-5, 2^-6")}),
     "E5-duality": _scenario({
         "n_instances": (integer(1), "10"), "trials": (integer(0), "500"), "degree": (integer(0), "1"),
         "mode": (choice("both", "deterministic", "random"), "both"), "r_values": (number_list, "0.3, 0.5")}),

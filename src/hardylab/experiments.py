@@ -26,7 +26,7 @@ from .atoms import (
     moment_bound_check,
     validate_premolecule,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, integrate, lp_quasinorm
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, psi, small_ball_factor
@@ -61,8 +61,6 @@ def _fmt(v) -> str:
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if v is None:
-        return ""
     return f"{float(v):.9g}"
 
 
@@ -90,6 +88,16 @@ class RunResult:
 _P_FREE_PROFILES = ("indicator", "bump")
 
 
+def _origin_balls(grid: GridSpec, radii) -> list[Ball]:
+    """The balls of the given radii at the origin; ValueError for one that
+    does not fit the grid."""
+    balls = [Ball((0.0,) * grid.dim, r) for r in radii]
+    for ball in balls:
+        if not ball.fits_in(grid):
+            raise ValueError(f"the ball of radius {ball.radius:g} does not fit the grid")
+    return balls
+
+
 def _profile_field(kind: str, grid: GridSpec, ball: Ball, rng, idx: HardyIndex) -> GridFunction:
     if kind == "indicator":
         mask = ball.mask(grid)
@@ -113,6 +121,7 @@ def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
     mol = cfg.check("mollifier", lambda: MollifierSpec(prm["mollifier"], grid.dim))
     p_values, profiles, ladder = prm["p_values"], prm["profiles"], prm["r_ladder"]
     cfg.check("p_values", lambda: [HardyIndex(p, grid.dim) for p in p_values])
+    balls = cfg.check("r_ladder", lambda: _origin_balls(grid, ladder))
     scales = ScaleGrid.default(grid, 1.0)
     # the fields by p, profile and r; a field that does not depend on p is
     # made once and its norms are taken at every p
@@ -123,8 +132,7 @@ def run_E1_moment_decay(cfg: ExperimentConfig) -> list[list]:
         grids.append([])
         for iprof, prof in enumerate(profiles):
             grids[-1].append([])
-            for ir, r in enumerate(ladder):
-                ball = Ball((0.0,) * grid.dim, r)
+            for ir, (r, ball) in enumerate(zip(ladder, balls)):
                 p_free = prof in _P_FREE_PROFILES
                 key = (iprof, ir) if p_free else (iprof, ir, ip)
                 if key not in fields:
@@ -164,19 +172,22 @@ def _fit_log_model(Ts, values):
     return float(coef[0]), float(coef[1]), float(r2)
 
 
+def _check_T_ladder(Ts, grid: GridSpec) -> None:
+    if min(Ts) <= 0:
+        raise ValueError("T ladder requires every T > 0")
+    if max(Ts) > grid.half_width / 2.0:
+        raise ValueError("T ladder exceeds L/2 (wrap-around guard)")
+
+
 def run_E2_grand_maximal_constant(cfg: ExperimentConfig) -> list[list]:
     """Grand-maximal norms of atoms across a T-ladder: log-model fit at p = 1,
     power-model fit at p < 1, and the T-variation of small-ball atoms."""
     grid, prm = cfg.grid, cfg.params
     Ts, p_values, n_seeds = prm["T_ladder"], prm["p_values"], prm["n_seeds"]
     r_large, r_small = prm["r_large"], prm["r_small"]
-    if max(Ts) > grid.half_width / 2.0:
-        raise ConfigError(f"{cfg.source.where('scenario', 'T_ladder')}: T ladder exceeds L/2 "
-                          f"(wrap-around guard)")
+    cfg.check("T_ladder", lambda: _check_T_ladder(Ts, grid))
     for key in ("r_large", "r_small"):
-        if not cfg.check(key, lambda: Ball((0.0,) * grid.dim, prm[key])).fits_in(grid):
-            raise ConfigError(f"{cfg.source.where('scenario', key)}: the ball of radius {prm[key]:g} "
-                              f"does not fit the grid")
+        cfg.check(key, lambda: _origin_balls(grid, [prm[key]]))
     cfg.check("p_values", lambda: [HardyIndex(p, grid.dim) for p in p_values])
     mol = MollifierSpec("smooth-bump", grid.dim)
     # per p, the atoms of its (p, r) blocks against its T dictionaries, in one
@@ -226,8 +237,9 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     T_op = cfg.check("operator_params", lambda: get_operator(name, grid, **prm["operator_params"]))
     p, s, lam, C, n_seeds, ladder = (prm[k] for k in ("p", "s", "lambda", "C", "n_seeds", "r_ladder"))
     idx = cfg.check("p", lambda: HardyIndex(p, grid.dim))
+    balls = cfg.check("r_ladder", lambda: _origin_balls(grid, ladder))
     # s, lambda and C as the atoms and the pre-molecule checks take them
-    largest = Ball((0.0,) * grid.dim, ladder[0])
+    largest = balls[0]
     cfg.check("s", lambda: (AtomSpec(idx, s, largest), PreMoleculeSpec(idx, s, np.inf, 1.0, largest)))
     cfg.check("lambda", lambda: PreMoleculeSpec(idx, s, lam, 1.0, largest))
     cfg.check("C", lambda: PreMoleculeSpec(idx, s, lam, C, largest))
@@ -235,8 +247,7 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     scales = ScaleGrid.default(grid, 1.0)
     alphas = multiindices(grid.dim, idx.N_p)
     cells = []  # (r, ball, seed, image of the atom); the atoms are not kept
-    for r in ladder:
-        ball = Ball((0.0,) * grid.dim, r)
+    for r, ball in zip(ladder, balls):
         spec_a = AtomSpec(idx, s, ball, "local")
         for seed in range(n_seeds):
             cells.append((r, ball, seed, T_op.apply(make_atom(spec_a, cfg.seed + seed, grid))))
@@ -269,7 +280,7 @@ def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
     # psi rejects an alpha of the wrong dimension or outside the admissible range
     cfg.check("alphas", lambda: [psi(idx, alpha, 0.5) for alpha in alphas])
     balls = [Ball((0.0,) * grid.dim, r) for r in prm["r_ladder"]]
-    report = cancellation_test(T_op, idx, balls, alphas, grid, check_duality=prm["check_duality"])
+    report = cancellation_test(T_op, idx, balls, alphas, grid)
     rows = []
     for row in report:
         rows.append([T_op.name, p, _alpha_str(row.alpha), row.ball.radius,
@@ -297,7 +308,7 @@ def run_E5_duality(cfg: ExperimentConfig) -> list[list]:
     pool, each with its own generators, so the rows equal a serial loop's."""
     grid, prm = cfg.grid, cfg.params
     n_instances, trials, degree, mode = (prm[k] for k in ("n_instances", "trials", "degree", "mode"))
-    balls = cfg.check("r_values", lambda: [Ball((0.0,) * grid.dim, r) for r in prm["r_values"]])
+    balls = cfg.check("r_values", lambda: _origin_balls(grid, prm["r_values"]))
 
     def instance(i: int) -> list[list]:
         ball = balls[i % len(balls)]
@@ -340,7 +351,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     write_csv(csv_path, SCHEMAS[cfg.scenario], rows)
 
     svg_paths = []
-    if extras.get("series") and cfg.params["svg"]:
+    if extras.get("series"):
         svg_path = cfg.out_dir / f"{tag}.svg"
         line_chart(svg_path, extras["title"], extras["series"], "r", "value")
         svg_paths.append(svg_path)

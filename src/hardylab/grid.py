@@ -471,25 +471,19 @@ def convolve(f: GridFunction, g: GridFunction, spectra: dict | None = None) -> G
     window of side sized_side(box, m), g's samples at indices 0 ... m - 1 of
     another, window_product and window_inverse of their rfftn, scaled and
     cut to the grid (window_cut). That is the linear convolution up to
-    round-off, exactly 0 more than m/2 samples from f's box. A complex f
-    runs as the real convolutions of Re f and Im f, which share g's
-    spectra, as the real and imaginary parts of the result. A complex g
-    raises ValueError: no operator of the lab has one.
+    round-off, exactly 0 more than m/2 samples from f's box. A complex f or
+    g raises ValueError: no operator of the lab has a complex kernel, and no
+    run applies one to a complex function.
 
     A caller that convolves with the same g many times passes spectra, a
     dict in which g's spectra are kept by window side, so that each is
     taken once.
     """
     f._check_compatible(g)
-    if not g.is_real:
-        raise ValueError("convolve takes a real kernel")
+    if not (f.is_real and g.is_real):
+        raise ValueError("convolve takes a real function and a real kernel")
     spec = f.spec
     spectra = {} if spectra is None else spectra
-    if not f.is_real:
-        out = np.empty(spec.shape, np.complex128)
-        out.real = convolve(GridFunction(spec, f.samples.real), g, spectra).samples
-        out.imag = convolve(GridFunction(spec, f.samples.imag), g, spectra).samples
-        return GridFunction(spec, out)
     out = np.zeros(spec.shape)
     box = nonzero_box(f.samples)
     if box is not None:
@@ -539,8 +533,6 @@ def sample_symbol(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) ->
     S = np.asarray(symbol(spec.frequencies()))
     S = np.broadcast_to(S, spec.shape)
     bad = ~np.isfinite(S)
-    if np.iscomplexobj(S):
-        bad = ~(np.isfinite(S.real) & np.isfinite(S.imag))
     if bad.any():
         k = np.argwhere(bad)[0]
         raise NumericalError(f"singular symbol at frequency {tuple(int(i) for i in k)}")
@@ -573,24 +565,20 @@ def _real_multiplier(x: np.ndarray, half: np.ndarray, spec: GridSpec) -> np.ndar
     return np.fft.irfft(F, spec.points_per_axis, axis=-1)
 
 
-def fourier_multiplier(f: GridFunction,
-                       symbol: Callable[[np.ndarray], np.ndarray] | SampledSymbol) -> GridFunction:
+def fourier_multiplier(f: GridFunction, symbol: SampledSymbol) -> GridFunction:
     """Apply a Fourier multiplier at the discrete frequencies 2*pi*k/(2L).
 
-    symbol is a callable on frequencies of shape (dim,) + grid, sampled here,
-    or a SampledSymbol from sample_symbol(f.spec, ...), so that an operator
-    applied many times builds its symbol once. A Hermitian symbol acts by
-    its Hermitian part on the real FFT: a real input gives
-    irfftn(half * rfftn(f)), real, and a complex one runs as Re f and Im f
-    through that path, recombined. On the self-paired Nyquist bins the
-    Hermitian part is the real part, the usual spectral convention for odd
-    symbols such as derivatives. Any other symbol multiplies fftn(f) in
-    full and returns a complex output.
+    symbol comes from sample_symbol(f.spec, ...), so that an operator
+    applied many times builds it once. A Hermitian symbol acts by its
+    Hermitian part on the real FFT and takes real f only: it gives
+    irfftn(half * rfftn(f)), real, and a complex f raises ValueError (no run
+    applies a Hermitian multiplier to one). On the self-paired Nyquist bins
+    the Hermitian part is the real part, the usual spectral convention for
+    odd symbols such as derivatives. Any other symbol multiplies fftn(f) in
+    full, for real or complex f, and returns a complex output.
     """
     spec = f.spec
-    if not isinstance(symbol, SampledSymbol):
-        symbol = sample_symbol(spec, symbol)
-    elif symbol.spec != spec:
+    if symbol.spec != spec:
         raise ValueError("grid mismatch")
     # the operand order of S * F is fixed: a complex product's last bits
     # depend on it, and for S * fftn(...) written as one expression NumPy
@@ -599,12 +587,9 @@ def fourier_multiplier(f: GridFunction,
         F = np.fft.fftn(f.samples)
         np.multiply(symbol.values, F, out=F)
         return GridFunction(spec, np.fft.ifftn(F, out=F))
-    if f.is_real:
-        return GridFunction(spec, _real_multiplier(f.samples, symbol.values, spec))
-    out = np.empty(spec.shape, np.complex128)
-    out.real = _real_multiplier(f.samples.real, symbol.values, spec)
-    out.imag = _real_multiplier(f.samples.imag, symbol.values, spec)
-    return GridFunction(spec, out)
+    if not f.is_real:
+        raise ValueError("a Hermitian multiplier takes a real function")
+    return GridFunction(spec, _real_multiplier(f.samples, symbol.values, spec))
 
 
 # normal samples in flight in ball_smooth_fields across the pool (1 MiB of

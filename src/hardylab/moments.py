@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
@@ -49,26 +49,6 @@ def multiindices(dim: int, degree: int) -> list[MultiIndex]:
     ]
     out.sort(key=lambda a: (sum(a), a))
     return out
-
-
-@dataclass(frozen=True)
-class PolySpace:
-    """Polynomials of degree <= degree on R^dim, with an ordered monomial basis."""
-
-    dim: int
-    degree: int
-    basis: tuple[MultiIndex, ...] = field(init=False)
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        object.__setattr__(self, "basis", tuple(multiindices(self.dim, self.degree)))
-        expected = math.comb(self.degree + self.dim, self.dim)
-        assert len(self.basis) == len(set(self.basis)) == expected
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -163,19 +143,19 @@ class BallBasis:
     """
 
     def __init__(self, spec: GridSpec, ball: Ball, degree: int, weight: GridFunction | None = None):
-        self.space = PolySpace(spec.dim, degree)
+        self.basis = multiindices(spec.dim, degree)
         self.slab = ball.box(spec)
         self.npts = self.slab.count
-        if self.npts < self.space.dimension:
+        if self.npts < len(self.basis):
             raise NumericalError(
                 f"degenerate region: ball holds {self.npts} grid points"
-                f" < {self.space.dimension} basis functions"
+                f" < {len(self.basis)} basis functions"
             )
         idx, inside = self.slab
         ax = spec.axis()
         pts = np.stack([x[inside] for x in np.meshgrid(*(ax[i] for i in idx), indexing="ij")])
-        self.scales = np.array([ball.radius ** order(a) for a in self.space.basis])
-        self._monomials = [monomial(pts, ball.center, a) for a in self.space.basis]
+        self.scales = np.array([ball.radius ** order(a) for a in self.basis])
+        self._monomials = [monomial(pts, ball.center, a) for a in self.basis]
         self.cols = np.stack([m / s for m, s in zip(self._monomials, self.scales)], axis=1)
         self.weight = None if weight is None else self.slab.gather(weight.samples)
         self._weighted = self.cols if weight is None else self.cols * self.weight[:, None]

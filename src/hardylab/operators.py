@@ -97,10 +97,10 @@ class MultiplierOp(OperatorSpec):
 class KernelOp(OperatorSpec):
     """Convolution with a sampled kernel k: (Tf)(x) = (k * f)(x).
 
-    The kernel is real (convolve raises ValueError otherwise), and so is its
-    adjoint. convolve keeps its spectra here, one per window side of the real
-    window layer, each taken on the first application that needs it, so later
-    applications only transform f; a complex f's two real planes share them.
+    The kernel and f are real (convolve raises ValueError otherwise), and so
+    is the adjoint's kernel, the reflected one. convolve keeps its spectra
+    here, one per window side of the real window layer, each taken on the
+    first application that needs it, so later applications only transform f.
     """
 
     kernel: GridFunction
@@ -113,7 +113,7 @@ class KernelOp(OperatorSpec):
         return convolve(f, self.kernel, self._spectra)
 
     def adjoint(self) -> "KernelOp":
-        return KernelOp(reflect(self.kernel).conj(), name=f"{self.name}*")
+        return KernelOp(reflect(self.kernel), name=f"{self.name}*")
 
 
 @dataclass
@@ -161,16 +161,6 @@ def window_radius(r: float) -> float:
 WINDOW_SENSITIVITY_LIMIT = 0.10
 
 
-@dataclass
-class TStarMonomial:
-    """T*(window * (.-x0)^alpha) plus its stability certificate."""
-
-    field: GridFunction
-    alpha: tuple[int, ...]
-    window_radius: float
-    sensitivity: float
-
-
 def _rms(vals: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
@@ -199,7 +189,8 @@ class _TStarLadder:
         # radius R -> (T* field, rms of window_R * monomial over B(x0, 2R))
         self.fields: dict = {}
 
-    def certify(self, x0: tuple[float, ...], W: float) -> TStarMonomial:
+    def certify(self, x0: tuple[float, ...], W: float) -> tuple[GridFunction, float]:
+        """T*(window_W * (.-x0)^alpha) and its window sensitivity."""
         spec = self.spec
         if x0 != self.x0:
             self.fields, self.mono = {}, None  # freed before the new monomial is built
@@ -216,7 +207,7 @@ class _TStarLadder:
         sens = _rms(diff) / max(scale, 1e-300)
         if sens > WINDOW_SENSITIVITY_LIMIT:
             raise NumericalError("T* monomial not stable: kernel tail too heavy")
-        return TStarMonomial(f_full, self.alpha, W, float(sens))
+        return f_full, float(sens)
 
 
 @dataclass
@@ -232,7 +223,7 @@ class CancellationRow:
 
 
 def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
-                      spec: GridSpec, check_duality: bool = True) -> list[CancellationRow]:
+                      spec: GridSpec) -> list[CancellationRow]:
     """Measure the local oscillation of T*[(.-x0)^alpha] against the decay
     modulus psi on each ball.
 
@@ -260,21 +251,14 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
     for j, alpha in enumerate(alphas):
         ladder = _TStarLadder(T_adj, spec, alpha)
         for i, (ball, W) in enumerate(zip(balls, windows)):
-            table[i][j] = _cancellation_row(ladder.certify(ball.center, W), ball, idx,
-                                            check_duality)
+            f, sens = ladder.certify(ball.center, W)
+            osc = local_oscillation(f, ball, idx.N_p)
+            psival = psi(idx, alpha, ball.radius)
+            lhs, rhs = dual_norm_check(f, ball, idx.N_p, trials=0)
+            table[i][j] = CancellationRow(ball, alpha, float(osc), float(psival),
+                                          float(osc / psival), W, sens, abs(lhs - rhs))
+            del f  # the ladder keeps the fields it reuses; none other outlives its row
     return [row for ball_rows in table for row in ball_rows]
-
-
-def _cancellation_row(ts: TStarMonomial, ball: Ball, idx: HardyIndex,
-                      check_duality: bool) -> CancellationRow:
-    osc = local_oscillation(ts.field, ball, idx.N_p)
-    psival = psi(idx, ts.alpha, ball.radius)
-    gap = float("nan")
-    if check_duality:
-        lhs, rhs = dual_norm_check(ts.field, ball, idx.N_p, trials=0)
-        gap = abs(lhs - rhs)
-    return CancellationRow(ball, ts.alpha, float(osc), float(psival),
-                           float(osc / psival), ts.window_radius, ts.sensitivity, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -385,6 +386,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", bad]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert main(["no-such-command"]) == 2
+    # the config is positional and required
+    assert main(["run"]) == 2
+    assert main(["run", "--config", cfg]) == 2
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -451,21 +455,36 @@ def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
     ("e2_grand_maximal", "T_ladder", "1, 2, 4, 16", "T ladder exceeds L/2"),
     ("e2_grand_maximal", "r_small", "0", "radius must be positive"),
     ("e2_grand_maximal", "r_large", "17", "the ball of radius 17 does not fit the grid"),
+    ("e2_grand_maximal", "T_ladder", "", "T_ladder is empty"),
+    ("e2_grand_maximal", "T_ladder", "0, 1", "T ladder requires every T > 0"),
+    ("e5_duality", "r_values", "6", "the ball of radius 6 does not fit the grid"),
+    ("e5_duality", "r_values", "", "r_values is empty"),
+    ("e4_gaussian", "alphas", "", "alphas is empty"),
+    ("e1_moment_decay", ("L", "r_ladder"), "0.25", "the ball of radius 0.5 does not fit the grid"),
+    ("e3_atom_image_gaussian", ("L", "r_ladder"), "0.2", "the ball of radius 0.25 does not fit the grid"),
 ])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, message):
     # a value that the scenario's key table or its runner rejects, and a key
     # that the table does not list, is a config error that cites its line:
     # exit 2 and no output. The key's line is rewritten, or appended to the
-    # [scenario] section (the last one) when the config does not set the key
+    # [scenario] section (the last one) when the config does not set the key.
+    # A (key, cited) pair rewrites key, and the error cites the line of the
+    # [scenario] key that the new value makes invalid (a ladder that no
+    # longer fits a smaller grid)
+    key, cited = key if isinstance(key, tuple) else (key, key)
     lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
-    line = next((i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} =")), None)
+
+    def line_of(k):
+        return next((i for i, text in enumerate(lines, start=1) if text.startswith(f"{k} =")), None)
+
+    line = line_of(key)
     if line is None:
         lines.append("")
         line = len(lines)
     lines[line - 1] = f"{key} = {value}"
     cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
     assert main(["run", cfg, "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
-    assert f"bad.cfg:{line}: {message}" in capsys.readouterr().err
+    assert f"bad.cfg:{line_of(cited) if cited != key else line}: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("o/*.csv"))
 
 
@@ -538,13 +557,6 @@ def test_every_shipped_and_workload_config_loads(tmp_path, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_env_out_dir(tmp_path, monkeypatch):
-    cfg = write(tmp_path, "e4.cfg", E4_CFG)
-    monkeypatch.setenv("HARDYLAB_OUT_DIR", str(tmp_path / "envout"))
-    assert main(["run", cfg, "--quiet"]) == 0
-    assert (tmp_path / "envout" / "demo.csv").exists()
-
-
 def test_cli_numerical_failure_exit_code(tmp_path):
     # an atom ball below grid resolution trips the numerical gates
     cfg = write(tmp_path, "tiny.cfg", """
@@ -586,6 +598,31 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "0.910239227"
 
 
+def test_readme_command_line_block_runs(tmp_path, capsys):
+    # each `hardylab ...` line of the README's "Command line" block runs
+    # through cli.main and exits 0, with a repo path resolved from the repo
+    # root and --out-dir under tmp_path; psi prints the value its comment
+    # gives. A flag or command that the docs keep after it is gone fails here
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 5 and all(line.startswith("hardylab ") for line in lines)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        for i, arg in enumerate(argv):
+            if i and argv[i - 1] == "--out-dir":
+                argv[i] = str(tmp_path / arg)
+            elif (root / arg).is_file():
+                argv[i] = str(root / arg)
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if argv[0] == "psi":
+            assert out.strip() == comment.split("->")[1].strip()
+    assert (tmp_path / "results" / "e4-sign-p1.csv").is_file()
+
+
 def test_no_private_names_imported_across_modules():
     # from .x import _name (or hardylab.x) couples a module to another's
     # internals; the test oracles count as a module too
@@ -616,9 +653,9 @@ NEVER_RUN = {"pool._reset_pool", "operators.OperatorSpec.apply", "operators.Oper
 
 def test_src_holds_only_what_runs(tmp_path):
     # every def of src/hardylab, methods and nested defs included, is entered
-    # by one of the shipped entry points that tests/trace_runs.py runs under a
-    # profile hook, save the listed ones; every run exits 0, or 3 on a
-    # numerical failure
+    # by one of the shipped entry points or benchmark workload configs that
+    # tests/trace_runs.py runs under a profile hook, save the listed ones;
+    # every run exits 0, or 3 on a numerical failure
     atom = make_atom(AtomSpec(HardyIndex(1.0, 1), 2.0, Ball((0.0,), 0.25)), 3,
                      GridSpec(1, 4.0, 512))
     (tmp_path / "atom.gfn").write_bytes(container_bytes(atom))
@@ -628,6 +665,7 @@ def test_src_holds_only_what_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert all(code == 0 or (code == 3 and numerical) for _, code, numerical in out["runs"]), out["runs"]
+    assert sum("/" in name for name, _, _ in out["runs"]) == 13  # the benchmark's workload configs
     assert {name for name, _ in out["unrun"]} == NEVER_RUN, out["unrun"]
 
 

@@ -31,7 +31,7 @@ from hardylab.grid import (
     window_spectrum,
 )
 from hardylab.maximal import MollifierSpec, quintic_step
-from hardylab.moments import BallBasis, HardyIndex, PolySpace, monomial, poly_project
+from hardylab.moments import BallBasis, HardyIndex, monomial, multiindices, poly_project
 from hardylab.operators import KernelOp, get_operator, smooth_window
 from oracles import (
     container_bytes,
@@ -221,9 +221,9 @@ def test_plancherel():
 def test_fourier_multiplier_identity_and_gaussian_route():
     spec = GridSpec(1, 8.0, 2048)
     f = sample_function(spec, lambda p: np.exp(-p[0]**2 / 2))
-    same = fourier_multiplier(f, lambda xi: np.ones(xi.shape[1:]))
+    same = fourier_multiplier(f, sample_symbol(spec, lambda xi: np.ones(xi.shape[1:])))
     assert np.max(np.abs(same.samples - f.samples)) < 1e-12
-    smoothed = fourier_multiplier(f, lambda xi: np.exp(-xi[0]**2 / 4.0))
+    smoothed = fourier_multiplier(f, sample_symbol(spec, lambda xi: np.exp(-xi[0]**2 / 4.0)))
     kernel = sample_function(spec, lambda p: np.pi**-0.5 * np.exp(-p[0]**2))
     via_conv = convolve(f, kernel)
     assert np.max(np.abs(smoothed.samples - via_conv.samples)) < 1e-6
@@ -233,7 +233,7 @@ def test_fourier_multiplier_identity_and_gaussian_route():
 def test_fourier_multiplier_derivative_vs_finite_differences():
     spec = GridSpec(1, 8.0, 2048)
     f = sample_function(spec, lambda p: np.exp(-p[0]**2) * np.sin(3 * p[0]))
-    d = fourier_multiplier(f, lambda xi: 1j * xi[0])
+    d = fourier_multiplier(f, sample_symbol(spec, lambda xi: 1j * xi[0]))
     fd = np.gradient(f.samples, spec.spacing)
     core = np.abs(spec.axis()) < 4
     assert np.max(np.abs(d.samples[core] - fd[core])) <= 10 * spec.spacing**2
@@ -282,9 +282,9 @@ def test_catalog_hermitian_symbols_keep_a_half_spectrum(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_fourier_multiplier_matches_full_grid_complex_path(dim, is_complex):
-    # the real-FFT path of a Hermitian symbol, for complex f on Re f and Im f,
-    # within 64 eps max of the full-grid complex oracle; any other symbol
-    # runs that complex path itself
+    # the real-FFT path of a Hermitian symbol, for real f, within 64 eps max
+    # of the full-grid complex oracle, and a ValueError for complex f; any
+    # other symbol runs that complex path itself, for real or complex f
     spec = GridSpec(dim, 4.0, 256 if dim == 1 else 64)
     rng = np.random.default_rng(dim + 2 * is_complex)
     x = rng.normal(size=spec.shape)
@@ -292,6 +292,10 @@ def test_fourier_multiplier_matches_full_grid_complex_path(dim, is_complex):
     for name in MULTIPLIERS:
         for T in (get_operator(name, spec), get_operator(name, spec).adjoint()):
             S = sample_symbol(spec, T.symbol)
+            if S.hermitian and is_complex:
+                with pytest.raises(ValueError, match="Hermitian multiplier takes a real function"):
+                    fourier_multiplier(f, S)
+                continue
             got = fourier_multiplier(f, S).samples
             want = reference_fourier_multiplier(f, T.symbol, S.hermitian)
             assert got.dtype == want.dtype, name
@@ -301,15 +305,22 @@ def test_fourier_multiplier_matches_full_grid_complex_path(dim, is_complex):
 
 
 def test_fourier_multiplier_singular_symbol():
+    # a real symbol, and a complex one with either part alone not finite
     spec = GridSpec(1, 4.0, 64)
-    f = GridFunction(spec, np.ones(spec.shape))
 
     def bad(xi):
         with np.errstate(divide="ignore"):
             return 1.0 / xi[0]
 
-    with pytest.raises(NumericalError, match="singular symbol"):
-        fourier_multiplier(f, bad)
+    def parts(re, im):
+        out = np.empty(re.shape, np.complex128)
+        out.real, out.imag = re, im
+        return out
+
+    for symbol in (bad, lambda xi: parts(np.ones(xi.shape[1:]), bad(xi)),
+                   lambda xi: parts(bad(xi), np.ones(xi.shape[1:]))):
+        with pytest.raises(NumericalError, match="singular symbol"):
+            sample_symbol(spec, symbol)
 
 
 def test_dilate_closed_form():
@@ -419,7 +430,7 @@ def test_convolve_spectra_matches_roll_reference_bitwise(dim, m, is_complex):
     for _ in range(2):  # the scratch is reusable
         assert np.array_equal(abs_convolve_spectra(Ff[None], Fg, spec, scratch, out)[0], np.abs(ref))
     assert np.array_equal(Ff, Ff0) and np.array_equal(Fg, Fg0)
-    if is_complex:  # convolve takes real kernels only
+    if is_complex:  # convolve takes real functions only
         with pytest.raises(ValueError):
             convolve(f, g)
     else:
@@ -435,31 +446,30 @@ def real_layer_reference(f: GridFunction, g: GridFunction) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_convolve_layers_agree(dim):
-    # real f and g take the real window layer, and the same samples cast to
-    # complex give its result in the real part and exact zeros in the
-    # imaginary one; both agree with the complex padded convolution (full
-    # fftn/ifftn) pointwise within 64 eps of its max, a tolerance fixed from
-    # float64 eps beforehand
+    # real f and g take the real window layer, which agrees with the complex
+    # padded convolution (full fftn/ifftn) pointwise within 64 eps of its
+    # max, a tolerance fixed from float64 eps beforehand; the same samples
+    # cast to complex raise ValueError
     spec = GridSpec(dim, 4.0, 1024 if dim == 1 else 64)
     rng = np.random.default_rng(60 + dim)
     f = GridFunction(spec, rng.normal(size=spec.shape))
     g = GridFunction(spec, rng.normal(size=spec.shape))
     real = convolve(f, g).samples
     fc = GridFunction(spec, f.samples.astype(complex))
-    cplx = convolve(fc, g).samples
-    assert real.dtype == np.float64 and cplx.dtype == np.complex128
-    assert np.array_equal(bits(cplx.real), bits(real)) and not cplx.imag.any()
+    assert real.dtype == np.float64
+    with pytest.raises(ValueError, match="real function"):
+        convolve(fc, g)
     padded = reference_convolve_spectra(reference_padded_spectrum(fc), reference_padded_spectrum(g), spec)
-    assert np.max(np.abs(cplx - padded)) <= 64 * np.finfo(float).eps * np.max(np.abs(padded))
+    assert np.max(np.abs(real - padded)) <= 64 * np.finfo(float).eps * np.max(np.abs(padded))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_convolve_never_reaches_padded_layer(monkeypatch, dim):
-    # with the padded transforms replaced by raisers: a complex f, through
-    # convolve and KernelOp.apply, gives the real convolutions of Re f and
-    # Im f bit for bit (here the two planes have different boxes, so
-    # different window sides, and share the kernel's spectra); a complex
-    # kernel raises ValueError, and a real kernel's adjoint is real
+    # with the padded transforms replaced by raisers: KernelOp.apply gives
+    # convolve's bits, for two functions whose different boxes take
+    # different window sides, and keeps one kernel spectrum per side; a
+    # complex f or kernel raises ValueError, and a real kernel's adjoint is
+    # real
     import hardylab.grid as grid_mod
 
     def raiser(*args, **kwargs):
@@ -473,20 +483,20 @@ def test_convolve_never_reaches_padded_layer(monkeypatch, dim):
     re = np.zeros(spec.shape)
     re[(slice(20, 26),) * dim] = rng.normal(size=(6,) * dim)
     f = GridFunction(spec, re + 1j * rng.normal(size=spec.shape))
+    planes = [GridFunction(spec, re), GridFunction(spec, f.samples.imag)]
     T = KernelOp(g)
-    for got in (convolve(f, g), T.apply(f), T.apply(f)):
-        assert got.samples.dtype == np.complex128
-        assert np.array_equal(bits(got.samples.real), bits(convolve(GridFunction(spec, re), g).samples))
-        assert np.array_equal(bits(got.samples.imag), bits(convolve(GridFunction(spec, f.samples.imag), g).samples))
-    assert sorted(T._spectra) == sorted({sized_side(support_box(GridFunction(spec, x)), 64)
-                                         for x in (f.samples.real, f.samples.imag)})
+    for h in planes:
+        for got in (T.apply(h), T.apply(h)):
+            assert np.array_equal(bits(got.samples), bits(convolve(h, g).samples))
+    sides = {sized_side(support_box(h), 64) for h in planes}
+    assert len(sides) == 2 and sorted(T._spectra) == sorted(sides)
     assert T.adjoint().kernel.is_real
     gc = GridFunction(spec, g.samples + 1j * rng.normal(size=spec.shape))
-    for h in (GridFunction(spec, re), f):
+    for h, k in ((planes[0], gc), (f, g), (f, gc)):
         with pytest.raises(ValueError):
-            convolve(h, gc)
+            convolve(h, k)
         with pytest.raises(ValueError):
-            KernelOp(gc).apply(h)
+            KernelOp(k).apply(h)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -533,15 +543,11 @@ def test_padded_convolution_matches_fftn_bitwise(dim, data):
     for _ in range(2):  # the scratch is reusable
         abs_convolve_spectra(Ff[None], Fg, spec, scratch, out)
         assert np.array_equal(bits(out[0]), bits(np.abs(ref)))
-    if not g.is_real:  # convolve takes real kernels only
+    if not (f.is_real and g.is_real):  # convolve takes real functions only
         with pytest.raises(ValueError):
             convolve(f, g)
         return
-    out = convolve(f, g).samples
-    planes = [f.samples] if f.is_real else [f.samples.real, f.samples.imag]
-    want = [real_layer_reference(GridFunction(spec, x), g) for x in planes]
-    got = [out] if f.is_real else [out.real, out.imag]
-    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
+    assert np.array_equal(bits(convolve(f, g).samples), bits(real_layer_reference(f, g)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -651,7 +657,7 @@ def full_grid_mask(spec, ball):
 def full_grid_cols(spec, ball, degree):
     pts = spec.points()[:, full_grid_mask(spec, ball)]
     cols = []
-    for a in PolySpace(spec.dim, degree).basis:
+    for a in multiindices(spec.dim, degree):
         mono = np.ones(pts.shape[1:])
         for i, ai in enumerate(a):
             if ai:
@@ -701,12 +707,12 @@ def test_ball_mask_matches_full_grid(gb):
     assert slab.scatter(on_ball).tobytes() == np.where(mask, x, 0).tobytes()
 
 
-def full_grid_poly(spec, ball, space, coeffs):
+def full_grid_poly(spec, ball, basis, coeffs):
     """sum_a c_a ((y-x0)/r)^a at every grid point, summed monomial by
     monomial: the full-grid formula the projection on the ball must equal."""
     pts = spec.points()
     out = np.zeros(spec.shape, dtype=coeffs.dtype)
-    for a, c in zip(space.basis, coeffs):
+    for a, c in zip(basis, coeffs):
         out = out + c * monomial(pts, ball.center, a) / ball.radius ** sum(a)
     return out
 
@@ -729,7 +735,7 @@ def test_poly_project_matches_full_grid_formula(gb, degree, weighted, complex_, 
             poly_project(f, ball, degree, weight=w)
         return
     mask = full_grid_mask(spec, ball)
-    want = full_grid_poly(spec, ball, basis.space, basis.coeffs(f.samples[mask]))
+    want = full_grid_poly(spec, ball, basis.basis, basis.coeffs(f.samples[mask]))
     got = poly_project(f, ball, degree, weight=w).samples
     assert got.dtype == want.dtype
     assert got[mask].tobytes() == want[mask].tobytes()
@@ -741,7 +747,7 @@ def test_poly_project_matches_full_grid_formula(gb, degree, weighted, complex_, 
 def test_ball_basis_cols_match_full_grid(gb, degree):
     spec, ball = gb
     npts = int(full_grid_mask(spec, ball).sum())
-    if npts < PolySpace(spec.dim, degree).dimension:
+    if npts < len(multiindices(spec.dim, degree)):
         with pytest.raises(NumericalError, match="degenerate region"):
             BallBasis(spec, ball, degree)
         return

@@ -165,7 +165,7 @@ def test_tstar_gaussian_reproduces_polynomials(grid):
     T = get_operator("gaussian", grid)  # narrow smoothing
     ball = Ball((0.0,), 0.1)  # W = 1
     for alpha, idx in (((0,), IDX1), ((1,), IDXH)):  # N_p = |alpha|
-        (row,) = cancellation_test(T, idx, [ball], [alpha], grid, check_duality=False)
+        (row,) = cancellation_test(T, idx, [ball], [alpha], grid)
         assert row.window_radius == 1.0 and idx.N_p == sum(alpha)
         assert row.oscillation < 1e-6
 
@@ -179,7 +179,7 @@ def test_tstar_certified_or_refused(dim, name):
     T = get_operator(name, spec)
     try:
         (row,) = cancellation_test(T, HardyIndex(1.0, dim), [Ball((0.0,) * dim, R_W1)],
-                                   [(0,) * dim], spec, check_duality=False)
+                                   [(0,) * dim], spec)
     except NumericalError as e:
         assert "not stable" in str(e)
         return

@@ -4,14 +4,16 @@ each run's exit code and every def of src/hardylab whose code never ran.
 Usage: python tests/trace_runs.py OUT_DIR ATOM_FILE
 
 The runs, all through `hardylab.cli.main`: every scripts/configs/*.cfg;
-E3 and E4 at 1D m = 512 for each catalog operator; `validate-atom`, once
-generated in 2D (every shipped config is 1D, and the 2D noise path is
-shipped code) and once on ATOM_FILE (a stored grid function); `psi`,
-`list-operators` and `version`. The hook is set on this thread and on every
-thread started later (the pool starts its threads at its first submit)
-before `hardylab` is imported, so each def that runs, in any thread, is
-seen. A def counts as run when its code object was entered, which covers
-methods, properties and nested defs that a name match cannot see.
+every config of the benchmark's workloads at seed 0 (perfbench/workloads.py,
+loaded read-only), which adds the 2D E1, E2, E4 and E5 runs (every shipped
+config is 1D); E3 and E4 at 1D m = 512 for each catalog operator;
+`validate-atom`, once generated in 2D and once on ATOM_FILE (a stored grid
+function); `psi`, `list-operators` and `version`. The hook is set on this
+thread and on every thread started later (the pool starts its threads at
+its first submit) before `hardylab` is imported, so each def that runs, in
+any thread, is seen. A def counts as run when its code object was entered,
+which covers methods, properties and nested defs that a name match cannot
+see.
 
 Output: {"runs": [[name, exit code, numerical failure?], ...],
 "unrun": [["module.qualname", lines], ...]}.
@@ -32,6 +34,7 @@ threading.setprofile(_hook)
 
 import ast  # noqa: E402
 import contextlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,7 +43,8 @@ import hardylab  # noqa: E402
 from hardylab.cli import main  # noqa: E402
 from hardylab.operators import builtin_operators  # noqa: E402
 
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
 
 SMALL = """[experiment]
 scenario = {scenario}
@@ -56,10 +60,25 @@ tag = {tag}
 """
 
 
+def workload_configs():
+    """(name, text at seed 0) of every config of the benchmark's workloads."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.modules[spec.name] = workloads  # where its dataclasses look
+    spec.loader.exec_module(workloads)
+    return [(f"{w.name}/{c.name}", c.text(0)) for w in workloads.WORKLOADS.values() for c in w.configs]
+
+
 def runs(out: Path, atom_file: str):
     """(name, argv) of every run."""
     for cfg in sorted(CONFIGS.glob("*.cfg")):
         yield cfg.name, ["run", str(cfg), "--quiet", "--out-dir", str(out)]
+    for name, text in workload_configs():
+        cfg = out / "workloads" / f"{name}.cfg"
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(text)
+        yield name, ["run", str(cfg), "--quiet", "--out-dir", str(cfg.parent)]
     for op in builtin_operators():
         # E3 alone takes n_seeds
         for scenario, short, extra in (("E3-atom-image", "e3", "n_seeds = 1\n"),
