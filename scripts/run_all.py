@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every experiment config in scripts/configs into ./results.
 
-Usage: python scripts/run_all.py [--out-dir DIR] [--grid-m M]
+Usage: python scripts/run_all.py [--out-dir DIR]
 Equivalent to invoking `hardylab run <cfg>` per file.
 """
 
@@ -17,15 +17,11 @@ CONFIG_DIR = Path(__file__).parent / "configs"
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="results")
-    ap.add_argument("--grid-m", type=int, default=None)
     args = ap.parse_args()
     worst = 0
     for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
-        argv = ["run", str(cfg), "--out-dir", args.out_dir]
-        if args.grid_m:
-            argv += ["--grid-m", str(args.grid_m)]
         print(f"== {cfg.name}")
-        code = cli_main(argv)
+        code = cli_main(["run", str(cfg), "--out-dir", args.out_dir])
         if code != 0:
             print(f"   exited with {code}", file=sys.stderr)
             worst = max(worst, code)

@@ -14,7 +14,7 @@ from .atoms import AtomSpec, make_atom, validate_atom
 from .config import ExperimentConfig, parse_alpha_list, parse_number
 from .errors import ConfigError, NumericalError
 from .experiments import run_experiment
-from .grid import Ball, GridSpec, load_gridfunction
+from .grid import Ball, GridSpec
 from .moments import HardyIndex, psi
 from .operators import builtin_operators
 
@@ -29,24 +29,19 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment described by a config file")
     run.add_argument("config", help="config file (key = value with [sections])")
     run.add_argument("--out-dir", help="output directory (overrides the config's out_dir)")
-    run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--grid-m", type=int, help="override grid points per axis")
-    run.add_argument("--dim", type=int, choices=(1, 2), help="override grid dimension")
     run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     sub.add_parser("list-operators", help="print the builtin operator catalog")
 
-    va = sub.add_parser("validate-atom", help="generate (or load) an atom and validate it")
+    va = sub.add_parser("validate-atom", help="generate an atom and validate it")
     va.add_argument("--p", required=True, help="integrability index in (0, 1]")
     va.add_argument("--s", default="2", help="size exponent (>= 1 or inf)")
     va.add_argument("--r", default="0.25", help="ball radius")
     va.add_argument("--space", default="local", choices=("local", "global"))
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--dim", type=int, default=1, choices=(1, 2))
-    va.add_argument("--grid-m", type=int, default=2048,
-                    help="points per axis of a generated atom's grid")
-    va.add_argument("--L", default="4", help="half-width of a generated atom's grid")
-    va.add_argument("--file", help="validate a stored grid function instead of generating one")
+    va.add_argument("--grid-m", type=int, default=2048, help="points per axis of the atom's grid")
+    va.add_argument("--L", default="4", help="half-width of the atom's grid")
     va.add_argument("--tol", default="1e-8")
 
     ps = sub.add_parser("psi", help="evaluate the moment decay modulus")
@@ -59,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config, out_dir=args.out_dir, seed=args.seed,
-                                     grid_m=args.grid_m, dim=args.dim, quiet=args.quiet)
+    cfg = ExperimentConfig.from_file(args.config, out_dir=args.out_dir, quiet=args.quiet)
     run_experiment(cfg)
     return 0
 
@@ -83,13 +77,7 @@ def _cmd_validate_atom(args) -> int:
     s = parse_number(args.s)
     ball = Ball((0.0,) * args.dim, parse_number(args.r))
     spec_a = AtomSpec(idx, s, ball, args.space)
-    if args.file:
-        # a stored function carries its own grid; --grid-m and --L do not apply
-        a = load_gridfunction(args.file)
-        if a.spec.dim != args.dim:
-            raise ConfigError("stored function has a different dimension")
-    else:
-        a = make_atom(spec_a, args.seed, GridSpec(args.dim, parse_number(args.L), args.grid_m))
+    a = make_atom(spec_a, args.seed, GridSpec(args.dim, parse_number(args.L), args.grid_m))
     report = validate_atom(a, spec_a, parse_number(args.tol))
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 3

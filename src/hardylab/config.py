@@ -268,8 +268,7 @@ class ExperimentConfig:
     params: dict
 
     @classmethod
-    def from_file(cls, path, out_dir=None, seed=None, grid_m=None, dim=None,
-                  quiet: bool = False) -> "ExperimentConfig":
+    def from_file(cls, path, out_dir=None, quiet: bool = False) -> "ExperimentConfig":
         cfg = load_config(path)
         experiment = cfg.parsed("experiment", _RUN_KEYS["experiment"])
         scenario = experiment["scenario"]
@@ -284,12 +283,11 @@ class ExperimentConfig:
         grid_keys = cfg.parsed("grid", keys["grid"])
         params = cfg.parsed("scenario", keys["scenario"])
         try:
-            grid = GridSpec(grid_keys["dim"] if dim is None else dim, grid_keys["L"],
-                            grid_keys["m"] if grid_m is None else grid_m)
+            grid = GridSpec(grid_keys["dim"], grid_keys["L"], grid_keys["m"])
         except ValueError as e:
             raise ConfigError(f"{path}: bad [grid] section: {e}") from None
         return cls(scenario=scenario, grid=grid,
-                   seed=experiment["seed"] if seed is None else seed,
+                   seed=experiment["seed"],
                    out_dir=Path(out_dir or experiment["out_dir"]), quiet=quiet, source=cfg,
                    params=params)
 

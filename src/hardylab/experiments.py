@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, integrate, lp_quasinorm
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, psi, small_ball_factor
-from .operators import cancellation_test, catalog_entry, get_operator, smooth_window, window_radius
+from .operators import cancellation_test, cancellation_window, catalog_entry, get_operator, smooth_window, window_radius
 from .svgchart import Series, line_chart
 
 SCHEMAS = {
@@ -274,12 +274,13 @@ def run_E4_cancellation(cfg: ExperimentConfig) -> tuple[list[list], dict]:
     grid, prm = cfg.grid, cfg.params
     name = prm["operator"]
     cfg.check("operator", lambda: catalog_entry(name))
+    balls = [Ball((0.0,) * grid.dim, r) for r in prm["r_ladder"]]
+    cfg.check("r_ladder", lambda: [cancellation_window(ball, grid) for ball in balls])
     T_op = cfg.check("operator_params", lambda: get_operator(name, grid, **prm["operator_params"]))
     p, alphas = prm["p"], prm["alphas"]
     idx = cfg.check("p", lambda: HardyIndex(p, grid.dim))
     # psi rejects an alpha of the wrong dimension or outside the admissible range
     cfg.check("alphas", lambda: [psi(idx, alpha, 0.5) for alpha in alphas])
-    balls = [Ball((0.0,) * grid.dim, r) for r in prm["r_ladder"]]
     report = cancellation_test(T_op, idx, balls, alphas, grid)
     rows = []
     for row in report:

@@ -23,7 +23,6 @@ caller, the full-grid fold of the p < 1 grand maximal function.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +33,6 @@ from . import pool
 from .errors import NumericalError
 
 MAX_TOTAL_SAMPLES = 2**24
-
-_MAGIC = b"HLGRDFN1"
-_HEADER = struct.Struct("<IQdB")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -207,11 +203,8 @@ class Ball:
 
 
 class GridFunction:
-    """A sampled function on a GridSpec. Samples are float64 or complex128.
-
-    The sample array has shape (m,)*dim; flattening it row-major gives the
-    lexicographic order used by the binary container.
-    """
+    """A sampled function on a GridSpec. Samples are float64 or complex128,
+    in an array of shape (m,)*dim."""
 
     __slots__ = ("spec", "samples")
 
@@ -705,24 +698,3 @@ def dilate_box(phi, t: float, spec: GridSpec, reach: int) -> tuple[np.ndarray, i
     ax = spec.axis()[lo:hi] / t
     box = t ** (-spec.dim) * phi.radial(np.sqrt(axes_sq_distance([ax] * spec.dim, (0.0,) * spec.dim)))
     return box, lo - half + reach
-
-
-def load_gridfunction(path) -> GridFunction:
-    """Read the flat binary container: magic, a little-endian (dim, m, L,
-    complex flag) header, then the samples as <f8 (flag 0) or <c16 (flag 1)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not a grid-function container")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("truncated grid-function header")
-        dim, m, L, flag = _HEADER.unpack(header)
-        if flag not in (0, 1):
-            raise ValueError(f"bad complex flag {flag} in grid-function header")
-        spec = GridSpec(dim, L, int(m))
-        data = np.frombuffer(fh.read(), dtype="<c16" if flag else "<f8")
-    if data.size != spec.num_samples:
-        raise ValueError("payload size does not match header")
-    return GridFunction(spec, data.reshape(spec.shape).copy())
-

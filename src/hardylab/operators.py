@@ -108,8 +108,6 @@ class KernelOp(OperatorSpec):
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.kernel.spec:
-            raise ValueError("grid mismatch")
         return convolve(f, self.kernel, self._spectra)
 
     def adjoint(self) -> "KernelOp":
@@ -128,8 +126,6 @@ class PointwiseOp(OperatorSpec):
     name: str = "pointwise"
 
     def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.factor.spec:
-            raise ValueError("grid mismatch")
         return self.factor * f
 
     def adjoint(self) -> "PointwiseOp":
@@ -165,11 +161,18 @@ def _rms(vals: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
-def _check_window(spec: GridSpec, x0, W: float) -> None:
+def cancellation_window(ball: Ball, spec: GridSpec) -> float:
+    """The window radius W = window_radius(r) of a cancellation ball, which
+    needs r < 1, W at most L/2 and B(x0, 2W) inside the grid (ValueError
+    otherwise)."""
+    if not ball.radius < 1.0:
+        raise ValueError("cancellation balls need r < 1")
+    W = window_radius(ball.radius)
     if W > spec.half_width / 2.0:
         raise ValueError("window radius W must be at most L/2")
-    if not Ball(x0, 2.0 * W).fits_in(spec):
+    if not Ball(ball.center, 2.0 * W).fits_in(spec):
         raise ValueError("window support B(x0, 2W) escapes the domain")
+    return W
 
 
 class _TStarLadder:
@@ -238,13 +241,7 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
     and balls sharing W share their fields. Rows come out ball by ball.
     """
     balls = list(balls)
-    windows = []
-    for ball in balls:
-        if not ball.radius < 1.0:
-            raise ValueError("cancellation balls need r < 1")
-        W = window_radius(ball.radius)
-        _check_window(spec, ball.center, W)
-        windows.append(W)
+    windows = [cancellation_window(ball, spec) for ball in balls]
     alphas = [as_multiindex(alpha, spec.dim) for alpha in alphas]
     T_adj = T.adjoint()
     table = [[None] * len(alphas) for _ in balls]

@@ -4,7 +4,6 @@
 so only on small grids), `CompositionOp` chains operators (no experiment
 composes them), `verify_admissible` certifies a test function's support and
 derivative bounds by dense sampling and finite differences,
-`container_bytes` writes the binary grid-function container,
 `reference_padded_spectrum` and `reference_convolve_spectra` are the padded
 convolution as full-size fftn/ifftn with a fancy-index window, the
 reference of the padded transforms that only the p < 1 grand maximal fold
@@ -39,7 +38,6 @@ them is used by the experiments."""
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,15 +191,6 @@ def verify_admissible(phi, k: int, t: float, x, samples_per_axis: int | None = N
     rows = [BoundRow(beta, sups[beta], t ** (-dim - order(beta)))
             for beta in multiindices(dim, k)]
     return AdmissibilityReport(t=t, k=k, support_ok=support_ok, support_leak=leak, rows=rows)
-
-
-def container_bytes(f: GridFunction) -> bytes:
-    """f in the flat binary container, written independently of the library:
-    magic, little-endian (dim, m, L, complex flag), then the samples."""
-    flag = 0 if f.is_real else 1
-    header = b"HLGRDFN1" + struct.pack("<IQdB", f.spec.dim, f.spec.points_per_axis,
-                                       f.spec.half_width, flag)
-    return header + f.samples.ravel().astype("<c16" if flag else "<f8").tobytes()
 
 
 def reference_padded_spectrum(f: GridFunction, real: bool = False) -> np.ndarray:

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 import hardylab
 from hardylab import experiments, pool
 from hardylab.atoms import AtomSpec, make_atom
-from hardylab.cli import main
+from hardylab.cli import build_parser, main
 from hardylab.config import (
     SCENARIO_KEYS,
     ConfigError,
@@ -31,7 +32,7 @@ from hardylab.experiments import RUNNERS, SCHEMAS, run_E5_duality, run_experimen
 from hardylab.grid import Ball, GridSpec
 from hardylab.maximal import MollifierSpec, ScaleGrid
 from hardylab.moments import HardyIndex
-from oracles import container_bytes, serial_grand_maximal
+from oracles import serial_grand_maximal
 
 
 def write(tmp_path, name, text):
@@ -360,24 +361,6 @@ def test_cli_validate_atom(capsys):
     assert "passed=True" in capsys.readouterr().out
 
 
-def test_cli_validate_atom_file(tmp_path, capsys):
-    atom = make_atom(AtomSpec(HardyIndex(1.0, 1), 2.0, Ball((0.0,), 0.25)), 3,
-                     GridSpec(1, 4.0, 1024))
-    good = tmp_path / "atom.gfn"
-    good.write_bytes(container_bytes(atom))
-    args = ["validate-atom", "--p", "1", "--file"]
-    assert main(args + [str(good)]) == 0
-    assert "passed=True" in capsys.readouterr().out
-    short = tmp_path / "short.bin"
-    short.write_bytes(container_bytes(atom)[:10])
-    assert main(args + [str(short)]) == 2  # truncated header
-    assert main(args + [str(tmp_path)]) == 2  # a directory
-    assert capsys.readouterr().err.count("config error") == 2
-    # the stored grid is used; grid options meant for generated atoms are not read
-    assert main(args + [str(good), "--grid-m", "100", "--L", "0.1"]) == 0
-    assert "passed=True" in capsys.readouterr().out
-
-
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg = write(tmp_path, "e4.cfg", E4_CFG)
     assert main(["run", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
@@ -462,6 +445,7 @@ def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
     ("e4_gaussian", "alphas", "", "alphas is empty"),
     ("e1_moment_decay", ("L", "r_ladder"), "0.25", "the ball of radius 0.5 does not fit the grid"),
     ("e3_atom_image_gaussian", ("L", "r_ladder"), "0.2", "the ball of radius 0.25 does not fit the grid"),
+    ("e4_gaussian", ("L", "r_ladder"), "1", "window radius W must be at most L/2"),
 ])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, message):
     # a value that the scenario's key table or its runner rejects, and a key
@@ -469,8 +453,8 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, m
     # exit 2 and no output. The key's line is rewritten, or appended to the
     # [scenario] section (the last one) when the config does not set the key.
     # A (key, cited) pair rewrites key, and the error cites the line of the
-    # [scenario] key that the new value makes invalid (a ladder that no
-    # longer fits a smaller grid)
+    # [scenario] key that the new value makes invalid (a ladder, or E4's
+    # windows of it, that no longer fits a smaller grid)
     key, cited = key if isinstance(key, tuple) else (key, key)
     lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
 
@@ -623,6 +607,42 @@ def test_readme_command_line_block_runs(tmp_path, capsys):
     assert (tmp_path / "results" / "e4-sign-p1.csv").is_file()
 
 
+def test_readme_config_table_and_run_flags_match_the_code(capsys):
+    # the README's config table lists the [experiment] and [grid] keys that
+    # every scenario shares, then each scenario's [scenario] keys but tag, in
+    # declared order with their default texts: "required" for a required
+    # key, "none" for an empty one, a list in full or as "first, ..., last",
+    # and after "; or" further values that the key's parser takes. The run
+    # flags sentence names exactly the options of `hardylab run --help`
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| section or scenario | keys (default) |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines():
+        name, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        table[name.strip("`")] = re.findall(r"`(\w+)` \(([^)]*)\)", keys)
+    assert list(table) == ["[experiment]", "[grid]", *SCENARIO_KEYS]
+    for scenario, sections in SCENARIO_KEYS.items():
+        assert list(sections) == ["experiment", "grid", "scenario"] and "tag" in sections["scenario"]
+        for row, section in (("[experiment]", "experiment"), ("[grid]", "grid"), (scenario, "scenario")):
+            declared = {k: v for k, v in sections[section].items() if k != "tag"}
+            assert [k for k, _ in table[row]] == list(declared), row
+            for key, shown in table[row]:
+                parse, default = declared[key]
+                shown, _, more = shown.partition("; or ")
+                if default is None or default == "":
+                    assert shown == ("required" if default is None else "none"), (row, key)
+                else:
+                    entries = default.split(", ")
+                    assert shown in (default, f"{entries[0]}, ..., {entries[-1]}"), (row, key)
+                for value in filter(None, more.split(", ")):
+                    parse(key, value)
+    sentence = text.split("`run` takes", 1)[1].split("Exit codes", 1)[0]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    options = re.findall(r"^ +(--[\w-]+)", capsys.readouterr().out, re.M)
+    assert re.findall(r"`(--[\w-]+)`", sentence) == options
+
+
 def test_no_private_names_imported_across_modules():
     # from .x import _name (or hardylab.x) couples a module to another's
     # internals; the test oracles count as a module too
@@ -656,11 +676,8 @@ def test_src_holds_only_what_runs(tmp_path):
     # by one of the shipped entry points or benchmark workload configs that
     # tests/trace_runs.py runs under a profile hook, save the listed ones;
     # every run exits 0, or 3 on a numerical failure
-    atom = make_atom(AtomSpec(HardyIndex(1.0, 1), 2.0, Ball((0.0,), 0.25)), 3,
-                     GridSpec(1, 4.0, 512))
-    (tmp_path / "atom.gfn").write_bytes(container_bytes(atom))
     helper = Path(__file__).parent / "trace_runs.py"
-    proc = subprocess.run([sys.executable, str(helper), str(tmp_path), str(tmp_path / "atom.gfn")],
+    proc = subprocess.run([sys.executable, str(helper), str(tmp_path)],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)

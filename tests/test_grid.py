@@ -21,7 +21,6 @@ from hardylab.grid import (
     fourier_multiplier,
     sample_symbol,
     integrate,
-    load_gridfunction,
     lp_norm,
     lp_quasinorm,
     padded_spectrum,
@@ -34,7 +33,6 @@ from hardylab.maximal import MollifierSpec, quintic_step
 from hardylab.moments import BallBasis, HardyIndex, monomial, multiindices, poly_project
 from hardylab.operators import KernelOp, get_operator, smooth_window
 from oracles import (
-    container_bytes,
     random_smooth_field,
     reference_convolve_spectra,
     reference_fourier_multiplier,
@@ -607,34 +605,6 @@ def test_window_spectrum_is_rfftn_of_the_window(dim):
         assert window_spectrum(g, first, n, out=out) is out
         assert np.array_equal(bits(out), bits(np.fft.rfftn(window)))
         assert np.array_equal(bits(window_spectrum(g, first, n)), bits(np.fft.rfftn(window)))
-
-
-def test_serialization_roundtrip(tmp_path):
-    spec = GridSpec(2, 2.0, 16)
-    rng = np.random.default_rng(8)
-    for data in (rng.normal(size=spec.shape),
-                 rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)):
-        f = GridFunction(spec, data)
-        path = tmp_path / "f.gfn"
-        path.write_bytes(container_bytes(f))
-        g = load_gridfunction(path)
-        assert g.spec == spec
-        assert np.array_equal(g.samples, f.samples)
-
-
-def test_load_rejects_malformed_container(tmp_path):
-    good = container_bytes(GridFunction(GridSpec(1, 2.0, 8), np.arange(8.0)))
-    cases = {
-        "magic": (b"XXXXXXXX" + good[8:], "not a grid-function container"),
-        "short": (good[:10], "truncated"),
-        "flag": (good[:28] + b"\x02" + good[29:], "complex flag"),
-        "payload": (good[:-8], "payload size"),
-    }
-    for name, (data, message) in cases.items():
-        path = tmp_path / f"{name}.gfn"
-        path.write_bytes(data)
-        with pytest.raises(ValueError, match=message):
-            load_gridfunction(path)
 
 
 # ---------------------------------------------------------------------------

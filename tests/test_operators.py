@@ -14,6 +14,7 @@ from hardylab.operators import (
     KernelOp,
     MultiplierOp,
     OperatorSpec,
+    PointwiseOp,
     builtin_operators,
     cancellation_test,
     get_operator,
@@ -215,6 +216,16 @@ def test_tstar_validates_window(grid):
         cancellation_test(T, IDX1, [Ball((0.0,), 0.375)], [(0,)], grid)  # W = 3 > L/2
     with pytest.raises(ValueError, match="escapes"):
         cancellation_test(T, IDX1, [Ball((3.0,), R_W1)], [(0,)], grid)  # 2W ball escapes
+
+
+@pytest.mark.parametrize("name,kind", [("truncated-power", KernelOp), ("sign-mult", PointwiseOp)])
+def test_apply_rejects_a_foreign_grid(small, name, kind):
+    # a kernel or pointwise operator applied to a function on another grid
+    # raises from convolve or GridFunction.__mul__, which hold the one check
+    T = get_operator(name, small)
+    assert type(T) is kind
+    with pytest.raises(ValueError, match="grid mismatch"):
+        T.apply(GridFunction(GridSpec(1, 4.0, 128), np.ones(128)))
 
 
 def test_pairing_consistency_with_atoms(grid):

@@ -1,19 +1,18 @@
 """Run the shipped entry points under a profile hook and print, as JSON,
 each run's exit code and every def of src/hardylab whose code never ran.
 
-Usage: python tests/trace_runs.py OUT_DIR ATOM_FILE
+Usage: python tests/trace_runs.py OUT_DIR
 
 The runs, all through `hardylab.cli.main`: every scripts/configs/*.cfg;
 every config of the benchmark's workloads at seed 0 (perfbench/workloads.py,
 loaded read-only), which adds the 2D E1, E2, E4 and E5 runs (every shipped
 config is 1D); E3 and E4 at 1D m = 512 for each catalog operator;
-`validate-atom`, once generated in 2D and once on ATOM_FILE (a stored grid
-function); `psi`, `list-operators` and `version`. The hook is set on this
-thread and on every thread started later (the pool starts its threads at
-its first submit) before `hardylab` is imported, so each def that runs, in
-any thread, is seen. A def counts as run when its code object was entered,
-which covers methods, properties and nested defs that a name match cannot
-see.
+`validate-atom` in 2D; `psi`, `list-operators` and `version`. The hook is
+set on this thread and on every thread started later (the pool starts its
+threads at its first submit) before `hardylab` is imported, so each def
+that runs, in any thread, is seen. A def counts as run when its code
+object was entered, which covers methods, properties and nested defs that
+a name match cannot see.
 
 Output: {"runs": [[name, exit code, numerical failure?], ...],
 "unrun": [["module.qualname", lines], ...]}.
@@ -70,7 +69,7 @@ def workload_configs():
     return [(f"{w.name}/{c.name}", c.text(0)) for w in workloads.WORKLOADS.values() for c in w.configs]
 
 
-def runs(out: Path, atom_file: str):
+def runs(out: Path):
     """(name, argv) of every run."""
     for cfg in sorted(CONFIGS.glob("*.cfg")):
         yield cfg.name, ["run", str(cfg), "--quiet", "--out-dir", str(out)]
@@ -88,7 +87,6 @@ def runs(out: Path, atom_file: str):
             cfg.write_text(SMALL.format(scenario=scenario, operator=op, tag=tag) + extra)
             yield tag, ["run", str(cfg), "--quiet", "--out-dir", str(out)]
     yield "validate-atom --dim 2", ["validate-atom", "--p", "1", "--dim", "2", "--grid-m", "128"]
-    yield "validate-atom --file", ["validate-atom", "--p", "1", "--file", atom_file]
     yield "psi", ["psi", "1", "0", "0.5"]
     yield "list-operators", ["list-operators"]
     yield "version", ["version"]
@@ -116,9 +114,8 @@ def defs(path: Path):
 
 
 def trace() -> int:
-    out, atom_file = Path(sys.argv[1]), sys.argv[2]
     done = []
-    for name, argv in runs(out, atom_file):
+    for name, argv in runs(Path(sys.argv[1])):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
