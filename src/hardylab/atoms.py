@@ -15,7 +15,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily; load it with the package)
 
 from .errors import NumericalError
-from .grid import Ball, GridFunction, GridSpec, axes_sq_distance, ball_smooth_fields, lp_norm, lp_quasinorm
+from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, lp_norm, lp_quasinorm, sq_distance
 from .maximal import quintic_step
 from .moments import (
     HardyIndex,
@@ -182,8 +182,7 @@ class PreMoleculeReport:
 
 
 def _weighted_tail_norm(M: GridFunction, ball: Ball, s: float, lam: float) -> float:
-    # axes_sq_distance: sq_distance's bits with no meshgrid of the points
-    d2 = axes_sq_distance([M.spec.axis()] * M.spec.dim, ball.center)
+    d2 = sq_distance(M.spec.points(), ball.center)
     outside = ~ball.mask(M.spec)
     vals = np.abs(M.samples[outside]) ** s * d2[outside] ** (lam / 2.0)
     return float((vals.sum() * M.spec.cell_volume) ** (1.0 / s))

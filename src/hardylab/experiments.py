@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .grid import Ball, GridFunction, GridSpec, ball_smooth_fields, integrate, lp_quasinorm
 from .maximal import MollifierSpec, ScaleGrid, build_test_dictionary, grand_maximal_table, small_maximal_table
 from .moments import HardyIndex, dual_norm_check, monomial_field, multiindices, psi, small_ball_factor
-from .operators import cancellation_test, cancellation_window, catalog_entry, get_operator, smooth_window, window_radius
+from .operators import cancellation_test, cancellation_window, catalog_entry, get_operator, smooth_window
 from .svgchart import Series, line_chart
 
 SCHEMAS = {
@@ -238,6 +238,7 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     p, s, lam, C, n_seeds, ladder = (prm[k] for k in ("p", "s", "lambda", "C", "n_seeds", "r_ladder"))
     idx = cfg.check("p", lambda: HardyIndex(p, grid.dim))
     balls = cfg.check("r_ladder", lambda: _origin_balls(grid, ladder))
+    windows = cfg.check("r_ladder", lambda: [cancellation_window(ball, grid) for ball in balls])
     # s, lambda and C as the atoms and the pre-molecule checks take them
     largest = balls[0]
     cfg.check("s", lambda: (AtomSpec(idx, s, largest), PreMoleculeSpec(idx, s, np.inf, 1.0, largest)))
@@ -246,18 +247,18 @@ def run_E3_atom_image(cfg: ExperimentConfig) -> list[list]:
     mol = MollifierSpec("gaussian", grid.dim)
     scales = ScaleGrid.default(grid, 1.0)
     alphas = multiindices(grid.dim, idx.N_p)
-    cells = []  # (r, ball, seed, image of the atom); the atoms are not kept
-    for r, ball in zip(ladder, balls):
+    cells = []  # (r, ball, W, seed, image of the atom); the atoms are not kept
+    for r, ball, W in zip(ladder, balls, windows):
         spec_a = AtomSpec(idx, s, ball, "local")
         for seed in range(n_seeds):
-            cells.append((r, ball, seed, T_op.apply(make_atom(spec_a, cfg.seed + seed, grid))))
+            cells.append((r, ball, W, seed, T_op.apply(make_atom(spec_a, cfg.seed + seed, grid))))
     # every h^p norm from one streamed pass over the scales
     hps = [lp_quasinorm(m, p) for m in small_maximal_table([Ta for *_, Ta in cells], mol, scales)]
     rows = []
-    for (r, ball, seed, Ta), hp in zip(cells, hps):
+    for (r, ball, W, seed, Ta), hp in zip(cells, hps):
         rep = validate_premolecule(Ta, PreMoleculeSpec(idx, s, lam, C, ball))
         best = min_premolecule_constant(Ta, idx, s, lam, ball)
-        window = smooth_window(grid, ball.center, window_radius(r))
+        window = smooth_window(grid, ball.center, W)
         for alpha in alphas:
             bound = small_ball_factor(idx, alpha, r)
             pairing = abs(integrate(Ta * window * monomial_field(grid, ball.center, alpha)))

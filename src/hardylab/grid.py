@@ -7,6 +7,11 @@ which for these periodic grids is the midpoint rule up to an index shift
 and is exact enough (O(h^2)) for the indicator-like and smooth integrands
 used throughout.
 
+Closed forms (symbols, kernels, monomials, distances) are evaluated on open
+grids: tuples of per-axis coordinate arrays, each shaped to broadcast along
+its own axis as np.ix_ shapes them (GridSpec.points and frequencies), so no
+(dim,) + grid stack of points is built.
+
 All operations here are pure: they never mutate their inputs, apart from
 the scratch, output and window arrays handed to the spectral functions
 (padded_spectrum, abs_convolve_spectra, window_spectrum, window_product and
@@ -23,6 +28,7 @@ caller, the full-grid fold of the p < 1 grand maximal function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,33 +92,23 @@ class GridSpec:
         m = self.points_per_axis
         return -self.half_width + self.spacing * np.arange(m)
 
-    def points(self) -> np.ndarray:
-        """All sample points, shape (dim,) + shape."""
-        return np.stack(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
+    def points(self) -> tuple[np.ndarray, ...]:
+        """All sample points, as an open grid."""
+        return np.ix_(*[self.axis()] * self.dim)
 
-    def frequencies(self) -> np.ndarray:
-        """Discrete frequencies 2*pi*k/(2L) per axis, shape (dim,) + shape."""
+    def frequencies(self) -> tuple[np.ndarray, ...]:
+        """Discrete frequencies 2*pi*k/(2L) per axis, as an open grid."""
         xi = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
-        return np.stack(np.meshgrid(*[xi] * self.dim, indexing="ij"))
+        return np.ix_(*[xi] * self.dim)
 
 
-def sq_distance(pts: np.ndarray, center) -> np.ndarray:
-    """|x - center|^2 at every point of pts, shape (dim,) + grid."""
-    d2 = np.zeros(pts.shape[1:])
-    for i in range(pts.shape[0]):
-        d2 += (pts[i] - center[i]) ** 2
-    return d2
-
-
-def axes_sq_distance(axes, center) -> np.ndarray:
-    """|x - center|^2 on the product of the given per-axis coordinates, by
-    broadcasting instead of a meshgrid. The terms are summed in the order
-    sq_distance sums them, so the two agree bit for bit."""
+def sq_distance(grid, center=None) -> np.ndarray:
+    """|x - center|^2 (center defaults to the origin) on an open grid, such
+    as GridSpec.points() or np.ix_ of per-axis coordinates, shaped as the
+    full grid: one squared term per axis, summed in axis order."""
     d2 = np.zeros(())
-    for i, (ax, c) in enumerate(zip(axes, center)):
-        shape = [1] * len(axes)
-        shape[i] = -1
-        d2 = d2 + ((ax - c) ** 2).reshape(shape)
+    for x, c in zip(grid, (0.0,) * len(grid) if center is None else center):
+        d2 = d2 + (x - c) ** 2
     return d2
 
 
@@ -120,8 +116,7 @@ def axes_sq_distance(axes, center) -> np.ndarray:
 class BallSlab:
     """The samples of a ball on a grid: idx, the per-axis indices of its
     bounding slab, inside, the membership mask on that slab, and sq_dist,
-    the squared distances to the centre on that slab. Unpacks as
-    `idx, inside`.
+    the squared distances to the centre on that slab.
 
     The slab indices ascend on every axis, so a row-major walk over the
     slab's members meets them in the order of a row-major walk over the
@@ -132,9 +127,6 @@ class BallSlab:
     idx: tuple[np.ndarray, ...]
     inside: np.ndarray
     sq_dist: np.ndarray
-
-    def __iter__(self):
-        return iter((self.idx, self.inside))
 
     @property
     def count(self) -> int:
@@ -179,8 +171,8 @@ class Ball:
 
         A sample off the slab has one term (x_i - c_i)^2 >= r^2, and a sum of
         nonnegative terms rounds to no less than any of them, so the slab
-        holds every sample of the ball. On the slab the terms are summed as
-        sq_distance sums them, so the membership equals
+        holds every sample of the ball. The slab's squared distances are
+        sq_distance on its open grid, so the membership equals
         sq_distance(spec.points(), center) < r^2 bit for bit.
         """
         if spec.dim != self.dim:
@@ -189,7 +181,7 @@ class Ball:
         r2 = self.radius**2
         ax = spec.axis()
         idx = tuple(np.flatnonzero((ax - c) ** 2 < r2) for c in self.center)
-        d2 = axes_sq_distance([ax[i] for i in idx], self.center)
+        d2 = sq_distance(np.ix_(*(ax[i] for i in idx)), self.center)
         return BallSlab(spec, idx, d2 < r2, d2)
 
     def mask(self, spec: GridSpec) -> np.ndarray:
@@ -245,8 +237,9 @@ class GridFunction:
         return GridFunction(self.spec, np.conj(self.samples))
 
 
-def sample_function(spec: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
-    """Sample a closed-form function; fn takes points of shape (dim,)+grid."""
+def sample_function(spec: GridSpec, fn: Callable[[tuple[np.ndarray, ...]], np.ndarray]) -> GridFunction:
+    """Sample a closed-form function; fn takes the open grid of the points
+    and returns values that broadcast to the grid's shape."""
     vals = np.asarray(fn(spec.points()))
     return GridFunction(spec, np.broadcast_to(vals, spec.shape).copy())
 
@@ -519,10 +512,11 @@ class SampledSymbol:
     hermitian: bool
 
 
-def sample_symbol(spec: GridSpec, symbol: Callable[[np.ndarray], np.ndarray]) -> SampledSymbol:
-    """Evaluate a symbol, check it is finite and take its Hermitian part:
-    the build step of fourier_multiplier, to be done once per grid. The
-    defect of a bin equals that of its negative, so the half holds it."""
+def sample_symbol(spec: GridSpec, symbol: Callable[[tuple[np.ndarray, ...]], np.ndarray]) -> SampledSymbol:
+    """Evaluate a symbol on the open grid of the frequencies, check it is
+    finite and take its Hermitian part: the build step of
+    fourier_multiplier, to be done once per grid. The defect of a bin equals
+    that of its negative, so the half holds it."""
     S = np.asarray(symbol(spec.frequencies()))
     S = np.broadcast_to(S, spec.shape)
     bad = ~np.isfinite(S)
@@ -633,7 +627,7 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
       on the calling thread. Such blocks would be too thin in 1D.
     """
     slab = ball.box(spec)
-    idx, inside = slab
+    idx, inside = slab.idx, slab.inside
     out = np.empty((count, slab.count))
     if count == 0:
         return out.T
@@ -664,24 +658,26 @@ def ball_smooth_fields(spec: GridSpec, ball: Ball, ell: float, count: int,
 def dilate(phi, t: float, spec: GridSpec) -> GridFunction:
     """Samples of the L1-normalized dilation t^{-dim} phi(x/t) of a mollifier
     phi (a MollifierSpec: its radial form phi.radial and compact_support),
-    sampled by phi.radial at axes_sq_distance of the scaled axis, with no
-    meshgrid: bit for bit t^{-dim} phi(spec.points() / t). Without compact
-    support the values are scaled in place, so no other grid-sized array is
-    built. With it only the box where (x/t)^2 < 1 per axis, widened by one
-    sample, is evaluated; off it |x/t|^2 >= 1, so the +0.0 left there is the
-    full evaluation's, bit for bit."""
+    sampled by phi.radial at sq_distance of the scaled axes' open grid: bit
+    for bit t^{-dim} phi(x / t) at every point x. Without compact support the
+    values are scaled in place, so no other grid-sized array is built. With
+    it the samples within K = ceil(t/h) of the origin come from dilate_box;
+    off them |x/t|^2 >= 1, so the +0.0 left there is the full evaluation's,
+    bit for bit."""
     if t < 2 * spec.spacing:
         raise NumericalError("scale below grid resolution")
-    scale = t ** (-spec.dim)
+    if phi.compact_support:
+        # the grid before the box's temporaries: with glibc's malloc the
+        # other order raised the 2D E2 config's peak RSS by about 0.5 MB
+        out = np.zeros(spec.shape)
+        reach = math.ceil(t / spec.spacing)
+        box, first = dilate_box(phi, t, spec, reach)
+        lo = spec.points_per_axis // 2 - reach + first
+        out[(slice(lo, lo + len(box)),) * spec.dim] = box
+        return GridFunction(spec, out)
     ax = spec.axis() / t
-    if not phi.compact_support:
-        vals = phi.radial(np.sqrt(axes_sq_distance([ax] * spec.dim, (0.0,) * spec.dim)))
-        return GridFunction(spec, np.multiply(scale, vals, out=vals))
-    hit = np.flatnonzero(ax**2 < 1.0)
-    box = (slice(max(hit[0] - 1, 0), min(hit[-1] + 2, spec.points_per_axis)),) * spec.dim
-    out = np.zeros(spec.shape)
-    out[box] = scale * phi.radial(np.sqrt(axes_sq_distance([ax[b] for b in box], (0.0,) * spec.dim)))
-    return GridFunction(spec, out)
+    vals = phi.radial(np.sqrt(sq_distance(np.ix_(*[ax] * spec.dim))))
+    return GridFunction(spec, np.multiply(t ** (-spec.dim), vals, out=vals))
 
 
 def dilate_box(phi, t: float, spec: GridSpec, reach: int) -> tuple[np.ndarray, int]:
@@ -696,5 +692,5 @@ def dilate_box(phi, t: float, spec: GridSpec, reach: int) -> tuple[np.ndarray, i
     m, half = spec.points_per_axis, spec.points_per_axis // 2
     lo, hi = max(half - reach, 0), min(half + reach + 1, m)
     ax = spec.axis()[lo:hi] / t
-    box = t ** (-spec.dim) * phi.radial(np.sqrt(axes_sq_distance([ax] * spec.dim, (0.0,) * spec.dim)))
+    box = t ** (-spec.dim) * phi.radial(np.sqrt(sq_distance(np.ix_(*[ax] * spec.dim))))
     return box, lo - half + reach

@@ -126,8 +126,9 @@ class MollifierSpec:
         if self.shape not in ("gaussian", "smooth-bump"):
             raise ValueError(f"unknown mollifier shape {self.shape!r}")
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.radial(np.sqrt(sq_distance(pts, (0.0,) * self.dim)))
+    def __call__(self, grid) -> np.ndarray:
+        """phi on an open grid."""
+        return self.radial(np.sqrt(sq_distance(grid)))
 
     def radial(self, r: np.ndarray) -> np.ndarray:
         """phi at the points at distance r from the origin."""
@@ -452,7 +453,7 @@ def derivative_sups(fn, center, radius: float, dim: int, max_order: int,
     d = 2.0 * radius / (n - 1)
     axes = [np.linspace(c - radius - halo * d, c + radius + halo * d, n + 2 * halo)
             for c in center]
-    base = np.asarray(fn(np.stack(np.meshgrid(*axes, indexing="ij"))), dtype=float)
+    base = np.asarray(fn(np.ix_(*axes)), dtype=float)
 
     def diff(arr, axis):
         sl_hi = [slice(None)] * dim

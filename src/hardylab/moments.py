@@ -85,24 +85,19 @@ class HardyIndex:
         return self.gamma_p == self.N_p
 
 
-def monomial(pts: np.ndarray, x0, alpha: MultiIndex) -> np.ndarray:
-    """(x - x0)^alpha at every point of pts, shape (dim,) + grid."""
-    out = np.ones(pts.shape[1:])
-    for i, a in enumerate(alpha):
+def monomial(grid, x0, alpha: MultiIndex) -> np.ndarray:
+    """(x - x0)^alpha on an open grid, shaped as the full grid: the factors
+    (x_i - x0_i)^a_i multiplied in axis by axis."""
+    out = np.ones(np.broadcast_shapes(*(np.shape(x) for x in grid)))
+    for x, c, a in zip(grid, x0, alpha):
         if a:
-            out = out * (pts[i] - x0[i]) ** a
+            out *= (x - c) ** a
     return out
 
 
 def monomial_field(spec: GridSpec, x0, alpha: MultiIndex) -> GridFunction:
-    """(x - x0)^alpha sampled on the grid: each factor (x_i - x0_i)^a_i on
-    its axis, multiplied in by broadcasting, bit for bit monomial at
-    spec.points() without building them."""
-    out = np.ones(spec.shape)
-    for i, a in enumerate(alpha):
-        if a:
-            out *= ((spec.axis() - x0[i]) ** a).reshape((-1,) + (1,) * (spec.dim - 1 - i))
-    return GridFunction(spec, out)
+    """(x - x0)^alpha sampled on the grid."""
+    return GridFunction(spec, monomial(spec.points(), x0, alpha))
 
 
 def _boundary_l1_fraction(f: GridFunction) -> float:
@@ -122,9 +117,7 @@ def _boundary_l1_fraction(f: GridFunction) -> float:
 
 
 def moment(f: GridFunction, x0, alpha) -> float | complex:
-    """The moment <f, (.-x0)^alpha>; f must be supported inside the domain.
-    The monomial comes from monomial_field, with no meshgrid of the grid's
-    points: the bits of monomial at spec.points()."""
+    """The moment <f, (.-x0)^alpha>; f must be supported inside the domain."""
     alpha = as_multiindex(alpha, f.spec.dim)
     if _boundary_l1_fraction(f) > 1e-12:
         raise NumericalError("moment undefined: support escapes domain")
@@ -151,11 +144,10 @@ class BallBasis:
                 f"degenerate region: ball holds {self.npts} grid points"
                 f" < {len(self.basis)} basis functions"
             )
-        idx, inside = self.slab
         ax = spec.axis()
-        pts = np.stack([x[inside] for x in np.meshgrid(*(ax[i] for i in idx), indexing="ij")])
+        grid = np.ix_(*(ax[i] for i in self.slab.idx))
         self.scales = np.array([ball.radius ** order(a) for a in self.basis])
-        self._monomials = [monomial(pts, ball.center, a) for a in self.basis]
+        self._monomials = [monomial(grid, ball.center, a)[self.slab.inside] for a in self.basis]
         self.cols = np.stack([m / s for m, s in zip(self._monomials, self.scales)], axis=1)
         self.weight = None if weight is None else self.slab.gather(weight.samples)
         self._weighted = self.cols if weight is None else self.cols * self.weight[:, None]

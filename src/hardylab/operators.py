@@ -42,6 +42,7 @@ from .grid import (
     reflect,
     sample_function,
     sample_symbol,
+    sq_distance,
 )
 from .maximal import quintic_step
 from .moments import (
@@ -264,9 +265,10 @@ def cancellation_test(T: OperatorSpec, idx: HardyIndex, balls, alphas,
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named operator. form(x, spec, **params) is its closed form: the
-    symbol at the frequencies x for a multiplier, the kernel or the factor at
-    the points x otherwise."""
+    """A named operator. form(x, spec, **params) is its closed form on the
+    open grid x (GridSpec.frequencies or points): the symbol at the
+    frequencies for a multiplier, the kernel or the factor at the points
+    otherwise."""
 
     name: str
     kind: str
@@ -286,17 +288,17 @@ class CatalogEntry:
 
 def _jap(xi):
     """Japanese bracket <xi> = sqrt(1 + |xi|^2)."""
-    return np.sqrt(1.0 + np.sum(xi**2, axis=0))
+    return np.sqrt(1.0 + sq_distance(xi))
 
 
 def _strongly_singular(xi, spec, b, a):
     b = float(b)
     a = spec.dim * (1.0 - b) / 2.0 if a is None else float(a)
-    return np.exp(1j * np.sqrt(np.sum(xi**2, axis=0)) ** b) * _jap(xi) ** (-a)
+    return np.exp(1j * np.sqrt(sq_distance(xi)) ** b) * _jap(xi) ** (-a)
 
 
 def _truncated_power(pts, spec, mu):
-    u = np.sqrt(np.sum(pts**2, axis=0))
+    u = np.sqrt(sq_distance(pts))
     with np.errstate(divide="ignore"):
         vals = np.where(u > 0, u, 1.0) ** (-(spec.dim + float(mu)))
     vals = vals * quintic_step(2.0 * u - 1.0)  # zero below |u| = 1/2
@@ -304,23 +306,22 @@ def _truncated_power(pts, spec, mu):
 
 
 def _halfpower(pts, spec):
-    r2 = np.sum(pts**2, axis=0)
-    return np.sqrt(np.abs(pts[0])) * (1.0 - quintic_step(np.sqrt(r2) / 1.5 - 1.0))
+    return np.sqrt(np.abs(pts[0])) * (1.0 - quintic_step(np.sqrt(sq_distance(pts)) / 1.5 - 1.0))
 
 
 def _modulation(pts, spec, xi0):
     xi0 = (float(xi0),) * spec.dim if np.isscalar(xi0) else tuple(map(float, xi0))
-    phase = np.zeros(pts.shape[1:])
+    phase = np.zeros(spec.shape)
     for i in range(spec.dim):
         phase = phase + xi0[i] * pts[i]
     return np.exp(1j * phase)
 
 
 _CATALOG = [
-    CatalogEntry("identity", "multiplier", "symbol 1", lambda xi, spec: np.ones(xi.shape[1:]),
+    CatalogEntry("identity", "multiplier", "symbol 1", lambda xi, spec: np.ones(spec.shape),
                  (), (("mu", 4.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("gaussian", "multiplier", "smoothing exp(-(w|xi|)^2/4) at width w",
-                 lambda xi, spec, width: np.exp(-(float(width)**2) * np.sum(xi**2, axis=0) / 4.0),
+                 lambda xi, spec, width: np.exp(-(float(width)**2) * sq_distance(xi) / 4.0),
                  (("width", 0.05),), (("mu", 4.0), ("delta", 1.0), ("sigma", 1.0))),
     CatalogEntry("riesz", "multiplier", "inhomogeneous Riesz -i xi_1/<xi>",
                  lambda xi, spec: -1j * xi[0] / _jap(xi),
@@ -338,7 +339,7 @@ _CATALOG = [
     CatalogEntry("truncated-power", "kernel", "|u|^{-n-mu} cut smoothly below |u|=1 "
                  "and near the half-domain", _truncated_power, (("mu", 1.0),), (("mu", 1.0),)),
     CatalogEntry("jump-kernel", "kernel", "bounded kernel with a jump across |u1| = c",
-                 lambda pts, spec, c: np.exp(-np.sum(pts**2, axis=0))
+                 lambda pts, spec, c: np.exp(-sq_distance(pts))
                  * (1.0 + 0.5 * np.sign(np.abs(pts[0]) - float(c))),
                  (("c", 0.5),), (), True),
     CatalogEntry("sign-mult", "pointwise", "multiplication by sign(x1)",

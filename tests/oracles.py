@@ -1,5 +1,7 @@
 """Brute-force oracles the tests check the library against.
 
+`stacked_points` is every sample point as a full meshgrid, the reference
+of the open grid that the library evaluates its closed forms on,
 `materialize` turns any operator into its dense matrix (O(m^{2 dim}) memory,
 so only on small grids), `CompositionOp` chains operators (no experiment
 composes them), `verify_admissible` certifies a test function's support and
@@ -68,6 +70,13 @@ from hardylab.moments import (
     psi,
 )
 from hardylab.operators import WINDOW_SENSITIVITY_LIMIT, CancellationRow, KernelOp, MultiplierOp, OperatorSpec
+
+
+def stacked_points(spec: GridSpec) -> np.ndarray:
+    """Every sample point as a full meshgrid, shape (dim,) + shape: the
+    full-grid reference of the open grid spec.points()."""
+    return np.stack(np.meshgrid(*[spec.axis()] * spec.dim, indexing="ij"))
+
 
 MATERIALIZE_CAP = 128
 
@@ -226,7 +235,7 @@ def inner(f: GridFunction, g: GridFunction):
 def random_smooth_field(spec: GridSpec, ell: float, rng: np.random.Generator) -> np.ndarray:
     """White noise smoothed by a Gaussian of correlation length ell."""
     noise = rng.standard_normal(spec.shape)
-    xi2 = np.sum(spec.frequencies() ** 2, axis=0)
+    xi2 = sq_distance(spec.frequencies())
     return np.fft.ifftn(np.exp(-(ell**2) * xi2 / 2.0) * np.fft.fftn(noise)).real
 
 
@@ -837,7 +846,7 @@ class RescaledProbe:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         ax = math.sqrt(sum(c * c for c in self.x))
-        return ax ** (-len(self.x)) * self.phi0(pts / (2.0 * ax))
+        return ax ** (-len(self.x)) * self.phi0(tuple(x / (2.0 * ax) for x in pts))
 
 
 def phi_x_alpha(x, alpha, idx: HardyIndex) -> RescaledProbe:

@@ -16,7 +16,7 @@ from hardylab.errors import NumericalError
 from hardylab.grid import Ball, GridFunction, GridSpec, lp_norm, sample_function, sq_distance
 from hardylab.maximal import MollifierSpec, ScaleGrid
 from hardylab.moments import HardyIndex, moment, monomial
-from oracles import hp_norm, pseudo_decompose
+from oracles import hp_norm, pseudo_decompose, stacked_points
 
 IDX1 = HardyIndex(1.0, 1)
 IDX23 = HardyIndex(2 / 3, 1)
@@ -40,13 +40,13 @@ def test_atoms_validate_across_seeds(grid, idx, s):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_moment_and_tail_norm_take_no_meshgrid_bitwise(dim):
     # moment and the weighted tail norm build their monomial and distances
-    # per axis; each equals its expression on the meshgrid of spec.points()
-    # bit for bit, for real and complex f
+    # on the open grid; each equals its expression on the full meshgrid bit
+    # for bit, for real and complex f
     spec = GridSpec(dim, 4.0, 2048 if dim == 1 else 64)
     rng = np.random.default_rng(40 + dim)
     ball = Ball((0.3, -0.7)[:dim], 1.1)
     inner = Ball((0.0,) * dim, 3.0).mask(spec)
-    pts = spec.points()
+    pts = stacked_points(spec)
     for f in (GridFunction(spec, rng.normal(size=spec.shape) * inner),
               GridFunction(spec, (rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)) * inner)):
         for alpha in [(0,) * dim, (1,) * dim, (3, 0)[:dim], (0, 2)[-dim:]]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab.atoms import AtomSpec, make_atom, moment_bound_check, validate_atom
-from hardylab.grid import Ball, GridFunction, GridSpec, lp_quasinorm, sample_function
+from hardylab.grid import Ball, GridFunction, GridSpec, lp_quasinorm, sample_function, sq_distance
 from hardylab.maximal import MollifierSpec, ScaleGrid, small_maximal_table
 from hardylab.moments import BallBasis, HardyIndex, local_oscillation
 from hardylab.operators import cancellation_test, get_operator
@@ -39,7 +39,7 @@ def test_small_maximal_2d(grid):
     scales = ScaleGrid.default(grid, 1.0)
     f = sample_function(grid, lambda p: np.exp(-4 * (p[0] ** 2 + p[1] ** 2)))
     sm = small_maximal(f, mol, scales)
-    core = (grid.points() ** 2).sum(axis=0) < 1.0
+    core = sq_distance(grid.points()) < 1.0
     assert np.all(sm.samples[core] >= 0.85 * f.samples[core])
 
 

@@ -446,6 +446,7 @@ def test_cli_rejects_bad_integer_keys(tmp_path, capsys, config, key, value):
     ("e1_moment_decay", ("L", "r_ladder"), "0.25", "the ball of radius 0.5 does not fit the grid"),
     ("e3_atom_image_gaussian", ("L", "r_ladder"), "0.2", "the ball of radius 0.25 does not fit the grid"),
     ("e4_gaussian", ("L", "r_ladder"), "1", "window radius W must be at most L/2"),
+    ("e3_atom_image_gaussian", ("L", "r_ladder", "m = 1024"), "1", "window radius W must be at most L/2"),
 ])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, message):
     # a value that the scenario's key table or its runner rejects, and a key
@@ -453,13 +454,18 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, config, key, value, m
     # exit 2 and no output. The key's line is rewritten, or appended to the
     # [scenario] section (the last one) when the config does not set the key.
     # A (key, cited) pair rewrites key, and the error cites the line of the
-    # [scenario] key that the new value makes invalid (a ladder, or E4's
-    # windows of it, that no longer fits a smaller grid)
-    key, cited = key if isinstance(key, tuple) else (key, key)
+    # [scenario] key that the new value makes invalid (a ladder, or the
+    # windows of it that E3 and E4 pair against, that no longer fits a
+    # smaller grid); further "key = value" lines of the tuple rewrite their
+    # keys too
+    key, cited, *more = key if isinstance(key, tuple) else (key, key)
     lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
 
     def line_of(k):
         return next((i for i, text in enumerate(lines, start=1) if text.startswith(f"{k} =")), None)
+
+    for text in more:
+        lines[line_of(text.split(" = ")[0]) - 1] = text
 
     line = line_of(key)
     if line is None:
@@ -657,6 +663,18 @@ def test_no_private_names_imported_across_modules():
             bad += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                     if a.name.startswith("_")
                     and not (a.name.startswith("__") and a.name.endswith("__"))]
+    assert not bad
+
+
+def test_src_builds_no_meshgrid():
+    # closed forms are evaluated on open grids (GridSpec.points and
+    # frequencies, np.ix_), so no module of src/hardylab stacks a meshgrid
+    bad = []
+    for path in sorted(Path(hardylab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "meshgrid":
+                bad.append(f"{path.name}:{node.lineno}")
     assert not bad
 
 

@@ -27,6 +27,7 @@ from hardylab.grid import (
     sample_function,
     sized_side,
     spectral_scratch,
+    sq_distance,
     window_spectrum,
 )
 from hardylab.maximal import MollifierSpec, quintic_step
@@ -38,13 +39,14 @@ from oracles import (
     reference_fourier_multiplier,
     reference_padded_spectrum,
     side_by_search,
+    stacked_points,
     support_box,
     window_convolution,
 )
 
 
 def gauss(p):
-    return np.exp(-np.sum(p**2, axis=0))
+    return np.exp(-sq_distance(p))
 
 
 def test_spec_validation():
@@ -219,7 +221,7 @@ def test_plancherel():
 def test_fourier_multiplier_identity_and_gaussian_route():
     spec = GridSpec(1, 8.0, 2048)
     f = sample_function(spec, lambda p: np.exp(-p[0]**2 / 2))
-    same = fourier_multiplier(f, sample_symbol(spec, lambda xi: np.ones(xi.shape[1:])))
+    same = fourier_multiplier(f, sample_symbol(spec, lambda xi: np.ones(spec.shape)))
     assert np.max(np.abs(same.samples - f.samples)) < 1e-12
     smoothed = fourier_multiplier(f, sample_symbol(spec, lambda xi: np.exp(-xi[0]**2 / 4.0)))
     kernel = sample_function(spec, lambda p: np.pi**-0.5 * np.exp(-p[0]**2))
@@ -315,8 +317,8 @@ def test_fourier_multiplier_singular_symbol():
         out.real, out.imag = re, im
         return out
 
-    for symbol in (bad, lambda xi: parts(np.ones(xi.shape[1:]), bad(xi)),
-                   lambda xi: parts(bad(xi), np.ones(xi.shape[1:]))):
+    for symbol in (bad, lambda xi: parts(np.ones(spec.shape), bad(xi)),
+                   lambda xi: parts(bad(xi), np.ones(spec.shape))):
         with pytest.raises(NumericalError, match="singular symbol"):
             sample_symbol(spec, symbol)
 
@@ -348,27 +350,28 @@ def test_dilate_samples_compact_mollifier_on_its_box(dim):
     mol = MollifierSpec("smooth-bump", dim)
     h = spec.spacing
     for t in (*np.geomspace(2 * h, spec.half_width / 2, 12), 3 * h, 8 * h):
-        full = t ** -dim * mol(spec.points() / t)
+        full = t ** -dim * mol(stacked_points(spec) / t)
         assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dilate_samples_gaussian_without_meshgrid(dim):
-    # the Gaussian is sampled at axes_sq_distance of the scaled axis, and
-    # equals its evaluation on the full meshgrid bit for bit
+    # the Gaussian is sampled at sq_distance of the scaled axes' open grid,
+    # and equals its evaluation on the full meshgrid bit for bit
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     mol = MollifierSpec("gaussian", dim)
     h = spec.spacing
     for t in (*np.geomspace(2 * h, 1.0, 12), 3 * h, 8 * h):
-        full = t ** -dim * mol(spec.points() / t)
+        full = t ** -dim * mol(stacked_points(spec) / t)
         assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dilate_box_matches_dilate_bitwise(dim):
     # the bump's samples within K = ceil(t/h) of the origin, without a
-    # full-grid array: dilate's bits on that box, clipped to the grid, and
-    # the window index of its first sample
+    # full-grid array: the full meshgrid evaluation's bits on that box,
+    # clipped to the grid, +0.0 off it, and the window index of its first
+    # sample; dilate, which scatters that box, has the evaluation's bits
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     mol = MollifierSpec("smooth-bump", dim)
     m, h = spec.points_per_axis, spec.spacing
@@ -377,11 +380,12 @@ def test_dilate_box_matches_dilate_bitwise(dim):
         box, first = dilate_box(mol, t, spec, reach)
         lo, hi = max(m // 2 - reach, 0), min(m // 2 + reach + 1, m)
         assert first == lo - m // 2 + reach
-        full = dilate(mol, t, spec).samples
+        full = t ** -dim * mol(stacked_points(spec) / t)
         assert np.array_equal(box.view(np.uint64), full[(slice(lo, hi),) * dim].view(np.uint64))
         outside = np.ones(spec.shape, dtype=bool)
         outside[(slice(lo, hi),) * dim] = False
         assert not full[outside].any()
+        assert np.array_equal(dilate(mol, t, spec).samples.view(np.uint64), full.view(np.uint64))
     with pytest.raises(NumericalError):
         dilate_box(mol, h, spec, 1)
 
@@ -613,7 +617,7 @@ def test_window_spectrum_is_rfftn_of_the_window(dim):
 
 
 def full_grid_sq_distance(spec, center):
-    pts = spec.points()
+    pts = stacked_points(spec)
     d2 = np.zeros(spec.shape)
     for i in range(spec.dim):
         d2 += (pts[i] - center[i]) ** 2
@@ -625,7 +629,7 @@ def full_grid_mask(spec, ball):
 
 
 def full_grid_cols(spec, ball, degree):
-    pts = spec.points()[:, full_grid_mask(spec, ball)]
+    pts = stacked_points(spec)[:, full_grid_mask(spec, ball)]
     cols = []
     for a in multiindices(spec.dim, degree):
         mono = np.ones(pts.shape[1:])
@@ -662,7 +666,7 @@ def grid_and_ball(draw):
 def test_ball_mask_matches_full_grid(gb):
     spec, ball = gb
     slab = ball.box(spec)
-    idx, inside = slab
+    idx, inside = slab.idx, slab.inside
     mask = ball.mask(spec)
     assert np.array_equal(mask, full_grid_mask(spec, ball))
     assert inside.shape == tuple(len(i) for i in idx)
@@ -680,7 +684,7 @@ def test_ball_mask_matches_full_grid(gb):
 def full_grid_poly(spec, ball, basis, coeffs):
     """sum_a c_a ((y-x0)/r)^a at every grid point, summed monomial by
     monomial: the full-grid formula the projection on the ball must equal."""
-    pts = spec.points()
+    pts = stacked_points(spec)
     out = np.zeros(spec.shape, dtype=coeffs.dtype)
     for a, c in zip(basis, coeffs):
         out = out + c * monomial(pts, ball.center, a) / ball.radius ** sum(a)

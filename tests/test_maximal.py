@@ -26,6 +26,7 @@ from hardylab.grid import (
     lp_quasinorm,
     sample_function,
     sized_side,
+    sq_distance,
 )
 from hardylab.maximal import (
     MollifierSpec,
@@ -252,7 +253,7 @@ def test_verify_admissible_detects_violation(grid, scales):
     amp = build_test_dictionary(grid, IDX1, T=1.0, mollifier=mol, scales=scales).amplitude  # k = 1
 
     def entry(pts):
-        return amp * t**-1 * mol(pts / t)
+        return amp * t**-1 * mol(tuple(x / t for x in pts))
 
     rep = verify_admissible(entry, k=1, t=t, x=(0.0,))
     assert rep.passed
@@ -263,7 +264,7 @@ def test_verify_admissible_detects_violation(grid, scales):
     sup = 1.0 / float(mol(np.zeros((1, 1)))[0])
 
     def saturating(pts):
-        return 0.99 * sup * t**-1 * mol(pts / t)
+        return 0.99 * sup * t**-1 * mol(tuple(x / t for x in pts))
 
     rep3 = verify_admissible(saturating, k=0, t=t, x=(0.0,))
     assert rep3.passed
@@ -329,7 +330,7 @@ def test_grand_maximal_monotone_under_dictionary_superset(dim):
     # support path, where the larger T pastes on a larger box
     spec = GridSpec(dim, 4.0, 512 if dim == 1 else 64)
     idx = HardyIndex(1.0, dim)
-    smooth = sample_function(spec, lambda p: np.exp(-4 * np.sum(p**2, axis=0)) * (1 + p[0]))
+    smooth = sample_function(spec, lambda p: np.exp(-4 * sq_distance(p)) * (1 + p[0]))
     cut = smooth * GridFunction(spec, Ball((0.1,) * dim, 0.5).mask(spec).astype(float))
     base = build_test_dictionary(spec, idx, T=1.0)
     sites = ((0.2, 0.1)[:dim], (0.3, 0.15)[:dim])
@@ -865,7 +866,7 @@ def table_case(dim, kind):
     rng = np.random.default_rng(40 + dim)
     x = rng.normal(size=spec.shape)
     noise = x if kind == "real" else x + 1j * rng.normal(size=spec.shape)
-    bump = sample_function(spec, lambda p: np.clip(1 - np.sum(p**2, axis=0), 0, None) ** 2)
+    bump = sample_function(spec, lambda p: np.clip(1 - sq_distance(p), 0, None) ** 2)
     if kind == "complex":
         bump = bump * (1 - 2j)
     fs = [GridFunction(spec, noise), bump]

@@ -6,7 +6,7 @@ import pytest
 
 from hardylab.atoms import AtomSpec, make_atom
 from hardylab.errors import NumericalError
-from hardylab.grid import Ball, GridFunction, GridSpec, convolve, sample_function, sized_side
+from hardylab.grid import Ball, GridFunction, GridSpec, convolve, sample_function, sized_side, sq_distance
 from hardylab.maximal import quintic_step
 from hardylab.moments import HardyIndex, monomial_field
 from hardylab.operators import (
@@ -210,6 +210,20 @@ def test_tstar_rejects_heavy_tail(grid):
         cancellation_test(T, IDX1, [Ball((0.0,), R_W1)], [(0,)], grid)
 
 
+def test_window_sensitivity_limit_pinned_from_both_sides():
+    # on B(0, 1/8) (W = 1) at 1D m = 1024, L = 4, p = 1, alpha = 0, the
+    # Gaussian smoothing of width 1 moves its T* field by 0.31 between the
+    # windows at W and W/2 and is refused, while width 0.5 moves it by 0.0685
+    # and is certified: a limit raised past 0.31 or lowered below 0.0685
+    # fails one of the two
+    spec = GridSpec(1, 4.0, 1024)
+    ball = Ball((0.0,), R_W1)
+    with pytest.raises(NumericalError, match="not stable"):
+        cancellation_test(get_operator("gaussian", spec, width=1.0), IDX1, [ball], [(0,)], spec)
+    (row,) = cancellation_test(get_operator("gaussian", spec, width=0.5), IDX1, [ball], [(0,)], spec)
+    assert row.window_sensitivity == pytest.approx(0.0685, abs=1e-4)
+
+
 def test_tstar_validates_window(grid):
     T = get_operator("identity", grid)
     with pytest.raises(ValueError, match="at most L/2"):
@@ -267,7 +281,7 @@ def test_cancellation_sign_ratios_grow(grid):
 
 def test_cancellation_subadditive_in_operator(grid):
     s1 = lambda xi: -1j * xi[0] / np.sqrt(1 + xi[0] ** 2)
-    s2 = lambda xi: np.exp(-np.sum(xi**2, axis=0) / 400.0)
+    s2 = lambda xi: np.exp(-sq_distance(xi) / 400.0)
     T1, T2 = MultiplierOp(s1, name="a"), MultiplierOp(s2, name="b")
     Tsum = MultiplierOp(lambda xi: s1(xi) + s2(xi), name="a+b")
     balls = [Ball((0.0,), 0.125)]
@@ -303,7 +317,7 @@ def ladder_operator(name, spec):
         w = 0.05
         norm = (2 * np.pi * w**2) ** (spec.dim / 2)
         return KernelOp(sample_function(
-            spec, lambda p: np.exp(-np.sum(p**2, axis=0) / (2 * w**2)) / norm), name="gauss-kernel")
+            spec, lambda p: np.exp(-sq_distance(p) / (2 * w**2)) / norm), name="gauss-kernel")
     return get_operator(name, spec)
 
 
@@ -354,7 +368,7 @@ def test_cancellation_computes_each_field_once(kind):
 
     def symbol(xi):
         evaluations.append(1)
-        return np.exp(-(0.05**2) * np.sum(xi**2, axis=0) / 4.0)
+        return np.exp(-(0.05**2) * sq_distance(xi) / 4.0)
 
     counts = Counter()
     T = CountingOp(MultiplierOp(symbol, name="g"), counts)
